@@ -46,6 +46,7 @@
 #include "net/epoll_loop.h"
 #include "net/fault_inject.h"
 #include "net/tcp_link.h"
+#include "net/wire.h"
 #include "stats/table.h"
 
 namespace {
@@ -68,11 +69,27 @@ net::MessagePtr make_pair_msg(std::uint32_t seq) {
   return msg;
 }
 
-// One mesh position: an epoll loop plus one transport per incident edge —
-// the exact I/O topology of a cim_bridge process, minus the memory system.
+// One edge endpoint: the byte pipe plus the seq stamping a session would do
+// (no journal, no acks — this row prices the transport alone). Each link is
+// written by one thread only: node 0's flood thread or its node's loop.
+struct Link {
+  std::unique_ptr<net::TcpLinkTransport> pipe;
+  std::uint64_t next_seq = 0;
+  std::vector<std::uint8_t> buf;
+
+  void send(net::TransportFrame& frame) {
+    frame.seq = next_seq++;
+    buf.clear();
+    net::wire::encode(frame, buf);
+    pipe->send_bytes(buf.data(), buf.size());
+  }
+};
+
+// One mesh position: an epoll loop plus one pipe per incident edge — the
+// exact I/O topology of a cim_bridge process, minus the memory system.
 struct Node {
   net::EpollLoop loop;
-  std::vector<std::unique_ptr<net::TcpLinkTransport>> links;
+  std::vector<Link> links;
   std::atomic<std::uint64_t> delivered{0};
 };
 
@@ -103,24 +120,25 @@ ShapeResult run_shape(const isc::Topology& topo) {
       CIM_CHECK(false);
       return 0;
     };
-    nodes[e.a]->links[slot(e.a, e.b)] = std::make_unique<net::TcpLinkTransport>(
-        fds[0], nodes[e.a]->loop);
-    nodes[e.b]->links[slot(e.b, e.a)] = std::make_unique<net::TcpLinkTransport>(
-        fds[1], nodes[e.b]->loop);
+    nodes[e.a]->links[slot(e.a, e.b)].pipe =
+        std::make_unique<net::TcpLinkTransport>(fds[0], nodes[e.a]->loop);
+    nodes[e.b]->links[slot(e.b, e.a)].pipe =
+        std::make_unique<net::TcpLinkTransport>(fds[1], nodes[e.b]->loop);
   }
 
   for (std::size_t i = 0; i < n; ++i) {
     nodes[i]->loop.start();
     Node* node = nodes[i].get();
     for (std::size_t k = 0; k < node->links.size(); ++k) {
-      node->links[k]->start([node, k](net::MessagePtr msg) {
-        node->delivered.fetch_add(1, std::memory_order_relaxed);
-        // Split horizon: forward to every other link. Runs on the loop
-        // thread — the transport's inline-flush path.
-        for (std::size_t other = 0; other < node->links.size(); ++other) {
-          if (other != k) node->links[other]->send(msg->clone());
-        }
-      });
+      node->links[k].pipe->start_frames(
+          [node, k](std::unique_ptr<net::TransportFrame> frame) {
+            node->delivered.fetch_add(1, std::memory_order_relaxed);
+            // Split horizon: forward to every other link. Runs on the loop
+            // thread — the pipe's inline-flush path.
+            for (std::size_t other = 0; other < node->links.size(); ++other) {
+              if (other != k) node->links[other].send(*frame);
+            }
+          });
     }
   }
 
@@ -128,9 +146,10 @@ ShapeResult run_shape(const isc::Topology& topo) {
   // for every message to reach every other node exactly once.
   const std::uint64_t expected = kMessages * (n - 1);
   const double t0 = now_s();
+  net::TransportFrame frame;
   for (std::size_t s = 0; s < kMessages; ++s) {
-    net::MessagePtr msg = make_pair_msg(static_cast<std::uint32_t>(s));
-    for (auto& link : nodes[0]->links) link->send(msg->clone());
+    frame.payload = make_pair_msg(static_cast<std::uint32_t>(s));
+    for (Link& link : nodes[0]->links) link.send(frame);
   }
   std::uint64_t total = 0;
   while (total < expected) {
@@ -142,10 +161,10 @@ ShapeResult run_shape(const isc::Topology& topo) {
 
   std::uint64_t syscalls = 0, frames = 0, coalesced = 0;
   for (const auto& node : nodes) {
-    for (const auto& link : node->links) {
-      syscalls += link->syscalls_read() + link->syscalls_write();
-      frames += link->frames_sent();
-      coalesced += link->frames_coalesced();
+    for (const Link& link : node->links) {
+      syscalls += link.pipe->syscalls_read() + link.pipe->syscalls_write();
+      frames += link.pipe->frames_sent();
+      coalesced += link.pipe->frames_coalesced();
     }
   }
   for (auto& node : nodes) node->loop.stop();

@@ -35,6 +35,15 @@ for lib in $(grep -rhoE "add_library\(cim_[a-z_]+" "$root"/src/*/CMakeLists.txt 
   fi
 done
 
+# The reliable FIFO channel has one sequence core with two drivers; the
+# architecture document must show it.
+for word in ArqCore ReliableTransport LinkSession; do
+  if ! grep -q "$word" "$doc"; then
+    echo "check_docs: '${word}' is not documented in docs/ARCHITECTURE.md" >&2
+    status=1
+  fi
+done
+
 # docs/WIRE.md is the normative wire-format description: it must exist, and
 # every wire type label the codec knows (src/net/wire.cpp) must be described
 # in it, so the layout tables cannot silently fall behind the enum.
@@ -113,7 +122,8 @@ else
   done
 fi
 
-# docs/FAULTS.md owns the fault-injection model; the socket-level chaos
+# docs/FAULTS.md owns the fault-injection model and the recovery
+# invariants; the ARQ core (src/net/arq_core.h), the socket-level chaos
 # hooks (src/net/fault_inject.h) and the chaos smoke must be described
 # there, so a new hook cannot ship undocumented.
 faults_doc="$root/docs/FAULTS.md"
@@ -121,8 +131,8 @@ if [ ! -f "$faults_doc" ]; then
   echo "check_docs: missing $faults_doc" >&2
   status=1
 else
-  for word in FaultHooks max_write_bytes fail_writes_after fail_reads_after \
-      stall_writes dispatch_delay_us mesh_chaos_smoke; do
+  for word in ArqCore FaultHooks max_write_bytes fail_writes_after \
+      fail_reads_after stall_writes dispatch_delay_us mesh_chaos_smoke; do
     if ! grep -q "$word" "$faults_doc"; then
       echo "check_docs: '${word}' is not documented in docs/FAULTS.md" >&2
       status=1

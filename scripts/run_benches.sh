@@ -14,12 +14,8 @@
 #   bench ...     subset to run (default: tree_scale throughput wire bridge
 #                 checker)
 #
-# Two bench flavors are handled:
-#   * cim-style binaries emit BENCH_<name>.json themselves (bench_report.h);
-#     the harness points CIM_BENCH_JSON at a per-run scratch directory.
-#   * google-benchmark binaries (throughput) are run with
-#     --benchmark_format=json and normalized into the same row shape:
-#     row=<benchmark name>, real_time_ns, cpu_time_ns, items_per_second.
+# Every bench binary emits BENCH_<name>.json itself (bench_report.h); the
+# harness points CIM_BENCH_JSON at a per-run scratch directory.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -40,9 +36,6 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 [[ ${#BENCHES[@]} -gt 0 ]] || BENCHES=(tree_scale throughput wire bridge checker)
-
-# Benches whose binaries speak google-benchmark instead of bench_report.h.
-is_google() { [[ "$1" == throughput ]]; }
 
 # Binary names follow bench_<name>, except the checker gate whose binary
 # keeps its historical bench_checker_perf name (report/baseline: checker).
@@ -67,11 +60,7 @@ for bench in "${BENCHES[@]}"; do
   for ((run = 0; run < RUNS; ++run)); do
     rundir="$SCRATCH/$bench/run$run"
     mkdir -p "$rundir"
-    if is_google "$bench"; then
-      "$bin" --benchmark_format=json > "$rundir/google.json"
-    else
-      CIM_BENCH_JSON="$rundir" "$bin" > "$rundir/stdout.txt"
-    fi
+    CIM_BENCH_JSON="$rundir" "$bin" > "$rundir/stdout.txt"
   done
 
   python3 - "$bench" "$SCRATCH/$bench" "$OUT" <<'PYEOF'
@@ -79,44 +68,13 @@ import glob, json, os, statistics, sys
 
 bench, rundir, out = sys.argv[1], sys.argv[2], sys.argv[3]
 
-def load_cim(path):
-    with open(path) as f:
-        return json.load(f)
-
-def load_google(path):
-    """Normalize google-benchmark JSON into the cim.bench.v1 shape."""
-    with open(path) as f:
-        doc = json.load(f)
-    scale = {"ns": 1, "us": 1e3, "ms": 1e6, "s": 1e9}
-    rows = []
-    for b in doc.get("benchmarks", []):
-        unit = scale.get(b.get("time_unit", "ns"), 1)
-        row = {
-            "row": b["name"],
-            "real_time_ns": b["real_time"] * unit,
-            "cpu_time_ns": b["cpu_time"] * unit,
-            "iterations": b["iterations"],
-        }
-        if "items_per_second" in b:
-            row["items_per_second"] = b["items_per_second"]
-        rows.append(row)
-    ctx = doc.get("context", {})
-    meta = {"source": "google-benchmark"}
-    if "library_build_type" in ctx:
-        meta["library_build_type"] = ctx["library_build_type"]
-    return {"schema": "cim.bench.v1", "v": 2, "bench": bench,
-            "meta": meta, "rows": rows}
-
 reports = []
 for d in sorted(glob.glob(os.path.join(rundir, "run*"))):
-    g = os.path.join(d, "google.json")
-    if os.path.exists(g):
-        reports.append(load_google(g))
-    else:
-        cims = glob.glob(os.path.join(d, "BENCH_*.json"))
-        if not cims:
-            sys.exit(f"run_benches: no JSON produced in {d}")
-        reports.append(load_cim(cims[0]))
+    found = glob.glob(os.path.join(d, "BENCH_*.json"))
+    if not found:
+        sys.exit(f"run_benches: no JSON produced in {d}")
+    with open(found[0]) as f:
+        reports.append(json.load(f))
 
 # Median every numeric field across runs, matching rows by name. Non-numeric
 # fields and fields missing from some run are taken from the first run.

@@ -39,6 +39,11 @@ class VecQueue {
     return buf_.back();
   }
 
+  T& operator[](std::size_t i) {
+    CIM_DCHECK(i < size());
+    return buf_[head_ + i];
+  }
+
   void pop_front() {
     CIM_DCHECK(!empty());
     ++head_;

@@ -43,23 +43,16 @@ LinkSession::~LinkSession() { stop(); }
 void LinkSession::restore(const SpillLinkState& s) {
   std::lock_guard<std::mutex> lock(mutex_);
   CIM_CHECK_MSG(!deliver_, "restore() must precede start()");
-  acked_ = s.acked;
-  send_next_ = s.send_next;
   data_sent_ = s.data_sent;
-  recv_expected_ = s.recv_expected;
   data_delivered_ = s.data_delivered;
-  journal_.clear();
   journal_bytes_ = 0;
-  std::uint64_t seq = s.send_next - s.frames.size();
-  for (const auto& f : s.frames) {
-    journal_bytes_ += f.size();
-    journal_.push_back(Entry{seq++, f});
-  }
+  for (const auto& f : s.frames) journal_bytes_ += f.size();
+  arq_.restore({s.send_next, s.recv_expected, s.frames});
 }
 
 void LinkSession::attach_locked(int fd) {
   transport_ =
-      std::make_unique<net::TcpLinkTransport>(fd, loop_, nullptr, cfg_.link);
+      std::make_unique<net::TcpLinkTransport>(fd, loop_, cfg_.link);
   transport_->start_frames([this](std::unique_ptr<net::TransportFrame> f) {
     on_frame(std::move(f));
   });
@@ -92,11 +85,7 @@ void LinkSession::stop() {
     // Closing the live transport marks its stream dead, which unblocks any
     // thread sitting in a blocking send_bytes (replay against a stalled
     // peer) — without this, join()ing such a thread could hang forever.
-    if (transport_ != nullptr) {
-      transport_->close();
-      graveyard_.push_back(std::move(transport_));
-      socket_dead_ = true;
-    }
+    bury_transport_locked();
     journal_cv_.notify_all();
     reconnect_cv_.notify_all();
   }
@@ -110,26 +99,28 @@ void LinkSession::begin_shutdown() {
 
 bool LinkSession::drained() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return journal_.empty();
+  return arq_.unacked() == 0;
 }
 
 void LinkSession::handle_ack_locked(std::uint64_t ack) {
-  if (ack <= acked_) return;
-  while (!journal_.empty() && journal_.front().seq < ack) {
-    journal_bytes_ -= journal_.front().bytes.size();
-    journal_.pop_front();
-  }
-  acked_ = ack;
-  if (spill_ != nullptr) spill_->record_acked(cfg_.link_index, acked_);
+  if (!arq_.ack(ack, [this](const auto& e) {
+        journal_bytes_ -= e.payload.size();
+      }))
+    return;
+  if (spill_ != nullptr) spill_->record_acked(cfg_.link_index, arq_.acked());
   journal_cv_.notify_all();
 }
 
-void LinkSession::retire_locked() {
+void LinkSession::bury_transport_locked() {
   if (transport_ != nullptr) {
     transport_->close();
     graveyard_.push_back(std::move(transport_));
   }
   socket_dead_ = true;
+}
+
+void LinkSession::retire_locked() {
+  bury_transport_locked();
   if (state_ == LinkState::kUp) {
     state_ = LinkState::kDegraded;
     degraded_since_ns_ = steady_ns();
@@ -141,24 +132,19 @@ void LinkSession::fail_locked(const char* why) {
   if (state_ == LinkState::kFailed) return;
   state_ = LinkState::kFailed;
   error_ = why;
-  if (transport_ != nullptr) {
-    transport_->close();
-    graveyard_.push_back(std::move(transport_));
-  }
-  socket_dead_ = true;
+  bury_transport_locked();
   journal_cv_.notify_all();
   reconnect_cv_.notify_all();
 }
 
 void LinkSession::send(net::MessagePtr msg) {
-  std::vector<std::uint8_t> buf;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     // The journal bound IS the backpressure while the link is down: the
     // sender (engine thread) blocks here until the peer's ACKs make room
     // again — bounded buffering, not unbounded growth, not a dead node.
     journal_cv_.wait(lock, [this] {
-      return (journal_.size() < cfg_.journal_max_frames &&
+      return (arq_.unacked() < cfg_.journal_max_frames &&
               journal_bytes_ < cfg_.journal_max_bytes) ||
              state_ == LinkState::kFailed || stopped_;
     });
@@ -173,15 +159,16 @@ void LinkSession::send(net::MessagePtr msg) {
     std::uint8_t ctrl_code = 0;
     if (is_ctrl) ctrl_code = static_cast<const ControlMsg&>(*msg).code;
 
+    auto& entry = arq_.stamp();
     net::TransportFrame frame;
-    frame.seq = send_next_++;
-    frame.ack = recv_expected_;
+    frame.seq = entry.seq;
+    frame.ack = arq_.recv_next();
     frame.payload = std::move(msg);
+    std::vector<std::uint8_t>& buf = entry.payload;
     net::wire::encode(frame, buf);
 
     if (!is_meta) ++data_sent_;
     journal_bytes_ += buf.size();
-    journal_.push_back(Entry{frame.seq, buf});
     if (spill_ != nullptr) {
       spill_->record_sent(cfg_.link_index, data_sent_, buf.data(), buf.size());
       if (is_ctrl && (ctrl_code == ControlMsg::kDone ||
@@ -203,16 +190,14 @@ void LinkSession::pump_wire() {
     net::TcpLinkTransport* t = nullptr;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (socket_dead_ || transport_ == nullptr || journal_.empty()) return;
-      const std::uint64_t front = journal_.front().seq;
-      if (wire_next_ < front) wire_next_ = front;  // acked under our feet
-      if (wire_next_ > journal_.back().seq) return;
-      bytes = journal_[wire_next_ - front].bytes;
-      ++wire_next_;
+      if (socket_dead_ || transport_ == nullptr) return;
+      const auto* entry = arq_.next_to_wire();
+      if (entry == nullptr) return;
+      bytes = entry->payload;
       t = transport_.get();
     }
     // A failed send just means the socket died mid-frame: the journal still
-    // holds everything unacked and the next rejoin rewinds wire_next_.
+    // holds everything unacked and the next rejoin rewinds the wire cursor.
     if (!t->send_bytes(bytes.data(), bytes.size(), true)) return;
   }
 }
@@ -252,17 +237,18 @@ void LinkSession::on_frame(std::unique_ptr<net::TransportFrame> frame) {
       peer_hb_rx_ns_ = t4;
     }
     if (!frame->payload) return;  // pure ACK / heartbeat
-    if (frame->seq < recv_expected_) {
-      // Replay overlap after a rejoin (or an in-flight frame racing one):
-      // already delivered, drop — this is the zero-dup guarantee.
-      ++dup_drops_;
-      return;
+    switch (arq_.receive(frame->seq)) {
+      case net::ArqRx::kDuplicate:
+        // Replay overlap after a rejoin (or an in-flight frame racing one):
+        // already delivered, drop — this is the zero-dup guarantee.
+        ++dup_drops_;
+        return;
+      case net::ArqRx::kAhead:
+        fail_locked("session: sequence gap on an ordered stream");
+        return;
+      case net::ArqRx::kNext:
+        break;
     }
-    if (frame->seq > recv_expected_) {
-      fail_locked("session: sequence gap on an ordered stream");
-      return;
-    }
-    ++recv_expected_;
     const bool is_ctrl =
         std::strcmp(frame->payload->type_name(), "wire.ctrl") == 0;
     const bool is_meta =
@@ -274,17 +260,33 @@ void LinkSession::on_frame(std::unique_ptr<net::TransportFrame> frame) {
       // never accepted again, so a crash between the two leaves at most a
       // recorded-but-unapplied write — invisible, which causal memory
       // explicitly allows; a duplicate apply would not be.
-      spill_->record_delivered(cfg_.link_index, recv_expected_,
+      spill_->record_delivered(cfg_.link_index, arq_.recv_next(),
                                data_delivered_);
-      if (is_ctrl) {
-        const auto& ctrl = static_cast<const ControlMsg&>(*frame->payload);
-        if (ctrl.code == ControlMsg::kDone || ctrl.code == ControlMsg::kBye)
+    }
+    if (is_ctrl) {
+      const auto& ctrl = static_cast<const ControlMsg&>(*frame->payload);
+      if (ctrl.code == ControlMsg::kDone || ctrl.code == ControlMsg::kBye) {
+        if (spill_ != nullptr)
           spill_->record_ctrl_delivered(cfg_.link_index, ctrl.code, ctrl.a);
+        // Ack the termination frames at once: the peer closes its socket as
+        // soon as its journal drains, so leaving this ack to the next
+        // heartbeat would strand the sender's last frame behind an EOF —
+        // a spurious re-dial or a wait through the rejoin grace window.
+        send_ack_locked();
       }
     }
     payload = std::move(frame->payload);
   }
   deliver_(std::move(payload));
+}
+
+void LinkSession::send_ack_locked() {
+  if (transport_ == nullptr) return;
+  net::TransportFrame ack;
+  ack.ack = arq_.recv_next();
+  std::vector<std::uint8_t> buf;
+  net::wire::encode(ack, buf);
+  transport_->send_bytes(buf.data(), buf.size(), false);
 }
 
 void LinkSession::arm_tick() {
@@ -300,11 +302,9 @@ void LinkSession::tick() {
     net::TcpLinkTransport* t = transport_.get();
     if (t != nullptr) {
       if (t->error() != nullptr || t->peer_closed()) {
-        if (shutdown_ && journal_.empty()) {
+        if (shutdown_ && arq_.unacked() == 0) {
           // Clean goodbye during the final drain: retire quietly, stay kUp.
-          transport_->close();
-          graveyard_.push_back(std::move(transport_));
-          socket_dead_ = true;
+          bury_transport_locked();
         } else {
           retire_locked();
         }
@@ -328,7 +328,7 @@ void LinkSession::tick() {
           // mutual drain-wait at shutdown (each side's journal empties on
           // the other's heartbeats alone).
           net::TransportFrame hb;
-          hb.ack = recv_expected_;
+          hb.ack = arq_.recv_next();
           // NTP exchange (docs/OBSERVABILITY.md): echo the peer's latest
           // heartbeat send time and our receive time of it, stamp our own
           // send time. Data frames never carry these, so only heartbeats
@@ -394,7 +394,7 @@ void LinkSession::reconnect_main() {
     reconnect_cv_.wait(lock, [this] {
       return stopped_ ||
              (socket_dead_ && state_ != LinkState::kFailed &&
-              (!shutdown_ || !journal_.empty()));
+              (!shutdown_ || arq_.unacked() != 0));
     });
     if (stopped_) break;
     int attempt = 0;
@@ -410,7 +410,7 @@ void LinkSession::reconnect_main() {
         return stopped_ || !socket_dead_;
       });
       if (stopped_ || !socket_dead_ || state_ == LinkState::kFailed) break;
-      const std::uint64_t delivered = recv_expected_;
+      const std::uint64_t delivered = arq_.recv_next();
       lock.unlock();
       std::uint64_t peer_delivered = 0;
       bool stale = false;
@@ -449,7 +449,7 @@ void LinkSession::resume_with_socket(int fd, std::uint64_t peer_delivered) {
     // Rewind the wire cursor to the first unacked frame: the pump's next
     // drain IS the replay, and because the pump is the only path to the
     // wire, no concurrently-sent fresh frame can jump ahead of it.
-    wire_next_ = journal_.empty() ? send_next_ : journal_.front().seq;
+    arq_.rewind();
     state_ = LinkState::kUp;
     ++resumes_;
     journal_cv_.notify_all();
@@ -461,49 +461,34 @@ void LinkSession::resume_with_socket(int fd, std::uint64_t peer_delivered) {
 
 std::size_t LinkSession::backlog() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return journal_.size();
+  return arq_.unacked();
+}
+
+std::uint64_t LinkSession::sum_transports(
+    std::uint64_t (net::TcpLinkTransport::*stat)() const) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::uint64_t n = transport_ ? (*transport_.*stat)() : 0;
+  for (const auto& g : graveyard_) n += (*g.*stat)();
+  return n;
 }
 
 std::uint64_t LinkSession::wire_bytes_out() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t n = transport_ ? transport_->wire_bytes_out() : 0;
-  for (const auto& g : graveyard_) n += g->wire_bytes_out();
-  return n;
+  return sum_transports(&net::TcpLinkTransport::wire_bytes_out);
 }
-
 std::uint64_t LinkSession::wire_bytes_in() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t n = transport_ ? transport_->wire_bytes_in() : 0;
-  for (const auto& g : graveyard_) n += g->wire_bytes_in();
-  return n;
+  return sum_transports(&net::TcpLinkTransport::wire_bytes_in);
 }
-
 std::uint64_t LinkSession::syscalls_read() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t n = transport_ ? transport_->syscalls_read() : 0;
-  for (const auto& g : graveyard_) n += g->syscalls_read();
-  return n;
+  return sum_transports(&net::TcpLinkTransport::syscalls_read);
 }
-
 std::uint64_t LinkSession::syscalls_write() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t n = transport_ ? transport_->syscalls_write() : 0;
-  for (const auto& g : graveyard_) n += g->syscalls_write();
-  return n;
+  return sum_transports(&net::TcpLinkTransport::syscalls_write);
 }
-
 std::uint64_t LinkSession::frames_coalesced() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t n = transport_ ? transport_->frames_coalesced() : 0;
-  for (const auto& g : graveyard_) n += g->frames_coalesced();
-  return n;
+  return sum_transports(&net::TcpLinkTransport::frames_coalesced);
 }
-
 std::uint64_t LinkSession::queue_full_stalls() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t n = transport_ ? transport_->queue_full_stalls() : 0;
-  for (const auto& g : graveyard_) n += g->queue_full_stalls();
-  return n;
+  return sum_transports(&net::TcpLinkTransport::queue_full_stalls);
 }
 
 LinkState LinkSession::state() const {
@@ -518,7 +503,7 @@ const char* LinkSession::error() const {
 
 std::uint64_t LinkSession::recv_expected() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return recv_expected_;
+  return arq_.recv_next();
 }
 
 bool LinkSession::connected() const {

@@ -5,13 +5,15 @@
 // live, fatal the moment one hiccups. This layer gives every edge a
 // *session* that outlives any one socket:
 //
-//  * Frames carry monotonically increasing sequence numbers plus a
-//    piggybacked cumulative ACK — the same TransportFrame ARQ format the
-//    in-sim ReliableTransport uses (net/reliable_transport.h), so the wire
-//    is unchanged and a capture decodes with the same codec.
-//  * Sent frames stay in a bounded replay journal until the peer's ACK
-//    covers them; the journal doubles as the backpressure bound while a link
-//    is down (senders block against it — degraded, not dead).
+//  * The sequence discipline is net::ArqCore (net/arq_core.h), the same core
+//    the in-sim ReliableTransport drives: seq-stamped TransportFrames with a
+//    piggybacked cumulative ACK, a journal of unacked frames, duplicate
+//    drops on receive. The wire format is shared, so a capture decodes with
+//    the same codec.
+//  * The journal is bounded in frames and bytes; the bound doubles as the
+//    backpressure while a link is down (senders block against it —
+//    degraded, not dead). A frame arriving ahead of the receive cursor is a
+//    fatal sequence gap: one TCP stream cannot reorder.
 //  * A heartbeat tick on the shared EpollLoop sends pure-ACK frames and
 //    watches the transport's last_rx_ns: a silent peer (SIGSTOP, stall)
 //    flips the link to kDegraded (net.mesh.<peer>.{down,hb_miss} gauges)
@@ -19,9 +21,10 @@
 //  * A dead socket (EOF, RST, write failure) retires the transport
 //    incarnation; the dialer side re-dials with capped exponential backoff +
 //    jitter and a kRejoin handshake (session id + last-delivered seq), the
-//    acceptor side answers rejoins on the node's listener. The journal
-//    replays everything past the peer's delivery cursor; the receive cursor
-//    drops duplicates — no pair is delivered twice or lost.
+//    acceptor side answers rejoins on the node's listener. Rejoin = ack the
+//    peer's delivery cursor + rewind the core's wire cursor: the journal
+//    replays everything past it; the receive cursor drops duplicates — no
+//    pair is delivered twice or lost.
 //  * Every session event is spilled to the node's SpillJournal (mesh/spill.h)
 //    so `cim_bridge --resume` restores the cursors and the replay window
 //    after a kill -9.
@@ -39,7 +42,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -48,6 +50,7 @@
 #include <vector>
 
 #include "mesh/spill.h"
+#include "net/arq_core.h"
 #include "net/epoll_loop.h"
 #include "net/link_transport.h"
 #include "net/tcp_link.h"
@@ -165,23 +168,26 @@ class LinkSession final : public net::LinkTransport {
   std::uint64_t queue_full_stalls() const;
 
  private:
-  struct Entry {
-    std::uint64_t seq = 0;
-    std::vector<std::uint8_t> bytes;  // full encoded frame
-  };
-
   void on_frame(std::unique_ptr<net::TransportFrame> frame);
-  /// Write journal entries from wire_next_ up in seq order to the live
-  /// transport. Any thread; blocks against the transport's bounded queue
-  /// while holding wire_mutex_ (never mutex_ — see the threading note).
+  /// Write journal entries from the core's wire cursor on, in seq order, to
+  /// the live transport. Any thread; blocks against the transport's bounded
+  /// queue while holding wire_mutex_ (never mutex_ — see the threading
+  /// note).
   void pump_wire();
   void tick();
   void arm_tick();
+  /// Queue a pure-ACK frame for the current receive cursor (loop thread).
+  void send_ack_locked();
   void handle_ack_locked(std::uint64_t ack);
+  /// Close the live transport (if any) into the graveyard; no socket left.
+  void bury_transport_locked();
   void retire_locked();  // current transport died: degrade + wake the dialer
   void fail_locked(const char* why);
   void attach_locked(int fd);  // new transport incarnation, registered
   void reconnect_main();
+  /// `stat` summed over the live transport and every retired one.
+  std::uint64_t sum_transports(
+      std::uint64_t (net::TcpLinkTransport::*stat)() const) const;
   int dial_and_rejoin(std::uint64_t delivered, std::uint64_t& peer_delivered,
                       bool& stale);
 
@@ -199,18 +205,14 @@ class LinkSession final : public net::LinkTransport {
   bool stopped_ = false;
   bool socket_dead_ = true;  // no live transport incarnation
 
-  // Session cursors (mutex_). Persisted via spill_.
-  std::uint64_t send_next_ = 0;      // next seq to stamp
-  std::uint64_t acked_ = 0;          // peer's cumulative ack
-  std::uint64_t recv_expected_ = 0;  // next inbound seq we accept
+  // Session cursors and the journal of encoded unacked frames (mutex_),
+  // persisted via spill_. The wire cursor is claimed optimistically: if the
+  // socket dies mid-send the journal still holds the frame and the next
+  // rejoin rewinds.
+  net::ArqCore<std::vector<std::uint8_t>> arq_;
+  std::size_t journal_bytes_ = 0;
   std::uint64_t data_sent_ = 0;
   std::uint64_t data_delivered_ = 0;
-  std::deque<Entry> journal_;        // unacked frames, seq ascending
-  std::size_t journal_bytes_ = 0;
-  /// Next seq to put on the wire (mutex_). Reset to the journal front by a
-  /// rejoin — that IS the replay. Claimed optimistically: if the socket dies
-  /// mid-send the journal still holds the frame and the next rejoin rewinds.
-  std::uint64_t wire_next_ = 0;
   /// Serializes transport writes of seq-stamped frames (see pump_wire).
   std::mutex wire_mutex_;
   std::int64_t degraded_since_ns_ = 0;

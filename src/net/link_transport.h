@@ -14,13 +14,15 @@
 //    the whole federation runs over real bytes while staying in-process.
 //    Enabled federation-wide by FederationConfig::link_wire (or the
 //    CIM_LINK_WIRE=bytes environment knob); reports net.wire.* metrics.
-//  * TcpLinkTransport         — real sockets between OS processes
-//    (net/tcp_link.h), used by tools/cim_bridge.
+//  * mesh::LinkSession        — a crash-tolerant session between OS
+//    processes (mesh/link_session.h), used by tools/cim_bridge: the mesh's
+//    driver of net::ArqCore over a net::TcpLinkTransport byte pipe.
 //
 // A transport delivers *inbound* messages by whatever registration its
-// construction implies (fabric receiver wiring, socket reader thread); this
-// interface only models the outbound half plus the lifecycle and
-// introspection hooks the interconnect and metrics layers need.
+// construction implies (fabric receiver wiring, a session's frame callback
+// on the epoll loop); this interface only models the outbound half plus the
+// lifecycle and introspection hooks the interconnect and metrics layers
+// need.
 #pragma once
 
 #include <cstddef>
@@ -51,7 +53,7 @@ class LinkTransport {
   /// what arrives while the owner is crashed.
   virtual void set_down(bool down) { (void)down; }
 
-  /// Stable label for diagnostics and docs: "fabric", "bytes", "tcp".
+  /// Stable label for diagnostics and docs: "fabric", "bytes", "session".
   virtual const char* kind() const = 0;
 
   /// True iff messages cross this link as encoded bytes (wire codec on the

@@ -48,38 +48,40 @@ void ReliableTransport::send(MessagePtr payload) {
 }
 
 void ReliableTransport::admit_from_queue() {
-  while (!down_ && !queue_.empty() && unacked_.size() < cfg_.window) {
-    Unacked entry;
-    entry.seq = send_next_++;
-    entry.payload = std::move(queue_.front());
+  while (!down_ && !queue_.empty() && arq_.unacked() < cfg_.window) {
+    arq_.stamp().payload.msg = std::move(queue_.front());
     queue_.pop_front();
-    unacked_.push_back(std::move(entry));
     if (h_window_ != nullptr) {
-      h_window_->observe(static_cast<std::int64_t>(unacked_.size()));
+      h_window_->observe(static_cast<std::int64_t>(arq_.unacked()));
     }
-    transmit(unacked_.back());
+    transmit_pending();
   }
 }
 
-void ReliableTransport::transmit(Unacked& entry) {
-  ++entry.attempts;
+void ReliableTransport::transmit_pending() {
+  while (Arq::Entry* entry = arq_.next_to_wire()) transmit(*entry);
+}
+
+void ReliableTransport::transmit(Arq::Entry& entry) {
+  Unacked& u = entry.payload;
+  ++u.attempts;
   auto frame = std::make_unique<TransportFrame>();
   frame->seq = entry.seq;
-  frame->ack = recv_next_;
-  frame->payload = entry.payload->clone();
+  frame->ack = arq_.recv_next();
+  frame->payload = u.msg->clone();
   CIM_CHECK_MSG(frame->payload != nullptr,
                 "transport payloads must implement Message::clone()");
   // The frame carries a cumulative ACK, so any delayed standalone ACK
   // becomes redundant.
   ack_pending_ = false;
   ++ack_gen_;
-  if (entry.attempts > 1) {
+  if (u.attempts > 1) {
     ++retransmits_;
     if (m_retx_sent_ != nullptr) m_retx_sent_->inc();
     CIM_TRACE(trace_, sim_.now(), obs::TraceCategory::kNet, "retx",
               {{"ch", out_.value},
                {"seq", entry.seq},
-               {"attempt", entry.attempts}});
+               {"attempt", u.attempts}});
   }
   fabric_.send(out_, std::move(frame));
   if (!retx_armed_) arm_retx_timer();
@@ -98,13 +100,13 @@ void ReliableTransport::arm_retx_timer() {
 }
 
 void ReliableTransport::on_retx_timeout() {
-  if (down_ || unacked_.empty()) return;
+  if (down_ || arq_.unacked() == 0) return;
   ++timeouts_;
   if (m_retx_timeouts_ != nullptr) m_retx_timeouts_->inc();
   CIM_TRACE(trace_, sim_.now(), obs::TraceCategory::kNet, "retx_timeout",
             {{"ch", out_.value},
-             {"oldest", unacked_.front().seq},
-             {"window", static_cast<std::uint64_t>(unacked_.size())},
+             {"oldest", arq_.acked()},
+             {"window", static_cast<std::uint64_t>(arq_.unacked())},
              {"rto_ns", rto_}});
   // Go-back-N on timeout: back off the timer, then resend the whole window
   // (the receiver holds back out-of-order frames, so duplicates are
@@ -113,18 +115,14 @@ void ReliableTransport::on_retx_timeout() {
   rto_ = sim::Duration{std::min(
       static_cast<std::int64_t>(static_cast<double>(rto_.ns) * cfg_.backoff),
       cfg_.rto_max.ns)};
-  for (Unacked& entry : unacked_) transmit(entry);
+  arq_.rewind();
+  transmit_pending();
 }
 
 void ReliableTransport::handle_ack(std::uint64_t ack) {
-  bool progress = false;
-  while (!unacked_.empty() && unacked_.front().seq < ack) {
-    unacked_.pop_front();
-    progress = true;
-  }
-  if (!progress) return;
+  if (!arq_.ack(ack)) return;
   rto_ = cfg_.rto_initial;  // fresh ACK progress resets the backoff
-  if (unacked_.empty()) {
+  if (arq_.unacked() == 0) {
     disarm_retx_timer();
     retx_armed_ = false;
   } else {
@@ -152,51 +150,50 @@ void ReliableTransport::on_message(ChannelId from, MessagePtr msg) {
   if (frame->payload == nullptr) return;  // standalone ACK
 
   const std::uint64_t seq = frame->seq;
-  if (seq < recv_next_) {
-    // Duplicate of an already-delivered frame (a retransmission raced the
-    // ACK). Re-ACK so the sender advances.
-    ++dups_suppressed_;
-    if (m_dups_ != nullptr) m_dups_->inc();
-    CIM_TRACE(trace_, sim_.now(), obs::TraceCategory::kNet, "dup",
-              {{"ch", in_.value}, {"seq", seq}});
-    schedule_ack();
-    return;
-  }
-  if (seq == recv_next_) {
-    deliver_in_order(seq, std::move(frame->payload));
-  } else {
-    // Out of order (the underlying channel reordered, or a gap was lost):
-    // hold back until the gap fills. Duplicate out-of-order copies of the
-    // same seq are collapsed by the map insert.
-    const bool inserted =
-        reorder_.emplace(seq, std::move(frame->payload)).second;
-    if (!inserted) {
+  switch (arq_.receive(seq)) {
+    case ArqRx::kDuplicate:
+      // Already delivered (a retransmission raced the ACK). Re-ACK so the
+      // sender advances.
       ++dups_suppressed_;
       if (m_dups_ != nullptr) m_dups_->inc();
+      CIM_TRACE(trace_, sim_.now(), obs::TraceCategory::kNet, "dup",
+                {{"ch", in_.value}, {"seq", seq}});
+      schedule_ack();
+      return;
+    case ArqRx::kNext:
+      deliver(std::move(frame->payload));
+      // Drain any contiguous run held back behind the gap just filled.
+      while (!reorder_.empty() &&
+             arq_.receive(reorder_.begin()->first) == ArqRx::kNext) {
+        MessagePtr next = std::move(reorder_.begin()->second);
+        reorder_.erase(reorder_.begin());
+        deliver(std::move(next));
+      }
+      break;
+    case ArqRx::kAhead: {
+      // Out of order (the underlying channel reordered, or a gap was lost):
+      // hold back until the gap fills. Duplicate out-of-order copies of the
+      // same seq are collapsed by the map insert.
+      const bool inserted =
+          reorder_.emplace(seq, std::move(frame->payload)).second;
+      if (!inserted) {
+        ++dups_suppressed_;
+        if (m_dups_ != nullptr) m_dups_->inc();
+      }
+      CIM_TRACE(trace_, sim_.now(), obs::TraceCategory::kNet, "ooo",
+                {{"ch", in_.value},
+                 {"seq", seq},
+                 {"expected", arq_.recv_next()},
+                 {"held", static_cast<std::uint64_t>(reorder_.size())}});
+      break;
     }
-    CIM_TRACE(trace_, sim_.now(), obs::TraceCategory::kNet, "ooo",
-              {{"ch", in_.value},
-               {"seq", seq},
-               {"expected", recv_next_},
-               {"held", static_cast<std::uint64_t>(reorder_.size())}});
   }
   schedule_ack();
 }
 
-void ReliableTransport::deliver_in_order(std::uint64_t seq,
-                                         MessagePtr payload) {
-  CIM_CHECK(seq == recv_next_);
-  ++recv_next_;
+void ReliableTransport::deliver(MessagePtr payload) {
   ++delivered_;
   upper_->on_message(in_, std::move(payload));
-  // Drain any contiguous run held back behind the gap just filled.
-  while (!reorder_.empty() && reorder_.begin()->first == recv_next_) {
-    MessagePtr next = std::move(reorder_.begin()->second);
-    reorder_.erase(reorder_.begin());
-    ++recv_next_;
-    ++delivered_;
-    upper_->on_message(in_, std::move(next));
-  }
 }
 
 void ReliableTransport::schedule_ack() {
@@ -215,9 +212,9 @@ void ReliableTransport::send_standalone_ack() {
   ++acks_sent_;
   if (m_acks_ != nullptr) m_acks_->inc();
   auto frame = std::make_unique<TransportFrame>();
-  frame->ack = recv_next_;
+  frame->ack = arq_.recv_next();
   CIM_TRACE(trace_, sim_.now(), obs::TraceCategory::kNet, "ack",
-            {{"ch", out_.value}, {"ack", recv_next_}});
+            {{"ch", out_.value}, {"ack", frame->ack}});
   fabric_.send(out_, std::move(frame));
 }
 
@@ -233,11 +230,12 @@ void ReliableTransport::set_down(bool down) {
   } else {
     // Restart: resume retransmission of everything unacknowledged, then
     // re-open the send window for queued payloads (in that order — admitted
-    // payloads transmit on admission and must not be sent twice).
-    // recv_next_ survived the window (stable storage), so redelivered
+    // payloads transmit on admission and must not be sent twice). The
+    // receive cursor survived the window (stable storage), so redelivered
     // frames stay exactly-once.
     rto_ = cfg_.rto_initial;
-    for (Unacked& entry : unacked_) transmit(entry);
+    arq_.rewind();
+    transmit_pending();
     admit_from_queue();
   }
 }

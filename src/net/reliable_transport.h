@@ -19,10 +19,9 @@
 //
 // Crash windows: set_down(true) models the owning host being crashed — every
 // arriving frame is dropped (the peer's retransmissions recover them later)
-// and all timers stop. Sequencing state (send/receive counters, the unacked
-// queue, queued payloads) persists across the window, modelling the stable
-// storage a real recovery log provides; see docs/FAULTS.md for the recovery
-// invariants.
+// and all timers stop. Sequencing state (the ARQ core, queued payloads)
+// persists across the window, modelling the stable storage a real recovery
+// log provides; see docs/FAULTS.md for the recovery invariants.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +29,7 @@
 
 #include "common/rng.h"
 #include "common/vec_queue.h"
+#include "net/arq_core.h"
 #include "net/fabric.h"
 #include "obs/obs.h"
 
@@ -75,7 +75,7 @@ class ReliableTransport final : public Receiver {
   bool down() const { return down_; }
 
   // ---- introspection -------------------------------------------------------
-  std::size_t window_in_use() const { return unacked_.size(); }
+  std::size_t window_in_use() const { return arq_.unacked(); }
   std::size_t queued() const { return queue_.size(); }
   /// Payloads handed to the upper receiver (exactly-once count).
   std::uint64_t delivered() const { return delivered_; }
@@ -86,22 +86,24 @@ class ReliableTransport final : public Receiver {
   /// Frames dropped because they arrived inside a crash window.
   std::uint64_t dropped_while_down() const { return dropped_while_down_; }
   /// All sent payloads acknowledged and nothing queued.
-  bool drained() const { return unacked_.empty() && queue_.empty(); }
+  bool drained() const { return arq_.unacked() == 0 && queue_.empty(); }
 
   // net::Receiver (frames from the peer endpoint).
   void on_message(ChannelId from, MessagePtr msg) override;
 
  private:
   struct Unacked {
-    std::uint64_t seq = 0;
-    MessagePtr payload;  // original; clones go on the wire
+    MessagePtr msg;  // original; clones go on the wire
     std::uint32_t attempts = 0;
   };
+  using Arq = ArqCore<Unacked>;
 
   void admit_from_queue();
-  void transmit(Unacked& entry);
+  /// Put every journal entry past the wire cursor on the wire.
+  void transmit_pending();
+  void transmit(Arq::Entry& entry);
   void handle_ack(std::uint64_t ack);
-  void deliver_in_order(std::uint64_t seq, MessagePtr payload);
+  void deliver(MessagePtr payload);
   void arm_retx_timer();
   void disarm_retx_timer() { ++retx_gen_; }
   void on_retx_timeout();
@@ -118,17 +120,13 @@ class ReliableTransport final : public Receiver {
   bool wired_ = false;
   bool down_ = false;
 
-  // Sender state.
-  std::uint64_t send_next_ = 0;        // next fresh sequence number
-  VecQueue<Unacked> unacked_;          // in-flight window, seq ascending
+  Arq arq_;                            // cursors + in-flight window
   VecQueue<MessagePtr> queue_;         // backpressured payloads, no seq yet
   sim::Duration rto_;
   std::uint64_t retx_gen_ = 0;         // cancels stale timer events
   bool retx_armed_ = false;
 
-  // Receiver state.
-  std::uint64_t recv_next_ = 0;                 // cumulative-ACK value
-  std::map<std::uint64_t, MessagePtr> reorder_; // out-of-order holdback
+  std::map<std::uint64_t, MessagePtr> reorder_; // frames ahead of a gap
   bool ack_pending_ = false;
   std::uint64_t ack_gen_ = 0;
 

@@ -50,21 +50,6 @@ void set_nonblocking(int fd) {
                 "cannot set O_NONBLOCK: " << std::strerror(errno));
 }
 
-bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
-  while (size > 0) {
-    // MSG_NOSIGNAL: a vanished peer must surface as an error return, not
-    // SIGPIPE killing the bridge.
-    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace
 
 int tcp_listen(std::uint16_t port, int backlog) {
@@ -104,13 +89,6 @@ int tcp_accept(int listener_fd, int timeout_ms) {
   const int fd = ::accept(listener_fd, nullptr, nullptr);
   CIM_CHECK_MSG(fd >= 0, "accept() failed: " << std::strerror(errno));
   set_nodelay(fd);
-  return fd;
-}
-
-int tcp_listen_accept(std::uint16_t port) {
-  const int listener = tcp_listen(port, 1);
-  const int fd = tcp_accept(listener, -1);
-  ::close(listener);
   return fd;
 }
 
@@ -182,15 +160,9 @@ int tcp_connect_timeout(const char* host, std::uint16_t port, int timeout_ms) {
 }
 
 TcpLinkTransport::TcpLinkTransport(int fd, EpollLoop& loop,
-                                   obs::Observability* obs,
                                    TcpLinkConfig config)
     : fd_(fd), loop_(loop), config_(config) {
   CIM_CHECK(fd >= 0);
-  if (obs != nullptr) {
-    obs::MetricsRegistry& m = obs->metrics();
-    m_bytes_out_ = &m.counter("net.wire.bytes_out");
-    h_encode_ns_ = &m.histogram("net.wire.encode_ns");
-  }
 }
 
 TcpLinkTransport::~TcpLinkTransport() {
@@ -210,30 +182,14 @@ void TcpLinkTransport::close() {
   send_cv_.notify_all();  // a stalled sender must not wait on a dead stream
 }
 
-void TcpLinkTransport::register_with_loop() {
-  {
-    // Serialize with a concurrent send(): the pre-start blocking write and
-    // the switch to nonblocking must not interleave.
-    std::lock_guard<std::mutex> lock(send_mutex_);
-    set_nonblocking(fd_);
-    started_.store(true, std::memory_order_release);
-  }
-  last_rx_ns_.store(wall_ns(), std::memory_order_relaxed);
-  loop_.add(fd_, this);
-}
-
-void TcpLinkTransport::start(DeliverFn deliver) {
-  CIM_CHECK_MSG(!started_.load(std::memory_order_acquire),
-                "start() called twice");
-  deliver_ = std::move(deliver);
-  register_with_loop();
-}
-
 void TcpLinkTransport::start_frames(FrameFn fn) {
   CIM_CHECK_MSG(!started_.load(std::memory_order_acquire),
-                "start() called twice");
+                "start_frames() called twice");
   frame_fn_ = std::move(fn);
-  register_with_loop();
+  set_nonblocking(fd_);
+  last_rx_ns_.store(wall_ns(), std::memory_order_relaxed);
+  started_.store(true, std::memory_order_release);
+  loop_.add(fd_, this);
 }
 
 void TcpLinkTransport::kick() {
@@ -260,7 +216,7 @@ bool TcpLinkTransport::wait_for_room(std::unique_lock<std::mutex>& lock) {
   // drains below the bound; the loop thread itself (a forwarding deliver
   // callback) flushes inline instead and may overshoot the bound rather
   // than deadlocking against its own flusher.
-  if (started_.load(std::memory_order_acquire) && !loop_.on_loop_thread() &&
+  if (!loop_.on_loop_thread() &&
       (sendq_.size() >= config_.max_queued_frames ||
        queued_bytes_ >= config_.max_queued_bytes)) {
     queue_full_stalls_.fetch_add(1, std::memory_order_relaxed);
@@ -273,46 +229,10 @@ bool TcpLinkTransport::wait_for_room(std::unique_lock<std::mutex>& lock) {
   return !peer_closed_.load(std::memory_order_acquire);
 }
 
-void TcpLinkTransport::send(MessagePtr msg) {
-  std::unique_lock<std::mutex> lock(send_mutex_);
-  if (!wait_for_room(lock)) return;
-
-  TransportFrame frame;
-  frame.seq = send_next_++;
-  frame.ack = recv_next_published_.load(std::memory_order_relaxed);
-  frame.payload = std::move(msg);
-
-  Buffer buf;
-  if (!free_bufs_.empty()) {
-    buf = std::move(free_bufs_.back());
-    free_bufs_.pop_back();
-    buf.clear();
-  }
-  const std::int64_t t0 = wall_ns();
-  const std::size_t frame_len = wire::encode(frame, buf);
-  const std::int64_t t1 = wall_ns();
-  if (m_bytes_out_ != nullptr) {
-    m_bytes_out_->inc(frame_len);
-    h_encode_ns_->observe(sim::Duration{t1 - t0});
-  }
-
-  if (!started_.load(std::memory_order_acquire)) {
-    // Handshake phase: the fd is still blocking and nothing else touches it.
-    if (!write_all(fd_, buf.data(), buf.size())) {
-      fail("tcp link: write failed");
-      return;
-    }
-    bytes_out_.fetch_add(frame_len, std::memory_order_relaxed);
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
-    if (free_bufs_.size() < kMaxFreeBufs) free_bufs_.push_back(std::move(buf));
-    return;
-  }
-
-  enqueue_locked(lock, std::move(buf));
-}
-
 bool TcpLinkTransport::send_bytes(const std::uint8_t* data, std::size_t size,
                                   bool block) {
+  CIM_DCHECK_MSG(started_.load(std::memory_order_acquire),
+                 "send_bytes() before start_frames()");
   std::unique_lock<std::mutex> lock(send_mutex_);
   if (block) {
     if (!wait_for_room(lock)) return false;
@@ -327,18 +247,6 @@ bool TcpLinkTransport::send_bytes(const std::uint8_t* data, std::size_t size,
     buf.clear();
   }
   buf.insert(buf.end(), data, data + size);
-
-  if (!started_.load(std::memory_order_acquire)) {
-    if (!write_all(fd_, buf.data(), buf.size())) {
-      fail("tcp link: write failed");
-      return false;
-    }
-    bytes_out_.fetch_add(size, std::memory_order_relaxed);
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
-    if (free_bufs_.size() < kMaxFreeBufs) free_bufs_.push_back(std::move(buf));
-    return true;
-  }
-
   enqueue_locked(lock, std::move(buf));
   return true;
 }
@@ -371,8 +279,7 @@ void TcpLinkTransport::flush_locked(std::unique_lock<std::mutex>& lock) {
       return;
     }
     if (hooks != nullptr) {
-      // Loop thread only (and the pre-start handshake writes bypass this
-      // path), so a plain load/store countdown is race-free.
+      // Loop thread only, so a plain load/store countdown is race-free.
       const int left = hooks->fail_writes_after.load(std::memory_order_relaxed);
       if (left == 0) {
         fail("tcp link: injected write failure");
@@ -532,29 +439,8 @@ bool TcpLinkTransport::parse_frames() {
       fail("tcp link: stream message is not a transport frame");
       return false;
     }
-    if (frame_fn_) {
-      // Session mode: hand the whole frame (pure ACKs included) upward;
-      // the session owns the seq discipline and the replay journal.
-      frames_received_.fetch_add(1, std::memory_order_relaxed);
-      res.msg.release();
-      frame_fn_(std::unique_ptr<TransportFrame>(frame));
-      continue;
-    }
-    if (frame->payload == nullptr) continue;  // pure ACK: nothing to do
-    // The ARQ receive discipline, minus recovery: TCP already guarantees
-    // order, so a gap is impossible; a duplicate seq is suppressed.
-    if (frame->seq < recv_next_) {
-      dups_suppressed_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (frame->seq != recv_next_) {
-      fail("tcp link: sequence gap on an ordered stream");
-      return false;
-    }
-    ++recv_next_;
-    recv_next_published_.store(recv_next_, std::memory_order_relaxed);
-    frames_received_.fetch_add(1, std::memory_order_relaxed);
-    deliver_(std::move(frame->payload));
+    res.msg.release();
+    frame_fn_(std::unique_ptr<TransportFrame>(frame));
   }
   if (in_off_ == inbuf_.size()) {
     inbuf_.clear();

@@ -1,38 +1,31 @@
-// TCP-backed link transport: the inter-IS channel as a real byte stream
-// between OS processes (tools/cim_bridge, docs/BRIDGE.md).
+// TCP byte pipe: the inter-IS channel as a real byte stream between OS
+// processes (tools/cim_bridge, docs/BRIDGE.md).
 //
-// Framing: every message goes on the stream as a wire-encoded TransportFrame
-// (docs/WIRE.md type 7) — seq-numbered data frame with a piggybacked
-// cumulative ACK, exactly the in-sim ARQ's frame format, so a capture of the
-// socket is decodable with the same codec and the receive side reuses the
-// ARQ's dedup discipline. Retransmission, ordering, and integrity come from
-// kernel TCP (the stream IS the reliable FIFO channel the paper assumes);
-// the seq/ack numbers carry no recovery duty here — they exist so the frame
-// format is shared and accidental duplication (e.g. a future
-// reconnect-and-replay layer) is detected and suppressed rather than
-// corrupting causal order. The mesh join handshake exchanges *bare*
-// ControlMsg frames on the raw fd before this transport takes over the
-// stream (docs/BRIDGE.md); the TransportFrame seq space starts at 0 on both
-// sides once it does.
+// Framing: the stream carries wire-encoded TransportFrames (docs/WIRE.md
+// type 7). This class only moves them: send_bytes() queues one frame the
+// caller already encoded, and start_frames() hands every decoded frame —
+// data, pure ACK or heartbeat — to a callback, in stream order. It holds no
+// sequence state and polices nothing: stamping, acknowledgement, duplicate
+// suppression and replay belong to the ARQ core (net/arq_core.h) that
+// mesh::LinkSession drives on top of it. Kernel TCP supplies order and
+// integrity within one socket; the session supplies them across sockets.
+// The mesh join handshake exchanges *bare* ControlMsg frames on the raw fd
+// (mesh/ctrl_io.h) before a pipe takes over the stream.
 //
-// I/O model (the PR-6 tentpole): nonblocking, driven by a shared
-// net::EpollLoop — edge-triggered readiness, one loop thread serving every
-// link of the mesh node. Sends enqueue encoded frames on a bounded per-peer
-// send queue; the loop thread drains the queue with writev scatter/gather,
-// so a burst of small frames (an IS-process fan-out, a forwarding storm)
-// shares one syscall. Backpressure: when the queue is full, a sender on a
-// foreign thread stalls (bounded waits, counted in queue_full_stalls) until
-// the loop drains below the low-water mark; the loop thread itself never
-// stalls (a forwarding deliver callback must not deadlock against its own
-// flusher) — it flushes inline and, if the kernel buffer is also full, lets
-// the queue grow past the bound temporarily.
+// I/O model: nonblocking, driven by a shared net::EpollLoop — edge-triggered
+// readiness, one loop thread serving every link of the mesh node. Frames
+// wait on a bounded per-peer send queue; the loop thread drains it with
+// writev scatter/gather, so a burst of small frames (an IS-process fan-out,
+// a forwarding storm) shares one syscall. Backpressure: when the queue is
+// full, a sender on a foreign thread stalls (bounded waits, counted in
+// queue_full_stalls) until the loop drains below the low-water mark; the
+// loop thread itself never stalls (a forwarding callback must not deadlock
+// against its own flusher) — it flushes inline and, if the kernel buffer is
+// also full, lets the queue grow past the bound temporarily.
 //
-// Threading: send() may be called from any thread. start() registers the fd
-// with the loop; from then on the DeliverFn runs on the loop thread — the
-// bridge posts pair payloads into the rt::Runtime. Before start() the fd is
-// still blocking and send() writes synchronously (handshake use). Metrics:
-// send-side instruments are cached obs cells bumped under the send mutex;
-// receive-side counts are atomics the embedder folds into the registry (obs
+// Threading: send_bytes() may be called from any thread once start_frames()
+// has registered the fd with the loop; the frame callback runs on the loop
+// thread. Counters are atomics the embedder folds into its metrics (obs
 // cells are not thread-safe), e.g. into the net.mesh.* counters.
 #pragma once
 
@@ -41,15 +34,13 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <vector>
 
 #include "net/epoll_loop.h"
 #include "net/fault_inject.h"
-#include "net/link_transport.h"
-#include "net/message.h"
 #include "net/reliable_transport.h"
-#include "obs/obs.h"
 
 namespace cim::net {
 
@@ -62,11 +53,6 @@ int tcp_listen(std::uint16_t port, int backlog = 1);
 /// Accept one connection from `listener_fd`, waiting at most `timeout_ms`
 /// (<0: forever). Returns the connected fd, or -1 on timeout.
 int tcp_accept(int listener_fd, int timeout_ms = -1);
-
-/// Listen on `port` (all interfaces), accept one connection, close the
-/// listener. Returns the connected socket fd; throws InvariantViolation on
-/// socket errors.
-int tcp_listen_accept(std::uint16_t port);
 
 /// Connect to host:port, retrying (100ms apart) while the peer is not yet
 /// listening. Returns the connected fd; throws after `retries` failures.
@@ -88,36 +74,24 @@ struct TcpLinkConfig {
   FaultHooks* faults = nullptr;
 };
 
-class TcpLinkTransport final : public LinkTransport,
-                               private EpollLoop::FdHandler {
+class TcpLinkTransport final : private EpollLoop::FdHandler {
  public:
-  /// Payload delivery, on the loop thread.
-  using DeliverFn = std::function<void(MessagePtr)>;
-
   /// Takes ownership of the connected socket `fd`. The loop is borrowed; the
   /// transport must be destroyed only after `loop.stop()` (see epoll_loop.h).
-  TcpLinkTransport(int fd, EpollLoop& loop, obs::Observability* obs = nullptr,
-                   TcpLinkConfig config = {});
+  TcpLinkTransport(int fd, EpollLoop& loop, TcpLinkConfig config = {});
   ~TcpLinkTransport() override;
   TcpLinkTransport(const TcpLinkTransport&) = delete;
   TcpLinkTransport& operator=(const TcpLinkTransport&) = delete;
 
-  /// Switch the fd nonblocking, register it with the loop, and route every
-  /// inbound payload to `deliver`.
-  void start(DeliverFn deliver);
-
-  /// Raw-frame mode for the session layer (mesh::LinkSession): every decoded
-  /// TransportFrame — pure ACKs and heartbeats included — is handed to `fn`
-  /// on the loop thread with *no* seq policing; ordering, dedup, and replay
-  /// are the session's job. Mutually exclusive with start().
+  /// Switch the fd nonblocking, register it with the loop, and hand every
+  /// decoded TransportFrame to `fn` on the loop thread. Call once.
   using FrameFn = std::function<void(std::unique_ptr<TransportFrame>)>;
   void start_frames(FrameFn fn);
 
-  /// Enqueue one pre-encoded frame (session mode; the session stamps seq/ack
-  /// and owns the encoding). Same bounded queue as send(): with `block`,
-  /// a foreign thread stalls against the bound; the loop thread never does.
-  /// Returns false if the stream has already failed (the bytes are dropped —
-  /// the session's journal is what guarantees redelivery).
+  /// Enqueue one pre-encoded frame. With `block`, a foreign thread stalls
+  /// against the queue bound; the loop thread never does. Returns false if
+  /// the stream has already failed (the bytes are dropped — redelivery is
+  /// the caller's journal's job).
   bool send_bytes(const std::uint8_t* data, std::size_t size,
                   bool block = true);
 
@@ -128,15 +102,12 @@ class TcpLinkTransport final : public LinkTransport,
   /// by the destructor if needed.
   void close();
 
-  // LinkTransport.
-  void send(MessagePtr msg) override;
-  std::size_t backlog() const override;
-  const char* kind() const override { return "tcp"; }
-  bool serializing() const override { return true; }
-  std::uint64_t wire_bytes_out() const override {
+  /// Encoded frames queued toward the peer.
+  std::size_t backlog() const;
+  std::uint64_t wire_bytes_out() const {
     return bytes_out_.load(std::memory_order_relaxed);
   }
-  std::uint64_t wire_bytes_in() const override {
+  std::uint64_t wire_bytes_in() const {
     return bytes_in_.load(std::memory_order_relaxed);
   }
 
@@ -149,12 +120,6 @@ class TcpLinkTransport final : public LinkTransport,
   const char* error() const { return error_.load(std::memory_order_acquire); }
   std::uint64_t frames_sent() const {
     return frames_sent_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t frames_received() const {
-    return frames_received_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t dups_suppressed() const {
-    return dups_suppressed_.load(std::memory_order_relaxed);
   }
   /// Steady-clock nanosecond stamp of the last bytes read off the socket
   /// (start time until then). The session layer's liveness timeout reads
@@ -194,13 +159,11 @@ class TcpLinkTransport final : public LinkTransport,
   void drain_input();
   bool parse_frames();  // false on a decode/protocol error
   void fail(const char* error);
-  void register_with_loop();
 
   int fd_;
   EpollLoop& loop_;
   TcpLinkConfig config_;
-  DeliverFn deliver_;
-  FrameFn frame_fn_;  // raw-frame (session) mode when set
+  FrameFn frame_fn_;
   std::atomic<bool> started_{false};
   bool closed_ = false;
 
@@ -212,19 +175,14 @@ class TcpLinkTransport final : public LinkTransport,
   std::size_t send_off_ = 0;          // bytes of sendq_.front() already written
   std::size_t queued_bytes_ = 0;
   bool flush_armed_ = false;          // a flush task/edge will run
-  std::uint64_t send_next_ = 0;       // next data seq
 
   // ---- receive side (loop thread only) -------------------------------------
   Buffer inbuf_;
   std::size_t in_off_ = 0;   // parse offset into inbuf_
-  std::uint64_t recv_next_ = 0;
-  std::atomic<std::uint64_t> recv_next_published_{0};  // acked to peer
 
   std::atomic<std::uint64_t> bytes_out_{0};
   std::atomic<std::uint64_t> bytes_in_{0};
   std::atomic<std::uint64_t> frames_sent_{0};
-  std::atomic<std::uint64_t> frames_received_{0};
-  std::atomic<std::uint64_t> dups_suppressed_{0};
   std::atomic<std::uint64_t> syscalls_read_{0};
   std::atomic<std::uint64_t> syscalls_write_{0};
   std::atomic<std::uint64_t> frames_coalesced_{0};
@@ -232,11 +190,6 @@ class TcpLinkTransport final : public LinkTransport,
   std::atomic<std::int64_t> last_rx_ns_{0};
   std::atomic<bool> peer_closed_{false};
   std::atomic<const char*> error_{nullptr};
-
-  // Cached send-side instrument cells, bumped under send_mutex_ (null
-  // without observability).
-  obs::Counter* m_bytes_out_ = nullptr;
-  obs::DurationHistogram* h_encode_ns_ = nullptr;
 };
 
 }  // namespace cim::net

@@ -326,6 +326,49 @@ TEST(MeshSoak, FiveSystemTreeMergedHistoryIsCausal) {
   EXPECT_TRUE(verdict.ok()) << verdict.detail;
 }
 
+// ---- clean termination -----------------------------------------------------
+
+TEST(MeshDrain, CleanTerminationNeedsNoRedialAndNoGraceWait) {
+  // Each side closes its socket as soon as its own journal drains. The last
+  // done/bye on the edge must therefore be acked at once, not by the next
+  // heartbeat: otherwise its sender sees the EOF with that frame unacked and
+  // either re-dials (a resume) or ends degraded after the rejoin grace
+  // window. Several reps, because which side drains first is a race.
+  for (std::uint16_t rep = 0; rep < 5; ++rep) {
+    std::vector<std::unique_ptr<mesh::MeshNode>> nodes;
+    for (std::size_t i = 0; i < 2; ++i) {
+      mesh::MeshConfig cfg;
+      cfg.node_id = i;
+      cfg.topo = isc::make_chain(2);
+      cfg.base_port = test_port(static_cast<std::uint16_t>(140 + 2 * rep));
+      cfg.procs = 2;
+      cfg.ops = 200;
+      cfg.seed = 3 + rep;
+      cfg.join_timeout_ms = 20'000;
+      nodes.push_back(std::make_unique<mesh::MeshNode>(std::move(cfg)));
+    }
+    std::vector<mesh::MeshResult> results(2);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < 2; ++i) {
+      threads.emplace_back([&, i] {
+        if (nodes[i]->join()) results[i] = nodes[i]->run();
+      });
+    }
+    for (auto& t : threads) t.join();
+    for (std::size_t i = 0; i < 2; ++i) {
+      ASSERT_TRUE(results[i].ok) << "rep " << rep << " node " << i << ": "
+                                 << nodes[i]->error();
+      const mesh::LinkSession& s = nodes[i]->session(0);
+      EXPECT_EQ(s.resumes(), 0u) << "rep " << rep << " node " << i;
+      EXPECT_FALSE(s.down()) << "rep " << rep << " node " << i;
+    }
+    EXPECT_EQ(nodes[0]->session(0).data_sent(),
+              nodes[1]->session(0).data_delivered());
+    EXPECT_EQ(nodes[1]->session(0).data_sent(),
+              nodes[0]->session(0).data_delivered());
+  }
+}
+
 // ---- socket-level chaos (src/net/fault_inject.h, docs/FAULTS.md) -----------
 //
 // Each test runs a real 2-node mesh over localhost with deterministic fault

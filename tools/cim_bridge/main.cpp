@@ -2,7 +2,7 @@
 // a tree mesh over real TCP sockets — the paper's Corollary 1 (any tree of
 // causal systems is causal) as a deployable federation (docs/BRIDGE.md).
 //
-// Mesh mode (scripts/mesh_smoke.sh): every process names its node id and
+// Every process (scripts/mesh_smoke.sh) names its node id and
 // the shared topology — a spec file or a generated shape:
 //
 //   cim_bridge --node 0 --shape btree --n 4 --base-port 9100
@@ -26,10 +26,6 @@
 // the survivors degrade (heartbeat misses, bounded backpressure) instead of
 // dying — see docs/BRIDGE.md "Failure behavior" and docs/FAULTS.md.
 //
-// Legacy two-process mode (scripts/bridge_smoke.sh) still works and is the
-// same thing in a 2-node chain: `--side a --port P` is node 0 with
-// base-port P, `--side b --port P` is node 1 dialing it.
-//
 // Mechanics — epoll transport, join protocol, link sessions, done/bye
 // convergecast — live in mesh::MeshNode (src/mesh/mesh_node.h); this tool
 // only parses flags and dumps history/metrics/trace files.
@@ -49,15 +45,12 @@ using namespace cim;
 namespace {
 
 struct Options {
-  // Mesh mode.
+  // Mesh position.
   std::size_t node = SIZE_MAX;
   std::string topo_path;          // spec file…
   std::string shape;              // …or generated: chain|star|btree
   std::size_t n = 0;              // node count for --shape
   std::uint16_t base_port = 0;
-  // Legacy two-process mode.
-  char side = 0;                  // 'a' = node 0, 'b' = node 1
-  std::uint16_t port = 0;
   // Common.
   std::string host = "127.0.0.1";
   std::uint16_t procs = 4;
@@ -86,7 +79,6 @@ int usage() {
   std::cerr
       << "usage: cim_bridge --node N (--topo FILE | --shape chain|star|btree"
          " --n N) --base-port P\n"
-         "       cim_bridge --side a|b --port P            (legacy 2-process)\n"
          "       [--host H] [--procs N] [--ops N] [--seed N]"
          " [--join-timeout MS]\n"
          "       [--history FILE] [--metrics FILE] [--trace FILE]\n"
@@ -115,10 +107,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.n = std::stoul(v);
     } else if (std::strcmp(arg, "--base-port") == 0 && (v = next())) {
       opt.base_port = static_cast<std::uint16_t>(std::stoul(v));
-    } else if (std::strcmp(arg, "--side") == 0 && (v = next())) {
-      opt.side = v[0];
-    } else if (std::strcmp(arg, "--port") == 0 && (v = next())) {
-      opt.port = static_cast<std::uint16_t>(std::stoul(v));
     } else if (std::strcmp(arg, "--host") == 0 && (v = next())) {
       opt.host = v;
     } else if (std::strcmp(arg, "--procs") == 0 && (v = next())) {
@@ -164,15 +152,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
   if (opt.resume && opt.state_path.empty()) {
     std::cerr << "--resume requires --state\n";
     return false;
-  }
-  if (opt.side != 0) {
-    // Legacy mode maps onto a 2-node chain.
-    if ((opt.side != 'a' && opt.side != 'b') || opt.port == 0) return false;
-    opt.node = opt.side == 'a' ? 0 : 1;
-    opt.base_port = opt.port;
-    opt.shape = "chain";
-    opt.n = 2;
-    return true;
   }
   return opt.node != SIZE_MAX && opt.base_port != 0 &&
          (!opt.topo_path.empty() || (!opt.shape.empty() && opt.n > 0));
