@@ -202,7 +202,7 @@ FaultSweepResult run_fault_sweep(std::uint16_t base_port) {
     // Big enough that the stream is still in full flow through the fault
     // cycles AND the post-recovery measurement window — the rate must price
     // a live pipeline, not the tail of a drain.
-    cfg.ops = 6'000;
+    cfg.ops = 12'000;
     cfg.seed = 9;
     cfg.join_timeout_ms = 20'000;
     cfg.hb_interval_ms = 10;

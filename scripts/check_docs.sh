@@ -93,6 +93,27 @@ else
       status=1
     fi
   done
+  # The threading model: one hot thread per node, and the journal bound
+  # pauses the engine instead of parking a thread.
+  for phrase in "one hot thread per process" "engine stops stepping" \
+      "end of the loop iteration"; do
+    if ! grep -q -- "$phrase" "$bridge_doc"; then
+      echo "check_docs: '${phrase}' is not documented in docs/BRIDGE.md" >&2
+      status=1
+    fi
+  done
+fi
+
+# A mesh node runs its engine on its EpollLoop: the architecture document
+# shows the node's threads, and src/mesh does not fall back to the threaded
+# runtime.
+if ! grep -q "### Mesh node threads" "$doc"; then
+  echo "check_docs: docs/ARCHITECTURE.md does not show the mesh node threads" >&2
+  status=1
+fi
+if grep -q "runtime/runtime.h" "$root"/src/mesh/*; then
+  echo "check_docs: src/mesh includes runtime/runtime.h" >&2
+  status=1
 fi
 
 # docs/CHECKER.md is the normative description of the columnar history

@@ -11,6 +11,11 @@
 #     spill journal restores its cursors, the kRejoin handshake replays the
 #     unacked tail, and the whole mesh drains.
 #
+# Both signals land mid-workload on any host: the run is sized to outlast
+# them (OPS), and they fire once node 1's history shows progress (KILL_AT
+# lines), not after a fixed delay — a node that finished its workload first
+# could no longer --resume (its termination had begun).
+#
 # usage: scripts/mesh_chaos_smoke.sh [BUILD_DIR] [BASE_PORT] [OUT_DIR]
 #
 # OUT_DIR keeps per-node logs, histories, journals, and metrics for artifact
@@ -39,6 +44,9 @@ if [ -z "$out" ]; then
 fi
 mkdir -p "$out"
 
+ops=5000      # per app process: 20 000 ops per node
+kill_at=500   # node 1's history lines (completed ops) before the signals
+
 # Liveness is tuned low so a 1.2s SIGSTOP is several missed heartbeats; the
 # reconnect budget is generous because node 3 re-dials a dead listener until
 # node 1's resumed incarnation opens it again.
@@ -46,7 +54,7 @@ launch() {
   local node="$1" log="$2"
   shift 2
   "$bridge" --node "$node" --shape btree --n 4 --base-port "$base_port" \
-    --procs 4 --ops 200 --seed 11 \
+    --procs 4 --ops "$ops" --seed 11 \
     --hb-interval 50 --liveness 500 --backoff 50 --backoff-max 200 \
     --reconnect-attempts 200 --join-timeout 30000 --drain-timeout 30000 \
     --state "$out/n$node.state" --history "$out/n$node.hist" \
@@ -77,6 +85,18 @@ for i in 0 1 2 3; do
   done
 done
 
+# Then wait for node 1's workload to be under way: its history streams one
+# line per completed op.
+lines() { if [ -f "$1" ]; then wc -l < "$1"; else echo 0; fi; }
+while [ "$(lines "$out/n1.hist")" -lt "$kill_at" ]; do
+  if [ "$SECONDS" -ge "$deadline" ]; then
+    echo "mesh_chaos_smoke: node 1 never completed $kill_at ops" >&2
+    cat "$out"/n*.log >&2
+    exit 1
+  fi
+  sleep 0.005
+done
+
 # Chaos phase 1 — silent peer: node 2 goes quiet without dying. Node 0 must
 # degrade the 0-2 link (backpressure, not failure) and keep the rest of the
 # tree healthy.
@@ -86,6 +106,10 @@ kill -STOP "${pids[2]}"
 # node 0 and node 3 with it, and comes back as generation 1 from its journal.
 kill -KILL "${pids[1]}"
 wait "${pids[1]}" || true  # reap the corpse (exit 137 is the point)
+if [ "$(lines "$out/n1.hist")" -ge $((4 * ops)) ]; then
+  echo "mesh_chaos_smoke: node 1 finished its workload before the kill" >&2
+  exit 1
+fi
 sleep 1.2                  # node 0 accumulates hb_miss on the stopped link
 launch 1 "$out/n1.resume.log" --resume
 pids[1]=$!

@@ -45,6 +45,7 @@ void LinkSession::restore(const SpillLinkState& s) {
   CIM_CHECK_MSG(!deliver_, "restore() must precede start()");
   data_sent_ = s.data_sent;
   data_delivered_ = s.data_delivered;
+  last_ack_sent_ = s.recv_expected;
   journal_bytes_ = 0;
   for (const auto& f : s.frames) journal_bytes_ += f.size();
   arq_.restore({s.send_next, s.recv_expected, s.frames});
@@ -82,11 +83,7 @@ void LinkSession::stop() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopped_ = true;
-    // Closing the live transport marks its stream dead, which unblocks any
-    // thread sitting in a blocking send_bytes (replay against a stalled
-    // peer) — without this, join()ing such a thread could hang forever.
     bury_transport_locked();
-    journal_cv_.notify_all();
     reconnect_cv_.notify_all();
   }
   if (reconnect_thread_.joinable()) reconnect_thread_.join();
@@ -102,13 +99,18 @@ bool LinkSession::drained() const {
   return arq_.unacked() == 0;
 }
 
+bool LinkSession::full() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return arq_.unacked() >= cfg_.journal_max_frames ||
+         journal_bytes_ >= cfg_.journal_max_bytes;
+}
+
 void LinkSession::handle_ack_locked(std::uint64_t ack) {
   if (!arq_.ack(ack, [this](const auto& e) {
         journal_bytes_ -= e.payload.size();
       }))
     return;
   if (spill_ != nullptr) spill_->record_acked(cfg_.link_index, arq_.acked());
-  journal_cv_.notify_all();
 }
 
 void LinkSession::bury_transport_locked() {
@@ -133,72 +135,50 @@ void LinkSession::fail_locked(const char* why) {
   state_ = LinkState::kFailed;
   error_ = why;
   bury_transport_locked();
-  journal_cv_.notify_all();
   reconnect_cv_.notify_all();
 }
 
 void LinkSession::send(net::MessagePtr msg) {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    // The journal bound IS the backpressure while the link is down: the
-    // sender (engine thread) blocks here until the peer's ACKs make room
-    // again — bounded buffering, not unbounded growth, not a dead node.
-    journal_cv_.wait(lock, [this] {
-      return (arq_.unacked() < cfg_.journal_max_frames &&
-              journal_bytes_ < cfg_.journal_max_bytes) ||
-             state_ == LinkState::kFailed || stopped_;
-    });
-    if (state_ == LinkState::kFailed || stopped_) return;
+  // Loop thread. The journal bound is enforced by the caller — the engine
+  // pauses while full() — so a batch may overshoot it by a few frames.
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (state_ == LinkState::kFailed || stopped_) return;
+  const bool is_ctrl = std::strcmp(msg->type_name(), "wire.ctrl") == 0;
+  // Stats frames ride the session like control traffic: journaled and
+  // replayed for FIFO integrity, but excluded from the pair accounting the
+  // done/bye convergecast drains against (docs/BRIDGE.md).
+  const bool is_meta =
+      is_ctrl || std::strcmp(msg->type_name(), "wire.stats") == 0;
+  std::uint8_t ctrl_code = 0;
+  if (is_ctrl) ctrl_code = static_cast<const ControlMsg&>(*msg).code;
 
-    const bool is_ctrl = std::strcmp(msg->type_name(), "wire.ctrl") == 0;
-    // Stats frames ride the session like control traffic: journaled and
-    // replayed for FIFO integrity, but excluded from the pair accounting the
-    // done/bye convergecast drains against (docs/BRIDGE.md).
-    const bool is_meta =
-        is_ctrl || std::strcmp(msg->type_name(), "wire.stats") == 0;
-    std::uint8_t ctrl_code = 0;
-    if (is_ctrl) ctrl_code = static_cast<const ControlMsg&>(*msg).code;
+  auto& entry = arq_.stamp();
+  net::TransportFrame frame;
+  frame.seq = entry.seq;
+  frame.ack = arq_.recv_next();
+  last_ack_sent_ = frame.ack;
+  frame.payload = std::move(msg);
+  std::vector<std::uint8_t>& buf = entry.payload;
+  net::wire::encode(frame, buf);
 
-    auto& entry = arq_.stamp();
-    net::TransportFrame frame;
-    frame.seq = entry.seq;
-    frame.ack = arq_.recv_next();
-    frame.payload = std::move(msg);
-    std::vector<std::uint8_t>& buf = entry.payload;
-    net::wire::encode(frame, buf);
-
-    if (!is_meta) ++data_sent_;
-    journal_bytes_ += buf.size();
-    if (spill_ != nullptr) {
-      spill_->record_sent(cfg_.link_index, data_sent_, buf.data(), buf.size());
-      if (is_ctrl && (ctrl_code == ControlMsg::kDone ||
-                      ctrl_code == ControlMsg::kBye))
-        spill_->record_ctrl_sent(cfg_.link_index, ctrl_code);
-    }
+  if (!is_meta) ++data_sent_;
+  journal_bytes_ += buf.size();
+  if (spill_ != nullptr) {
+    spill_->record_sent(cfg_.link_index, data_sent_, buf.data(), buf.size());
+    if (is_ctrl && (ctrl_code == ControlMsg::kDone ||
+                    ctrl_code == ControlMsg::kBye))
+      spill_->record_ctrl_sent(cfg_.link_index, ctrl_code);
   }
-  pump_wire();
+  pump_wire_locked();
 }
 
-void LinkSession::pump_wire() {
-  // Single holder: whoever gets here first drains everything pending, in seq
-  // order — a second sender arriving mid-drain finds nothing left to do.
-  // Holding wire_mutex_ (never mutex_) across the blocking send keeps the
-  // heartbeat tick and on_frame live while this thread is backpressured.
-  std::lock_guard<std::mutex> wire_lock(wire_mutex_);
-  while (true) {
-    std::vector<std::uint8_t> bytes;
-    net::TcpLinkTransport* t = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (socket_dead_ || transport_ == nullptr) return;
-      const auto* entry = arq_.next_to_wire();
-      if (entry == nullptr) return;
-      bytes = entry->payload;
-      t = transport_.get();
-    }
+void LinkSession::pump_wire_locked() {
+  if (socket_dead_ || transport_ == nullptr) return;
+  while (const auto* entry = arq_.next_to_wire()) {
     // A failed send just means the socket died mid-frame: the journal still
     // holds everything unacked and the next rejoin rewinds the wire cursor.
-    if (!t->send_bytes(bytes.data(), bytes.size(), true)) return;
+    if (!transport_->send_bytes(entry->payload.data(), entry->payload.size()))
+      return;
   }
 }
 
@@ -275,6 +255,11 @@ void LinkSession::on_frame(std::unique_ptr<net::TransportFrame> frame) {
         send_ack_locked();
       }
     }
+    // One-way flow: a receiver with no data of its own would otherwise ack
+    // only on its heartbeat, and the sender would sit on a full journal for
+    // a heartbeat interval per fill.
+    if (arq_.recv_next() - last_ack_sent_ >= cfg_.journal_max_frames / 4)
+      send_ack_locked();
     payload = std::move(frame->payload);
   }
   deliver_(std::move(payload));
@@ -284,9 +269,10 @@ void LinkSession::send_ack_locked() {
   if (transport_ == nullptr) return;
   net::TransportFrame ack;
   ack.ack = arq_.recv_next();
+  last_ack_sent_ = ack.ack;
   std::vector<std::uint8_t> buf;
   net::wire::encode(ack, buf);
-  transport_->send_bytes(buf.data(), buf.size(), false);
+  transport_->send_bytes(buf.data(), buf.size());
 }
 
 void LinkSession::arm_tick() {
@@ -329,6 +315,7 @@ void LinkSession::tick() {
           // the other's heartbeats alone).
           net::TransportFrame hb;
           hb.ack = arq_.recv_next();
+          last_ack_sent_ = hb.ack;
           // NTP exchange (docs/OBSERVABILITY.md): echo the peer's latest
           // heartbeat send time and our receive time of it, stamp our own
           // send time. Data frames never carry these, so only heartbeats
@@ -338,7 +325,7 @@ void LinkSession::tick() {
           hb.ts_tx = static_cast<std::uint64_t>(now);
           std::vector<std::uint8_t> buf;
           net::wire::encode(hb, buf);
-          t->send_bytes(buf.data(), buf.size(), false);
+          t->send_bytes(buf.data(), buf.size());
         } else {
           // Deep backlog: re-post a flush in case the armed flusher stalled
           // without a pending EPOLLOUT edge (a cleared injected stall, a
@@ -393,7 +380,8 @@ void LinkSession::reconnect_main() {
   while (!stopped_) {
     reconnect_cv_.wait(lock, [this] {
       return stopped_ ||
-             (socket_dead_ && state_ != LinkState::kFailed &&
+             (socket_dead_ && resumes_posted_ == 0 &&
+              state_ != LinkState::kFailed &&
               (!shutdown_ || arq_.unacked() != 0));
     });
     if (stopped_) break;
@@ -418,7 +406,7 @@ void LinkSession::reconnect_main() {
       if (fd >= 0) {
         resume_with_socket(fd, peer_delivered);
         lock.lock();
-        break;
+        break;  // the outer wait holds off until the loop has attached it
       }
       lock.lock();
       if (stale) {
@@ -439,6 +427,14 @@ void LinkSession::reconnect_main() {
 void LinkSession::resume_with_socket(int fd, std::uint64_t peer_delivered) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    ++resumes_posted_;
+  }
+  // The rewind and the replay run on the loop, the one thread that pumps
+  // the wire: no fresh frame can jump ahead of the replay.
+  loop_.post([this, fd, peer_delivered] {
+    std::lock_guard<std::mutex> lock(mutex_);
+    --resumes_posted_;
+    reconnect_cv_.notify_all();
     if (stopped_ || state_ == LinkState::kFailed) {
       ::close(fd);
       return;
@@ -446,17 +442,14 @@ void LinkSession::resume_with_socket(int fd, std::uint64_t peer_delivered) {
     if (!socket_dead_) retire_locked();  // superseded incarnation
     handle_ack_locked(peer_delivered);
     attach_locked(fd);
-    // Rewind the wire cursor to the first unacked frame: the pump's next
-    // drain IS the replay, and because the pump is the only path to the
-    // wire, no concurrently-sent fresh frame can jump ahead of it.
+    // Rewind the wire cursor to the first unacked frame: this pump IS the
+    // replay. Duplicates (an ack racing the replay) die at the peer's
+    // receive cursor.
     arq_.rewind();
     state_ = LinkState::kUp;
     ++resumes_;
-    journal_cv_.notify_all();
-    reconnect_cv_.notify_all();
-  }
-  // Duplicates (an ack racing the replay) die at the peer's receive cursor.
-  pump_wire();
+    pump_wire_locked();
+  });
 }
 
 std::size_t LinkSession::backlog() const {

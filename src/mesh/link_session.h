@@ -10,10 +10,14 @@
 //    piggybacked cumulative ACK, a journal of unacked frames, duplicate
 //    drops on receive. The wire format is shared, so a capture decodes with
 //    the same codec.
-//  * The journal is bounded in frames and bytes; the bound doubles as the
-//    backpressure while a link is down (senders block against it —
-//    degraded, not dead). A frame arriving ahead of the receive cursor is a
-//    fatal sequence gap: one TCP stream cannot reorder.
+//  * The journal is bounded in frames and bytes; the bound is the
+//    backpressure while a link is down or slow: the node's engine stops
+//    stepping while any session's journal is full (full()) — degraded, not
+//    dead. A frame arriving ahead of the receive cursor is a fatal sequence
+//    gap: one TCP stream cannot reorder.
+//  * Acks ride every data frame; a receiver with nothing to send acks
+//    explicitly once its cursor runs a quarter journal past the last ack it
+//    put on the wire, so a one-way flow never waits a heartbeat for room.
 //  * A heartbeat tick on the shared EpollLoop sends pure-ACK frames and
 //    watches the transport's last_rx_ns: a silent peer (SIGSTOP, stall)
 //    flips the link to kDegraded (net.mesh.<peer>.{down,hb_miss} gauges)
@@ -29,15 +33,13 @@
 //    so `cim_bridge --resume` restores the cursors and the replay window
 //    after a kill -9.
 //
-// Threading: send() may be called from any non-loop thread (engine,
-// convergecast) and blocks against the journal bound. on_frame and the
-// heartbeat tick run on the loop thread. The reconnect thread owns re-dials.
-// The session mutex is never held across a blocking transport send — the
-// tick must stay live while a sender is backpressured (the SIGSTOP case).
-// All journaled frames reach the wire through pump_wire(), a single-holder
-// drain of the journal tail under its own wire mutex: concurrent senders
-// (and a rejoin replay racing them) would otherwise emit seq-stamped frames
-// out of order, which the peer must treat as a fatal sequence gap.
+// Threading: everything that touches the wire runs on the loop thread —
+// send() (the engine, the convergecast and the stats plane all live there),
+// on_frame, the heartbeat tick, and every rejoin: resume_with_socket() hands
+// the rewind and the replay to the loop. So frames reach the transport in
+// seq order by construction, and send() never blocks. The reconnect thread
+// only dials and runs the rejoin handshake. mutex_ guards the state that
+// the reconnect thread and the introspection accessors read.
 #pragma once
 
 #include <condition_variable>
@@ -107,9 +109,10 @@ class LinkSession final : public net::LinkTransport {
   /// re-dials immediately, the acceptor waits for the peer's rejoin).
   void start(int fd, DeliverFn deliver);
 
-  /// Attach a fresh socket after a successful rejoin handshake: trims the
-  /// journal to the peer's delivery cursor, replays the rest, flips to kUp.
-  /// Called by the reconnect thread (dialer) or accept_rejoin (acceptor).
+  /// Attach a fresh socket after a successful rejoin handshake: on the loop
+  /// thread, trims the journal to the peer's delivery cursor, replays the
+  /// rest, flips to kUp. Called by the reconnect thread (dialer) or
+  /// accept_rejoin (acceptor); returns at once.
   void resume_with_socket(int fd, std::uint64_t peer_delivered);
 
   /// Final drain: EOF from here on is a normal goodbye, not an outage.
@@ -117,11 +120,15 @@ class LinkSession final : public net::LinkTransport {
 
   /// Every sent frame acknowledged (the replay journal is empty).
   bool drained() const;
+  /// The journal is at its bound: the engine must not send more data until
+  /// acks make room (loop thread; send() itself never blocks).
+  bool full() const;
 
   /// Join the reconnect thread. Call before the loop stops.
   void stop();
 
-  // net::LinkTransport — the interconnector sends pairs through here.
+  // net::LinkTransport — the interconnector sends pairs through here (loop
+  // thread).
   void send(net::MessagePtr msg) override;
   std::size_t backlog() const override;
   const char* kind() const override { return "session"; }
@@ -169,11 +176,9 @@ class LinkSession final : public net::LinkTransport {
 
  private:
   void on_frame(std::unique_ptr<net::TransportFrame> frame);
-  /// Write journal entries from the core's wire cursor on, in seq order, to
-  /// the live transport. Any thread; blocks against the transport's bounded
-  /// queue while holding wire_mutex_ (never mutex_ — see the threading
-  /// note).
-  void pump_wire();
+  /// Queue journal entries from the core's wire cursor on, in seq order, on
+  /// the live transport (loop thread).
+  void pump_wire_locked();
   void tick();
   void arm_tick();
   /// Queue a pure-ACK frame for the current receive cursor (loop thread).
@@ -197,13 +202,13 @@ class LinkSession final : public net::LinkTransport {
   DeliverFn deliver_;
 
   mutable std::mutex mutex_;
-  std::condition_variable journal_cv_;    // senders wait for journal room
   std::condition_variable reconnect_cv_;  // wakes/paces the dialer thread
   LinkState state_ = LinkState::kUp;
   const char* error_ = nullptr;
   bool shutdown_ = false;
   bool stopped_ = false;
   bool socket_dead_ = true;  // no live transport incarnation
+  int resumes_posted_ = 0;   // rejoined sockets on their way to the loop
 
   // Session cursors and the journal of encoded unacked frames (mutex_),
   // persisted via spill_. The wire cursor is claimed optimistically: if the
@@ -213,8 +218,7 @@ class LinkSession final : public net::LinkTransport {
   std::size_t journal_bytes_ = 0;
   std::uint64_t data_sent_ = 0;
   std::uint64_t data_delivered_ = 0;
-  /// Serializes transport writes of seq-stamped frames (see pump_wire).
-  std::mutex wire_mutex_;
+  std::uint64_t last_ack_sent_ = 0;  // receive cursor as last put on the wire
   std::int64_t degraded_since_ns_ = 0;
 
   // Gauges (mutex_).

@@ -5,11 +5,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <functional>
 #include <future>
-#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -20,7 +19,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "protocols/anbkh.h"
-#include "runtime/runtime.h"
 
 namespace cim::mesh {
 
@@ -28,6 +26,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 using net::wire::ControlMsg;
+
+// Simulator events per loop iteration: the batch between two looks at the
+// sockets.
+constexpr int kEngineBatch = 256;
 
 std::int64_t steady_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -392,7 +394,6 @@ MeshResult MeshNode::run() {
   }
 
   loop_.set_fault_hooks(cfg_.faults);
-  loop_.start();
   std::vector<std::size_t> link_idx(n_links);
   SpillJournal* spill = cfg_.state_path.empty() ? nullptr : &spill_;
   for (std::size_t e = 0; e < n_links; ++e) {
@@ -435,27 +436,24 @@ MeshResult MeshNode::run() {
                   static_cast<Value>(generation_) * 200'000;
   auto runners = wl::install_uniform(*fed_, wc);
 
-  rt::Runtime rt(*fed_);
-
-  std::vector<std::atomic<bool>> peer_done(n_links);
-  std::vector<std::atomic<bool>> peer_bye(n_links);
-  std::vector<std::atomic<std::uint64_t>> peer_pairs(n_links);
-  // Pairs applied on the engine thread per link, across generations: the
-  // restored delivery cursor seeds it, so a resumed node's drained()
-  // comparison counts the crashed generation's applies too.
-  std::vector<std::atomic<std::uint64_t>> applied_pairs(n_links);
-  for (std::size_t e = 0; e < n_links; ++e) {
-    const SpillLinkState* r = cfg_.resume ? &restored_.links[e] : nullptr;
-    peer_done[e] = r != nullptr && r->peer_done;
-    peer_bye[e] = r != nullptr && r->peer_bye;
-    peer_pairs[e] = r != nullptr ? r->peer_pairs : 0;
-    applied_pairs[e] = r != nullptr ? r->data_delivered : 0;
+  // Everything below runs on the loop thread once it starts: the engine,
+  // the frame callbacks, the convergecast and the stats plane share it, so
+  // this state needs no synchronization. Pairs applied per link count across
+  // generations: the restored delivery cursor seeds them, so a resumed
+  // node's drained() comparison counts the crashed generation's applies too.
+  std::vector<bool> peer_done(n_links, false);
+  std::vector<bool> peer_bye(n_links, false);
+  std::vector<std::uint64_t> peer_pairs(n_links, 0);
+  std::vector<std::uint64_t> applied_pairs(n_links, 0);
+  for (std::size_t e = 0; e < n_links && cfg_.resume; ++e) {
+    const SpillLinkState& r = restored_.links[e];
+    peer_done[e] = r.peer_done;
+    peer_bye[e] = r.peer_bye;
+    peer_pairs[e] = r.peer_pairs;
+    applied_pairs[e] = r.data_delivered;
   }
 
   // ---- stats plane (docs/BRIDGE.md "Stats aggregation") --------------------
-  // Frames from child subtrees are queued on the loop thread and forwarded
-  // to the parent by the pump thread below — never sent from the loop thread
-  // itself, where a journal-bound send() would deadlock against its own ACKs.
   FedAggregator agg;
   std::size_t stats_parent_e = isc::Topology::npos;
   if (cfg_.node_id != 0) {
@@ -463,67 +461,58 @@ MeshResult MeshNode::run() {
     for (std::size_t e = 0; e < n_links; ++e)
       if (neighbors_[e] == parent_node) stats_parent_e = e;
   }
-  std::mutex stats_mutex;
-  std::condition_variable stats_cv;
-  bool stats_stop = false;
   std::deque<std::unique_ptr<net::wire::StatsFrame>> stats_relay;
-  std::thread stats_thread;
+  // Send a snapshot toward node 0. While the parent's journal is full the
+  // snapshots wait here, bounded: a long parent outage drops the oldest and
+  // never pauses the engine. FIFO keeps children's snapshots older than ours.
+  auto relay_stats = [&](std::unique_ptr<net::wire::StatsFrame> frame) {
+    if (stats_parent_e == isc::Topology::npos) return;
+    if (stats_relay.size() >= 64) stats_relay.pop_front();
+    stats_relay.push_back(std::move(frame));
+    LinkSession& parent = *sessions_[stats_parent_e];
+    while (!stats_relay.empty() && !parent.full()) {
+      parent.send(std::move(stats_relay.front()));
+      stats_relay.pop_front();
+    }
+  };
 
-  // The engine must accept posts before any transport can deliver: a fast
-  // peer may flood pairs the moment its own join completes.
-  rt.start();
-
+  sim::Simulator& sim = fed_->simulator();
   for (std::size_t e = 0; e < n_links; ++e) {
     isc::IsProcess* isp_ptr = isp;
     const std::size_t link = link_idx[e];
-    auto* applied = &applied_pairs[e];
+    std::uint64_t* applied = &applied_pairs[e];
     sessions_[e]->start(
         cfg_.resume ? -1 : fds_[e],
         [&, isp_ptr, link, applied, e](net::MessagePtr msg) {
-          // Loop thread. Control frames only touch atomics; pairs go to the
-          // engine thread, where deliver_from_link runs protocol code and
-          // may forward to sibling links.
           if (std::strcmp(msg->type_name(), "wire.ctrl") == 0) {
             auto& ctrl = static_cast<ControlMsg&>(*msg);
             if (ctrl.code == ControlMsg::kDone) {
-              peer_pairs[e].store(ctrl.a, std::memory_order_relaxed);
-              peer_done[e].store(true, std::memory_order_release);
+              peer_pairs[e] = ctrl.a;
+              peer_done[e] = true;
             } else if (ctrl.code == ControlMsg::kBye) {
-              peer_bye[e].store(true, std::memory_order_release);
+              peer_bye[e] = true;
             }
             return;
           }
           if (std::strcmp(msg->type_name(), "wire.stats") == 0) {
             auto frame = std::unique_ptr<net::wire::StatsFrame>(
                 static_cast<net::wire::StatsFrame*>(msg.release()));
-            if (cfg_.node_id == 0) {
-              agg.fold(*frame);
-            } else {
-              std::lock_guard<std::mutex> lk(stats_mutex);
-              // Bounded: a long parent outage drops the oldest snapshots,
-              // never backpressures the loop thread.
-              if (stats_relay.size() >= 64) stats_relay.pop_front();
-              stats_relay.push_back(std::move(frame));
-              stats_cv.notify_all();
-            }
+            if (cfg_.node_id == 0) agg.fold(*frame);
+            else relay_stats(std::move(frame));
             return;
           }
-          net::Message* raw = msg.release();
-          rt.post([isp_ptr, link, raw, applied] {
-            isp_ptr->deliver_from_link(link, net::MessagePtr(raw));
-            applied->fetch_add(1, std::memory_order_release);
+          // A pair: deliver_from_link runs protocol code (and may forward
+          // to sibling links) as an ordinary engine event on this thread.
+          sim.post([isp_ptr, link, applied, msg = std::move(msg)]() mutable {
+            isp_ptr->deliver_from_link(link, std::move(msg));
+            ++*applied;
           });
         });
     fds_[e] = -1;  // the session's transport owns it now
   }
 
-  // Rejoin service — started only after every session exists, so a crashed
-  // dialer reconnecting the instant we come back finds its session.
-  if (listener_ >= 0) accept_thread_ = std::thread([this] { accept_main(); });
-  sessions_ready_.store(true, std::memory_order_release);
-
-  // Snapshot of this node's thread-safe session/transport gauges, keyed
-  // relative to the node (the aggregator prefixes fed.node.<origin>.).
+  // Snapshot of this node's session/transport gauges, keyed relative to the
+  // node (the aggregator prefixes fed.node.<origin>.).
   auto sample_stats = [&]() {
     auto f = std::make_unique<net::wire::StatsFrame>();
     f->origin = cfg_.node_id;
@@ -556,94 +545,41 @@ MeshResult MeshNode::run() {
     put("bytes_in", bytes_in);
     return f;
   };
-  auto signal_stats_stop = [&] {
-    {
-      std::lock_guard<std::mutex> lk(stats_mutex);
-      stats_stop = true;
+
+  // The run's phases, advanced by progress() on the loop thread; run()'s
+  // caller waits for kFinished.
+  enum class Phase { kConvergecast, kDrain, kFinished };
+  Phase phase = Phase::kConvergecast;
+  std::promise<void> finished;
+  auto finish = [&] {
+    phase = Phase::kFinished;
+    finished.set_value();
+  };
+
+  // Stats cadence: a loop timer, first sample at once so short runs and
+  // slow cadences still cover every node.
+  std::function<void()> stats_tick = [&] {
+    if (phase == Phase::kFinished) return;
+    if (cfg_.trace) {
+      // Pin a (virtual time, steady clock) correspondence — both clocks
+      // read at the same instant on the engine's thread — so cim_trace merge
+      // can align this node's virtual timeline onto the shared wall clock
+      // (trace schema v4, docs/TRACE_TOOLS.md "merge").
+      obs::TraceSink& tr = fed_->observability().trace();
+      CIM_TRACE(&tr, sim.now(), obs::TraceCategory::kSim, "clock_sample",
+                {{"steady_ns", steady_ns()},
+                 {"node", static_cast<std::uint64_t>(cfg_.node_id)}});
     }
-    stats_cv.notify_all();
+    if (cfg_.node_id == 0) {
+      agg.fold(*sample_stats());
+      if (!cfg_.fed_metrics_path.empty())
+        agg.write_json(cfg_.fed_metrics_path);
+    } else {
+      relay_stats(sample_stats());
+    }
+    loop_.post_after(cfg_.stats_interval_ms, stats_tick);
   };
-  if (cfg_.stats_interval_ms > 0) {
-    stats_thread = std::thread([&] {
-      const auto interval = std::chrono::milliseconds(cfg_.stats_interval_ms);
-      auto next = Clock::now();  // first sample immediately: short runs and
-                                 // slow cadences still cover every node
-      std::unique_lock<std::mutex> lk(stats_mutex);
-      while (!stats_stop) {
-        stats_cv.wait_until(lk, next, [&] {
-          return stats_stop || !stats_relay.empty();
-        });
-        if (stats_stop) break;
-        std::vector<std::unique_ptr<net::wire::StatsFrame>> forward;
-        while (!stats_relay.empty()) {
-          forward.push_back(std::move(stats_relay.front()));
-          stats_relay.pop_front();
-        }
-        const bool do_sample = Clock::now() >= next;
-        if (do_sample) next = Clock::now() + interval;
-        lk.unlock();
-        if (do_sample && cfg_.trace) {
-          // Pin a (virtual time, steady clock) correspondence on the engine
-          // thread — both clocks read at the same instant — so cim_trace
-          // merge can align this node's virtual timeline onto the shared
-          // wall clock (trace schema v4, docs/TRACE_TOOLS.md "merge").
-          rt.post([this] {
-            obs::TraceSink& tr = fed_->observability().trace();
-            CIM_TRACE(&tr, fed_->simulator().now(), obs::TraceCategory::kSim,
-                      "clock_sample",
-                      {{"steady_ns", steady_ns()},
-                       {"node", static_cast<std::uint64_t>(cfg_.node_id)}});
-          });
-        }
-        if (cfg_.node_id == 0) {
-          if (do_sample) agg.fold(*sample_stats());
-          if ((do_sample || !forward.empty()) &&
-              !cfg_.fed_metrics_path.empty())
-            agg.write_json(cfg_.fed_metrics_path);
-        } else if (stats_parent_e != isc::Topology::npos) {
-          // send() blocks against the journal bound while the parent link is
-          // down — that is this thread's backpressure, and stop() unblocks
-          // it. Own sample last: children's snapshots stay older than ours.
-          for (auto& fr : forward) sessions_[stats_parent_e]->send(std::move(fr));
-          if (do_sample) sessions_[stats_parent_e]->send(sample_stats());
-        }
-        lk.lock();
-      }
-    });
-  }
-
-  // Run `fn` on the engine thread and wait — the only way anything outside
-  // the engine reads engine-owned state (IS counters, runner progress).
-  auto on_engine = [&rt](auto&& fn) {
-    std::promise<void> done;
-    auto* fn_ptr = &fn;
-    auto* done_ptr = &done;
-    rt.post([fn_ptr, done_ptr] {
-      (*fn_ptr)();
-      done_ptr->set_value();
-    });
-    done.get_future().wait();
-  };
-
-  auto shut_down_everything = [&] {
-    // Signal the stats pump before stopping the sessions (its forwarding
-    // send() only unblocks when the parent session stops), join it before
-    // rt.stop() (it posts clock_sample closures to rt).
-    signal_stats_stop();
-    // Sessions next: stop() closes the live transports, which unblocks an
-    // accept thread stuck replaying into a stalled peer — only then is the
-    // join below guaranteed to return.
-    accept_stop_.store(true, std::memory_order_release);
-    for (auto& s : sessions_) s->stop();
-    if (stats_thread.joinable()) stats_thread.join();
-    if (accept_thread_.joinable()) accept_thread_.join();
-    loop_.stop();  // before rt: a late delivery must not post to a dead rt
-    rt.stop();
-  };
-  auto fail = [&](std::string why) {
-    error_ = std::move(why);
-    shut_down_everything();
-  };
+  if (cfg_.stats_interval_ms > 0) loop_.post(stats_tick);
 
   std::vector<bool> done_sent(n_links, false);
   std::vector<bool> bye_sent(n_links, false);
@@ -655,69 +591,12 @@ MeshResult MeshNode::run() {
     msg->b = b;
     sessions_[e]->send(std::move(msg));
   };
-
-  // The done/bye convergecast (header comment + docs/BRIDGE.md). A dead
-  // socket is *not* an exit condition any more — the session reconnects or
-  // backpressures; only a permanent session failure aborts the node.
-  while (true) {
-    for (std::size_t e = 0; e < n_links; ++e) {
-      if (sessions_[e]->error() != nullptr) {
-        fail(std::string("link to node ") + std::to_string(neighbors_[e]) +
-             ": " + sessions_[e]->error());
-        return result;
-      }
-    }
-
-    bool local_done = true;
-    bool idle = false;
-    on_engine([&] {
-      for (const auto& r : runners)
-        if (!r->done()) local_done = false;
-      idle = fed_->simulator().empty();
-    });
-
-    // Drained: the peer's done announced its final count and we have applied
-    // that many pairs. `>=` rather than `==`: a resumed peer's count starts
-    // from its restored cursor, and replay duplicates never reach the engine.
-    auto drained = [&](std::size_t e) {
-      return peer_done[e].load(std::memory_order_acquire) &&
-             applied_pairs[e].load(std::memory_order_acquire) >=
-                 peer_pairs[e].load(std::memory_order_relaxed);
-    };
-
-    if (local_done && idle) {
-      for (std::size_t l = 0; l < n_links; ++l) {
-        if (done_sent[l]) continue;
-        bool others_drained = true;
-        for (std::size_t m = 0; m < n_links; ++m)
-          if (m != l && !drained(m)) others_drained = false;
-        if (others_drained) {
-          // data_sent(l) is final: nothing local remains, and every other
-          // link is drained, so no more forwards onto l can appear. The
-          // session counts across generations, matching the peer's
-          // cross-generation applied count.
-          send_ctrl(l, ControlMsg::kDone, sessions_[l]->data_sent(), 0);
-          done_sent[l] = true;
-        }
-      }
-      for (std::size_t l = 0; l < n_links; ++l) {
-        if (!bye_sent[l] && drained(l)) {
-          send_ctrl(l, ControlMsg::kBye, 0, 0);
-          bye_sent[l] = true;
-        }
-      }
-    }
-
-    bool finished = local_done && idle;
-    for (std::size_t e = 0; e < n_links; ++e) {
-      if (!done_sent[e] || !bye_sent[e] ||
-          !peer_bye[e].load(std::memory_order_acquire)) {
-        finished = false;
-      }
-    }
-    if (finished) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
+  // Drained: the peer's done announced its final count and we have applied
+  // that many pairs. `>=` rather than `==`: a resumed peer's count starts
+  // from its restored cursor, and replay duplicates never reach the engine.
+  auto drained = [&](std::size_t e) {
+    return peer_done[e] && applied_pairs[e] >= peer_pairs[e];
+  };
 
   // Final drain: every sent frame acked (the peer journaled our done/bye),
   // bounded by drain_timeout_ms. A peer that already said bye and closed its
@@ -728,19 +607,17 @@ MeshResult MeshNode::run() {
   // disconnected through a grace window sized to the peer's worst
   // rejoin-latency (its capped backoff plus detection); a rejoin inside the
   // window resets the clock and the journal replays normally.
-  for (auto& s : sessions_) s->begin_shutdown();
-  const auto drain_deadline =
-      Clock::now() + std::chrono::milliseconds(cfg_.drain_timeout_ms);
   const auto rejoin_grace = std::chrono::milliseconds(
       2 * cfg_.backoff_max_ms + 2 * cfg_.hb_interval_ms);
+  Clock::time_point drain_deadline;
   std::vector<Clock::time_point> dead_since(n_links, Clock::time_point{});
-  while (Clock::now() < drain_deadline) {
+  auto drain_complete = [&] {
+    if (Clock::now() >= drain_deadline) return true;
     bool all = true;
     const auto now = Clock::now();
     for (std::size_t e = 0; e < n_links; ++e) {
       if (sessions_[e]->drained()) continue;
-      if (peer_bye[e].load(std::memory_order_acquire) &&
-          !sessions_[e]->connected()) {
+      if (peer_bye[e] && !sessions_[e]->connected()) {
         if (dead_since[e] == Clock::time_point{}) dead_since[e] = now;
         if (now - dead_since[e] >= rejoin_grace) continue;
       } else {
@@ -748,10 +625,99 @@ MeshResult MeshNode::run() {
       }
       all = false;
     }
-    if (all) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  shut_down_everything();
+    return all;
+  };
+
+  // The done/bye convergecast (header comment + docs/BRIDGE.md), then the
+  // final drain. Runs after every engine batch, i.e. every loop iteration. A dead socket is *not* an
+  // exit condition — the session reconnects or backpressures; only a
+  // permanent session failure aborts the node.
+  std::function<void()> drain_poll;
+  auto progress = [&] {
+    if (phase == Phase::kDrain) {
+      if (drain_complete()) finish();
+      return;
+    }
+    for (std::size_t e = 0; e < n_links; ++e) {
+      if (sessions_[e]->error() != nullptr) {
+        error_ = std::string("link to node ") +
+                 std::to_string(neighbors_[e]) + ": " + sessions_[e]->error();
+        finish();
+        return;
+      }
+    }
+    if (!sim.empty()) return;
+    for (const auto& r : runners)
+      if (!r->done()) return;
+    for (std::size_t l = 0; l < n_links; ++l) {
+      if (done_sent[l]) continue;
+      bool others_drained = true;
+      for (std::size_t m = 0; m < n_links; ++m)
+        if (m != l && !drained(m)) others_drained = false;
+      if (others_drained) {
+        // data_sent(l) is final: nothing local remains, and every other
+        // link is drained, so no more forwards onto l can appear. The
+        // session counts across generations, matching the peer's
+        // cross-generation applied count.
+        send_ctrl(l, ControlMsg::kDone, sessions_[l]->data_sent(), 0);
+        done_sent[l] = true;
+      }
+    }
+    for (std::size_t l = 0; l < n_links; ++l) {
+      if (!bye_sent[l] && drained(l)) {
+        send_ctrl(l, ControlMsg::kBye, 0, 0);
+        bye_sent[l] = true;
+      }
+    }
+    for (std::size_t e = 0; e < n_links; ++e)
+      if (!done_sent[e] || !bye_sent[e] || !peer_bye[e]) return;
+    for (auto& s : sessions_) s->begin_shutdown();
+    phase = Phase::kDrain;
+    drain_deadline =
+        Clock::now() + std::chrono::milliseconds(cfg_.drain_timeout_ms);
+    // Grace windows and the deadline expire without any I/O: a timer keeps
+    // the loop iterating, and every iteration checks the drain.
+    drain_poll = [&] {
+      if (phase == Phase::kDrain) loop_.post_after(2, drain_poll);
+    };
+    drain_poll();
+  };
+
+  // The engine: one bounded batch of simulator events per loop iteration,
+  // paused while any session's journal is at its bound (the acks that make
+  // room arrive on this same loop).
+  auto engine_paused = [&] {
+    for (const auto& s : sessions_)
+      if (s->full()) return true;
+    return false;
+  };
+  loop_.set_work([&] {
+    if (phase == Phase::kFinished) return false;
+    bool more = false;
+    if (phase == Phase::kConvergecast && !engine_paused()) {
+      for (int i = 0; i < kEngineBatch && sim.step(); ++i) {
+      }
+      more = !sim.empty();
+    }
+    progress();
+    return more && phase != Phase::kFinished;
+  });
+  loop_.start();
+
+  // Rejoin service — started only after every session exists, so a crashed
+  // dialer reconnecting the instant we come back finds its session.
+  if (listener_ >= 0) accept_thread_ = std::thread([this] { accept_main(); });
+  sessions_ready_.store(true, std::memory_order_release);
+
+  finished.get_future().wait();
+  // Sessions first: stop() closes the live transports and joins the
+  // reconnect threads, which may still be handing sockets to the loop. Then
+  // the accept thread, then the loop itself.
+  accept_stop_.store(true, std::memory_order_release);
+  for (auto& s : sessions_) s->stop();
+  if (accept_thread_.joinable()) accept_thread_.join();
+  loop_.stop();
+  if (!error_.empty()) return result;
 
   // Fold session/loop atomics into the registry now that every producer
   // thread is joined (obs cells are not thread-safe).

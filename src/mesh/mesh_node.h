@@ -19,10 +19,20 @@
 //             external link per neighbor (they share the node's IS-process,
 //             which gives split-horizon forwarding across the tree), wraps
 //             each socket in a crash-tolerant LinkSession (mesh/link_session.h)
-//             on one shared EpollLoop, runs the uniform workload through
-//             rt::Runtime, and executes the per-link done/bye convergecast
-//             until the whole tree is drained. Returns the node's final
-//             counts.
+//             on one shared EpollLoop, runs the uniform workload in the
+//             simulator engine on that loop's thread, and executes the
+//             per-link done/bye convergecast until the whole tree is
+//             drained. Blocks until then; returns the node's final counts.
+//
+// Threads (docs/ARCHITECTURE.md "Mesh node threads"): one hot thread, the
+// EpollLoop's. Each iteration it dispatches the ready sockets (a delivered
+// pair is a plain simulator post), runs one bounded batch of engine events
+// (paused while any session's journal is at its bound), checks the
+// convergecast, and flushes every peer's send queue with one writev. The
+// stats plane and the heartbeats are loop timers. Besides it: run()'s
+// caller, parked until the run ends; the accept thread (rejoins mid-run);
+// one reconnect thread per lower-id neighbor (re-dials). All three are idle
+// in steady state.
 //
 // Robustness (the PR-7 tentpole; docs/BRIDGE.md "Failure behavior"):
 // each edge is a LinkSession — seq/ack frames, a replay journal, heartbeats

@@ -102,6 +102,7 @@ void EpollLoop::post_after(int delay_ms, std::function<void()> fn) {
 }
 
 void EpollLoop::wake() {
+  if (on_loop_thread()) return;
   const std::uint64_t one = 1;
   // A full eventfd counter (EAGAIN) already guarantees a pending wakeup.
   [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
@@ -115,12 +116,14 @@ void EpollLoop::drain_wake_fd() {
 }
 
 void EpollLoop::run_tasks() {
-  std::vector<std::function<void()>> tasks;
+  // Swap into a loop-owned vector that keeps its capacity: an iteration's
+  // flush tasks cost no allocation. Tasks posted meanwhile wait in tasks_.
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    tasks.swap(tasks_);
+    running_tasks_.swap(tasks_);
   }
-  for (auto& fn : tasks) fn();
+  for (auto& fn : running_tasks_) fn();
+  running_tasks_.clear();
 }
 
 void EpollLoop::run_due_timers() {
@@ -138,8 +141,9 @@ void EpollLoop::run_due_timers() {
   for (auto& fn : due) fn();
 }
 
-int EpollLoop::next_timer_timeout_ms() {
+int EpollLoop::next_timeout_ms(bool busy) {
   std::lock_guard<std::mutex> lock(mutex_);
+  if (busy || !tasks_.empty()) return 0;
   if (timers_.empty()) return -1;
   const std::int64_t delta_ns = timers_.begin()->first - steady_ns();
   if (delta_ns <= 0) return 0;
@@ -150,8 +154,10 @@ int EpollLoop::next_timer_timeout_ms() {
 void EpollLoop::loop() {
   loop_thread_id_.store(std::this_thread::get_id(), std::memory_order_release);
   epoll_event events[64];
+  bool busy = false;  // the work reported more runnable work
   while (true) {
-    const int n = ::epoll_wait(epoll_fd_, events, 64, next_timer_timeout_ms());
+    const int n =
+        ::epoll_wait(epoll_fd_, events, 64, next_timeout_ms(busy));
     if (n < 0) {
       if (errno == EINTR) continue;
       CIM_CHECK_MSG(false, "epoll_wait failed: " << std::strerror(errno));
@@ -180,7 +186,9 @@ void EpollLoop::loop() {
       }
       if (handler != nullptr) handler->on_ready(events[i].events);
     }
-    // A wake() may have carried only a task (no fd event in this batch).
+    busy = work_ && work_();
+    // Tasks queued by this iteration (deferred flushes above all), and any a
+    // foreign wake() carried without an fd event.
     run_tasks();
     if (stop_flag_.load(std::memory_order_acquire)) {
       run_tasks();

@@ -1,16 +1,21 @@
 // Epoll reactor for the multi-link TCP mesh (tools/cim_bridge, docs/BRIDGE.md).
 //
 // One EpollLoop per OS process drives every socket of that process's mesh
-// node from a single dedicated thread: edge-triggered readiness
-// (EPOLLIN | EPOLLOUT | EPOLLET), an eventfd for cross-thread wakeups, and a
-// task queue so other threads can hand work to the loop thread. This
-// replaces the thread-per-socket blocking design the two-process bridge
-// used: with n-system federations a node can serve many links, and the loop
-// gives the transports a place to coalesce bursts of frames into single
-// writev syscalls (net/tcp_link.h).
+// node, and the node's protocol engine, from a single dedicated thread:
+// edge-triggered readiness (EPOLLIN | EPOLLOUT | EPOLLET), a task queue, a
+// timer queue, and one optional batch of embedder work per iteration. A mesh
+// node installs its simulator there (set_work): each iteration dispatches the
+// ready sockets, runs one bounded batch of engine events, then runs the tasks
+// that batch queued — above all the transports' deferred flushes, so a
+// whole batch of frames to one peer leaves in one writev (net/tcp_link.h).
 //
 // Contract (edge-triggered): a handler's on_ready() must drain the fd until
 // EAGAIN — the loop will not re-report a level, only a new edge.
+//
+// Iteration order: epoll_wait, due tasks, due timers, fd dispatch, the work
+// batch, then the tasks queued so far. epoll_wait returns at once while the
+// work reports more runnable work or tasks are queued; otherwise it sleeps
+// until an fd edge, the earliest timer, or a foreign post.
 //
 // Threading and lifetime:
 //  * add() may be called from any thread before or after start().
@@ -19,8 +24,10 @@
 //    handler when remove() returns. Handlers must therefore be destroyed
 //    only after stop() has joined the loop thread — the teardown order every
 //    embedder follows (stop the loop, then destroy transports).
-//  * post() hands a task to the loop thread; tasks run interleaved with
-//    event dispatch, in post order.
+//  * post()/post_after() hand a task to the loop thread; tasks run in post
+//    order. Only a post from another thread writes the eventfd: the loop
+//    thread's own posts run before it next blocks.
+//  * set_work() must be called before start().
 //
 // Syscall accounting: the loop counts epoll_wait returns and eventfd
 // wakeups; transports count their read/writev calls. tools/cim_bridge folds
@@ -34,6 +41,7 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace cim::net {
@@ -71,6 +79,11 @@ class EpollLoop {
   /// Run `fn` on the loop thread (FIFO with other posted tasks).
   void post(std::function<void()> fn);
 
+  /// Embedder work run once per iteration, after fd dispatch; returns
+  /// whether more work is runnable right now (the loop then polls instead
+  /// of sleeping). A mesh node runs one bounded simulator batch here.
+  void set_work(std::function<bool()> fn) { work_ = std::move(fn); }
+
   /// Run `fn` on the loop thread once, roughly `delay_ms` from now. This is
   /// what drives the session layer's heartbeats and liveness checks
   /// (mesh::LinkSession): the loop computes its epoll_wait timeout from the
@@ -81,10 +94,6 @@ class EpollLoop {
   /// Deterministic fault injection (tests/chaos bench; docs/FAULTS.md).
   /// Borrowed; set before start(), null = off.
   void set_fault_hooks(const FaultHooks* hooks) { fault_hooks_ = hooks; }
-
-  /// Force one loop iteration (flush-arming from other threads). Cheaper
-  /// than post() when the waker only needs the loop to look at its queues.
-  void wake();
 
   bool on_loop_thread() const {
     return std::this_thread::get_id() == loop_thread_id_.load(
@@ -100,11 +109,16 @@ class EpollLoop {
   }
 
  private:
+  /// Force one loop iteration from another thread (a no-op on the loop
+  /// thread, which iterates anyway before it blocks).
+  void wake();
   void loop();
   void drain_wake_fd();
   void run_tasks();
   void run_due_timers();
-  int next_timer_timeout_ms();
+  /// epoll_wait timeout: 0 while `busy` or tasks are queued, else until
+  /// the earliest timer (-1: none).
+  int next_timeout_ms(bool busy);
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  // eventfd
@@ -118,6 +132,8 @@ class EpollLoop {
   std::mutex mutex_;  // guards handlers_, tasks_, and timers_
   std::unordered_map<int, FdHandler*> handlers_;
   std::vector<std::function<void()>> tasks_;
+  std::vector<std::function<void()>> running_tasks_;  // loop thread only
+  std::function<bool()> work_;
   std::multimap<std::int64_t, std::function<void()>> timers_;  // deadline ns
 
   std::atomic<std::uint64_t> epoll_waits_{0};

@@ -193,10 +193,7 @@ void TcpLinkTransport::start_frames(FrameFn fn) {
 }
 
 void TcpLinkTransport::kick() {
-  loop_.post([this] {
-    std::unique_lock<std::mutex> lock(send_mutex_);
-    flush_locked(lock);
-  });
+  loop_.post([this] { flush(); });
 }
 
 void TcpLinkTransport::fail(const char* error) {
@@ -213,9 +210,8 @@ std::size_t TcpLinkTransport::backlog() const {
 
 bool TcpLinkTransport::wait_for_room(std::unique_lock<std::mutex>& lock) {
   // Bounded queue: a sender on a foreign thread stalls until the loop
-  // drains below the bound; the loop thread itself (a forwarding deliver
-  // callback) flushes inline instead and may overshoot the bound rather
-  // than deadlocking against its own flusher.
+  // drains below the bound; the loop thread itself may overshoot the bound
+  // rather than deadlocking against its own flusher.
   if (!loop_.on_loop_thread() &&
       (sendq_.size() >= config_.max_queued_frames ||
        queued_bytes_ >= config_.max_queued_bytes)) {
@@ -229,16 +225,12 @@ bool TcpLinkTransport::wait_for_room(std::unique_lock<std::mutex>& lock) {
   return !peer_closed_.load(std::memory_order_acquire);
 }
 
-bool TcpLinkTransport::send_bytes(const std::uint8_t* data, std::size_t size,
-                                  bool block) {
+bool TcpLinkTransport::send_bytes(const std::uint8_t* data,
+                                  std::size_t size) {
   CIM_DCHECK_MSG(started_.load(std::memory_order_acquire),
                  "send_bytes() before start_frames()");
   std::unique_lock<std::mutex> lock(send_mutex_);
-  if (block) {
-    if (!wait_for_room(lock)) return false;
-  } else if (peer_closed_.load(std::memory_order_acquire)) {
-    return false;
-  }
+  if (!wait_for_room(lock)) return false;
 
   Buffer buf;
   if (!free_bufs_.empty()) {
@@ -247,28 +239,21 @@ bool TcpLinkTransport::send_bytes(const std::uint8_t* data, std::size_t size,
     buf.clear();
   }
   buf.insert(buf.end(), data, data + size);
-  enqueue_locked(lock, std::move(buf));
+  queued_bytes_ += buf.size();
+  sendq_.push_back(std::move(buf));
+  if (!flush_armed_) {
+    // One task per burst: frames enqueued while it is pending share its
+    // writev batches — this is where the syscall coalescing comes from. A
+    // loop-thread post runs at the end of the current iteration.
+    flush_armed_ = true;
+    loop_.post([this] { flush(); });
+  }
   return true;
 }
 
-void TcpLinkTransport::enqueue_locked(std::unique_lock<std::mutex>& lock,
-                                      Buffer buf) {
-  queued_bytes_ += buf.size();
-  sendq_.push_back(std::move(buf));
-  if (loop_.on_loop_thread()) {
-    flush_locked(lock);
-  } else if (!flush_armed_) {
-    // One task per burst: frames enqueued while it is pending share its
-    // writev batches — this is where the syscall coalescing comes from.
-    flush_armed_ = true;
-    loop_.post([this] {
-      std::unique_lock<std::mutex> relock(send_mutex_);
-      flush_locked(relock);
-    });
-  }
-}
-
-void TcpLinkTransport::flush_locked(std::unique_lock<std::mutex>& lock) {
+void TcpLinkTransport::flush() {
+  // Loop thread only.
+  std::lock_guard<std::mutex> lock(send_mutex_);
   FaultHooks* hooks = config_.faults;
   while (!sendq_.empty()) {
     if (hooks != nullptr &&
@@ -365,15 +350,11 @@ void TcpLinkTransport::flush_locked(std::unique_lock<std::mutex>& lock) {
   }
   flush_armed_ = false;
   send_cv_.notify_all();
-  (void)lock;
 }
 
 void TcpLinkTransport::on_ready(std::uint32_t events) {
   if ((events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) drain_input();
-  if ((events & EPOLLOUT) != 0) {
-    std::unique_lock<std::mutex> lock(send_mutex_);
-    flush_locked(lock);
-  }
+  if ((events & EPOLLOUT) != 0) flush();
 }
 
 void TcpLinkTransport::drain_input() {

@@ -14,19 +14,21 @@
 //
 // I/O model: nonblocking, driven by a shared net::EpollLoop — edge-triggered
 // readiness, one loop thread serving every link of the mesh node. Frames
-// wait on a bounded per-peer send queue; the loop thread drains it with
-// writev scatter/gather, so a burst of small frames (an IS-process fan-out,
-// a forwarding storm) shares one syscall. Backpressure: when the queue is
-// full, a sender on a foreign thread stalls (bounded waits, counted in
-// queue_full_stalls) until the loop drains below the low-water mark; the
-// loop thread itself never stalls (a forwarding callback must not deadlock
-// against its own flusher) — it flushes inline and, if the kernel buffer is
-// also full, lets the queue grow past the bound temporarily.
+// wait on a per-peer send queue; a flush task drains it with writev
+// scatter/gather. The first frame of a burst posts that task and later ones
+// ride it: from the loop thread the task runs at the end of the current
+// iteration, so everything a loop iteration sends to one peer (an engine
+// batch, an IS-process fan-out, a forwarding storm) shares one syscall.
+// Backpressure: the queue is bounded for senders on foreign threads, which
+// stall (bounded waits, counted in queue_full_stalls) until the loop drains
+// below the low-water mark. The loop thread never stalls: it may overshoot
+// the bound, and its embedder bounds what it queues (mesh::LinkSession's
+// journal bound pauses the engine).
 //
 // Threading: send_bytes() may be called from any thread once start_frames()
-// has registered the fd with the loop; the frame callback runs on the loop
-// thread. Counters are atomics the embedder folds into its metrics (obs
-// cells are not thread-safe), e.g. into the net.mesh.* counters.
+// has registered the fd with the loop; the frame callback and every flush
+// run on the loop thread. Counters are atomics the embedder folds into its
+// metrics (obs cells are not thread-safe), e.g. into the net.mesh.* counters.
 #pragma once
 
 #include <atomic>
@@ -88,12 +90,11 @@ class TcpLinkTransport final : private EpollLoop::FdHandler {
   using FrameFn = std::function<void(std::unique_ptr<TransportFrame>)>;
   void start_frames(FrameFn fn);
 
-  /// Enqueue one pre-encoded frame. With `block`, a foreign thread stalls
-  /// against the queue bound; the loop thread never does. Returns false if
-  /// the stream has already failed (the bytes are dropped — redelivery is
-  /// the caller's journal's job).
-  bool send_bytes(const std::uint8_t* data, std::size_t size,
-                  bool block = true);
+  /// Enqueue one pre-encoded frame; it leaves with the next flush. A
+  /// foreign thread stalls against the queue bound; the loop thread never
+  /// does. Returns false if the stream has already failed (the bytes are
+  /// dropped — redelivery is the caller's journal's job).
+  bool send_bytes(const std::uint8_t* data, std::size_t size);
 
   /// Re-arm the flusher (after clearing an injected stall, or on resume).
   void kick();
@@ -153,8 +154,7 @@ class TcpLinkTransport final : private EpollLoop::FdHandler {
   // EpollLoop::FdHandler.
   void on_ready(std::uint32_t events) override;
 
-  void flush_locked(std::unique_lock<std::mutex>& lock);
-  void enqueue_locked(std::unique_lock<std::mutex>& lock, Buffer buf);
+  void flush();  // loop thread: writev the queue until empty or EAGAIN
   bool wait_for_room(std::unique_lock<std::mutex>& lock);
   void drain_input();
   bool parse_frames();  // false on a decode/protocol error
@@ -174,7 +174,7 @@ class TcpLinkTransport final : private EpollLoop::FdHandler {
   std::vector<Buffer> free_bufs_;     // recycled frame buffers
   std::size_t send_off_ = 0;          // bytes of sendq_.front() already written
   std::size_t queued_bytes_ = 0;
-  bool flush_armed_ = false;          // a flush task/edge will run
+  bool flush_armed_ = false;          // a flush task or EPOLLOUT edge is due
 
   // ---- receive side (loop thread only) -------------------------------------
   Buffer inbuf_;

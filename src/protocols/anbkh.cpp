@@ -49,7 +49,7 @@ void AnbkhProcess::on_message(net::ChannelId from, net::MessagePtr msg) {
   CIM_DCHECK(update->writer == sender_of(from));
   update->received_at = simulator().now();
   pending_.push_back(std::move(*update));
-  note_update_buffered(pending_.size());
+  note_update_buffered(pending_updates());
   try_apply();
 }
 
@@ -61,7 +61,8 @@ void AnbkhProcess::try_apply() {
 
 void AnbkhProcess::apply_step() {
   // Find the first causally ready pending update.
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+  const auto live = pending_.begin() + static_cast<std::ptrdiff_t>(head_);
+  for (auto it = live; it != pending_.end(); ++it) {
     if (!it->clock.ready_at(clock_, it->writer)) continue;
     // Unpack before erasing; capturing scalars (not the whole update with
     // its clock) keeps the apply closure inside SmallFn's inline buffer.
@@ -71,7 +72,16 @@ void AnbkhProcess::apply_step() {
     const sim::Time received_at = it->received_at;
     const std::uint16_t writer = it->writer;
     const std::uint64_t writer_ticks = it->clock[writer];
-    pending_.erase(it);
+    if (it == live) {
+      ++head_;
+    } else {
+      pending_.erase(it);
+    }
+    if (2 * head_ >= pending_.size()) {
+      pending_.erase(pending_.begin(),
+                     pending_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
 
     apply_with_upcalls(
         var, value, wid, /*own_write=*/false,

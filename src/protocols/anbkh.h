@@ -34,8 +34,8 @@ class AnbkhProcess final : public mcs::McsProcess {
   const char* protocol_name() const override { return "anbkh"; }
 
   const VectorClock& clock() const { return clock_; }
-  /// Updates received but not yet causally ready.
-  std::size_t pending_updates() const { return pending_.size(); }
+  /// Updates received but not yet applied.
+  std::size_t pending_updates() const { return pending_.size() - head_; }
   Value replica_value(VarId var) const;
 
  protected:
@@ -48,10 +48,14 @@ class AnbkhProcess final : public mcs::McsProcess {
 
   VarStore store_;
   VectorClock clock_;
-  // vector, not deque: mid-erase shifts preserve arrival order (which the
-  // readiness scan depends on) and the retained capacity keeps the
-  // steady-state buffer allocation-free.
+  // Arrival order, live from head_ on: applying the head just advances
+  // head_ (O(1) however large a delivery burst makes the buffer); a
+  // mid-buffer apply erases, and its shift preserves arrival order (which
+  // the readiness scan depends on). The dead prefix is compacted once it is
+  // half the buffer. The retained capacity keeps the steady-state buffer
+  // allocation-free.
   std::vector<TimestampedUpdate> pending_;
+  std::size_t head_ = 0;
   bool applying_ = false;
 };
 

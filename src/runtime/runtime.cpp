@@ -97,7 +97,10 @@ namespace {
 // One blocking call's rendezvous, on the caller's stack. Replaces
 // promise/future, whose shared state costs a heap allocation per operation.
 // The caller spins briefly (yielding, so a single-core host lets the engine
-// run) before parking on the condition variable.
+// run) before parking on the condition variable. The cell dies when wait()
+// returns, so wait() always returns through the mutex, and signal() touches
+// the cell only while holding it: the engine is done with the cell before
+// the caller can destroy it.
 struct SyncCell {
   std::atomic<bool> ready{false};
   std::mutex m;
@@ -105,16 +108,14 @@ struct SyncCell {
   Value value = kInitValue;
 
   void signal() {
-    {
-      std::lock_guard<std::mutex> lock(m);
-      ready.store(true, std::memory_order_release);
-    }
+    std::lock_guard<std::mutex> lock(m);
+    ready.store(true, std::memory_order_release);
     cv.notify_one();
   }
 
   void wait() {
     for (int i = 0; i < 1024; ++i) {
-      if (ready.load(std::memory_order_acquire)) return;
+      if (ready.load(std::memory_order_acquire)) break;
       if ((i & 15) == 15) std::this_thread::yield();
     }
     std::unique_lock<std::mutex> lock(m);

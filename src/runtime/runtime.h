@@ -10,7 +10,9 @@
 //
 // This keeps one copy of the protocol logic (no forked thread-safe variant)
 // while giving examples and integration tests a genuinely concurrent
-// blocking API.
+// blocking API. It serves blocking clients only (examples/threaded_kv,
+// bench_throughput): a mesh node has no blocking callers and runs its
+// engine on its EpollLoop thread instead (mesh/mesh_node.h).
 #pragma once
 
 #include <atomic>

@@ -98,6 +98,69 @@ TEST(Anbkh, BuffersCausallyPrematureUpdate) {
   EXPECT_TRUE(res.ok()) << res.detail;
 }
 
+TEST(Anbkh, BurstBehindAnUnreadyUpdateAppliesInArrivalOrder) {
+  // Process 2 receives a burst of process 1's updates with one of process
+  // 0's stuck in the middle of it, not yet ready (its predecessor arrives
+  // last). The apply chain must pop ready heads, erase from the middle past
+  // the stuck update, compact the consumed prefix, and apply every ready
+  // update in arrival order, with pending_updates() exact throughout.
+  auto cfg = test::single_system(3, anbkh_protocol());
+  cfg.monitor.enabled = false;
+  isc::Federation fed(std::move(cfg));
+  auto& p2 = static_cast<AnbkhProcess&>(fed.system(0).mcs(2));
+  auto channel_to_p2 = [&](std::uint16_t from) {
+    net::Fabric& fabric = fed.fabric();
+    for (std::uint32_t c = 0; c < fabric.num_channels(); ++c) {
+      const net::ChannelId id{c};
+      if (fabric.channel_src(id) == ProcId{SystemId{0}, from} &&
+          fabric.channel_dst(id) == ProcId{SystemId{0}, 2})
+        return id;
+    }
+    ADD_FAILURE() << "no channel " << from << " -> 2";
+    return net::ChannelId{};
+  };
+
+  struct Arrival {
+    std::uint16_t writer;
+    VectorClock clock;
+  };
+  std::vector<Arrival> arrivals;
+  for (std::uint64_t k = 1; k <= 4; ++k) arrivals.push_back({1, {0, k, 0}});
+  arrivals.push_back({0, {2, 0, 0}});  // waits for {1, 0, 0}
+  for (std::uint64_t k = 5; k <= 8; ++k) arrivals.push_back({1, {0, k, 0}});
+  arrivals.push_back({0, {1, 0, 0}});
+
+  // Every arrival is an event at the same instant: the first starts the
+  // apply chain, whose continuations queue behind the rest of the burst.
+  std::size_t arrived = 0;
+  auto& sim = fed.simulator();
+  for (const Arrival& a : arrivals) {
+    const net::ChannelId ch = channel_to_p2(a.writer);
+    sim.post([&, ch, a] {
+      auto msg = std::make_unique<TimestampedUpdate>();
+      msg->var = X;
+      msg->value = static_cast<Value>(100 * a.writer + a.clock[a.writer]);
+      msg->clock = a.clock;
+      msg->writer = a.writer;
+      p2.on_message(ch, std::move(msg));
+      ++arrived;
+    });
+  }
+
+  std::vector<Value> applied;
+  while (sim.step()) {
+    const Value v = p2.replica_value(X);
+    if (applied.empty() ? v != kInitValue : v != applied.back())
+      applied.push_back(v);
+    ASSERT_EQ(p2.pending_updates(), arrived - applied.size());
+  }
+  const std::vector<Value> expected = {101, 102, 103, 104, 105, 106,
+                                       107, 108, 1,   2};
+  EXPECT_EQ(applied, expected);
+  EXPECT_EQ(p2.pending_updates(), 0u);
+  EXPECT_EQ(p2.clock(), (VectorClock{2, 8, 0}));
+}
+
 TEST(Anbkh, SatisfiesCausalUpdatingTrait) {
   auto fed = isc::Federation(test::single_system(2, anbkh_protocol()));
   EXPECT_TRUE(fed.system(0).mcs(0).satisfies_causal_updating());

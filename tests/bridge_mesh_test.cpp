@@ -22,6 +22,7 @@
 
 #include "checker/causal_checker.h"
 #include "checker/history.h"
+#include "helpers.h"
 #include "interconnect/topology.h"
 #include "mesh/ctrl_io.h"
 #include "mesh/mesh_node.h"
@@ -36,10 +37,7 @@ namespace {
 using isc::Topology;
 using net::wire::ControlMsg;
 
-std::uint16_t test_port(std::uint16_t offset) {
-  return static_cast<std::uint16_t>(
-      20000 + (static_cast<std::uint32_t>(::getpid()) * 131) % 30000 + offset);
-}
+using test::test_port;
 
 // ---- topology spec ---------------------------------------------------------
 
@@ -367,6 +365,51 @@ TEST(MeshDrain, CleanTerminationNeedsNoRedialAndNoGraceWait) {
     EXPECT_EQ(nodes[1]->session(0).data_sent(),
               nodes[0]->session(0).data_delivered());
   }
+}
+
+TEST(MeshDrain, OneWayFlowIsAckedWithoutWaitingForAHeartbeat) {
+  // Node 1 runs no workload, so it has no data frames to piggyback acks on,
+  // and node 0 sends more pairs than one session journal holds (4096
+  // frames). Unless node 1 acks on its own as its receive cursor advances,
+  // node 0's engine sits on the full journal until node 1's next heartbeat,
+  // a full interval away, once per fill. The interval is long so the bound
+  // below holds with room to spare under the sanitizers.
+  constexpr int kHeartbeatMs = 20'000;
+  std::vector<std::unique_ptr<mesh::MeshNode>> nodes;
+  for (std::size_t i = 0; i < 2; ++i) {
+    mesh::MeshConfig cfg;
+    cfg.node_id = i;
+    cfg.topo = isc::make_chain(2);
+    cfg.base_port = test_port(150);
+    cfg.procs = 4;
+    cfg.ops = i == 0 ? 3000 : 0;
+    cfg.seed = 13;
+    cfg.join_timeout_ms = 20'000;
+    cfg.hb_interval_ms = kHeartbeatMs;
+    nodes.push_back(std::make_unique<mesh::MeshNode>(std::move(cfg)));
+  }
+  std::vector<mesh::MeshResult> results(2);
+  std::vector<std::int64_t> run_ms(2, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < 2; ++i) {
+    threads.emplace_back([&, i] {
+      if (!nodes[i]->join()) return;
+      const auto t0 = std::chrono::steady_clock::now();
+      results[i] = nodes[i]->run();
+      run_ms[i] = std::chrono::duration_cast<std::chrono::milliseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(results[i].ok) << "node " << i << ": " << nodes[i]->error();
+    EXPECT_LT(run_ms[i], kHeartbeatMs / 4) << "node " << i;
+  }
+  EXPECT_GT(nodes[0]->session(0).data_sent(), 4096u);
+  EXPECT_EQ(nodes[1]->session(0).data_sent(), 0u);
+  EXPECT_EQ(nodes[0]->session(0).data_sent(),
+            nodes[1]->session(0).data_delivered());
 }
 
 // ---- socket-level chaos (src/net/fault_inject.h, docs/FAULTS.md) -----------

@@ -2,6 +2,12 @@
 // hand-written histories.
 #pragma once
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -15,6 +21,44 @@
 #include "workload/generator.h"
 
 namespace cim::test {
+
+/// Base port of an in-process loopback mesh (node i listens on base + i);
+/// each test passes its own `offset`, 10 apart, and gets the same base for
+/// it on every call. The ports lie below the kernel's ephemeral range
+/// (32768 and up), so no outbound connection of a concurrently running test
+/// (ctest -j) can hold one, and a block in which some port cannot be bound
+/// (another test process listens there) is skipped.
+inline std::uint16_t test_port(std::uint16_t offset) {
+  static std::map<std::uint16_t, std::uint16_t> chosen;
+  if (const auto it = chosen.find(offset); it != chosen.end())
+    return it->second;
+  constexpr std::uint32_t kLow = 20000;
+  constexpr std::uint32_t kSpan = 12000;  // bases stay below 32000 + offset
+  constexpr std::uint16_t kBlock = 8;
+  auto bindable = [](std::uint16_t port) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) return false;
+    int one = 1;  // as tcp_listen: TIME_WAIT leftovers do not count
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_ANY);
+    addr.sin_port = htons(port);
+    const bool ok =
+        ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+    ::close(fd);
+    return ok;
+  };
+  std::uint32_t h = (static_cast<std::uint32_t>(::getpid()) * 131) % kSpan;
+  for (int attempt = 0; attempt < 64; ++attempt, h = (h + 997) % kSpan) {
+    const auto base = static_cast<std::uint16_t>(kLow + h + offset);
+    bool free = true;
+    for (std::uint16_t i = 0; i < kBlock && free; ++i)
+      free = bindable(static_cast<std::uint16_t>(base + i));
+    if (free) return chosen[offset] = base;
+  }
+  return chosen[offset] = static_cast<std::uint16_t>(kLow + h + offset);
+}
 
 inline VarId X{0};
 inline VarId Y{1};

@@ -37,12 +37,9 @@ namespace {
 using isc::Topology;
 using net::wire::StatsFrame;
 
-std::uint16_t test_port(std::uint16_t offset) {
-  // Same scheme as bridge_mesh_test, different offset range (120+): the two
-  // files' meshes must not collide under ctest -j.
-  return static_cast<std::uint16_t>(
-      20000 + (static_cast<std::uint32_t>(::getpid()) * 131) % 30000 + offset);
-}
+// Offsets 120 and 130 here, the others in bridge_mesh_test: one process runs
+// both files' meshes (cim_tests_bytes_wire).
+using test::test_port;
 
 std::string tmp_path(const char* stem) {
   return std::string("/tmp/cim_") + stem + "_" + std::to_string(::getpid()) +
