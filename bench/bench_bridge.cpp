@@ -126,9 +126,11 @@ ShapeResult run_shape(const isc::Topology& topo) {
         std::make_unique<net::TcpLinkTransport>(fds[1], nodes[e.b]->loop);
   }
 
+  // Each node's loop runs on a thread of its own, as in its own process.
+  std::vector<std::thread> runners;
   for (std::size_t i = 0; i < n; ++i) {
-    nodes[i]->loop.start();
     Node* node = nodes[i].get();
+    runners.emplace_back([node] { node->loop.run(); });
     for (std::size_t k = 0; k < node->links.size(); ++k) {
       node->links[k].pipe->start_frames(
           [node, k](std::unique_ptr<net::TransportFrame> frame) {
@@ -168,6 +170,7 @@ ShapeResult run_shape(const isc::Topology& topo) {
     }
   }
   for (auto& node : nodes) node->loop.stop();
+  for (std::thread& runner : runners) runner.join();
 
   ShapeResult res;
   res.msgs_per_sec = static_cast<double>(total) / elapsed;

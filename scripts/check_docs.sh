@@ -104,15 +104,19 @@ else
   done
 fi
 
-# A mesh node runs its engine on its EpollLoop: the architecture document
-# shows the node's threads, and src/mesh does not fall back to the threaded
-# runtime.
+# A mesh node is one thread, run()'s caller running its EpollLoop: the
+# architecture document shows the node's threads, and src/mesh neither falls
+# back to the threaded runtime nor starts a thread of its own.
 if ! grep -q "### Mesh node threads" "$doc"; then
   echo "check_docs: docs/ARCHITECTURE.md does not show the mesh node threads" >&2
   status=1
 fi
 if grep -q "runtime/runtime.h" "$root"/src/mesh/*; then
   echo "check_docs: src/mesh includes runtime/runtime.h" >&2
+  status=1
+fi
+if grep -rq "std::thread" "$root"/src/mesh; then
+  echo "check_docs: src/mesh uses std::thread (a node runs on its loop)" >&2
   status=1
 fi
 

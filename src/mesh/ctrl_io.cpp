@@ -1,10 +1,16 @@
 #include "mesh/ctrl_io.h"
 
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
+
+#include "net/tcp_link.h"
 
 namespace cim::mesh {
 
@@ -20,6 +26,51 @@ const char* reject_reason_name(std::uint64_t reason) {
     default: return "unknown reason";
   }
 }
+
+namespace {
+
+// Largest bare control frame a handshake reads, length prefix included.
+constexpr std::size_t kCtrlFrameMax = 4 + 64;
+
+// The one frame parser behind the blocking reader and the loop reader. Reads
+// only what the frame still lacks into frame[0, got). Returns an error, or
+// null: with `whole` set and `out` decoded once the frame is complete, unset
+// when the fd has nothing more for now (EAGAIN, or a blocking fd's
+// SO_RCVTIMEO).
+const char* read_ctrl_frame(int fd, std::uint8_t* frame, std::size_t& got,
+                            ControlMsg& out, bool& whole) {
+  while (true) {
+    std::size_t want = 4;
+    if (got >= 4) {
+      std::uint32_t body_len = 0;
+      for (int i = 0; i < 4; ++i)
+        body_len |= static_cast<std::uint32_t>(frame[i]) << (8 * i);
+      if (body_len > kCtrlFrameMax - 4)
+        return "handshake frame is not a control message";
+      want = 4 + body_len;
+    }
+    if (got == want) {
+      net::wire::DecodeResult res = net::wire::decode(frame, got);
+      if (!res.ok()) return res.error;
+      auto* ctrl = dynamic_cast<ControlMsg*>(res.msg.get());
+      if (ctrl == nullptr) return "handshake frame is not a control message";
+      out = *ctrl;
+      whole = true;
+      return nullptr;
+    }
+    const ssize_t n = ::read(fd, frame + got, want - got);
+    if (n > 0) {
+      got += static_cast<std::size_t>(n);
+    } else if (n == 0) {
+      return "peer closed during handshake";
+    } else if (errno != EINTR) {
+      return errno == EAGAIN || errno == EWOULDBLOCK ? nullptr
+                                                     : "handshake read failed";
+    }
+  }
+}
+
+}  // namespace
 
 bool send_ctrl_fd(int fd, const ControlMsg& msg) {
   std::vector<std::uint8_t> buf;
@@ -51,37 +102,73 @@ const char* recv_ctrl_fd(int fd, int timeout_ms, ControlMsg& out) {
   tv.tv_sec = timeout_ms / 1000;
   tv.tv_usec = (timeout_ms % 1000) * 1000;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  std::uint8_t frame[kCtrlFrameMax] = {};
+  std::size_t got = 0;
+  bool whole = false;
+  const char* err = read_ctrl_frame(fd, frame, got, out, whole);
+  return err != nullptr || whole ? err : "handshake timed out";
+}
 
-  std::uint8_t frame[4 + 64];
-  auto read_exact = [fd](std::uint8_t* dst, std::size_t len) -> const char* {
-    while (len > 0) {
-      const ssize_t n = ::read(fd, dst, len);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-          return "handshake timed out";
-        return "handshake read failed";
-      }
-      if (n == 0) return "peer closed during handshake";
-      dst += n;
-      len -= static_cast<std::size_t>(n);
+namespace {
+
+// One handshake on the loop, owned by its budget timer: it lives until the
+// timer fires (or the stopped loop is destroyed), so no late edge and no
+// late timer meets a dead object.
+struct LoopCtrlReader final : net::EpollLoop::FdHandler {
+  LoopCtrlReader(net::EpollLoop& on, int sock, const ControlMsg* first_frame,
+                 CtrlDoneFn fn)
+      : loop(on), fd(sock), done(std::move(fn)) {
+    if (first_frame != nullptr) first = *first_frame;
+  }
+  ~LoopCtrlReader() override {
+    if (fd >= 0) ::close(fd);  // the loop stopped with this one pending
+  }
+
+  void on_ready(std::uint32_t events) override {
+    if (fd < 0) return;
+    if (first) {
+      if ((events & (EPOLLOUT | EPOLLERR | EPOLLHUP)) == 0) return;
+      int err = 0;
+      socklen_t len = sizeof(err);
+      if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 || err != 0)
+        return finish("connect failed");
+      const bool sent = send_ctrl_fd(fd, *first);
+      first.reset();
+      if (!sent) return finish("handshake write failed");
     }
-    return nullptr;
-  };
-  if (const char* err = read_exact(frame, 4)) return err;
-  std::uint32_t body_len = 0;
-  for (int i = 0; i < 4; ++i)
-    body_len |= static_cast<std::uint32_t>(frame[i]) << (8 * i);
-  if (body_len > sizeof(frame) - 4)
-    return "handshake frame is not a control message";
-  if (const char* err = read_exact(frame + 4, body_len)) return err;
+    bool whole = false;
+    const char* err = read_ctrl_frame(fd, frame, got, msg, whole);
+    if (err != nullptr || whole) finish(err);
+  }
 
-  net::wire::DecodeResult res = net::wire::decode(frame, 4 + body_len);
-  if (!res.ok()) return res.error;
-  auto* ctrl = dynamic_cast<ControlMsg*>(res.msg.get());
-  if (ctrl == nullptr) return "handshake frame is not a control message";
-  out = *ctrl;
-  return nullptr;
+  void finish(const char* err) {
+    loop.remove(fd);
+    if (err != nullptr) ::close(fd);
+    const int sock = err != nullptr ? -1 : fd;
+    fd = -1;
+    std::exchange(done, nullptr)(err, sock, msg);
+  }
+
+  net::EpollLoop& loop;
+  int fd;                            // -1 once finished
+  std::optional<ControlMsg> first;   // still to send once connected
+  CtrlDoneFn done;
+  std::uint8_t frame[kCtrlFrameMax] = {};
+  std::size_t got = 0;
+  ControlMsg msg;
+};
+
+}  // namespace
+
+void read_ctrl_on_loop(net::EpollLoop& loop, int fd, int timeout_ms,
+                       const ControlMsg* first, CtrlDoneFn done) {
+  net::set_nonblocking(fd);
+  auto reader =
+      std::make_shared<LoopCtrlReader>(loop, fd, first, std::move(done));
+  loop.add(fd, reader.get());
+  loop.post_after(timeout_ms, [reader] {
+    if (reader->fd >= 0) reader->finish("handshake timed out");
+  });
 }
 
 }  // namespace cim::mesh

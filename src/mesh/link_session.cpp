@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -14,13 +13,8 @@ namespace cim::mesh {
 
 namespace {
 
+using net::steady_ns;
 using net::wire::ControlMsg;
-
-std::int64_t steady_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::uint64_t splitmix64(std::uint64_t& s) {
   std::uint64_t z = (s += 0x9E3779B97F4A7C15ULL);
@@ -57,14 +51,21 @@ void LinkSession::attach_locked(int fd) {
   transport_->start_frames([this](std::unique_ptr<net::TransportFrame> f) {
     on_frame(std::move(f));
   });
-  socket_dead_ = false;
 }
 
 void LinkSession::start(int fd, DeliverFn deliver) {
+  // Resolve the peer once, here on the caller's thread: a name lookup must
+  // not stall the loop that every re-dial runs on.
+  const bool resolved =
+      !cfg_.dialer ||
+      net::tcp_resolve(cfg_.host.c_str(), cfg_.peer_port, peer_addr_);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     deliver_ = std::move(deliver);
-    if (fd >= 0) {
+    if (!resolved) {
+      if (fd >= 0) ::close(fd);
+      fail_locked("session: cannot resolve the peer host");
+    } else if (fd >= 0) {
       attach_locked(fd);
       state_ = LinkState::kUp;
     } else {
@@ -72,21 +73,15 @@ void LinkSession::start(int fd, DeliverFn deliver) {
       // degrades until the peer's rejoin lands on the node's listener.
       state_ = LinkState::kDegraded;
       degraded_since_ns_ = steady_ns();
-      socket_dead_ = true;
+      schedule_dial_locked();
     }
   }
   arm_tick();
-  if (cfg_.dialer) reconnect_thread_ = std::thread([this] { reconnect_main(); });
 }
 
 void LinkSession::stop() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopped_ = true;
-    bury_transport_locked();
-    reconnect_cv_.notify_all();
-  }
-  if (reconnect_thread_.joinable()) reconnect_thread_.join();
+  std::lock_guard<std::mutex> lock(mutex_);
+  bury_transport_locked();
 }
 
 void LinkSession::begin_shutdown() {
@@ -118,7 +113,6 @@ void LinkSession::bury_transport_locked() {
     transport_->close();
     graveyard_.push_back(std::move(transport_));
   }
-  socket_dead_ = true;
 }
 
 void LinkSession::retire_locked() {
@@ -127,7 +121,7 @@ void LinkSession::retire_locked() {
     state_ = LinkState::kDegraded;
     degraded_since_ns_ = steady_ns();
   }
-  reconnect_cv_.notify_all();
+  schedule_dial_locked();
 }
 
 void LinkSession::fail_locked(const char* why) {
@@ -135,14 +129,13 @@ void LinkSession::fail_locked(const char* why) {
   state_ = LinkState::kFailed;
   error_ = why;
   bury_transport_locked();
-  reconnect_cv_.notify_all();
 }
 
 void LinkSession::send(net::MessagePtr msg) {
   // Loop thread. The journal bound is enforced by the caller — the engine
   // pauses while full() — so a batch may overshoot it by a few frames.
   std::lock_guard<std::mutex> lock(mutex_);
-  if (state_ == LinkState::kFailed || stopped_) return;
+  if (state_ == LinkState::kFailed) return;
   const bool is_ctrl = std::strcmp(msg->type_name(), "wire.ctrl") == 0;
   // Stats frames ride the session like control traffic: journaled and
   // replayed for FIFO integrity, but excluded from the pair accounting the
@@ -173,7 +166,7 @@ void LinkSession::send(net::MessagePtr msg) {
 }
 
 void LinkSession::pump_wire_locked() {
-  if (socket_dead_ || transport_ == nullptr) return;
+  if (transport_ == nullptr) return;
   while (const auto* entry = arq_.next_to_wire()) {
     // A failed send just means the socket died mid-frame: the journal still
     // holds everything unacked and the next rejoin rewinds the wire cursor.
@@ -283,7 +276,6 @@ void LinkSession::tick() {
   bool rearm = true;
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (stopped_) return;
     const std::int64_t now = steady_ns();
     net::TcpLinkTransport* t = transport_.get();
     if (t != nullptr) {
@@ -344,112 +336,100 @@ void LinkSession::tick() {
   if (rearm) arm_tick();
 }
 
-int LinkSession::dial_and_rejoin(std::uint64_t delivered,
-                                 std::uint64_t& peer_delivered, bool& stale) {
-  // Time-bounded dial: a full or unserviced listener backlog must cost one
-  // handshake budget, not minutes of kernel SYN retries.
-  const int fd = net::tcp_connect_timeout(cfg_.host.c_str(), cfg_.peer_port,
-                                          cfg_.handshake_timeout_ms);
-  if (fd < 0) return -1;
+void LinkSession::schedule_dial_locked() {
+  // A dialer's socket comes back only through its own dial, so at most one
+  // dial is ever armed.
+  if (!cfg_.dialer || state_ == LinkState::kFailed) return;
+  // Capped exponential backoff with deterministic jitter so two dialers
+  // sharing a host never re-dial in lockstep.
+  const int shift = std::min(dial_attempts_, 10);
+  std::int64_t delay = std::int64_t{cfg_.backoff_initial_ms} << shift;
+  delay = std::min<std::int64_t>(delay, cfg_.backoff_max_ms);
+  delay += static_cast<std::int64_t>(
+      splitmix64(jitter_state_) % (static_cast<std::uint64_t>(delay) / 2 + 1));
+  loop_.post_after(static_cast<int>(delay), [this] { dial(); });
+}
+
+void LinkSession::dial() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (state_ == LinkState::kFailed) return;
+  const int fd = net::tcp_dial(peer_addr_);
+  if (fd < 0) {
+    dial_failed_locked();
+    return;
+  }
   ControlMsg rejoin;
   rejoin.code = ControlMsg::kRejoin;
   rejoin.a = cfg_.self_id;
   rejoin.b = cfg_.session_id;
-  rejoin.c = delivered;
+  rejoin.c = arq_.recv_next();
+  // Time-bounded: a full or unserviced listener backlog costs one handshake
+  // budget, not minutes of kernel SYN retries.
+  read_ctrl_on_loop(loop_, fd, cfg_.handshake_timeout_ms, &rejoin,
+                    [this](const char* err, int sock, const ControlMsg& reply) {
+                      on_rejoin_reply(err, sock, reply);
+                    });
+}
+
+void LinkSession::on_rejoin_reply(const char* err, int fd,
+                                  const ControlMsg& reply) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (err == nullptr && reply.code == ControlMsg::kRejoin &&
+      reply.b == cfg_.session_id) {
+    dial_attempts_ = 0;
+    resume_locked(fd, reply.c);
+    return;
+  }
+  if (fd >= 0) ::close(fd);
+  if (err == nullptr && reply.code == ControlMsg::kJoinReject &&
+      reply.b == kRejectStaleSession) {
+    // The peer runs a different session epoch (a whole-mesh restart under
+    // our feet): replaying into it would corrupt causal order.
+    fail_locked("rejoin rejected: stale session id");
+    return;
+  }
+  dial_failed_locked();
+}
+
+void LinkSession::dial_failed_locked() {
+  ++dial_attempts_;
+  if (cfg_.reconnect_attempts > 0 && dial_attempts_ >= cfg_.reconnect_attempts)
+    fail_locked("session: reconnect attempts exhausted");
+  else
+    schedule_dial_locked();
+}
+
+void LinkSession::accept_rejoin(int fd, std::uint64_t peer_delivered) {
+  std::lock_guard<std::mutex> lock(mutex_);
   ControlMsg reply;
-  if (!send_ctrl_fd(fd, rejoin) ||
-      recv_ctrl_fd(fd, cfg_.handshake_timeout_ms, reply) != nullptr) {
+  reply.code = ControlMsg::kRejoin;
+  reply.a = cfg_.self_id;
+  reply.b = cfg_.session_id;
+  reply.c = arq_.recv_next();
+  // Reply before any replay frame can enter the stream: the dialer reads
+  // exactly one control frame, and TCP keeps the order.
+  if (!send_ctrl_fd(fd, reply)) {
     ::close(fd);
-    return -1;
+    return;
   }
-  if (reply.code == ControlMsg::kJoinReject) {
-    if (reply.b == kRejectStaleSession) stale = true;
-    ::close(fd);
-    return -1;
-  }
-  if (reply.code != ControlMsg::kRejoin || reply.b != cfg_.session_id) {
-    ::close(fd);
-    return -1;
-  }
-  peer_delivered = reply.c;
-  return fd;
+  resume_locked(fd, peer_delivered);
 }
 
-void LinkSession::reconnect_main() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (!stopped_) {
-    reconnect_cv_.wait(lock, [this] {
-      return stopped_ ||
-             (socket_dead_ && resumes_posted_ == 0 &&
-              state_ != LinkState::kFailed &&
-              (!shutdown_ || arq_.unacked() != 0));
-    });
-    if (stopped_) break;
-    int attempt = 0;
-    while (!stopped_ && socket_dead_ && state_ != LinkState::kFailed) {
-      // Capped exponential backoff with deterministic jitter so two dialers
-      // sharing a host never re-dial in lockstep.
-      const int shift = std::min(attempt, 10);
-      std::int64_t delay = std::int64_t{cfg_.backoff_initial_ms} << shift;
-      delay = std::min<std::int64_t>(delay, cfg_.backoff_max_ms);
-      delay += static_cast<std::int64_t>(splitmix64(jitter_state_) %
-                                         (static_cast<std::uint64_t>(delay) / 2 + 1));
-      reconnect_cv_.wait_for(lock, std::chrono::milliseconds(delay), [this] {
-        return stopped_ || !socket_dead_;
-      });
-      if (stopped_ || !socket_dead_ || state_ == LinkState::kFailed) break;
-      const std::uint64_t delivered = arq_.recv_next();
-      lock.unlock();
-      std::uint64_t peer_delivered = 0;
-      bool stale = false;
-      const int fd = dial_and_rejoin(delivered, peer_delivered, stale);
-      if (fd >= 0) {
-        resume_with_socket(fd, peer_delivered);
-        lock.lock();
-        break;  // the outer wait holds off until the loop has attached it
-      }
-      lock.lock();
-      if (stale) {
-        // The peer runs a different session epoch (a whole-mesh restart
-        // under our feet): replaying into it would corrupt causal order.
-        fail_locked("rejoin rejected: stale session id");
-        break;
-      }
-      ++attempt;
-      if (cfg_.reconnect_attempts > 0 && attempt >= cfg_.reconnect_attempts) {
-        fail_locked("session: reconnect attempts exhausted");
-        break;
-      }
-    }
+void LinkSession::resume_locked(int fd, std::uint64_t peer_delivered) {
+  if (state_ == LinkState::kFailed) {
+    ::close(fd);
+    return;
   }
-}
-
-void LinkSession::resume_with_socket(int fd, std::uint64_t peer_delivered) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++resumes_posted_;
-  }
-  // The rewind and the replay run on the loop, the one thread that pumps
-  // the wire: no fresh frame can jump ahead of the replay.
-  loop_.post([this, fd, peer_delivered] {
-    std::lock_guard<std::mutex> lock(mutex_);
-    --resumes_posted_;
-    reconnect_cv_.notify_all();
-    if (stopped_ || state_ == LinkState::kFailed) {
-      ::close(fd);
-      return;
-    }
-    if (!socket_dead_) retire_locked();  // superseded incarnation
-    handle_ack_locked(peer_delivered);
-    attach_locked(fd);
-    // Rewind the wire cursor to the first unacked frame: this pump IS the
-    // replay. Duplicates (an ack racing the replay) die at the peer's
-    // receive cursor.
-    arq_.rewind();
-    state_ = LinkState::kUp;
-    ++resumes_;
-    pump_wire_locked();
-  });
+  if (transport_ != nullptr) retire_locked();  // superseded incarnation
+  handle_ack_locked(peer_delivered);
+  attach_locked(fd);
+  // Rewind the wire cursor to the first unacked frame: this pump IS the
+  // replay. Duplicates (an ack racing the replay) die at the peer's receive
+  // cursor.
+  arq_.rewind();
+  state_ = LinkState::kUp;
+  ++resumes_;
+  pump_wire_locked();
 }
 
 std::size_t LinkSession::backlog() const {
@@ -494,14 +474,9 @@ const char* LinkSession::error() const {
   return error_;
 }
 
-std::uint64_t LinkSession::recv_expected() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return arq_.recv_next();
-}
-
 bool LinkSession::connected() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return !socket_dead_;
+  return transport_ != nullptr;
 }
 
 std::uint64_t LinkSession::data_sent() const {
@@ -552,28 +527,6 @@ std::int64_t LinkSession::best_rtt_ns() const {
 std::uint64_t LinkSession::rtt_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return rtt_count_;
-}
-
-bool accept_rejoin(int fd, const ControlMsg& msg, std::uint64_t self_id,
-                   LinkSession* session) {
-  if (session == nullptr || msg.b != session->session_id()) {
-    send_ctrl_fd(fd, ControlMsg::kJoinReject, self_id, kRejectStaleSession);
-    ::close(fd);
-    return false;
-  }
-  ControlMsg reply;
-  reply.code = ControlMsg::kRejoin;
-  reply.a = self_id;
-  reply.b = session->session_id();
-  reply.c = session->recv_expected();
-  // Reply before any replay frame can enter the stream: the dialer is
-  // blocking on exactly one control frame, and TCP keeps the order.
-  if (!send_ctrl_fd(fd, reply)) {
-    ::close(fd);
-    return false;
-  }
-  session->resume_with_socket(fd, msg.c);
-  return true;
 }
 
 }  // namespace cim::mesh

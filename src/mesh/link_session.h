@@ -33,22 +33,22 @@
 //    so `cim_bridge --resume` restores the cursors and the replay window
 //    after a kill -9.
 //
-// Threading: everything that touches the wire runs on the loop thread —
-// send() (the engine, the convergecast and the stats plane all live there),
-// on_frame, the heartbeat tick, and every rejoin: resume_with_socket() hands
-// the rewind and the replay to the loop. So frames reach the transport in
-// seq order by construction, and send() never blocks. The reconnect thread
-// only dials and runs the rejoin handshake. mutex_ guards the state that
-// the reconnect thread and the introspection accessors read.
+// Threading: the session lives on the loop thread. send() (the engine, the
+// convergecast and the stats plane all live there), on_frame, the heartbeat
+// tick, and both sides of every rejoin run there: a re-dial is a loop timer
+// that starts a nonblocking connect, whose kRejoin exchange is read by the
+// loop (mesh/ctrl_io.h), and the acceptor's listener is a loop handler of
+// the node. So frames reach the transport in seq order by construction,
+// send() never blocks, and one thread mutates the session. start() and
+// restore() run before the loop starts, stop() after it stopped. mutex_
+// guards only what the introspection accessors read from other threads.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "mesh/spill.h"
@@ -106,14 +106,15 @@ class LinkSession final : public net::LinkTransport {
 
   /// Start the session. `fd` is the connected socket from the join
   /// handshake, or -1 to start socketless (a resumed node: the dialer side
-  /// re-dials immediately, the acceptor waits for the peer's rejoin).
+  /// re-dials immediately, the acceptor waits for the peer's rejoin). A
+  /// dialer resolves `host` here, once; every re-dial reuses the address.
   void start(int fd, DeliverFn deliver);
 
-  /// Attach a fresh socket after a successful rejoin handshake: on the loop
-  /// thread, trims the journal to the peer's delivery cursor, replays the
-  /// rest, flips to kUp. Called by the reconnect thread (dialer) or
-  /// accept_rejoin (acceptor); returns at once.
-  void resume_with_socket(int fd, std::uint64_t peer_delivered);
+  /// Acceptor side of a rejoin (loop thread): `fd` carried the peer's
+  /// kRejoin for this session, with the peer's delivery cursor. Answers with
+  /// our own kRejoin, then trims the journal to that cursor, replays the
+  /// rest on the fresh socket and flips to kUp.
+  void accept_rejoin(int fd, std::uint64_t peer_delivered);
 
   /// Final drain: EOF from here on is a normal goodbye, not an outage.
   void begin_shutdown();
@@ -124,7 +125,8 @@ class LinkSession final : public net::LinkTransport {
   /// acks make room (loop thread; send() itself never blocks).
   bool full() const;
 
-  /// Join the reconnect thread. Call before the loop stops.
+  /// Close the live socket, so the peer sees EOF now. Call once the loop
+  /// has stopped (or never started).
   void stop();
 
   // net::LinkTransport — the interconnector sends pairs through here (loop
@@ -142,7 +144,6 @@ class LinkSession final : public net::LinkTransport {
   const char* error() const;
   std::uint64_t session_id() const { return cfg_.session_id; }
   std::uint64_t peer_id() const { return cfg_.peer_id; }
-  std::uint64_t recv_expected() const;
   /// A live socket incarnation exists right now.
   bool connected() const;
   /// Non-ctrl payload frames sent / delivered this session (across crashes).
@@ -186,15 +187,21 @@ class LinkSession final : public net::LinkTransport {
   void handle_ack_locked(std::uint64_t ack);
   /// Close the live transport (if any) into the graveyard; no socket left.
   void bury_transport_locked();
-  void retire_locked();  // current transport died: degrade + wake the dialer
+  void retire_locked();  // current transport died: degrade, re-dial
   void fail_locked(const char* why);
   void attach_locked(int fd);  // new transport incarnation, registered
-  void reconnect_main();
+  /// A rejoin handshake succeeded: ack the peer's cursor, attach `fd`,
+  /// replay (loop thread).
+  void resume_locked(int fd, std::uint64_t peer_delivered);
+  /// Dialer: arm the next dial after the capped, jittered backoff.
+  void schedule_dial_locked();
+  void dial();
+  void dial_failed_locked();  // count the attempt; re-arm or give up
+  void on_rejoin_reply(const char* err, int fd,
+                       const net::wire::ControlMsg& reply);
   /// `stat` summed over the live transport and every retired one.
   std::uint64_t sum_transports(
       std::uint64_t (net::TcpLinkTransport::*stat)() const) const;
-  int dial_and_rejoin(std::uint64_t delivered, std::uint64_t& peer_delivered,
-                      bool& stale);
 
   SessionConfig cfg_;
   net::EpollLoop& loop_;
@@ -202,13 +209,10 @@ class LinkSession final : public net::LinkTransport {
   DeliverFn deliver_;
 
   mutable std::mutex mutex_;
-  std::condition_variable reconnect_cv_;  // wakes/paces the dialer thread
   LinkState state_ = LinkState::kUp;
   const char* error_ = nullptr;
   bool shutdown_ = false;
-  bool stopped_ = false;
-  bool socket_dead_ = true;  // no live transport incarnation
-  int resumes_posted_ = 0;   // rejoined sockets on their way to the loop
+  int dial_attempts_ = 0;  // failed dials this outage
 
   // Session cursors and the journal of encoded unacked frames (mutex_),
   // persisted via spill_. The wire cursor is claimed optimistically: if the
@@ -243,16 +247,8 @@ class LinkSession final : public net::LinkTransport {
   std::unique_ptr<net::TcpLinkTransport> transport_;
   std::vector<std::unique_ptr<net::TcpLinkTransport>> graveyard_;
 
-  std::thread reconnect_thread_;
   std::uint64_t jitter_state_;  // splitmix64, seeded deterministically
+  sockaddr_in peer_addr_{};     // dialer: the peer, resolved once in start()
 };
-
-/// Acceptor-side rejoin: validate `msg` (a kRejoin read off a fresh
-/// connection by the node's accept thread) against `session`, answer with
-/// our own kRejoin carrying the local delivery cursor, and hand the socket
-/// to the session. On a session-id mismatch (or null session) the join is
-/// rejected with kRejectStaleSession and the fd closed. Returns success.
-bool accept_rejoin(int fd, const net::wire::ControlMsg& msg,
-                   std::uint64_t self_id, LinkSession* session);
 
 }  // namespace cim::mesh

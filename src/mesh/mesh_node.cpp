@@ -8,8 +8,6 @@
 #include <cstring>
 #include <deque>
 #include <functional>
-#include <future>
-#include <thread>
 #include <utility>
 
 #include "common/check.h"
@@ -25,28 +23,23 @@ namespace cim::mesh {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using net::steady_ns;
 using net::wire::ControlMsg;
 
 // Simulator events per loop iteration: the batch between two looks at the
 // sockets.
 constexpr int kEngineBatch = 256;
 
-std::int64_t steady_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+// Budget for the one control frame of a connection accepted mid-run.
+constexpr int kRejoinFrameBudgetMs = 1000;
 
 }  // namespace
 
 MeshNode::MeshNode(MeshConfig config) : cfg_(std::move(config)) {}
 
 MeshNode::~MeshNode() {
-  accept_stop_.store(true, std::memory_order_release);
-  for (auto& s : sessions_) s->stop();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  // Contract with the transports: the loop thread must be joined before any
-  // registered handler dies (net/epoll_loop.h).
+  // Contract with the handlers: the loop must have exited before any
+  // registered handler dies (net/epoll_loop.h); run() returns only then.
   loop_.stop();
   sessions_.clear();
   if (listener_ >= 0) ::close(listener_);
@@ -233,22 +226,18 @@ bool MeshNode::join() {
       return false;
     }
     if (!load_resume_state()) return false;
-    // No handshakes: every edge re-forms through the kRejoin path. We still
-    // listen so crashed-and-back higher-id dialers can find us.
-    if (higher > 0)
-      listener_ = net::tcp_listen(
-          static_cast<std::uint16_t>(cfg_.base_port + cfg_.node_id),
-          static_cast<int>(higher));
-    return true;
   }
 
   // Listen before dialing: higher-id neighbors may dial us at any moment
   // once their own lower dials are through. The backlog holds them all.
-  // The listener stays open for the whole run (accept_main answers rejoins).
+  // The listener stays open for the whole run (the loop answers rejoins).
   if (higher > 0)
     listener_ = net::tcp_listen(
         static_cast<std::uint16_t>(cfg_.base_port + cfg_.node_id),
         static_cast<int>(higher));
+  // A resumed node skips the handshakes: every edge re-forms through the
+  // kRejoin path, and crashed-and-back higher-id dialers find our listener.
+  if (cfg_.resume) return true;
 
   // Dial every lower-id neighbor. Dial targets are strictly decreasing in
   // id, so the wait-for graph is acyclic: mesh formation cannot deadlock.
@@ -302,32 +291,31 @@ bool MeshNode::join() {
   return true;
 }
 
-void MeshNode::accept_main() {
-  // Runs for the whole of run(): answers kRejoin handshakes from crashed
-  // higher-id dialers and refuses everything else. tcp_accept's timeout is
-  // the stop-polling granularity.
-  while (!accept_stop_.load(std::memory_order_acquire)) {
-    const int fd = net::tcp_accept(listener_, 200);
-    if (fd < 0) continue;
-    ControlMsg msg;
-    if (recv_ctrl_fd(fd, 1000, msg) != nullptr) {
-      ::close(fd);
-      continue;
-    }
-    if (msg.code == ControlMsg::kRejoin) {
-      LinkSession* target = nullptr;
-      for (auto& s : sessions_)
-        if (s->session_id() == msg.b && s->peer_id() == msg.a)
-          target = s.get();
-      accept_rejoin(fd, msg, cfg_.node_id, target);  // rejects stale inside
-    } else {
-      // A fresh kHello mid-run: this mesh epoch already formed, so the
-      // dialer is from some other world (stale spec, stray process).
-      send_ctrl_fd(fd, ControlMsg::kJoinReject, cfg_.node_id,
-                   kRejectStaleSession);
-      ::close(fd);
+void MeshNode::on_ready(std::uint32_t) {
+  // Each connection gets its own loop reader and budget: a silent one delays
+  // no rejoin behind it.
+  for (int fd = net::tcp_accept(listener_); fd >= 0;
+       fd = net::tcp_accept(listener_)) {
+    read_ctrl_on_loop(loop_, fd, kRejoinFrameBudgetMs, nullptr,
+                      [this](const char* err, int sock, const ControlMsg& msg) {
+                        if (err == nullptr) answer_rejoin(sock, msg);
+                      });
+  }
+}
+
+void MeshNode::answer_rejoin(int fd, const ControlMsg& msg) {
+  if (msg.code == ControlMsg::kRejoin) {
+    for (auto& s : sessions_) {
+      if (s->session_id() == msg.b && s->peer_id() == msg.a) {
+        s->accept_rejoin(fd, msg.c);
+        return;
+      }
     }
   }
+  // An unknown or old session id, or a fresh kHello for a mesh that already
+  // formed: the dialer is from some other world (stale spec, stray process).
+  send_ctrl_fd(fd, ControlMsg::kJoinReject, cfg_.node_id, kRejectStaleSession);
+  ::close(fd);
 }
 
 MeshResult MeshNode::run() {
@@ -436,9 +424,9 @@ MeshResult MeshNode::run() {
                   static_cast<Value>(generation_) * 200'000;
   auto runners = wl::install_uniform(*fed_, wc);
 
-  // Everything below runs on the loop thread once it starts: the engine,
-  // the frame callbacks, the convergecast and the stats plane share it, so
-  // this state needs no synchronization. Pairs applied per link count across
+  // Everything below runs on the loop, i.e. on this thread: the engine, the
+  // frame callbacks, the convergecast and the stats plane share it, so this
+  // state needs no synchronization. Pairs applied per link count across
   // generations: the restored delivery cursor seeds them, so a resumed
   // node's drained() comparison counts the crashed generation's applies too.
   std::vector<bool> peer_done(n_links, false);
@@ -546,14 +534,13 @@ MeshResult MeshNode::run() {
     return f;
   };
 
-  // The run's phases, advanced by progress() on the loop thread; run()'s
-  // caller waits for kFinished.
+  // The run's phases, advanced by progress() in the loop; kFinished ends
+  // the loop.
   enum class Phase { kConvergecast, kDrain, kFinished };
   Phase phase = Phase::kConvergecast;
-  std::promise<void> finished;
   auto finish = [&] {
     phase = Phase::kFinished;
-    finished.set_value();
+    loop_.stop();
   };
 
   // Stats cadence: a loop timer, first sample at once so short runs and
@@ -702,25 +689,22 @@ MeshResult MeshNode::run() {
     progress();
     return more && phase != Phase::kFinished;
   });
-  loop_.start();
-
-  // Rejoin service — started only after every session exists, so a crashed
-  // dialer reconnecting the instant we come back finds its session.
-  if (listener_ >= 0) accept_thread_ = std::thread([this] { accept_main(); });
+  // Rejoin service — registered only after every session exists, so a
+  // crashed dialer reconnecting the instant we come back finds its session.
+  if (listener_ >= 0) {
+    net::set_nonblocking(listener_);
+    loop_.add(listener_, this);
+  }
   sessions_ready_.store(true, std::memory_order_release);
-
-  finished.get_future().wait();
-  // Sessions first: stop() closes the live transports and joins the
-  // reconnect threads, which may still be handing sockets to the loop. Then
-  // the accept thread, then the loop itself.
-  accept_stop_.store(true, std::memory_order_release);
+  // The loop runs on this thread until finish() stops it.
+  loop_.run();
+  // The loop has exited, so close the sockets (net/epoll_loop.h order): the
+  // peers see EOF now, and the sessions keep their counters for the caller.
   for (auto& s : sessions_) s->stop();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  loop_.stop();
   if (!error_.empty()) return result;
 
-  // Fold session/loop atomics into the registry now that every producer
-  // thread is joined (obs cells are not thread-safe).
+  // Fold session/loop atomics into the registry (obs cells are not
+  // thread-safe; the loop has exited).
   obs::MetricsRegistry& m = fed_->observability().metrics();
   std::uint64_t bytes_out = 0, bytes_in = 0, sys_read = 0, sys_writev = 0;
   std::uint64_t coalesced = 0, stalls = 0;

@@ -19,20 +19,19 @@
 //             external link per neighbor (they share the node's IS-process,
 //             which gives split-horizon forwarding across the tree), wraps
 //             each socket in a crash-tolerant LinkSession (mesh/link_session.h)
-//             on one shared EpollLoop, runs the uniform workload in the
-//             simulator engine on that loop's thread, and executes the
-//             per-link done/bye convergecast until the whole tree is
+//             on one shared EpollLoop, runs that loop on the calling thread
+//             — the uniform workload in the simulator engine, the sockets,
+//             the per-link done/bye convergecast — until the whole tree is
 //             drained. Blocks until then; returns the node's final counts.
 //
-// Threads (docs/ARCHITECTURE.md "Mesh node threads"): one hot thread, the
-// EpollLoop's. Each iteration it dispatches the ready sockets (a delivered
-// pair is a plain simulator post), runs one bounded batch of engine events
-// (paused while any session's journal is at its bound), checks the
-// convergecast, and flushes every peer's send queue with one writev. The
-// stats plane and the heartbeats are loop timers. Besides it: run()'s
-// caller, parked until the run ends; the accept thread (rejoins mid-run);
-// one reconnect thread per lower-id neighbor (re-dials). All three are idle
-// in steady state.
+// Threads (docs/ARCHITECTURE.md "Mesh node threads"): one, run()'s caller,
+// which runs the node's EpollLoop. Each iteration the loop dispatches the
+// ready sockets (a delivered pair is a plain simulator post), runs one
+// bounded batch of engine events (paused while any session's journal is at
+// its bound), checks the convergecast, and flushes every peer's send queue
+// with one writev. The stats plane and the heartbeats are loop timers; the
+// listener is a loop handler, and every rejoin — answered or dialed — is a
+// nonblocking exchange on the loop.
 //
 // Robustness (the PR-7 tentpole; docs/BRIDGE.md "Failure behavior"):
 // each edge is a LinkSession — seq/ack frames, a replay journal, heartbeats
@@ -40,12 +39,13 @@
 // A silent or crashed peer degrades its link (bounded buffering +
 // backpressure, surfaced as net.mesh.<peer>.{down,hb_miss,resumes} gauges)
 // instead of killing the node; the node's listener stays open for the whole
-// run so crashed higher-id dialers can rejoin, and an accept thread answers
-// kRejoin (and refuses stale kHello) mid-run. Every session event spills to
-// a write-ahead journal (mesh/spill.h) and the history streams to disk as
-// it records, so `cim_bridge --resume` restarts a kill -9'd process with
-// zero duplicated and zero lost pair deliveries and a checkable merged
-// history.
+// run so crashed higher-id dialers can rejoin: the loop accepts, reads each
+// connection's one control frame under its own budget, answers kRejoin and
+// refuses everything else (a stale session, a kHello mid-run). Every
+// session event spills to a write-ahead journal (mesh/spill.h) and the
+// history streams to disk as it records, so `cim_bridge --resume` restarts
+// a kill -9'd process with zero duplicated and zero lost pair deliveries
+// and a checkable merged history.
 //
 // Termination (docs/BRIDGE.md "Termination"): done on link L is sent once
 // the local workload finished, the engine is idle, and every *other* link M
@@ -68,7 +68,6 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "interconnect/federation.h"
@@ -140,10 +139,10 @@ struct MeshResult {
   std::uint64_t violations = 0;
 };
 
-class MeshNode {
+class MeshNode final : private net::EpollLoop::FdHandler {
  public:
   explicit MeshNode(MeshConfig config);
-  ~MeshNode();
+  ~MeshNode() override;
   MeshNode(const MeshNode&) = delete;
   MeshNode& operator=(const MeshNode&) = delete;
 
@@ -185,7 +184,11 @@ class MeshNode {
   std::size_t handshake_accept(int fd);
   bool load_resume_state();
   std::uint64_t edge_session_id(std::size_t peer) const;
-  void accept_main();
+  /// The listener on the loop: accept every queued connection and read its
+  /// one control frame on the loop.
+  void on_ready(std::uint32_t events) override;
+  /// Answer the first frame of a connection accepted mid-run.
+  void answer_rejoin(int fd, const net::wire::ControlMsg& msg);
 
   MeshConfig cfg_;
   std::vector<std::size_t> neighbors_;  // ascending node ids
@@ -200,8 +203,6 @@ class MeshNode {
   std::unique_ptr<isc::Federation> fed_;
   std::vector<std::unique_ptr<LinkSession>> sessions_;
   std::unique_ptr<std::ofstream> history_;
-  std::thread accept_thread_;
-  std::atomic<bool> accept_stop_{false};
   std::atomic<bool> sessions_ready_{false};
 };
 

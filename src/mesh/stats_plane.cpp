@@ -33,7 +33,6 @@ std::size_t stats_parent(const isc::Topology& topo, std::size_t node) {
 }
 
 void FedAggregator::fold(const net::wire::StatsFrame& frame) {
-  std::lock_guard<std::mutex> lock(mutex_);
   ++folded_;
   auto it = latest_.find(frame.origin);
   if (it != latest_.end() && it->second.t_ns > frame.t_ns) return;
@@ -41,7 +40,6 @@ void FedAggregator::fold(const net::wire::StatsFrame& frame) {
 }
 
 std::vector<std::uint64_t> FedAggregator::origins() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::uint64_t> out;
   out.reserve(latest_.size());
   for (const auto& [origin, frame] : latest_) out.push_back(origin);
@@ -49,7 +47,6 @@ std::vector<std::uint64_t> FedAggregator::origins() const {
 }
 
 std::uint64_t FedAggregator::frames_folded() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   return folded_;
 }
 
@@ -59,7 +56,6 @@ bool FedAggregator::write_json(const std::string& path) const {
     std::ofstream os(tmp, std::ios::trunc);
     if (!os) return false;
     obs::JsonWriter w(os);
-    std::lock_guard<std::mutex> lock(mutex_);
     w.begin_object();
     w.kv("schema", "cim.metrics.v1");
     w.kv("v", obs::kMetricsSchemaVersion);

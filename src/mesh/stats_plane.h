@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -34,9 +33,9 @@ namespace cim::mesh {
 /// containing `node`.
 std::size_t stats_parent(const isc::Topology& topo, std::size_t node);
 
-/// Node 0's fold of the per-node StatsFrames. Thread-safe: fold() runs on
-/// the epoll loop thread (inbound frames) and the stats pump thread (the
-/// local sample); write_json on the pump thread or after shutdown.
+/// Node 0's fold of the per-node StatsFrames. Not thread-safe: a node folds
+/// inbound frames and its local sample, and writes the snapshot, on its one
+/// thread, the loop's.
 class FedAggregator {
  public:
   /// Keep `frame` as the latest snapshot from its origin node (newer t_ns
@@ -57,7 +56,6 @@ class FedAggregator {
   bool write_json(const std::string& path) const;
 
  private:
-  mutable std::mutex mutex_;
   std::map<std::uint64_t, net::wire::StatsFrame> latest_;
   std::uint64_t folded_ = 0;
 };

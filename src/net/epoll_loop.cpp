@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -13,16 +12,6 @@
 #include "net/fault_inject.h"
 
 namespace cim::net {
-
-namespace {
-
-std::int64_t steady_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 EpollLoop::EpollLoop() {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
@@ -67,19 +56,9 @@ void EpollLoop::remove(int fd) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
 }
 
-void EpollLoop::start() {
-  if (running_.exchange(true)) return;
-  stop_flag_.store(false, std::memory_order_release);
-  thread_ = std::thread([this] { loop(); });
-}
-
 void EpollLoop::stop() {
-  if (!running_.load(std::memory_order_acquire) || stopped_) return;
-  stopped_ = true;
   stop_flag_.store(true, std::memory_order_release);
   wake();
-  if (thread_.joinable()) thread_.join();
-  running_.store(false, std::memory_order_release);
 }
 
 void EpollLoop::post(std::function<void()> fn) {
@@ -151,7 +130,7 @@ int EpollLoop::next_timeout_ms(bool busy) {
   return static_cast<int>((delta_ns + 999'999) / 1'000'000);
 }
 
-void EpollLoop::loop() {
+void EpollLoop::run() {
   loop_thread_id_.store(std::this_thread::get_id(), std::memory_order_release);
   epoll_event events[64];
   bool busy = false;  // the work reported more runnable work

@@ -1,7 +1,8 @@
 // Epoll reactor for the multi-link TCP mesh (tools/cim_bridge, docs/BRIDGE.md).
 //
 // One EpollLoop per OS process drives every socket of that process's mesh
-// node, and the node's protocol engine, from a single dedicated thread:
+// node, and the node's protocol engine, from a single thread — whichever
+// calls run() (a mesh node runs it on MeshNode::run()'s caller):
 // edge-triggered readiness (EPOLLIN | EPOLLOUT | EPOLLET), a task queue, a
 // timer queue, and one optional batch of embedder work per iteration. A mesh
 // node installs its simulator there (set_work): each iteration dispatches the
@@ -18,16 +19,17 @@
 // until an fd edge, the earliest timer, or a foreign post.
 //
 // Threading and lifetime:
-//  * add() may be called from any thread before or after start().
+//  * add() may be called from any thread before or after the loop starts.
 //  * remove() only unregisters the fd (no further dispatch will *start*);
 //    a dispatch already running on the loop thread may still be inside the
 //    handler when remove() returns. Handlers must therefore be destroyed
-//    only after stop() has joined the loop thread — the teardown order every
-//    embedder follows (stop the loop, then destroy transports).
+//    only after run() has returned — the teardown order every embedder
+//    follows (stop the loop, wait for run() to return, then destroy
+//    transports).
 //  * post()/post_after() hand a task to the loop thread; tasks run in post
 //    order. Only a post from another thread writes the eventfd: the loop
 //    thread's own posts run before it next blocks.
-//  * set_work() must be called before start().
+//  * set_work() must be called before run().
 //
 // Syscall accounting: the loop counts epoll_wait returns and eventfd
 // wakeups; transports count their read/writev calls. tools/cim_bridge folds
@@ -35,6 +37,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -47,6 +50,14 @@
 namespace cim::net {
 
 struct FaultHooks;
+
+/// Steady-clock nanoseconds: the clock of the loop's timers, and the one the
+/// transports and sessions stamp receive times and heartbeats with.
+inline std::int64_t steady_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 class EpollLoop {
  public:
@@ -64,16 +75,20 @@ class EpollLoop {
   EpollLoop& operator=(const EpollLoop&) = delete;
 
   /// Register `fd` edge-triggered for read+write readiness. The handler is
-  /// borrowed and must stay valid until remove(fd) + stop() (see header).
+  /// borrowed and must stay valid until run() has returned (see header).
   void add(int fd, FdHandler* handler);
 
   /// Unregister `fd`. Safe from any thread; see the lifetime contract above.
   void remove(int fd);
 
-  /// Start the loop thread. Idempotent.
-  void start();
+  /// Run the loop on the calling thread until stop().
+  void run();
 
-  /// Wake the loop, drain pending tasks, and join the thread. Idempotent.
+  /// Ask run() to return: it finishes the current iteration, drains the
+  /// queued tasks, then returns. Any thread, idempotent, and sticky: after
+  /// a stop() that precedes it, run() returns after one iteration. It does
+  /// not wait for run() to return; an embedder running the loop on a thread
+  /// of its own joins that thread before destroying any handler.
   void stop();
 
   /// Run `fn` on the loop thread (FIFO with other posted tasks).
@@ -92,7 +107,7 @@ class EpollLoop {
   void post_after(int delay_ms, std::function<void()> fn);
 
   /// Deterministic fault injection (tests/chaos bench; docs/FAULTS.md).
-  /// Borrowed; set before start(), null = off.
+  /// Borrowed; set before the loop starts, null = off.
   void set_fault_hooks(const FaultHooks* hooks) { fault_hooks_ = hooks; }
 
   bool on_loop_thread() const {
@@ -112,7 +127,6 @@ class EpollLoop {
   /// Force one loop iteration from another thread (a no-op on the loop
   /// thread, which iterates anyway before it blocks).
   void wake();
-  void loop();
   void drain_wake_fd();
   void run_tasks();
   void run_due_timers();
@@ -122,11 +136,8 @@ class EpollLoop {
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  // eventfd
-  std::thread thread_;
   std::atomic<std::thread::id> loop_thread_id_{};
-  std::atomic<bool> running_{false};
   std::atomic<bool> stop_flag_{false};
-  bool stopped_ = false;
   const FaultHooks* fault_hooks_ = nullptr;
 
   std::mutex mutex_;  // guards handlers_, tasks_, and timers_

@@ -12,7 +12,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -31,12 +30,6 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 // Recycled frame buffers kept per transport (beyond this they are freed).
 constexpr std::size_t kMaxFreeBufs = 64;
 
-std::int64_t wall_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 void set_nodelay(int fd) {
   // Mesh frames are small and latency-bound; Nagle would double-batch what
   // the send queue already coalesces.
@@ -44,13 +37,13 @@ void set_nodelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+}  // namespace
+
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   CIM_CHECK_MSG(flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
                 "cannot set O_NONBLOCK: " << std::strerror(errno));
 }
-
-}  // namespace
 
 int tcp_listen(std::uint16_t port, int backlog) {
   const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -77,84 +70,71 @@ int tcp_listen(std::uint16_t port, int backlog) {
 }
 
 int tcp_accept(int listener_fd, int timeout_ms) {
-  if (timeout_ms >= 0) {
-    pollfd pfd{listener_fd, POLLIN, 0};
-    int n;
-    do {
-      n = ::poll(&pfd, 1, timeout_ms);
-    } while (n < 0 && errno == EINTR);
-    if (n == 0) return -1;  // timeout
-    CIM_CHECK_MSG(n > 0, "poll(listener) failed: " << std::strerror(errno));
+  while (true) {
+    if (timeout_ms >= 0) {
+      pollfd pfd{listener_fd, POLLIN, 0};
+      int n;
+      do {
+        n = ::poll(&pfd, 1, timeout_ms);
+      } while (n < 0 && errno == EINTR);
+      if (n == 0) return -1;  // timeout
+      CIM_CHECK_MSG(n > 0, "poll(listener) failed: " << std::strerror(errno));
+    }
+    const int fd = ::accept(listener_fd, nullptr, nullptr);
+    if (fd >= 0) {
+      set_nodelay(fd);
+      return fd;
+    }
+    // A queued connection reset before this accept, or a signal: others
+    // may still be queued behind it.
+    if (errno == ECONNABORTED || errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return -1;  // queue empty
+    CIM_CHECK_MSG(false, "accept() failed: " << std::strerror(errno));
   }
-  const int fd = ::accept(listener_fd, nullptr, nullptr);
-  CIM_CHECK_MSG(fd >= 0, "accept() failed: " << std::strerror(errno));
-  set_nodelay(fd);
-  return fd;
 }
 
-int tcp_connect(const char* host, std::uint16_t port, int retries) {
+bool tcp_resolve(const char* host, std::uint16_t port, sockaddr_in& out) {
   addrinfo hints{};
   hints.ai_family = AF_INET;
   hints.ai_socktype = SOCK_STREAM;
   addrinfo* res = nullptr;
   const std::string port_str = std::to_string(port);
-  CIM_CHECK_MSG(::getaddrinfo(host, port_str.c_str(), &hints, &res) == 0,
-                "cannot resolve " << host);
+  if (::getaddrinfo(host, port_str.c_str(), &hints, &res) != 0) return false;
+  std::memcpy(&out, res->ai_addr, sizeof(out));
+  ::freeaddrinfo(res);
+  return true;
+}
 
+int tcp_connect(const char* host, std::uint16_t port, int retries) {
+  sockaddr_in addr{};
+  CIM_CHECK_MSG(tcp_resolve(host, port, addr), "cannot resolve " << host);
   int fd = -1;
   for (int attempt = 0; attempt <= retries; ++attempt) {
-    fd = ::socket(res->ai_family, res->ai_socktype, res->ai_protocol);
+    fd = ::socket(AF_INET, SOCK_STREAM, 0);
     CIM_CHECK_MSG(fd >= 0, "socket() failed: " << std::strerror(errno));
-    if (::connect(fd, res->ai_addr, res->ai_addrlen) == 0) break;
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) == 0)
+      break;
     ::close(fd);
     fd = -1;
     // The peer may simply not be listening yet (the mesh launches every
     // node concurrently); back off and retry.
     ::usleep(100 * 1000);
   }
-  ::freeaddrinfo(res);
   CIM_CHECK_MSG(fd >= 0, "cannot connect to " << host << ":" << port);
   set_nodelay(fd);
   return fd;
 }
 
-int tcp_connect_timeout(const char* host, std::uint16_t port, int timeout_ms) {
-  addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* res = nullptr;
-  const std::string port_str = std::to_string(port);
-  if (::getaddrinfo(host, port_str.c_str(), &hints, &res) != 0) return -1;
-
-  const int fd = ::socket(res->ai_family, res->ai_socktype, res->ai_protocol);
-  if (fd < 0) {
-    ::freeaddrinfo(res);
+int tcp_dial(const sockaddr_in& addr) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (fd < 0) return -1;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+          0 &&
+      errno != EINPROGRESS) {
+    ::close(fd);
     return -1;
   }
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  int rc = ::connect(fd, res->ai_addr, res->ai_addrlen);
-  ::freeaddrinfo(res);
-  if (rc != 0) {
-    if (errno != EINPROGRESS) {
-      ::close(fd);
-      return -1;
-    }
-    pollfd p{};
-    p.fd = fd;
-    p.events = POLLOUT;
-    if (::poll(&p, 1, timeout_ms) != 1) {
-      ::close(fd);
-      return -1;
-    }
-    int err = 0;
-    socklen_t len = sizeof(err);
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 || err != 0) {
-      ::close(fd);
-      return -1;
-    }
-  }
-  ::fcntl(fd, F_SETFL, flags);  // the rejoin handshake wants blocking I/O
   set_nodelay(fd);
   return fd;
 }
@@ -187,7 +167,7 @@ void TcpLinkTransport::start_frames(FrameFn fn) {
                 "start_frames() called twice");
   frame_fn_ = std::move(fn);
   set_nonblocking(fd_);
-  last_rx_ns_.store(wall_ns(), std::memory_order_relaxed);
+  last_rx_ns_.store(steady_ns(), std::memory_order_relaxed);
   started_.store(true, std::memory_order_release);
   loop_.add(fd_, this);
 }
@@ -391,7 +371,7 @@ void TcpLinkTransport::drain_input() {
     inbuf_.resize(old_size + static_cast<std::size_t>(n));
     bytes_in_.fetch_add(static_cast<std::uint64_t>(n),
                         std::memory_order_relaxed);
-    last_rx_ns_.store(wall_ns(), std::memory_order_relaxed);
+    last_rx_ns_.store(steady_ns(), std::memory_order_relaxed);
     if (!parse_frames()) return;
   }
 }

@@ -9,8 +9,9 @@
 // suppression and replay belong to the ARQ core (net/arq_core.h) that
 // mesh::LinkSession drives on top of it. Kernel TCP supplies order and
 // integrity within one socket; the session supplies them across sockets.
-// The mesh join handshake exchanges *bare* ControlMsg frames on the raw fd
-// (mesh/ctrl_io.h) before a pipe takes over the stream.
+// The mesh join and rejoin handshakes exchange *bare* ControlMsg frames on
+// the raw fd (mesh/ctrl_io.h) before a pipe takes over the stream; the
+// rejoin ones run on the same loop, over tcp_accept / tcp_dial sockets.
 //
 // I/O model: nonblocking, driven by a shared net::EpollLoop — edge-triggered
 // readiness, one loop thread serving every link of the mesh node. Frames
@@ -30,6 +31,8 @@
 // run on the loop thread. Counters are atomics the embedder folds into its
 // metrics (obs cells are not thread-safe), e.g. into the net.mesh.* counters.
 #pragma once
+
+#include <netinet/in.h>
 
 #include <atomic>
 #include <condition_variable>
@@ -52,20 +55,28 @@ namespace cim::net {
 /// are queued, not refused (docs/BRIDGE.md "Join").
 int tcp_listen(std::uint16_t port, int backlog = 1);
 
-/// Accept one connection from `listener_fd`, waiting at most `timeout_ms`
-/// (<0: forever). Returns the connected fd, or -1 on timeout.
+/// Accept one connection from `listener_fd`, first waiting up to
+/// `timeout_ms` for one to arrive (<0: no wait — a blocking listener blocks
+/// in accept(), a nonblocking one returns -1 once its queue is empty).
+/// Connections reset while queued are skipped. Returns the connected fd, or
+/// -1 on timeout or an empty queue.
 int tcp_accept(int listener_fd, int timeout_ms = -1);
+
+/// Resolve host:port to an IPv4 address. May block on a name lookup;
+/// returns false if the host cannot be resolved.
+bool tcp_resolve(const char* host, std::uint16_t port, sockaddr_in& out);
 
 /// Connect to host:port, retrying (100ms apart) while the peer is not yet
 /// listening. Returns the connected fd; throws after `retries` failures.
 int tcp_connect(const char* host, std::uint16_t port, int retries = 100);
 
-/// One connect attempt bounded by `timeout_ms` (nonblocking connect +
-/// poll; the returned fd is blocking again). Returns -1 on refusal or
-/// timeout instead of throwing — a reconnecting session must never sit in
-/// kernel SYN retries for minutes when the peer's listener backlog is full
-/// (docs/BRIDGE.md "Failure behavior").
-int tcp_connect_timeout(const char* host, std::uint16_t port, int timeout_ms);
+/// Start one nonblocking connect to `addr` (from tcp_resolve) for an
+/// EpollLoop to finish: the fd turns writable when the attempt ends, and
+/// SO_ERROR says how. Never blocks; returns -1 on an immediate failure.
+int tcp_dial(const sockaddr_in& addr);
+
+/// Set O_NONBLOCK (throws InvariantViolation on failure).
+void set_nonblocking(int fd);
 
 /// Bounds of the per-peer send queue (docs/BRIDGE.md "Backpressure") plus
 /// the optional chaos hooks (docs/FAULTS.md "Socket-level chaos").

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -607,6 +608,68 @@ TEST(MeshChaos, StrayConnectionsMidRunAreRefusedAsStale) {
   ASSERT_EQ(::send(torn, prefix, 4, MSG_NOSIGNAL), 4);
   ::close(torn);  // …and dies before sending it
 
+  hooks.stall_writes.store(false);
+  mesh.finish_and_check();
+}
+
+TEST(MeshChaos, SilentConnectionsDoNotDelayARejoin) {
+  // Three connections to node 0's listener that never say a word, then a
+  // reset of node 1's receive side. Each connection has its own read budget
+  // on node 0's loop, so node 1's rejoin is answered at once instead of
+  // queueing behind them; each silent socket is closed when its budget ends.
+  net::FaultHooks hooks;
+  hooks.stall_writes.store(true);
+  const std::uint16_t base = test_port(160);
+  ChaosMesh mesh(base, &hooks);
+  mesh.wait_ready();
+
+  const auto opened = std::chrono::steady_clock::now();
+  std::vector<int> silent;
+  for (int i = 0; i < 3; ++i)
+    silent.push_back(net::tcp_connect("127.0.0.1", base, 100));
+  mesh::LinkSession& dialer = mesh.nodes[1]->session(0);
+  hooks.fail_reads_after.store(0);  // node 1's next read fails
+  ASSERT_TRUE(spin_until(
+      [&] { return !dialer.connected() || dialer.resumes() >= 1; }));
+  hooks.fail_reads_after.store(-1);
+  EXPECT_TRUE(spin_until([&] { return dialer.resumes() >= 1; },
+                         std::chrono::milliseconds(1'000)));
+
+  for (int fd : silent) {
+    timeval tv{};
+    tv.tv_sec = 5;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    char byte = 0;
+    EXPECT_EQ(::read(fd, &byte, 1), 0);  // EOF: node 0 gave up on it
+    EXPECT_GE(std::chrono::steady_clock::now() - opened,
+              std::chrono::milliseconds(900));
+    ::close(fd);
+  }
+  hooks.stall_writes.store(false);
+  mesh.finish_and_check();
+  EXPECT_GE(mesh.nodes[0]->session(0).resumes(), 1u);
+}
+
+// ---- threads of a running node ---------------------------------------------
+
+std::size_t task_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
+}
+
+TEST(MeshThreads, ANodeRunsOnItsLoopThreadAlone) {
+  // A 2-chain held open mid-run by a write stall: each node is one thread,
+  // its runner, which runs the node's EpollLoop — the listener and the
+  // rejoin dials run on the loop, not on threads of their own.
+  const std::size_t before = task_count();
+  net::FaultHooks hooks;
+  hooks.stall_writes.store(true);
+  ChaosMesh mesh(test_port(170), &hooks);
+  mesh.wait_ready();
+  EXPECT_EQ(task_count(), before + 2 /*runners, each its node's loop*/);
   hooks.stall_writes.store(false);
   mesh.finish_and_check();
 }
