@@ -2,7 +2,8 @@
 // carries pairs between the OS processes of an n-system federation. One
 // in-process "node" per mesh position — its own EpollLoop, exactly like one
 // cim_bridge process — connected by real stream sockets; node 0 floods
-// PairMsg frames down the tree and every inner node forwards to its other
+// PairMsg frames down the tree from its loop, as loop work the way a
+// MeshNode runs its engine, and every inner node forwards to its other
 // links (the IS-process's split horizon, minus the memory system). Reported
 // per mesh shape: end-to-end delivered msgs/sec and syscalls/msg across the
 // whole mesh — the coalescing win is exactly the gap between syscalls_per_msg
@@ -54,6 +55,11 @@ namespace {
 using namespace cim;
 
 constexpr std::size_t kMessages = 100'000;  // flooded from node 0
+// Node 0's flood: messages per loop iteration, and the send-queue depth on
+// any link at which it pauses (in a node, the session journal's bound plays
+// this role).
+constexpr std::size_t kFloodBatch = 256;
+constexpr std::size_t kFloodBacklog = 512;
 
 double now_s() {
   return std::chrono::duration<double>(
@@ -71,7 +77,7 @@ net::MessagePtr make_pair_msg(std::uint32_t seq) {
 
 // One edge endpoint: the byte pipe plus the seq stamping a session would do
 // (no journal, no acks — this row prices the transport alone). Each link is
-// written by one thread only: node 0's flood thread or its node's loop.
+// written by its node's loop thread only.
 struct Link {
   std::unique_ptr<net::TcpLinkTransport> pipe;
   std::uint64_t next_seq = 0;
@@ -126,17 +132,13 @@ ShapeResult run_shape(const isc::Topology& topo) {
         std::make_unique<net::TcpLinkTransport>(fds[1], nodes[e.b]->loop);
   }
 
-  // Each node's loop runs on a thread of its own, as in its own process.
-  std::vector<std::thread> runners;
   for (std::size_t i = 0; i < n; ++i) {
     Node* node = nodes[i].get();
-    runners.emplace_back([node] { node->loop.run(); });
     for (std::size_t k = 0; k < node->links.size(); ++k) {
       node->links[k].pipe->start_frames(
           [node, k](std::unique_ptr<net::TransportFrame> frame) {
             node->delivered.fetch_add(1, std::memory_order_relaxed);
-            // Split horizon: forward to every other link. Runs on the loop
-            // thread — the pipe's inline-flush path.
+            // Split horizon: forward to every other link.
             for (std::size_t other = 0; other < node->links.size(); ++other) {
               if (other != k) node->links[other].send(*frame);
             }
@@ -144,15 +146,31 @@ ShapeResult run_shape(const isc::Topology& topo) {
     }
   }
 
-  // Flood from node 0 (a foreign thread — the bounded-queue path) and wait
-  // for every message to reach every other node exactly once.
+  // Node 0 floods as its loop's work, one batch per iteration; the flushes
+  // the batch armed run at the end of that iteration. A batch stops at a
+  // link whose queue is at the bound. If the queue is still there when the
+  // next batch starts, the flush met a full kernel buffer: the loop sleeps
+  // until the EPOLLOUT edge that resumes it.
+  std::size_t flooded = 0;
+  net::TransportFrame frame;
+  Node& origin = *nodes[0];
+  origin.loop.set_work([&] {
+    for (std::size_t b = 0; b < kFloodBatch && flooded < kMessages; ++b) {
+      for (const Link& link : origin.links)
+        if (link.pipe->backlog() >= kFloodBacklog) return b > 0;
+      frame.payload = make_pair_msg(static_cast<std::uint32_t>(flooded++));
+      for (Link& link : origin.links) link.send(frame);
+    }
+    return flooded < kMessages;
+  });
+
+  // Each node's loop runs on a thread of its own, as in its own process.
+  // Wait for every message to reach every other node exactly once.
   const std::uint64_t expected = kMessages * (n - 1);
   const double t0 = now_s();
-  net::TransportFrame frame;
-  for (std::size_t s = 0; s < kMessages; ++s) {
-    frame.payload = make_pair_msg(static_cast<std::uint32_t>(s));
-    for (Link& link : nodes[0]->links) link.send(frame);
-  }
+  std::vector<std::thread> runners;
+  for (auto& node : nodes)
+    runners.emplace_back([loop = &node->loop] { loop->run(); });
   std::uint64_t total = 0;
   while (total < expected) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -160,7 +178,10 @@ ShapeResult run_shape(const isc::Topology& topo) {
     for (const auto& node : nodes) total += node->delivered.load();
   }
   const double elapsed = now_s() - t0;
+  for (auto& node : nodes) node->loop.stop();
+  for (std::thread& runner : runners) runner.join();
 
+  // The loops have returned: the transports' counters are settled.
   std::uint64_t syscalls = 0, frames = 0, coalesced = 0;
   for (const auto& node : nodes) {
     for (const Link& link : node->links) {
@@ -169,8 +190,6 @@ ShapeResult run_shape(const isc::Topology& topo) {
       coalesced += link.pipe->frames_coalesced();
     }
   }
-  for (auto& node : nodes) node->loop.stop();
-  for (std::thread& runner : runners) runner.join();
 
   ShapeResult res;
   res.msgs_per_sec = static_cast<double>(total) / elapsed;

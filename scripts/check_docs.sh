@@ -105,14 +105,18 @@ else
 fi
 
 # A mesh node is one thread, run()'s caller running its EpollLoop: the
-# architecture document shows the node's threads, and src/mesh neither falls
-# back to the threaded runtime nor starts a thread of its own.
+# architecture document shows the node's threads, src/mesh starts no thread
+# of its own, and the loop, transports, sessions and spill journal under
+# src/net and src/mesh are single-thread objects that take no lock.
 if ! grep -q "### Mesh node threads" "$doc"; then
   echo "check_docs: docs/ARCHITECTURE.md does not show the mesh node threads" >&2
   status=1
 fi
-if grep -q "runtime/runtime.h" "$root"/src/mesh/*; then
-  echo "check_docs: src/mesh includes runtime/runtime.h" >&2
+if grep -rEq "std::(mutex|condition_variable|lock_guard|unique_lock)" \
+    "$root"/src/net "$root"/src/mesh; then
+  echo "check_docs: src/net or src/mesh takes a lock (the deployed path is single-thread):" >&2
+  grep -rEn "std::(mutex|condition_variable|lock_guard|unique_lock)" \
+    "$root"/src/net "$root"/src/mesh >&2
   status=1
 fi
 if grep -rq "std::thread" "$root"/src/mesh; then

@@ -11,8 +11,7 @@
 #   --out DIR     where the merged BENCH_*.json land (default: bench/out)
 #   --runs N      runs per bench; medians absorb host noise (default: 3)
 #   --quick       one run per bench (CI smoke mode)
-#   bench ...     subset to run (default: tree_scale throughput wire bridge
-#                 checker)
+#   bench ...     subset to run (default: tree_scale wire bridge checker)
 #
 # Every bench binary emits BENCH_<name>.json itself (bench_report.h); the
 # harness points CIM_BENCH_JSON at a per-run scratch directory.
@@ -35,7 +34,7 @@ while [[ $# -gt 0 ]]; do
     *) BENCHES+=("$1"); shift ;;
   esac
 done
-[[ ${#BENCHES[@]} -gt 0 ]] || BENCHES=(tree_scale throughput wire bridge checker)
+[[ ${#BENCHES[@]} -gt 0 ]] || BENCHES=(tree_scale wire bridge checker)
 
 # Binary names follow bench_<name>, except the checker gate whose binary
 # keeps its historical bench_checker_perf name (report/baseline: checker).

@@ -194,8 +194,8 @@ History History::filter(Pred pred) const {
   return out.build();
 }
 
-/// Records operations as executions run. Thread-compatible (the simulator is
-/// single-threaded); the threaded runtime wraps it in a mutex externally.
+/// Records operations as executions run. Thread-compatible: the simulator
+/// that drives it is single-threaded.
 /// The log is columnar too (parallel arrays indexed by OpId): ~37 bytes per
 /// in-flight op against the previous 64-byte Pending struct.
 class Recorder {

@@ -14,9 +14,9 @@
 //  - Blocks carry a one-word header recording their size class, so
 //    deallocate(p) needs no size argument (mirrors operator delete).
 //  - The free lists are thread_local. The simulator itself is single-threaded,
-//    but the threaded runtime (src/runtime) drives one simulator per engine
-//    thread; thread_local lists make the pool safe without atomics on the hot
-//    path. A block freed on a different thread than it was allocated on simply
+//    but one process may run several, each on a thread of its own (the
+//    tests and benches run one mesh node per thread); thread_local lists make
+//    the pool safe without atomics on the hot path. A block freed on a different thread than it was allocated on simply
 //    joins the freeing thread's list — blocks are interchangeable within a
 //    class.
 //  - Under CIM_SANITIZE the pool passes straight through to ::operator

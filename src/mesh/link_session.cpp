@@ -35,22 +35,23 @@ LinkSession::LinkSession(SessionConfig cfg, net::EpollLoop& loop,
 LinkSession::~LinkSession() { stop(); }
 
 void LinkSession::restore(const SpillLinkState& s) {
-  std::lock_guard<std::mutex> lock(mutex_);
   CIM_CHECK_MSG(!deliver_, "restore() must precede start()");
-  data_sent_ = s.data_sent;
-  data_delivered_ = s.data_delivered;
+  data_sent_.set(s.data_sent);
+  data_delivered_.set(s.data_delivered);
   last_ack_sent_ = s.recv_expected;
   journal_bytes_ = 0;
   for (const auto& f : s.frames) journal_bytes_ += f.size();
   arq_.restore({s.send_next, s.recv_expected, s.frames});
+  publish_backlog();
 }
 
-void LinkSession::attach_locked(int fd) {
+void LinkSession::attach(int fd) {
   transport_ =
       std::make_unique<net::TcpLinkTransport>(fd, loop_, cfg_.link);
   transport_->start_frames([this](std::unique_ptr<net::TransportFrame> f) {
     on_frame(std::move(f));
   });
+  connected_.set(true);
 }
 
 void LinkSession::start(int fd, DeliverFn deliver) {
@@ -59,83 +60,64 @@ void LinkSession::start(int fd, DeliverFn deliver) {
   const bool resolved =
       !cfg_.dialer ||
       net::tcp_resolve(cfg_.host.c_str(), cfg_.peer_port, peer_addr_);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    deliver_ = std::move(deliver);
-    if (!resolved) {
-      if (fd >= 0) ::close(fd);
-      fail_locked("session: cannot resolve the peer host");
-    } else if (fd >= 0) {
-      attach_locked(fd);
-      state_ = LinkState::kUp;
-    } else {
-      // Resumed node: no socket yet. The dialer re-dials below; the acceptor
-      // degrades until the peer's rejoin lands on the node's listener.
-      state_ = LinkState::kDegraded;
-      degraded_since_ns_ = steady_ns();
-      schedule_dial_locked();
-    }
+  deliver_ = std::move(deliver);
+  if (!resolved) {
+    if (fd >= 0) ::close(fd);
+    fail("session: cannot resolve the peer host");
+  } else if (fd >= 0) {
+    attach(fd);
+    state_.set(LinkState::kUp);
+  } else {
+    // Resumed node: no socket yet. The dialer re-dials below; the acceptor
+    // degrades until the peer's rejoin lands on the node's listener.
+    state_.set(LinkState::kDegraded);
+    degraded_since_ns_ = steady_ns();
+    schedule_dial();
   }
   arm_tick();
 }
 
-void LinkSession::stop() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  bury_transport_locked();
-}
+void LinkSession::stop() { bury_transport(); }
 
-void LinkSession::begin_shutdown() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  shutdown_ = true;
-}
+void LinkSession::begin_shutdown() { shutdown_ = true; }
 
-bool LinkSession::drained() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return arq_.unacked() == 0;
-}
-
-bool LinkSession::full() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return arq_.unacked() >= cfg_.journal_max_frames ||
-         journal_bytes_ >= cfg_.journal_max_bytes;
-}
-
-void LinkSession::handle_ack_locked(std::uint64_t ack) {
+void LinkSession::handle_ack(std::uint64_t ack) {
   if (!arq_.ack(ack, [this](const auto& e) {
         journal_bytes_ -= e.payload.size();
       }))
     return;
+  publish_backlog();
   if (spill_ != nullptr) spill_->record_acked(cfg_.link_index, arq_.acked());
 }
 
-void LinkSession::bury_transport_locked() {
+void LinkSession::bury_transport() {
   if (transport_ != nullptr) {
     transport_->close();
     graveyard_.push_back(std::move(transport_));
+    connected_.set(false);
   }
 }
 
-void LinkSession::retire_locked() {
-  bury_transport_locked();
-  if (state_ == LinkState::kUp) {
-    state_ = LinkState::kDegraded;
+void LinkSession::retire() {
+  bury_transport();
+  if (state() == LinkState::kUp) {
+    state_.set(LinkState::kDegraded);
     degraded_since_ns_ = steady_ns();
   }
-  schedule_dial_locked();
+  schedule_dial();
 }
 
-void LinkSession::fail_locked(const char* why) {
-  if (state_ == LinkState::kFailed) return;
-  state_ = LinkState::kFailed;
-  error_ = why;
-  bury_transport_locked();
+void LinkSession::fail(const char* why) {
+  if (state() == LinkState::kFailed) return;
+  error_.set(why);
+  state_.set(LinkState::kFailed);
+  bury_transport();
 }
 
 void LinkSession::send(net::MessagePtr msg) {
   // Loop thread. The journal bound is enforced by the caller — the engine
   // pauses while full() — so a batch may overshoot it by a few frames.
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (state_ == LinkState::kFailed) return;
+  if (state() == LinkState::kFailed) return;
   const bool is_ctrl = std::strcmp(msg->type_name(), "wire.ctrl") == 0;
   // Stats frames ride the session like control traffic: journaled and
   // replayed for FIFO integrity, but excluded from the pair accounting the
@@ -154,18 +136,20 @@ void LinkSession::send(net::MessagePtr msg) {
   std::vector<std::uint8_t>& buf = entry.payload;
   net::wire::encode(frame, buf);
 
-  if (!is_meta) ++data_sent_;
+  if (!is_meta) data_sent_.inc();
   journal_bytes_ += buf.size();
+  publish_backlog();
   if (spill_ != nullptr) {
-    spill_->record_sent(cfg_.link_index, data_sent_, buf.data(), buf.size());
+    spill_->record_sent(cfg_.link_index, data_sent_.get(), buf.data(),
+                        buf.size());
     if (is_ctrl && (ctrl_code == ControlMsg::kDone ||
                     ctrl_code == ControlMsg::kBye))
       spill_->record_ctrl_sent(cfg_.link_index, ctrl_code);
   }
-  pump_wire_locked();
+  pump_wire();
 }
 
-void LinkSession::pump_wire_locked() {
+void LinkSession::pump_wire() {
   if (transport_ == nullptr) return;
   while (const auto* entry = arq_.next_to_wire()) {
     // A failed send just means the socket died mid-frame: the journal still
@@ -176,89 +160,84 @@ void LinkSession::pump_wire_locked() {
 }
 
 void LinkSession::on_frame(std::unique_ptr<net::TransportFrame> frame) {
-  net::MessagePtr payload;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    handle_ack_locked(frame->ack);
-    if (frame->ts_tx != 0) {
-      // Heartbeat timestamps (wire transport v2). With the echo fields set
-      // this frame completes an NTP four-timestamp exchange:
-      //   t1 = our earlier send (local clock, echoed back)
-      //   t2 = peer's receive of it, t3 = peer's send (peer clock)
-      //   t4 = now (local clock)
-      // rtt subtracts the peer's hold time, so it measures the path alone;
-      // offset = ((t2-t1)+(t3-t4))/2 is peer-minus-local, and keeping the
-      // minimum-RTT exchange bounds its error by rtt/2 — injected stalls
-      // widen RTT but can only make us *keep* an older, tighter estimate.
-      const std::int64_t t4 = steady_ns();
-      if (frame->ts_orig != 0) {
-        const auto t1 = static_cast<std::int64_t>(frame->ts_orig);
-        const auto t2 = static_cast<std::int64_t>(frame->ts_rx);
-        const auto t3 = static_cast<std::int64_t>(frame->ts_tx);
-        const std::int64_t rtt = (t4 - t1) - (t3 - t2);
-        if (rtt >= 0) {
-          ++rtt_count_;
-          if (rtt_samples_.size() < kMaxRttSamples)
-            rtt_samples_.push_back(rtt);
-          if (best_rtt_ns_ < 0 || rtt < best_rtt_ns_) {
-            best_rtt_ns_ = rtt;
-            offset_ns_ = ((t2 - t1) + (t3 - t4)) / 2;
-          }
+  handle_ack(frame->ack);
+  if (frame->ts_tx != 0) {
+    // Heartbeat timestamps (wire transport v2). With the echo fields set
+    // this frame completes an NTP four-timestamp exchange:
+    //   t1 = our earlier send (local clock, echoed back)
+    //   t2 = peer's receive of it, t3 = peer's send (peer clock)
+    //   t4 = now (local clock)
+    // rtt subtracts the peer's hold time, so it measures the path alone;
+    // offset = ((t2-t1)+(t3-t4))/2 is peer-minus-local, and keeping the
+    // minimum-RTT exchange bounds its error by rtt/2 — injected stalls
+    // widen RTT but can only make us *keep* an older, tighter estimate.
+    const std::int64_t t4 = steady_ns();
+    if (frame->ts_orig != 0) {
+      const auto t1 = static_cast<std::int64_t>(frame->ts_orig);
+      const auto t2 = static_cast<std::int64_t>(frame->ts_rx);
+      const auto t3 = static_cast<std::int64_t>(frame->ts_tx);
+      const std::int64_t rtt = (t4 - t1) - (t3 - t2);
+      if (rtt >= 0) {
+        ++rtt_count_;
+        if (rtt_samples_.size() < kMaxRttSamples)
+          rtt_samples_.push_back(rtt);
+        if (best_rtt_ns_ < 0 || rtt < best_rtt_ns_) {
+          best_rtt_ns_ = rtt;
+          offset_ns_ = ((t2 - t1) + (t3 - t4)) / 2;
         }
       }
-      peer_hb_tx_ = frame->ts_tx;
-      peer_hb_rx_ns_ = t4;
     }
-    if (!frame->payload) return;  // pure ACK / heartbeat
-    switch (arq_.receive(frame->seq)) {
-      case net::ArqRx::kDuplicate:
-        // Replay overlap after a rejoin (or an in-flight frame racing one):
-        // already delivered, drop — this is the zero-dup guarantee.
-        ++dup_drops_;
-        return;
-      case net::ArqRx::kAhead:
-        fail_locked("session: sequence gap on an ordered stream");
-        return;
-      case net::ArqRx::kNext:
-        break;
-    }
-    const bool is_ctrl =
-        std::strcmp(frame->payload->type_name(), "wire.ctrl") == 0;
-    const bool is_meta =
-        is_ctrl ||
-        std::strcmp(frame->payload->type_name(), "wire.stats") == 0;
-    if (!is_meta) ++data_delivered_;
-    if (spill_ != nullptr) {
-      // Record-then-deliver: once the cursor is on disk the frame is
-      // never accepted again, so a crash between the two leaves at most a
-      // recorded-but-unapplied write — invisible, which causal memory
-      // explicitly allows; a duplicate apply would not be.
-      spill_->record_delivered(cfg_.link_index, arq_.recv_next(),
-                               data_delivered_);
-    }
-    if (is_ctrl) {
-      const auto& ctrl = static_cast<const ControlMsg&>(*frame->payload);
-      if (ctrl.code == ControlMsg::kDone || ctrl.code == ControlMsg::kBye) {
-        if (spill_ != nullptr)
-          spill_->record_ctrl_delivered(cfg_.link_index, ctrl.code, ctrl.a);
-        // Ack the termination frames at once: the peer closes its socket as
-        // soon as its journal drains, so leaving this ack to the next
-        // heartbeat would strand the sender's last frame behind an EOF —
-        // a spurious re-dial or a wait through the rejoin grace window.
-        send_ack_locked();
-      }
-    }
-    // One-way flow: a receiver with no data of its own would otherwise ack
-    // only on its heartbeat, and the sender would sit on a full journal for
-    // a heartbeat interval per fill.
-    if (arq_.recv_next() - last_ack_sent_ >= cfg_.journal_max_frames / 4)
-      send_ack_locked();
-    payload = std::move(frame->payload);
+    peer_hb_tx_ = frame->ts_tx;
+    peer_hb_rx_ns_ = t4;
   }
-  deliver_(std::move(payload));
+  if (!frame->payload) return;  // pure ACK / heartbeat
+  switch (arq_.receive(frame->seq)) {
+    case net::ArqRx::kDuplicate:
+      // Replay overlap after a rejoin (or an in-flight frame racing one):
+      // already delivered, drop — this is the zero-dup guarantee.
+      dup_drops_.inc();
+      return;
+    case net::ArqRx::kAhead:
+      fail("session: sequence gap on an ordered stream");
+      return;
+    case net::ArqRx::kNext:
+      break;
+  }
+  const bool is_ctrl =
+      std::strcmp(frame->payload->type_name(), "wire.ctrl") == 0;
+  const bool is_meta =
+      is_ctrl ||
+      std::strcmp(frame->payload->type_name(), "wire.stats") == 0;
+  if (!is_meta) data_delivered_.inc();
+  if (spill_ != nullptr) {
+    // Record-then-deliver: once the cursor is on disk the frame is
+    // never accepted again, so a crash between the two leaves at most a
+    // recorded-but-unapplied write — invisible, which causal memory
+    // explicitly allows; a duplicate apply would not be.
+    spill_->record_delivered(cfg_.link_index, arq_.recv_next(),
+                             data_delivered_.get());
+  }
+  if (is_ctrl) {
+    const auto& ctrl = static_cast<const ControlMsg&>(*frame->payload);
+    if (ctrl.code == ControlMsg::kDone || ctrl.code == ControlMsg::kBye) {
+      if (spill_ != nullptr)
+        spill_->record_ctrl_delivered(cfg_.link_index, ctrl.code, ctrl.a);
+      // Ack the termination frames at once: the peer closes its socket as
+      // soon as its journal drains, so leaving this ack to the next
+      // heartbeat would strand the sender's last frame behind an EOF —
+      // a spurious re-dial or a wait through the rejoin grace window.
+      send_ack();
+    }
+  }
+  // One-way flow: a receiver with no data of its own would otherwise ack
+  // only on its heartbeat, and the sender would sit on a full journal for
+  // a heartbeat interval per fill.
+  if (arq_.recv_next() - last_ack_sent_ >= cfg_.journal_max_frames / 4)
+    send_ack();
+  deliver_(std::move(frame->payload));
 }
 
-void LinkSession::send_ack_locked() {
+void LinkSession::send_ack() {
   if (transport_ == nullptr) return;
   net::TransportFrame ack;
   ack.ack = arq_.recv_next();
@@ -273,73 +252,68 @@ void LinkSession::arm_tick() {
 }
 
 void LinkSession::tick() {
-  bool rearm = true;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    const std::int64_t now = steady_ns();
-    net::TcpLinkTransport* t = transport_.get();
-    if (t != nullptr) {
-      if (t->error() != nullptr || t->peer_closed()) {
-        if (shutdown_ && arq_.unacked() == 0) {
-          // Clean goodbye during the final drain: retire quietly, stay kUp.
-          bury_transport_locked();
-        } else {
-          retire_locked();
-        }
+  const std::int64_t now = steady_ns();
+  net::TcpLinkTransport* t = transport_.get();
+  if (t != nullptr) {
+    if (t->error() != nullptr || t->peer_closed()) {
+      if (shutdown_ && arq_.unacked() == 0) {
+        // Clean goodbye during the final drain: retire quietly, stay kUp.
+        bury_transport();
       } else {
-        const std::int64_t silence = now - t->last_rx_ns();
-        if (silence > std::int64_t{cfg_.liveness_timeout_ms} * 1'000'000) {
-          // Peer is silent (SIGSTOP, stall): degraded, not dead. Senders
-          // keep blocking on the journal bound; delivery resumes the moment
-          // bytes flow again.
-          ++hb_miss_;
-          if (state_ == LinkState::kUp) {
-            state_ = LinkState::kDegraded;
-            degraded_since_ns_ = now;
-          }
-        } else if (state_ == LinkState::kDegraded) {
-          state_ = LinkState::kUp;
-          ++resumes_;
+        retire();
+      }
+    } else {
+      const std::int64_t silence = now - t->last_rx_ns();
+      if (silence > std::int64_t{cfg_.liveness_timeout_ms} * 1'000'000) {
+        // Peer is silent (SIGSTOP, stall): degraded, not dead. The engine
+        // stays paused on the journal bound; delivery resumes the moment
+        // bytes flow again.
+        hb_miss_.inc();
+        if (state() == LinkState::kUp) {
+          state_.set(LinkState::kDegraded);
+          degraded_since_ns_ = now;
         }
-        if (t->backlog() < 16) {
-          // Heartbeat: a pure-ACK frame. Doubles as ack carriage during the
-          // mutual drain-wait at shutdown (each side's journal empties on
-          // the other's heartbeats alone).
-          net::TransportFrame hb;
-          hb.ack = arq_.recv_next();
-          last_ack_sent_ = hb.ack;
-          // NTP exchange (docs/OBSERVABILITY.md): echo the peer's latest
-          // heartbeat send time and our receive time of it, stamp our own
-          // send time. Data frames never carry these, so only heartbeats
-          // pay the 24-byte v2 tail.
-          hb.ts_orig = peer_hb_tx_;
-          hb.ts_rx = static_cast<std::uint64_t>(peer_hb_rx_ns_);
-          hb.ts_tx = static_cast<std::uint64_t>(now);
-          std::vector<std::uint8_t> buf;
-          net::wire::encode(hb, buf);
-          t->send_bytes(buf.data(), buf.size());
-        } else {
-          // Deep backlog: re-post a flush in case the armed flusher stalled
-          // without a pending EPOLLOUT edge (a cleared injected stall, a
-          // missed edge) — the tick doubles as the flusher's watchdog.
-          t->kick();
-        }
+      } else if (state() == LinkState::kDegraded) {
+        state_.set(LinkState::kUp);
+        resumes_.inc();
+      }
+      if (t->backlog() < 16) {
+        // Heartbeat: a pure-ACK frame. Doubles as ack carriage during the
+        // mutual drain-wait at shutdown (each side's journal empties on
+        // the other's heartbeats alone).
+        net::TransportFrame hb;
+        hb.ack = arq_.recv_next();
+        last_ack_sent_ = hb.ack;
+        // NTP exchange (docs/OBSERVABILITY.md): echo the peer's latest
+        // heartbeat send time and our receive time of it, stamp our own
+        // send time. Data frames never carry these, so only heartbeats
+        // pay the 24-byte v2 tail.
+        hb.ts_orig = peer_hb_tx_;
+        hb.ts_rx = static_cast<std::uint64_t>(peer_hb_rx_ns_);
+        hb.ts_tx = static_cast<std::uint64_t>(now);
+        std::vector<std::uint8_t> buf;
+        net::wire::encode(hb, buf);
+        t->send_bytes(buf.data(), buf.size());
+      } else {
+        // Deep backlog: re-post a flush in case the armed flusher stalled
+        // without a pending EPOLLOUT edge (a cleared injected stall, a
+        // missed edge) — the tick doubles as the flusher's watchdog.
+        t->kick();
       }
     }
-    if (state_ == LinkState::kDegraded && cfg_.degraded_timeout_ms > 0 &&
-        now - degraded_since_ns_ >
-            std::int64_t{cfg_.degraded_timeout_ms} * 1'000'000) {
-      fail_locked("session: degraded past the failure budget");
-    }
-    if (state_ == LinkState::kFailed) rearm = false;
   }
-  if (rearm) arm_tick();
+  if (state() == LinkState::kDegraded && cfg_.degraded_timeout_ms > 0 &&
+      now - degraded_since_ns_ >
+          std::int64_t{cfg_.degraded_timeout_ms} * 1'000'000) {
+    fail("session: degraded past the failure budget");
+  }
+  if (state() != LinkState::kFailed) arm_tick();
 }
 
-void LinkSession::schedule_dial_locked() {
+void LinkSession::schedule_dial() {
   // A dialer's socket comes back only through its own dial, so at most one
   // dial is ever armed.
-  if (!cfg_.dialer || state_ == LinkState::kFailed) return;
+  if (!cfg_.dialer || state() == LinkState::kFailed) return;
   // Capped exponential backoff with deterministic jitter so two dialers
   // sharing a host never re-dial in lockstep.
   const int shift = std::min(dial_attempts_, 10);
@@ -351,11 +325,10 @@ void LinkSession::schedule_dial_locked() {
 }
 
 void LinkSession::dial() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (state_ == LinkState::kFailed) return;
+  if (state() == LinkState::kFailed) return;
   const int fd = net::tcp_dial(peer_addr_);
   if (fd < 0) {
-    dial_failed_locked();
+    dial_failed();
     return;
   }
   ControlMsg rejoin;
@@ -373,11 +346,10 @@ void LinkSession::dial() {
 
 void LinkSession::on_rejoin_reply(const char* err, int fd,
                                   const ControlMsg& reply) {
-  std::lock_guard<std::mutex> lock(mutex_);
   if (err == nullptr && reply.code == ControlMsg::kRejoin &&
       reply.b == cfg_.session_id) {
     dial_attempts_ = 0;
-    resume_locked(fd, reply.c);
+    resume(fd, reply.c);
     return;
   }
   if (fd >= 0) ::close(fd);
@@ -385,22 +357,21 @@ void LinkSession::on_rejoin_reply(const char* err, int fd,
       reply.b == kRejectStaleSession) {
     // The peer runs a different session epoch (a whole-mesh restart under
     // our feet): replaying into it would corrupt causal order.
-    fail_locked("rejoin rejected: stale session id");
+    fail("rejoin rejected: stale session id");
     return;
   }
-  dial_failed_locked();
+  dial_failed();
 }
 
-void LinkSession::dial_failed_locked() {
+void LinkSession::dial_failed() {
   ++dial_attempts_;
   if (cfg_.reconnect_attempts > 0 && dial_attempts_ >= cfg_.reconnect_attempts)
-    fail_locked("session: reconnect attempts exhausted");
+    fail("session: reconnect attempts exhausted");
   else
-    schedule_dial_locked();
+    schedule_dial();
 }
 
 void LinkSession::accept_rejoin(int fd, std::uint64_t peer_delivered) {
-  std::lock_guard<std::mutex> lock(mutex_);
   ControlMsg reply;
   reply.code = ControlMsg::kRejoin;
   reply.a = cfg_.self_id;
@@ -412,34 +383,28 @@ void LinkSession::accept_rejoin(int fd, std::uint64_t peer_delivered) {
     ::close(fd);
     return;
   }
-  resume_locked(fd, peer_delivered);
+  resume(fd, peer_delivered);
 }
 
-void LinkSession::resume_locked(int fd, std::uint64_t peer_delivered) {
-  if (state_ == LinkState::kFailed) {
+void LinkSession::resume(int fd, std::uint64_t peer_delivered) {
+  if (state() == LinkState::kFailed) {
     ::close(fd);
     return;
   }
-  if (transport_ != nullptr) retire_locked();  // superseded incarnation
-  handle_ack_locked(peer_delivered);
-  attach_locked(fd);
+  if (transport_ != nullptr) retire();  // superseded incarnation
+  handle_ack(peer_delivered);
+  attach(fd);
   // Rewind the wire cursor to the first unacked frame: this pump IS the
   // replay. Duplicates (an ack racing the replay) die at the peer's receive
   // cursor.
   arq_.rewind();
-  state_ = LinkState::kUp;
-  ++resumes_;
-  pump_wire_locked();
-}
-
-std::size_t LinkSession::backlog() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return arq_.unacked();
+  state_.set(LinkState::kUp);
+  resumes_.inc();
+  pump_wire();
 }
 
 std::uint64_t LinkSession::sum_transports(
     std::uint64_t (net::TcpLinkTransport::*stat)() const) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::uint64_t n = transport_ ? (*transport_.*stat)() : 0;
   for (const auto& g : graveyard_) n += (*g.*stat)();
   return n;
@@ -459,74 +424,6 @@ std::uint64_t LinkSession::syscalls_write() const {
 }
 std::uint64_t LinkSession::frames_coalesced() const {
   return sum_transports(&net::TcpLinkTransport::frames_coalesced);
-}
-std::uint64_t LinkSession::queue_full_stalls() const {
-  return sum_transports(&net::TcpLinkTransport::queue_full_stalls);
-}
-
-LinkState LinkSession::state() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return state_;
-}
-
-const char* LinkSession::error() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return error_;
-}
-
-bool LinkSession::connected() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return transport_ != nullptr;
-}
-
-std::uint64_t LinkSession::data_sent() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return data_sent_;
-}
-
-std::uint64_t LinkSession::data_delivered() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return data_delivered_;
-}
-
-std::uint64_t LinkSession::hb_miss() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return hb_miss_;
-}
-
-std::uint64_t LinkSession::resumes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return resumes_;
-}
-
-std::uint64_t LinkSession::dup_drops() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return dup_drops_;
-}
-
-bool LinkSession::down() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return state_ != LinkState::kUp;
-}
-
-std::vector<std::int64_t> LinkSession::rtt_samples() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return rtt_samples_;
-}
-
-std::int64_t LinkSession::clock_offset_ns() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return offset_ns_;
-}
-
-std::int64_t LinkSession::best_rtt_ns() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return best_rtt_ns_;
-}
-
-std::uint64_t LinkSession::rtt_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return rtt_count_;
 }
 
 }  // namespace cim::mesh

@@ -33,21 +33,23 @@
 //    so `cim_bridge --resume` restores the cursors and the replay window
 //    after a kill -9.
 //
-// Threading: the session lives on the loop thread. send() (the engine, the
-// convergecast and the stats plane all live there), on_frame, the heartbeat
-// tick, and both sides of every rejoin run there: a re-dial is a loop timer
-// that starts a nonblocking connect, whose kRejoin exchange is read by the
-// loop (mesh/ctrl_io.h), and the acceptor's listener is a loop handler of
-// the node. So frames reach the transport in seq order by construction,
-// send() never blocks, and one thread mutates the session. start() and
-// restore() run before the loop starts, stop() after it stopped. mutex_
-// guards only what the introspection accessors read from other threads.
+// Threading: a single-thread object with no lock. send() (the engine, the
+// convergecast and the stats plane all live on the loop), on_frame, the
+// heartbeat tick, and both sides of every rejoin run on the loop thread: a
+// re-dial is a loop timer that starts a nonblocking connect, whose kRejoin
+// exchange is read by the loop (mesh/ctrl_io.h), and the acceptor's
+// listener is a loop handler of the node. So frames reach the transport in
+// seq order by construction, send() never blocks, and one thread mutates
+// the session. start() and restore() run before the loop starts, stop()
+// after it stopped. Other threads (perfbench's poller, bench_bridge, the
+// tests) read only the accessors marked "any thread": each is one relaxed
+// atomic the loop writes with a plain load + store (Published).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -119,11 +121,15 @@ class LinkSession final : public net::LinkTransport {
   /// Final drain: EOF from here on is a normal goodbye, not an outage.
   void begin_shutdown();
 
-  /// Every sent frame acknowledged (the replay journal is empty).
-  bool drained() const;
+  /// Every sent frame acknowledged (the replay journal is empty). Loop
+  /// thread.
+  bool drained() const { return arq_.unacked() == 0; }
   /// The journal is at its bound: the engine must not send more data until
   /// acks make room (loop thread; send() itself never blocks).
-  bool full() const;
+  bool full() const {
+    return arq_.unacked() >= cfg_.journal_max_frames ||
+           journal_bytes_ >= cfg_.journal_max_bytes;
+  }
 
   /// Close the live socket, so the peer sees EOF now. Call once the loop
   /// has stopped (or never started).
@@ -132,106 +138,133 @@ class LinkSession final : public net::LinkTransport {
   // net::LinkTransport — the interconnector sends pairs through here (loop
   // thread).
   void send(net::MessagePtr msg) override;
-  std::size_t backlog() const override;
+  /// Journal depth: frames sent and not yet acknowledged. Any thread.
+  std::size_t backlog() const override { return backlog_.get(); }
   const char* kind() const override { return "session"; }
   bool serializing() const override { return true; }
+  /// Loop thread, or after run() returned (summed over every incarnation).
   std::uint64_t wire_bytes_out() const override;
   std::uint64_t wire_bytes_in() const override;
 
   // ---- introspection (any thread) ------------------------------------------
-  LinkState state() const;
+  LinkState state() const { return state_.get(); }
   /// Static description of a permanent failure, or null.
-  const char* error() const;
+  const char* error() const { return error_.get(); }
   std::uint64_t session_id() const { return cfg_.session_id; }
   std::uint64_t peer_id() const { return cfg_.peer_id; }
   /// A live socket incarnation exists right now.
-  bool connected() const;
+  bool connected() const { return connected_.get(); }
   /// Non-ctrl payload frames sent / delivered this session (across crashes).
-  std::uint64_t data_sent() const;
-  std::uint64_t data_delivered() const;
+  std::uint64_t data_sent() const { return data_sent_.get(); }
+  std::uint64_t data_delivered() const { return data_delivered_.get(); }
   // net.mesh.<peer>.* gauge sources (docs/OBSERVABILITY.md, schema v4).
-  std::uint64_t hb_miss() const;
-  std::uint64_t resumes() const;
-  std::uint64_t dup_drops() const;
-  bool down() const;
-  // ---- heartbeat RTT / clock offset (docs/OBSERVABILITY.md "RTT and
-  // clock offset"). Every heartbeat completes an NTP-style four-timestamp
-  // exchange; samples feed the net.mesh.<peer>.rtt_ns histogram and the
-  // offset table in the federation snapshot.
-  /// Bounded copy of the per-edge RTT samples (ns), oldest first.
-  std::vector<std::int64_t> rtt_samples() const;
+  std::uint64_t hb_miss() const { return hb_miss_.get(); }
+  std::uint64_t resumes() const { return resumes_.get(); }
+  std::uint64_t dup_drops() const { return dup_drops_.get(); }
+  bool down() const { return state() != LinkState::kUp; }
+
+  // ---- heartbeat RTT / clock offset (loop thread, or after run() returned;
+  // docs/OBSERVABILITY.md "RTT and clock offset"). Every heartbeat completes
+  // an NTP-style four-timestamp exchange; samples feed the
+  // net.mesh.<peer>.rtt_ns histogram and the offset table in the federation
+  // snapshot.
+  /// The per-edge RTT samples (ns), oldest first, bounded.
+  const std::vector<std::int64_t>& rtt_samples() const { return rtt_samples_; }
   /// Pairwise clock-offset estimate (peer steady clock minus local, ns),
   /// taken from the minimum-RTT exchange seen so far — queueing delay from
   /// stalls or backpressure widens RTT but cannot corrupt this estimate.
-  std::int64_t clock_offset_ns() const;
+  std::int64_t clock_offset_ns() const { return offset_ns_; }
   /// RTT (ns) of the exchange backing clock_offset_ns(); -1 until the first
   /// full exchange completes.
-  std::int64_t best_rtt_ns() const;
+  std::int64_t best_rtt_ns() const { return best_rtt_ns_; }
   /// Completed exchanges (including samples dropped by the storage bound).
-  std::uint64_t rtt_count() const;
-  // Transport stats summed across every socket incarnation.
+  std::uint64_t rtt_count() const { return rtt_count_; }
+
+  // ---- transport stats summed across every socket incarnation (loop
+  // thread, or after run() returned) -----------------------------------------
   std::uint64_t syscalls_read() const;
   std::uint64_t syscalls_write() const;
   std::uint64_t frames_coalesced() const;
-  std::uint64_t queue_full_stalls() const;
+  /// Always 0: no mesh sender can stall on a transport queue, which is
+  /// unbounded (the journal bound pauses the engine instead). Kept for
+  /// perfbench's mesh.queue_full_stalls_per_pair until that metric goes.
+  std::uint64_t queue_full_stalls() const { return 0; }
 
  private:
+  /// A value the loop writes and any thread reads: a relaxed atomic whose
+  /// writer updates it with a plain load + store, never a read-modify-write.
+  /// Each reader sees a counter move forward only (per-variable coherence).
+  template <typename T>
+  class Published {
+   public:
+    explicit Published(T v) : v_(v) {}
+    T get() const { return v_.load(std::memory_order_relaxed); }
+    void set(T v) { v_.store(v, std::memory_order_relaxed); }
+    void inc() { set(get() + 1); }
+
+   private:
+    std::atomic<T> v_;
+  };
+
   void on_frame(std::unique_ptr<net::TransportFrame> frame);
   /// Queue journal entries from the core's wire cursor on, in seq order, on
-  /// the live transport (loop thread).
-  void pump_wire_locked();
+  /// the live transport.
+  void pump_wire();
   void tick();
   void arm_tick();
-  /// Queue a pure-ACK frame for the current receive cursor (loop thread).
-  void send_ack_locked();
-  void handle_ack_locked(std::uint64_t ack);
+  /// Queue a pure-ACK frame for the current receive cursor.
+  void send_ack();
+  void handle_ack(std::uint64_t ack);
   /// Close the live transport (if any) into the graveyard; no socket left.
-  void bury_transport_locked();
-  void retire_locked();  // current transport died: degrade, re-dial
-  void fail_locked(const char* why);
-  void attach_locked(int fd);  // new transport incarnation, registered
+  void bury_transport();
+  void retire();  // current transport died: degrade, re-dial
+  void fail(const char* why);
+  void attach(int fd);  // new transport incarnation, registered
   /// A rejoin handshake succeeded: ack the peer's cursor, attach `fd`,
-  /// replay (loop thread).
-  void resume_locked(int fd, std::uint64_t peer_delivered);
+  /// replay.
+  void resume(int fd, std::uint64_t peer_delivered);
   /// Dialer: arm the next dial after the capped, jittered backoff.
-  void schedule_dial_locked();
+  void schedule_dial();
   void dial();
-  void dial_failed_locked();  // count the attempt; re-arm or give up
+  void dial_failed();  // count the attempt; re-arm or give up
   void on_rejoin_reply(const char* err, int fd,
                        const net::wire::ControlMsg& reply);
   /// `stat` summed over the live transport and every retired one.
   std::uint64_t sum_transports(
       std::uint64_t (net::TcpLinkTransport::*stat)() const) const;
 
+  /// Mirror the journal depth into backlog_ after the core changed it.
+  void publish_backlog() { backlog_.set(arq_.unacked()); }
+
   SessionConfig cfg_;
   net::EpollLoop& loop_;
   SpillJournal* spill_;
   DeliverFn deliver_;
 
-  mutable std::mutex mutex_;
-  LinkState state_ = LinkState::kUp;
-  const char* error_ = nullptr;
   bool shutdown_ = false;
   int dial_attempts_ = 0;  // failed dials this outage
 
-  // Session cursors and the journal of encoded unacked frames (mutex_),
-  // persisted via spill_. The wire cursor is claimed optimistically: if the
-  // socket dies mid-send the journal still holds the frame and the next
-  // rejoin rewinds.
+  // Session cursors and the journal of encoded unacked frames, persisted
+  // via spill_. The wire cursor is claimed optimistically: if the socket
+  // dies mid-send the journal still holds the frame and the next rejoin
+  // rewinds.
   net::ArqCore<std::vector<std::uint8_t>> arq_;
   std::size_t journal_bytes_ = 0;
-  std::uint64_t data_sent_ = 0;
-  std::uint64_t data_delivered_ = 0;
   std::uint64_t last_ack_sent_ = 0;  // receive cursor as last put on the wire
   std::int64_t degraded_since_ns_ = 0;
 
-  // Gauges (mutex_).
-  std::uint64_t hb_miss_ = 0;
-  std::uint64_t resumes_ = 0;
-  std::uint64_t dup_drops_ = 0;
+  // What the any-thread accessors read; only the loop writes them.
+  Published<LinkState> state_{LinkState::kUp};
+  Published<const char*> error_{nullptr};
+  Published<bool> connected_{false};
+  Published<std::size_t> backlog_{0};
+  Published<std::uint64_t> data_sent_{0};
+  Published<std::uint64_t> data_delivered_{0};
+  Published<std::uint64_t> hb_miss_{0};
+  Published<std::uint64_t> resumes_{0};
+  Published<std::uint64_t> dup_drops_{0};
 
-  // NTP four-timestamp state (mutex_). The peer's latest heartbeat send
-  // time (peer clock) and our local receive time of it are echoed back on
+  // NTP four-timestamp state. The peer's latest heartbeat send time (peer clock) and our local receive time of it are echoed back on
   // our next heartbeat; a completed exchange yields one RTT/offset sample.
   static constexpr std::size_t kMaxRttSamples = 2048;
   std::uint64_t peer_hb_tx_ = 0;     // peer's latest ts_tx (peer clock)

@@ -401,7 +401,6 @@ MeshResult MeshNode::run() {
     sc.backoff_initial_ms = cfg_.backoff_initial_ms;
     sc.backoff_max_ms = cfg_.backoff_max_ms;
     sc.reconnect_attempts = cfg_.reconnect_attempts;
-    sc.link = cfg_.link;
     sc.link.faults = cfg_.faults;
     sessions_.push_back(
         std::make_unique<LinkSession>(std::move(sc), loop_, spill));
@@ -521,8 +520,6 @@ MeshResult MeshNode::run() {
       put(p + "dup_drops", static_cast<std::int64_t>(s.dup_drops()));
       put(p + "pairs_sent", static_cast<std::int64_t>(s.data_sent()));
       put(p + "pairs_delivered", static_cast<std::int64_t>(s.data_delivered()));
-      put(p + "queue_full_stalls",
-          static_cast<std::int64_t>(s.queue_full_stalls()));
       put(p + "rtt_ns", s.best_rtt_ns());
       put(p + "offset_ns", s.clock_offset_ns());
       put(p + "rtt_count", static_cast<std::int64_t>(s.rtt_count()));
@@ -703,25 +700,23 @@ MeshResult MeshNode::run() {
   for (auto& s : sessions_) s->stop();
   if (!error_.empty()) return result;
 
-  // Fold session/loop atomics into the registry (obs cells are not
-  // thread-safe; the loop has exited).
+  // Fold the session and loop counters into the registry (the loop has
+  // exited).
   obs::MetricsRegistry& m = fed_->observability().metrics();
   std::uint64_t bytes_out = 0, bytes_in = 0, sys_read = 0, sys_writev = 0;
-  std::uint64_t coalesced = 0, stalls = 0;
+  std::uint64_t coalesced = 0;
   for (const auto& s : sessions_) {
     bytes_out += s->wire_bytes_out();
     bytes_in += s->wire_bytes_in();
     sys_read += s->syscalls_read();
     sys_writev += s->syscalls_write();
     coalesced += s->frames_coalesced();
-    stalls += s->queue_full_stalls();
   }
   m.counter("net.wire.bytes_out").inc(bytes_out);
   m.counter("net.wire.bytes_in").inc(bytes_in);
   m.counter("net.mesh.syscalls_read").inc(sys_read);
   m.counter("net.mesh.syscalls_writev").inc(sys_writev);
   m.counter("net.mesh.frames_coalesced").inc(coalesced);
-  m.counter("net.mesh.queue_full_stalls").inc(stalls);
   m.counter("net.mesh.epoll_waits").inc(loop_.epoll_waits());
   m.counter("net.mesh.wakeups").inc(loop_.wakeups());
   // Per-peer session gauges (docs/OBSERVABILITY.md, schema v4).

@@ -95,7 +95,6 @@ struct MeshConfig {
   int join_timeout_ms = 10'000;
   /// Dial retries (100ms apart) while a lower-id peer is not yet listening.
   int dial_retries = 100;
-  net::TcpLinkConfig link;
   bool trace = false;
 
   // ---- crash tolerance (docs/BRIDGE.md "Failure behavior") -----------------
@@ -169,8 +168,9 @@ class MeshNode final : private net::EpollLoop::FdHandler {
   /// Session of local link `e` (valid once sessions_ready(), until
   /// destruction).
   LinkSession& session(std::size_t e) { return *sessions_[e]; }
-  /// run() has built and started every link session: session(e) is safe to
-  /// call from other threads (tests watch gauges mid-run through this).
+  /// run() has built and started every link session: other threads may now
+  /// call session(e) and read its any-thread accessors (tests and perfbench
+  /// watch gauges mid-run through this).
   bool sessions_ready() const {
     return sessions_ready_.load(std::memory_order_acquire);
   }

@@ -73,7 +73,6 @@ struct Cursor {
 SpillJournal::~SpillJournal() { close(); }
 
 void SpillJournal::close() {
-  std::lock_guard<std::mutex> lock(mutex_);
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
@@ -81,7 +80,6 @@ void SpillJournal::close() {
 }
 
 void SpillJournal::append(const Buf& rec) {
-  std::lock_guard<std::mutex> lock(mutex_);
   if (fd_ < 0) return;
   const std::uint8_t* p = rec.data();
   std::size_t left = rec.size();
@@ -103,10 +101,7 @@ bool SpillJournal::create(const std::string& path, const SpillState& state) {
   const int fd =
       ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
   if (fd < 0) return false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    fd_ = fd;
-  }
+  fd_ = fd;
 
   Buf b;
   b.insert(b.end(), kMagic, kMagic + 4);

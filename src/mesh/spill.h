@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -61,6 +60,8 @@ struct SpillState {
   std::vector<SpillLinkState> links;
 };
 
+/// A single-thread object: create() runs before the node's loop does,
+/// every appender on the loop thread, close() after the loop returned.
 class SpillJournal {
  public:
   SpillJournal() = default;
@@ -77,7 +78,7 @@ class SpillJournal {
   static bool load(const std::string& path, SpillState& out,
                    std::string& error);
 
-  // Appenders — one ::write each, thread-safe.
+  // Appenders — one ::write each.
   void record_sent(std::size_t link, std::uint64_t data_sent,
                    const std::uint8_t* frame, std::size_t len);
   void record_acked(std::size_t link, std::uint64_t acked);
@@ -93,7 +94,6 @@ class SpillJournal {
  private:
   void append(const std::vector<std::uint8_t>& rec);
 
-  std::mutex mutex_;
   int fd_ = -1;
 };
 

@@ -33,11 +33,9 @@ EpollLoop::~EpollLoop() {
 
 void EpollLoop::add(int fd, FdHandler* handler) {
   CIM_CHECK(fd >= 0 && handler != nullptr);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const bool inserted = handlers_.emplace(fd, handler).second;
-    CIM_CHECK_MSG(inserted, "fd registered twice with the epoll loop");
-  }
+  CIM_DCHECK_MSG(owned_by_caller(), "add() off the loop thread");
+  const bool inserted = handlers_.emplace(fd, handler).second;
+  CIM_CHECK_MSG(inserted, "fd registered twice with the epoll loop");
   epoll_event ev{};
   ev.events = EPOLLIN | EPOLLOUT | EPOLLET;
   ev.data.fd = fd;
@@ -46,10 +44,8 @@ void EpollLoop::add(int fd, FdHandler* handler) {
 }
 
 void EpollLoop::remove(int fd) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    handlers_.erase(fd);
-  }
+  CIM_DCHECK_MSG(owned_by_caller(), "remove() off the loop thread");
+  handlers_.erase(fd);
   // The fd may already be closed by the transport's error path; a failed DEL
   // is then expected and harmless (the map erase above is what gates
   // dispatch).
@@ -58,34 +54,26 @@ void EpollLoop::remove(int fd) {
 
 void EpollLoop::stop() {
   stop_flag_.store(true, std::memory_order_release);
-  wake();
-}
-
-void EpollLoop::post(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    tasks_.push_back(std::move(fn));
-  }
-  wake();
-}
-
-void EpollLoop::post_after(int delay_ms, std::function<void()> fn) {
-  const std::int64_t deadline =
-      steady_ns() + std::int64_t{delay_ms} * 1'000'000;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    timers_.emplace(deadline, std::move(fn));
-  }
-  // The loop may be sleeping with a longer (or infinite) timeout; recompute.
-  wake();
-}
-
-void EpollLoop::wake() {
-  if (on_loop_thread()) return;
+  // The loop thread checks the flag before it next blocks; any other thread
+  // may find it asleep in epoll_wait.
+  if (loop_thread_id_.load(std::memory_order_acquire) ==
+      std::this_thread::get_id())
+    return;
   const std::uint64_t one = 1;
   // A full eventfd counter (EAGAIN) already guarantees a pending wakeup.
   [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
   wakeups_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void EpollLoop::post(std::function<void()> fn) {
+  CIM_DCHECK_MSG(owned_by_caller(), "post() off the loop thread");
+  tasks_.push_back(std::move(fn));
+}
+
+void EpollLoop::post_after(int delay_ms, std::function<void()> fn) {
+  CIM_DCHECK_MSG(owned_by_caller(), "post_after() off the loop thread");
+  timers_.emplace(steady_ns() + std::int64_t{delay_ms} * 1'000'000,
+                  std::move(fn));
 }
 
 void EpollLoop::drain_wake_fd() {
@@ -95,33 +83,27 @@ void EpollLoop::drain_wake_fd() {
 }
 
 void EpollLoop::run_tasks() {
-  // Swap into a loop-owned vector that keeps its capacity: an iteration's
-  // flush tasks cost no allocation. Tasks posted meanwhile wait in tasks_.
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    running_tasks_.swap(tasks_);
-  }
+  // Swap into a vector that keeps its capacity: an iteration's flush tasks
+  // cost no allocation. Tasks posted meanwhile wait in tasks_.
+  running_tasks_.swap(tasks_);
   for (auto& fn : running_tasks_) fn();
   running_tasks_.clear();
 }
 
 void EpollLoop::run_due_timers() {
-  // Pop everything due, run outside the lock (a timer may re-arm itself).
+  // Pop everything due, then run it: a timer may re-arm itself, and that
+  // timer waits for the next iteration.
   std::vector<std::function<void()>> due;
   const std::int64_t now = steady_ns();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = timers_.begin();
-    while (it != timers_.end() && it->first <= now) {
-      due.push_back(std::move(it->second));
-      it = timers_.erase(it);
-    }
+  auto it = timers_.begin();
+  while (it != timers_.end() && it->first <= now) {
+    due.push_back(std::move(it->second));
+    it = timers_.erase(it);
   }
   for (auto& fn : due) fn();
 }
 
 int EpollLoop::next_timeout_ms(bool busy) {
-  std::lock_guard<std::mutex> lock(mutex_);
   if (busy || !tasks_.empty()) return 0;
   if (timers_.empty()) return -1;
   const std::int64_t delta_ns = timers_.begin()->first - steady_ns();
@@ -141,7 +123,7 @@ void EpollLoop::run() {
       if (errno == EINTR) continue;
       CIM_CHECK_MSG(false, "epoll_wait failed: " << std::strerror(errno));
     }
-    epoll_waits_.fetch_add(1, std::memory_order_relaxed);
+    ++epoll_waits_;
     if (fault_hooks_ != nullptr) {
       const int delay_us =
           fault_hooks_->dispatch_delay_us.load(std::memory_order_relaxed);
@@ -157,17 +139,11 @@ void EpollLoop::run() {
         drain_wake_fd();
         continue;
       }
-      FdHandler* handler = nullptr;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = handlers_.find(fd);
-        if (it != handlers_.end()) handler = it->second;
-      }
-      if (handler != nullptr) handler->on_ready(events[i].events);
+      auto it = handlers_.find(fd);
+      if (it != handlers_.end()) it->second->on_ready(events[i].events);
     }
     busy = work_ && work_();
-    // Tasks queued by this iteration (deferred flushes above all), and any a
-    // foreign wake() carried without an fd event.
+    // Tasks queued by this iteration, deferred flushes above all.
     run_tasks();
     if (stop_flag_.load(std::memory_order_acquire)) {
       run_tasks();

@@ -16,20 +16,21 @@
 // Iteration order: epoll_wait, due tasks, due timers, fd dispatch, the work
 // batch, then the tasks queued so far. epoll_wait returns at once while the
 // work reports more runnable work or tasks are queued; otherwise it sleeps
-// until an fd edge, the earliest timer, or a foreign post.
+// until an fd edge, the earliest timer, or stop().
 //
-// Threading and lifetime:
-//  * add() may be called from any thread before or after the loop starts.
+// Threading and lifetime: a single-thread object with no lock.
+//  * add(), remove(), post(), post_after() and set_work() run on the loop's
+//    thread, or while the loop is not running (before run(), after it
+//    returned); owned_by_caller() is the debug check of that contract. A
+//    task posted before run() runs in its first iteration.
+//  * stop() is the one call any thread may make: an atomic flag plus an
+//    eventfd write that wakes a sleeping epoll_wait.
 //  * remove() only unregisters the fd (no further dispatch will *start*);
-//    a dispatch already running on the loop thread may still be inside the
-//    handler when remove() returns. Handlers must therefore be destroyed
-//    only after run() has returned — the teardown order every embedder
-//    follows (stop the loop, wait for run() to return, then destroy
-//    transports).
-//  * post()/post_after() hand a task to the loop thread; tasks run in post
-//    order. Only a post from another thread writes the eventfd: the loop
-//    thread's own posts run before it next blocks.
-//  * set_work() must be called before run().
+//    the handler may still be on the stack when remove() returns. Handlers
+//    must therefore be destroyed only after run() has returned — the
+//    teardown order every embedder follows (stop the loop, wait for run()
+//    to return, then destroy transports).
+//  * Tasks run in post order.
 //
 // Syscall accounting: the loop counts epoll_wait returns and eventfd
 // wakeups; transports count their read/writev calls. tools/cim_bridge folds
@@ -41,7 +42,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -78,7 +78,7 @@ class EpollLoop {
   /// borrowed and must stay valid until run() has returned (see header).
   void add(int fd, FdHandler* handler);
 
-  /// Unregister `fd`. Safe from any thread; see the lifetime contract above.
+  /// Unregister `fd`; see the lifetime contract above.
   void remove(int fd);
 
   /// Run the loop on the calling thread until stop().
@@ -91,12 +91,14 @@ class EpollLoop {
   /// of its own joins that thread before destroying any handler.
   void stop();
 
-  /// Run `fn` on the loop thread (FIFO with other posted tasks).
+  /// Run `fn` at the end of the current iteration (FIFO with other posted
+  /// tasks).
   void post(std::function<void()> fn);
 
   /// Embedder work run once per iteration, after fd dispatch; returns
   /// whether more work is runnable right now (the loop then polls instead
-  /// of sleeping). A mesh node runs one bounded simulator batch here.
+  /// of sleeping). A mesh node runs one bounded simulator batch here;
+  /// bench_bridge's node 0 runs one batch of its flood.
   void set_work(std::function<bool()> fn) { work_ = std::move(fn); }
 
   /// Run `fn` on the loop thread once, roughly `delay_ms` from now. This is
@@ -110,23 +112,21 @@ class EpollLoop {
   /// Borrowed; set before the loop starts, null = off.
   void set_fault_hooks(const FaultHooks* hooks) { fault_hooks_ = hooks; }
 
-  bool on_loop_thread() const {
-    return std::this_thread::get_id() == loop_thread_id_.load(
-        std::memory_order_acquire);
+  /// The caller may touch the loop's state: it is the loop's thread, or the
+  /// loop is not running.
+  bool owned_by_caller() const {
+    const std::thread::id t = loop_thread_id_.load(std::memory_order_acquire);
+    return t == std::thread::id{} || t == std::this_thread::get_id();
   }
 
-  // ---- syscall accounting ----------------------------------------------------
-  std::uint64_t epoll_waits() const {
-    return epoll_waits_.load(std::memory_order_relaxed);
-  }
+  // ---- syscall accounting (loop thread, or after run() returned) ------------
+  std::uint64_t epoll_waits() const { return epoll_waits_; }
+  /// eventfd writes: stop() calls from a thread other than the loop's.
   std::uint64_t wakeups() const {
     return wakeups_.load(std::memory_order_relaxed);
   }
 
  private:
-  /// Force one loop iteration from another thread (a no-op on the loop
-  /// thread, which iterates anyway before it blocks).
-  void wake();
   void drain_wake_fd();
   void run_tasks();
   void run_due_timers();
@@ -140,14 +140,13 @@ class EpollLoop {
   std::atomic<bool> stop_flag_{false};
   const FaultHooks* fault_hooks_ = nullptr;
 
-  std::mutex mutex_;  // guards handlers_, tasks_, and timers_
   std::unordered_map<int, FdHandler*> handlers_;
   std::vector<std::function<void()>> tasks_;
-  std::vector<std::function<void()>> running_tasks_;  // loop thread only
+  std::vector<std::function<void()>> running_tasks_;
   std::function<bool()> work_;
   std::multimap<std::int64_t, std::function<void()>> timers_;  // deadline ns
 
-  std::atomic<std::uint64_t> epoll_waits_{0};
+  std::uint64_t epoll_waits_ = 0;
   std::atomic<std::uint64_t> wakeups_{0};
 };
 

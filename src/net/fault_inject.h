@@ -30,9 +30,9 @@ struct FaultHooks {
   std::atomic<int> fail_reads_after{-1};
 
   /// While true the transport pretends the kernel buffer is full (EAGAIN):
-  /// nothing reaches the wire, queues build, foreign-thread senders hit the
-  /// bounded-queue backpressure. Clear it and kick() the transport to
-  /// resume.
+  /// nothing reaches the wire, queues build, and the session journal fills
+  /// until it pauses the engine. Clear it and kick() the transport to
+  /// resume (the session's heartbeat tick does).
   std::atomic<bool> stall_writes{false};
 
   /// Artificial delay injected into every epoll dispatch batch — a stalled

@@ -153,22 +153,19 @@ TcpLinkTransport::~TcpLinkTransport() {
 void TcpLinkTransport::close() {
   if (closed_) return;
   closed_ = true;
-  if (started_.load(std::memory_order_acquire)) loop_.remove(fd_);
+  if (started_) loop_.remove(fd_);
   ::shutdown(fd_, SHUT_RDWR);
   // The fd is unregistered, so the EOF that would normally set peer_closed_
-  // will never be read — mark the stream dead here or a sender blocked on
-  // the bounded queue of a retired transport waits forever.
-  peer_closed_.store(true, std::memory_order_release);
-  send_cv_.notify_all();  // a stalled sender must not wait on a dead stream
+  // will never be read: mark the stream dead here, so later sends drop.
+  peer_closed_ = true;
 }
 
 void TcpLinkTransport::start_frames(FrameFn fn) {
-  CIM_CHECK_MSG(!started_.load(std::memory_order_acquire),
-                "start_frames() called twice");
+  CIM_CHECK_MSG(!started_, "start_frames() called twice");
   frame_fn_ = std::move(fn);
   set_nonblocking(fd_);
-  last_rx_ns_.store(steady_ns(), std::memory_order_relaxed);
-  started_.store(true, std::memory_order_release);
+  last_rx_ns_ = steady_ns();
+  started_ = true;
   loop_.add(fd_, this);
 }
 
@@ -177,40 +174,15 @@ void TcpLinkTransport::kick() {
 }
 
 void TcpLinkTransport::fail(const char* error) {
-  error_.store(error, std::memory_order_release);
-  peer_closed_.store(true, std::memory_order_release);
-  send_cv_.notify_all();
-}
-
-std::size_t TcpLinkTransport::backlog() const {
-  std::lock_guard<std::mutex> lock(
-      const_cast<TcpLinkTransport*>(this)->send_mutex_);
-  return sendq_.size();
-}
-
-bool TcpLinkTransport::wait_for_room(std::unique_lock<std::mutex>& lock) {
-  // Bounded queue: a sender on a foreign thread stalls until the loop
-  // drains below the bound; the loop thread itself may overshoot the bound
-  // rather than deadlocking against its own flusher.
-  if (!loop_.on_loop_thread() &&
-      (sendq_.size() >= config_.max_queued_frames ||
-       queued_bytes_ >= config_.max_queued_bytes)) {
-    queue_full_stalls_.fetch_add(1, std::memory_order_relaxed);
-    send_cv_.wait(lock, [this] {
-      return (sendq_.size() < config_.max_queued_frames &&
-              queued_bytes_ < config_.max_queued_bytes) ||
-             peer_closed_.load(std::memory_order_acquire);
-    });
-  }
-  return !peer_closed_.load(std::memory_order_acquire);
+  error_ = error;
+  peer_closed_ = true;
 }
 
 bool TcpLinkTransport::send_bytes(const std::uint8_t* data,
                                   std::size_t size) {
-  CIM_DCHECK_MSG(started_.load(std::memory_order_acquire),
-                 "send_bytes() before start_frames()");
-  std::unique_lock<std::mutex> lock(send_mutex_);
-  if (!wait_for_room(lock)) return false;
+  CIM_DCHECK_MSG(started_, "send_bytes() before start_frames()");
+  CIM_DCHECK_MSG(loop_.owned_by_caller(), "send_bytes() off the loop thread");
+  if (peer_closed_) return false;
 
   Buffer buf;
   if (!free_bufs_.empty()) {
@@ -219,12 +191,11 @@ bool TcpLinkTransport::send_bytes(const std::uint8_t* data,
     buf.clear();
   }
   buf.insert(buf.end(), data, data + size);
-  queued_bytes_ += buf.size();
   sendq_.push_back(std::move(buf));
   if (!flush_armed_) {
     // One task per burst: frames enqueued while it is pending share its
-    // writev batches — this is where the syscall coalescing comes from. A
-    // loop-thread post runs at the end of the current iteration.
+    // writev batches — this is where the syscall coalescing comes from. The
+    // task runs at the end of the current loop iteration.
     flush_armed_ = true;
     loop_.post([this] { flush(); });
   }
@@ -233,7 +204,6 @@ bool TcpLinkTransport::send_bytes(const std::uint8_t* data,
 
 void TcpLinkTransport::flush() {
   // Loop thread only.
-  std::lock_guard<std::mutex> lock(send_mutex_);
   FaultHooks* hooks = config_.faults;
   while (!sendq_.empty()) {
     if (hooks != nullptr &&
@@ -282,7 +252,7 @@ void TcpLinkTransport::flush() {
       mh.msg_iovlen = n_bufs;
       written = ::sendmsg(fd_, &mh, MSG_NOSIGNAL);
     }
-    syscalls_write_.fetch_add(1, std::memory_order_relaxed);
+    ++syscalls_write_;
     if (written < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -293,8 +263,7 @@ void TcpLinkTransport::flush() {
       fail("tcp link: write failed");
       return;
     }
-    bytes_out_.fetch_add(static_cast<std::uint64_t>(written),
-                         std::memory_order_relaxed);
+    bytes_out_ += static_cast<std::uint64_t>(written);
     std::size_t left = static_cast<std::size_t>(written);
     std::size_t completed = 0;
     while (left > 0 && !sendq_.empty()) {
@@ -306,20 +275,14 @@ void TcpLinkTransport::flush() {
         break;
       }
       left -= remaining;
-      queued_bytes_ -= front.size();
       send_off_ = 0;
       ++completed;
       if (free_bufs_.size() < kMaxFreeBufs)
         free_bufs_.push_back(std::move(front));
       sendq_.pop_front();
     }
-    frames_sent_.fetch_add(completed, std::memory_order_relaxed);
-    if (completed >= 2)
-      frames_coalesced_.fetch_add(completed, std::memory_order_relaxed);
-    if (sendq_.size() < config_.max_queued_frames / 2 &&
-        queued_bytes_ < config_.max_queued_bytes / 2) {
-      send_cv_.notify_all();
-    }
+    frames_sent_ += completed;
+    if (completed >= 2) frames_coalesced_ += completed;
     if (static_cast<std::size_t>(written) < total) {
       if (write_cap > 0) continue;  // clamp, not a full buffer: keep going
       // Short write: the kernel buffer is full even though writev did not
@@ -329,7 +292,6 @@ void TcpLinkTransport::flush() {
     }
   }
   flush_armed_ = false;
-  send_cv_.notify_all();
 }
 
 void TcpLinkTransport::on_ready(std::uint32_t events) {
@@ -354,7 +316,7 @@ void TcpLinkTransport::drain_input() {
     const std::size_t old_size = inbuf_.size();
     inbuf_.resize(old_size + kReadChunk);
     const ssize_t n = ::read(fd_, inbuf_.data() + old_size, kReadChunk);
-    syscalls_read_.fetch_add(1, std::memory_order_relaxed);
+    ++syscalls_read_;
     if (n < 0) {
       inbuf_.resize(old_size);
       if (errno == EINTR) continue;
@@ -364,14 +326,12 @@ void TcpLinkTransport::drain_input() {
     }
     if (n == 0) {
       inbuf_.resize(old_size);
-      peer_closed_.store(true, std::memory_order_release);
-      send_cv_.notify_all();
+      peer_closed_ = true;
       return;
     }
     inbuf_.resize(old_size + static_cast<std::size_t>(n));
-    bytes_in_.fetch_add(static_cast<std::uint64_t>(n),
-                        std::memory_order_relaxed);
-    last_rx_ns_.store(steady_ns(), std::memory_order_relaxed);
+    bytes_in_ += static_cast<std::uint64_t>(n);
+    last_rx_ns_ = steady_ns();
     if (!parse_frames()) return;
   }
 }

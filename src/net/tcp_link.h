@@ -17,30 +17,26 @@
 // readiness, one loop thread serving every link of the mesh node. Frames
 // wait on a per-peer send queue; a flush task drains it with writev
 // scatter/gather. The first frame of a burst posts that task and later ones
-// ride it: from the loop thread the task runs at the end of the current
-// iteration, so everything a loop iteration sends to one peer (an engine
-// batch, an IS-process fan-out, a forwarding storm) shares one syscall.
-// Backpressure: the queue is bounded for senders on foreign threads, which
-// stall (bounded waits, counted in queue_full_stalls) until the loop drains
-// below the low-water mark. The loop thread never stalls: it may overshoot
-// the bound, and its embedder bounds what it queues (mesh::LinkSession's
-// journal bound pauses the engine).
+// ride it: the task runs at the end of the current loop iteration, so
+// everything an iteration sends to one peer (an engine batch, an IS-process
+// fan-out, a forwarding storm) shares one syscall. The queue itself is
+// unbounded: the embedder bounds what it queues (mesh::LinkSession's
+// journal bound pauses the engine; bench_bridge's flood waits on backlog()).
 //
-// Threading: send_bytes() may be called from any thread once start_frames()
-// has registered the fd with the loop; the frame callback and every flush
-// run on the loop thread. Counters are atomics the embedder folds into its
-// metrics (obs cells are not thread-safe), e.g. into the net.mesh.* counters.
+// Threading: a single-thread object. send_bytes(), kick(), close() and every
+// accessor run on the loop's thread, or while the loop is not running
+// (before run(), after it returned); the frame callback and every flush run
+// on the loop thread. Nothing here is locked or atomic: the embedder folds
+// the counters into its metrics from the loop or after run() returns, e.g.
+// into the net.mesh.* counters.
 #pragma once
 
 #include <netinet/in.h>
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "net/epoll_loop.h"
@@ -78,11 +74,8 @@ int tcp_dial(const sockaddr_in& addr);
 /// Set O_NONBLOCK (throws InvariantViolation on failure).
 void set_nonblocking(int fd);
 
-/// Bounds of the per-peer send queue (docs/BRIDGE.md "Backpressure") plus
-/// the optional chaos hooks (docs/FAULTS.md "Socket-level chaos").
+/// The optional chaos hooks (docs/FAULTS.md "Socket-level chaos").
 struct TcpLinkConfig {
-  std::size_t max_queued_frames = 512;
-  std::size_t max_queued_bytes = std::size_t{1} << 20;
   /// Borrowed fault-injection switchboard; null = no faults.
   FaultHooks* faults = nullptr;
 };
@@ -101,10 +94,10 @@ class TcpLinkTransport final : private EpollLoop::FdHandler {
   using FrameFn = std::function<void(std::unique_ptr<TransportFrame>)>;
   void start_frames(FrameFn fn);
 
-  /// Enqueue one pre-encoded frame; it leaves with the next flush. A
-  /// foreign thread stalls against the queue bound; the loop thread never
-  /// does. Returns false if the stream has already failed (the bytes are
-  /// dropped — redelivery is the caller's journal's job).
+  /// Enqueue one pre-encoded frame; it leaves with the next flush. Never
+  /// blocks. Loop thread, or before run(). Returns false if the stream has
+  /// already failed (the bytes are dropped — redelivery is the caller's
+  /// journal's job).
   bool send_bytes(const std::uint8_t* data, std::size_t size);
 
   /// Re-arm the flusher (after clearing an injected stall, or on resume).
@@ -114,50 +107,29 @@ class TcpLinkTransport final : private EpollLoop::FdHandler {
   /// by the destructor if needed.
   void close();
 
+  // ---- introspection (loop thread, or after run() returned) ----------------
   /// Encoded frames queued toward the peer.
-  std::size_t backlog() const;
-  std::uint64_t wire_bytes_out() const {
-    return bytes_out_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t wire_bytes_in() const {
-    return bytes_in_.load(std::memory_order_relaxed);
-  }
-
-  // ---- introspection -------------------------------------------------------
+  std::size_t backlog() const { return sendq_.size(); }
+  std::uint64_t wire_bytes_out() const { return bytes_out_; }
+  std::uint64_t wire_bytes_in() const { return bytes_in_; }
   /// Peer closed the stream (EOF) or the stream failed.
-  bool peer_closed() const {
-    return peer_closed_.load(std::memory_order_acquire);
-  }
+  bool peer_closed() const { return peer_closed_; }
   /// Static description of a stream/decode failure, or null.
-  const char* error() const { return error_.load(std::memory_order_acquire); }
-  std::uint64_t frames_sent() const {
-    return frames_sent_.load(std::memory_order_relaxed);
-  }
+  const char* error() const { return error_; }
+  std::uint64_t frames_sent() const { return frames_sent_; }
   /// Steady-clock nanosecond stamp of the last bytes read off the socket
   /// (start time until then). The session layer's liveness timeout reads
   /// this: a peer that has gone silent for longer than the budget is
   /// presumed stalled and the link degrades (docs/BRIDGE.md).
-  std::int64_t last_rx_ns() const {
-    return last_rx_ns_.load(std::memory_order_relaxed);
-  }
+  std::int64_t last_rx_ns() const { return last_rx_ns_; }
 
   // ---- net.mesh.* accounting (docs/OBSERVABILITY.md) -----------------------
   /// read() syscalls issued by the receive path.
-  std::uint64_t syscalls_read() const {
-    return syscalls_read_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t syscalls_read() const { return syscalls_read_; }
   /// writev()/send() syscalls issued by the send path.
-  std::uint64_t syscalls_write() const {
-    return syscalls_write_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t syscalls_write() const { return syscalls_write_; }
   /// Frames that left the queue in a writev batch of two or more.
-  std::uint64_t frames_coalesced() const {
-    return frames_coalesced_.load(std::memory_order_relaxed);
-  }
-  /// Times a sender stalled against the bounded send queue.
-  std::uint64_t queue_full_stalls() const {
-    return queue_full_stalls_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t frames_coalesced() const { return frames_coalesced_; }
 
  private:
   using Buffer = std::vector<std::uint8_t>;
@@ -166,7 +138,6 @@ class TcpLinkTransport final : private EpollLoop::FdHandler {
   void on_ready(std::uint32_t events) override;
 
   void flush();  // loop thread: writev the queue until empty or EAGAIN
-  bool wait_for_room(std::unique_lock<std::mutex>& lock);
   void drain_input();
   bool parse_frames();  // false on a decode/protocol error
   void fail(const char* error);
@@ -175,32 +146,28 @@ class TcpLinkTransport final : private EpollLoop::FdHandler {
   EpollLoop& loop_;
   TcpLinkConfig config_;
   FrameFn frame_fn_;
-  std::atomic<bool> started_{false};
+  bool started_ = false;
   bool closed_ = false;
 
-  // ---- send side (guarded by send_mutex_) ----------------------------------
-  std::mutex send_mutex_;
-  std::condition_variable send_cv_;   // stalled senders wait here
+  // ---- send side -----------------------------------------------------------
   std::deque<Buffer> sendq_;          // encoded frames, FIFO
   std::vector<Buffer> free_bufs_;     // recycled frame buffers
   std::size_t send_off_ = 0;          // bytes of sendq_.front() already written
-  std::size_t queued_bytes_ = 0;
   bool flush_armed_ = false;          // a flush task or EPOLLOUT edge is due
 
-  // ---- receive side (loop thread only) -------------------------------------
+  // ---- receive side --------------------------------------------------------
   Buffer inbuf_;
   std::size_t in_off_ = 0;   // parse offset into inbuf_
 
-  std::atomic<std::uint64_t> bytes_out_{0};
-  std::atomic<std::uint64_t> bytes_in_{0};
-  std::atomic<std::uint64_t> frames_sent_{0};
-  std::atomic<std::uint64_t> syscalls_read_{0};
-  std::atomic<std::uint64_t> syscalls_write_{0};
-  std::atomic<std::uint64_t> frames_coalesced_{0};
-  std::atomic<std::uint64_t> queue_full_stalls_{0};
-  std::atomic<std::int64_t> last_rx_ns_{0};
-  std::atomic<bool> peer_closed_{false};
-  std::atomic<const char*> error_{nullptr};
+  std::uint64_t bytes_out_ = 0;
+  std::uint64_t bytes_in_ = 0;
+  std::uint64_t frames_sent_ = 0;
+  std::uint64_t syscalls_read_ = 0;
+  std::uint64_t syscalls_write_ = 0;
+  std::uint64_t frames_coalesced_ = 0;
+  std::int64_t last_rx_ns_ = 0;
+  bool peer_closed_ = false;
+  const char* error_ = nullptr;
 };
 
 }  // namespace cim::net

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -648,6 +649,82 @@ TEST(MeshChaos, SilentConnectionsDoNotDelayARejoin) {
   hooks.stall_writes.store(false);
   mesh.finish_and_check();
   EXPECT_GE(mesh.nodes[0]->session(0).resumes(), 1u);
+}
+
+// ---- introspection from other threads --------------------------------------
+
+// What a foreign thread reads of one session: every any-thread accessor.
+struct SessionView {
+  std::uint64_t data_sent = 0;
+  std::uint64_t data_delivered = 0;
+  std::uint64_t hb_miss = 0;
+  std::uint64_t resumes = 0;
+  std::uint64_t dup_drops = 0;
+  std::size_t backlog = 0;
+  mesh::LinkState state = mesh::LinkState::kUp;
+  bool down = false;
+  bool connected = false;
+
+  static SessionView read(const mesh::LinkSession& s) {
+    EXPECT_EQ(s.error(), nullptr);
+    return {s.data_sent(), s.data_delivered(), s.hb_miss(), s.resumes(),
+            s.dup_drops(), s.backlog(),        s.state(),   s.down(),
+            s.connected()};
+  }
+  bool operator==(const SessionView&) const = default;
+};
+
+TEST(MeshIntrospection, ForeignReadersSeeMonotoneCountersMidRun) {
+  // A session is a single-thread object; other threads read it only through
+  // the relaxed mirrors its loop publishes. A poller at ~1 kHz (perfbench's
+  // cadence) reads every one of them through a run that takes a mid-stream
+  // read fault: no counter may go backwards, and the last poll, taken after
+  // run() returned, must see exactly what the owner sees.
+  net::FaultHooks hooks;
+  hooks.fail_reads_after.store(8);  // node 1's 9th transport read fails
+  ChaosMesh mesh(test_port(180), &hooks, /*ops=*/1500);
+  mesh.wait_ready();
+
+  std::atomic<bool> stop{false};
+  std::vector<SessionView> last(2);
+  int polls = 0;
+  std::thread poller([&] {
+    bool final_poll = false;
+    while (!final_poll) {
+      final_poll = stop.load();
+      for (std::size_t i = 0; i < 2; ++i) {
+        const SessionView v = SessionView::read(mesh.nodes[i]->session(0));
+        EXPECT_GE(v.data_sent, last[i].data_sent) << "node " << i;
+        EXPECT_GE(v.data_delivered, last[i].data_delivered) << "node " << i;
+        EXPECT_GE(v.hb_miss, last[i].hb_miss) << "node " << i;
+        EXPECT_GE(v.resumes, last[i].resumes) << "node " << i;
+        EXPECT_GE(v.dup_drops, last[i].dup_drops) << "node " << i;
+        last[i] = v;
+      }
+      ++polls;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+
+  // The countdown sticks at 0 once the failing read has been reached; clear
+  // it once node 1's session has seen the death, so the rejoin holds.
+  mesh::LinkSession& dialer = mesh.nodes[1]->session(0);
+  const bool faulted =
+      spin_until([&] { return hooks.fail_reads_after.load() == 0; }) &&
+      spin_until([&] { return !dialer.connected() || dialer.resumes() >= 1; });
+  hooks.fail_reads_after.store(-1);
+  for (auto& t : mesh.threads) t.join();
+  mesh.threads.clear();
+  stop.store(true);
+  poller.join();
+  ASSERT_TRUE(faulted);
+
+  EXPECT_GE(polls, 10);
+  EXPECT_GE(dialer.resumes(), 1u);  // the fault hit mid-run
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_EQ(last[i], SessionView::read(mesh.nodes[i]->session(0)))
+        << "node " << i;
+  mesh.finish_and_check();
 }
 
 // ---- threads of a running node ---------------------------------------------

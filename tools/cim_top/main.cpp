@@ -9,8 +9,8 @@
 // rename guarantees a reader never sees a torn document, so "connect to
 // node 0" is just "share its snapshot path". Per (node, peer) link row:
 // link state, replay-journal depth, heartbeat misses, reconnects,
-// sent/delivered pair counts, queue-full stalls, best heartbeat RTT and the
-// estimated clock offset; per-node msgs/sec is derived by differencing the
+// sent/delivered pair counts, best heartbeat RTT and the estimated clock
+// offset; per-node msgs/sec is derived by differencing the
 // delivered totals of successive snapshots over their sample-time delta.
 #include <chrono>
 #include <cstdint>
@@ -95,7 +95,7 @@ std::string fmt_us_signed(std::int64_t ns) {
 /// Render one frame. `prev` (if ok) supplies the rate baseline.
 void render(const Snapshot& snap, const Snapshot& prev, std::ostream& os) {
   cim::stats::Table table({"node", "gen", "peer", "link", "jrnl", "hb_miss",
-                           "reconn", "sent", "delivered", "stalls", "rtt_us",
+                           "reconn", "sent", "delivered", "rtt_us",
                            "offset_us", "msgs_s"});
   for (const auto& [node, kv] : snap.nodes) {
     auto get = [&kv](const std::string& key, std::int64_t def = 0) {
@@ -152,7 +152,7 @@ void render(const Snapshot& snap, const Snapshot& prev, std::ostream& os) {
                     get(p + "down") != 0 ? "DOWN" : "up",
                     get(p + "journal_depth"), get(p + "hb_miss"),
                     get(p + "resumes"), get(p + "pairs_sent"),
-                    get(p + "pairs_delivered"), get(p + "queue_full_stalls"),
+                    get(p + "pairs_delivered"),
                     fmt_us(get(p + "rtt_ns", -1)),
                     fmt_us_signed(get(p + "offset_ns")),
                     first ? rate : "-");
@@ -160,7 +160,7 @@ void render(const Snapshot& snap, const Snapshot& prev, std::ostream& os) {
     }
     if (peers.empty()) {
       table.add_row(std::to_string(node), std::to_string(get("generation")),
-                    "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", rate);
+                    "-", "-", "-", "-", "-", "-", "-", "-", "-", rate);
     }
   }
   table.print(os);
