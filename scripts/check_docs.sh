@@ -169,6 +169,24 @@ else
   done
 fi
 
+# The online monitor is fed by the typed mcs::MemoryObserver hooks and the
+# trace is an export only: the trace sink declares no listener, the monitor
+# decodes no live trace event, and nothing under src/interconnect or
+# src/mesh turns a trace sink on by itself (only TraceOptions::enabled does).
+if grep -q "set_listener" "$root/src/obs/trace.h"; then
+  echo "check_docs: src/obs/trace.h declares a trace listener (the trace is an export)" >&2
+  status=1
+fi
+if grep -Eq "observe\(const (obs::)?TraceEvent" "$root/src/checker/online_monitor.h"; then
+  echo "check_docs: chk::OnlineMonitor decodes live trace events (feed it the observer hooks)" >&2
+  status=1
+fi
+if grep -rEq "set_enabled\(true\)" "$root"/src/interconnect "$root"/src/mesh; then
+  echo "check_docs: src/interconnect or src/mesh force-enables a trace sink:" >&2
+  grep -rEn "set_enabled\(true\)" "$root"/src/interconnect "$root"/src/mesh >&2
+  status=1
+fi
+
 if [ "$status" -eq 0 ]; then
   echo "check_docs: OK"
 fi

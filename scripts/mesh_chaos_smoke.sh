@@ -177,9 +177,10 @@ grep -q "reconn" "$out/cim_top.out" || {
 }
 
 # Gauge assertions (metrics schema v5, docs/OBSERVABILITY.md): the SIGSTOP
-# was observed and recovered from, the crash was rejoined, and — the core
-# contract — every pair one side sent was delivered exactly once on the
-# other, across the kill and the replay.
+# was observed and recovered from, the crash was rejoined, every pair one
+# side sent was delivered exactly once on the other across the kill and the
+# replay (the core contract), and the online monitor stayed silent without
+# turning tracing on.
 python3 - "$out" <<'EOF'
 import json, sys
 out = sys.argv[1]
@@ -210,6 +211,14 @@ for a, b in [(0, 1), (0, 2), (1, 3)]:
 for i in range(4):
     if val(i, "checker.violations") != 0:
         sys.exit(f"mesh_chaos_smoke: node {i}: online monitor violations")
+    # The monitor runs on the observer hooks: an untraced node records no
+    # trace event at all.
+    if "trace.dropped" not in m[i]:
+        sys.exit(f"mesh_chaos_smoke: node {i}: no trace gauges in its metrics")
+    traced = {k: v for k, v in m[i].items()
+              if (k.startswith("trace.events.") or k == "trace.dropped") and v}
+    if traced:
+        sys.exit(f"mesh_chaos_smoke: node {i} traced without --trace: {traced}")
 EOF
 
 echo "mesh_chaos_smoke: OK (kill -9 + --resume and SIGSTOP/SIGCONT survived;" \

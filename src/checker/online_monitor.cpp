@@ -1,96 +1,27 @@
 #include "checker/online_monitor.h"
 
 #include <algorithm>
-#include <string_view>
 
 namespace cim::chk {
 
 namespace {
 
-const obs::TraceField* find_field(const obs::TraceEvent& ev,
-                                  std::string_view key) {
-  for (std::uint8_t k = 0; k < ev.num_fields; ++k) {
-    const obs::TraceField& f = ev.fields[k];
-    if (f.key != nullptr && key == f.key) return &f;
-  }
-  return nullptr;
-}
-
-std::int64_t live_int(const obs::TraceEvent& ev, std::string_view key) {
-  const obs::TraceField* f = find_field(ev, key);
-  if (f == nullptr) return 0;
-  switch (f->kind) {
-    case obs::TraceField::Kind::kInt: return f->i;
-    case obs::TraceField::Kind::kUint: return static_cast<std::int64_t>(f->u);
-    default: return 0;
-  }
-}
-
-bool live_proc(const obs::TraceEvent& ev, std::string_view key, ProcId& out) {
-  const obs::TraceField* f = find_field(ev, key);
-  if (f == nullptr || f->kind != obs::TraceField::Kind::kProc) return false;
-  out = ProcId{SystemId{static_cast<std::uint16_t>(f->proc >> 16)},
-               static_cast<std::uint16_t>(f->proc & 0xFFFF)};
-  return true;
-}
+// Retention caps; hitting one forgets the oldest entries.
+constexpr std::size_t kMaxTrackedValues = 1 << 16;  // value -> write id map
+constexpr std::size_t kMaxWritesPerVar = 1 << 10;   // per (origin, var) seqs
+constexpr std::size_t kMaxViolations = 256;         // retained records
 
 }  // namespace
 
-OnlineMonitor::OnlineMonitor(MonitorOptions opts) : opts_(opts) {}
-
-std::uint32_t OnlineMonitor::required_category_mask() {
-  return obs::category_bit(obs::TraceCategory::kMcs) |
-         obs::category_bit(obs::TraceCategory::kProto) |
-         obs::category_bit(obs::TraceCategory::kChk);
-}
-
-void OnlineMonitor::attach(obs::TraceSink* sink,
-                           obs::MetricsRegistry* metrics) {
-  sink_ = sink;
+OnlineMonitor::OnlineMonitor(obs::TraceSink* trace,
+                             obs::MetricsRegistry* metrics)
+    : trace_(trace) {
   if (metrics != nullptr) {
     m_violations_ = &metrics->counter("checker.violations");
-  }
-  if (sink_ != nullptr) {
-    sink_->set_listener(
-        [this](const obs::TraceEvent& ev) { observe(ev); });
-  }
-}
-
-void OnlineMonitor::detach() {
-  if (sink_ != nullptr) sink_->set_listener(nullptr);
-  sink_ = nullptr;
-}
-
-void OnlineMonitor::observe(const obs::TraceEvent& ev) {
-  if (ev.cat == obs::TraceCategory::kChk) return;  // our own emissions
-  ++events_seen_;
-  const std::string_view name = ev.name;
-  if (ev.cat == obs::TraceCategory::kMcs) {
-    ProcId proc{};
-    if (!live_proc(ev, "proc", proc)) return;
-    if (name == "write_issue") {
-      on_write_issue(ev.t.ns, proc,
-                     WriteId{static_cast<std::uint64_t>(live_int(ev, "wid"))},
-                     VarId{static_cast<std::uint32_t>(live_int(ev, "var"))},
-                     live_int(ev, "val"));
-    } else if (name == "read_done") {
-      on_read_done(ev.t.ns, proc,
-                   VarId{static_cast<std::uint32_t>(live_int(ev, "var"))},
-                   live_int(ev, "val"));
-    }
-  } else if (ev.cat == obs::TraceCategory::kProto &&
-             name == "update_applied") {
-    ProcId proc{};
-    if (!live_proc(ev, "proc", proc)) return;
-    on_update_applied(
-        ev.t.ns, proc,
-        WriteId{static_cast<std::uint64_t>(live_int(ev, "wid"))});
   }
 }
 
 void OnlineMonitor::observe(const obs::ParsedTraceEvent& ev) {
-  if (ev.cat == "chk") return;
-  ++events_seen_;
   if (ev.cat == "mcs") {
     ProcId proc{};
     if (!ev.field_proc("proc", proc)) return;
@@ -111,18 +42,26 @@ void OnlineMonitor::observe(const obs::ParsedTraceEvent& ev) {
 }
 
 void OnlineMonitor::learn(ProcId proc, WriteId wid) {
-  std::uint32_t& k = knows_[key(pack(proc), pack(wid.origin()))];
-  k = std::max(k, wid.seq());
+  std::vector<Known>& known = knows_[pack(proc)];
+  const std::uint32_t origin = pack(wid.origin());
+  for (Known& k : known) {
+    if (k.origin == origin) {
+      k.seq = std::max(k.seq, wid.seq());
+      return;
+    }
+  }
+  known.push_back(Known{origin, wid.seq()});
 }
 
 void OnlineMonitor::on_write_issue(std::int64_t, ProcId proc, WriteId wid,
                                    VarId var, Value value) {
+  ++events_seen_;
   if (!wid.valid()) return;
   // Record the write (idempotent: an IS-process re-issuing a foreign write
   // carries the same wid and value).
   if (by_value_.try_emplace(value, WriteInfo{wid, var}).second) {
     by_value_order_.push_back(value);
-    while (by_value_order_.size() > opts_.max_tracked_values) {
+    while (by_value_order_.size() > kMaxTrackedValues) {
       by_value_.erase(by_value_order_.front());
       by_value_order_.pop_front();
     }
@@ -130,7 +69,7 @@ void OnlineMonitor::on_write_issue(std::int64_t, ProcId proc, WriteId wid,
   std::deque<std::uint32_t>& seqs = writes_[key(pack(wid.origin()), var.value)];
   if (seqs.empty() || seqs.back() < wid.seq()) {
     seqs.push_back(wid.seq());
-    while (seqs.size() > opts_.max_writes_per_var) seqs.pop_front();
+    while (seqs.size() > kMaxWritesPerVar) seqs.pop_front();
   }
   // The origin knows its own writes; re-issues elsewhere teach nothing.
   if (proc == wid.origin()) learn(proc, wid);
@@ -138,43 +77,41 @@ void OnlineMonitor::on_write_issue(std::int64_t, ProcId proc, WriteId wid,
 
 void OnlineMonitor::on_read_done(std::int64_t t, ProcId proc, VarId var,
                                  Value value) {
+  ++events_seen_;
   const auto hit = by_value_.find(value);
   const WriteId got =
       hit != by_value_.end() ? hit->second.wid : WriteId{};  // invalid = init
 
-  if (opts_.check_read_monotonic) {
-    std::uint64_t rk = key(pack(proc), var.value);
-    auto prev = last_read_.find(rk);
-    if (prev != last_read_.end() && got.valid() &&
-        prev->second.origin() == got.origin() &&
-        got.seq() < prev->second.seq()) {
-      report(Violation{"read_regress", t, proc, var, got,
-                       prev->second.seq(), got.seq()});
-    }
-    last_read_[rk] = got;
+  // Read monotonicity.
+  const std::uint64_t rk = key(pack(proc), var.value);
+  auto prev = last_read_.find(rk);
+  if (prev != last_read_.end() && got.valid() &&
+      prev->second.origin() == got.origin() &&
+      got.seq() < prev->second.seq()) {
+    report(Violation{"read_regress", t, proc, var, got, prev->second.seq(),
+                     got.seq()});
   }
+  last_read_[rk] = got;
 
-  if (opts_.check_writes_into) {
-    // The newest write to `var` among those the reader causally knows: for
-    // each origin o, the largest seq s* with (o wrote var at s*) and
-    // s* <= knows_[proc][o]. Reading anything older than s* (the initial
-    // value, or an overwritten write of the same origin) violates
-    // writes-into order.
-    for (const auto& [ko, known_seq] : knows_) {
-      if (std::uint32_t(ko >> 32) != pack(proc)) continue;
-      const std::uint32_t origin_packed = std::uint32_t(ko);
-      const auto ws = writes_.find(key(origin_packed, var.value));
+  // Writes-into order. The newest write to `var` among those the reader
+  // causally knows: for each origin o, the largest seq s* with (o wrote var
+  // at s*) and s* <= the reader's knowledge of o. Reading anything older
+  // than s* (the initial value, or an overwritten write of the same origin)
+  // violates writes-into order.
+  if (const auto kn = knows_.find(pack(proc)); kn != knows_.end()) {
+    for (const Known& k : kn->second) {
+      const auto ws = writes_.find(key(k.origin, var.value));
       if (ws == writes_.end()) continue;
-      // seqs are ascending: find the largest <= known_seq.
+      // seqs are ascending: find the largest <= the known seq.
       const std::deque<std::uint32_t>& seqs = ws->second;
-      auto it = std::upper_bound(seqs.begin(), seqs.end(), known_seq);
+      auto it = std::upper_bound(seqs.begin(), seqs.end(), k.seq);
       if (it == seqs.begin()) continue;
       const std::uint32_t star = *std::prev(it);
-      const bool same_origin = got.valid() && pack(got.origin()) == origin_packed;
+      const bool same_origin = got.valid() && pack(got.origin()) == k.origin;
       const bool stale = !got.valid() || (same_origin && got.seq() < star);
       if (stale) {
-        const ProcId origin{SystemId{std::uint16_t(origin_packed >> 16)},
-                            std::uint16_t(origin_packed & 0xFFFF)};
+        const ProcId origin{SystemId{std::uint16_t(k.origin >> 16)},
+                            std::uint16_t(k.origin & 0xFFFF)};
         report(Violation{"stale_read", t, proc, var,
                          got.valid() ? got : WriteId::make(origin, star),
                          star, got.valid() ? got.seq() : 0});
@@ -187,7 +124,8 @@ void OnlineMonitor::on_read_done(std::int64_t t, ProcId proc, VarId var,
 
 void OnlineMonitor::on_update_applied(std::int64_t t, ProcId proc,
                                       WriteId wid) {
-  if (!wid.valid() || !opts_.check_fifo_apply) return;
+  ++events_seen_;
+  if (!wid.valid()) return;
   Applied& last = applied_[key(pack(proc), pack(wid.origin()))];
   // Equal seq is benign (AW-seq re-applies pre-applied own writes); an
   // inversion at one virtual instant is benign too (atomic batch apply, no
@@ -202,20 +140,14 @@ void OnlineMonitor::on_update_applied(std::int64_t t, ProcId proc,
 void OnlineMonitor::report(Violation v) {
   ++violation_count_;
   if (m_violations_ != nullptr) m_violations_->inc();
-  if (sink_ != nullptr) {
-    // The sink invokes the listener on every accepted record; recursion is
-    // bounded because observe() ignores chk-category events.
-    CIM_TRACE(sink_, sim::Time{v.t}, obs::TraceCategory::kChk, "violation",
-              {{"kind", v.kind},
-               {"proc", v.proc},
-               {"var", v.var},
-               {"wid", v.wid},
-               {"expect", std::uint64_t{v.expected_seq}},
-               {"got", std::uint64_t{v.got_seq}}});
-  }
-  if (violations_.size() < opts_.max_violations) {
-    violations_.push_back(v);
-  }
+  CIM_TRACE(trace_, sim::Time{v.t}, obs::TraceCategory::kChk, "violation",
+            {{"kind", v.kind},
+             {"proc", v.proc},
+             {"var", v.var},
+             {"wid", v.wid},
+             {"expect", std::uint64_t{v.expected_seq}},
+             {"got", std::uint64_t{v.got_seq}}});
+  if (violations_.size() < kMaxViolations) violations_.push_back(v);
 }
 
 }  // namespace cim::chk

@@ -1,10 +1,16 @@
 // Online causal-consistency monitor: a bounded-memory streaming consumer of
-// the structured trace that flags consistency violations *while the run is
+// the write lifecycle that flags consistency violations *while the run is
 // still executing* — unlike the offline checkers (causal_checker.h,
 // search_checker.h), which need the complete history afterwards.
 //
-// The monitor attaches to a TraceSink as its listener and watches the v3
-// write-lifecycle events (every one carries the originating WriteId):
+// The monitor is fed three typed facts, each carrying the originating
+// WriteId where one exists: a write issued (on_write_issue), an update
+// applied by a protocol's apply pipeline (on_update_applied) and a read
+// returned (on_read_done). Live, isc::Federation forwards them from the
+// mcs::MemoryObserver hooks, so the monitor runs whether or not tracing is
+// enabled; offline, observe() replays the same facts from a parsed trace
+// (`mcs`/`write_issue`, `proto`/`update_applied`, `mcs`/`read_done`). It
+// checks:
 //
 //   fifo_regress — per-writer FIFO application order. A replica applied
 //     write #s of some origin after already applying #s' > s from the same
@@ -34,10 +40,10 @@
 // workload convention) so a value identifies its write.
 //
 // Every violation is recorded, emitted as a `chk`/`violation` trace event
-// and counted in the `checker.violations` metric the moment the offending
-// event is observed. All state is bounded by MonitorOptions caps; when a
-// cap is hit the oldest entries are forgotten (reducing detection power,
-// never soundness).
+// (when the sink traces) and counted in the `checker.violations` metric the
+// moment the offending event is observed. All state is bounded by fixed
+// caps (online_monitor.cpp); when a cap is hit the oldest entries are
+// forgotten (reducing detection power, never soundness).
 #pragma once
 
 #include <cstdint>
@@ -55,13 +61,7 @@
 namespace cim::chk {
 
 struct MonitorOptions {
-  bool enabled = false;
-  bool check_fifo_apply = true;
-  bool check_read_monotonic = true;
-  bool check_writes_into = true;
-  std::size_t max_tracked_values = 1 << 16;  // value -> write id map
-  std::size_t max_writes_per_var = 1 << 10;  // per (origin, var) seq history
-  std::size_t max_violations = 256;          // retained Violation records
+  bool enabled = false;  // run a monitor in the federation
 };
 
 struct Violation {
@@ -76,27 +76,26 @@ struct Violation {
 
 class OnlineMonitor {
  public:
-  explicit OnlineMonitor(MonitorOptions opts = {});
+  /// Violations are reported as `violation` events on `trace` and on the
+  /// `checker.violations` counter of `metrics`. Either pointer may be null.
+  explicit OnlineMonitor(obs::TraceSink* trace = nullptr,
+                         obs::MetricsRegistry* metrics = nullptr);
 
-  /// Categories the monitor consumes (plus chk, which it emits).
-  static std::uint32_t required_category_mask();
+  // ---- the three facts the monitor consumes (times in virtual ns) --------
+  void on_write_issue(std::int64_t t, ProcId proc, WriteId wid, VarId var,
+                      Value value);
+  void on_update_applied(std::int64_t t, ProcId proc, WriteId wid);
+  void on_read_done(std::int64_t t, ProcId proc, VarId var, Value value);
 
-  /// Attach as `sink`'s listener; violations are then reported live as
-  /// `violation` trace events and on the `checker.violations` counter.
-  /// Either pointer may be null (offline use: feed observe() directly).
-  void attach(obs::TraceSink* sink, obs::MetricsRegistry* metrics);
-  void detach();
-
-  /// Feed one live / parsed event. chk-category events are ignored (the
-  /// monitor's own emissions do not recurse).
-  void observe(const obs::TraceEvent& ev);
+  /// Replay one parsed trace event (cim_trace check): the three facts above
+  /// are fed in, every other event is ignored.
   void observe(const obs::ParsedTraceEvent& ev);
 
-  const MonitorOptions& options() const { return opts_; }
+  /// Facts consumed so far, live or replayed.
   std::uint64_t events_seen() const { return events_seen_; }
   std::uint64_t violation_count() const { return violation_count_; }
-  /// Retained violation records, oldest first (capped at max_violations;
-  /// violation_count() keeps the true total).
+  /// Retained violation records, oldest first (capped; violation_count()
+  /// keeps the true total).
   const std::vector<Violation>& violations() const { return violations_; }
 
  private:
@@ -107,15 +106,10 @@ class OnlineMonitor {
     return (std::uint32_t(p.system.value) << 16) | p.index;
   }
 
-  void on_write_issue(std::int64_t t, ProcId proc, WriteId wid, VarId var,
-                      Value value);
-  void on_read_done(std::int64_t t, ProcId proc, VarId var, Value value);
-  void on_update_applied(std::int64_t t, ProcId proc, WriteId wid);
   void learn(ProcId proc, WriteId wid);
   void report(Violation v);
 
-  MonitorOptions opts_;
-  obs::TraceSink* sink_ = nullptr;
+  obs::TraceSink* trace_;
   obs::Counter* m_violations_ = nullptr;
 
   // value -> (wid, var) for every write seen issued; FIFO-bounded.
@@ -128,8 +122,13 @@ class OnlineMonitor {
 
   // (origin, var) -> ascending seqs of that origin's writes to var.
   std::unordered_map<std::uint64_t, std::deque<std::uint32_t>> writes_;
-  // (proc, origin) -> highest seq of origin the proc has read or issued.
-  std::unordered_map<std::uint64_t, std::uint32_t> knows_;
+  // proc -> (origin, highest seq of origin the proc has read or issued),
+  // in the order the proc first learned of each origin.
+  struct Known {
+    std::uint32_t origin;  // pack()ed
+    std::uint32_t seq;
+  };
+  std::unordered_map<std::uint32_t, std::vector<Known>> knows_;
   // (proc, var) -> write returned by the proc's last read of var.
   std::unordered_map<std::uint64_t, WriteId> last_read_;
   // (replica, origin) -> highest seq applied at the replica, and when.

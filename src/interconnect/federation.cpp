@@ -25,20 +25,40 @@ LinkWire resolve_link_wire(LinkWire requested) {
   return LinkWire::kInMemory;
 }
 
+// Feeds the online monitor from the typed write-lifecycle hooks. The
+// checker sits below mcs in the build (cim_mcs links cim_checker), so the
+// monitor cannot derive from mcs::MemoryObserver itself.
+class MonitorFeed final : public mcs::MemoryObserver {
+ public:
+  explicit MonitorFeed(chk::OnlineMonitor& monitor) : monitor_(monitor) {}
+
+  void on_update_issued(ProcId writer, VarId var, Value value, WriteId wid,
+                        sim::Time t) override {
+    monitor_.on_write_issue(t.ns, writer, wid, var, value);
+  }
+  void on_update_applied(ProcId replica, VarId, Value, WriteId wid,
+                         sim::Time t) override {
+    monitor_.on_update_applied(t.ns, replica, wid);
+  }
+  void on_read_done(ProcId reader, VarId var, Value value,
+                    sim::Time t) override {
+    monitor_.on_read_done(t.ns, reader, var, value);
+  }
+
+ private:
+  chk::OnlineMonitor& monitor_;
+};
+
 }  // namespace
 
 Federation::Federation(FederationConfig config)
     : obs_(config.obs), fabric_(sim_, config.seed) {
   CIM_CHECK_MSG(!config.systems.empty(), "federation needs at least one system");
   if (config.monitor.enabled) {
-    // The monitor rides the trace stream: force tracing on and make sure
-    // the categories it consumes (and chk, which it emits) pass the mask.
-    obs::TraceSink& trace = obs_.trace();
-    trace.set_enabled(true);
-    trace.set_category_mask(trace.category_mask() |
-                            chk::OnlineMonitor::required_category_mask());
-    monitor_ = std::make_unique<chk::OnlineMonitor>(config.monitor);
-    monitor_->attach(&trace, &obs_.metrics());
+    monitor_ =
+        std::make_unique<chk::OnlineMonitor>(&obs_.trace(), &obs_.metrics());
+    monitor_feed_ = std::make_unique<MonitorFeed>(*monitor_);
+    mux_.add(monitor_feed_.get());
   }
   fabric_.set_observability(&obs_);
   for (mcs::SystemConfig& sc : config.systems) {

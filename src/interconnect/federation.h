@@ -45,11 +45,11 @@ struct FederationConfig {
   /// scheduled as simulator events at construction time.
   sim::FaultPlan faults;
   /// Online causal-consistency monitor (checker/online_monitor.h). Enabling
-  /// it force-enables tracing (and the categories the monitor consumes) and
-  /// attaches the monitor as the trace listener, so violations surface as
-  /// `chk`/`violation` events and on `checker.violations` *during* the run.
-  /// Disabled (the default), no listener is installed and instrumentation
-  /// cost is unchanged.
+  /// it registers the monitor on the federation's observer, fed by the
+  /// typed write-lifecycle hooks, so violations surface on
+  /// `checker.violations` (and, when obs.trace records the chk category, as
+  /// `chk`/`violation` events) *during* the run. It does not enable tracing
+  /// or change obs.trace.category_mask.
   chk::MonitorOptions monitor;
 };
 
@@ -75,8 +75,8 @@ class Federation {
   std::size_t num_systems() const { return systems_.size(); }
   mcs::System& system(std::size_t index) { return *systems_.at(index); }
 
-  /// Register a stats tracker; it will observe every write issue and every
-  /// replica application in all systems.
+  /// Register a stats tracker; it will observe every write issue, every
+  /// replica application and every completed read in all systems.
   void add_observer(mcs::MemoryObserver* observer) { mux_.add(observer); }
 
   /// Run the simulation to quiescence (or until `deadline`).
@@ -95,6 +95,7 @@ class Federation {
 
   obs::Observability obs_;  // first: outlives everything that instruments
   std::unique_ptr<chk::OnlineMonitor> monitor_;
+  std::unique_ptr<mcs::MemoryObserver> monitor_feed_;  // feeds monitor_
   sim::Simulator sim_;
   net::Fabric fabric_;
   chk::Recorder recorder_;

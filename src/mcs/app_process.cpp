@@ -8,9 +8,9 @@ namespace cim::mcs {
 
 AppProcess::AppProcess(ProcId id, bool is_isp, McsProcess& mcs,
                        chk::Recorder& recorder, sim::Simulator& simulator,
-                       obs::Observability* obs)
+                       MemoryObserver* observer, obs::Observability* obs)
     : id_(id), is_isp_(is_isp), mcs_(mcs), recorder_(recorder),
-      sim_(simulator) {
+      sim_(simulator), observer_(observer) {
   if (obs != nullptr) {
     trace_ = &obs->trace();
     obs::MetricsRegistry& m = obs->metrics();
@@ -104,6 +104,9 @@ void AppProcess::issue(Request req) {
                                   {"var", var},
                                   {"val", v},
                                   {"lat_ns", sim_.now() - started}});
+                       if (observer_ != nullptr) {
+                         observer_->on_read_done(id_, var, v, sim_.now());
+                       }
                        if (k) k(v);
                        pump();
                      });

@@ -24,7 +24,8 @@ namespace cim::mcs {
 class AppProcess {
  public:
   AppProcess(ProcId id, bool is_isp, McsProcess& mcs, chk::Recorder& recorder,
-             sim::Simulator& simulator, obs::Observability* obs = nullptr);
+             sim::Simulator& simulator, MemoryObserver* observer = nullptr,
+             obs::Observability* obs = nullptr);
   AppProcess(const AppProcess&) = delete;
   AppProcess& operator=(const AppProcess&) = delete;
 
@@ -77,6 +78,7 @@ class AppProcess {
   McsProcess& mcs_;
   chk::Recorder& recorder_;
   sim::Simulator& sim_;
+  MemoryObserver* observer_;  // may be null
 
   bool busy_ = false;
   bool pumping_ = false;

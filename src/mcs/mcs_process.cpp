@@ -17,11 +17,17 @@ McsProcess::McsProcess(const McsContext& ctx) : ctx_(ctx), rng_(ctx.rng_seed) {
   }
 }
 
-void McsProcess::note_update_issued(VarId var, Value value, WriteId wid) {
+void McsProcess::note_update_issued(VarId var, Value value, WriteId wid,
+                                    bool applied_locally) {
   if (m_issued_ != nullptr) m_issued_->inc();
-  CIM_TRACE(trace_, simulator().now(), obs::TraceCategory::kProto,
-            "update_issued",
+  const sim::Time now = simulator().now();
+  CIM_TRACE(trace_, now, obs::TraceCategory::kProto, "update_issued",
             {{"proc", id()}, {"var", var}, {"val", value}, {"wid", wid}});
+  if (MemoryObserver* o = ctx_.observer; o != nullptr) {
+    o->on_write_issued(id(), var, value, now);
+    if (applied_locally) o->on_apply(id(), var, value, now);
+    o->on_update_issued(id(), var, value, wid, now);
+  }
 }
 
 void McsProcess::note_update_buffered(std::size_t buffer_size) {
@@ -37,6 +43,7 @@ void McsProcess::note_update_applied(VarId var, Value value, WriteId wid) {
   CIM_TRACE(trace_, simulator().now(), obs::TraceCategory::kProto,
             "update_applied",
             {{"proc", id()}, {"var", var}, {"val", value}, {"wid", wid}});
+  report_applied(var, value, wid);
 }
 
 void McsProcess::note_update_applied(VarId var, Value value, WriteId wid,
@@ -52,6 +59,15 @@ void McsProcess::note_update_applied(VarId var, Value value, WriteId wid,
              {"val", value},
              {"wid", wid},
              {"wait_ns", simulator().now() - received_at}});
+  report_applied(var, value, wid);
+}
+
+void McsProcess::report_applied(VarId var, Value value, WriteId wid) {
+  if (MemoryObserver* o = ctx_.observer; o != nullptr) {
+    const sim::Time now = simulator().now();
+    o->on_apply(id(), var, value, now);
+    o->on_update_applied(id(), var, value, wid, now);
+  }
 }
 
 void McsProcess::set_out_channels(std::vector<net::ChannelId> out) {

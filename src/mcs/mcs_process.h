@@ -103,12 +103,16 @@ class McsProcess : public net::Receiver {
   sim::Simulator& simulator() { return *ctx_.simulator; }
   net::Fabric& fabric() { return *ctx_.fabric; }
   Rng& rng() { return rng_; }
-  MemoryObserver* observer() { return ctx_.observer; }
   obs::TraceSink* trace() { return trace_; }
 
   // ---- protocol instrumentation (docs/OBSERVABILITY.md, `proto.*`) --------
-  /// A local write was issued and propagated (counter + trace).
-  void note_update_issued(VarId var, Value value, WriteId wid);
+  // Each helper is the one call a protocol makes per event: it bumps the
+  // counter, records the trace event, then reports to the MemoryObserver.
+  /// A local write was issued and propagated. `applied_locally`: the writer
+  /// already applied it to its own replica, outside the apply pipeline
+  /// (read-your-writes); observers see that apply via on_apply only.
+  void note_update_issued(VarId var, Value value, WriteId wid,
+                          bool applied_locally);
   /// A remote update entered the protocol's reorder/batch buffer; sample its
   /// occupancy *after* insertion.
   void note_update_buffered(std::size_t buffer_size);
@@ -127,6 +131,7 @@ class McsProcess : public net::Receiver {
 
  private:
   void drain_deferred_writes();
+  void report_applied(VarId var, Value value, WriteId wid);
 
   McsContext ctx_;
   Rng rng_;

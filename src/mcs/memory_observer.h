@@ -1,8 +1,19 @@
-// Observation hooks for experiments.
+// Observation hooks for experiments and the online monitor.
 //
-// Protocols report every write issue and every replica application so the
-// stats layer can measure visibility latency (the paper's `l` and the 3l+2d
-// bound of Section 6) without touching protocol internals.
+// Protocols report every write issue and every replica application once,
+// through McsProcess's note_update_* helpers, and application processes
+// report every completed read. Observers see them here without touching
+// protocol internals:
+//
+//  * the typed write-lifecycle hooks carry the write's WriteId and fire
+//    exactly where the `proto`/`update_issued`, `proto`/`update_applied`
+//    and `mcs`/`read_done` trace events are recorded (after the record, so
+//    anything an observer traces follows the event that triggered it). They
+//    feed chk::OnlineMonitor and fire whether or not tracing is enabled.
+//  * the value-keyed pair (on_write_issued / on_apply) lets the stats layer
+//    measure visibility latency (the paper's `l` and the 3l+2d bound of
+//    Section 6). on_apply additionally fires for a writer's local apply of
+//    its own write, which the apply pipeline never sees.
 #pragma once
 
 #include <vector>
@@ -17,6 +28,28 @@ class MemoryObserver {
  public:
   virtual ~MemoryObserver() = default;
 
+  // ---- typed write-lifecycle hooks ----------------------------------------
+  /// MCS-process `writer` issued write `wid`, w(var)value, into its system
+  /// (an IS-process re-issuing a propagated write carries the origin's wid).
+  virtual void on_update_issued(ProcId writer, VarId var, Value value,
+                                WriteId wid, sim::Time t) {
+    (void)writer; (void)var; (void)value; (void)wid; (void)t;
+  }
+
+  /// The apply pipeline of MCS-process `replica` applied write `wid`.
+  /// A writer's local pre-apply of its own write does not fire this.
+  virtual void on_update_applied(ProcId replica, VarId var, Value value,
+                                 WriteId wid, sim::Time t) {
+    (void)replica; (void)var; (void)value; (void)wid; (void)t;
+  }
+
+  /// A read of `var` by application process `reader` returned `value`.
+  virtual void on_read_done(ProcId reader, VarId var, Value value,
+                            sim::Time t) {
+    (void)reader; (void)var; (void)value; (void)t;
+  }
+
+  // ---- value-keyed hooks ----------------------------------------------------
   /// A write operation w(var)value was issued by `writer` at time `t`.
   virtual void on_write_issued(ProcId writer, VarId var, Value value,
                                sim::Time t) {
@@ -35,6 +68,20 @@ class ObserverMux final : public MemoryObserver {
  public:
   void add(MemoryObserver* observer) { observers_.push_back(observer); }
 
+  void on_update_issued(ProcId writer, VarId var, Value value, WriteId wid,
+                        sim::Time t) override {
+    for (MemoryObserver* o : observers_)
+      o->on_update_issued(writer, var, value, wid, t);
+  }
+  void on_update_applied(ProcId replica, VarId var, Value value, WriteId wid,
+                         sim::Time t) override {
+    for (MemoryObserver* o : observers_)
+      o->on_update_applied(replica, var, value, wid, t);
+  }
+  void on_read_done(ProcId reader, VarId var, Value value,
+                    sim::Time t) override {
+    for (MemoryObserver* o : observers_) o->on_read_done(reader, var, value, t);
+  }
   void on_write_issued(ProcId writer, VarId var, Value value,
                        sim::Time t) override {
     for (MemoryObserver* o : observers_) o->on_write_issued(writer, var, value, t);

@@ -81,7 +81,7 @@ void System::finalize() {
   for (std::uint16_t i = 0; i < n; ++i) {
     apps_.push_back(std::make_unique<AppProcess>(
         ProcId{config_.id, i}, is_isp_slot(i), *mcs_[i], recorder_, sim_,
-        obs_));
+        observer_, obs_));
   }
 }
 

@@ -37,13 +37,6 @@ void TraceSink::record(sim::Time t, TraceCategory cat, const char* name,
   }
   ++total_;
   ++per_category_[static_cast<std::size_t>(cat)];
-  // The event is fully stored before the listener runs, so a listener that
-  // records (the monitor's `violation`) sees a consistent ring. Copy the
-  // event first: its ring slot may be reused by that nested record().
-  if (listener_) {
-    const TraceEvent copy = ev;
-    listener_(copy);
-  }
 }
 
 void TraceSink::for_each(

@@ -18,6 +18,9 @@
 // The checker's text trace format (checker/trace_io.h) is unrelated: that is
 // a *history* of memory operations; this is an *execution* trace of the
 // whole stack.
+//
+// The sink is an export: nothing in the system consumes events while they
+// are recorded, so a run traces only when TraceOptions asks it to.
 #pragma once
 
 #include <array>
@@ -39,7 +42,8 @@ namespace cim::obs {
 // v3: every write lifecycle event (`write_issue` → `update_issued` → net
 // `send`/`deliver` → `pair_out`/`pair_in` → `update_applied`) carries the
 // originating `wid` (see cim::WriteId); new `chk` category with the
-// `violation` event emitted by checker::OnlineMonitor; field slots per record
+// `violation` event emitted by checker::OnlineMonitor (which is fed by the
+// mcs::MemoryObserver hooks, not by this sink); field slots per record
 // raised from 6 to 8.
 // v4: periodic `clock_sample` events (category sim, field `steady_ns`)
 // recorded on the engine thread by the mesh stats plane — each one pins a
@@ -161,15 +165,6 @@ class TraceSink {
   void record(sim::Time t, TraceCategory cat, const char* name,
               std::initializer_list<TraceField> fields);
 
-  /// Streaming consumer invoked synchronously for every accepted event,
-  /// after it is stored in the ring. One listener at a time (nullptr
-  /// detaches). The listener may itself record events (e.g. the online
-  /// monitor emitting `violation`); recursion is bounded because the
-  /// monitor ignores chk-category events.
-  using Listener = std::function<void(const TraceEvent&)>;
-  void set_listener(Listener listener) { listener_ = std::move(listener); }
-  bool has_listener() const { return static_cast<bool>(listener_); }
-
   // ---- introspection -------------------------------------------------------
   std::uint64_t recorded() const { return total_; }  // accepted, ever
   std::uint64_t dropped() const {                    // evicted by wraparound
@@ -201,7 +196,6 @@ class TraceSink {
   std::vector<TraceEvent> ring_;
   std::uint64_t total_ = 0;
   std::array<std::uint64_t, kNumTraceCategories> per_category_{};
-  Listener listener_;
 };
 
 /// Instrumentation-site helper: evaluates the field list only when `sink`

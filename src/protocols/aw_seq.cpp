@@ -19,17 +19,12 @@ void AwSeqProcess::handle_read(VarId var, mcs::ReadCallback cb) {
 
 void AwSeqProcess::do_write(VarId var, Value value, WriteId wid,
                             mcs::WriteCallback cb) {
-  note_update_issued(var, value, wid);
-  if (observer() != nullptr) {
-    observer()->on_write_issued(id(), var, value, simulator().now());
-  }
-  if (has_upcall_handler()) {
-    // IS-process write: apply locally and acknowledge immediately (see the
-    // header comment for why blocking would deadlock the upcall discipline).
+  // IS-process write: apply locally and acknowledge immediately (see the
+  // header comment for why blocking would deadlock the upcall discipline).
+  const bool pre_apply = has_upcall_handler();
+  note_update_issued(var, value, wid, /*applied_locally=*/pre_apply);
+  if (pre_apply) {
     store_.set(var, value);
-    if (observer() != nullptr) {
-      observer()->on_apply(id(), var, value, simulator().now());
-    }
     publish(var, value, wid, /*pre_applied=*/true);
     cb();
     return;
@@ -116,9 +111,6 @@ void AwSeqProcess::apply_step() {
           note_update_applied(var, value, wid);
         } else {
           note_update_applied(var, value, wid, received_at);
-        }
-        if (observer() != nullptr) {
-          observer()->on_apply(id(), var, value, simulator().now());
         }
       },
       /*done=*/[this, own, pre_applied = del.pre_applied]() {

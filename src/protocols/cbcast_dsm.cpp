@@ -24,10 +24,7 @@ void CbcastDsmProcess::handle_read(VarId var, mcs::ReadCallback cb) {
 
 void CbcastDsmProcess::do_write(VarId var, Value value, WriteId wid,
                                 mcs::WriteCallback cb) {
-  note_update_issued(var, value, wid);
-  if (observer() != nullptr) {
-    observer()->on_write_issued(id(), var, value, simulator().now());
-  }
+  note_update_issued(var, value, wid, /*applied_locally=*/false);
   // Self-delivery applies it.
   member_.broadcast(mp::CbPayload{var, value, wid});
   cb();
@@ -52,10 +49,6 @@ void CbcastDsmProcess::on_deliver(std::uint16_t sender,
       /*apply=*/[this, &payload]() {
         store_.set(payload.var, payload.value);
         note_update_applied(payload.var, payload.value, payload.wid);
-        if (observer() != nullptr) {
-          observer()->on_apply(id(), payload.var, payload.value,
-                               simulator().now());
-        }
       },
       /*done=*/[&completed]() { completed = true; });
   // The substrate delivers synchronously from one event; the IS-protocol

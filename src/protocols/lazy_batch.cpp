@@ -25,11 +25,7 @@ void LazyBatchProcess::do_write(VarId var, Value value, WriteId wid,
   // Local writes apply immediately (read-your-writes) and propagate.
   clock_.tick(local_index());
   store_.set(var, value);
-  note_update_issued(var, value, wid);
-  if (observer() != nullptr) {
-    observer()->on_write_issued(id(), var, value, simulator().now());
-    observer()->on_apply(id(), var, value, simulator().now());
-  }
+  note_update_issued(var, value, wid, /*applied_locally=*/true);
   for (std::uint16_t j = 0; j < num_procs(); ++j) {
     if (j == local_index()) continue;
     auto msg = std::make_unique<TimestampedUpdate>();
@@ -150,9 +146,6 @@ void LazyBatchProcess::run_batch() {
         /*apply=*/[this, &u]() {
           store_.set(u.var, u.value);
           note_update_applied(u.var, u.value, u.write_id, u.received_at);
-          if (observer() != nullptr) {
-            observer()->on_apply(id(), u.var, u.value, simulator().now());
-          }
         },
         /*done=*/[&completed]() { completed = true; });
     CIM_CHECK_MSG(completed, "lazy-batch requires synchronous upcall handlers");

@@ -31,11 +31,7 @@ void PartialRepProcess::do_write(VarId var, Value value, WriteId wid,
                                        << " outside its interest set");
   clock_.tick(local_index());
   store_.set(var, value);
-  note_update_issued(var, value, wid);
-  if (observer() != nullptr) {
-    observer()->on_write_issued(id(), var, value, simulator().now());
-    observer()->on_apply(id(), var, value, simulator().now());
-  }
+  note_update_issued(var, value, wid, /*applied_locally=*/true);
   for (std::uint16_t j = 0; j < num_procs(); ++j) {
     if (j == local_index()) continue;
     auto msg = std::make_unique<PartialUpdate>();
@@ -93,9 +89,6 @@ void PartialRepProcess::apply_step() {
           clock_.set(writer, writer_ticks);
           store_.set(var, value);
           note_update_applied(var, value, wid, received_at);
-          if (observer() != nullptr) {
-            observer()->on_apply(id(), var, value, simulator().now());
-          }
         },
         /*done=*/[this]() {
           simulator().post([this]() { apply_step(); });

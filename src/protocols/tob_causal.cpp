@@ -20,21 +20,13 @@ void TobCausalProcess::handle_read(VarId var, mcs::ReadCallback cb) {
 
 void TobCausalProcess::do_write(VarId var, Value value, WriteId wid,
                                 mcs::WriteCallback cb) {
-  note_update_issued(var, value, wid);
-  if (observer() != nullptr) {
-    observer()->on_write_issued(id(), var, value, simulator().now());
-  }
-  if (has_upcall_handler()) {
-    // IS-process host: keep the replica in pure sequence order so upcall
-    // reads always return the value being applied (condition (c)).
-    publish(var, value, wid, /*pre_applied=*/false);
-  } else {
-    store_.set(var, value);
-    if (observer() != nullptr) {
-      observer()->on_apply(id(), var, value, simulator().now());
-    }
-    publish(var, value, wid, /*pre_applied=*/true);
-  }
+  // An IS-process host keeps the replica in pure sequence order so upcall
+  // reads always return the value being applied (condition (c)); every
+  // other writer applies its own write at once.
+  const bool pre_apply = !has_upcall_handler();
+  note_update_issued(var, value, wid, /*applied_locally=*/pre_apply);
+  if (pre_apply) store_.set(var, value);
+  publish(var, value, wid, /*pre_applied=*/pre_apply);
   cb();  // writes acknowledge immediately in this protocol
 }
 
@@ -126,9 +118,6 @@ void TobCausalProcess::apply_step() {
           note_update_applied(var, value, wid);
         } else {
           note_update_applied(var, value, wid, received_at);
-        }
-        if (observer() != nullptr) {
-          observer()->on_apply(id(), var, value, simulator().now());
         }
       },
       /*done=*/continue_chain);

@@ -369,6 +369,43 @@ TEST(MeshDrain, CleanTerminationNeedsNoRedialAndNoGraceWait) {
   }
 }
 
+TEST(MeshMonitor, UntracedRunAllocatesNoTraceRing) {
+  // Every node runs the online monitor, fed by the observer hooks rather
+  // than the trace sink: without tracing asked for, no node allocates a
+  // trace ring, and the causal run raises no violation.
+  std::vector<std::unique_ptr<mesh::MeshNode>> nodes;
+  for (std::size_t i = 0; i < 2; ++i) {
+    mesh::MeshConfig cfg;
+    cfg.node_id = i;
+    cfg.topo = isc::make_chain(2);
+    cfg.base_port = test_port(190);
+    cfg.procs = 2;
+    cfg.ops = 200;
+    cfg.seed = 9;
+    cfg.join_timeout_ms = 20'000;
+    nodes.push_back(std::make_unique<mesh::MeshNode>(std::move(cfg)));
+  }
+  std::vector<mesh::MeshResult> results(2);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < 2; ++i) {
+    threads.emplace_back([&, i] {
+      if (nodes[i]->join()) results[i] = nodes[i]->run();
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(results[i].ok) << "node " << i << ": " << nodes[i]->error();
+    EXPECT_EQ(results[i].violations, 0u) << "node " << i;
+    isc::Federation& fed = nodes[i]->federation();
+    const obs::TraceSink& trace = fed.observability().trace();
+    EXPECT_FALSE(trace.enabled()) << "node " << i;
+    EXPECT_FALSE(trace.buffer_allocated()) << "node " << i;
+    EXPECT_EQ(trace.recorded(), 0u) << "node " << i;
+    ASSERT_NE(fed.monitor(), nullptr);
+    EXPECT_GT(fed.monitor()->events_seen(), 0u) << "node " << i;
+  }
+}
+
 TEST(MeshDrain, OneWayFlowIsAckedWithoutWaitingForAHeartbeat) {
   // Node 1 runs no workload, so it has no data frames to piggyback acks on,
   // and node 0 sends more pairs than one session journal holds (4096

@@ -25,72 +25,16 @@
 namespace cim::isc {
 namespace {
 
+using test::counterexample_config;
+using test::Probe;
+using test::run_counterexample;
 using test::X;
 using test::Y;
-
-// Delay model whose first sample is small and later samples large: separates
-// the two pairs on the link so the inversion is observable in S1.
-class StepDelay final : public net::DelayModel {
- public:
-  sim::Duration sample(Rng&) override {
-    return first_ ? (first_ = false, sim::milliseconds(1))
-                  : sim::milliseconds(50);
-  }
-
- private:
-  bool first_ = true;
-};
-
-struct Probe {
-  Value x_when_y_seen = -2;
-  bool fired = false;
-};
-
-FederationConfig counterexample_config(IsProtocolChoice choice_s0) {
-  proto::LazyBatchConfig lc;
-  lc.batch_interval = sim::milliseconds(20);
-  lc.order = proto::BatchOrder::kReverseVars;
-
-  FederationConfig cfg = test::two_systems(
-      2, proto::lazy_batch_protocol(lc), proto::anbkh_protocol(), 42);
-  cfg.links[0].delay = [] { return std::make_unique<StepDelay>(); };
-  cfg.links[0].choice_a = choice_s0;
-  return cfg;
-}
-
-void run_counterexample(Federation& fed, Probe& probe) {
-  auto& sim = fed.simulator();
-  // The causal chain w(x)1 ⇝ w(y)2 in S0 (program order of p(0,0)).
-  fed.system(0).app(0).write(X, 1);
-  sim.at(sim::Time{} + sim::milliseconds(5),
-         [&] { fed.system(0).app(0).write(Y, 2); });
-
-  // A reader in S1 polls y; the moment it sees 2 it reads x.
-  auto& reader = fed.system(1).app(1);
-  auto poll = std::make_shared<std::function<void()>>();
-  *poll = [&, poll] {
-    reader.read(Y, [&, poll](Value y) {
-      if (y == 2) {
-        reader.read(X, [&](Value x) {
-          probe.x_when_y_seen = x;
-          probe.fired = true;
-        });
-      } else {
-        sim.after(sim::milliseconds(2), [poll] { (*poll)(); });
-      }
-    });
-  };
-  (*poll)();
-  fed.run();
-  // The stored lambda captures `poll` itself; break the ownership cycle so
-  // the closure is reclaimed.
-  *poll = nullptr;
-  ASSERT_TRUE(probe.fired);
-}
 
 TEST(Counterexample, Protocol1AloneViolatesCausality) {
   FederationConfig cfg = counterexample_config(IsProtocolChoice::kForceProtocol1);
   cfg.monitor.enabled = true;  // the online monitor must convict this live
+  cfg.obs.trace.enabled = true;  // ...and emit its verdicts as chk events
   Federation fed(std::move(cfg));
   ASSERT_FALSE(fed.interconnector().shared_isp(0).pre_reads_enabled());
 

@@ -1,5 +1,5 @@
 // Shared test helpers: compact builders for systems, federations, and
-// hand-written histories.
+// hand-written histories, and the Section-3 counterexample scenario.
 #pragma once
 
 #include <netinet/in.h>
@@ -7,9 +7,12 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "checker/history.h"
 #include "interconnect/federation.h"
@@ -125,6 +128,73 @@ inline isc::FederationConfig two_systems(std::uint16_t procs,
   link.system_b = 1;
   cfg.links.push_back(std::move(link));
   return cfg;
+}
+
+// Delay model whose first sample is small and later samples large: separates
+// the two pairs on the link so the inversion is observable in S1.
+class StepDelay final : public net::DelayModel {
+ public:
+  sim::Duration sample(Rng&) override {
+    return first_ ? (first_ = false, sim::milliseconds(1))
+                  : sim::milliseconds(50);
+  }
+
+ private:
+  bool first_ = true;
+};
+
+/// What the counterexample's reader in S1 saw of x once it read y = 2.
+struct Probe {
+  Value x_when_y_seen = -2;
+  bool fired = false;
+};
+
+/// The Section-3 counterexample (tests/counterexample_test.cpp): S0 runs
+/// lazy-batch with adversarial batch order, S1 runs ANBKH; `choice_s0` picks
+/// S0's IS-protocol.
+inline isc::FederationConfig counterexample_config(
+    isc::IsProtocolChoice choice_s0) {
+  proto::LazyBatchConfig lc;
+  lc.batch_interval = sim::milliseconds(20);
+  lc.order = proto::BatchOrder::kReverseVars;
+
+  isc::FederationConfig cfg = two_systems(
+      2, proto::lazy_batch_protocol(lc), proto::anbkh_protocol(), 42);
+  cfg.links[0].delay = [] { return std::make_unique<StepDelay>(); };
+  cfg.links[0].choice_a = choice_s0;
+  return cfg;
+}
+
+/// p(0,0) writes x=1 then y=2; a reader in S1 polls y and, once it reads 2,
+/// reads x into `probe`.
+inline void run_counterexample(isc::Federation& fed, Probe& probe) {
+  auto& sim = fed.simulator();
+  // The causal chain w(x)1 ⇝ w(y)2 in S0 (program order of p(0,0)).
+  fed.system(0).app(0).write(X, 1);
+  sim.at(sim::Time{} + sim::milliseconds(5),
+         [&] { fed.system(0).app(0).write(Y, 2); });
+
+  // A reader in S1 polls y; the moment it sees 2 it reads x.
+  auto& reader = fed.system(1).app(1);
+  auto poll = std::make_shared<std::function<void()>>();
+  *poll = [&, poll] {
+    reader.read(Y, [&, poll](Value y) {
+      if (y == 2) {
+        reader.read(X, [&](Value x) {
+          probe.x_when_y_seen = x;
+          probe.fired = true;
+        });
+      } else {
+        sim.after(sim::milliseconds(2), [poll] { (*poll)(); });
+      }
+    });
+  };
+  (*poll)();
+  fed.run();
+  // The stored lambda captures `poll` itself; break the ownership cycle so
+  // the closure is reclaimed.
+  *poll = nullptr;
+  ASSERT_TRUE(probe.fired);
 }
 
 /// Chain of `m` systems: S0 - S1 - ... - S(m-1).

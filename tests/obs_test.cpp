@@ -296,39 +296,6 @@ TEST(ObsTrace, JsonlRendersEveryFieldType) {
             "\"type\":\"vc.update\"}}\n");
 }
 
-TEST(ObsTrace, ListenerSeesAcceptedEventsOnlyAndMayRecord) {
-  obs::TraceOptions opts;
-  opts.enabled = true;
-  opts.capacity = 8;
-  opts.category_mask = obs::category_bit(TraceCategory::kNet) |
-                       obs::category_bit(TraceCategory::kChk);
-  obs::TraceSink sink(opts);
-
-  int seen = 0;
-  sink.set_listener([&sink, &seen](const obs::TraceEvent& ev) {
-    ++seen;
-    // A listener may itself record (the online monitor emits `violation`);
-    // guard on category exactly like the monitor to bound recursion.
-    if (ev.cat != TraceCategory::kChk) {
-      sink.record(ev.t, TraceCategory::kChk, "violation", {});
-    }
-  });
-  ASSERT_TRUE(sink.has_listener());
-
-  sink.record(sim::Time{1}, TraceCategory::kNet, "send", {});
-  sink.record(sim::Time{2}, TraceCategory::kProto, "update_issued", {});  // masked
-  // The net event and the listener's own chk event were both stored and
-  // both delivered to the listener; the masked proto event was neither.
-  EXPECT_EQ(seen, 2);
-  EXPECT_EQ(sink.recorded(), 2u);
-  EXPECT_EQ(sink.category_count(TraceCategory::kChk), 1u);
-
-  sink.set_listener(nullptr);
-  EXPECT_FALSE(sink.has_listener());
-  sink.record(sim::Time{3}, TraceCategory::kNet, "send", {});
-  EXPECT_EQ(seen, 2);
-}
-
 TEST(ObsTrace, ClearResetsCountersKeepsCapacity) {
   obs::TraceOptions opts;
   opts.enabled = true;

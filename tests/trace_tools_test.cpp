@@ -1,8 +1,9 @@
 // Trace tooling tests: write ids on the lifecycle events, JSONL round-trip
 // through the trace_read parser, per-write span reconstruction (live and
 // offline agree; propagation reproduces isc.propagation_latency), the
-// Chrome Trace Event exporter's schema, and the online monitor's detection
-// rules on synthetic streams.
+// Chrome Trace Event exporter's schema, the online monitor's detection
+// rules on synthetic streams, and its live verdicts against a replay of the
+// exported trace.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -254,9 +255,6 @@ TEST(PerfettoExport, EmitsValidChromeTraceJson) {
 
 class MonitorFeed {
  public:
-  explicit MonitorFeed(chk::MonitorOptions opts = {.enabled = true})
-      : monitor_(opts) {}
-
   chk::OnlineMonitor& monitor() { return monitor_; }
 
   void write_issue(std::int64_t t, ProcId p, WriteId wid, VarId var,
@@ -383,24 +381,101 @@ TEST(OnlineMonitor, DisabledFederationMonitorAddsNothing) {
   isc::Federation fed(std::move(cfg));
   EXPECT_EQ(fed.monitor(), nullptr);
   EXPECT_FALSE(fed.observability().trace().enabled());
-  EXPECT_FALSE(fed.observability().trace().has_listener());
   fed.system(0).app(0).write(X, 1);
   fed.run();
   EXPECT_EQ(fed.observability().trace().recorded(), 0u);
 }
 
-TEST(OnlineMonitor, EnabledFederationMonitorForcesTracing) {
+TEST(OnlineMonitor, EnabledFederationMonitorLeavesTracingOff) {
   isc::FederationConfig cfg = test::two_systems(2, proto::anbkh_protocol(),
                                                 proto::anbkh_protocol(), 5);
   cfg.monitor.enabled = true;  // note: obs.trace.enabled left false
   isc::Federation fed(std::move(cfg));
   ASSERT_NE(fed.monitor(), nullptr);
-  EXPECT_TRUE(fed.observability().trace().enabled());
-  EXPECT_TRUE(fed.observability().trace().has_listener());
+  // The monitor is fed by the observer hooks, not by the trace sink.
+  EXPECT_FALSE(fed.observability().trace().enabled());
+  EXPECT_FALSE(fed.observability().trace().buffer_allocated());
   fed.system(0).app(0).write(X, 1);
+  fed.system(1).app(0).read(X, [](Value) {});
   fed.run();
+  EXPECT_EQ(fed.observability().trace().recorded(), 0u);
   EXPECT_GT(fed.monitor()->events_seen(), 0u);
   EXPECT_EQ(fed.monitor()->violation_count(), 0u);  // ANBKH is causal
+}
+
+// ---- online monitor: the live verdicts match a replay of the trace ---------
+
+// Exports `fed`'s trace, replays it through a fresh monitor, and expects the
+// replayed violations to equal the live monitor's, record for record.
+void expect_replay_matches_live(isc::Federation& fed) {
+  const obs::TraceSink& trace = fed.observability().trace();
+  ASSERT_TRUE(trace.enabled());
+  ASSERT_EQ(trace.dropped(), 0u);
+  std::ostringstream os;
+  trace.write_jsonl(os);
+  std::istringstream in(os.str());
+  std::vector<std::string> errors;
+  chk::OnlineMonitor replay;
+  for (const ParsedTraceEvent& ev : obs::read_trace_jsonl(in, &errors)) {
+    replay.observe(ev);
+  }
+  ASSERT_TRUE(errors.empty()) << errors.front();
+
+  ASSERT_NE(fed.monitor(), nullptr);
+  const std::vector<chk::Violation>& live = fed.monitor()->violations();
+  const std::vector<chk::Violation>& replayed = replay.violations();
+  EXPECT_EQ(fed.monitor()->violation_count(), replay.violation_count());
+  ASSERT_EQ(live.size(), replayed.size());
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    SCOPED_TRACE("violation " + std::to_string(i));
+    EXPECT_STREQ(live[i].kind, replayed[i].kind);
+    EXPECT_EQ(live[i].t, replayed[i].t);
+    EXPECT_EQ(live[i].proc, replayed[i].proc);
+    EXPECT_EQ(live[i].var, replayed[i].var);
+    EXPECT_EQ(live[i].wid, replayed[i].wid);
+    EXPECT_EQ(live[i].expected_seq, replayed[i].expected_seq);
+    EXPECT_EQ(live[i].got_seq, replayed[i].got_seq);
+  }
+}
+
+TEST(OnlineMonitor, ReplayMatchesLiveOnTheSection3Counterexample) {
+  for (const isc::IsProtocolChoice choice :
+       {isc::IsProtocolChoice::kForceProtocol1, isc::IsProtocolChoice::kAuto}) {
+    SCOPED_TRACE(choice == isc::IsProtocolChoice::kAuto ? "auto" : "forced 1");
+    isc::FederationConfig cfg = test::counterexample_config(choice);
+    cfg.monitor.enabled = true;
+    cfg.obs.trace.enabled = true;
+    isc::Federation fed(std::move(cfg));
+    test::Probe probe;
+    test::run_counterexample(fed, probe);
+    // Protocol 1 alone is convicted live; protocol 2 repairs the run.
+    EXPECT_EQ(fed.monitor()->violations().empty(),
+              choice == isc::IsProtocolChoice::kAuto);
+    expect_replay_matches_live(fed);
+  }
+}
+
+TEST(OnlineMonitor, ReplayMatchesLiveAcrossPreApplyingIsProcesses) {
+  // AW-seq's IS-process and TOB-causal's writers apply their own writes
+  // before the apply pipeline re-applies (or skips) them; the monitor must
+  // see only the pipeline's applies, live as in the trace.
+  for (const bool aw_first : {true, false}) {
+    SCOPED_TRACE(aw_first ? "aw_seq - tob_causal" : "tob_causal - aw_seq");
+    isc::FederationConfig cfg = test::two_systems(
+        3, aw_first ? proto::aw_seq_protocol() : proto::tob_causal_protocol(),
+        aw_first ? proto::tob_causal_protocol() : proto::aw_seq_protocol(), 17);
+    cfg.monitor.enabled = true;
+    cfg.obs.trace.enabled = true;
+    isc::Federation fed(std::move(cfg));
+    wl::UniformConfig wc;
+    wc.ops_per_process = 40;
+    wc.seed = 23;
+    auto runners = wl::install_uniform(fed, wc);
+    fed.run();
+    EXPECT_GT(fed.monitor()->events_seen(), 0u);
+    EXPECT_TRUE(fed.monitor()->violations().empty());
+    expect_replay_matches_live(fed);
+  }
 }
 
 }  // namespace

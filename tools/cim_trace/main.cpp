@@ -178,7 +178,7 @@ int cmd_check(const std::string& path) {
     }
     in = &file;
   }
-  cim::chk::OnlineMonitor monitor{cim::chk::MonitorOptions{.enabled = true}};
+  cim::chk::OnlineMonitor monitor;
   cim::chk::TraceHistoryBuilder builder;
   std::string line;
   std::size_t records = 0, bad = 0;
