@@ -18,7 +18,7 @@
 
 #include "bench_util.h"
 #include "checker/causal_checker.h"
-#include "stats/table.h"
+#include "obs/table.h"
 
 namespace {
 
@@ -100,8 +100,8 @@ int main() {
   const Outcome reorder = sweep(/*fifo=*/false, /*drop=*/0.0, kSeeds);
   const Outcome lossy = sweep(/*fifo=*/true, /*drop=*/0.2, kSeeds);
 
-  stats::Table table({"link configuration", "causality violations",
-                      "pairs delivered", "pairs lost"});
+  obs::Table table({"link configuration", "causality violations",
+                    "pairs delivered", "pairs lost"});
   table.add_row("reliable FIFO (paper)", ok.violations, ok.delivered,
                 ok.dropped);
   table.add_row("reordering (no FIFO)", reorder.violations, reorder.delivered,

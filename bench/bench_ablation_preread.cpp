@@ -22,7 +22,7 @@
 
 #include "bench_util.h"
 #include "checker/causal_checker.h"
-#include "stats/table.h"
+#include "obs/table.h"
 
 namespace {
 
@@ -111,8 +111,8 @@ int main() {
   const Outcome p1 = sweep(isc::IsProtocolChoice::kForceProtocol1, kSeeds);
   const Outcome p2 = sweep(isc::IsProtocolChoice::kAuto, kSeeds);
 
-  stats::Table table({"IS-protocol at S0", "runs", "causality violations",
-                      "scrambled batches at isp^0"});
+  obs::Table table({"IS-protocol at S0", "runs", "causality violations",
+                    "scrambled batches at isp^0"});
   table.add_row("protocol 1 (forced, no pre-read)", kSeeds, p1.violations,
                 p1.scrambled_batches);
   table.add_row("protocol 2 (auto: pre-read on)", kSeeds, p2.violations,

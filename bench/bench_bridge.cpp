@@ -48,7 +48,7 @@
 #include "net/fault_inject.h"
 #include "net/tcp_link.h"
 #include "net/wire.h"
-#include "stats/table.h"
+#include "obs/table.h"
 
 namespace {
 
@@ -374,7 +374,7 @@ ObsMeshResult run_obs_mesh(std::uint16_t base_port, int stats_interval_ms) {
 int main() {
   bench::JsonReport report("bridge");
   report.meta("messages", std::uint64_t{kMessages});
-  stats::Table table(
+  obs::Table table(
       {"mesh", "Mmsg/s", "syscalls/msg", "coalesced"});
 
   const std::pair<const char*, isc::Topology> shapes[] = {

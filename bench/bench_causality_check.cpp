@@ -6,7 +6,7 @@
 
 #include "bench_util.h"
 #include "checker/causal_checker.h"
-#include "stats/table.h"
+#include "obs/table.h"
 
 namespace {
 
@@ -34,8 +34,8 @@ int main() {
   std::cout << "E5 — Theorem 1: the interconnected system S^T is causal\n"
             << "(verdicts over random workloads; bad-pattern CM checker)\n\n";
 
-  stats::Table table({"protocols", "topology", "runs", "ops/run",
-                      "causal verdicts", "check time/run"});
+  obs::Table table({"protocols", "topology", "runs", "ops/run",
+                    "causal verdicts", "check time/run"});
 
   auto all = combos();
   const std::uint64_t kSeeds = 8;

@@ -41,7 +41,7 @@
 #include "checker/causal_checker.h"
 #include "checker/history.h"
 #include "common/rng.h"
-#include "stats/table.h"
+#include "obs/table.h"
 
 namespace {
 
@@ -180,7 +180,7 @@ chk::History dup_history(std::size_t n_ops, std::size_t procs,
   return b.build();
 }
 
-bool run_row(bench::JsonReport& report, stats::Table& table,
+bool run_row(bench::JsonReport& report, obs::Table& table,
              const std::string& name, const chk::History& h, double build_ms,
              chk::Level level) {
   chk::CausalChecker checker;
@@ -234,7 +234,7 @@ int main() {
   bench::JsonReport report("checker");
   report.meta("seed", kSeed);
   report.meta("ops", static_cast<std::uint64_t>(ops));
-  stats::Table table(
+  obs::Table table(
       {"row", "ops", "build ms", "check ms", "Mops/s", "bytes/op", "verdict"});
 
   bool ok = true;

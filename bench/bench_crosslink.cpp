@@ -12,7 +12,7 @@
 
 #include "bench_report.h"
 #include "bench_util.h"
-#include "stats/table.h"
+#include "obs/table.h"
 
 namespace {
 
@@ -67,8 +67,8 @@ int main() {
             << "paper: global DSM n/2; interconnected systems 1\n\n";
 
   bench::JsonReport report("crosslink");
-  stats::Table table({"n", "paper global (n/2)", "measured global",
-                      "paper IS (1)", "measured IS"});
+  obs::Table table({"n", "paper global (n/2)", "measured global",
+                    "paper IS (1)", "measured IS"});
   for (std::uint16_t n : {4, 8, 16, 32, 64}) {
     const double global = global_cross_per_write(n, 5);
     const double interconnected = interconnected_cross_per_write(n, 5);

@@ -12,8 +12,8 @@
 
 #include "bench_util.h"
 #include "checker/causal_checker.h"
-#include "stats/table.h"
-#include "stats/visibility.h"
+#include "mcs/span_feed.h"
+#include "obs/table.h"
 
 namespace {
 
@@ -52,8 +52,9 @@ Outcome run(double duty, std::uint64_t seed) {
   cfg.links.push_back(std::move(link));
   isc::Federation fed(std::move(cfg));
 
-  stats::VisibilityTracker vis;
-  fed.add_observer(&vis);
+  obs::SpanIndex spans;
+  mcs::SpanFeed feed(spans);
+  fed.add_observer(&feed);
 
   wl::UniformConfig wc;
   wc.ops_per_process = 40;
@@ -63,7 +64,7 @@ Outcome run(double duty, std::uint64_t seed) {
   fed.run();
 
   Outcome out;
-  out.worst = vis.worst_visibility(bench::all_app_procs(fed))
+  out.worst = spans.worst_visibility(bench::all_app_procs(fed))
                   .value_or(sim::Duration{-1});
   out.pairs = fed.interconnector().shared_isp(0).pairs_received() +
               fed.interconnector().shared_isp(1).pairs_received();
@@ -77,8 +78,8 @@ int main() {
   std::cout << "E7 — interconnection over an intermittently available "
                "(dial-up) link\nperiod 100ms, ANBKH systems, 2x3 processes\n\n";
 
-  stats::Table table({"link duty cycle", "worst visibility", "pairs delivered",
-                      "causal"});
+  obs::Table table({"link duty cycle", "worst visibility", "pairs delivered",
+                    "causal"});
   for (double duty : {1.0, 0.5, 0.2, 0.05}) {
     const Outcome o = run(duty, 11);
     char label[16];

@@ -15,8 +15,8 @@
 #include "bench_report.h"
 #include "bench_util.h"
 #include "checker/causal_checker.h"
-#include "stats/table.h"
-#include "stats/visibility.h"
+#include "mcs/span_feed.h"
+#include "obs/table.h"
 
 namespace {
 
@@ -55,8 +55,9 @@ Outcome run(double drop, bool reliable, std::uint64_t seed) {
   cfg.links.push_back(std::move(link));
   isc::Federation fed(std::move(cfg));
 
-  stats::VisibilityTracker vis;
-  fed.add_observer(&vis);
+  obs::SpanIndex spans;
+  mcs::SpanFeed feed(spans);
+  fed.add_observer(&feed);
 
   wl::UniformConfig wc;
   wc.ops_per_process = 60;
@@ -75,7 +76,7 @@ Outcome run(double drop, bool reliable, std::uint64_t seed) {
           ? 1.0
           : static_cast<double>(out.pairs_received) /
                 static_cast<double>(out.pairs_sent);
-  out.worst = vis.worst_visibility(bench::all_app_procs(fed))
+  out.worst = spans.worst_visibility(bench::all_app_procs(fed))
                   .value_or(sim::Duration{-1});
   const double seconds =
       static_cast<double>(fed.simulator().now().ns) / 1e9;
@@ -96,8 +97,8 @@ int main() {
                "2 ANBKH systems x 3 processes, uniform 1-8ms link delay\n\n";
 
   bench::JsonReport report("faulty_link");
-  stats::Table table({"drop p", "transport", "pairs recv/sent", "delivered",
-                      "worst visibility", "pairs/s", "retx", "causal"});
+  obs::Table table({"drop p", "transport", "pairs recv/sent", "delivered",
+                    "worst visibility", "pairs/s", "retx", "causal"});
 
   for (double drop : {0.0, 0.01, 0.1, 0.3}) {
     for (bool reliable : {false, true}) {

@@ -15,8 +15,8 @@
 
 #include "bench_report.h"
 #include "bench_util.h"
-#include "stats/table.h"
-#include "stats/visibility.h"
+#include "mcs/span_feed.h"
+#include "obs/table.h"
 
 namespace {
 
@@ -33,15 +33,16 @@ sim::Duration measure_worst_latency(std::size_t m, sim::Duration l,
   params.isp_mode = mode;
   isc::Federation fed(bench::make_config(params));
 
-  stats::VisibilityTracker vis;
-  fed.add_observer(&vis);
+  obs::SpanIndex spans;
+  mcs::SpanFeed feed(spans);
+  fed.add_observer(&feed);
 
   // A single write in a leaf system (the worst-placed writer of a star).
   const std::size_t writer_system = m >= 2 ? 1 : 0;
   fed.system(writer_system).app(0).write(VarId{0}, 1);
   fed.run();
 
-  auto worst = vis.worst_visibility(bench::all_app_procs(fed));
+  auto worst = spans.worst_visibility(bench::all_app_procs(fed));
   return worst.value_or(sim::Duration{-1});
 }
 
@@ -59,8 +60,8 @@ int main() {
             << "paper: single system l; star of m>=3 systems 3l + 2d\n\n";
 
   bench::JsonReport report("latency");
-  stats::Table table({"m", "l", "d", "paper", "measured (per-link ISP)",
-                      "measured (shared ISP)"});
+  obs::Table table({"m", "l", "d", "paper", "measured (per-link ISP)",
+                    "measured (shared ISP)"});
   struct Cfg {
     std::int64_t l_ms, d_ms;
   };

@@ -12,7 +12,7 @@
 
 #include "bench_report.h"
 #include "bench_util.h"
-#include "stats/table.h"
+#include "obs/table.h"
 
 namespace {
 
@@ -49,8 +49,8 @@ int main() {
             << "paper: global n-1; m interconnected systems n+m-1\n\n";
 
   bench::JsonReport report("messages");
-  stats::Table table({"n (app procs)", "m (systems)", "paper", "measured",
-                      "match"});
+  obs::Table table({"n (app procs)", "m (systems)", "paper", "measured",
+                    "match"});
   for (std::uint16_t n : {8, 16, 24, 48}) {
     for (std::size_t m : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                           std::size_t{8}}) {

@@ -10,8 +10,8 @@
 
 #include "bench_util.h"
 #include "checker/causal_checker.h"
+#include "obs/table.h"
 #include "protocols/partial_rep.h"
-#include "stats/table.h"
 
 namespace {
 
@@ -80,8 +80,8 @@ int main() {
                "sharing fraction\n6 processes, private slice + one shared "
                "variable, write-only workload\n\n";
 
-  stats::Table table({"workload shared%", "replication", "msgs/write",
-                      "bytes/write", "causal"});
+  obs::Table table({"workload shared%", "replication", "msgs/write",
+                    "bytes/write", "causal"});
   for (double frac : {1.0, 0.5, 0.2, 0.0}) {
     char label[16];
     std::snprintf(label, sizeof(label), "%.0f%%", frac * 100);

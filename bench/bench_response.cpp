@@ -12,16 +12,16 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "stats/response.h"
-#include "stats/table.h"
+#include "checker/history.h"
+#include "obs/table.h"
 
 namespace {
 
 using namespace cim;
 
 struct Row {
-  stats::ResponseStats reads;
-  stats::ResponseStats writes;
+  chk::ResponseStats reads;
+  chk::ResponseStats writes;
 };
 
 Row measure(std::size_t m, std::uint16_t n_total, mcs::ProtocolFactory proto,
@@ -41,8 +41,8 @@ Row measure(std::size_t m, std::uint16_t n_total, mcs::ProtocolFactory proto,
   fed.run();
 
   auto history = fed.federation_history();
-  return Row{stats::response_stats(history, chk::OpKind::kRead),
-             stats::response_stats(history, chk::OpKind::kWrite)};
+  return Row{chk::response_stats(history, chk::OpKind::kRead),
+             chk::response_stats(history, chk::OpKind::kWrite)};
 }
 
 std::string us(double ns) {
@@ -57,8 +57,8 @@ int main() {
   std::cout << "E4 — operation response time, global vs interconnected "
                "(Section 6)\n\n";
 
-  stats::Table table({"protocol", "layout", "read mean", "read max",
-                      "write mean", "write max"});
+  obs::Table table({"protocol", "layout", "read mean", "read max",
+                    "write mean", "write max"});
   const std::uint16_t n = 8;
   struct P {
     const char* name;

@@ -15,7 +15,7 @@
 #include "bench_util.h"
 #include "checker/causal_checker.h"
 #include "checker/search_checker.h"
-#include "stats/table.h"
+#include "obs/table.h"
 
 namespace {
 
@@ -103,8 +103,8 @@ int main() {
   const Counts single = single_system_runs(kSeeds);
   const Counts joined = union_runs(kSeeds);
 
-  stats::Table table({"configuration", "runs", "causal", "sequential",
-                      "undecided"});
+  obs::Table table({"configuration", "runs", "causal", "sequential",
+                    "undecided"});
   table.add_row("single aw-seq system (1x3)", single.runs, single.causal,
                 single.sequential, single.undecided);
   table.add_row("union of two aw-seq systems (2x2)", joined.runs,

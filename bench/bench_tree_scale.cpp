@@ -12,8 +12,8 @@
 #include "bench_report.h"
 #include "bench_util.h"
 #include "checker/causal_checker.h"
-#include "stats/table.h"
-#include "stats/visibility.h"
+#include "mcs/span_feed.h"
+#include "obs/table.h"
 
 namespace {
 
@@ -48,11 +48,12 @@ sim::Duration worst_latency(bench::Topology topo, std::size_t m,
   params.isp_mode = isc::IspMode::kPerLink;
   isc::Federation fed(bench::make_config(params));
 
-  stats::VisibilityTracker vis;
-  fed.add_observer(&vis);
+  obs::SpanIndex spans;
+  mcs::SpanFeed feed(spans);
+  fed.add_observer(&feed);
   fed.system(0).app(0).write(VarId{0}, 1);
   fed.run();
-  return vis.worst_visibility(bench::all_app_procs(fed))
+  return spans.worst_visibility(bench::all_app_procs(fed))
       .value_or(sim::Duration{-1});
 }
 
@@ -104,12 +105,13 @@ PerfResult perf_run(bench::Topology topo, std::size_t m, std::uint16_t procs,
   {
     isc::Federation fed(
         bench::make_config(perf_params(topo, m, procs, seed)));
-    stats::VisibilityTracker vis;
-    fed.add_observer(&vis);
+    obs::SpanIndex spans;
+    mcs::SpanFeed feed(spans);
+    fed.add_observer(&feed);
     auto runners = wl::install_uniform(fed, wc);
     fed.run();
     std::vector<sim::Duration> lat =
-        vis.all_visibilities(bench::all_app_procs(fed));
+        spans.visibilities(bench::all_app_procs(fed));
     if (!lat.empty()) {
       std::sort(lat.begin(), lat.end(),
                 [](sim::Duration a, sim::Duration b) { return a.ns < b.ns; });
@@ -130,7 +132,7 @@ int main() {
 
   const std::uint16_t procs = 2;
   std::cout << "Traffic (shared IS-processes): paper formula n + m - 1\n";
-  stats::Table traffic({"topology", "m", "n", "paper", "measured"});
+  obs::Table traffic({"topology", "m", "n", "paper", "measured"});
   for (bench::Topology topo : {bench::Topology::kChain, bench::Topology::kStar,
                                bench::Topology::kBinaryTree}) {
     for (std::size_t m : {std::size_t{2}, std::size_t{4}, std::size_t{8},
@@ -153,7 +155,7 @@ int main() {
   std::cout << "\nLatency (per-link IS-processes, writer in system 0, l="
             << bench::ms_string(l) << ", d=" << bench::ms_string(d)
             << "): formula (h+1)l + h*d\n";
-  stats::Table latency(
+  obs::Table latency(
       {"topology", "m", "h (ecc. of S0)", "paper", "measured"});
   for (bench::Topology topo : {bench::Topology::kChain, bench::Topology::kStar,
                                bench::Topology::kBinaryTree}) {
@@ -180,8 +182,8 @@ int main() {
 
   std::cout << "\nEngine throughput (events/sec, wall clock — the "
                "perf-regression rows)\n";
-  stats::Table perf({"topology", "m", "events", "wall s", "events/s", "ops/s",
-                     "p99 vis"});
+  obs::Table perf({"topology", "m", "events", "wall s", "events/s", "ops/s",
+                   "p99 vis"});
   for (bench::Topology topo :
        {bench::Topology::kStar, bench::Topology::kBinaryTree}) {
     for (std::size_t m : {std::size_t{4}, std::size_t{8}}) {

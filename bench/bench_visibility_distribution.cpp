@@ -9,16 +9,16 @@
 
 #include "bench_report.h"
 #include "bench_util.h"
-#include "stats/summary.h"
-#include "stats/table.h"
-#include "stats/visibility.h"
+#include "mcs/span_feed.h"
+#include "obs/summary.h"
+#include "obs/table.h"
 
 namespace {
 
 using namespace cim;
 
-stats::DurationSummary run(std::size_t m, sim::Duration l, sim::Duration d,
-                           std::uint64_t seed) {
+obs::DurationSummary run(std::size_t m, sim::Duration l, sim::Duration d,
+                         std::uint64_t seed) {
   isc::FederationConfig cfg;
   cfg.seed = seed;
   cfg.isp_mode = isc::IspMode::kPerLink;
@@ -44,8 +44,9 @@ stats::DurationSummary run(std::size_t m, sim::Duration l, sim::Duration d,
   }
   isc::Federation fed(std::move(cfg));
 
-  stats::VisibilityTracker vis;
-  fed.add_observer(&vis);
+  obs::SpanIndex spans;
+  mcs::SpanFeed feed(spans);
+  fed.add_observer(&feed);
 
   wl::UniformConfig wc;
   wc.ops_per_process = 25;
@@ -56,7 +57,7 @@ stats::DurationSummary run(std::size_t m, sim::Duration l, sim::Duration d,
   auto runners = wl::install_uniform(fed, wc);
   fed.run();
 
-  return stats::summarize(vis.all_visibilities(bench::all_app_procs(fed)));
+  return obs::summarize(spans.visibilities(bench::all_app_procs(fed)));
 }
 
 }  // namespace
@@ -69,8 +70,8 @@ int main() {
   bench::JsonReport report("visibility_distribution");
   const sim::Duration l = sim::milliseconds(2);
   const sim::Duration d = sim::milliseconds(10);
-  stats::Table table({"m", "writes", "p50", "p90", "p99", "max",
-                      "bound 3l+2d", "within bound"});
+  obs::Table table({"m", "writes", "p50", "p90", "p99", "max",
+                    "bound 3l+2d", "within bound"});
   for (std::size_t m : {std::size_t{2}, std::size_t{3}, std::size_t{5},
                         std::size_t{8}}) {
     const auto s = run(m, l, d, 17);

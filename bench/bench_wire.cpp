@@ -15,10 +15,10 @@
 #include "msgpass/cbcast.h"
 #include "net/reliable_transport.h"
 #include "net/wire.h"
+#include "obs/table.h"
 #include "protocols/aw_seq.h"
 #include "protocols/partial_rep.h"
 #include "protocols/update_msg.h"
-#include "stats/table.h"
 
 namespace {
 
@@ -125,7 +125,7 @@ const char* label_of(const net::Message& msg) {
 int main() {
   bench::JsonReport report("wire");
   report.meta("iterations", std::uint64_t{kIterations});
-  stats::Table table({"type", "bytes/msg", "encode Mmsg/s", "decode Mmsg/s"});
+  obs::Table table({"type", "bytes/msg", "encode Mmsg/s", "decode Mmsg/s"});
 
   for (const net::MessagePtr& msg : representative_messages()) {
     std::vector<std::uint8_t> buf;

@@ -16,11 +16,11 @@
 #include "checker/search_checker.h"
 #include "checker/session_checker.h"
 #include "interconnect/federation.h"
+#include "obs/table.h"
 #include "protocols/anbkh.h"
 #include "protocols/aw_seq.h"
 #include "protocols/lazy_batch.h"
 #include "protocols/tob_causal.h"
-#include "stats/table.h"
 #include "workload/generator.h"
 
 using namespace cim;
@@ -52,7 +52,7 @@ int main() {
                "protocol,\ncontended workload (concurrent writers on shared "
                "variables)\n\n";
 
-  stats::Table table(
+  obs::Table table(
       {"protocol", "CM (causal)", "CCv", "sequential", "RYW", "MR", "MW"});
 
   for (auto& p : protocols()) {

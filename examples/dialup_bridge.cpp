@@ -16,7 +16,6 @@
 #include "checker/causal_checker.h"
 #include "interconnect/federation.h"
 #include "protocols/anbkh.h"
-#include "stats/visibility.h"
 
 using namespace cim;
 

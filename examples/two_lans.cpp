@@ -20,10 +20,10 @@
 
 #include "checker/causal_checker.h"
 #include "interconnect/federation.h"
+#include "mcs/span_feed.h"
 #include "obs/metrics.h"
+#include "obs/table.h"
 #include "protocols/anbkh.h"
-#include "stats/table.h"
-#include "stats/visibility.h"
 #include "workload/generator.h"
 
 using namespace cim;
@@ -65,8 +65,9 @@ Result run_global() {
   cfg.systems.push_back(std::move(sys));
   isc::Federation fed(std::move(cfg));
 
-  stats::VisibilityTracker vis;
-  fed.add_observer(&vis);
+  obs::SpanIndex spans;
+  mcs::SpanFeed feed(spans);
+  fed.add_observer(&feed);
   wl::UniformConfig wc;
   wc.ops_per_process = 20;
   wc.seed = 11;
@@ -83,7 +84,8 @@ Result run_global() {
   for (std::uint16_t p = 0; p < 2 * kProcsPerLan; ++p) {
     targets.push_back(ProcId{SystemId{0}, p});
   }
-  out.worst_visibility = vis.worst_visibility(targets).value_or(sim::Duration{});
+  out.worst_visibility =
+      spans.worst_visibility(targets).value_or(sim::Duration{});
   out.causal = chk::CausalChecker{}.check(fed.federation_history()).ok();
   return out;
 }
@@ -116,8 +118,9 @@ Result run_interconnected(const ObsOutputs& outputs) {
   cfg.links.push_back(std::move(link));
   isc::Federation fed(std::move(cfg));
 
-  stats::VisibilityTracker vis;
-  fed.add_observer(&vis);
+  obs::SpanIndex spans;
+  mcs::SpanFeed feed(spans);
+  fed.add_observer(&feed);
   wl::UniformConfig wc;
   wc.ops_per_process = 20;
   wc.seed = 11;
@@ -134,7 +137,8 @@ Result run_interconnected(const ObsOutputs& outputs) {
       targets.push_back(ProcId{SystemId{s}, p});
     }
   }
-  out.worst_visibility = vis.worst_visibility(targets).value_or(sim::Duration{});
+  out.worst_visibility =
+      spans.worst_visibility(targets).value_or(sim::Duration{});
   out.causal = chk::CausalChecker{}.check(fed.federation_history()).ok();
 
   if (!outputs.trace_path.empty()) {
@@ -192,8 +196,8 @@ int main(int argc, char** argv) {
   const Result global = run_global();
   const Result interconnected = run_interconnected(outputs);
 
-  stats::Table table({"architecture", "WAN messages", "WAN bytes",
-                      "worst visibility", "causal"});
+  obs::Table table({"architecture", "WAN messages", "WAN bytes",
+                    "worst visibility", "causal"});
   table.add_row("one global DSM system", global.cross_messages,
                 global.cross_bytes, ms(global.worst_visibility),
                 global.causal ? "yes" : "NO");

@@ -187,6 +187,31 @@ if grep -rEq "set_enabled\(true\)" "$root"/src/interconnect "$root"/src/mesh; th
   status=1
 fi
 
+# One WriteId span fold answers the visibility questions: obs::SpanIndex,
+# fed live by mcs::SpanFeed and offline from JSONL. src/stats and its
+# value-keyed tracker stay gone, the index decodes no live trace event, and
+# outside src/mcs/memory_observer.h nothing in the tree overrides the
+# value-keyed hooks (the repository benchmark's fold is their last user).
+if [ -e "$root/src/stats" ]; then
+  echo "check_docs: src/stats exists (visibility is obs::SpanIndex's; summary and table live in src/obs)" >&2
+  status=1
+fi
+if grep -Eq "observe\(const (obs::)?TraceEvent|index\(const (obs::)?TraceSink" \
+    "$root/src/obs/span_index.h"; then
+  echo "check_docs: obs::SpanIndex decodes live trace events (feed it through mcs::SpanFeed)" >&2
+  status=1
+fi
+value_hooks="void +([A-Za-z_]+::)?on_(write_issued|apply) *\("
+if grep -rEl --include='*.h' --include='*.cpp' "$value_hooks" \
+    "$root"/src "$root"/bench "$root"/examples "$root"/tests "$root"/tools \
+    | grep -v "/src/mcs/memory_observer.h$" | grep -q .; then
+  echo "check_docs: a value-keyed on_write_issued/on_apply override is back (use the typed hooks):" >&2
+  grep -rEn --include='*.h' --include='*.cpp' "$value_hooks" \
+      "$root"/src "$root"/bench "$root"/examples "$root"/tests "$root"/tools \
+      | grep -v "/src/mcs/memory_observer.h:" >&2
+  status=1
+fi
+
 if [ "$status" -eq 0 ]; then
   echo "check_docs: OK"
 fi

@@ -19,7 +19,13 @@ A change worse than --threshold (default 10%) is a REGRESSION; with
 25%), the hard-fail backstop for noisy shared runners. Improvements and
 informational fields are printed but never fail the run.
 
-Exit status: 0 clean (or warnings only), 1 regression, 2 usage/IO error.
+Virtual-time fields are judged exactly instead (the EXACT table): the
+simulator is deterministic, so any difference from the baseline -- a
+changed value, or a row or field the candidate lacks -- is a MISMATCH and
+fails the run, --warn-only or not.
+
+Exit status: 0 clean (or warnings only), 1 regression or exact mismatch,
+2 usage/IO error.
 """
 
 import argparse
@@ -41,6 +47,16 @@ LOWER_BETTER = {"wall_s", "real_time_ns", "cpu_time_ns", "bytes_per_msg",
 # swing with host load, so all three stay visible but ungated.
 INFORMATIONAL = {"post_recovery_msgs_per_sec", "stats_off_msgs_per_sec",
                  "stats_on_msgs_per_sec", "overhead_pct"}
+# Exact fields per bench: the virtual-time results, identical on every host
+# and build for a fixed seed. None means every field of every row. Only
+# tree_scale mixes in wall-clock fields (wall_s and the rates derived from
+# it), which the threshold rules above judge.
+EXACT = {
+    "tree_scale": {"paper", "measured", "paper_ns", "measured_ns", "events",
+                   "ops", "p99_visibility_ns"},
+    "latency": None,
+    "visibility_distribution": None,
+}
 # Build-identity meta fields: differing values make the comparison
 # apples-to-oranges, so they warn loudly.
 IDENTITY_META = ("compiler", "compiler_version", "build_type", "sanitize")
@@ -54,6 +70,13 @@ def direction(field):
     if field in LOWER_BETTER:
         return -1
     return 0
+
+
+def is_exact(bench, field):
+    if bench not in EXACT or field == "row":
+        return False
+    fields = EXACT[bench]
+    return fields is None or field in fields
 
 
 def load_reports(directory):
@@ -85,7 +108,7 @@ def main():
               file=sys.stderr)
         return 2
 
-    regressions = warnings = improvements = compared = 0
+    regressions = warnings = improvements = compared = mismatches = 0
     for bench, bdoc in sorted(base.items()):
         cdoc = cand.get(bench)
         if cdoc is None:
@@ -106,10 +129,23 @@ def main():
         for name, brow in sorted(brows.items()):
             crow = crows.get(name)
             if crow is None:
-                print(f"[warn] {bench}/{name}: row missing in candidate")
-                warnings += 1
+                if bench in EXACT:
+                    print(f"[MISMATCH] {bench}/{name}: row missing in "
+                          f"candidate")
+                    mismatches += 1
+                else:
+                    print(f"[warn] {bench}/{name}: row missing in candidate")
+                    warnings += 1
                 continue
             for field, bval in brow.items():
+                if is_exact(bench, field):
+                    compared += 1
+                    cval = crow.get(field, "<missing>")
+                    if cval != bval:
+                        print(f"[MISMATCH] {bench}/{name}.{field}: "
+                              f"{bval} -> {cval} (exact field)")
+                        mismatches += 1
+                    continue
                 sign = direction(field)
                 if sign == 0 or not isinstance(bval, (int, float)) \
                         or isinstance(bval, bool):
@@ -136,8 +172,8 @@ def main():
 
     print(f"\ncompare_benches: {compared} metrics compared, "
           f"{improvements} improved, {warnings} warning(s), "
-          f"{regressions} regression(s)")
-    return 1 if regressions else 0
+          f"{regressions} regression(s), {mismatches} exact mismatch(es)")
+    return 1 if regressions or mismatches else 0
 
 
 if __name__ == "__main__":

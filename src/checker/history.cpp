@@ -220,4 +220,18 @@ History Recorder::federation() const {
   return snapshot([&](std::size_t i) { return (flags_[i] & kFlagIsp) == 0; });
 }
 
+ResponseStats response_stats(const History& history, OpKind kind) {
+  ResponseStats out;
+  double total = 0.0;
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    if (history.kind(i) != kind || history.is_isp(i)) continue;
+    const std::int64_t ns = (history.responded(i) - history.invoked(i)).ns;
+    ++out.count;
+    total += static_cast<double>(ns);
+    out.max_ns = std::max(out.max_ns, ns);
+  }
+  if (out.count > 0) out.mean_ns = total / static_cast<double>(out.count);
+  return out;
+}
+
 }  // namespace cim::chk

@@ -148,6 +148,19 @@ class History {
   std::vector<std::size_t> span_begin_;  // size processes_.size() + 1
 };
 
+/// Response times of the operations of one kind in a history (experiment
+/// E4: "our IS-protocols should not affect the response time a process
+/// observes when issuing a memory operation").
+struct ResponseStats {
+  std::uint64_t count = 0;
+  double mean_ns = 0.0;
+  std::int64_t max_ns = 0;
+};
+
+/// IS-process operations are excluded: they are protocol machinery, not
+/// application ops.
+ResponseStats response_stats(const History& history, OpKind kind);
+
 /// Streaming History construction: append completed operations in per-process
 /// program order (interleaving across processes is fine), then build(). Ops
 /// are encoded into per-process column chunks as they arrive — memory stays

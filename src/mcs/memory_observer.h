@@ -9,11 +9,15 @@
 //    exactly where the `proto`/`update_issued`, `proto`/`update_applied`
 //    and `mcs`/`read_done` trace events are recorded (after the record, so
 //    anything an observer traces follows the event that triggered it). They
-//    feed chk::OnlineMonitor and fire whether or not tracing is enabled.
-//  * the value-keyed pair (on_write_issued / on_apply) lets the stats layer
-//    measure visibility latency (the paper's `l` and the 3l+2d bound of
-//    Section 6). on_apply additionally fires for a writer's local apply of
-//    its own write, which the apply pipeline never sees.
+//    feed chk::OnlineMonitor and, through mcs::SpanFeed, obs::SpanIndex's
+//    visibility queries (the paper's `l` and the 3l+2d bound of Section 6);
+//    they fire whether or not tracing is enabled.
+//  * the value-keyed pair (on_write_issued / on_apply) is kept only for the
+//    repository benchmark's visibility fold (perfbench/src/sim_tree8.cpp),
+//    its last consumer; the next change to that benchmark moves the fold
+//    onto the typed hooks and deletes the pair. on_apply additionally fires
+//    for a writer's local apply of its own write, which the apply pipeline
+//    never sees.
 #pragma once
 
 #include <vector>

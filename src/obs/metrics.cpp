@@ -19,11 +19,11 @@ void Int64Histogram::decimate() {
   stride_ *= 2;
 }
 
-stats::DurationSummary Int64Histogram::summary() const {
+DurationSummary Int64Histogram::summary() const {
   std::vector<sim::Duration> durations;
   durations.reserve(samples_.size());
   for (std::int64_t v : samples_) durations.push_back(sim::Duration{v});
-  stats::DurationSummary s = stats::summarize(std::move(durations));
+  DurationSummary s = summarize(std::move(durations));
   // Percentiles come from the (possibly decimated) retained samples; count,
   // mean, and the extremes are exact.
   s.count = static_cast<std::size_t>(count_);

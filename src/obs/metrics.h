@@ -11,7 +11,7 @@
 // Instruments are cheap cells with stable addresses: instrumented code looks
 // a metric up once (registry methods upsert) and keeps the pointer, so hot
 // paths pay one add/compare per event, never a map lookup. Histograms take
-// sim::Duration samples and summarize through stats::DurationSummary;
+// sim::Duration samples and summarize through obs::DurationSummary;
 // ValueHistogram does the same for unitless sizes (queue depths, batch
 // sizes). To bound memory on unbounded runs, histograms decimate once
 // max_samples is hit (keep-every-2nd, doubling the keep stride) — count,
@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "sim/time.h"
-#include "stats/summary.h"
+#include "obs/summary.h"
 
 namespace cim::obs {
 
@@ -94,9 +94,9 @@ class Int64Histogram {
   std::uint64_t count() const { return count_; }
   std::int64_t sum() const { return sum_; }
 
-  /// Percentile summary of the retained samples via stats::summarize, with
+  /// Percentile summary of the retained samples via obs::summarize, with
   /// count/min/max patched to the exact values.
-  stats::DurationSummary summary() const;
+  DurationSummary summary() const;
 
   /// Retained-sample cap (test hook; decimation halves retention beyond it).
   void set_max_samples(std::size_t n) { max_samples_ = n < 2 ? 2 : n; }
@@ -131,7 +131,7 @@ struct MetricsSnapshot {
     std::string name;
     Kind kind = Kind::kCounter;
     std::int64_t value = 0;          // counters and gauges
-    stats::DurationSummary summary;  // histograms
+    DurationSummary summary;         // histograms
     std::int64_t sum = 0;            // histograms
   };
 

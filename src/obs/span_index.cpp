@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <ostream>
-#include <string_view>
 
 #include "obs/json.h"
 
@@ -10,32 +9,40 @@ namespace cim::obs {
 
 namespace {
 
-const TraceField* find_field(const TraceEvent& ev, std::string_view key) {
-  for (std::uint8_t k = 0; k < ev.num_fields; ++k) {
-    const TraceField& f = ev.fields[k];
-    if (f.key != nullptr && key == f.key) return &f;
+// The distinct procs of a visibility query, each with a slot, so that one
+// pass over a span's applies marks every target it reached.
+class TargetSet {
+ public:
+  explicit TargetSet(const std::vector<ProcId>& targets) {
+    for (ProcId p : targets) slot_.try_emplace(p, slot_.size());
+    reached_.resize(slot_.size());
   }
-  return nullptr;
-}
 
-std::int64_t live_int(const TraceEvent& ev, std::string_view key,
-                      std::int64_t def) {
-  const TraceField* f = find_field(ev, key);
-  if (f == nullptr) return def;
-  switch (f->kind) {
-    case TraceField::Kind::kInt: return f->i;
-    case TraceField::Kind::kUint: return static_cast<std::int64_t>(f->u);
-    default: return def;
+  std::optional<sim::Duration> visibility(const WriteSpan& s) {
+    if (!s.origin_seen) return std::nullopt;
+    std::fill(reached_.begin(), reached_.end(), false);
+    std::size_t missing = reached_.size();
+    std::int64_t latest = s.issue_t;
+    auto reach = [&](ProcId p, std::int64_t t) {
+      const auto it = slot_.find(p);
+      if (it == slot_.end() || reached_[it->second]) return;
+      reached_[it->second] = true;  // the first apply counts
+      --missing;
+      latest = std::max(latest, t);
+    };
+    reach(s.wid.origin(), s.issue_t);  // the origin sees its write at issue
+    for (const WriteSpan::Apply& a : s.applies) {
+      if (missing == 0) break;
+      reach(a.proc, a.t);
+    }
+    if (missing != 0) return std::nullopt;
+    return sim::Duration{latest - s.issue_t};
   }
-}
 
-bool live_proc(const TraceEvent& ev, std::string_view key, ProcId& out) {
-  const TraceField* f = find_field(ev, key);
-  if (f == nullptr || f->kind != TraceField::Kind::kProc) return false;
-  out = ProcId{SystemId{static_cast<std::uint16_t>(f->proc >> 16)},
-               static_cast<std::uint16_t>(f->proc & 0xFFFF)};
-  return true;
-}
+ private:
+  std::unordered_map<ProcId, std::size_t> slot_;
+  std::vector<bool> reached_;
+};
 
 }  // namespace
 
@@ -95,42 +102,6 @@ void SpanIndex::on_pair_in(std::int64_t t, ProcId proc, WriteId wid,
   span_for(wid).pair_ins.push_back({proc, t, hop_ns, prop_ns});
 }
 
-void SpanIndex::observe(const TraceEvent& ev) {
-  ++events_seen_;
-  const WriteId wid{static_cast<std::uint64_t>(live_int(ev, "wid", 0))};
-  if (!wid.valid()) return;
-  ProcId proc{};
-  if (!live_proc(ev, "proc", proc)) return;
-  const std::int64_t t = ev.t.ns;
-  const std::string_view name = ev.name;
-  switch (ev.cat) {
-    case TraceCategory::kMcs:
-      if (name == "write_issue") {
-        on_write_issue(t, proc, wid, VarId{static_cast<std::uint32_t>(
-                                         live_int(ev, "var", 0))},
-                       live_int(ev, "val", 0));
-      } else if (name == "write_done") {
-        on_write_done(t, proc, wid);
-      }
-      break;
-    case TraceCategory::kProto:
-      if (name == "update_applied") {
-        on_update_applied(t, proc, wid, live_int(ev, "wait_ns", -1));
-      }
-      break;
-    case TraceCategory::kIsc:
-      if (name == "pair_out") {
-        on_pair_out(t, proc, wid,
-                    static_cast<std::uint64_t>(live_int(ev, "link", 0)));
-      } else if (name == "pair_in") {
-        on_pair_in(t, proc, wid, live_int(ev, "hop_ns", 0),
-                   live_int(ev, "prop_ns", 0));
-      }
-      break;
-    default: break;
-  }
-}
-
 void SpanIndex::observe(const ParsedTraceEvent& ev) {
   ++events_seen_;
   const WriteId wid = ev.wid();
@@ -159,12 +130,51 @@ void SpanIndex::observe(const ParsedTraceEvent& ev) {
   }
 }
 
-void SpanIndex::index(const TraceSink& sink) {
-  sink.for_each([this](const TraceEvent& ev) { observe(ev); });
-}
-
 void SpanIndex::index(const std::vector<ParsedTraceEvent>& events) {
   for (const ParsedTraceEvent& ev : events) observe(ev);
+}
+
+std::optional<sim::Time> SpanIndex::apply_time(WriteId wid,
+                                               ProcId proc) const {
+  const WriteSpan* s = span(wid);
+  if (s == nullptr || !s->origin_seen) return std::nullopt;
+  if (proc == wid.origin()) return sim::Time{s->issue_t};
+  for (const WriteSpan::Apply& a : s->applies) {
+    if (a.proc == proc) return sim::Time{a.t};
+  }
+  return std::nullopt;
+}
+
+std::optional<sim::Duration> SpanIndex::visibility(
+    WriteId wid, const std::vector<ProcId>& targets) const {
+  const WriteSpan* s = span(wid);
+  if (s == nullptr) return std::nullopt;
+  return TargetSet(targets).visibility(*s);
+}
+
+std::optional<sim::Duration> SpanIndex::worst_visibility(
+    const std::vector<ProcId>& targets) const {
+  TargetSet set(targets);
+  std::optional<sim::Duration> worst;
+  for (const WriteSpan& s : spans_) {
+    if (!s.origin_seen) continue;
+    const std::optional<sim::Duration> vis = set.visibility(s);
+    if (!vis) return std::nullopt;
+    if (!worst || *vis > *worst) worst = *vis;
+  }
+  return worst;
+}
+
+std::vector<sim::Duration> SpanIndex::visibilities(
+    const std::vector<ProcId>& targets) const {
+  TargetSet set(targets);
+  std::vector<sim::Duration> out;
+  for (const WriteSpan& s : spans_) {
+    if (const std::optional<sim::Duration> vis = set.visibility(s)) {
+      out.push_back(*vis);
+    }
+  }
+  return out;
 }
 
 SpanIndex::StageBreakdown SpanIndex::stages() const {

@@ -1,11 +1,12 @@
 // Reading structured traces back: a minimal JSON parser and the parsed
 // counterpart of TraceEvent.
 //
-// The live pipeline hands obs::TraceEvent records straight to consumers
-// (SpanIndex, the online monitor). Offline tooling — the cim_trace CLI, the
-// Perfetto exporter, tests — re-reads the JSONL emitted by
-// TraceSink::write_jsonl(). ParsedTraceEvent is the common denominator: one
-// record per line, with typed field accessors mirroring TraceField kinds.
+// Nothing reads obs::TraceEvent records as they are recorded: in-process,
+// SpanIndex and the online monitor take the typed mcs::MemoryObserver
+// hooks. Offline tooling — the cim_trace CLI, the Perfetto exporter, tests —
+// re-reads the JSONL emitted by TraceSink::write_jsonl(). ParsedTraceEvent
+// is its record: one per line, with typed field accessors mirroring
+// TraceField kinds.
 //
 // The JSON parser is deliberately small (objects, arrays, strings, numbers,
 // booleans, null; no \uXXXX surrogate pairs beyond pass-through) — enough

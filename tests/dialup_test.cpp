@@ -5,7 +5,7 @@
 
 #include "checker/causal_checker.h"
 #include "helpers.h"
-#include "stats/visibility.h"
+#include "mcs/span_feed.h"
 
 namespace cim::isc {
 namespace {
@@ -31,8 +31,9 @@ TEST(Dialup, UpdateWaitsForUpWindow) {
   Federation fed(dialup_config(1, sim::milliseconds(100),
                                sim::milliseconds(10)));
   auto& sim = fed.simulator();
-  stats::VisibilityTracker vis;
-  fed.add_observer(&vis);
+  obs::SpanIndex spans;
+  mcs::SpanFeed feed(spans);
+  fed.add_observer(&feed);
 
   sim.at(sim::Time{} + sim::milliseconds(20),
          [&] { fed.system(0).app(0).write(X, 1); });
@@ -40,7 +41,8 @@ TEST(Dialup, UpdateWaitsForUpWindow) {
 
   // Visible in S1 only after the 100ms window opened.
   const ProcId remote_reader{SystemId{1}, 0};
-  auto applied = vis.apply_time(1, remote_reader);
+  auto applied = spans.apply_time(WriteId::make(ProcId{SystemId{0}, 0}, 1),
+                                  remote_reader);
   ASSERT_TRUE(applied.has_value());
   EXPECT_GE(*applied, sim::Time{} + sim::milliseconds(100));
   EXPECT_LE(*applied, sim::Time{} + sim::milliseconds(110));

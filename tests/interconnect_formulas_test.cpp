@@ -6,7 +6,7 @@
 
 #include "checker/causal_checker.h"
 #include "helpers.h"
-#include "stats/visibility.h"
+#include "mcs/span_feed.h"
 
 namespace cim::isc {
 namespace {
@@ -79,39 +79,43 @@ TEST(LatencyFormula, ThreeLPlusTwoDAcrossAChainOfThree) {
   const sim::Duration d = sim::milliseconds(11);
   FederationConfig cfg = chain_cfg(3, 2, l, d, IspMode::kPerLink);
   Federation fed(std::move(cfg));
-  stats::VisibilityTracker vis;
-  fed.add_observer(&vis);
+  obs::SpanIndex spans;
+  mcs::SpanFeed feed(spans);
+  fed.add_observer(&feed);
 
   fed.system(0).app(0).write(X, 1);
   fed.run();
+  const WriteId w = WriteId::make(ProcId{SystemId{0}, 0}, 1);
 
   // Visibility at the far system's application replicas: exactly 3l + 2d.
   const std::vector<ProcId> far{ProcId{SystemId{2}, 0}, ProcId{SystemId{2}, 1}};
-  auto vis_far = vis.visibility(1, far);
+  auto vis_far = spans.visibility(w, far);
   ASSERT_TRUE(vis_far.has_value());
   EXPECT_EQ(*vis_far, 3 * l + 2 * d);
 
   // Middle system: 2l + d.
   const std::vector<ProcId> mid{ProcId{SystemId{1}, 0}};
-  auto vis_mid = vis.visibility(1, mid);
+  auto vis_mid = spans.visibility(w, mid);
   ASSERT_TRUE(vis_mid.has_value());
   EXPECT_EQ(*vis_mid, 2 * l + d);
 
   // Own system: l.
   const std::vector<ProcId> own{ProcId{SystemId{0}, 1}};
-  EXPECT_EQ(*vis.visibility(1, own), l);
+  EXPECT_EQ(*spans.visibility(w, own), l);
 }
 
 TEST(LatencyFormula, SharedIspSavesOneIntraTraversal) {
   const sim::Duration l = sim::milliseconds(3);
   const sim::Duration d = sim::milliseconds(11);
   Federation fed(chain_cfg(3, 2, l, d, IspMode::kSharedPerSystem));
-  stats::VisibilityTracker vis;
-  fed.add_observer(&vis);
+  obs::SpanIndex spans;
+  mcs::SpanFeed feed(spans);
+  fed.add_observer(&feed);
   fed.system(0).app(0).write(X, 1);
   fed.run();
   const std::vector<ProcId> far{ProcId{SystemId{2}, 0}};
-  EXPECT_EQ(*vis.visibility(1, far), 2 * l + 2 * d);
+  EXPECT_EQ(*spans.visibility(WriteId::make(ProcId{SystemId{0}, 0}, 1), far),
+            2 * l + 2 * d);
 }
 
 // ------------------------------------------------- IS-process bookkeeping
@@ -242,14 +246,15 @@ TEST(DeepChain, EightSystemsEndToEnd) {
   const sim::Duration d = sim::milliseconds(7);
   FederationConfig cfg = chain_cfg(8, 2, l, d, IspMode::kPerLink);
   Federation fed(std::move(cfg));
-  stats::VisibilityTracker vis;
-  fed.add_observer(&vis);
+  obs::SpanIndex spans;
+  mcs::SpanFeed feed(spans);
+  fed.add_observer(&feed);
 
   fed.system(0).app(0).write(X, 42);
   fed.run();
 
   const std::vector<ProcId> far{ProcId{SystemId{7}, 0}};
-  auto v = vis.visibility(42, far);
+  auto v = spans.visibility(WriteId::make(ProcId{SystemId{0}, 0}, 1), far);
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, 8 * l + 7 * d);  // (h+1)l + h*d with h = 7
 

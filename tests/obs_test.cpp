@@ -60,8 +60,8 @@ TEST(ObsMetrics, HistogramExactAggregatesAndPercentiles) {
   EXPECT_EQ(h.count(), 5u);
   EXPECT_EQ(h.sum(), 150);
 
-  const stats::DurationSummary got = h.summary();
-  const stats::DurationSummary want = stats::summarize(samples);
+  const obs::DurationSummary got = h.summary();
+  const obs::DurationSummary want = obs::summarize(samples);
   EXPECT_EQ(got.count, 5u);
   EXPECT_EQ(got.min.ns, 10);
   EXPECT_EQ(got.max.ns, 50);
@@ -80,7 +80,7 @@ TEST(ObsMetrics, HistogramDecimationKeepsExactAggregates) {
   // Decimation bounds retained samples but count/sum/min/max stay exact.
   EXPECT_EQ(h.count(), static_cast<std::uint64_t>(n));
   EXPECT_EQ(h.sum(), n * (n + 1) / 2);
-  const stats::DurationSummary s = h.summary();
+  const obs::DurationSummary s = h.summary();
   EXPECT_EQ(s.count, static_cast<std::size_t>(n));
   EXPECT_EQ(s.min.ns, 1);
   EXPECT_EQ(s.max.ns, n);
@@ -103,7 +103,7 @@ TEST(ObsMetrics, HistogramDecimationAcrossDefaultCap) {
 
   EXPECT_EQ(h.count(), static_cast<std::uint64_t>(n));
   EXPECT_EQ(h.sum(), n * (n + 1) / 2);
-  const stats::DurationSummary s = h.summary();
+  const obs::DurationSummary s = h.summary();
   EXPECT_EQ(s.count, static_cast<std::size_t>(n));
   EXPECT_EQ(s.min.ns, 1);
   EXPECT_EQ(s.max.ns, n);

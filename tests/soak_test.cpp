@@ -4,11 +4,11 @@
 #include <gtest/gtest.h>
 
 #include "checker/causal_checker.h"
+#include "checker/history.h"
 #include "helpers.h"
+#include "mcs/span_feed.h"
 #include "protocols/cbcast_dsm.h"
 #include "protocols/partial_rep.h"
-#include "stats/response.h"
-#include "stats/visibility.h"
 
 namespace cim::isc {
 namespace {
@@ -107,8 +107,9 @@ TEST_P(Soak, DialupEverywhereStillDeliversAndStaysCausal) {
     };
   }
   Federation fed(std::move(cfg));
-  stats::VisibilityTracker vis;
-  fed.add_observer(&vis);
+  obs::SpanIndex spans;
+  mcs::SpanFeed feed(spans);
+  fed.add_observer(&feed);
 
   wl::UniformConfig wc;
   wc.ops_per_process = 20;
@@ -125,7 +126,7 @@ TEST_P(Soak, DialupEverywhereStillDeliversAndStaysCausal) {
       targets.push_back(ProcId{SystemId{static_cast<std::uint16_t>(s)}, p});
     }
   }
-  EXPECT_TRUE(vis.worst_visibility(targets).has_value());
+  EXPECT_TRUE(spans.worst_visibility(targets).has_value());
 
   auto res = chk::CausalChecker{}.check(fed.federation_history());
   EXPECT_TRUE(res.ok()) << chk::to_string(res.pattern) << ": " << res.detail;
@@ -174,7 +175,7 @@ TEST(SoakBig, TwelveSystemChainLongRun) {
   // crossed all 11 links exactly once in each direction it needed.
   const auto inter = fed.fabric().class_stats(net::LinkClass::kInterSystem);
   const std::uint64_t total_writes =
-      stats::response_stats(history, chk::OpKind::kWrite).count;
+      chk::response_stats(history, chk::OpKind::kWrite).count;
   EXPECT_EQ(inter.messages, total_writes * 11);
 }
 

@@ -1,9 +1,9 @@
 // Unit tests: duration order statistics.
 #include <gtest/gtest.h>
 
-#include "stats/summary.h"
+#include "obs/summary.h"
 
-namespace cim::stats {
+namespace cim::obs {
 namespace {
 
 TEST(Summary, EmptyInput) {
@@ -49,4 +49,4 @@ TEST(Summary, UnsortedInputHandled) {
 }
 
 }  // namespace
-}  // namespace cim::stats
+}  // namespace cim::obs

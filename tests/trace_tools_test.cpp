@@ -1,9 +1,10 @@
 // Trace tooling tests: write ids on the lifecycle events, JSONL round-trip
-// through the trace_read parser, per-write span reconstruction (live and
-// offline agree; propagation reproduces isc.propagation_latency), the
-// Chrome Trace Event exporter's schema, the online monitor's detection
-// rules on synthetic streams, and its live verdicts against a replay of the
-// exported trace.
+// through the trace_read parser, per-write span reconstruction (the index
+// fed live by mcs::SpanFeed agrees with the JSONL one; propagation
+// reproduces isc.propagation_latency; repeated values keep their own
+// spans), the Chrome Trace Event exporter's schema, the online monitor's
+// detection rules on synthetic streams, and its live verdicts against a
+// replay of the exported trace.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -13,6 +14,7 @@
 
 #include "checker/online_monitor.h"
 #include "helpers.h"
+#include "mcs/span_feed.h"
 #include "obs/perfetto_export.h"
 #include "obs/span_index.h"
 #include "obs/trace_read.h"
@@ -138,45 +140,64 @@ TEST(TraceReadback, ParserHandlesEscapesAndNesting) {
   EXPECT_FALSE(obs::parse_json("{} trailing", v, &err));
 }
 
-TEST(SpanIndex, LiveAndOfflineAgreeAndPropagationMatchesHistogram) {
-  isc::FederationConfig cfg = test::two_systems(2, proto::anbkh_protocol(),
-                                                proto::anbkh_protocol(), 23);
-  cfg.obs.trace.enabled = true;
-  isc::Federation fed(std::move(cfg));
-  for (Value v = 1; v <= 6; ++v) fed.system(0).app(0).write(X, 100 + v);
-  fed.run();
-
-  // Live: index straight off the ring.
-  obs::SpanIndex live;
-  live.index(fed.observability().trace());
-  // Offline: through JSONL and the parser.
+// Reads `fed`'s exported trace back into a fresh index.
+obs::SpanIndex offline_spans(isc::Federation& fed) {
+  const obs::TraceSink& trace = fed.observability().trace();
+  EXPECT_EQ(trace.dropped(), 0u);
   std::ostringstream os;
-  fed.observability().trace().write_jsonl(os);
+  trace.write_jsonl(os);
   std::istringstream in(os.str());
   obs::SpanIndex offline;
   offline.index(obs::read_trace_jsonl(in));
+  return offline;
+}
 
+// The index fed live through mcs::SpanFeed agrees with the one read back
+// from JSONL on everything the typed hooks carry: per wid the issue time and
+// the (proc, t) apply list, and the stages built from them.
+void expect_live_matches_offline(const obs::SpanIndex& live,
+                                 const obs::SpanIndex& offline) {
   ASSERT_EQ(live.size(), offline.size());
-  ASSERT_EQ(live.size(), 6u);
   for (WriteId wid : live.wids()) {
     const obs::WriteSpan* a = live.span(wid);
     const obs::WriteSpan* b = offline.span(wid);
     ASSERT_NE(b, nullptr);
     EXPECT_EQ(a->issue_t, b->issue_t);
-    EXPECT_EQ(a->origin_done_t, b->origin_done_t);
-    EXPECT_EQ(a->applies.size(), b->applies.size());
-    EXPECT_EQ(a->pair_ins.size(), b->pair_ins.size());
-    EXPECT_EQ(a->completion_t(), b->completion_t());
+    ASSERT_EQ(a->applies.size(), b->applies.size()) << wid;
+    for (std::size_t i = 0; i < a->applies.size(); ++i) {
+      EXPECT_EQ(a->applies[i].proc, b->applies[i].proc) << wid;
+      EXPECT_EQ(a->applies[i].t, b->applies[i].t) << wid;
+    }
   }
+  const obs::SpanIndex::StageBreakdown ls = live.stages();
+  const obs::SpanIndex::StageBreakdown os = offline.stages();
+  EXPECT_EQ(ls.remote_apply, os.remote_apply);
+  EXPECT_EQ(ls.fanout_intra, os.fanout_intra);
+}
+
+TEST(SpanIndex, LiveAndOfflineAgreeAndPropagationMatchesHistogram) {
+  isc::FederationConfig cfg = test::two_systems(2, proto::anbkh_protocol(),
+                                                proto::anbkh_protocol(), 23);
+  cfg.obs.trace.enabled = true;
+  isc::Federation fed(std::move(cfg));
+  obs::SpanIndex live;
+  mcs::SpanFeed feed(live);
+  fed.add_observer(&feed);
+  for (Value v = 1; v <= 6; ++v) fed.system(0).app(0).write(X, 100 + v);
+  fed.run();
+
+  const obs::SpanIndex offline = offline_spans(fed);
+  ASSERT_EQ(live.size(), 6u);
+  expect_live_matches_offline(live, offline);
 
   // Acceptance: the propagation stage reproduces isc.propagation_latency.
   const obs::MetricsSnapshot snap = fed.metrics_snapshot();
   const obs::MetricsSnapshot::Entry* prop =
       snap.find("isc.propagation_latency");
   ASSERT_NE(prop, nullptr);
-  const stats::DurationSummary want = prop->summary;
-  const stats::DurationSummary got =
-      stats::summarize(offline.stages().propagation);
+  const obs::DurationSummary want = prop->summary;
+  const obs::DurationSummary got =
+      obs::summarize(offline.stages().propagation);
   EXPECT_EQ(got.count, want.count);
   EXPECT_EQ(got.min.ns, want.min.ns);
   EXPECT_EQ(got.p50.ns, want.p50.ns);
@@ -199,6 +220,75 @@ TEST(SpanIndex, LiveAndOfflineAgreeAndPropagationMatchesHistogram) {
     ++parsed;
   }
   EXPECT_EQ(parsed, 6u);
+
+  // AW-seq's IS-process and TOB-causal's writers apply their own writes
+  // before the apply pipeline does; those pre-applies are not applies, live
+  // as in the trace.
+  for (const bool aw_first : {true, false}) {
+    SCOPED_TRACE(aw_first ? "aw_seq - tob_causal" : "tob_causal - aw_seq");
+    isc::FederationConfig pre = test::two_systems(
+        3, aw_first ? proto::aw_seq_protocol() : proto::tob_causal_protocol(),
+        aw_first ? proto::tob_causal_protocol() : proto::aw_seq_protocol(), 17);
+    pre.obs.trace.enabled = true;
+    isc::Federation pre_fed(std::move(pre));
+    obs::SpanIndex pre_live;
+    mcs::SpanFeed pre_feed(pre_live);
+    pre_fed.add_observer(&pre_feed);
+    wl::UniformConfig wc;
+    wc.ops_per_process = 40;
+    wc.seed = 23;
+    auto runners = wl::install_uniform(pre_fed, wc);
+    pre_fed.run();
+    ASSERT_GT(pre_live.size(), 0u);
+    expect_live_matches_offline(pre_live, offline_spans(pre_fed));
+  }
+}
+
+TEST(SpanIndex, RepeatedValuesKeepOneSpanPerWrite) {
+  // Two writers in different systems write the same value to the same
+  // variable: a value-keyed fold would see one write, the index sees two.
+  const sim::Duration l = sim::milliseconds(1);
+  const sim::Duration d = sim::milliseconds(10);
+  isc::FederationConfig cfg = test::two_systems(2, proto::anbkh_protocol(),
+                                                proto::anbkh_protocol(), 5);
+  for (mcs::SystemConfig& sc : cfg.systems) {
+    sc.intra_delay = [l] { return std::make_unique<net::FixedDelay>(l); };
+  }
+  cfg.links[0].delay = [d] { return std::make_unique<net::FixedDelay>(d); };
+  isc::Federation fed(std::move(cfg));
+  obs::SpanIndex spans;
+  mcs::SpanFeed feed(spans);
+  fed.add_observer(&feed);
+  const ProcId a{SystemId{0}, 0};
+  const ProcId b{SystemId{1}, 0};
+  fed.system(0).app(0).write(X, 7);
+  fed.simulator().at(sim::Time{} + sim::milliseconds(3),
+                     [&] { fed.system(1).app(0).write(X, 7); });
+  fed.run();
+
+  const WriteId wa = WriteId::make(a, 1);
+  const WriteId wb = WriteId::make(b, 1);
+  ASSERT_EQ(spans.size(), 2u);
+  ASSERT_NE(spans.span(wa), nullptr);
+  ASSERT_NE(spans.span(wb), nullptr);
+  EXPECT_EQ(spans.span(wa)->value, 7);
+  EXPECT_EQ(spans.span(wb)->value, 7);
+  EXPECT_EQ(spans.span(wa)->issue_t, 0);
+  EXPECT_EQ(spans.span(wb)->issue_t, sim::milliseconds(3).ns);
+  // Each write reaches its own system's other replica after l and the
+  // other system's replicas after 2l + d, on its own clock.
+  const ProcId a_peer{SystemId{0}, 1};
+  const ProcId b_peer{SystemId{1}, 1};
+  const sim::Time b_issue = sim::Time{} + sim::milliseconds(3);
+  EXPECT_EQ(spans.apply_time(wa, a_peer), sim::Time{} + l);
+  EXPECT_EQ(spans.apply_time(wb, b_peer), b_issue + l);
+  EXPECT_EQ(spans.apply_time(wb, a_peer), b_issue + 2 * l + d);
+  EXPECT_EQ(spans.visibility(wa, {a, a_peer}), l);
+  EXPECT_EQ(spans.visibility(wb, {b, b_peer}), l);
+  const std::vector<ProcId> all{a, a_peer, b, b_peer};
+  EXPECT_EQ(spans.visibility(wa, all), 2 * l + d);
+  EXPECT_EQ(spans.visibility(wb, all), 2 * l + d);
+  EXPECT_EQ(spans.visibilities(all).size(), 2u);
 }
 
 TEST(PerfettoExport, EmitsValidChromeTraceJson) {

@@ -1,13 +1,14 @@
-// Unit tests: workload generators and the stats layer.
+// Unit tests: workload generators, response statistics, the table printer
+// and SpanIndex's visibility queries.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <sstream>
 
+#include "checker/history.h"
 #include "helpers.h"
-#include "stats/response.h"
-#include "stats/table.h"
-#include "stats/visibility.h"
+#include "obs/span_index.h"
+#include "obs/table.h"
 
 namespace cim {
 namespace {
@@ -100,46 +101,77 @@ TEST(RelayDriver, FiresOnceTriggerObserved) {
   EXPECT_TRUE(relay.fired());
 }
 
-TEST(VisibilityTracker, TracksIssueAndFirstApply) {
-  stats::VisibilityTracker vis;
+// SpanIndex's visibility queries, fed through the typed ingest the way
+// mcs::SpanFeed feeds it: the writer's own pre-apply is not an apply.
+TEST(SpanIndex, TracksIssueAndFirstApply) {
+  obs::SpanIndex spans;
   const ProcId w{SystemId{0}, 0};
   const ProcId r{SystemId{0}, 1};
-  vis.on_write_issued(w, X, 1, sim::Time{100});
-  vis.on_apply(w, X, 1, sim::Time{100});
-  vis.on_apply(r, X, 1, sim::Time{400});
-  vis.on_apply(r, X, 1, sim::Time{900});  // later re-apply ignored
+  const WriteId wid = WriteId::make(w, 1);
+  spans.on_write_issue(100, w, wid, X, 1);
+  spans.on_update_applied(400, r, wid, -1);
+  spans.on_update_applied(900, r, wid, -1);  // later re-apply ignored
 
-  EXPECT_EQ(vis.issue_time(1), sim::Time{100});
-  EXPECT_EQ(vis.apply_time(1, r), sim::Time{400});
-  auto v = vis.visibility(1, {w, r});
+  EXPECT_EQ(spans.span(wid)->issue_t, 100);
+  EXPECT_EQ(spans.apply_time(wid, r), sim::Time{400});
+  auto v = spans.visibility(wid, {w, r});
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, sim::Duration{300});
 }
 
-TEST(VisibilityTracker, MissingTargetYieldsNullopt) {
-  stats::VisibilityTracker vis;
+TEST(SpanIndex, MissingTargetYieldsNullopt) {
+  obs::SpanIndex spans;
   const ProcId w{SystemId{0}, 0};
   const ProcId r{SystemId{0}, 1};
-  vis.on_write_issued(w, X, 1, sim::Time{0});
-  vis.on_apply(w, X, 1, sim::Time{0});
-  EXPECT_FALSE(vis.visibility(1, {r}).has_value());
-  EXPECT_FALSE(vis.worst_visibility({r}).has_value());
+  const WriteId wid = WriteId::make(w, 1);
+  spans.on_write_issue(0, w, wid, X, 1);
+  EXPECT_FALSE(spans.visibility(wid, {r}).has_value());
+  EXPECT_FALSE(spans.worst_visibility({r}).has_value());
 }
 
-TEST(VisibilityTracker, WorstVisibilityIsMaximum) {
-  stats::VisibilityTracker vis;
+TEST(SpanIndex, WorstVisibilityIsMaximum) {
+  obs::SpanIndex spans;
   const ProcId w{SystemId{0}, 0};
   const ProcId r{SystemId{0}, 1};
-  vis.on_write_issued(w, X, 1, sim::Time{0});
-  vis.on_apply(w, X, 1, sim::Time{0});
-  vis.on_apply(r, X, 1, sim::Time{50});
-  vis.on_write_issued(w, X, 2, sim::Time{100});
-  vis.on_apply(w, X, 2, sim::Time{100});
-  vis.on_apply(r, X, 2, sim::Time{350});
-  auto worst = vis.worst_visibility({r});
+  const WriteId first = WriteId::make(w, 1);
+  const WriteId second = WriteId::make(w, 2);
+  spans.on_write_issue(0, w, first, X, 1);
+  spans.on_update_applied(50, r, first, -1);
+  spans.on_write_issue(100, w, second, X, 2);
+  spans.on_update_applied(350, r, second, -1);
+  auto worst = spans.worst_visibility({r});
   ASSERT_TRUE(worst.has_value());
   EXPECT_EQ(*worst, sim::Duration{250});
-  EXPECT_EQ(vis.all_visibilities({r}).size(), 2u);
+  EXPECT_EQ(spans.visibilities({r}).size(), 2u);
+}
+
+TEST(SpanIndex, OriginCountsAsVisibleAtIssue) {
+  obs::SpanIndex spans;
+  const ProcId w{SystemId{0}, 0};
+  const ProcId r{SystemId{0}, 1};
+  const WriteId wid = WriteId::make(w, 1);
+  spans.on_write_issue(100, w, wid, X, 1);
+  // A late self-delivery through the apply pipeline does not move the
+  // origin's visibility, and an IS-process re-issue does not move the issue.
+  spans.on_update_applied(700, w, wid, -1);
+  spans.on_write_issue(300, ProcId{SystemId{1}, 2}, wid, X, 1);
+  spans.on_update_applied(400, r, wid, -1);
+
+  EXPECT_EQ(spans.apply_time(wid, w), sim::Time{100});
+  EXPECT_EQ(spans.visibility(wid, {w}), sim::Duration{0});
+  EXPECT_EQ(spans.visibility(wid, {w, r}), sim::Duration{300});
+  EXPECT_EQ(spans.worst_visibility({w, r}), sim::Duration{300});
+}
+
+TEST(SpanIndex, SkipsWritesWhoseOriginIssueWasNotSeen) {
+  obs::SpanIndex spans;
+  const ProcId r{SystemId{0}, 1};
+  const WriteId unseen = WriteId::make(ProcId{SystemId{1}, 0}, 1);
+  spans.on_update_applied(50, r, unseen, -1);
+  EXPECT_FALSE(spans.apply_time(unseen, r).has_value());
+  EXPECT_FALSE(spans.visibility(unseen, {r}).has_value());
+  EXPECT_FALSE(spans.worst_visibility({r}).has_value());  // no write at all
+  EXPECT_TRUE(spans.visibilities({r}).empty());
 }
 
 TEST(ResponseStats, ComputesMeanAndMax) {
@@ -152,11 +184,11 @@ TEST(ResponseStats, ComputesMeanAndMax) {
   auto r1 = rec.begin(p, false, chk::OpKind::kRead, X, 0, sim::Time{60});
   rec.end_read(r1, 2, sim::Time{61});
 
-  auto ws = stats::response_stats(rec.full(), chk::OpKind::kWrite);
+  auto ws = chk::response_stats(rec.full(), chk::OpKind::kWrite);
   EXPECT_EQ(ws.count, 2u);
   EXPECT_DOUBLE_EQ(ws.mean_ns, 20.0);
   EXPECT_EQ(ws.max_ns, 30);
-  auto rs = stats::response_stats(rec.full(), chk::OpKind::kRead);
+  auto rs = chk::response_stats(rec.full(), chk::OpKind::kRead);
   EXPECT_EQ(rs.count, 1u);
   EXPECT_EQ(rs.max_ns, 1);
 }
@@ -166,12 +198,12 @@ TEST(ResponseStats, ExcludesIspOps) {
   const ProcId isp{SystemId{0}, 9};
   auto w = rec.begin(isp, true, chk::OpKind::kWrite, X, 1, sim::Time{0});
   rec.end_write(w, sim::Time{1000});
-  auto ws = stats::response_stats(rec.full(), chk::OpKind::kWrite);
+  auto ws = chk::response_stats(rec.full(), chk::OpKind::kWrite);
   EXPECT_EQ(ws.count, 0u);
 }
 
 TEST(Table, AlignsColumns) {
-  stats::Table t({"name", "value"});
+  obs::Table t({"name", "value"});
   t.add_row("n", 4);
   t.add_row("latency", "3l+2d");
   std::ostringstream os;

@@ -25,8 +25,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/table.h"
 #include "obs/trace_read.h"
-#include "stats/table.h"
 
 namespace {
 
@@ -94,9 +94,9 @@ std::string fmt_us_signed(std::int64_t ns) {
 
 /// Render one frame. `prev` (if ok) supplies the rate baseline.
 void render(const Snapshot& snap, const Snapshot& prev, std::ostream& os) {
-  cim::stats::Table table({"node", "gen", "peer", "link", "jrnl", "hb_miss",
-                           "reconn", "sent", "delivered", "rtt_us",
-                           "offset_us", "msgs_s"});
+  cim::obs::Table table({"node", "gen", "peer", "link", "jrnl", "hb_miss",
+                         "reconn", "sent", "delivered", "rtt_us",
+                         "offset_us", "msgs_s"});
   for (const auto& [node, kv] : snap.nodes) {
     auto get = [&kv](const std::string& key, std::int64_t def = 0) {
       const auto it = kv.find(key);

@@ -30,10 +30,10 @@
 #include "checker/trace_history.h"
 #include "obs/perfetto_export.h"
 #include "obs/span_index.h"
+#include "obs/summary.h"
+#include "obs/table.h"
 #include "obs/trace_merge.h"
 #include "obs/trace_read.h"
-#include "stats/summary.h"
-#include "stats/table.h"
 
 namespace {
 
@@ -128,9 +128,9 @@ bool load_strict(const std::string& path,
   return true;
 }
 
-void add_stage_row(cim::stats::Table& table, const char* stage,
+void add_stage_row(cim::obs::Table& table, const char* stage,
                    const std::vector<cim::sim::Duration>& samples) {
-  const cim::stats::DurationSummary s = cim::stats::summarize(samples);
+  const cim::obs::DurationSummary s = cim::obs::summarize(samples);
   table.add_row(stage, s.count, s.min.ns, s.p50.ns, s.p90.ns, s.p99.ns,
                 s.max.ns, static_cast<std::int64_t>(s.mean_ns));
 }
@@ -142,8 +142,8 @@ int cmd_summarize(const std::vector<ParsedTraceEvent>& events) {
 
   std::cout << "records: " << events.size() << "   writes: " << index.size()
             << "\n\n";
-  cim::stats::Table table({"stage", "count", "min_ns", "p50_ns", "p90_ns",
-                           "p99_ns", "max_ns", "mean_ns"});
+  cim::obs::Table table({"stage", "count", "min_ns", "p50_ns", "p90_ns",
+                         "p99_ns", "max_ns", "mean_ns"});
   add_stage_row(table, "origin_apply", stages.origin_apply);
   add_stage_row(table, "fanout_intra", stages.fanout_intra);
   add_stage_row(table, "causal_wait", stages.causal_wait);
@@ -227,7 +227,7 @@ int cmd_check(const std::string& path) {
 
   int exit_code = 0;
   if (monitor.violation_count() > 0) {
-    cim::stats::Table table(
+    cim::obs::Table table(
         {"kind", "t_ns", "proc", "var", "wid", "expect_seq", "got_seq"});
     for (const cim::chk::Violation& v : monitor.violations()) {
       std::ostringstream proc, wid;
