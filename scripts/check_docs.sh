@@ -124,6 +124,25 @@ if grep -rq "std::thread" "$root"/src/mesh; then
   status=1
 fi
 
+# A mesh link forms one way: every join and rejoin handshake, dialed or
+# answered, runs on the node's loop, so nothing in src/mesh blocks on a
+# socket (no SO_RCVTIMEO read, no blocking recv_ctrl_fd, no tcp_connect).
+# The join deadline bounds the dials, so MeshConfig has no dial_retries;
+# and the dead LinkTransport::kind() label stays gone.
+if grep -rEq "SO_RCVTIMEO|recv_ctrl_fd|tcp_connect" "$root"/src/mesh; then
+  echo "check_docs: src/mesh blocks on a socket (handshakes run on the loop):" >&2
+  grep -rEn "SO_RCVTIMEO|recv_ctrl_fd|tcp_connect" "$root"/src/mesh >&2
+  status=1
+fi
+if grep -q "dial_retries" "$root/src/mesh/mesh_node.h"; then
+  echo "check_docs: MeshConfig declares dial_retries (the join deadline bounds the dials)" >&2
+  status=1
+fi
+if grep -Eq "[^a-z_]kind\(\)" "$root/src/net/link_transport.h"; then
+  echo "check_docs: LinkTransport declares kind() (nothing reads it)" >&2
+  status=1
+fi
+
 # docs/CHECKER.md is the normative description of the columnar history
 # store and the sparse constraint engine: it must exist, name every bad
 # pattern the checker can report (src/checker/causal_checker.h), and

@@ -6,7 +6,6 @@
 
 #include <cerrno>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -32,11 +31,9 @@ namespace {
 // Largest bare control frame a handshake reads, length prefix included.
 constexpr std::size_t kCtrlFrameMax = 4 + 64;
 
-// The one frame parser behind the blocking reader and the loop reader. Reads
-// only what the frame still lacks into frame[0, got). Returns an error, or
-// null: with `whole` set and `out` decoded once the frame is complete, unset
-// when the fd has nothing more for now (EAGAIN, or a blocking fd's
-// SO_RCVTIMEO).
+// Reads only what the frame still lacks into frame[0, got). Returns an
+// error, or null: with `whole` set and `out` decoded once the frame is
+// complete, unset when the fd has nothing more for now (EAGAIN).
 const char* read_ctrl_frame(int fd, std::uint8_t* frame, std::size_t& got,
                             ControlMsg& out, bool& whole) {
   while (true) {
@@ -97,44 +94,34 @@ bool send_ctrl_fd(int fd, std::uint8_t code, std::uint64_t a, std::uint64_t b) {
   return send_ctrl_fd(fd, msg);
 }
 
-const char* recv_ctrl_fd(int fd, int timeout_ms, ControlMsg& out) {
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  std::uint8_t frame[kCtrlFrameMax] = {};
-  std::size_t got = 0;
-  bool whole = false;
-  const char* err = read_ctrl_frame(fd, frame, got, out, whole);
-  return err != nullptr || whole ? err : "handshake timed out";
-}
-
 namespace {
 
 // One handshake on the loop, owned by its budget timer: it lives until the
 // timer fires (or the stopped loop is destroyed), so no late edge and no
 // late timer meets a dead object.
 struct LoopCtrlReader final : net::EpollLoop::FdHandler {
-  LoopCtrlReader(net::EpollLoop& on, int sock, const ControlMsg* first_frame,
+  LoopCtrlReader(net::EpollLoop& on, int sock, std::vector<ControlMsg> frames,
                  CtrlDoneFn fn)
-      : loop(on), fd(sock), done(std::move(fn)) {
-    if (first_frame != nullptr) first = *first_frame;
-  }
+      : loop(on),
+        fd(sock),
+        connecting(!frames.empty()),
+        first(std::move(frames)),
+        done(std::move(fn)) {}
   ~LoopCtrlReader() override {
     if (fd >= 0) ::close(fd);  // the loop stopped with this one pending
   }
 
   void on_ready(std::uint32_t events) override {
     if (fd < 0) return;
-    if (first) {
+    if (connecting) {
       if ((events & (EPOLLOUT | EPOLLERR | EPOLLHUP)) == 0) return;
       int err = 0;
       socklen_t len = sizeof(err);
       if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 || err != 0)
-        return finish("connect failed");
-      const bool sent = send_ctrl_fd(fd, *first);
-      first.reset();
-      if (!sent) return finish("handshake write failed");
+        return finish(kConnectFailed);
+      connecting = false;
+      for (const ControlMsg& m : first)
+        if (!send_ctrl_fd(fd, m)) return finish("handshake write failed");
     }
     bool whole = false;
     const char* err = read_ctrl_frame(fd, frame, got, msg, whole);
@@ -150,8 +137,9 @@ struct LoopCtrlReader final : net::EpollLoop::FdHandler {
   }
 
   net::EpollLoop& loop;
-  int fd;                            // -1 once finished
-  std::optional<ControlMsg> first;   // still to send once connected
+  int fd;                        // -1 once finished
+  bool connecting;               // `first` still to send once connected
+  std::vector<ControlMsg> first;
   CtrlDoneFn done;
   std::uint8_t frame[kCtrlFrameMax] = {};
   std::size_t got = 0;
@@ -161,10 +149,10 @@ struct LoopCtrlReader final : net::EpollLoop::FdHandler {
 }  // namespace
 
 void read_ctrl_on_loop(net::EpollLoop& loop, int fd, int timeout_ms,
-                       const ControlMsg* first, CtrlDoneFn done) {
+                       std::vector<ControlMsg> first, CtrlDoneFn done) {
   net::set_nonblocking(fd);
-  auto reader =
-      std::make_shared<LoopCtrlReader>(loop, fd, first, std::move(done));
+  auto reader = std::make_shared<LoopCtrlReader>(loop, fd, std::move(first),
+                                                 std::move(done));
   loop.add(fd, reader.get());
   loop.post_after(timeout_ms, [reader] {
     if (reader->fd >= 0) reader->finish("handshake timed out");

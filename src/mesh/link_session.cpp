@@ -338,7 +338,7 @@ void LinkSession::dial() {
   rejoin.c = arq_.recv_next();
   // Time-bounded: a full or unserviced listener backlog costs one handshake
   // budget, not minutes of kernel SYN retries.
-  read_ctrl_on_loop(loop_, fd, cfg_.handshake_timeout_ms, &rejoin,
+  read_ctrl_on_loop(loop_, fd, kDialReplyBudgetMs, {rejoin},
                     [this](const char* err, int sock, const ControlMsg& reply) {
                       on_rejoin_reply(err, sock, reply);
                     });

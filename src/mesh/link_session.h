@@ -83,7 +83,6 @@ struct SessionConfig {
   int backoff_max_ms = 1000;
   /// Dial attempts per outage before the session fails (<= 0: unbounded).
   int reconnect_attempts = 40;
-  int handshake_timeout_ms = 2000;
   std::size_t journal_max_frames = 4096;
   std::size_t journal_max_bytes = std::size_t{4} << 20;
   net::TcpLinkConfig link;
@@ -140,7 +139,6 @@ class LinkSession final : public net::LinkTransport {
   void send(net::MessagePtr msg) override;
   /// Journal depth: frames sent and not yet acknowledged. Any thread.
   std::size_t backlog() const override { return backlog_.get(); }
-  const char* kind() const override { return "session"; }
   bool serializing() const override { return true; }
   /// Loop thread, or after run() returned (summed over every incarnation).
   std::uint64_t wire_bytes_out() const override;

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -30,8 +31,24 @@ using net::wire::ControlMsg;
 // sockets.
 constexpr int kEngineBatch = 256;
 
-// Budget for the one control frame of a connection accepted mid-run.
-constexpr int kRejoinFrameBudgetMs = 1000;
+// Pause between join dials while a lower-id neighbor is not listening yet.
+constexpr int kDialRetryMs = 100;
+
+// The per-peer session counters that both the stats-plane sample
+// (peer.<id>.*) and the post-run gauges (net.mesh.<id>.*) report, under the
+// same names (docs/OBSERVABILITY.md).
+std::array<std::pair<const char*, std::int64_t>, 8> peer_counters(
+    const LinkSession& s) {
+  auto i = [](std::uint64_t v) { return static_cast<std::int64_t>(v); };
+  return {{{"down", s.down()},
+           {"hb_miss", i(s.hb_miss())},
+           {"resumes", i(s.resumes())},
+           {"dup_drops", i(s.dup_drops())},
+           {"pairs_sent", i(s.data_sent())},
+           {"pairs_delivered", i(s.data_delivered())},
+           {"offset_ns", s.clock_offset_ns()},
+           {"rtt_count", i(s.rtt_count())}}};
+}
 
 }  // namespace
 
@@ -45,100 +62,6 @@ MeshNode::~MeshNode() {
   if (listener_ >= 0) ::close(listener_);
   for (int fd : fds_)
     if (fd >= 0) ::close(fd);
-}
-
-bool MeshNode::handshake_dial(int fd, std::size_t peer) {
-  const std::uint64_t hash = cfg_.topo.hash();
-  if (!send_ctrl_fd(fd, ControlMsg::kHello, cfg_.node_id,
-                    net::wire::kWireVersion) ||
-      !send_ctrl_fd(fd, ControlMsg::kJoin, cfg_.node_id, hash)) {
-    error_ = "node " + std::to_string(peer) + ": handshake write failed";
-    return false;
-  }
-  ControlMsg hello, join;
-  if (const char* err = recv_ctrl_fd(fd, cfg_.join_timeout_ms, hello)) {
-    error_ = "node " + std::to_string(peer) + ": " + err;
-    return false;
-  }
-  // A reject arrives alone — do not wait for a second frame the peer will
-  // never send (it has already closed).
-  if (hello.code == ControlMsg::kJoinReject) {
-    error_ = "node " + std::to_string(hello.a) +
-             " rejected the join: " + reject_reason_name(hello.b);
-    return false;
-  }
-  if (const char* err = recv_ctrl_fd(fd, cfg_.join_timeout_ms, join)) {
-    error_ = "node " + std::to_string(peer) + ": " + err;
-    return false;
-  }
-  if (join.code == ControlMsg::kJoinReject) {
-    error_ = "node " + std::to_string(join.a) +
-             " rejected the join: " + reject_reason_name(join.b);
-    return false;
-  }
-  if (hello.code != ControlMsg::kHello || join.code != ControlMsg::kJoin) {
-    error_ = "node " + std::to_string(peer) + ": unexpected handshake frames";
-    return false;
-  }
-  if (hello.b != net::wire::kWireVersion) {
-    error_ = "node " + std::to_string(peer) + ": wire version mismatch (peer v" +
-             std::to_string(hello.b) + ", local v" +
-             std::to_string(unsigned{net::wire::kWireVersion}) + ")";
-    return false;
-  }
-  if (hello.a != peer || join.a != peer) {
-    error_ = "dialed node " + std::to_string(peer) + " but node " +
-             std::to_string(hello.a) + " answered";
-    return false;
-  }
-  if (join.b != hash) {
-    send_ctrl_fd(fd, ControlMsg::kJoinReject, cfg_.node_id,
-                 kRejectTopologyHash);
-    error_ = "node " + std::to_string(peer) +
-             ": topology hash mismatch (diverging spec files?)";
-    return false;
-  }
-  return true;
-}
-
-std::size_t MeshNode::handshake_accept(int fd) {
-  ControlMsg hello, join;
-  // Shorter per-connection budget than the overall accept deadline: a peer
-  // that connected but went silent must not starve the real neighbors.
-  const int per_conn_ms = std::max(1, cfg_.join_timeout_ms / 4);
-  const char* err = recv_ctrl_fd(fd, per_conn_ms, hello);
-  if (err == nullptr) err = recv_ctrl_fd(fd, per_conn_ms, join);
-  if (err != nullptr || hello.code != ControlMsg::kHello ||
-      join.code != ControlMsg::kJoin) {
-    ::close(fd);  // died mid-handshake or spoke garbage: drop, keep accepting
-    return isc::Topology::npos;
-  }
-  std::uint64_t reject = 0;
-  std::size_t slot = isc::Topology::npos;
-  for (std::size_t e = 0; e < neighbors_.size(); ++e)
-    if (neighbors_[e] == hello.a && neighbors_[e] > cfg_.node_id) slot = e;
-  if (hello.b != net::wire::kWireVersion) {
-    reject = kRejectWireVersion;
-  } else if (slot == isc::Topology::npos) {
-    reject = kRejectNotANeighbor;
-  } else if (fds_[slot] >= 0) {
-    reject = kRejectDuplicateJoin;
-  } else if (join.b != cfg_.topo.hash()) {
-    reject = kRejectTopologyHash;
-  }
-  if (reject != 0) {
-    send_ctrl_fd(fd, ControlMsg::kJoinReject, cfg_.node_id, reject);
-    ::close(fd);
-    return isc::Topology::npos;
-  }
-  if (!send_ctrl_fd(fd, ControlMsg::kHello, cfg_.node_id,
-                    net::wire::kWireVersion) ||
-      !send_ctrl_fd(fd, ControlMsg::kJoin, cfg_.node_id, cfg_.topo.hash())) {
-    ::close(fd);
-    return isc::Topology::npos;
-  }
-  fds_[slot] = fd;
-  return slot;
 }
 
 bool MeshNode::load_resume_state() {
@@ -227,80 +150,200 @@ bool MeshNode::join() {
     }
     if (!load_resume_state()) return false;
   }
+  // Resolve the host once, before the loop runs: a name lookup must not
+  // stall it. Each dial only sets its neighbor's port.
+  if (!cfg_.resume && higher < neighbors_.size() &&
+      !net::tcp_resolve(cfg_.host.c_str(), 0, dial_addr_)) {
+    error_ = "cannot resolve " + cfg_.host;
+    return false;
+  }
 
-  // Listen before dialing: higher-id neighbors may dial us at any moment
-  // once their own lower dials are through. The backlog holds them all.
-  // The listener stays open for the whole run (the loop answers rejoins).
-  if (higher > 0)
+  // Listen before dialing: higher-id neighbors may dial us at any moment.
+  // The listener stays on the loop for the whole run (it answers rejoins
+  // once the mesh has formed).
+  if (higher > 0) {
     listener_ = net::tcp_listen(
-        static_cast<std::uint16_t>(cfg_.base_port + cfg_.node_id),
-        static_cast<int>(higher));
+        static_cast<std::uint16_t>(cfg_.base_port + cfg_.node_id));
+    loop_.add(listener_, this);
+  }
   // A resumed node skips the handshakes: every edge re-forms through the
   // kRejoin path, and crashed-and-back higher-id dialers find our listener.
-  if (cfg_.resume) return true;
+  if (cfg_.resume || neighbors_.empty()) return true;
 
-  // Dial every lower-id neighbor. Dial targets are strictly decreasing in
-  // id, so the wait-for graph is acyclic: mesh formation cannot deadlock.
-  for (std::size_t e = 0; e < neighbors_.size(); ++e) {
-    if (neighbors_[e] >= cfg_.node_id) continue;
-    int fd = -1;
-    try {
-      fd = net::tcp_connect(
-          cfg_.host.c_str(),
-          static_cast<std::uint16_t>(cfg_.base_port + neighbors_[e]),
-          cfg_.dial_retries);
-    } catch (const InvariantViolation& e2) {
-      error_ = e2.what();
+  // Every edge forms concurrently on the loop: dials to the lower-id
+  // neighbors, handshakes of whatever higher-id ones connect. The loop
+  // stops once every edge has formed, a handshake failed, or the deadline
+  // passed.
+  joining_ = true;
+  for (std::size_t e = 0; e < neighbors_.size(); ++e)
+    if (neighbors_[e] < cfg_.node_id) dial_join(e);
+  loop_.post_after(cfg_.join_timeout_ms, [this] {
+    if (!joining_) return;
+    std::string missing;
+    for (std::size_t e = 0; e < neighbors_.size(); ++e) {
+      if (fds_[e] < 0)
+        missing += (missing.empty() ? "" : ", ") +
+                   std::to_string(neighbors_[e]);
     }
-    if (fd < 0 || !handshake_dial(fd, neighbors_[e])) {
-      if (fd >= 0) ::close(fd);
-      if (listener_ >= 0) ::close(listener_);
-      listener_ = -1;
-      return false;
-    }
-    fds_[e] = fd;
+    fail_join("join timed out waiting for node(s) " + missing);
+  });
+  loop_.run();
+  if (error_.empty()) return true;
+  if (listener_ >= 0) {
+    loop_.remove(listener_);
+    ::close(listener_);
+    listener_ = -1;
   }
+  return false;
+}
 
-  // Accept every higher-id neighbor, whichever order they arrive in (the
-  // join hello tells us who each connection is). Impostors and duplicates
-  // are rejected and the wait continues; the deadline bounds a genuinely
-  // missing peer.
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(cfg_.join_timeout_ms);
-  std::size_t joined = 0;
-  while (joined < higher) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - Clock::now());
-    const int timeout = static_cast<int>(std::max<std::int64_t>(
-        0, left.count()));
-    const int fd = timeout > 0 ? net::tcp_accept(listener_, timeout) : -1;
-    if (fd < 0) {
-      std::string missing;
-      for (std::size_t e = 0; e < neighbors_.size(); ++e) {
-        if (neighbors_[e] > cfg_.node_id && fds_[e] < 0)
-          missing += (missing.empty() ? "" : ", ") +
-                     std::to_string(neighbors_[e]);
-      }
-      error_ = "join timed out waiting for node(s) " + missing;
-      ::close(listener_);
-      listener_ = -1;
-      return false;
-    }
-    if (handshake_accept(fd) != isc::Topology::npos) ++joined;
+void MeshNode::edge_formed(std::size_t e, int fd) {
+  fds_[e] = fd;
+  if (std::count(fds_.begin(), fds_.end(), -1) > 0) return;
+  joining_ = false;
+  loop_.stop();
+}
+
+void MeshNode::fail_join(std::string why) {
+  if (!joining_) return;  // the first failure names the cause
+  error_ = std::move(why);
+  joining_ = false;
+  loop_.stop();
+}
+
+void MeshNode::dial_join(std::size_t e) {
+  const std::size_t peer = neighbors_[e];
+  sockaddr_in addr = dial_addr_;
+  addr.sin_port = htons(static_cast<std::uint16_t>(cfg_.base_port + peer));
+  // The peer may simply not be listening yet (the mesh launches every node
+  // concurrently): retry until it is, bounded by the join deadline.
+  auto retry = [this, e] {
+    loop_.post_after(kDialRetryMs, [this, e] {
+      if (joining_) dial_join(e);
+    });
+  };
+  const int fd = net::tcp_dial(addr);
+  if (fd < 0) return retry();
+  std::vector<ControlMsg> ours(2);
+  ours[0].code = ControlMsg::kHello;
+  ours[0].a = cfg_.node_id;
+  ours[0].b = net::wire::kWireVersion;
+  ours[1].code = ControlMsg::kJoin;
+  ours[1].a = cfg_.node_id;
+  ours[1].b = cfg_.topo.hash();
+  // The reply is the peer's hello and join, or a reject — which arrives
+  // alone: do not wait for a second frame the peer will never send.
+  auto conclude = [this, e](const char* err, int sock,
+                            const ControlMsg& hello, const ControlMsg& join) {
+    const std::string why =
+        err != nullptr ? "node " + std::to_string(neighbors_[e]) + ": " + err
+                       : join_reply_error(e, sock, hello, join);
+    if (why.empty()) return edge_formed(e, sock);
+    if (sock >= 0) ::close(sock);
+    fail_join(why);
+  };
+  read_ctrl_on_loop(
+      loop_, fd, kDialReplyBudgetMs, std::move(ours),
+      [this, retry, conclude](const char* err, int sock,
+                              const ControlMsg& hello) {
+        if (err == kConnectFailed) return retry();
+        if (err != nullptr || hello.code == ControlMsg::kJoinReject)
+          return conclude(err, sock, hello, hello);
+        read_ctrl_on_loop(loop_, sock, kDialReplyBudgetMs, {},
+                          [conclude, hello](const char* err2, int sock2,
+                                            const ControlMsg& join) {
+                            conclude(err2, sock2, hello, join);
+                          });
+      });
+}
+
+std::string MeshNode::join_reply_error(std::size_t e, int fd,
+                                       const ControlMsg& hello,
+                                       const ControlMsg& join) {
+  const std::size_t peer = neighbors_[e];
+  const std::string node = "node " + std::to_string(peer);
+  for (const ControlMsg* m : {&hello, &join}) {
+    if (m->code == ControlMsg::kJoinReject)
+      return "node " + std::to_string(m->a) +
+             " rejected the join: " + reject_reason_name(m->b);
   }
-  return true;
+  if (hello.code != ControlMsg::kHello || join.code != ControlMsg::kJoin)
+    return node + ": unexpected handshake frames";
+  if (hello.b != net::wire::kWireVersion)
+    return node + ": wire version mismatch (peer v" +
+           std::to_string(hello.b) + ", local v" +
+           std::to_string(unsigned{net::wire::kWireVersion}) + ")";
+  if (hello.a != peer || join.a != peer)
+    return "dialed " + node + " but node " + std::to_string(hello.a) +
+           " answered";
+  if (join.b != cfg_.topo.hash()) {
+    send_ctrl_fd(fd, ControlMsg::kJoinReject, cfg_.node_id,
+                 kRejectTopologyHash);
+    return node + ": topology hash mismatch (diverging spec files?)";
+  }
+  return {};
 }
 
 void MeshNode::on_ready(std::uint32_t) {
   // Each connection gets its own loop reader and budget: a silent one delays
-  // no rejoin behind it.
+  // no join or rejoin behind it.
   for (int fd = net::tcp_accept(listener_); fd >= 0;
        fd = net::tcp_accept(listener_)) {
-    read_ctrl_on_loop(loop_, fd, kRejoinFrameBudgetMs, nullptr,
+    read_ctrl_on_loop(loop_, fd, kInboundFrameBudgetMs, {},
                       [this](const char* err, int sock, const ControlMsg& msg) {
-                        if (err == nullptr) answer_rejoin(sock, msg);
+                        if (err == nullptr) on_first_frame(sock, msg);
                       });
   }
+}
+
+void MeshNode::on_first_frame(int fd, const ControlMsg& msg) {
+  if (!joining_) return answer_rejoin(fd, msg);
+  if (msg.code != ControlMsg::kHello) {
+    // Not a join (a rejoin from a peer ahead of us, garbage): drop it
+    // unanswered, so a rejoining peer retries instead of failing.
+    ::close(fd);
+    return;
+  }
+  read_ctrl_on_loop(loop_, fd, kInboundFrameBudgetMs, {},
+                    [this, hello = msg](const char* err, int sock,
+                                        const ControlMsg& join) {
+                      if (err == nullptr) accept_join(sock, hello, join);
+                    });
+}
+
+void MeshNode::accept_join(int fd, const ControlMsg& hello,
+                           const ControlMsg& join) {
+  // The mesh formed while this hello waited for its join: it is stale.
+  if (!joining_) return answer_rejoin(fd, hello);
+  if (join.code != ControlMsg::kJoin) {
+    ::close(fd);  // spoke garbage: drop, keep accepting
+    return;
+  }
+  std::uint64_t reject = 0;
+  std::size_t slot = isc::Topology::npos;
+  for (std::size_t e = 0; e < neighbors_.size(); ++e)
+    if (neighbors_[e] == hello.a && neighbors_[e] > cfg_.node_id) slot = e;
+  if (hello.b != net::wire::kWireVersion) {
+    reject = kRejectWireVersion;
+  } else if (slot == isc::Topology::npos) {
+    reject = kRejectNotANeighbor;
+  } else if (fds_[slot] >= 0) {
+    reject = kRejectDuplicateJoin;
+  } else if (join.b != cfg_.topo.hash()) {
+    reject = kRejectTopologyHash;
+  }
+  if (reject != 0) {
+    send_ctrl_fd(fd, ControlMsg::kJoinReject, cfg_.node_id, reject);
+    ::close(fd);
+    return;
+  }
+  if (!send_ctrl_fd(fd, ControlMsg::kHello, cfg_.node_id,
+                    net::wire::kWireVersion) ||
+      !send_ctrl_fd(fd, ControlMsg::kJoin, cfg_.node_id, cfg_.topo.hash())) {
+    ::close(fd);
+    return;
+  }
+  edge_formed(slot, fd);
 }
 
 void MeshNode::answer_rejoin(int fd, const ControlMsg& msg) {
@@ -513,16 +556,9 @@ MeshResult MeshNode::run() {
     for (std::size_t e = 0; e < n_links; ++e) {
       LinkSession& s = *sessions_[e];
       const std::string p = "peer." + std::to_string(neighbors_[e]) + ".";
-      put(p + "down", s.down() ? 1 : 0);
+      for (const auto& [key, v] : peer_counters(s)) put(p + key, v);
       put(p + "journal_depth", static_cast<std::int64_t>(s.backlog()));
-      put(p + "hb_miss", static_cast<std::int64_t>(s.hb_miss()));
-      put(p + "resumes", static_cast<std::int64_t>(s.resumes()));
-      put(p + "dup_drops", static_cast<std::int64_t>(s.dup_drops()));
-      put(p + "pairs_sent", static_cast<std::int64_t>(s.data_sent()));
-      put(p + "pairs_delivered", static_cast<std::int64_t>(s.data_delivered()));
       put(p + "rtt_ns", s.best_rtt_ns());
-      put(p + "offset_ns", s.clock_offset_ns());
-      put(p + "rtt_count", static_cast<std::int64_t>(s.rtt_count()));
       bytes_out += static_cast<std::int64_t>(s.wire_bytes_out());
       bytes_in += static_cast<std::int64_t>(s.wire_bytes_in());
     }
@@ -686,12 +722,6 @@ MeshResult MeshNode::run() {
     progress();
     return more && phase != Phase::kFinished;
   });
-  // Rejoin service — registered only after every session exists, so a
-  // crashed dialer reconnecting the instant we come back finds its session.
-  if (listener_ >= 0) {
-    net::set_nonblocking(listener_);
-    loop_.add(listener_, this);
-  }
   sessions_ready_.store(true, std::memory_order_release);
   // The loop runs on this thread until finish() stops it.
   loop_.run();
@@ -721,27 +751,14 @@ MeshResult MeshNode::run() {
   m.counter("net.mesh.wakeups").inc(loop_.wakeups());
   // Per-peer session gauges (docs/OBSERVABILITY.md, schema v4).
   for (std::size_t e = 0; e < n_links; ++e) {
-    const std::string p =
-        "net.mesh." + std::to_string(neighbors_[e]) + ".";
-    m.gauge(p + "down").set(sessions_[e]->down() ? 1 : 0);
-    m.gauge(p + "hb_miss").set(
-        static_cast<std::int64_t>(sessions_[e]->hb_miss()));
-    m.gauge(p + "resumes").set(
-        static_cast<std::int64_t>(sessions_[e]->resumes()));
-    m.gauge(p + "dup_drops").set(
-        static_cast<std::int64_t>(sessions_[e]->dup_drops()));
-    m.gauge(p + "pairs_sent").set(
-        static_cast<std::int64_t>(sessions_[e]->data_sent()));
-    m.gauge(p + "pairs_delivered").set(
-        static_cast<std::int64_t>(sessions_[e]->data_delivered()));
+    const LinkSession& s = *sessions_[e];
+    const std::string p = "net.mesh." + std::to_string(neighbors_[e]) + ".";
+    for (const auto& [key, v] : peer_counters(s)) m.gauge(p + key).set(v);
     // Heartbeat-derived RTT/clock alignment (schema v5, docs/OBSERVABILITY.md
     // "Link RTT and clock offsets").
     auto& rtt = m.value_histogram(p + "rtt_ns");
-    for (std::int64_t v : sessions_[e]->rtt_samples()) rtt.observe(v);
-    m.gauge(p + "rtt_best_ns").set(sessions_[e]->best_rtt_ns());
-    m.gauge(p + "offset_ns").set(sessions_[e]->clock_offset_ns());
-    m.gauge(p + "rtt_count").set(
-        static_cast<std::int64_t>(sessions_[e]->rtt_count()));
+    for (std::int64_t v : s.rtt_samples()) rtt.observe(v);
+    m.gauge(p + "rtt_best_ns").set(s.best_rtt_ns());
   }
 
   // Final federation snapshot: fold our own closing sample so the file node 0

@@ -4,17 +4,20 @@
 //
 // Life of a node:
 //
-//   join()  — form the tree. The node listens on base_port + node_id, dials
-//             every lower-id neighbor, then accepts every higher-id one
-//             (deadlock-free by induction on node ids), exchanging
-//             hello/join ControlMsg frames on the raw blocking fd: hello
+//   join()  — form the tree. The node listens on base_port + node_id and
+//             runs its EpollLoop until every incident edge has formed: it
+//             dials every lower-id neighbor (a refused connect retries on a
+//             loop timer) and answers every higher-id one that connects, all
+//             at once, each connection under its own frame budget. Each edge
+//             exchanges hello/join ControlMsg frames (mesh/ctrl_io.h): hello
 //             carries the node id + wire version, join carries the node id +
 //             the canonical topology hash, so processes launched with
 //             diverging spec files or mismatched builds refuse each other
-//             (kJoinReject) instead of forming a broken mesh. With
-//             `resume`, join() instead loads the spill journal written by
-//             the crashed incarnation and skips the handshakes entirely —
-//             links re-form through the per-edge kRejoin handshake below.
+//             (kJoinReject) instead of forming a broken mesh. The
+//             join_timeout_ms deadline is a loop timer. With `resume`,
+//             join() instead loads the spill journal written by the crashed
+//             incarnation and skips the handshakes entirely — links re-form
+//             through the per-edge kRejoin handshake below.
 //   run()   — drive the workload. Builds a single-system Federation with one
 //             external link per neighbor (they share the node's IS-process,
 //             which gives split-horizon forwarding across the tree), wraps
@@ -24,14 +27,15 @@
 //             the per-link done/bye convergecast — until the whole tree is
 //             drained. Blocks until then; returns the node's final counts.
 //
-// Threads (docs/ARCHITECTURE.md "Mesh node threads"): one, run()'s caller,
-// which runs the node's EpollLoop. Each iteration the loop dispatches the
+// Threads (docs/ARCHITECTURE.md "Mesh node threads"): one, join()'s and
+// run()'s caller, which runs the node's EpollLoop; nothing here blocks
+// outside its epoll_wait. Each iteration of run() the loop dispatches the
 // ready sockets (a delivered pair is a plain simulator post), runs one
 // bounded batch of engine events (paused while any session's journal is at
 // its bound), checks the convergecast, and flushes every peer's send queue
 // with one writev. The stats plane and the heartbeats are loop timers; the
-// listener is a loop handler, and every rejoin — answered or dialed — is a
-// nonblocking exchange on the loop.
+// listener is a loop handler, and every handshake — join or rejoin,
+// answered or dialed — is a nonblocking exchange on the loop.
 //
 // Robustness (the PR-7 tentpole; docs/BRIDGE.md "Failure behavior"):
 // each edge is a LinkSession — seq/ack frames, a replay journal, heartbeats
@@ -90,11 +94,10 @@ struct MeshConfig {
   std::uint16_t procs = 4;
   std::size_t ops = 25;
   std::uint64_t seed = 7;
-  /// Overall budget for the accept side of join(); a missing or dead peer
-  /// surfaces as a clean error after this long.
+  /// Overall budget for join(): every incident edge must form within it,
+  /// dial retries included; a missing or dead peer surfaces as a clean
+  /// error after this long.
   int join_timeout_ms = 10'000;
-  /// Dial retries (100ms apart) while a lower-id peer is not yet listening.
-  int dial_retries = 100;
   bool trace = false;
 
   // ---- crash tolerance (docs/BRIDGE.md "Failure behavior") -----------------
@@ -178,16 +181,31 @@ class MeshNode final : private net::EpollLoop::FdHandler {
   std::uint32_t generation() const { return generation_; }
 
  private:
-  bool handshake_dial(int fd, std::size_t peer);
-  /// Accept loop helper: validates one inbound handshake; returns the
-  /// neighbor slot or npos (rejected / dead peer — keep accepting).
-  std::size_t handshake_accept(int fd);
   bool load_resume_state();
   std::uint64_t edge_session_id(std::size_t peer) const;
+  /// join() on the loop: dial lower-id neighbor slot `e` and run the
+  /// dialer's side of its handshake.
+  void dial_join(std::size_t e);
+  /// Why the reply to slot `e`'s join dial fails the join ("" if it does
+  /// not); answers a diverging topology hash with a reject on `fd`.
+  std::string join_reply_error(std::size_t e, int fd,
+                               const net::wire::ControlMsg& hello,
+                               const net::wire::ControlMsg& join);
+  /// Slot `e`'s handshake finished on `fd`; stops join()'s loop once every
+  /// edge has formed.
+  void edge_formed(std::size_t e, int fd);
+  /// End join() with `why` (the first failure wins).
+  void fail_join(std::string why);
   /// The listener on the loop: accept every queued connection and read its
-  /// one control frame on the loop.
+  /// first control frame on the loop.
   void on_ready(std::uint32_t events) override;
-  /// Answer the first frame of a connection accepted mid-run.
+  /// Route an accepted connection's first frame: a join's kHello while
+  /// joining, a rejoin afterwards.
+  void on_first_frame(int fd, const net::wire::ControlMsg& msg);
+  /// The acceptor's side of a join handshake: validate, reply or reject.
+  void accept_join(int fd, const net::wire::ControlMsg& hello,
+                   const net::wire::ControlMsg& join);
+  /// Answer the first frame of a connection accepted once the mesh formed.
   void answer_rejoin(int fd, const net::wire::ControlMsg& msg);
 
   MeshConfig cfg_;
@@ -195,6 +213,8 @@ class MeshNode final : private net::EpollLoop::FdHandler {
   std::vector<int> fds_;                // per neighbor slot, -1 until joined
   std::string error_;
   int listener_ = -1;                   // stays open for the whole run
+  bool joining_ = false;                // join()'s loop is forming edges
+  sockaddr_in dial_addr_{};             // the host, resolved once by join()
   std::uint32_t generation_ = 0;
   SpillState restored_;                 // loaded journal (resume only)
 

@@ -145,7 +145,9 @@ void EpollLoop::run() {
     busy = work_ && work_();
     // Tasks queued by this iteration, deferred flushes above all.
     run_tasks();
-    if (stop_flag_.load(std::memory_order_acquire)) {
+    // The stop is consumed here, so the loop can run again; a stop() that
+    // lands after this exchange stops the next run().
+    if (stop_flag_.exchange(false, std::memory_order_acq_rel)) {
       run_tasks();
       break;
     }

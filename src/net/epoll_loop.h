@@ -81,12 +81,15 @@ class EpollLoop {
   /// Unregister `fd`; see the lifetime contract above.
   void remove(int fd);
 
-  /// Run the loop on the calling thread until stop().
+  /// Run the loop on the calling thread until stop(). It may run again
+  /// once it returned: registered fds, queued tasks and pending timers carry
+  /// over (a mesh node's join() and run() drive one loop).
   void run();
 
   /// Ask run() to return: it finishes the current iteration, drains the
-  /// queued tasks, then returns. Any thread, idempotent, and sticky: after
-  /// a stop() that precedes it, run() returns after one iteration. It does
+  /// queued tasks, then returns. Any thread and idempotent; it holds until
+  /// a run() returns on it: after a stop() that precedes it, run() returns
+  /// after one iteration, and a second run() does not see it. It does
   /// not wait for run() to return; an embedder running the loop on a thread
   /// of its own joins that thread before destroying any handler.
   void stop();
@@ -104,8 +107,8 @@ class EpollLoop {
   /// Run `fn` on the loop thread once, roughly `delay_ms` from now. This is
   /// what drives the session layer's heartbeats and liveness checks
   /// (mesh::LinkSession): the loop computes its epoll_wait timeout from the
-  /// earliest pending timer. Timers that are still pending when the loop
-  /// stops are discarded, never run.
+  /// earliest pending timer. Timers that are still pending when run()
+  /// returns wait for the next run(); the loop's destruction discards them.
   void post_after(int delay_ms, std::function<void()> fn);
 
   /// Deterministic fault injection (tests/chaos bench; docs/FAULTS.md).

@@ -53,9 +53,6 @@ class LinkTransport {
   /// what arrives while the owner is crashed.
   virtual void set_down(bool down) { (void)down; }
 
-  /// Stable label for diagnostics and docs: "fabric", "bytes", "session".
-  virtual const char* kind() const = 0;
-
   /// True iff messages cross this link as encoded bytes (wire codec on the
   /// send path). Serializing transports report byte counters.
   virtual bool serializing() const { return false; }
@@ -91,7 +88,6 @@ class FabricLinkTransport final : public LinkTransport {
     if (arq_ != nullptr) arq_->set_down(down);
   }
 
-  const char* kind() const override { return "fabric"; }
   ReliableTransport* arq() const override { return arq_; }
   ChannelId out_channel() const { return out_; }
 
@@ -115,7 +111,6 @@ class LoopbackBytesTransport final : public LinkTransport {
 
   std::size_t backlog() const override { return inner_.backlog(); }
   void set_down(bool down) override { inner_.set_down(down); }
-  const char* kind() const override { return "bytes"; }
   bool serializing() const override { return true; }
   std::uint64_t wire_bytes_out() const override { return bytes_out_; }
   std::uint64_t wire_bytes_in() const override { return bytes_in_; }

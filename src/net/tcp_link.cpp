@@ -5,7 +5,6 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
@@ -45,8 +44,8 @@ void set_nonblocking(int fd) {
                 "cannot set O_NONBLOCK: " << std::strerror(errno));
 }
 
-int tcp_listen(std::uint16_t port, int backlog) {
-  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+int tcp_listen(std::uint16_t port) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   CIM_CHECK_MSG(listener >= 0, "socket() failed: " << std::strerror(errno));
   int one = 1;
   ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -61,7 +60,7 @@ int tcp_listen(std::uint16_t port, int backlog) {
     CIM_CHECK_MSG(false, "bind(:" << port << ") failed: "
                                   << std::strerror(err));
   }
-  if (::listen(listener, backlog) != 0) {
+  if (::listen(listener, SOMAXCONN) != 0) {
     const int err = errno;
     ::close(listener);
     CIM_CHECK_MSG(false, "listen() failed: " << std::strerror(err));
@@ -69,17 +68,8 @@ int tcp_listen(std::uint16_t port, int backlog) {
   return listener;
 }
 
-int tcp_accept(int listener_fd, int timeout_ms) {
+int tcp_accept(int listener_fd) {
   while (true) {
-    if (timeout_ms >= 0) {
-      pollfd pfd{listener_fd, POLLIN, 0};
-      int n;
-      do {
-        n = ::poll(&pfd, 1, timeout_ms);
-      } while (n < 0 && errno == EINTR);
-      if (n == 0) return -1;  // timeout
-      CIM_CHECK_MSG(n > 0, "poll(listener) failed: " << std::strerror(errno));
-    }
     const int fd = ::accept(listener_fd, nullptr, nullptr);
     if (fd >= 0) {
       set_nodelay(fd);

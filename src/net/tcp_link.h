@@ -10,8 +10,8 @@
 // mesh::LinkSession drives on top of it. Kernel TCP supplies order and
 // integrity within one socket; the session supplies them across sockets.
 // The mesh join and rejoin handshakes exchange *bare* ControlMsg frames on
-// the raw fd (mesh/ctrl_io.h) before a pipe takes over the stream; the
-// rejoin ones run on the same loop, over tcp_accept / tcp_dial sockets.
+// the raw fd (mesh/ctrl_io.h) before a pipe takes over the stream; both run
+// on the same loop, over tcp_accept / tcp_dial sockets.
 //
 // I/O model: nonblocking, driven by a shared net::EpollLoop — edge-triggered
 // readiness, one loop thread serving every link of the mesh node. Frames
@@ -45,25 +45,26 @@
 
 namespace cim::net {
 
-/// Bind + listen on `port` (all interfaces) with the given backlog. Returns
-/// the listener fd; throws InvariantViolation on socket errors. A mesh node
-/// sizes the backlog to its higher-id neighbor count so concurrent dialers
-/// are queued, not refused (docs/BRIDGE.md "Join").
-int tcp_listen(std::uint16_t port, int backlog = 1);
+/// Bind + listen on `port` (all interfaces). Returns the nonblocking
+/// listener fd, for an EpollLoop handler to drain with tcp_accept; throws
+/// InvariantViolation on socket errors. The backlog is SOMAXCONN: the loop
+/// accepts every connection at once, so the queue only absorbs a burst, and
+/// a burst of stray connections must not make the kernel drop a real
+/// dialer's SYN (docs/BRIDGE.md "Join").
+int tcp_listen(std::uint16_t port);
 
-/// Accept one connection from `listener_fd`, first waiting up to
-/// `timeout_ms` for one to arrive (<0: no wait — a blocking listener blocks
-/// in accept(), a nonblocking one returns -1 once its queue is empty).
+/// Accept one queued connection from a tcp_listen listener.
 /// Connections reset while queued are skipped. Returns the connected fd, or
-/// -1 on timeout or an empty queue.
-int tcp_accept(int listener_fd, int timeout_ms = -1);
+/// -1 once the queue is empty.
+int tcp_accept(int listener_fd);
 
 /// Resolve host:port to an IPv4 address. May block on a name lookup;
 /// returns false if the host cannot be resolved.
 bool tcp_resolve(const char* host, std::uint16_t port, sockaddr_in& out);
 
-/// Connect to host:port, retrying (100ms apart) while the peer is not yet
-/// listening. Returns the connected fd; throws after `retries` failures.
+/// Blocking connect to host:port, retrying (100ms apart) while the peer is
+/// not yet listening — for the tests' fake peers; a mesh node dials with
+/// tcp_dial. Returns the connected fd; throws after `retries` failures.
 int tcp_connect(const char* host, std::uint16_t port, int retries = 100);
 
 /// Start one nonblocking connect to `addr` (from tcp_resolve) for an

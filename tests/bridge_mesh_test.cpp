@@ -270,6 +270,35 @@ TEST(MeshJoin, DialerLearnsWhyItWasRejected) {
   joiner.join();
 }
 
+TEST(MeshJoin, SilentConnectionsDoNotDelayAJoin) {
+  // Three connections to node 0's listener that never say a word, then a
+  // real node-1 handshake. Each connection has its own read budget on node
+  // 0's loop, so the handshake is answered at once instead of queueing
+  // behind the silent ones, and the join completes.
+  const std::uint16_t base = test_port(140);
+  mesh::MeshConfig cfg;
+  cfg.node_id = 0;
+  cfg.topo = isc::make_chain(2);
+  cfg.base_port = base;
+  cfg.join_timeout_ms = 4'000;
+  mesh::MeshNode node(std::move(cfg));
+  bool joined = false;
+  std::thread joiner([&] { joined = node.join(); });
+
+  std::vector<int> silent;
+  for (int i = 0; i < 3; ++i)
+    silent.push_back(net::tcp_connect("127.0.0.1", base, 100));
+  const auto start = std::chrono::steady_clock::now();
+  const int real = net::tcp_connect("127.0.0.1", base, 100);
+  handshake_as(real, 1, isc::make_chain(2).hash());
+  const auto answered = std::chrono::steady_clock::now() - start;
+  joiner.join();
+  EXPECT_TRUE(joined) << node.error();
+  EXPECT_LT(answered, std::chrono::milliseconds(1'000));
+  ::close(real);
+  for (int fd : silent) ::close(fd);
+}
+
 // ---- the 5-system tree soak ------------------------------------------------
 
 TEST(MeshSoak, FiveSystemTreeMergedHistoryIsCausal) {
@@ -716,9 +745,12 @@ TEST(MeshIntrospection, ForeignReadersSeeMonotoneCountersMidRun) {
   // the relaxed mirrors its loop publishes. A poller at ~1 kHz (perfbench's
   // cadence) reads every one of them through a run that takes a mid-stream
   // read fault: no counter may go backwards, and the last poll, taken after
-  // run() returned, must see exactly what the owner sees.
+  // run() returned, must see exactly what the owner sees. Node 1's writes
+  // stall until the fault has landed, so the run cannot finish before it:
+  // a fast run could otherwise complete in fewer than 9 reads.
   net::FaultHooks hooks;
   hooks.fail_reads_after.store(8);  // node 1's 9th transport read fails
+  hooks.stall_writes.store(true);
   ChaosMesh mesh(test_port(180), &hooks, /*ops=*/1500);
   mesh.wait_ready();
 
@@ -750,6 +782,7 @@ TEST(MeshIntrospection, ForeignReadersSeeMonotoneCountersMidRun) {
       spin_until([&] { return hooks.fail_reads_after.load() == 0; }) &&
       spin_until([&] { return !dialer.connected() || dialer.resumes() >= 1; });
   hooks.fail_reads_after.store(-1);
+  hooks.stall_writes.store(false);
   for (auto& t : mesh.threads) t.join();
   mesh.threads.clear();
   stop.store(true);

@@ -105,6 +105,28 @@ TEST(EpollLoop, StopBeforeRunIsSticky) {
   EXPECT_TRUE(ran);
 }
 
+TEST(EpollLoop, RunsAgainWithWhatTheLastRunLeftPending) {
+  // A stop() ends one run(), not the loop: the next run() does not see it,
+  // and runs the timers and tasks the last one left pending.
+  net::EpollLoop loop;
+  bool late_ran = false;
+  loop.post_after(20, [&] {
+    late_ran = true;
+    loop.stop();
+  });
+  loop.stop();
+  loop.run();
+  EXPECT_FALSE(late_ran);
+  bool task_ran = false;
+  loop.post([&] { task_ran = true; });
+  bool timed_out = false;
+  arm_guard(loop, timed_out);
+  loop.run();
+  EXPECT_FALSE(timed_out);
+  EXPECT_TRUE(task_ran);
+  EXPECT_TRUE(late_ran);
+}
+
 TEST(EpollLoop, StopFromAnotherThreadWakesASleepingLoop) {
   net::EpollLoop loop;
   std::atomic<bool> started{false};

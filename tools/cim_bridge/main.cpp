@@ -10,9 +10,10 @@
 //   cim_bridge --node 1 --shape btree --n 4 --base-port 9100 ... &
 //   ...
 //
-// Node i listens on base-port + i, dials its lower-id neighbors, accepts
-// the higher ones, and the kHello/kJoin handshake (wire version + topology
-// hash) makes mismatched launches fail fast. Each process drives a uniform
+// Node i listens on base-port + i, dials its lower-id neighbors and
+// answers the higher ones, all at once on its one epoll loop, and the
+// kHello/kJoin handshake (wire version + topology hash) makes mismatched
+// launches fail fast. Each process drives a uniform
 // workload with a disjoint value range, so `cat *.hist` is a checkable
 // merged history: examples/trace_checker verifies the whole tree's
 // computation is causal.
