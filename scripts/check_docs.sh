@@ -231,6 +231,26 @@ if grep -rEl --include='*.h' --include='*.cpp' "$value_hooks" \
   status=1
 fi
 
+# A read names its write: the replica keeps each value's WriteId, reads are
+# one synchronous McsProcess::read, and the monitor's read hook takes the
+# returned WriteId. The capped value -> write map stays gone from the
+# checker, and no protocol brings back a callback read handler.
+if grep -rEq "kMaxTrackedValues|by_value_order_" "$root"/src/checker; then
+  echo "check_docs: src/checker maps values to writes on the live path (a read names its WriteId):" >&2
+  grep -rEn "kMaxTrackedValues|by_value_order_" "$root"/src/checker >&2
+  status=1
+fi
+if grep -rq "handle_read" "$root"/src/protocols; then
+  echo "check_docs: src/protocols declares handle_read (McsProcess::read serves reads):" >&2
+  grep -rn "handle_read" "$root"/src/protocols >&2
+  status=1
+fi
+if ! tr -s '\n' ' ' < "$root/src/checker/online_monitor.h" \
+    | grep -Eq "void on_read_done\([^)]*WriteId"; then
+  echo "check_docs: OnlineMonitor::on_read_done does not take the read's WriteId" >&2
+  status=1
+fi
+
 if [ "$status" -eq 0 ]; then
   echo "check_docs: OK"
 fi

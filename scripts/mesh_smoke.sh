@@ -6,7 +6,9 @@
 # docs/BRIDGE.md. Wired into CI as the `mesh-smoke` step.
 #
 # usage: scripts/mesh_smoke.sh [BUILD_DIR] [BASE_PORT] [SHAPE] [N] [OUT_DIR]
+#                              [OPS]
 #
+# OPS is the operations per application process (4 per node; default 25).
 # OUT_DIR keeps the per-node histories, metrics, and the checker output for
 # artifact upload on failure; default is a temp dir removed on success. CI
 # passes an explicit OUT_DIR and uploads it as an artifact when this fails.
@@ -18,6 +20,7 @@ base_port="${2:-9517}"
 shape="${3:-btree}"
 n="${4:-4}"
 out="${5:-}"
+ops="${6:-25}"
 
 bridge="$build/tools/cim_bridge"
 checker="$build/examples/trace_checker"
@@ -52,7 +55,7 @@ while [ "$i" -lt "$n" ]; do
   fi
   # shellcheck disable=SC2086
   "$bridge" --node "$i" --shape "$shape" --n "$n" --base-port "$base_port" \
-    --procs 4 --ops 25 \
+    --procs 4 --ops "$ops" \
     --history "$out/n$i.hist" --metrics "$out/n$i.json" \
     --trace "$out/n$i.jsonl" --stats-interval 50 $fed_flags \
     > "$out/n$i.log" 2>&1 &

@@ -7,9 +7,8 @@ namespace cim::chk {
 namespace {
 
 // Retention caps; hitting one forgets the oldest entries.
-constexpr std::size_t kMaxTrackedValues = 1 << 16;  // value -> write id map
-constexpr std::size_t kMaxWritesPerVar = 1 << 10;   // per (origin, var) seqs
-constexpr std::size_t kMaxViolations = 256;         // retained records
+constexpr std::size_t kMaxWritesPerVar = 1 << 10;  // per (origin, var) seqs
+constexpr std::size_t kMaxViolations = 256;        // retained records
 
 }  // namespace
 
@@ -25,14 +24,17 @@ void OnlineMonitor::observe(const obs::ParsedTraceEvent& ev) {
   if (ev.cat == "mcs") {
     ProcId proc{};
     if (!ev.field_proc("proc", proc)) return;
+    const VarId var{static_cast<std::uint32_t>(ev.field_int("var"))};
     if (ev.name == "write_issue") {
-      on_write_issue(ev.t, proc, ev.wid(),
-                     VarId{static_cast<std::uint32_t>(ev.field_int("var"))},
-                     ev.field_int("val"));
+      // read_done records carry no wid: remember which write a value names
+      // (the first issue wins; an IS-process re-issue carries the same wid).
+      const WriteId wid = ev.wid();
+      if (wid.valid()) replay_wids_.try_emplace(ev.field_int("val"), wid);
+      on_write_issue(ev.t, proc, wid, var);
     } else if (ev.name == "read_done") {
-      on_read_done(ev.t, proc,
-                   VarId{static_cast<std::uint32_t>(ev.field_int("var"))},
-                   ev.field_int("val"));
+      const auto hit = replay_wids_.find(ev.field_int("val"));
+      on_read_done(ev.t, proc, var,
+                   hit != replay_wids_.end() ? hit->second : WriteId{});
     }
   } else if (ev.cat == "proto" && ev.name == "update_applied") {
     ProcId proc{};
@@ -54,18 +56,11 @@ void OnlineMonitor::learn(ProcId proc, WriteId wid) {
 }
 
 void OnlineMonitor::on_write_issue(std::int64_t, ProcId proc, WriteId wid,
-                                   VarId var, Value value) {
+                                   VarId var) {
   ++events_seen_;
   if (!wid.valid()) return;
   // Record the write (idempotent: an IS-process re-issuing a foreign write
-  // carries the same wid and value).
-  if (by_value_.try_emplace(value, WriteInfo{wid, var}).second) {
-    by_value_order_.push_back(value);
-    while (by_value_order_.size() > kMaxTrackedValues) {
-      by_value_.erase(by_value_order_.front());
-      by_value_order_.pop_front();
-    }
-  }
+  // carries the same wid).
   std::deque<std::uint32_t>& seqs = writes_[key(pack(wid.origin()), var.value)];
   if (seqs.empty() || seqs.back() < wid.seq()) {
     seqs.push_back(wid.seq());
@@ -76,12 +71,8 @@ void OnlineMonitor::on_write_issue(std::int64_t, ProcId proc, WriteId wid,
 }
 
 void OnlineMonitor::on_read_done(std::int64_t t, ProcId proc, VarId var,
-                                 Value value) {
+                                 WriteId got) {
   ++events_seen_;
-  const auto hit = by_value_.find(value);
-  const WriteId got =
-      hit != by_value_.end() ? hit->second.wid : WriteId{};  // invalid = init
-
   // Read monotonicity.
   const std::uint64_t rk = key(pack(proc), var.value);
   auto prev = last_read_.find(rk);

@@ -36,14 +36,22 @@
 // Detection is a sound under-approximation: sequence-number knowledge is
 // propagated only by direct reads (no transitive closure through third
 // processes), so every reported violation is real, but not every violation
-// is reported. Values are assumed unique per execution (the repo-wide
-// workload convention) so a value identifies its write.
+// is reported.
+//
+// A read names the write it returned: live, the replica keeps each value's
+// WriteId and the read hook passes it on, so the verdicts never depend on
+// values. Only the trace replay needs the distinct-value premise (the
+// repo-wide workload convention): `read_done` records carry no wid, so
+// observe() maps a read's value back to its write through a value -> wid
+// map filled from `write_issue` records. That map is uncapped; it grows
+// with the trace.
 //
 // Every violation is recorded, emitted as a `chk`/`violation` trace event
 // (when the sink traces) and counted in the `checker.violations` metric the
-// moment the offending event is observed. All state is bounded by fixed
-// caps (online_monitor.cpp); when a cap is hit the oldest entries are
-// forgotten (reducing detection power, never soundness).
+// moment the offending event is observed. The live state is bounded: each
+// (origin, var) sequence list is capped (online_monitor.cpp) and forgets its
+// oldest entries when full (reducing detection power, never soundness);
+// every other table is keyed by processes and variables.
 #pragma once
 
 #include <cstdint>
@@ -82,13 +90,14 @@ class OnlineMonitor {
                          obs::MetricsRegistry* metrics = nullptr);
 
   // ---- the three facts the monitor consumes (times in virtual ns) --------
-  void on_write_issue(std::int64_t t, ProcId proc, WriteId wid, VarId var,
-                      Value value);
+  void on_write_issue(std::int64_t t, ProcId proc, WriteId wid, VarId var);
   void on_update_applied(std::int64_t t, ProcId proc, WriteId wid);
-  void on_read_done(std::int64_t t, ProcId proc, VarId var, Value value);
+  /// A read of `var` returned write `got` (invalid: the initial value).
+  void on_read_done(std::int64_t t, ProcId proc, VarId var, WriteId got);
 
   /// Replay one parsed trace event (cim_trace check): the three facts above
-  /// are fed in, every other event is ignored.
+  /// are fed in, a read's write found by its value; every other event is
+  /// ignored.
   void observe(const obs::ParsedTraceEvent& ev);
 
   /// Facts consumed so far, live or replayed.
@@ -112,14 +121,6 @@ class OnlineMonitor {
   obs::TraceSink* trace_;
   obs::Counter* m_violations_ = nullptr;
 
-  // value -> (wid, var) for every write seen issued; FIFO-bounded.
-  struct WriteInfo {
-    WriteId wid;
-    VarId var;
-  };
-  std::unordered_map<Value, WriteInfo> by_value_;
-  std::deque<Value> by_value_order_;
-
   // (origin, var) -> ascending seqs of that origin's writes to var.
   std::unordered_map<std::uint64_t, std::deque<std::uint32_t>> writes_;
   // proc -> (origin, highest seq of origin the proc has read or issued),
@@ -137,6 +138,9 @@ class OnlineMonitor {
     std::int64_t t = 0;
   };
   std::unordered_map<std::uint64_t, Applied> applied_;
+
+  // observe() only: value -> the first write seen issued with it.
+  std::unordered_map<Value, WriteId> replay_wids_;
 
   std::uint64_t events_seen_ = 0;
   std::uint64_t violation_count_ = 0;

@@ -1,4 +1,4 @@
-// Per-replica variable store: VarId -> Value.
+// Per-replica variable store: VarId -> (Value, WriteId).
 //
 // Every protocol replica consults its store on each read, write, and applied
 // update, so this sits squarely on the per-event path. Variable ids in
@@ -7,6 +7,9 @@
 // and spills to an unordered_map only for pathological sparse ids. The dense
 // vector grows geometrically and never shrinks; after the first touch of the
 // working set, reads and writes allocate nothing (docs/ARCHITECTURE.md).
+//
+// Each slot keeps the WriteId of the write that stored its value, so a read
+// names the write it returned: the replica, not the value, identifies it.
 #pragma once
 
 #include <cstddef>
@@ -18,27 +21,34 @@
 
 namespace cim {
 
+/// One variable's replica: its value and the write that stored it. The
+/// default (kInitValue, invalid wid) is the paper's initial state.
+struct StoredValue {
+  Value value = kInitValue;
+  WriteId wid;
+};
+
 class VarStore {
  public:
-  /// Value of `var`; kInitValue if never written (the paper's initial state).
-  Value get(VarId var) const {
+  /// Replica of `var`; the initial state if never written.
+  StoredValue get(VarId var) const {
     if (var.value < dense_.size()) return dense_[var.value];
-    if (var.value < kDenseLimit) return kInitValue;
+    if (var.value < kDenseLimit) return StoredValue{};
     auto it = sparse_.find(var.value);
-    return it == sparse_.end() ? kInitValue : it->second;
+    return it == sparse_.end() ? StoredValue{} : it->second;
   }
 
-  void set(VarId var, Value value) {
+  void set(VarId var, Value value, WriteId wid) {
     if (var.value < kDenseLimit) {
       if (var.value >= dense_.size()) grow(var.value);
-      dense_[var.value] = value;
+      dense_[var.value] = StoredValue{value, wid};
       return;
     }
-    sparse_[var.value] = value;
+    sparse_[var.value] = StoredValue{value, wid};
   }
 
  private:
-  // Ids below this live in the dense vector (8 KiB fully grown); beyond it
+  // Ids below this live in the dense vector (16 KiB fully grown); beyond it
   // (nobody in this repository) they fall back to the map.
   static constexpr std::uint32_t kDenseLimit = 1024;
 
@@ -46,11 +56,11 @@ class VarStore {
     std::size_t n = dense_.empty() ? 16 : dense_.size() * 2;
     while (n <= var) n *= 2;
     if (n > kDenseLimit) n = kDenseLimit;
-    dense_.resize(n, kInitValue);
+    dense_.resize(n);
   }
 
-  std::vector<Value> dense_;
-  std::unordered_map<std::uint32_t, Value> sparse_;
+  std::vector<StoredValue> dense_;
+  std::unordered_map<std::uint32_t, StoredValue> sparse_;
 };
 
 }  // namespace cim

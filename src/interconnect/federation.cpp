@@ -32,17 +32,17 @@ class MonitorFeed final : public mcs::MemoryObserver {
  public:
   explicit MonitorFeed(chk::OnlineMonitor& monitor) : monitor_(monitor) {}
 
-  void on_update_issued(ProcId writer, VarId var, Value value, WriteId wid,
+  void on_update_issued(ProcId writer, VarId var, Value, WriteId wid,
                         sim::Time t) override {
-    monitor_.on_write_issue(t.ns, writer, wid, var, value);
+    monitor_.on_write_issue(t.ns, writer, wid, var);
   }
   void on_update_applied(ProcId replica, VarId, Value, WriteId wid,
                          sim::Time t) override {
     monitor_.on_update_applied(t.ns, replica, wid);
   }
-  void on_read_done(ProcId reader, VarId var, Value value,
+  void on_read_done(ProcId reader, VarId var, Value, WriteId wid,
                     sim::Time t) override {
-    monitor_.on_read_done(t.ns, reader, var, value);
+    monitor_.on_read_done(t.ns, reader, var, wid);
   }
 
  private:

@@ -90,16 +90,14 @@ void IsProcess::restart() {
     if (upcall.is_pre) {
       run_pre_update(upcall.var, std::move(upcall.done));
     } else {
-      run_post_update(upcall.var, upcall.value, upcall.wid,
-                      std::move(upcall.done));
+      run_post_update(upcall.var, upcall.wid, std::move(upcall.done));
     }
   }
 }
 
 void IsProcess::pre_update(VarId var, mcs::DoneFn done) {
   if (crashed_) {
-    parked_.push_back(
-        ParkedUpcall{true, var, kInitValue, WriteId{}, std::move(done)});
+    parked_.push_back(ParkedUpcall{true, var, WriteId{}, std::move(done)});
     return;
   }
   run_pre_update(var, std::move(done));
@@ -111,32 +109,31 @@ void IsProcess::run_pre_update(VarId var, mcs::DoneFn done) {
   // causal order (Lemma 1).
   CIM_TRACE(trace_, fabric_.simulator().now(), obs::TraceCategory::kIsc,
             "pre_read", {{"proc", id()}, {"var", var}});
-  app_.read_now(var, [done = std::move(done)](Value) { done(); });
+  app_.read_now(var);
+  done();
 }
 
-void IsProcess::post_update(VarId var, Value value, WriteId wid,
-                            mcs::DoneFn done) {
+void IsProcess::post_update(VarId var, Value, WriteId wid, mcs::DoneFn done) {
   if (crashed_) {
-    parked_.push_back(ParkedUpcall{false, var, value, wid, std::move(done)});
+    parked_.push_back(ParkedUpcall{false, var, wid, std::move(done)});
     return;
   }
-  run_post_update(var, value, wid, std::move(done));
+  run_post_update(var, wid, std::move(done));
 }
 
-void IsProcess::run_post_update(VarId var, Value value, WriteId wid,
-                                mcs::DoneFn done) {
+void IsProcess::run_post_update(VarId var, WriteId wid, mcs::DoneFn done) {
   // Task Propagate_out(x, v) (Fig. 1): read x — condition (c) guarantees the
-  // read returns v — and send ⟨x, v⟩ to the peer IS-process on every link.
-  app_.read_now(var,
-                [this, var, value, wid, done = std::move(done)](Value read) {
-    CIM_CHECK_MSG(read == value,
-                  "condition (c) violated: post-update read must return v");
-    const sim::Time origin = fabric_.simulator().now();
-    for (std::size_t link = 0; link < out_links_.size(); ++link) {
-      send_pair(link, var, read, wid, origin);
-    }
-    done();
-  });
+  // read returns v, i.e. write `wid` itself — and send ⟨x, v⟩ to the peer
+  // IS-process on every link.
+  const StoredValue read = app_.read_now(var);
+  CIM_CHECK_MSG(read.wid == wid,
+                "condition (c) violated: post-update read must return write "
+                    << wid);
+  const sim::Time origin = fabric_.simulator().now();
+  for (std::size_t link = 0; link < out_links_.size(); ++link) {
+    send_pair(link, var, read.value, wid, origin);
+  }
+  done();
 }
 
 void IsProcess::send_pair(std::size_t link, VarId var, Value value,

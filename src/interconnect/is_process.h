@@ -131,16 +131,14 @@ class IsProcess final : public mcs::UpcallHandler, public net::Receiver {
   struct ParkedUpcall {
     bool is_pre = false;
     VarId var;
-    Value value = kInitValue;  // post upcalls only
-    WriteId wid;               // post upcalls only
+    WriteId wid;  // post upcalls only
     mcs::DoneFn done;
   };
 
   void send_pair(std::size_t link, VarId var, Value value, WriteId wid,
                  sim::Time origin_time);
   void run_pre_update(VarId var, mcs::DoneFn done);
-  void run_post_update(VarId var, Value value, WriteId wid,
-                       mcs::DoneFn done);
+  void run_post_update(VarId var, WriteId wid, mcs::DoneFn done);
 
   mcs::AppProcess& app_;
   net::Fabric& fabric_;

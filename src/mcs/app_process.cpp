@@ -45,20 +45,14 @@ void AppProcess::write_with_wid(VarId var, Value value, WriteId wid,
   enqueue(std::move(req));
 }
 
-void AppProcess::read_now(VarId var, ReadCallback k) {
+StoredValue AppProcess::read_now(VarId var) {
   if (m_isp_reads_ != nullptr) m_isp_reads_->inc();
   const OpId op = recorder_.begin(id_, is_isp_, chk::OpKind::kRead, var,
                                   kInitValue, sim_.now());
-  bool responded = false;
-  mcs_.handle_read(var, [this, op, k = std::move(k), &responded](Value v) {
-    recorder_.end_read(op, v, sim_.now());
-    ++completed_;
-    responded = true;
-    if (k) k(v);
-  });
-  // Condition (b): reads issued while processing upcalls must finish, and in
-  // this implementation all protocols serve reads synchronously.
-  CIM_CHECK_MSG(responded, "read_now must be served synchronously");
+  const StoredValue got = mcs_.read(var);
+  recorder_.end_read(op, got.value, sim_.now());
+  ++completed_;
+  return got;
 }
 
 void AppProcess::enqueue(Request req) {
@@ -79,7 +73,6 @@ void AppProcess::pump() {
 }
 
 void AppProcess::issue(Request req) {
-  busy_ = true;
   // Latency is measured from enqueue: a queued call is "blocked" in the
   // paper's sense, so queueing time is part of the operation.
   const sim::Time started = req.enqueued_at;
@@ -89,28 +82,23 @@ void AppProcess::issue(Request req) {
               {{"proc", id_}, {"var", req.var}});
     const OpId op = recorder_.begin(id_, is_isp_, chk::OpKind::kRead, req.var,
                                     kInitValue, sim_.now());
-    mcs_.handle_read(req.var,
-                     [this, op, started, var = req.var,
-                      k = std::move(req.on_read)](Value v) {
-                       recorder_.end_read(op, v, sim_.now());
-                       ++completed_;
-                       busy_ = false;
-                       if (h_op_latency_ != nullptr) {
-                         h_op_latency_->observe(sim_.now() - started);
-                       }
-                       CIM_TRACE(trace_, sim_.now(), obs::TraceCategory::kMcs,
-                                 "read_done",
-                                 {{"proc", id_},
-                                  {"var", var},
-                                  {"val", v},
-                                  {"lat_ns", sim_.now() - started}});
-                       if (observer_ != nullptr) {
-                         observer_->on_read_done(id_, var, v, sim_.now());
-                       }
-                       if (k) k(v);
-                       pump();
-                     });
+    const StoredValue got = mcs_.read(req.var);
+    recorder_.end_read(op, got.value, sim_.now());
+    ++completed_;
+    if (h_op_latency_ != nullptr) h_op_latency_->observe(sim_.now() - started);
+    CIM_TRACE(trace_, sim_.now(), obs::TraceCategory::kMcs, "read_done",
+              {{"proc", id_},
+               {"var", req.var},
+               {"val", got.value},
+               {"lat_ns", sim_.now() - started}});
+    if (observer_ != nullptr) {
+      observer_->on_read_done(id_, req.var, got.value, got.wid, sim_.now());
+    }
+    if (req.on_read) req.on_read(got.value);
   } else {
+    // A write stays outstanding until the protocol acknowledges it; a read
+    // completes above, within its issue.
+    busy_ = true;
     if (m_writes_ != nullptr) m_writes_->inc();
     CIM_TRACE(trace_, sim_.now(), obs::TraceCategory::kMcs, "write_issue",
               {{"proc", id_},

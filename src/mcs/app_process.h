@@ -4,7 +4,9 @@
 // calls to its attached MCS-process and "blocks" until the response. In the
 // event-driven runtime the blocking discipline is a FIFO of at most one
 // outstanding operation: additional requests queue and issue in order, which
-// preserves the sequential-process semantics. Every operation is recorded in
+// preserves the sequential-process semantics. A read completes within its
+// issue (the MCS-process serves it synchronously); a write completes when the
+// protocol acknowledges it. Every operation is recorded in
 // the Recorder (invocation and response), forming the computations the
 // checker verifies.
 //
@@ -47,10 +49,11 @@ class AppProcess {
   void write_with_wid(VarId var, Value value, WriteId wid,
                       WriteCallback k = {});
 
-  /// Issue a read immediately, bypassing the operation queue. Used by
-  /// IS-processes inside upcall handlers, where the MCS guarantees immediate
-  /// service (conditions (b) and (c)).
-  void read_now(VarId var, ReadCallback k = {});
+  /// Read immediately, bypassing the operation queue, and return the
+  /// replica's value and the write that stored it. Used by IS-processes
+  /// inside upcall handlers, where the MCS guarantees immediate service
+  /// (conditions (b) and (c)).
+  StoredValue read_now(VarId var);
 
   /// True when no operation is outstanding or queued.
   bool idle() const { return !busy_ && queue_.empty(); }

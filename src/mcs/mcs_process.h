@@ -1,9 +1,11 @@
 // Base class for MCS-processes (the protocol endpoints of a DSM system).
 //
 // A concrete protocol (ANBKH, lazy-batch, Attiya-Welch, ...) derives from
-// McsProcess and implements the read/write call handlers and the message
-// handler. The base class provides:
+// McsProcess and implements the write call handler and the message handler.
+// The base class provides:
 //
+//  * the replica store and the read call: a read is a synchronous call that
+//    returns the replica's value and the WriteId of the write that stored it,
 //  * channel wiring within the system (full mesh, plus sender resolution),
 //  * the IS-process upcall pipeline of Section 2, including write deferral
 //    while an upcall is in flight (condition (a): the pre-value must not be
@@ -23,6 +25,7 @@
 #include "common/ids.h"
 #include "common/rng.h"
 #include "common/value.h"
+#include "common/var_store.h"
 #include "mcs/memory_observer.h"
 #include "mcs/types.h"
 #include "mcs/upcall.h"
@@ -60,10 +63,15 @@ class McsProcess : public net::Receiver {
   void register_in_channel(net::ChannelId ch, std::uint16_t from);
 
   // ---- application-facing calls ------------------------------------------
-  /// Serve a read call; the response callback receives the replica value.
-  /// Reads are always served, even while an upcall is in flight
-  /// (condition (b)); they then return the pre/post value (condition (c)).
-  virtual void handle_read(VarId var, ReadCallback cb) = 0;
+  /// Serve a read call: the replica's value and the write that stored it
+  /// (an invalid wid for the initial value). Reads are served at once, even
+  /// while an upcall is in flight (condition (b)); they then return the
+  /// pre/post value (condition (c)). A protocol overrides this only to
+  /// refuse a read.
+  virtual StoredValue read(VarId var) const { return store_.get(var); }
+
+  /// The replica's value of `var`, without read()'s checks.
+  Value replica_value(VarId var) const { return store_.get(var).value; }
 
   /// Serve a write call. While an upcall is in flight the call is deferred
   /// (condition (a)); otherwise it is passed to the protocol's do_write.
@@ -100,6 +108,11 @@ class McsProcess : public net::Receiver {
   void apply_with_upcalls(VarId var, Value value, WriteId wid, bool own_write,
                           DoneFn apply, DoneFn done);
 
+  /// Store write `wid`'s w(var)value in this process's replica.
+  void set_replica(VarId var, Value value, WriteId wid) {
+    store_.set(var, value, wid);
+  }
+
   sim::Simulator& simulator() { return *ctx_.simulator; }
   net::Fabric& fabric() { return *ctx_.fabric; }
   Rng& rng() { return rng_; }
@@ -135,6 +148,7 @@ class McsProcess : public net::Receiver {
 
   McsContext ctx_;
   Rng rng_;
+  VarStore store_;
   // Cached instrument cells (null when ctx.obs is null).
   obs::TraceSink* trace_ = nullptr;
   obs::Counter* m_issued_ = nullptr;

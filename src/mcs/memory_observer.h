@@ -2,8 +2,10 @@
 //
 // Protocols report every write issue and every replica application once,
 // through McsProcess's note_update_* helpers, and application processes
-// report every completed read. Observers see them here without touching
-// protocol internals:
+// report every completed read together with the write it returned (the
+// replica keeps each value's WriteId, so no observer has to guess a write
+// from its value). Observers see them here without touching protocol
+// internals:
 //
 //  * the typed write-lifecycle hooks carry the write's WriteId and fire
 //    exactly where the `proto`/`update_issued`, `proto`/`update_applied`
@@ -47,10 +49,11 @@ class MemoryObserver {
     (void)replica; (void)var; (void)value; (void)wid; (void)t;
   }
 
-  /// A read of `var` by application process `reader` returned `value`.
+  /// A read of `var` by application process `reader` returned `value`, as
+  /// stored by write `wid` (an invalid wid: the initial value).
   virtual void on_read_done(ProcId reader, VarId var, Value value,
-                            sim::Time t) {
-    (void)reader; (void)var; (void)value; (void)t;
+                            WriteId wid, sim::Time t) {
+    (void)reader; (void)var; (void)value; (void)wid; (void)t;
   }
 
   // ---- value-keyed hooks ----------------------------------------------------
@@ -82,9 +85,10 @@ class ObserverMux final : public MemoryObserver {
     for (MemoryObserver* o : observers_)
       o->on_update_applied(replica, var, value, wid, t);
   }
-  void on_read_done(ProcId reader, VarId var, Value value,
+  void on_read_done(ProcId reader, VarId var, Value value, WriteId wid,
                     sim::Time t) override {
-    for (MemoryObserver* o : observers_) o->on_read_done(reader, var, value, t);
+    for (MemoryObserver* o : observers_)
+      o->on_read_done(reader, var, value, wid, t);
   }
   void on_write_issued(ProcId writer, VarId var, Value value,
                        sim::Time t) override {

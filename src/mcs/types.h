@@ -1,10 +1,13 @@
 // Callback types of the memory-consistency-system (MCS) interface.
 //
 // An application process issues read/write *calls* to its MCS-process and
-// blocks until the *response* arrives (Section 2). In this event-driven
-// implementation the response is a callback; the blocking discipline is
-// enforced by AppProcess, which serializes one outstanding operation per
-// process.
+// blocks until the *response* arrives (Section 2). A read is answered at
+// once: McsProcess::read returns the replica's value together with the
+// WriteId of the write that stored it, so a read names the write it
+// returned. A write's response may come later, so in this event-driven
+// implementation it is a callback. The blocking discipline is enforced by
+// AppProcess, which serializes one outstanding operation per process; its
+// read continuation (ReadCallback) receives the value.
 #pragma once
 
 #include "common/ids.h"

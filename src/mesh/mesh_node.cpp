@@ -34,6 +34,12 @@ constexpr int kEngineBatch = 256;
 // Pause between join dials while a lower-id neighbor is not listening yet.
 constexpr int kDialRetryMs = 100;
 
+// Value ranges (mesh_node.h): node i's generation g writes values from
+// i * kNodeValues + g * kGenerationValues + 1 on, at most one per write, so
+// a generation may issue at most kGenerationValues writes (procs x ops).
+constexpr std::uint64_t kNodeValues = 1'000'000;
+constexpr std::uint64_t kGenerationValues = 200'000;
+
 // The per-peer session counters that both the stats-plane sample
 // (peer.<id>.*) and the post-run gauges (net.mesh.<id>.*) report, under the
 // same names (docs/OBSERVABILITY.md).
@@ -130,6 +136,14 @@ bool MeshNode::join() {
     return false;
   }
   cfg_.topo = std::move(vr.topo);
+  // procs x ops > kGenerationValues, without overflowing on a huge --ops.
+  if (cfg_.procs > 0 && cfg_.ops > kGenerationValues / cfg_.procs) {
+    error_ = "procs x ops = " + std::to_string(cfg_.procs) + " x " +
+             std::to_string(cfg_.ops) +
+             " may issue more writes than a generation's " +
+             std::to_string(kGenerationValues) + " values";
+    return false;
+  }
   if (cfg_.node_id >= cfg_.topo.nodes) {
     error_ = "node id " + std::to_string(cfg_.node_id) +
              " outside the topology (" + std::to_string(cfg_.topo.nodes) +
@@ -462,8 +476,8 @@ MeshResult MeshNode::run() {
   wc.seed = cfg_.seed * 2 + cfg_.node_id;
   // Each generation writes a disjoint value range (header comment): the
   // checker's value-identifies-write premise survives restarts.
-  wc.value_base = static_cast<Value>(cfg_.node_id) * 1'000'000 +
-                  static_cast<Value>(generation_) * 200'000;
+  wc.value_base = static_cast<Value>(cfg_.node_id * kNodeValues +
+                                    generation_ * kGenerationValues);
   auto runners = wl::install_uniform(*fed_, wc);
 
   // Everything below runs on the loop, i.e. on this thread: the engine, the

@@ -10,18 +10,10 @@ namespace cim::proto {
 AnbkhProcess::AnbkhProcess(const mcs::McsContext& ctx)
     : McsProcess(ctx), clock_(ctx.num_procs) {}
 
-Value AnbkhProcess::replica_value(VarId var) const {
-  return store_.get(var);
-}
-
-void AnbkhProcess::handle_read(VarId var, mcs::ReadCallback cb) {
-  cb(replica_value(var));
-}
-
 void AnbkhProcess::do_write(VarId var, Value value, WriteId wid,
                             mcs::WriteCallback cb) {
   clock_.tick(local_index());
-  store_.set(var, value);
+  set_replica(var, value, wid);
   note_update_issued(var, value, wid, /*applied_locally=*/true);
   for (std::uint16_t j = 0; j < num_procs(); ++j) {
     if (j == local_index()) continue;
@@ -84,7 +76,7 @@ void AnbkhProcess::apply_step() {
         /*apply=*/[this, var, value, wid, received_at, writer,
                    writer_ticks]() {
           clock_.set(writer, writer_ticks);
-          store_.set(var, value);
+          set_replica(var, value, wid);
           note_update_applied(var, value, wid, received_at);
         },
         /*done=*/[this]() {

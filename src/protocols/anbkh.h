@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/vector_clock.h"
-#include "common/var_store.h"
 #include "mcs/mcs_process.h"
 #include "protocols/update_msg.h"
 
@@ -27,7 +26,6 @@ class AnbkhProcess final : public mcs::McsProcess {
  public:
   explicit AnbkhProcess(const mcs::McsContext& ctx);
 
-  void handle_read(VarId var, mcs::ReadCallback cb) override;
   void on_message(net::ChannelId from, net::MessagePtr msg) override;
 
   bool satisfies_causal_updating() const override { return true; }
@@ -36,7 +34,6 @@ class AnbkhProcess final : public mcs::McsProcess {
   const VectorClock& clock() const { return clock_; }
   /// Updates received but not yet applied.
   std::size_t pending_updates() const { return pending_.size() - head_; }
-  Value replica_value(VarId var) const;
 
  protected:
   void do_write(VarId var, Value value, WriteId wid,
@@ -46,7 +43,6 @@ class AnbkhProcess final : public mcs::McsProcess {
   void try_apply();
   void apply_step();
 
-  VarStore store_;
   VectorClock clock_;
   // Arrival order, live from head_ on: applying the head just advances
   // head_ (O(1) however large a delivery burst makes the buffer); a

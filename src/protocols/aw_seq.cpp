@@ -9,14 +9,6 @@ namespace cim::proto {
 
 AwSeqProcess::AwSeqProcess(const mcs::McsContext& ctx) : McsProcess(ctx) {}
 
-Value AwSeqProcess::replica_value(VarId var) const {
-  return store_.get(var);
-}
-
-void AwSeqProcess::handle_read(VarId var, mcs::ReadCallback cb) {
-  cb(replica_value(var));  // the local-read fast path
-}
-
 void AwSeqProcess::do_write(VarId var, Value value, WriteId wid,
                             mcs::WriteCallback cb) {
   // IS-process write: apply locally and acknowledge immediately (see the
@@ -24,7 +16,7 @@ void AwSeqProcess::do_write(VarId var, Value value, WriteId wid,
   const bool pre_apply = has_upcall_handler();
   note_update_issued(var, value, wid, /*applied_locally=*/pre_apply);
   if (pre_apply) {
-    store_.set(var, value);
+    set_replica(var, value, wid);
     publish(var, value, wid, /*pre_applied=*/true);
     cb();
     return;
@@ -106,7 +98,7 @@ void AwSeqProcess::apply_step() {
                  wid = del.write_id, received_at = del.received_at]() {
         // For a pre-applied own write this is a (convergence-restoring)
         // re-application at the update's global sequence position.
-        store_.set(var, value);
+        set_replica(var, value, wid);
         if (own) {
           note_update_applied(var, value, wid);
         } else {

@@ -30,7 +30,6 @@
 #include <map>
 
 #include "common/vec_queue.h"
-#include "common/var_store.h"
 #include "mcs/mcs_process.h"
 
 namespace cim::proto {
@@ -69,13 +68,11 @@ class AwSeqProcess final : public mcs::McsProcess {
  public:
   explicit AwSeqProcess(const mcs::McsContext& ctx);
 
-  void handle_read(VarId var, mcs::ReadCallback cb) override;
   void on_message(net::ChannelId from, net::MessagePtr msg) override;
 
   bool satisfies_causal_updating() const override { return true; }
   const char* protocol_name() const override { return "aw-seq"; }
 
-  Value replica_value(VarId var) const;
   bool is_sequencer() const { return local_index() == 0; }
   std::uint64_t applied_count() const { return next_apply_seq_; }
 
@@ -90,7 +87,6 @@ class AwSeqProcess final : public mcs::McsProcess {
   void try_apply();
   void apply_step();
 
-  VarStore store_;
   std::uint64_t next_seq_to_assign_ = 0;       // sequencer only
   std::uint64_t next_apply_seq_ = 0;           // next sequence number to apply
   std::map<std::uint64_t, TobDeliver> delivery_buffer_;

@@ -14,14 +14,6 @@ CbcastDsmProcess::CbcastDsmProcess(const mcs::McsContext& ctx)
                 on_deliver(sender, p);
               }) {}
 
-Value CbcastDsmProcess::replica_value(VarId var) const {
-  return store_.get(var);
-}
-
-void CbcastDsmProcess::handle_read(VarId var, mcs::ReadCallback cb) {
-  cb(replica_value(var));
-}
-
 void CbcastDsmProcess::do_write(VarId var, Value value, WriteId wid,
                                 mcs::WriteCallback cb) {
   note_update_issued(var, value, wid, /*applied_locally=*/false);
@@ -47,7 +39,7 @@ void CbcastDsmProcess::on_deliver(std::uint16_t sender,
   apply_with_upcalls(
       payload.var, payload.value, payload.wid, own,
       /*apply=*/[this, &payload]() {
-        store_.set(payload.var, payload.value);
+        set_replica(payload.var, payload.value, payload.wid);
         note_update_applied(payload.var, payload.value, payload.wid);
       },
       /*done=*/[&completed]() { completed = true; });

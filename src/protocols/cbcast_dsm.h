@@ -17,8 +17,6 @@
 // having to build a message-passing hierarchy spanning the systems.
 #pragma once
 
-
-#include "common/var_store.h"
 #include "mcs/mcs_process.h"
 #include "msgpass/cbcast.h"
 
@@ -29,13 +27,11 @@ class CbcastDsmProcess final : public mcs::McsProcess,
  public:
   explicit CbcastDsmProcess(const mcs::McsContext& ctx);
 
-  void handle_read(VarId var, mcs::ReadCallback cb) override;
   void on_message(net::ChannelId from, net::MessagePtr msg) override;
 
   bool satisfies_causal_updating() const override { return true; }
   const char* protocol_name() const override { return "cbcast-dsm"; }
 
-  Value replica_value(VarId var) const;
   const mp::CbcastMember& member() const { return member_; }
 
  protected:
@@ -48,7 +44,6 @@ class CbcastDsmProcess final : public mcs::McsProcess,
 
   void on_deliver(std::uint16_t sender, const mp::CbPayload& payload);
 
-  VarStore store_;
   mp::CbcastMember member_;
 };
 

@@ -12,19 +12,11 @@ LazyBatchProcess::LazyBatchProcess(const mcs::McsContext& ctx,
                                    LazyBatchConfig config)
     : McsProcess(ctx), config_(config), clock_(ctx.num_procs) {}
 
-Value LazyBatchProcess::replica_value(VarId var) const {
-  return store_.get(var);
-}
-
-void LazyBatchProcess::handle_read(VarId var, mcs::ReadCallback cb) {
-  cb(replica_value(var));
-}
-
 void LazyBatchProcess::do_write(VarId var, Value value, WriteId wid,
                                 mcs::WriteCallback cb) {
   // Local writes apply immediately (read-your-writes) and propagate.
   clock_.tick(local_index());
-  store_.set(var, value);
+  set_replica(var, value, wid);
   note_update_issued(var, value, wid, /*applied_locally=*/true);
   for (std::uint16_t j = 0; j < num_procs(); ++j) {
     if (j == local_index()) continue;
@@ -119,18 +111,17 @@ void LazyBatchProcess::run_batch() {
   collect_ready(tentative, batch);
   if (batch.empty()) return;
 
-  // Values are unique per execution (paper assumption), so they identify
-  // updates; remember the causal order to detect deviation.
-  std::vector<Value>& causal_values = causal_scratch_;
-  causal_values.clear();
-  causal_values.reserve(batch.size());
-  for (const TimestampedUpdate& u : batch) causal_values.push_back(u.value);
+  // Remember the causal order, by WriteId, to detect deviation.
+  std::vector<WriteId>& causal_wids = causal_scratch_;
+  causal_wids.clear();
+  causal_wids.reserve(batch.size());
+  for (const TimestampedUpdate& u : batch) causal_wids.push_back(u.write_id);
 
   order_batch(batch);
 
   bool deviated = false;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].value != causal_values[i]) deviated = true;
+    if (batch[i].write_id != causal_wids[i]) deviated = true;
   }
   if (deviated) ++scrambled_batches_;
 
@@ -144,7 +135,7 @@ void LazyBatchProcess::run_batch() {
     apply_with_upcalls(
         u.var, u.value, u.write_id, /*own_write=*/false,
         /*apply=*/[this, &u]() {
-          store_.set(u.var, u.value);
+          set_replica(u.var, u.value, u.write_id);
           note_update_applied(u.var, u.value, u.write_id, u.received_at);
         },
         /*done=*/[&completed]() { completed = true; });

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "common/vector_clock.h"
-#include "common/var_store.h"
 #include "mcs/mcs_process.h"
 #include "protocols/update_msg.h"
 #include "sim/time.h"
@@ -48,14 +47,12 @@ class LazyBatchProcess final : public mcs::McsProcess {
  public:
   LazyBatchProcess(const mcs::McsContext& ctx, LazyBatchConfig config);
 
-  void handle_read(VarId var, mcs::ReadCallback cb) override;
   void on_message(net::ChannelId from, net::MessagePtr msg) override;
 
   bool satisfies_causal_updating() const override { return false; }
   const char* protocol_name() const override { return "lazy-batch"; }
 
   const VectorClock& clock() const { return clock_; }
-  Value replica_value(VarId var) const;
 
   /// Number of batches whose application order actually deviated from
   /// causal order (diagnostic for experiment E6).
@@ -73,13 +70,12 @@ class LazyBatchProcess final : public mcs::McsProcess {
   void order_batch(std::vector<TimestampedUpdate>& batch);
 
   LazyBatchConfig config_;
-  VarStore store_;
   VectorClock clock_;
   // vectors, not deques: order-preserving erase/append with retained
   // capacity, so steady-state batching stops touching the allocator.
   std::vector<TimestampedUpdate> pending_;
   std::vector<TimestampedUpdate> batch_scratch_;
-  std::vector<Value> causal_scratch_;
+  std::vector<WriteId> causal_scratch_;
   bool batch_scheduled_ = false;
   std::uint64_t scrambled_batches_ = 0;
 };

@@ -15,14 +15,10 @@ PartialRepProcess::PartialRepProcess(const mcs::McsContext& ctx,
   CIM_CHECK_MSG(interest_ != nullptr, "partial-rep needs an interest function");
 }
 
-Value PartialRepProcess::replica_value(VarId var) const {
-  return store_.get(var);
-}
-
-void PartialRepProcess::handle_read(VarId var, mcs::ReadCallback cb) {
+StoredValue PartialRepProcess::read(VarId var) const {
   CIM_CHECK_MSG(holds(var), "process " << id() << " reads " << var
                                        << " outside its interest set");
-  cb(replica_value(var));
+  return McsProcess::read(var);
 }
 
 void PartialRepProcess::do_write(VarId var, Value value, WriteId wid,
@@ -30,7 +26,7 @@ void PartialRepProcess::do_write(VarId var, Value value, WriteId wid,
   CIM_CHECK_MSG(holds(var), "process " << id() << " writes " << var
                                        << " outside its interest set");
   clock_.tick(local_index());
-  store_.set(var, value);
+  set_replica(var, value, wid);
   note_update_issued(var, value, wid, /*applied_locally=*/true);
   for (std::uint16_t j = 0; j < num_procs(); ++j) {
     if (j == local_index()) continue;
@@ -87,7 +83,7 @@ void PartialRepProcess::apply_step() {
         /*apply=*/[this, var, value, wid, received_at, writer,
                    writer_ticks]() {
           clock_.set(writer, writer_ticks);
-          store_.set(var, value);
+          set_replica(var, value, wid);
           note_update_applied(var, value, wid, received_at);
         },
         /*done=*/[this]() {

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/vector_clock.h"
-#include "common/var_store.h"
 #include "mcs/mcs_process.h"
 #include "protocols/update_msg.h"
 
@@ -61,7 +60,7 @@ class PartialRepProcess final : public mcs::McsProcess {
   PartialRepProcess(const mcs::McsContext& ctx, InterestFn interest,
                     std::uint16_t app_process_count);
 
-  void handle_read(VarId var, mcs::ReadCallback cb) override;
+  StoredValue read(VarId var) const override;
   void on_message(net::ChannelId from, net::MessagePtr msg) override;
 
   bool satisfies_causal_updating() const override { return true; }
@@ -69,7 +68,6 @@ class PartialRepProcess final : public mcs::McsProcess {
 
   bool holds(VarId var) const { return holds(local_index(), var); }
   const VectorClock& clock() const { return clock_; }
-  Value replica_value(VarId var) const;
 
  protected:
   void do_write(VarId var, Value value, WriteId wid,
@@ -85,7 +83,6 @@ class PartialRepProcess final : public mcs::McsProcess {
 
   InterestFn interest_;
   std::uint16_t app_process_count_;
-  VarStore store_;
   VectorClock clock_;
   std::vector<PartialUpdate> pending_;  // order-preserving erase, see anbkh.h
   bool applying_ = false;

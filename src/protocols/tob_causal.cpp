@@ -10,14 +10,6 @@ namespace cim::proto {
 TobCausalProcess::TobCausalProcess(const mcs::McsContext& ctx)
     : McsProcess(ctx) {}
 
-Value TobCausalProcess::replica_value(VarId var) const {
-  return store_.get(var);
-}
-
-void TobCausalProcess::handle_read(VarId var, mcs::ReadCallback cb) {
-  cb(replica_value(var));
-}
-
 void TobCausalProcess::do_write(VarId var, Value value, WriteId wid,
                                 mcs::WriteCallback cb) {
   // An IS-process host keeps the replica in pure sequence order so upcall
@@ -25,7 +17,7 @@ void TobCausalProcess::do_write(VarId var, Value value, WriteId wid,
   // other writer applies its own write at once.
   const bool pre_apply = !has_upcall_handler();
   note_update_issued(var, value, wid, /*applied_locally=*/pre_apply);
-  if (pre_apply) store_.set(var, value);
+  if (pre_apply) set_replica(var, value, wid);
   publish(var, value, wid, /*pre_applied=*/pre_apply);
   cb();  // writes acknowledge immediately in this protocol
 }
@@ -113,7 +105,7 @@ void TobCausalProcess::apply_step() {
       del.var, del.value, del.write_id, own,
       /*apply=*/[this, own, var = del.var, value = del.value,
                  wid = del.write_id, received_at = del.received_at]() {
-        store_.set(var, value);
+        set_replica(var, value, wid);
         if (own) {
           note_update_applied(var, value, wid);
         } else {

@@ -37,7 +37,6 @@
 
 #include <map>
 
-#include "common/var_store.h"
 #include "mcs/mcs_process.h"
 #include "protocols/aw_seq.h"  // TobPublish / TobDeliver wire format
 
@@ -47,13 +46,11 @@ class TobCausalProcess final : public mcs::McsProcess {
  public:
   explicit TobCausalProcess(const mcs::McsContext& ctx);
 
-  void handle_read(VarId var, mcs::ReadCallback cb) override;
   void on_message(net::ChannelId from, net::MessagePtr msg) override;
 
   bool satisfies_causal_updating() const override { return true; }
   const char* protocol_name() const override { return "tob-causal"; }
 
-  Value replica_value(VarId var) const;
   bool is_sequencer() const { return local_index() == 0; }
   /// Own deliveries skipped because the write was applied at issue time.
   std::uint64_t own_deliveries_skipped() const { return own_skipped_; }
@@ -69,7 +66,6 @@ class TobCausalProcess final : public mcs::McsProcess {
   void try_apply();
   void apply_step();
 
-  VarStore store_;
   std::uint64_t next_seq_to_assign_ = 0;  // sequencer only
   std::uint64_t next_apply_seq_ = 0;
   std::map<std::uint64_t, TobDeliver> delivery_buffer_;

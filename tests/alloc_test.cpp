@@ -80,12 +80,13 @@ TEST(AllocHook, CountsHeapAllocations) {
 
 TEST(AllocFree, WarmVarStoreDoesNotAllocate) {
   VarStore store;
-  for (std::uint32_t v = 0; v < 64; ++v) store.set(VarId{v}, 1);  // warm-up
+  const WriteId wid = WriteId::make(ProcId{SystemId{0}, 0}, 1);
+  for (std::uint32_t v = 0; v < 64; ++v) store.set(VarId{v}, 1, wid);  // warm-up
   const std::uint64_t before = allocations();
   for (int round = 0; round < 1000; ++round) {
     for (std::uint32_t v = 0; v < 64; ++v) {
-      store.set(VarId{v}, round);
-      ASSERT_EQ(store.get(VarId{v}), round);
+      store.set(VarId{v}, round, wid);
+      ASSERT_EQ(store.get(VarId{v}).value, round);
     }
   }
   EXPECT_EQ(allocations(), before);

@@ -246,6 +246,27 @@ TEST(MeshJoin, PartialTopologyTimesOutCleanly) {
   EXPECT_NE(node.error().find("2"), std::string::npos);
 }
 
+TEST(MeshJoin, RefusesMoreWritesThanAGenerationsValueRange) {
+  // A generation writes at most one value per op into its own 200 000-wide
+  // range. A one-node topology joins without opening a socket.
+  auto config = [](std::size_t ops) {
+    mesh::MeshConfig cfg;
+    cfg.topo = isc::make_chain(1);
+    cfg.procs = 4;
+    cfg.ops = ops;
+    return cfg;
+  };
+  mesh::MeshNode fits(config(50'000));
+  EXPECT_TRUE(fits.join()) << fits.error();
+  mesh::MeshNode overflows(config(50'001));
+  EXPECT_FALSE(overflows.join());
+  EXPECT_NE(overflows.error().find("200000"), std::string::npos)
+      << overflows.error();
+  // 4 x 2^62 wraps to 0 in 64 bits; the check must not.
+  mesh::MeshNode wraps(config(std::size_t{1} << 62));
+  EXPECT_FALSE(wraps.join());
+}
+
 TEST(MeshJoin, DialerLearnsWhyItWasRejected) {
   const std::uint16_t base = test_port(40);
   // A 3-chain's node 1 dials node 0 — but node 0 was launched with a star,

@@ -257,34 +257,41 @@ TEST(BlockPool, TrimReleasesThisThreadsCache) {
 
 TEST(VarStore, UnwrittenVariablesReadInitValue) {
   VarStore store;
-  EXPECT_EQ(store.get(VarId{0}), kInitValue);
-  EXPECT_EQ(store.get(VarId{999}), kInitValue);
-  EXPECT_EQ(store.get(VarId{100000}), kInitValue);  // sparse range too
+  for (const VarId var : {VarId{0}, VarId{999}, VarId{100000}}) {
+    EXPECT_EQ(store.get(var).value, kInitValue);  // sparse range too
+    EXPECT_FALSE(store.get(var).wid.valid());
+  }
 }
 
 TEST(VarStore, SetGetRoundTripDenseRange) {
   VarStore store;
-  store.set(VarId{0}, 10);
-  store.set(VarId{7}, 17);
-  store.set(VarId{700}, 27);  // forces geometric growth
-  EXPECT_EQ(store.get(VarId{0}), 10);
-  EXPECT_EQ(store.get(VarId{7}), 17);
-  EXPECT_EQ(store.get(VarId{700}), 27);
-  EXPECT_EQ(store.get(VarId{3}), kInitValue);  // grown slots stay initial
-  store.set(VarId{7}, 99);
-  EXPECT_EQ(store.get(VarId{7}), 99);
+  const ProcId p{SystemId{0}, 1};
+  store.set(VarId{0}, 10, WriteId::make(p, 1));
+  store.set(VarId{7}, 17, WriteId::make(p, 2));
+  store.set(VarId{700}, 27, WriteId::make(p, 3));  // forces geometric growth
+  EXPECT_EQ(store.get(VarId{0}).value, 10);
+  EXPECT_EQ(store.get(VarId{7}).value, 17);
+  EXPECT_EQ(store.get(VarId{700}).value, 27);
+  EXPECT_EQ(store.get(VarId{700}).wid, WriteId::make(p, 3));
+  EXPECT_EQ(store.get(VarId{3}).value, kInitValue);  // grown slots stay initial
+  EXPECT_FALSE(store.get(VarId{3}).wid.valid());
+  store.set(VarId{7}, 99, WriteId::make(p, 4));
+  EXPECT_EQ(store.get(VarId{7}).value, 99);
+  EXPECT_EQ(store.get(VarId{7}).wid, WriteId::make(p, 4));
 }
 
 TEST(VarStore, SparseIdsSpillToTheMap) {
   VarStore store;
-  store.set(VarId{1 << 20}, 5);
-  store.set(VarId{0xFFFFFFFF}, 6);
-  EXPECT_EQ(store.get(VarId{1 << 20}), 5);
-  EXPECT_EQ(store.get(VarId{0xFFFFFFFF}), 6);
+  const ProcId p{SystemId{1}, 0};
+  store.set(VarId{1 << 20}, 5, WriteId::make(p, 5));
+  store.set(VarId{0xFFFFFFFF}, 6, WriteId::make(p, 6));
+  EXPECT_EQ(store.get(VarId{1 << 20}).value, 5);
+  EXPECT_EQ(store.get(VarId{1 << 20}).wid, WriteId::make(p, 5));
+  EXPECT_EQ(store.get(VarId{0xFFFFFFFF}).value, 6);
   // Dense and sparse ranges do not alias.
-  store.set(VarId{1}, 7);
-  EXPECT_EQ(store.get(VarId{1}), 7);
-  EXPECT_EQ(store.get(VarId{1 << 20}), 5);
+  store.set(VarId{1}, 7, WriteId::make(p, 7));
+  EXPECT_EQ(store.get(VarId{1}).value, 7);
+  EXPECT_EQ(store.get(VarId{1 << 20}).value, 5);
 }
 
 }  // namespace

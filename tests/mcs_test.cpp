@@ -20,30 +20,20 @@ struct RecordingHandler final : UpcallHandler {
 
   void pre_update(VarId var, mcs::DoneFn done) override {
     if (app != nullptr) {
-      app->read_now(var, [this, var, done = std::move(done)](Value v) {
-        events.push_back("pre x" + std::to_string(var.value) + "=" +
-                         std::to_string(v));
-        done();
-      });
+      events.push_back("pre x" + std::to_string(var.value) + "=" +
+                       std::to_string(app->read_now(var).value));
     } else {
       events.push_back("pre x" + std::to_string(var.value));
-      done();
     }
+    done();
   }
 
   void post_update(VarId var, Value value, WriteId,
                    mcs::DoneFn done) override {
-    if (app != nullptr) {
-      app->read_now(var, [this, var, done = std::move(done)](Value v) {
-        events.push_back("post x" + std::to_string(var.value) + "=" +
-                         std::to_string(v));
-        done();
-      });
-    } else {
-      events.push_back("post x" + std::to_string(var.value) + "=" +
-                       std::to_string(value));
-      done();
-    }
+    const Value seen = app != nullptr ? app->read_now(var).value : value;
+    events.push_back("post x" + std::to_string(var.value) + "=" +
+                     std::to_string(seen));
+    done();
   }
 };
 
@@ -143,9 +133,7 @@ struct DeferringHandler final : UpcallHandler {
       // issued right after still sees the pipeline's value, not ours.
       writer->write(VarId{99}, 1234);
       EXPECT_TRUE(mcs->upcall_in_flight());
-      writer->read_now(var, [this](Value v) {
-        observed_after_write_call = v;
-      });
+      observed_after_write_call = writer->read_now(var).value;
     }
     done();
   }

@@ -3,8 +3,8 @@
 // fed live by mcs::SpanFeed agrees with the JSONL one; propagation
 // reproduces isc.propagation_latency; repeated values keep their own
 // spans), the Chrome Trace Event exporter's schema, the online monitor's
-// detection rules on synthetic streams, and its live verdicts against a
-// replay of the exported trace.
+// detection rules on synthetic streams of typed facts, and its live
+// verdicts against a replay of the exported trace.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -342,98 +342,54 @@ TEST(PerfettoExport, EmitsValidChromeTraceJson) {
 }
 
 // ---- online monitor: detection rules on synthetic streams ------------------
-
-class MonitorFeed {
- public:
-  chk::OnlineMonitor& monitor() { return monitor_; }
-
-  void write_issue(std::int64_t t, ProcId p, WriteId wid, VarId var,
-                   Value val) {
-    ParsedTraceEvent ev = base(t, "mcs", "write_issue", p);
-    add(ev, "wid", static_cast<std::int64_t>(wid.value));
-    add(ev, "var", static_cast<std::int64_t>(var.value));
-    add(ev, "val", val);
-    monitor_.observe(ev);
-  }
-  void read_done(std::int64_t t, ProcId p, VarId var, Value val) {
-    ParsedTraceEvent ev = base(t, "mcs", "read_done", p);
-    add(ev, "var", static_cast<std::int64_t>(var.value));
-    add(ev, "val", val);
-    monitor_.observe(ev);
-  }
-  void applied(std::int64_t t, ProcId p, WriteId wid) {
-    ParsedTraceEvent ev = base(t, "proto", "update_applied", p);
-    add(ev, "wid", static_cast<std::int64_t>(wid.value));
-    monitor_.observe(ev);
-  }
-
- private:
-  static ParsedTraceEvent base(std::int64_t t, const char* cat,
-                               const char* name, ProcId p) {
-    ParsedTraceEvent ev;
-    ev.v = obs::kTraceSchemaVersion;
-    ev.t = t;
-    ev.cat = cat;
-    ev.name = name;
-    ev.fields.kind = obs::JsonValue::Kind::kObject;
-    obs::JsonValue proc;
-    proc.kind = obs::JsonValue::Kind::kString;
-    proc.s = std::to_string(p.system.value) + "." + std::to_string(p.index);
-    ev.fields.members.emplace_back("proc", std::move(proc));
-    return ev;
-  }
-  static void add(ParsedTraceEvent& ev, const char* key, std::int64_t v) {
-    obs::JsonValue j;
-    j.kind = obs::JsonValue::Kind::kInt;
-    j.i = v;
-    ev.fields.members.emplace_back(key, std::move(j));
-  }
-
-  chk::OnlineMonitor monitor_;
-};
+//
+// The streams drive the typed hooks, as a federation does live: each read
+// names the write it returned (an invalid wid: the initial value).
 
 const ProcId P00{SystemId{0}, 0};
 const ProcId P01{SystemId{0}, 1};
 const ProcId P10{SystemId{1}, 0};
 
 TEST(OnlineMonitor, FlagsObservableFifoRegression) {
-  MonitorFeed feed;
+  chk::OnlineMonitor m;
   const WriteId w1 = WriteId::make(P00, 1);
   const WriteId w2 = WriteId::make(P00, 2);
-  feed.write_issue(0, P00, w1, X, 1);
-  feed.write_issue(5, P00, w2, Y, 2);
-  feed.applied(10, P10, w2);
-  feed.applied(20, P10, w1);  // #1 after #2, time elapsed: regression
-  ASSERT_EQ(feed.monitor().violation_count(), 1u);
-  EXPECT_STREQ(feed.monitor().violations()[0].kind, "fifo_regress");
-  EXPECT_EQ(feed.monitor().violations()[0].expected_seq, 2u);
-  EXPECT_EQ(feed.monitor().violations()[0].got_seq, 1u);
+  m.on_write_issue(0, P00, w1, X);
+  m.on_write_issue(5, P00, w2, Y);
+  m.on_update_applied(10, P10, w2);
+  m.on_update_applied(20, P10, w1);  // #1 after #2, time elapsed: regression
+  ASSERT_EQ(m.violation_count(), 1u);
+  EXPECT_STREQ(m.violations()[0].kind, "fifo_regress");
+  EXPECT_EQ(m.violations()[0].expected_seq, 2u);
+  EXPECT_EQ(m.violations()[0].got_seq, 1u);
 }
 
 TEST(OnlineMonitor, AtomicBatchInversionAndReapplyAreBenign) {
-  MonitorFeed feed;
+  chk::OnlineMonitor m;
   const WriteId w1 = WriteId::make(P00, 1);
   const WriteId w2 = WriteId::make(P00, 2);
-  feed.write_issue(0, P00, w1, X, 1);
-  feed.write_issue(5, P00, w2, Y, 2);
+  m.on_write_issue(0, P00, w1, X);
+  m.on_write_issue(5, P00, w2, Y);
   // Inverted but at one virtual instant (lazy-batch atomic apply): benign.
-  feed.applied(10, P01, w2);
-  feed.applied(10, P01, w1);
+  m.on_update_applied(10, P01, w2);
+  m.on_update_applied(10, P01, w1);
   // Re-applying the same seq later (AW-seq own-write re-apply): benign.
-  feed.applied(15, P01, w2);
-  EXPECT_EQ(feed.monitor().violation_count(), 0u);
+  m.on_update_applied(15, P01, w2);
+  EXPECT_EQ(m.violation_count(), 0u);
 }
 
 TEST(OnlineMonitor, FlagsStaleReadAfterNewerKnowledge) {
   // The paper's Claim-4 history: p writes x=1 then y=2; a reader sees y=2
   // and then reads x's initial value.
-  MonitorFeed feed;
-  feed.write_issue(0, P00, WriteId::make(P00, 1), X, 1);
-  feed.write_issue(5, P00, WriteId::make(P00, 2), Y, 2);
-  feed.read_done(50, P10, Y, 2);            // learns P00 up to #2
-  feed.read_done(60, P10, X, kInitValue);   // stale: #1 wrote x
-  ASSERT_EQ(feed.monitor().violation_count(), 1u);
-  const chk::Violation& v = feed.monitor().violations()[0];
+  chk::OnlineMonitor m;
+  const WriteId w1 = WriteId::make(P00, 1);
+  const WriteId w2 = WriteId::make(P00, 2);
+  m.on_write_issue(0, P00, w1, X);
+  m.on_write_issue(5, P00, w2, Y);
+  m.on_read_done(50, P10, Y, w2);         // learns P00 up to #2
+  m.on_read_done(60, P10, X, WriteId{});  // stale: #1 wrote x
+  ASSERT_EQ(m.violation_count(), 1u);
+  const chk::Violation& v = m.violations()[0];
   EXPECT_STREQ(v.kind, "stale_read");
   EXPECT_EQ(v.proc, P10);
   EXPECT_EQ(v.var, X);
@@ -442,26 +398,78 @@ TEST(OnlineMonitor, FlagsStaleReadAfterNewerKnowledge) {
 }
 
 TEST(OnlineMonitor, NoViolationWithoutCausalKnowledge) {
-  MonitorFeed feed;
-  feed.write_issue(0, P00, WriteId::make(P00, 1), X, 1);
-  feed.write_issue(5, P00, WriteId::make(P00, 2), Y, 2);
+  chk::OnlineMonitor m;
+  const WriteId w1 = WriteId::make(P00, 1);
+  const WriteId w2 = WriteId::make(P00, 2);
+  m.on_write_issue(0, P00, w1, X);
+  m.on_write_issue(5, P00, w2, Y);
   // Reading init before learning anything is fine (propagation delay).
-  feed.read_done(10, P10, X, kInitValue);
-  feed.read_done(11, P10, Y, kInitValue);
+  m.on_read_done(10, P10, X, WriteId{});
+  m.on_read_done(11, P10, Y, WriteId{});
   // Reading the newest known same-origin write is fine too.
-  feed.read_done(50, P10, Y, 2);
-  feed.read_done(60, P10, X, 1);
-  EXPECT_EQ(feed.monitor().violation_count(), 0u);
+  m.on_read_done(50, P10, Y, w2);
+  m.on_read_done(60, P10, X, w1);
+  EXPECT_EQ(m.violation_count(), 0u);
 }
 
 TEST(OnlineMonitor, FlagsReadRegression) {
-  MonitorFeed feed;
-  feed.write_issue(0, P00, WriteId::make(P00, 1), X, 1);
-  feed.write_issue(5, P00, WriteId::make(P00, 2), X, 7);
-  feed.read_done(50, P10, X, 7);
-  feed.read_done(60, P10, X, 1);  // same origin, older seq: regression
-  ASSERT_GE(feed.monitor().violation_count(), 1u);
-  EXPECT_STREQ(feed.monitor().violations()[0].kind, "read_regress");
+  chk::OnlineMonitor m;
+  const WriteId w1 = WriteId::make(P00, 1);
+  const WriteId w2 = WriteId::make(P00, 2);
+  m.on_write_issue(0, P00, w1, X);
+  m.on_write_issue(5, P00, w2, X);
+  m.on_read_done(50, P10, X, w2);
+  m.on_read_done(60, P10, X, w1);  // same origin, older seq: regression
+  ASSERT_GE(m.violation_count(), 1u);
+  EXPECT_STREQ(m.violations()[0].kind, "read_regress");
+}
+
+TEST(OnlineMonitor, LiveVerdictsIgnoreValues) {
+  // Two origins write the same value to x: P00 writes x=5 (#1) then x=6
+  // (#2); P10 writes y=3 (#1) then x=5 (#2). Telling its two writes apart
+  // by the value 5 would send a reader of P10's x=5 to P00's #1: a false
+  // read_regress after reading x=6, and a Claim-4 read missed, since the
+  // reader would learn P00 instead of P10. The hooks carry the wid the
+  // replica stored, so neither happens.
+  chk::OnlineMonitor m;
+  const WriteId a1 = WriteId::make(P00, 1);  // x=5
+  const WriteId a2 = WriteId::make(P00, 2);  // x=6
+  const WriteId b1 = WriteId::make(P10, 1);  // y=3
+  const WriteId b2 = WriteId::make(P10, 2);  // x=5
+  m.on_write_issue(0, P00, a1, X);
+  m.on_write_issue(1, P00, a2, X);
+  m.on_write_issue(2, P10, b1, Y);
+  m.on_write_issue(3, P10, b2, X);
+  m.on_read_done(10, P01, X, a2);  // x=6
+  m.on_read_done(20, P01, X, b2);  // x=5, P10's: learns P10 up to #2
+  EXPECT_EQ(m.violation_count(), 0u);
+  // Claim 4: P10 wrote y before its x=5, which the reader has seen.
+  m.on_read_done(30, P01, Y, WriteId{});
+  ASSERT_EQ(m.violation_count(), 1u);
+  const chk::Violation& v = m.violations()[0];
+  EXPECT_STREQ(v.kind, "stale_read");
+  EXPECT_EQ(v.proc, P01);
+  EXPECT_EQ(v.var, Y);
+  EXPECT_EQ(v.wid, b1);
+  EXPECT_EQ(v.expected_seq, 1u);
+  EXPECT_EQ(v.got_seq, 0u);
+}
+
+TEST(OnlineMonitor, OwnWriteOutlivesAnyNumberOfLaterWrites) {
+  // A read names its write through the replica, so no number of later
+  // writes makes the monitor forget which write a read returned: the
+  // writer of x=1 reads x=1 back after 70 000 writes to y.
+  isc::FederationConfig cfg = test::single_system(2, proto::anbkh_protocol());
+  cfg.monitor.enabled = true;
+  isc::Federation fed(std::move(cfg));
+  mcs::AppProcess& app = fed.system(0).app(0);
+  app.write(X, 1);
+  for (Value v = 2; v < 2 + 70'000; ++v) app.write(Y, v);
+  Value got = kInitValue;
+  app.read(X, [&got](Value v) { got = v; });
+  fed.run();
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(fed.monitor()->violation_count(), 0u);
 }
 
 TEST(OnlineMonitor, DisabledFederationMonitorAddsNothing) {

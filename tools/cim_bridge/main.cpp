@@ -16,7 +16,8 @@
 // launches fail fast. Each process drives a uniform
 // workload with a disjoint value range, so `cat *.hist` is a checkable
 // merged history: examples/trace_checker verifies the whole tree's
-// computation is causal.
+// computation is causal. A range holds 200 000 values per generation, so a
+// node refuses `--procs` × `--ops` > 200000 at startup (4 × 50 000 fits).
 //
 // Crash tolerance (scripts/mesh_chaos_smoke.sh): with `--state FILE` every
 // session event spills to a write-ahead journal and `--history` streams to
