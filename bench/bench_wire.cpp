@@ -16,8 +16,8 @@
 #include "net/reliable_transport.h"
 #include "net/wire.h"
 #include "obs/table.h"
-#include "protocols/aw_seq.h"
 #include "protocols/partial_rep.h"
+#include "protocols/tob_sequencer.h"
 #include "protocols/update_msg.h"
 
 namespace {

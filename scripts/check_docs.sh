@@ -251,6 +251,25 @@ if ! tr -s '\n' ' ' < "$root/src/checker/online_monitor.h" \
   status=1
 fi
 
+# One apply chain: McsProcess owns the re-entry guard, the wait while an
+# upcall is parked and the resume; a protocol only implements apply_next().
+# aw-seq and tob-causal share one sequencer core.
+chain_copies="simulator\(\)\.post\(|applying_|try_apply|requires synchronous upcall handlers"
+if grep -rEq "$chain_copies" "$root"/src/protocols; then
+  echo "check_docs: a protocol runs its own apply chain (implement McsProcess::apply_next):" >&2
+  grep -rEn "$chain_copies" "$root"/src/protocols >&2
+  status=1
+fi
+for fn in sequence enqueue_delivery; do
+  homes=$(grep -rlE "void +([A-Za-z_]+::)?$fn\(" "$root"/src/protocols \
+          | sed -E 's/\.(h|cpp)$//' | sort -u | wc -l)
+  if [ "$homes" -gt 1 ]; then
+    echo "check_docs: $fn is defined in $homes protocol files (the TOB core is protocols/tob_sequencer):" >&2
+    grep -rlE "void +([A-Za-z_]+::)?$fn\(" "$root"/src/protocols >&2
+    status=1
+  fi
+done
+
 if [ "$status" -eq 0 ]; then
   echo "check_docs: OK"
 fi

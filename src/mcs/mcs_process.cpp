@@ -6,7 +6,8 @@
 
 namespace cim::mcs {
 
-McsProcess::McsProcess(const McsContext& ctx) : ctx_(ctx), rng_(ctx.rng_seed) {
+McsProcess::McsProcess(const McsContext& ctx, ApplyResume resume)
+    : ctx_(ctx), resume_(resume), rng_(ctx.rng_seed) {
   if (ctx_.obs != nullptr) {
     trace_ = &ctx_.obs->trace();
     obs::MetricsRegistry& m = ctx_.obs->metrics();
@@ -114,14 +115,41 @@ void McsProcess::drain_deferred_writes() {
   }
 }
 
+void McsProcess::apply_ready() {
+  if (applying_) return;
+  applying_ = true;
+  apply_chain();
+}
+
+void McsProcess::apply_chain() {
+  while (apply_next()) {
+    if (upcall_in_flight_) {
+      // The IS-process is down and holds the upcall; its reply resumes us.
+      parked_ = true;
+      return;
+    }
+    if (resume_ == ApplyResume::kPosted) {
+      resume_chain();
+      return;
+    }
+  }
+  applying_ = false;
+}
+
+void McsProcess::resume_chain() {
+  if (resume_ == ApplyResume::kInline) {
+    apply_chain();
+  } else {
+    simulator().post([this]() { apply_chain(); });
+  }
+}
+
 void McsProcess::apply_with_upcalls(VarId var, Value value, WriteId wid,
-                                    bool own_write, DoneFn apply,
-                                    DoneFn done) {
+                                    bool own_write, DoneFn apply) {
   if (upcall_handler_ == nullptr || own_write) {
     // "The update of a replica due to a write operation issued by the
     // IS-process does not generate any upcall."
     apply();
-    done();
     return;
   }
 
@@ -129,21 +157,26 @@ void McsProcess::apply_with_upcalls(VarId var, Value value, WriteId wid,
                 "apply pipeline must serialize upcall dances");
   upcall_in_flight_ = true;
 
-  auto finish = [this, done = std::move(done)]() {
-    upcall_in_flight_ = false;
-    drain_deferred_writes();
-    done();
-  };
-  auto apply_and_post = [this, var, value, wid, apply = std::move(apply),
-                         finish = std::move(finish)]() mutable {
+  auto apply_and_post = [this, var, value, wid,
+                         apply = std::move(apply)]() mutable {
     apply();
-    upcall_handler_->post_update(var, value, wid, std::move(finish));
+    upcall_handler_->post_update(var, value, wid,
+                                 [this]() { finish_upcall(); });
   };
 
   if (pre_update_enabled_) {
     upcall_handler_->pre_update(var, std::move(apply_and_post));
   } else {
     apply_and_post();
+  }
+}
+
+void McsProcess::finish_upcall() {
+  upcall_in_flight_ = false;
+  drain_deferred_writes();
+  if (parked_) {
+    parked_ = false;
+    resume_chain();
   }
 }
 

@@ -11,6 +11,10 @@
 //    while an upcall is in flight (condition (a): the pre-value must not be
 //    modified until the update is done, nor the new value until the
 //    post-upcall response),
+//  * the apply chain: a protocol keeps its own buffer and readiness rule and
+//    implements apply_next(); the base class owns the one re-entry guard,
+//    the wait while an upcall is parked (its IS-process crashed), and the
+//    one resume site,
 //  * the Causal Updating Property trait (Property 1) that selects which
 //    IS-protocol the interconnect layer runs.
 #pragma once
@@ -47,9 +51,20 @@ struct McsContext {
   obs::Observability* obs = nullptr;    // may be null (no metrics/tracing)
 };
 
+/// Where the apply chain continues once an update's upcalls have completed.
+enum class ApplyResume {
+  /// In a fresh simulator event: each update of a buffered burst applies in
+  /// its own event (ANBKH, aw-seq, tob-causal, partial-rep).
+  kPosted,
+  /// Within the event that completed the upcall: a lazy-batch batch or a
+  /// cbcast-dsm delivery burst applies within one event.
+  kInline,
+};
+
 class McsProcess : public net::Receiver {
  public:
-  explicit McsProcess(const McsContext& ctx);
+  explicit McsProcess(const McsContext& ctx,
+                      ApplyResume resume = ApplyResume::kPosted);
   ~McsProcess() override = default;
 
   ProcId id() const { return ctx_.id; }
@@ -100,13 +115,24 @@ class McsProcess : public net::Receiver {
   virtual void do_write(VarId var, Value value, WriteId wid,
                         WriteCallback cb) = 0;
 
+  /// The protocol's apply-chain hook: take the next ready update out of the
+  /// protocol's buffer and apply it through apply_with_upcalls (or consume
+  /// one that changes no replica, e.g. a causal marker) and return true; or
+  /// return false when none is ready. Only the chain calls it.
+  virtual bool apply_next() = 0;
+
+  /// An update may have become ready: run the apply chain, unless it is
+  /// already running or waits on a parked upcall (it then picks the update
+  /// up itself).
+  void apply_ready();
+
   /// Apply one replica update through the upcall discipline. `own_write` is
   /// true when the update stems from a write issued by the attached
   /// application process itself (such updates never generate upcalls).
-  /// `apply` performs the replica mutation; `done` resumes the protocol's
-  /// apply pipeline afterwards.
+  /// `apply` performs the replica mutation. Call it at most once per
+  /// apply_next(); the chain continues when the upcalls have completed.
   void apply_with_upcalls(VarId var, Value value, WriteId wid, bool own_write,
-                          DoneFn apply, DoneFn done);
+                          DoneFn apply);
 
   /// Store write `wid`'s w(var)value in this process's replica.
   void set_replica(VarId var, Value value, WriteId wid) {
@@ -143,10 +169,14 @@ class McsProcess : public net::Receiver {
   void send_to(std::uint16_t to, net::MessagePtr msg);
 
  private:
+  void apply_chain();
+  void resume_chain();
+  void finish_upcall();
   void drain_deferred_writes();
   void report_applied(VarId var, Value value, WriteId wid);
 
   McsContext ctx_;
+  ApplyResume resume_;
   Rng rng_;
   VarStore store_;
   // Cached instrument cells (null when ctx.obs is null).
@@ -164,6 +194,10 @@ class McsProcess : public net::Receiver {
   UpcallHandler* upcall_handler_ = nullptr;
   bool pre_update_enabled_ = true;
   bool upcall_in_flight_ = false;
+  // The apply chain's re-entry guard: it is running, or parked.
+  bool applying_ = false;
+  // It waits for an upcall that a crashed IS-process holds.
+  bool parked_ = false;
 
   struct DeferredWrite {
     VarId var;

@@ -8,8 +8,8 @@
 #include "interconnect/pair_msg.h"
 #include "msgpass/cbcast.h"
 #include "net/reliable_transport.h"
-#include "protocols/aw_seq.h"
 #include "protocols/partial_rep.h"
+#include "protocols/tob_sequencer.h"
 #include "protocols/update_msg.h"
 
 namespace cim::net::wire {

@@ -38,16 +38,10 @@ void AnbkhProcess::on_message(net::ChannelId from, net::MessagePtr msg) {
   update->received_at = simulator().now();
   pending_.push_back(std::move(*update));
   note_update_buffered(pending_updates());
-  try_apply();
+  apply_ready();
 }
 
-void AnbkhProcess::try_apply() {
-  if (applying_) return;  // an apply chain is already in progress
-  applying_ = true;
-  apply_step();
-}
-
-void AnbkhProcess::apply_step() {
+bool AnbkhProcess::apply_next() {
   // Find the first causally ready pending update.
   const auto live = pending_.begin() + static_cast<std::ptrdiff_t>(head_);
   for (auto it = live; it != pending_.end(); ++it) {
@@ -71,21 +65,16 @@ void AnbkhProcess::apply_step() {
       head_ = 0;
     }
 
-    apply_with_upcalls(
-        var, value, wid, /*own_write=*/false,
-        /*apply=*/[this, var, value, wid, received_at, writer,
-                   writer_ticks]() {
-          clock_.set(writer, writer_ticks);
-          set_replica(var, value, wid);
-          note_update_applied(var, value, wid, received_at);
-        },
-        /*done=*/[this]() {
-          // Continue the chain in a fresh event to bound recursion depth.
-          simulator().post([this]() { apply_step(); });
-        });
-    return;
+    apply_with_upcalls(var, value, wid, /*own_write=*/false,
+                       [this, var, value, wid, received_at, writer,
+                        writer_ticks]() {
+                         clock_.set(writer, writer_ticks);
+                         set_replica(var, value, wid);
+                         note_update_applied(var, value, wid, received_at);
+                       });
+    return true;
   }
-  applying_ = false;
+  return false;
 }
 
 mcs::ProtocolFactory anbkh_protocol() {

@@ -7,7 +7,9 @@
 //    with the clock, acknowledge immediately (writes are local operations);
 //  * read(x): return the local replica value immediately;
 //  * a remote update from writer q stamped with clock w applies when it is
-//    *causally ready*: w[q] == vt[q]+1 and w[j] <= vt[j] for j != q.
+//    *causally ready*: w[q] == vt[q]+1 and w[j] <= vt[j] for j != q. The
+//    first ready update in arrival order applies next (apply_next); the
+//    McsProcess apply chain resumes in a posted event after each one.
 //
 // Causal Updating (Property 1) holds: replicas apply causally ordered writes
 // in causal order by the readiness rule, so the interconnect layer runs
@@ -38,11 +40,9 @@ class AnbkhProcess final : public mcs::McsProcess {
  protected:
   void do_write(VarId var, Value value, WriteId wid,
                 mcs::WriteCallback cb) override;
+  bool apply_next() override;
 
  private:
-  void try_apply();
-  void apply_step();
-
   VectorClock clock_;
   // Arrival order, live from head_ on: applying the head just advances
   // head_ (O(1) however large a delivery burst makes the buffer); a
@@ -52,7 +52,6 @@ class AnbkhProcess final : public mcs::McsProcess {
   // allocation-free.
   std::vector<TimestampedUpdate> pending_;
   std::size_t head_ = 0;
-  bool applying_ = false;
 };
 
 /// Factory for mcs::SystemConfig::protocol.

@@ -1,5 +1,6 @@
 // Attiya–Welch "local read" sequentially consistent protocol [3], built on a
-// sequencer-based total-order broadcast (TOB).
+// sequencer-based total-order broadcast (TOB; the core it shares with
+// tob-causal is protocols/tob_sequencer.h).
 //
 //  * read(x): returns the local replica immediately (the fast operation);
 //  * write(x, v): the update is published to the system's sequencer (local
@@ -20,78 +21,33 @@
 // completes when the pipeline applies it, but the pipeline may be blocked in
 // an upcall that the sequential IS-process cannot serve while blocked in the
 // write). For the MCS-process that hosts an IS-process we therefore apply
-// the IS-process's writes locally at call time and acknowledge immediately
-// (re-applying at the update's sequence position for convergence). Only the
-// IS-process's own view is weakened — to causal — which is the consistency
-// level the interconnection targets anyway; application processes still see
-// the pure total order.
+// the IS-process's writes locally at call time and acknowledge immediately;
+// deliver_own re-applies them at their sequence position for convergence
+// (and acknowledges every other own write there). Only the IS-process's own
+// view is weakened — to causal — which is the consistency level the
+// interconnection targets anyway; application processes still see the pure
+// total order.
 #pragma once
 
-#include <map>
-
 #include "common/vec_queue.h"
-#include "mcs/mcs_process.h"
+#include "protocols/tob_sequencer.h"
 
 namespace cim::proto {
 
-struct TobPublish final : net::Message {
-  VarId var;
-  Value value = kInitValue;
-  std::uint16_t origin = 0;
-  bool pre_applied = false;  // origin already applied it (IS-process write)
-  // Instrumentation only, not wire data: the originating write's id.
-  WriteId write_id;
-
-  const char* type_name() const override { return "tob.publish"; }
-  std::size_t wire_size() const override { return 24 + 4 + 8 + 2; }
-  WriteId wid() const override { return write_id; }
-};
-
-struct TobDeliver final : net::Message {
-  VarId var;
-  Value value = kInitValue;
-  std::uint16_t origin = 0;
-  bool pre_applied = false;
-  std::uint64_t seq = 0;
-  // Instrumentation only, not wire data: the originating write's id, and the
-  // local receive time at the buffering process, feeding the
-  // proto.causal_wait histogram.
-  WriteId write_id;
-  sim::Time received_at;
-
-  const char* type_name() const override { return "tob.deliver"; }
-  std::size_t wire_size() const override { return 24 + 4 + 8 + 2 + 8; }
-  WriteId wid() const override { return write_id; }
-};
-
-class AwSeqProcess final : public mcs::McsProcess {
+class AwSeqProcess final : public TobSequencerProcess {
  public:
-  explicit AwSeqProcess(const mcs::McsContext& ctx);
+  explicit AwSeqProcess(const mcs::McsContext& ctx)
+      : TobSequencerProcess(ctx) {}
 
-  void on_message(net::ChannelId from, net::MessagePtr msg) override;
-
-  bool satisfies_causal_updating() const override { return true; }
   const char* protocol_name() const override { return "aw-seq"; }
-
-  bool is_sequencer() const { return local_index() == 0; }
-  std::uint64_t applied_count() const { return next_apply_seq_; }
 
  protected:
   void do_write(VarId var, Value value, WriteId wid,
                 mcs::WriteCallback cb) override;
+  void deliver_own(const TobDeliver& del) override;
 
  private:
-  void publish(VarId var, Value value, WriteId wid, bool pre_applied);
-  void sequence(const TobPublish& pub);
-  void enqueue_delivery(TobDeliver del);
-  void try_apply();
-  void apply_step();
-
-  std::uint64_t next_seq_to_assign_ = 0;       // sequencer only
-  std::uint64_t next_apply_seq_ = 0;           // next sequence number to apply
-  std::map<std::uint64_t, TobDeliver> delivery_buffer_;
   VecQueue<mcs::WriteCallback> pending_write_acks_;  // FIFO, own writes
-  bool applying_ = false;
 };
 
 /// Factory for mcs::SystemConfig::protocol.

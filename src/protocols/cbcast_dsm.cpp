@@ -3,15 +3,14 @@
 #include <memory>
 #include <utility>
 
-#include "common/check.h"
-
 namespace cim::proto {
 
 CbcastDsmProcess::CbcastDsmProcess(const mcs::McsContext& ctx)
-    : McsProcess(ctx),
+    : McsProcess(ctx, mcs::ApplyResume::kInline),
       member_(ctx.local_index, ctx.num_procs, *this,
               [this](std::uint16_t sender, const mp::CbPayload& p) {
-                on_deliver(sender, p);
+                delivered_.push_back(Delivery{sender == local_index(), p});
+                apply_ready();
               }) {}
 
 void CbcastDsmProcess::do_write(VarId var, Value value, WriteId wid,
@@ -32,20 +31,17 @@ void CbcastDsmProcess::on_message(net::ChannelId, net::MessagePtr msg) {
   note_update_buffered(member_.buffered());
 }
 
-void CbcastDsmProcess::on_deliver(std::uint16_t sender,
-                                  const mp::CbPayload& payload) {
-  const bool own = sender == local_index();
-  bool completed = false;
-  apply_with_upcalls(
-      payload.var, payload.value, payload.wid, own,
-      /*apply=*/[this, &payload]() {
-        set_replica(payload.var, payload.value, payload.wid);
-        note_update_applied(payload.var, payload.value, payload.wid);
-      },
-      /*done=*/[&completed]() { completed = true; });
-  // The substrate delivers synchronously from one event; the IS-protocol
-  // handlers respond synchronously, so the dance completes inline.
-  CIM_CHECK_MSG(completed, "cbcast-dsm requires synchronous upcall handlers");
+bool CbcastDsmProcess::apply_next() {
+  if (delivered_.empty()) return false;
+  const Delivery d = delivered_.front();
+  delivered_.pop_front();
+  const mp::CbPayload& p = d.payload;
+  apply_with_upcalls(p.var, p.value, p.wid, d.own,
+                     [this, var = p.var, value = p.value, wid = p.wid]() {
+                       set_replica(var, value, wid);
+                       note_update_applied(var, value, wid);
+                     });
+  return true;
 }
 
 mcs::ProtocolFactory cbcast_dsm_protocol() {

@@ -6,7 +6,10 @@
 //    applies it locally; acknowledge immediately;
 //  * read(x): local replica;
 //  * remote deliveries (arriving in causal order by the substrate's
-//    guarantee) apply directly.
+//    guarantee) apply in delivery order: they queue for the apply chain
+//    (apply_next), which resumes inline, so a delivery burst applies within
+//    the event that delivered it — unless its IS-process crashes, when the
+//    parked upcall holds the rest of the burst until the restart.
 //
 // Functionally this coincides with ANBKH — which is the point: the DSM
 // layer shrinks to a dozen lines once causal ordering lives in the
@@ -17,6 +20,7 @@
 // having to build a message-passing hierarchy spanning the systems.
 #pragma once
 
+#include "common/vec_queue.h"
 #include "mcs/mcs_process.h"
 #include "msgpass/cbcast.h"
 
@@ -37,14 +41,19 @@ class CbcastDsmProcess final : public mcs::McsProcess,
  protected:
   void do_write(VarId var, Value value, WriteId wid,
                 mcs::WriteCallback cb) override;
+  bool apply_next() override;
 
  private:
   // mp::CbTransport — group member indices coincide with local indices.
   void send_to_member(std::uint16_t member, net::MessagePtr msg) override;
 
-  void on_deliver(std::uint16_t sender, const mp::CbPayload& payload);
+  struct Delivery {
+    bool own = false;
+    mp::CbPayload payload;
+  };
 
   mp::CbcastMember member_;
+  VecQueue<Delivery> delivered_;  // delivered, not yet applied
 };
 
 /// Factory for mcs::SystemConfig::protocol.

@@ -10,7 +10,8 @@ namespace cim::proto {
 
 LazyBatchProcess::LazyBatchProcess(const mcs::McsContext& ctx,
                                    LazyBatchConfig config)
-    : McsProcess(ctx), config_(config), clock_(ctx.num_procs) {}
+    : McsProcess(ctx, mcs::ApplyResume::kInline), config_(config),
+      clock_(ctx.num_procs), batch_clock_(ctx.num_procs) {}
 
 void LazyBatchProcess::do_write(VarId var, Value value, WriteId wid,
                                 mcs::WriteCallback cb) {
@@ -47,12 +48,12 @@ void LazyBatchProcess::schedule_batch() {
   batch_scheduled_ = true;
   simulator().after(config_.batch_interval, [this]() {
     batch_scheduled_ = false;
-    run_batch();
+    batch_due_ = true;
+    apply_ready();
   });
 }
 
-void LazyBatchProcess::collect_ready(VectorClock& tentative,
-                                     std::vector<TimestampedUpdate>& batch) {
+void LazyBatchProcess::collect_ready() {
   // Repeatedly extract updates that are causally ready with respect to the
   // tentative clock; the result is the maximal applicable set, listed in
   // causal order.
@@ -60,9 +61,9 @@ void LazyBatchProcess::collect_ready(VectorClock& tentative,
   while (progress) {
     progress = false;
     for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      if (!it->clock.ready_at(tentative, it->writer)) continue;
-      tentative.set(it->writer, it->clock[it->writer]);
-      batch.push_back(std::move(*it));
+      if (!it->clock.ready_at(batch_clock_, it->writer)) continue;
+      batch_clock_.set(it->writer, it->clock[it->writer]);
+      batch_.push_back(std::move(*it));
       pending_.erase(it);
       progress = true;
       break;
@@ -70,7 +71,7 @@ void LazyBatchProcess::collect_ready(VectorClock& tentative,
   }
 }
 
-void LazyBatchProcess::order_batch(std::vector<TimestampedUpdate>& batch) {
+void LazyBatchProcess::order_batch() {
   // Lemma 1's observational forcing: if the attached IS-process receives
   // pre-update upcalls, every intermediate state of the batch is observable
   // through its reads, so a *causal* MCS must keep the causal order.
@@ -82,7 +83,7 @@ void LazyBatchProcess::order_batch(std::vector<TimestampedUpdate>& batch) {
   // the groups.
   std::vector<VarId> group_order;
   std::unordered_map<VarId, std::vector<TimestampedUpdate>> groups;
-  for (TimestampedUpdate& u : batch) {
+  for (TimestampedUpdate& u : batch_) {
     auto [it, inserted] = groups.try_emplace(u.var);
     if (inserted) group_order.push_back(u.var);
     it->second.push_back(std::move(u));
@@ -97,57 +98,57 @@ void LazyBatchProcess::order_batch(std::vector<TimestampedUpdate>& batch) {
   }
 
   std::vector<TimestampedUpdate> reordered;
-  reordered.reserve(batch.size());
+  reordered.reserve(batch_.size());
   for (VarId var : group_order) {
     for (TimestampedUpdate& u : groups[var]) reordered.push_back(std::move(u));
   }
-  batch = std::move(reordered);
+  batch_ = std::move(reordered);
 }
 
-void LazyBatchProcess::run_batch() {
-  VectorClock tentative = clock_;
-  std::vector<TimestampedUpdate>& batch = batch_scratch_;
-  batch.clear();
-  collect_ready(tentative, batch);
-  if (batch.empty()) return;
+bool LazyBatchProcess::next_batch() {
+  // The previous batch has applied, and its tentative clock covers it; merge
+  // (rather than assign) in case a local write ticked our own entry during
+  // the upcall dances.
+  clock_.merge(batch_clock_);
+  if (!batch_due_) return false;
+  batch_due_ = false;
+  batch_clock_ = clock_;
+  batch_.clear();
+  batch_next_ = 0;
+  collect_ready();
+  // Updates that stay pending are waiting for in-flight dependencies; the
+  // arrival of those dependencies schedules the next batch.
+  if (batch_.empty()) return false;
 
   // Remember the causal order, by WriteId, to detect deviation.
   std::vector<WriteId>& causal_wids = causal_scratch_;
   causal_wids.clear();
-  causal_wids.reserve(batch.size());
-  for (const TimestampedUpdate& u : batch) causal_wids.push_back(u.write_id);
+  causal_wids.reserve(batch_.size());
+  for (const TimestampedUpdate& u : batch_) causal_wids.push_back(u.write_id);
 
-  order_batch(batch);
+  order_batch();
 
   bool deviated = false;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].write_id != causal_wids[i]) deviated = true;
+  for (std::size_t i = 0; i < batch_.size(); ++i) {
+    if (batch_[i].write_id != causal_wids[i]) deviated = true;
   }
   if (deviated) ++scrambled_batches_;
+  return true;
+}
 
-  // Apply the whole batch within this event: application processes cannot
-  // observe intermediate states (only the attached IS-process can, through
-  // upcall reads). Each apply runs through the upcall discipline; in this
-  // implementation the IS-protocol handlers respond synchronously, so the
-  // loop below completes within the current event.
-  for (TimestampedUpdate& u : batch) {
-    bool completed = false;
-    apply_with_upcalls(
-        u.var, u.value, u.write_id, /*own_write=*/false,
-        /*apply=*/[this, &u]() {
-          set_replica(u.var, u.value, u.write_id);
-          note_update_applied(u.var, u.value, u.write_id, u.received_at);
-        },
-        /*done=*/[&completed]() { completed = true; });
-    CIM_CHECK_MSG(completed, "lazy-batch requires synchronous upcall handlers");
-  }
-
-  // The tentative clock covers the batch; merge (rather than assign) in case
-  // a local write ticked our own entry during the upcall dances.
-  clock_.merge(tentative);
-
-  // Updates that stayed pending are waiting for in-flight dependencies; the
-  // arrival of those dependencies schedules the next batch.
+bool LazyBatchProcess::apply_next() {
+  if (batch_next_ == batch_.size() && !next_batch()) return false;
+  // The chain resumes inline, so the whole batch applies within this event:
+  // application processes cannot observe intermediate states (only the
+  // attached IS-process can, through upcall reads).
+  const TimestampedUpdate& u = batch_[batch_next_++];
+  apply_with_upcalls(u.var, u.value, u.write_id, /*own_write=*/false,
+                     [this, var = u.var, value = u.value, wid = u.write_id,
+                      received_at = u.received_at]() {
+                       set_replica(var, value, wid);
+                       note_update_applied(var, value, wid, received_at);
+                     });
+  return true;
 }
 
 mcs::ProtocolFactory lazy_batch_protocol(LazyBatchConfig config) {

@@ -8,7 +8,11 @@
 // processes can never read an intermediate state of a batch, the protocol
 // may apply the batch's updates to *different variables* in any order while
 // remaining causal — updates to the same variable always keep their causal
-// order, or convergence would break.
+// order, or convergence would break. The batch is the protocol's apply-chain
+// buffer (apply_next) and the McsProcess chain resumes inline, so a batch
+// spans more than one event only when its IS-process crashes mid-batch: the
+// parked upcall holds the rest of the batch (and any batch timer that fires
+// meanwhile) until the restart.
 //
 // This freedom is exactly what Section 3 of the paper warns about: with the
 // order deliberately scrambled (kReverseVars / kShuffleVars), the replica of
@@ -61,22 +65,27 @@ class LazyBatchProcess final : public mcs::McsProcess {
  protected:
   void do_write(VarId var, Value value, WriteId wid,
                 mcs::WriteCallback cb) override;
+  bool apply_next() override;
 
  private:
   void schedule_batch();
-  void run_batch();
-  void collect_ready(VectorClock& tentative,
-                     std::vector<TimestampedUpdate>& batch);
-  void order_batch(std::vector<TimestampedUpdate>& batch);
+  bool next_batch();
+  void collect_ready();
+  void order_batch();
 
   LazyBatchConfig config_;
   VectorClock clock_;
   // vectors, not deques: order-preserving erase/append with retained
   // capacity, so steady-state batching stops touching the allocator.
   std::vector<TimestampedUpdate> pending_;
-  std::vector<TimestampedUpdate> batch_scratch_;
+  // The batch being applied, from batch_next_ on, and the tentative clock
+  // that covers the whole batch.
+  std::vector<TimestampedUpdate> batch_;
+  std::size_t batch_next_ = 0;
+  VectorClock batch_clock_;
   std::vector<WriteId> causal_scratch_;
-  bool batch_scheduled_ = false;
+  bool batch_scheduled_ = false;  // a batch timer is armed
+  bool batch_due_ = false;        // it fired; its batch has not started yet
   std::uint64_t scrambled_batches_ = 0;
 };
 

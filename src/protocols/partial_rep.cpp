@@ -52,13 +52,10 @@ void PartialRepProcess::on_message(net::ChannelId from, net::MessagePtr msg) {
   update->received_at = simulator().now();
   pending_.push_back(std::move(*update));
   note_update_buffered(pending_.size());
-  if (!applying_) {
-    applying_ = true;
-    apply_step();
-  }
+  apply_ready();
 }
 
-void PartialRepProcess::apply_step() {
+bool PartialRepProcess::apply_next() {
   for (auto it = pending_.begin(); it != pending_.end(); ++it) {
     if (!it->clock.ready_at(clock_, it->writer)) continue;
     // Unpack scalars before erasing (keeps the apply closure within
@@ -75,23 +72,18 @@ void PartialRepProcess::apply_step() {
     if (!has_value) {
       // Causal marker: advance knowledge, nothing to store or announce.
       clock_.set(writer, writer_ticks);
-      simulator().post([this]() { apply_step(); });
-      return;
+      return true;
     }
-    apply_with_upcalls(
-        var, value, wid, /*own_write=*/false,
-        /*apply=*/[this, var, value, wid, received_at, writer,
-                   writer_ticks]() {
-          clock_.set(writer, writer_ticks);
-          set_replica(var, value, wid);
-          note_update_applied(var, value, wid, received_at);
-        },
-        /*done=*/[this]() {
-          simulator().post([this]() { apply_step(); });
-        });
-    return;
+    apply_with_upcalls(var, value, wid, /*own_write=*/false,
+                       [this, var, value, wid, received_at, writer,
+                        writer_ticks]() {
+                         clock_.set(writer, writer_ticks);
+                         set_replica(var, value, wid);
+                         note_update_applied(var, value, wid, received_at);
+                       });
+    return true;
   }
-  applying_ = false;
+  return false;
 }
 
 mcs::ProtocolFactory partial_rep_protocol(InterestFn interest,

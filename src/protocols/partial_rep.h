@@ -72,6 +72,7 @@ class PartialRepProcess final : public mcs::McsProcess {
  protected:
   void do_write(VarId var, Value value, WriteId wid,
                 mcs::WriteCallback cb) override;
+  bool apply_next() override;
 
  private:
   bool holds(std::uint16_t index, VarId var) const {
@@ -79,13 +80,11 @@ class PartialRepProcess final : public mcs::McsProcess {
     // replicate everything, as Section 2 of the paper requires.
     return index >= app_process_count_ || interest_(index, var);
   }
-  void apply_step();
 
   InterestFn interest_;
   std::uint16_t app_process_count_;
   VectorClock clock_;
   std::vector<PartialUpdate> pending_;  // order-preserving erase, see anbkh.h
-  bool applying_ = false;
 };
 
 /// Factory. `interest` governs application processes only; IS-process slots

@@ -8,7 +8,9 @@
 //    the system sequencer;
 //  * read(x): local replica;
 //  * remote updates apply in global sequence order; the origin skips its own
-//    deliveries (it already applied them at issue).
+//    deliveries (it already applied them at issue). The sequencer, the
+//    seq-ordered buffer and its apply step are the TOB core shared with
+//    aw-seq (protocols/tob_sequencer.h).
 //
 // The global sequence extends the causal order (FIFO channels, single
 // sequencer), so applying remote updates in sequence order is one valid
@@ -35,42 +37,27 @@
 // Updating Property and interconnects with IS-protocol 1.
 #pragma once
 
-#include <map>
-
-#include "mcs/mcs_process.h"
-#include "protocols/aw_seq.h"  // TobPublish / TobDeliver wire format
+#include "protocols/tob_sequencer.h"
 
 namespace cim::proto {
 
-class TobCausalProcess final : public mcs::McsProcess {
+class TobCausalProcess final : public TobSequencerProcess {
  public:
-  explicit TobCausalProcess(const mcs::McsContext& ctx);
+  explicit TobCausalProcess(const mcs::McsContext& ctx)
+      : TobSequencerProcess(ctx) {}
 
-  void on_message(net::ChannelId from, net::MessagePtr msg) override;
-
-  bool satisfies_causal_updating() const override { return true; }
   const char* protocol_name() const override { return "tob-causal"; }
 
-  bool is_sequencer() const { return local_index() == 0; }
   /// Own deliveries skipped because the write was applied at issue time.
   std::uint64_t own_deliveries_skipped() const { return own_skipped_; }
 
  protected:
   void do_write(VarId var, Value value, WriteId wid,
                 mcs::WriteCallback cb) override;
+  void deliver_own(const TobDeliver& del) override;
 
  private:
-  void publish(VarId var, Value value, WriteId wid, bool pre_applied);
-  void sequence(const TobPublish& pub);
-  void enqueue_delivery(TobDeliver del);
-  void try_apply();
-  void apply_step();
-
-  std::uint64_t next_seq_to_assign_ = 0;  // sequencer only
-  std::uint64_t next_apply_seq_ = 0;
-  std::map<std::uint64_t, TobDeliver> delivery_buffer_;
   std::uint64_t own_skipped_ = 0;
-  bool applying_ = false;
 };
 
 /// Factory for mcs::SystemConfig::protocol.

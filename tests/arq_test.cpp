@@ -11,6 +11,7 @@
 
 #include "checker/causal_checker.h"
 #include "common/rng.h"
+#include "helpers.h"
 #include "interconnect/federation.h"
 #include "net/arq_core.h"
 #include "protocols/anbkh.h"
@@ -99,15 +100,6 @@ TEST(ArqCore, SnapshotRestoreRoundTripsAndStartsRewound) {
   EXPECT_EQ(first->payload, 14u);
 }
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 // The two-system chaos federation of examples/chaos_federation.cpp: ANBKH on
 // both sides, one ARQ link over a 20%-lossy reordering channel, and a
 // make_chaos_plan storm of partitions, loss bursts and IS-process crashes.
@@ -170,7 +162,7 @@ TEST(ArqParity, ChaosFederationTraceHashIsPinned) {
   std::size_t events = 0;
   for (char c : jsonl) events += c == '\n';
   EXPECT_EQ(events, 12101u);
-  EXPECT_EQ(fnv1a(jsonl), 0xad24c5d95321cd7eULL);
+  EXPECT_EQ(test::fnv1a(jsonl), 0xad24c5d95321cd7eULL);
 }
 
 // Property: the simulator driver keeps the reliable FIFO channel of

@@ -10,6 +10,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -92,6 +93,16 @@ struct H {
   }
   chk::History history() const { return chk::History(ops); }
 };
+
+/// FNV-1a of `s`: the parity pins hash a whole JSONL trace with it.
+inline std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
 
 /// One-system federation with `procs` application processes.
 inline isc::FederationConfig single_system(std::uint16_t procs,

@@ -3,6 +3,9 @@
 // jitter, and dial-up availability — always ending in a full checker pass.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "checker/causal_checker.h"
 #include "checker/history.h"
 #include "helpers.h"
@@ -133,6 +136,42 @@ TEST_P(Soak, DialupEverywhereStillDeliversAndStaysCausal) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Soak, ::testing::Range<std::uint64_t>(1, 6));
+
+// Parity pin for the six protocols' event order: the full JSONL trace of the
+// Soak tree above (seed 1) under both IS-process modes. Any change to when a
+// protocol buffers, applies, upcalls or resumes its apply chain changes
+// these hashes; ArqParity pins ANBKH alone.
+TEST(ProtocolParity, SixProtocolTreeTraceHashIsPinned) {
+  struct Pin {
+    IspMode mode;
+    std::size_t events;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {IspMode::kSharedPerSystem, 38280u, 0x83394358d5dc53b4ULL},
+      {IspMode::kPerLink, 43986u, 0xab23d0e355ce16cdULL},
+  };
+  for (const Pin& pin : pins) {
+    FederationConfig cfg = mixed_tree(6, 3, 1, pin.mode);
+    cfg.obs.trace.enabled = true;
+    Federation fed(std::move(cfg));
+    wl::UniformConfig wc;
+    wc.ops_per_process = 35;
+    wc.num_vars = 6;
+    wc.seed = 1 * 17 + 5;
+    auto runners = wl::install_uniform(fed, wc);
+    fed.run();
+
+    ASSERT_EQ(fed.observability().trace().dropped(), 0u);
+    std::ostringstream out;
+    fed.observability().trace().write_jsonl(out);
+    const std::string jsonl = out.str();
+    std::size_t events = 0;
+    for (char c : jsonl) events += c == '\n';
+    EXPECT_EQ(events, pin.events);
+    EXPECT_EQ(test::fnv1a(jsonl), pin.hash) << std::hex << test::fnv1a(jsonl);
+  }
+}
 
 TEST(SoakBig, TwelveSystemChainLongRun) {
   FederationConfig cfg;

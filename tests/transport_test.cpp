@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "checker/causal_checker.h"
 #include "helpers.h"
 #include "net/reliable_transport.h"
+#include "protocols/cbcast_dsm.h"
+#include "protocols/partial_rep.h"
 #include "sim/faults.h"
 #include "workload/generator.h"
 
@@ -281,6 +285,163 @@ TEST(ChaosFederation, RawLinkLosesPairsUnderPartition) {
   IsProcess& b = fed.interconnector().isp_b(0);
   EXPECT_LT(b.pairs_received(), a.pairs_sent())
       << "a raw partitioned link must lose pairs — that is the ablation";
+}
+
+// ---- IS-process crash windows on every protocol ----------------------------
+
+struct ProtocolCase {
+  const char* name;
+  mcs::ProtocolFactory (*make)(std::uint16_t procs);
+};
+
+void PrintTo(const ProtocolCase& c, std::ostream* os) { *os << c.name; }
+
+const ProtocolCase kProtocols[] = {
+    {"anbkh", [](std::uint16_t) { return proto::anbkh_protocol(); }},
+    {"lazy_batch", [](std::uint16_t) { return proto::lazy_batch_protocol(); }},
+    {"aw_seq", [](std::uint16_t) { return proto::aw_seq_protocol(); }},
+    {"tob_causal", [](std::uint16_t) { return proto::tob_causal_protocol(); }},
+    {"cbcast_dsm", [](std::uint16_t) { return proto::cbcast_dsm_protocol(); }},
+    {"partial_rep",
+     [](std::uint16_t procs) {
+       return proto::partial_rep_protocol(
+           [](std::uint16_t, VarId) { return true; }, procs);
+     }},
+};
+
+class Faults : public ::testing::TestWithParam<ProtocolCase> {
+ protected:
+  static constexpr std::uint16_t kProcs = 2;
+
+  /// ANBKH on system 0, the protocol under test on system 1, one ARQ link.
+  FederationConfig config(std::uint64_t seed) const {
+    FederationConfig cfg = test::two_systems(
+        kProcs, proto::anbkh_protocol(), GetParam().make(kProcs), seed);
+    cfg.links[0].reliable = true;
+    return cfg;
+  }
+
+  /// Run `cfg` to quiescence and check what Theorem 1 needs of the channel
+  /// and what it promises of the result; returns system 1's crash count.
+  static std::uint64_t run_and_check(FederationConfig cfg,
+                                     const wl::UniformConfig& wc,
+                                     std::uint64_t seed) {
+    Federation fed(std::move(cfg));
+    auto runners = wl::install_uniform(fed, wc);
+    fed.run();
+    for (const auto& r : runners) EXPECT_TRUE(r->done()) << "seed " << seed;
+    IsProcess& a = fed.interconnector().isp_a(0);
+    IsProcess& b = fed.interconnector().isp_b(0);
+    EXPECT_EQ(a.pairs_sent(), b.pairs_received()) << "seed " << seed;
+    EXPECT_EQ(b.pairs_sent(), a.pairs_received()) << "seed " << seed;
+    auto [ta, tb] = fed.interconnector().link_transports(0);
+    EXPECT_TRUE(ta->drained() && tb->drained()) << "seed " << seed;
+    const chk::History history = fed.federation_history();
+    // Liveness, which causality alone does not show: every parked chain
+    // resumed, so each application write crossed the link.
+    std::uint64_t writes[2] = {0, 0};
+    for (std::size_t i = 0; i < history.size(); ++i) {
+      if (history.is_write(i)) ++writes[history.proc(i).system.value];
+    }
+    EXPECT_EQ(a.pairs_sent(), writes[0]) << "seed " << seed;
+    EXPECT_EQ(b.pairs_sent(), writes[1]) << "seed " << seed;
+    const auto res = chk::CausalChecker{}.check(history, chk::Level::kCM);
+    EXPECT_TRUE(res.ok()) << "seed " << seed << ": " << res.detail;
+    return b.crash_count();
+  }
+};
+
+// An IS-process crash parks the upcall its MCS-process is blocked in; the
+// apply chain waits and resumes at restart. Every protocol survives the
+// fixed window of the FAULTS.md scenario and a storm of sampled ones.
+TEST_P(Faults, IsProcessCrashWindowOnEveryProtocol) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    FederationConfig cfg = config(seed);
+    sim::FaultPlan::CrashRestart crash;
+    crash.system = 1;
+    crash.crash_at = sim::Time{} + sim::milliseconds(300);
+    crash.restart_at = sim::Time{} + sim::milliseconds(500);
+    cfg.faults.crashes.push_back(crash);
+    wl::UniformConfig wc;
+    wc.ops_per_process = 40;
+    wc.write_fraction = 0.6;
+    wc.think_max = sim::milliseconds(30);
+    wc.seed = seed * 1000 + 7;
+    EXPECT_EQ(run_and_check(std::move(cfg), wc, seed), 1u);
+  }
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    FederationConfig cfg = config(seed);
+    LinkSpec& link = cfg.links[0];
+    link.drop_probability = 0.2;
+    link.fifo = false;
+    link.delay = [] {
+      return std::make_unique<net::UniformDelay>(sim::microseconds(500),
+                                                 sim::milliseconds(10));
+    };
+    sim::ChaosOptions chaos;
+    chaos.num_crashes = 2;  // one window per system
+    cfg.faults = sim::make_chaos_plan(chaos, seed);
+    wl::UniformConfig wc;
+    wc.ops_per_process = 30;
+    wc.write_fraction = 0.6;
+    wc.think_max = sim::milliseconds(100);
+    wc.seed = seed + 13;
+    EXPECT_GE(run_and_check(std::move(cfg), wc, seed), 1u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, Faults, ::testing::ValuesIn(kProtocols),
+    [](const ::testing::TestParamInfo<ProtocolCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// A lazy-batch batch parked in a crashed IS-process's upcall holds back the
+// next batch: the batch timer that fires meanwhile waits for it, and both
+// batches apply, in order, once the IS-process restarts.
+TEST(LazyBatchCrash, BatchTimerFiringWhileABatchIsParkedWaitsForIt) {
+  FederationConfig cfg = test::two_systems(2, proto::anbkh_protocol(),
+                                           proto::lazy_batch_protocol());
+  cfg.links[0].reliable = true;
+  sim::FaultPlan::CrashRestart crash;
+  crash.system = 1;
+  crash.crash_at = sim::Time{} + sim::milliseconds(100);
+  crash.restart_at = sim::Time{} + sim::milliseconds(400);
+  cfg.faults.crashes.push_back(crash);
+  Federation fed(std::move(cfg));
+  sim::Simulator& sim = fed.simulator();
+  mcs::McsProcess& isp_mcs = fed.system(1).mcs(2);
+  // x arrives at the IS-process's replica at ~121 ms and its batch parks in
+  // the pre-update upcall (lazy-batch runs IS-protocol 2), before x is
+  // applied; y arrives at ~201 ms, and the batch timer it arms fires at
+  // ~206 ms, while the first batch is still parked.
+  sim.at(sim::Time{} + sim::milliseconds(120),
+         [&] { fed.system(1).app(0).write(test::X, 1); });
+  sim.at(sim::Time{} + sim::milliseconds(200),
+         [&] { fed.system(1).app(1).write(test::Y, 2); });
+  bool probed = false;
+  sim.at(sim::Time{} + sim::milliseconds(300), [&] {
+    probed = true;
+    EXPECT_TRUE(isp_mcs.upcall_in_flight());
+    EXPECT_EQ(isp_mcs.replica_value(test::X), kInitValue);
+    EXPECT_EQ(isp_mcs.replica_value(test::Y), kInitValue);
+  });
+  fed.run();
+
+  ASSERT_TRUE(probed);
+  EXPECT_FALSE(isp_mcs.upcall_in_flight());
+  EXPECT_EQ(isp_mcs.replica_value(test::X), 1);
+  EXPECT_EQ(isp_mcs.replica_value(test::Y), 2);
+  IsProcess& a = fed.interconnector().isp_a(0);
+  IsProcess& b = fed.interconnector().isp_b(0);
+  EXPECT_EQ(b.crash_count(), 1u);
+  EXPECT_EQ(b.pairs_sent(), 2u);
+  EXPECT_EQ(a.pairs_received(), 2u);
+  EXPECT_EQ(fed.system(0).mcs(0).replica_value(test::X), 1);
+  EXPECT_EQ(fed.system(0).mcs(0).replica_value(test::Y), 2);
+  const auto res =
+      chk::CausalChecker{}.check(fed.federation_history(), chk::Level::kCM);
+  EXPECT_TRUE(res.ok()) << res.detail;
 }
 
 }  // namespace
