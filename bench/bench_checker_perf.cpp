@@ -202,6 +202,13 @@ bool run_row(bench::JsonReport& report, obs::Table& table,
              static_cast<std::int64_t>(res.stats.ambiguous_reads))
       .field("assignments_tried",
              static_cast<std::int64_t>(res.stats.assignments_tried))
+      .field("explicit_edges",
+             static_cast<std::int64_t>(res.stats.explicit_edges))
+      .field("hb_rounds", static_cast<std::int64_t>(res.stats.hb_rounds))
+      .field("resolve_ms", res.stats.resolve_ms)
+      .field("phase_a_ms", res.stats.phase_a_ms)
+      .field("hb_ms", res.stats.hb_ms)
+      .field("residual_ms", res.stats.residual_ms)
       .field("pattern", chk::to_string(res.pattern));
 
   char bpo[32], cms[32], bms[32], mops[32];

@@ -218,7 +218,11 @@ int cmd_check(const std::string& path) {
           << " app, " << tstats.isp_ops << " isp), bytes_per_op="
           << std::fixed << std::setprecision(1) << full.bytes_per_op()
           << ", offline=" << cim::chk::to_string(res.pattern)
-          << ", check_ms=" << std::setprecision(1) << check_ms;
+          << ", check_ms=" << std::setprecision(1) << check_ms
+          << " (resolve " << res.stats.resolve_ms << ", co "
+          << res.stats.phase_a_ms << ", hb " << res.stats.hb_ms
+          << ", residual " << res.stats.residual_ms
+          << "), hb_rounds=" << res.stats.hb_rounds;
   if (bad > 0) summary << ", " << bad << " malformed line(s)";
   if (tstats.pending > 0 || tstats.orphan_dones > 0) {
     summary << ", " << tstats.pending << " incomplete, "
