@@ -270,6 +270,23 @@ for fn in sequence enqueue_delivery; do
   fi
 done
 
+# The kCM happens-before fixpoint is incremental: it rebuilds the graph
+# (set_edges) only on its CyclicHB failure path, for the Kahn/Tarjan witness,
+# and reads-from resolution uses a sorted writer table, not a hash map.
+checker_src="$root/src/checker/causal_checker.cpp"
+if grep -q "unordered_map" "$checker_src"; then
+  echo "check_docs: src/checker/causal_checker.cpp uses std::unordered_map (resolve() sorts the writes)" >&2
+  status=1
+fi
+hb_body="$(sed -n '/CheckResult happens_before(/,/^  }$/p' "$checker_src")"
+if [ -z "$hb_body" ] \
+    || [ "$(printf '%s\n' "$hb_body" | grep -c "set_edges")" -ne 1 ] \
+    || ! printf '%s\n' "$hb_body" | grep -A4 "set_edges" \
+        | grep -q "CIM_CHECK(!g.topo_order"; then
+  echo "check_docs: the kCM fixpoint (Engine::happens_before) calls set_edges outside its CyclicHB failure path" >&2
+  status=1
+fi
+
 if [ "$status" -eq 0 ]; then
   echo "check_docs: OK"
 fi

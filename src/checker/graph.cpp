@@ -57,13 +57,9 @@ bool SparseGraph::topo_order(std::vector<std::uint32_t>& order,
     const std::uint32_t v = ready.back();
     ready.pop_back();
     order.push_back(v);
-    auto relax = [&](std::uint32_t succ) {
+    for_each_succ(v, [&](std::uint32_t succ) {
       if (--indeg[succ] == 0) ready.push_back(succ);
-    };
-    if (v + 1 < n_ && in_same_span(v, v + 1)) relax(v + 1);
-    for (std::uint32_t k = fwd_off_[v]; k < fwd_off_[v + 1]; ++k) {
-      relax(fwd_to_[k]);
-    }
+    });
   }
   if (order.size() == n_) return true;
   if (witness != nullptr) {

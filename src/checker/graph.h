@@ -47,6 +47,16 @@ class SparseGraph {
   void set_edges(const std::vector<Edge>& edges);
   std::size_t num_edges() const { return fwd_to_.size(); }
 
+  /// Calls f(s) for each successor s of op v in po ∪ edges: its
+  /// program-order successor, if any, then its explicit out-edges.
+  template <class F>
+  void for_each_succ(std::uint32_t v, F&& f) const {
+    if (v + 1 < n_ && in_same_span(v, v + 1)) f(v + 1);
+    for (std::uint32_t k = fwd_off_[v]; k < fwd_off_[v + 1]; ++k) {
+      f(fwd_to_[k]);
+    }
+  }
+
   /// Kahn toposort over po ∪ edges. Returns true and fills `order` (size n)
   /// when acyclic; returns false and, if non-null, sets `witness` to two
   /// distinct mutually-reachable ops otherwise.
