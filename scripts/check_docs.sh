@@ -286,6 +286,23 @@ if [ -z "$hb_body" ] \
   echo "check_docs: the kCM fixpoint (Engine::happens_before) calls set_edges outside its CyclicHB failure path" >&2
   status=1
 fi
+# Each read is scanned against its clock frontier once per pass: phase A's
+# scan seeds the fixpoint's first round (no full-span rescan, scan_all), the
+# write index answers through forward-only cursors (no per-read binary
+# search, latest_within), and the converged fixpoint checks only
+# initial-value reads (its HB flavor of WriteCORead is unreachable).
+if grep -q "latest_within" "$checker_src"; then
+  echo "check_docs: src/checker/causal_checker.cpp searches a write bucket per read (latest_within); use the VarProcWrites cursor" >&2
+  status=1
+fi
+if printf '%s\n' "$hb_body" | grep -q "scan_all"; then
+  echo "check_docs: the kCM fixpoint rescans every read of a process (scan_all); phase A seeds its first round" >&2
+  status=1
+fi
+if grep -q "overwrote it in happens-before" "$checker_src"; then
+  echo "check_docs: the kCM fixpoint's final scan checks WriteCORead, which the fixpoint has already excluded" >&2
+  status=1
+fi
 
 if [ "$status" -eq 0 ]; then
   echo "check_docs: OK"

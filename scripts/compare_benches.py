@@ -37,7 +37,8 @@ import sys
 HIGHER_BETTER = ("_per_sec", "_per_second")
 LOWER_BETTER = {"wall_s", "real_time_ns", "cpu_time_ns", "bytes_per_msg",
                 "syscalls_per_msg", "reconnect_ms", "check_ms",
-                "bytes_per_op"}
+                "bytes_per_op", "resolve_ms", "phase_a_ms", "hb_ms",
+                "residual_ms"}
 # Fields exempt from the suffix rules: reported for the record but never
 # judged. post_recovery_msgs_per_sec times the catch-up burst right after a
 # rejoin, whose size depends on how much queued during the outage — a

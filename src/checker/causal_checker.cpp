@@ -44,19 +44,34 @@ double ms_since(Clock::time_point t0) {
 
 /// Writes per (variable, process), ascending program order — CSR over the
 /// flat (var_dense * P + proc_dense) key. Gives the pattern scans their two
-/// O(log) primitives: the first write of a variable on a process, and the
-/// latest one visible inside a vector-clock frontier. The writes' seq1
-/// positions sit beside their indices, so the binary search reads one
-/// contiguous array.
+/// primitives: the first write of a variable on a process, and the latest
+/// one visible inside a vector-clock frontier. The writes' seq1 positions
+/// sit beside their indices, so the frontier search reads one contiguous
+/// array.
+///
+/// Every scan walks reads in program order, along which a read's clock row
+/// only grows, so the frontier search is a forward-only cursor per bucket:
+/// it gallops from where the bucket's last answer left it (steps 1, 2,
+/// 4, ...) and binary-searches only the final gap. rewind() starts a new
+/// scan by bumping an epoch; a bucket whose stamp is older restarts at its
+/// first write, so no O(V·P) clear is needed.
 struct VarProcWrites {
+  struct Cursor {
+    std::uint32_t at = 0;     // first entry past the frontier last asked
+    std::uint32_t epoch = 0;  // scan that `at` belongs to
+  };
+
   std::vector<std::uint32_t> off;  // size V*P + 1
   std::vector<std::uint32_t> idx;  // write op indices
   std::vector<std::uint32_t> seq;  // seq1 of each idx entry
+  std::vector<Cursor> cur;         // per bucket
+  std::uint32_t epoch = 0;
   std::size_t P = 0;
 
   void build(const History& h, const SparseGraph& g) {
     P = h.num_processes();
     const std::size_t buckets = h.num_vars() * P;
+    cur.assign(buckets, Cursor{});
     off.assign(buckets + 1, 0);
     std::size_t writes = 0;
     for (std::size_t i = 0; i < h.size(); ++i) {
@@ -82,15 +97,35 @@ struct VarProcWrites {
     return {idx.data() + off[b], idx.data() + off[b + 1]};
   }
 
+  /// Starts a scan: every bucket's cursor goes back to its first write.
+  void rewind() {
+    if (++epoch != 0) return;
+    std::fill(cur.begin(), cur.end(), Cursor{});  // the stamps wrapped
+    epoch = 1;
+  }
+
   /// Latest write on (var, proc) whose program-order position is inside the
-  /// clock frontier `upto` (1-based, inclusive); kInitSrc when none.
-  std::uint32_t latest_within(std::uint32_t var, std::uint32_t proc,
-                              std::uint32_t upto) const {
+  /// clock frontier `upto` (1-based, inclusive); kInitSrc when none. Within
+  /// one scan, `upto` must not shrink between calls on the same bucket.
+  std::uint32_t advance(std::uint32_t var, std::uint32_t proc,
+                        std::uint32_t upto) {
     const std::size_t b = static_cast<std::size_t>(var) * P + proc;
-    const std::uint32_t* first = seq.data() + off[b];
-    const std::uint32_t* it =
-        std::upper_bound(first, seq.data() + off[b + 1], upto);
-    return it == first ? kInitSrc : idx[it - seq.data() - 1];
+    Cursor& c = cur[b];
+    if (c.epoch != epoch) c = {off[b], epoch};
+    const std::uint32_t* s = seq.data();
+    CIM_DCHECK(c.at == off[b] || s[c.at - 1] <= upto);
+    // seq[lo - 1] <= upto throughout; the gallop stops at the first probe
+    // past the frontier (or the bucket's end).
+    const std::size_t end = off[b + 1];
+    std::size_t lo = c.at, hi = c.at, step = 1;
+    while (hi < end && s[hi] <= upto) {
+      lo = hi + 1;
+      hi += step;
+      step *= 2;
+    }
+    c.at = static_cast<std::uint32_t>(
+        std::upper_bound(s + lo, s + std::min(hi, end), upto) - s);
+    return c.at == off[b] ? kInitSrc : idx[c.at - 1];
   }
 };
 
@@ -118,6 +153,8 @@ struct Engine {
   // Scratch reused across evaluate() passes.
   std::vector<std::uint32_t> order;
   std::vector<std::uint32_t> clk;
+  std::vector<Edge> seeds;  // phase A's cf / first-round HB edges, flat ...
+  std::vector<std::size_t> seed_off;  // ... at per-process offsets
 
   explicit Engine(const History& history) : h(history), g(history) {
     wvp.build(h, g);
@@ -189,13 +226,35 @@ struct Engine {
     }
   }
 
+  /// The first write of `var` inside the clock frontier `row`, taking the
+  /// processes in order; kInitSrc when none. A read of the initial value
+  /// with such a write before it is stale.
+  std::uint32_t first_visible_write(std::uint32_t var,
+                                    const std::uint32_t* row) const {
+    for (std::uint32_t p = 0; p < wvp.P; ++p) {
+      auto [b, e] = wvp.span(var, p);
+      if (b != e && g.seq1(*b) <= row[p]) return *b;
+    }
+    return kInitSrc;
+  }
+
+  /// Whether a write of r's variable inside r's clock row follows r's
+  /// source w1 (w1 ⇝ w2). Advances the write cursors.
+  bool overwritten(std::size_t r, std::uint32_t w1) {
+    const std::uint32_t* row = clk.data() + r * wvp.P;
+    for (std::uint32_t p = 0; p < wvp.P; ++p) {
+      const std::uint32_t w2 = wvp.advance(h.var_dense(r), p, row[p]);
+      if (w2 != kInitSrc && w2 != w1 && g.reaches(clk, w1, w2)) return true;
+    }
+    return false;
+  }
+
   /// Full bad-pattern pass over po ∪ rf_edges with per-read sources `src`
   /// (entries equal to kAmbiguous are skipped — phase A runs with the
   /// ambiguous reads unconstrained, which only under-approximates co, so any
   /// violation it finds is definite under every assignment).
   CheckResult evaluate(const std::vector<std::uint32_t>& src,
                        const std::vector<Edge>& rf_edges, Level level) {
-    const std::size_t n = h.size();
     const std::size_t P = h.num_processes();
     g.set_edges(rf_edges);
     stats.explicit_edges = std::max(stats.explicit_edges, rf_edges.size());
@@ -207,31 +266,47 @@ struct Engine {
     }
     g.clocks(order, clk);
 
-    // WriteCOInitRead and WriteCORead over the clock frontiers.
-    for (std::size_t r = 0; r < n; ++r) {
-      if (h.is_write(r) || src[r] == kAmbiguous) continue;
-      const std::uint32_t var = h.var_dense(r);
-      const std::uint32_t* row = clk.data() + r * P;
-      const std::uint32_t w1 = src[r];
-      for (std::uint32_t p = 0; p < P; ++p) {
+    // WriteCOInitRead and WriteCORead over the clock frontiers, one process
+    // span at a time. The same scan collects, in (read, process) order, the
+    // edges w2 -> w1 from a read's latest visible writer w2 on a process to
+    // its source w1: at kCCv all of them are the conflict edges, and at kCM
+    // those with no path w2 ⇝ w1 are the first happens-before round of the
+    // read's process, derived under these very clocks.
+    seeds.clear();
+    seed_off.assign(P + 1, 0);
+    for (std::size_t pi = 0; pi < P; ++pi) {
+      const History::Span sp = h.process_span(pi);
+      seed_off[pi] = seeds.size();
+      wvp.rewind();
+      for (std::size_t r = sp.begin; r < sp.end; ++r) {
+        if (h.is_write(r) || src[r] == kAmbiguous) continue;
+        const std::uint32_t var = h.var_dense(r);
+        const std::uint32_t* row = clk.data() + r * P;
+        const std::uint32_t w1 = src[r];
         if (w1 == kInitSrc) {
-          auto [b, e] = wvp.span(var, p);
-          if (b != e && g.seq1(*b) <= row[p]) {
-            return {BadPattern::kWriteCOInitRead,
-                    describe(h, r) + " returns the initial value but " +
-                        describe(h, *b) + " is causally before it"};
-          }
-        } else {
-          const std::uint32_t w2 = wvp.latest_within(var, p, row[p]);
-          if (w2 != kInitSrc && w2 != w1 && g.reaches(clk, w1, w2)) {
+          const std::uint32_t w = first_visible_write(var, row);
+          if (w == kInitSrc) continue;
+          return {BadPattern::kWriteCOInitRead,
+                  describe(h, r) + " returns the initial value but " +
+                      describe(h, w) + " is causally before it"};
+        }
+        for (std::uint32_t p = 0; p < P; ++p) {
+          const std::uint32_t w2 = wvp.advance(var, p, row[p]);
+          if (w2 == kInitSrc || w2 == w1) continue;
+          if (g.reaches(clk, w1, w2)) {
             return {BadPattern::kWriteCORead,
                     describe(h, r) + " reads " + describe(h, w1) +
                         " although " + describe(h, w2) +
                         " causally overwrote it"};
           }
+          if (level == Level::kCCv ||
+              (level == Level::kCM && !g.reaches(clk, w2, w1))) {
+            seeds.push_back({w2, w1});
+          }
         }
       }
     }
+    seed_off[P] = seeds.size();
     if (level == Level::kCC) return {};
 
     if (level == Level::kCCv) {
@@ -240,17 +315,7 @@ struct Engine {
       // with co must be acyclic. Only the latest co-visible write per
       // process matters: earlier ones reach it by program order.
       std::vector<Edge> with_cf = rf_edges;
-      for (std::size_t r = 0; r < n; ++r) {
-        if (h.is_write(r) || src[r] == kAmbiguous || src[r] == kInitSrc) {
-          continue;
-        }
-        const std::uint32_t var = h.var_dense(r);
-        const std::uint32_t* row = clk.data() + r * P;
-        for (std::uint32_t p = 0; p < P; ++p) {
-          const std::uint32_t w1 = wvp.latest_within(var, p, row[p]);
-          if (w1 != kInitSrc && w1 != src[r]) with_cf.push_back({w1, src[r]});
-        }
-      }
+      with_cf.insert(with_cf.end(), seeds.begin(), seeds.end());
       g.set_edges(with_cf);
       stats.explicit_edges = std::max(stats.explicit_edges, with_cf.size());
       if (!g.topo_order(order, &wit)) {
@@ -274,17 +339,18 @@ struct Engine {
   // plus the derived edges of process i only.
   //
   // The fixpoint is incremental. Each process starts from phase A's clocks
-  // (`clk`, over g's rf edges in the topological `order`) and keeps its
-  // derived edges in a flat side list. A round scans only the reads of i
-  // whose clock row grew in the previous round — clocks only grow, so an
-  // unchanged row derives nothing new — and then pushes the growth of its
-  // new edges forward in phase A's order: positional sweeps over a dirty
-  // set, one more sweep for each edge that runs backward in that order.
-  // The clocks stay the exact reachability fixpoint even when the new
-  // edges close a cycle, so the round is cyclic iff some new edge w1 -> w2
-  // has w2 ⇝ w1; only then is the full graph rebuilt, for the Kahn/Tarjan
-  // witness. A process that derived edges restores phase A's clocks before
-  // the next one starts.
+  // (`clk`, over g's rf edges in the topological `order`) with its first
+  // round's edges taken from phase A's scan (`seeds`), and keeps its
+  // derived edges in a flat side list. A round pushes the growth of its new
+  // edges forward in phase A's order: positional sweeps over a dirty set,
+  // one more sweep for each edge that runs backward in that order. The
+  // clocks stay the exact reachability fixpoint even when the new edges
+  // close a cycle, so the round is cyclic iff some new edge w1 -> w2 has
+  // w2 ⇝ w1; only then is the full graph rebuilt, for the Kahn/Tarjan
+  // witness. The next round's edges come from rescanning only the reads of
+  // i whose clock row grew — clocks only grow, so an unchanged row derives
+  // nothing new. A process that derived edges restores phase A's clocks
+  // before the next one starts.
   CheckResult happens_before(const std::vector<std::uint32_t>& src,
                              const std::vector<Edge>& rf_edges) {
     constexpr std::uint32_t kNone = UINT32_MAX;
@@ -331,34 +397,10 @@ struct Engine {
 
     for (std::size_t pi = 0; pi < P; ++pi) {
       const History::Span sp = h.process_span(pi);
-      bool has_reads = false;
-      for (std::size_t r = sp.begin; r < sp.end && !has_reads; ++r) {
-        has_reads = !h.is_write(r);
-      }
-      if (!has_reads) continue;  // HB_i adds nothing over co, already clean
-
-      derived.clear();
+      derived.assign(seeds.begin() + seed_off[pi],
+                     seeds.begin() + seed_off[pi + 1]);
       next_out.clear();
-      bool scan_all = true;
-      while (true) {
-        // Derivation rule: r ∈ reads_i(x) reads from w2, w1 writes x with
-        // (w1, r) ∈ HB_i ⇒ (w1, w2) ∈ HB_i. The latest HB-visible write
-        // per process subsumes the earlier ones (they reach it by po).
-        const std::size_t round_begin = derived.size();
-        for (std::size_t r = sp.begin; r < sp.end; ++r) {
-          if (h.is_write(r) || (!scan_all && grew_in[r] != epoch)) continue;
-          const std::uint32_t w2 = src[r];
-          if (w2 == kInitSrc || w2 == kAmbiguous) continue;
-          const std::uint32_t var = h.var_dense(r);
-          const std::uint32_t* row = c + r * P;
-          for (std::uint32_t p = 0; p < P; ++p) {
-            const std::uint32_t w1 = wvp.latest_within(var, p, row[p]);
-            if (w1 == kInitSrc || w1 == w2) continue;
-            if (!g.reaches(clk, w1, w2)) derived.push_back({w1, w2});
-          }
-        }
-        if (derived.size() == round_begin) break;
-        scan_all = false;
+      for (std::size_t round_begin = 0; round_begin < derived.size();) {
         ++stats.hb_rounds;
         stats.explicit_edges =
             std::max(stats.explicit_edges, rf_edges.size() + derived.size());
@@ -401,38 +443,52 @@ struct Engine {
                       describe(h, wit.first) + " and " +
                       describe(h, wit.second)};
         }
-      }
 
-      // WriteHBInitRead and the HB flavor of WriteCORead, for this process.
-      for (std::size_t r = sp.begin; r < sp.end; ++r) {
-        if (h.is_write(r)) continue;
-        const std::uint32_t w1 = src[r];
-        if (w1 == kAmbiguous) continue;
-        const std::uint32_t var = h.var_dense(r);
-        const std::uint32_t* row = clk.data() + r * P;
-        for (std::uint32_t p = 0; p < P; ++p) {
-          if (w1 == kInitSrc) {
-            auto [b, e] = wvp.span(var, p);
-            if (b != e && g.seq1(*b) <= row[p]) {
-              return {BadPattern::kWriteHBInitRead,
-                      describe(h, r) + " returns the initial value but, for " +
-                          cim::to_string(h.process(pi)) + ", " +
-                          describe(h, *b) + " happens before it"};
-            }
-          } else {
-            const std::uint32_t w2 = wvp.latest_within(var, p, row[p]);
-            if (w2 != kInitSrc && w2 != w1 && g.reaches(clk, w1, w2)) {
-              return {BadPattern::kWriteCORead,
-                      describe(h, r) + " reads " + describe(h, w1) +
-                          " although " + describe(h, w2) +
-                          " overwrote it in happens-before of " +
-                          cim::to_string(h.process(pi))};
-            }
+        // Derivation rule: r ∈ reads_i(x) reads from w2, w1 writes x with
+        // (w1, r) ∈ HB_i ⇒ (w1, w2) ∈ HB_i. The latest HB-visible write
+        // per process subsumes the earlier ones (they reach it by po).
+        round_begin = derived.size();
+        wvp.rewind();
+        for (std::size_t r = sp.begin; r < sp.end; ++r) {
+          if (h.is_write(r) || grew_in[r] != epoch) continue;
+          const std::uint32_t w2 = src[r];
+          if (w2 == kInitSrc || w2 == kAmbiguous) continue;
+          const std::uint32_t var = h.var_dense(r);
+          const std::uint32_t* row = c + r * P;
+          for (std::uint32_t p = 0; p < P; ++p) {
+            const std::uint32_t w1 = wvp.advance(var, p, row[p]);
+            if (w1 == kInitSrc || w1 == w2) continue;
+            if (!g.reaches(clk, w1, w2)) derived.push_back({w1, w2});
           }
         }
       }
 
+      // A process that derived nothing kept phase A's clocks, which phase
+      // A's scan already cleared.
       if (derived.empty()) continue;
+
+      // WriteHBInitRead for this process. The HB flavor of WriteCORead (a
+      // read r of w1 with w1 ⇝ w2 ⇝ r in HB_i) cannot occur here: r was
+      // last scanned under its final row, and there its latest HB-visible
+      // writer w2 on each process equalled w1, already reached w1, or
+      // derived w2 -> w1. So w2 ⇝ w1, and w1 ⇝ w2 as well would be an HB_i
+      // cycle, which the round that closed it reported.
+      wvp.rewind();
+      for (std::size_t r = sp.begin; r < sp.end; ++r) {
+        if (h.is_write(r)) continue;
+        const std::uint32_t w1 = src[r];
+        if (w1 != kInitSrc) {
+          CIM_DCHECK(w1 == kAmbiguous || !overwritten(r, w1));
+          continue;
+        }
+        const std::uint32_t w = first_visible_write(h.var_dense(r), c + r * P);
+        if (w == kInitSrc) continue;
+        return {BadPattern::kWriteHBInitRead,
+                describe(h, r) + " returns the initial value but, for " +
+                    cim::to_string(h.process(pi)) + ", " + describe(h, w) +
+                    " happens before it"};
+      }
+
       std::copy(rf_clk.begin(), rf_clk.end(), clk.begin());
       for (const Edge& e : derived) first_out[e.from] = kNone;
     }

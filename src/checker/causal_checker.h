@@ -102,7 +102,7 @@ struct CheckStats {
 struct CheckResult {
   BadPattern pattern = BadPattern::kNone;
   std::string detail;  // human-readable witness description
-  CheckStats stats;
+  CheckStats stats{};  // initialized here, so {pattern, detail} may omit it
 
   bool ok() const { return pattern == BadPattern::kNone; }
   explicit operator bool() const { return ok(); }

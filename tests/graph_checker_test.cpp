@@ -620,6 +620,168 @@ TEST(HappensBeforeRounds, MultiRoundFixpointMatchesSearch) {
   EXPECT_EQ(test::fnv1a(results.str()), 0xdad43d895dd20597ULL);
 }
 
+// A read's own writer is overwritten only in HB_0. Process 0 writes w1 and
+// reads it back at r; w1 is co-before w2 (process 3 reads s, written after
+// w1). Round 1 derives a -> b, which makes w2 happen before r, so round 2
+// derives w2 -> w1 and closes the cycle w1 -> s -> w2 -> w1. An HB flavor
+// of WriteCORead (w1 HB-before w2 HB-before r) would need exactly that
+// cycle, so the fixpoint reports it as CyclicHB.
+TEST(HappensBeforeRounds, OverwriteOnlyInHappensBeforeIsCyclicHB) {
+  auto h = H{}
+               .wr(0, Y, 1)   // w1
+               .wr(0, S, 1)   // s
+               .rd(0, Z, 1)   // reads c, so b is before it
+               .rd(0, Y, 1)   // r: reads w1
+               .rd(0, U, 1)   // reads d: a is before the next read
+               .rd(0, X, 2)   // reads b
+               .wr(2, X, 2)   // b
+               .wr(2, Z, 1)   // c
+               .rd(3, S, 1)   // reads s: w1 is before w2
+               .wr(3, Y, 2)   // w2
+               .wr(3, X, 1)   // a
+               .wr(3, U, 1)   // d
+               .history();
+  ASSERT_TRUE(CausalChecker{}.check(h, Level::kCC).ok());
+  const CheckResult res = CausalChecker{}.check(h, Level::kCM);
+  EXPECT_EQ(res.pattern, BadPattern::kCyclicHB);
+  EXPECT_EQ(res.detail,
+            "happens-before cycle for p(0,0) through w(x1)1@p(0,0)#0 and "
+            "w(x5)1@p(0,0)#1");
+  EXPECT_EQ(res.stats.explicit_edges, 7u);  // 5 rf + 2 derived
+  EXPECT_EQ(res.stats.hb_rounds, 2u);
+  EXPECT_EQ(SearchChecker{}.is_causal(h), std::optional<bool>(false));
+}
+
+// A seeded history shaped around the edges of the (variable, process) write
+// buckets the pattern scans walk: each bucket is left empty, capped at one
+// write, or open, writes come singly or in bursts of 20-200 (far longer than
+// a galloping step), and every process ends by reading every variable, past
+// each bucket's last write. Each process keeps a replica that applies the
+// others' writes in causal order, a random prefix at a time, and reads
+// return its replica's value, so the reads see concurrent writes in
+// different orders (the kCM fixpoint's derived edges). A few reads are made
+// stale (an earlier write of the variable, or the initial value), which
+// gives the violations. `small` histories stay within SearchChecker's reach.
+History cursor_edge_history(Rng& rng, bool small) {
+  struct Write {
+    std::uint32_t var;
+    Value value;
+    std::vector<std::uint32_t> dep;  // writes of each process applied
+  };
+  const std::size_t procs = small ? 2 : 3 + rng.uniform(0, 2);
+  const std::uint32_t vars = small ? 2 : 4;
+  // Half the large histories have no stale read at all.
+  const double stale = small ? 0.4 : rng.chance(0.5) ? 0.0 : 0.004;
+  constexpr int kOpen = 1 << 20;
+  std::vector<int> room(procs * vars);  // writes left per bucket
+  for (int& r : room) {
+    const double u = rng.uniform01();
+    r = u < 0.25 ? 0 : u < 0.5 ? 1 : kOpen;
+  }
+  std::vector<std::vector<Write>> log(procs);
+  std::vector<std::vector<std::uint32_t>> applied(
+      procs, std::vector<std::uint32_t>(procs, 0));
+  std::vector<std::vector<Value>> store(
+      procs, std::vector<Value>(vars, kInitValue));
+  std::vector<std::vector<Value>> written(vars);
+  Value counter = 0;
+  H h;
+  auto read = [&](std::size_t p, std::uint32_t v) {
+    Value val = store[p][v];
+    if (rng.chance(stale)) {
+      const std::vector<Value>& ws = written[v];
+      const std::size_t pick = rng.uniform(0, ws.size());
+      val = pick == ws.size() ? kInitValue : ws[pick];
+    }
+    h.rd(static_cast<std::uint16_t>(p), VarId{v}, val);
+  };
+  // Applies at p the next writes of q whose dependencies p has applied.
+  auto deliver = [&](std::size_t p, std::size_t q, std::size_t max) {
+    for (; max > 0 && applied[p][q] < log[q].size(); --max) {
+      const Write& w = log[q][applied[p][q]];
+      for (std::size_t o = 0; o < procs; ++o) {
+        if (o != q && w.dep[o] > applied[p][o]) return;
+      }
+      store[p][w.var] = w.value;
+      ++applied[p][q];
+    }
+  };
+  const int steps = small ? 4 + static_cast<int>(rng.uniform(0, 3))
+                          : 80 + static_cast<int>(rng.uniform(0, 80));
+  for (int s = 0; s < steps; ++s) {
+    const std::size_t p = rng.uniform(0, procs - 1);
+    const auto v = static_cast<std::uint32_t>(rng.uniform(0, vars - 1));
+    const double u = rng.uniform01();
+    if (u < 0.35) {
+      int len = 1;
+      if (!small) {
+        len = rng.chance(0.1) ? 20 + static_cast<int>(rng.uniform(0, 180))
+                              : 1 + static_cast<int>(rng.uniform(0, 2));
+      }
+      for (int& left = room[p * vars + v]; len > 0 && left > 0; --len) {
+        --left;
+        h.wr(static_cast<std::uint16_t>(p), VarId{v}, ++counter);
+        log[p].push_back({v, counter, applied[p]});
+        ++applied[p][p];
+        store[p][v] = counter;
+        written[v].push_back(counter);
+      }
+    } else if (u < 0.7) {
+      const int len = small ? 1 : 1 + static_cast<int>(rng.uniform(0, 7));
+      for (int k = 0; k < len; ++k) read(p, v);
+    } else {
+      const std::size_t q = rng.uniform(0, procs - 1);
+      if (q != p) {
+        deliver(p, q, rng.chance(0.3) ? SIZE_MAX : 1 + rng.uniform(0, 3));
+      }
+    }
+  }
+  for (std::size_t p = 0; p < procs; ++p) {
+    for (std::uint32_t v = 0; v < vars; ++v) {
+      if (!small || rng.chance(0.3)) read(p, v);
+    }
+  }
+  return h.history();
+}
+
+// kCC, kCM and kCCv over 60 large and 300 small cursor-edge histories. The
+// small ones must agree with SearchChecker at kCM, and each level must keep
+// its inclusions (kCM or kCCv clean implies kCC clean). A digest of every
+// result (pattern, witness, edge and round counts) pins them to the output
+// of the per-read binary search the frontier cursor replaced.
+TEST(FrontierCursor, EdgeHistoriesMatchSearchAndPinnedDigest) {
+  Rng rng(20261019);
+  int checked = 0, violations = 0, multi_round = 0;
+  std::ostringstream results;
+  for (int trial = 0; trial < 360; ++trial) {
+    const bool small = trial >= 60;
+    const History history = cursor_edge_history(rng, small);
+    CheckResult at[3];
+    const Level levels[3] = {Level::kCC, Level::kCM, Level::kCCv};
+    for (int k = 0; k < 3; ++k) {
+      at[k] = CausalChecker{}.check(history, levels[k]);
+      results << to_string(at[k].pattern) << '|' << at[k].detail << '|'
+              << at[k].stats.explicit_edges << '|' << at[k].stats.hb_rounds
+              << '\n';
+    }
+    EXPECT_TRUE(!at[1].ok() || at[0].ok()) << history.to_string();
+    EXPECT_TRUE(!at[2].ok() || at[0].ok()) << history.to_string();
+    if (!at[1].ok()) ++violations;
+    if (at[1].stats.hb_rounds >= 2) ++multi_round;
+    if (!small) continue;
+    const auto slow = SearchChecker{}.is_causal(history);
+    if (!slow.has_value()) continue;
+    ++checked;
+    EXPECT_EQ(at[1].ok(), *slow)
+        << to_string(at[1].pattern) << " — " << at[1].detail << " on:\n"
+        << history.to_string();
+  }
+  EXPECT_GE(checked, 270);
+  EXPECT_GE(violations, 30);
+  EXPECT_GE(multi_round, 30);
+  EXPECT_EQ(test::fnv1a(results.str()), 0xcba79bc91122384aULL);
+}
+
 // -------------------------------------------------------- trace streaming
 
 obs::ParsedTraceEvent mcs_event(const char* name, ProcId proc,
