@@ -73,7 +73,8 @@ int main() {
     const double global = global_cross_per_write(n, 5);
     const double interconnected = interconnected_cross_per_write(n, 5);
     table.add_row(n, n / 2.0, global, 1.0, interconnected);
-    report.row("n" + std::to_string(n))
+    const std::string n_str = std::to_string(n);
+    report.row("n" + n_str)
         .field("n", n)
         .field("paper_global_cross_per_write", n / 2.0)
         .field("measured_global_cross_per_write", global)

@@ -77,9 +77,10 @@ int main() {
       table.add_row(m, bench::ms_string(l), bench::ms_string(d),
                     bench::ms_string(expected(m, l, d)),
                     bench::ms_string(per_link), bench::ms_string(shared));
+      const std::string m_str = std::to_string(m);
       report
-          .row("m" + std::to_string(m) + "_l" + std::to_string(c.l_ms) +
-               "ms_d" + std::to_string(c.d_ms) + "ms")
+          .row("m" + m_str + "_l" + std::to_string(c.l_ms) + "ms_d" +
+               std::to_string(c.d_ms) + "ms")
           .field("m", m)
           .field_ns("l", l)
           .field_ns("d", d)

@@ -60,7 +60,8 @@ int main() {
       const double measured = measure_messages_per_write(m, n, 42);
       table.add_row(n, m, expected, measured,
                     measured == expected ? "yes" : "NO");
-      report.row("n" + std::to_string(n) + "_m" + std::to_string(m))
+      const std::string n_str = std::to_string(n);
+      report.row("n" + n_str + "_m" + std::to_string(m))
           .field("n", n)
           .field("m", m)
           .field("paper_msgs_per_write", expected)

@@ -79,7 +79,8 @@ int main() {
     table.add_row(m, s.count, bench::ms_string(s.p50), bench::ms_string(s.p90),
                   bench::ms_string(s.p99), bench::ms_string(s.max),
                   bench::ms_string(bound), s.max <= bound ? "yes" : "NO");
-    report.row("m" + std::to_string(m))
+    const std::string m_str = std::to_string(m);
+    report.row("m" + m_str)
         .field("m", m)
         .field("samples", static_cast<std::int64_t>(s.count))
         .field_ns("p50", s.p50)

@@ -12,13 +12,9 @@
 
 #include "bench_report.h"
 #include "interconnect/pair_msg.h"
-#include "msgpass/cbcast.h"
 #include "net/reliable_transport.h"
 #include "net/wire.h"
 #include "obs/table.h"
-#include "protocols/partial_rep.h"
-#include "protocols/tob_sequencer.h"
-#include "protocols/update_msg.h"
 
 namespace {
 
@@ -38,7 +34,7 @@ WriteId wid(std::uint16_t system, std::uint16_t proc, std::uint32_t seq) {
 }
 
 // One representative instance per wire type, sized like the federation
-// actually sends them (single-digit vars, small clocks, real timestamps).
+// actually sends them (single-digit vars, real timestamps).
 std::vector<net::MessagePtr> representative_messages() {
   std::vector<net::MessagePtr> out;
 
@@ -55,49 +51,6 @@ std::vector<net::MessagePtr> representative_messages() {
   pair->origin_time = sim::Time{4'800'000};
   pair->write_id = wid(1, 8, 42);
   out.push_back(std::move(pair));
-
-  auto vc = std::make_unique<proto::TimestampedUpdate>();
-  vc->var = VarId{3};
-  vc->value = Value{9'001};
-  vc->clock = VectorClock{{12, 0, 7, 3, 1, 0, 2, 9}};
-  vc->writer = 3;
-  vc->write_id = wid(0, 3, 17);
-  vc->received_at = sim::Time{6'000'000};
-  out.push_back(std::move(vc));
-
-  auto pub = std::make_unique<proto::TobPublish>();
-  pub->var = VarId{2};
-  pub->value = Value{55};
-  pub->origin = 1;
-  pub->write_id = wid(0, 1, 5);
-  out.push_back(std::move(pub));
-
-  auto del = std::make_unique<proto::TobDeliver>();
-  del->var = VarId{2};
-  del->value = Value{55};
-  del->origin = 1;
-  del->seq = 99;
-  del->write_id = wid(0, 1, 5);
-  del->received_at = sim::Time{7'000'000};
-  out.push_back(std::move(del));
-
-  auto partial = std::make_unique<proto::PartialUpdate>();
-  partial->var = VarId{4};
-  partial->value = Value{1'000};
-  partial->has_value = true;
-  partial->clock = VectorClock{{4, 4, 4, 4}};
-  partial->writer = 2;
-  partial->write_id = wid(1, 2, 3);
-  partial->received_at = sim::Time{8'000'000};
-  out.push_back(std::move(partial));
-
-  auto cb = std::make_unique<mp::CbcastMsg>();
-  cb->payload.var = VarId{1};
-  cb->payload.value = Value{-42};
-  cb->payload.wid = wid(2, 0, 6);
-  cb->clock = VectorClock{{3, 1, 4, 1, 5}};
-  cb->sender = 2;
-  out.push_back(std::move(cb));
 
   auto frame = std::make_unique<net::TransportFrame>();
   frame->seq = 1'000;

@@ -52,20 +52,41 @@ if [ ! -f "$wire_doc" ]; then
   echo "check_docs: missing $wire_doc" >&2
   status=1
 else
-  for label in control pair vc_update tob_publish tob_deliver partial_update \
-      cbcast transport_frame stats; do
+  for label in control pair transport_frame stats; do
     if ! grep -q "$label" "$wire_doc"; then
       echo "check_docs: wire type '${label}' is not documented in docs/WIRE.md" >&2
       status=1
     fi
   done
-  for sym in kWireVersion kMaxBodyBytes kMaxClockEntries kMaxNestingDepth \
+  for sym in kWireVersion kMaxBodyBytes kMaxNestingDepth \
       kTransportVersion2 kMaxStatsEntries kMaxStatsKeyBytes; do
     if ! grep -q "$sym" "$wire_doc"; then
       echo "check_docs: wire constant ${sym} is not documented in docs/WIRE.md" >&2
       status=1
     fi
   done
+  if ! grep -Eq "^\| 2–6 \|.*reserved" "$wire_doc"; then
+    echo "check_docs: docs/WIRE.md does not mark wire tags 2–6 as reserved" >&2
+    status=1
+  fi
+fi
+
+# The codec encodes only what crosses a link (pairs, transport, control and
+# stats frames): it names no intra-system protocol payload, so it lives in
+# cim_net and there is no separate cim_wire library.
+if grep -Eq "#include \"(protocols|msgpass|mcs)/" "$root"/src/net/wire.h \
+    "$root"/src/net/wire.cpp; then
+  echo "check_docs: the wire codec includes an intra-system header:" >&2
+  grep -En "#include \"(protocols|msgpass|mcs)/" "$root"/src/net/wire.h \
+      "$root"/src/net/wire.cpp >&2
+  status=1
+fi
+cmake_lists="$root/CMakeLists.txt $root/src $root/tests $root/bench \
+  $root/examples $root/tools $root/perfbench"
+if grep -rq --include=CMakeLists.txt "cim_wire" $cmake_lists; then
+  echo "check_docs: a CMakeLists.txt defines or links cim_wire (the codec is part of cim_net):" >&2
+  grep -rn --include=CMakeLists.txt "cim_wire" $cmake_lists >&2
+  status=1
 fi
 
 # docs/BRIDGE.md is the normative mesh description: it must exist, name

@@ -174,6 +174,10 @@ class SmallFn<R(Args...), InlineSize> {
     if constexpr (kFitsInline<F> && std::is_trivially_copyable_v<F>) {
       // Trivial closures need no handler at all: relocation is memcpy (see
       // the move operations) and destruction is a no-op. manage_ stays null.
+      // A stateless closure writes no byte of the buffer; zero it here, at
+      // construction, so the relocating memcpy never reads indeterminate
+      // bytes (and GCC's -Wmaybe-uninitialized has nothing to report).
+      if constexpr (std::is_empty_v<F>) std::memset(buf_, 0, InlineSize);
       ::new (static_cast<void*>(buf_)) F(std::forward<Arg>(f));
       invoke_ = &InlineHandler<F>::invoke;
     } else if constexpr (kFitsInline<F>) {

@@ -132,6 +132,9 @@ class VectorClock {
     size_ = other.size_;
     if (other.data_ == other.inline_) {
       data_ = inline_;
+      // Inline storage never holds more than kInline entries (init()); say
+      // so, or GCC cannot bound this copy and warns -Warray-bounds.
+      if (size_ > kInline) __builtin_unreachable();
       std::memcpy(inline_, other.inline_, size_ * sizeof(std::uint64_t));
     } else {
       data_ = other.data_;

@@ -4,13 +4,8 @@
 #include <memory>
 
 #include "common/check.h"
-#include "common/vector_clock.h"
 #include "interconnect/pair_msg.h"
-#include "msgpass/cbcast.h"
 #include "net/reliable_transport.h"
-#include "protocols/partial_rep.h"
-#include "protocols/tob_sequencer.h"
-#include "protocols/update_msg.h"
 
 namespace cim::net::wire {
 namespace {
@@ -40,11 +35,6 @@ void put_zigzag(Buf& out, std::int64_t v) {
 
 void put_time(Buf& out, sim::Time t) {
   put_u64le(out, static_cast<std::uint64_t>(t.ns));
-}
-
-void put_clock(Buf& out, const VectorClock& c) {
-  put_varint(out, c.size());
-  for (std::size_t i = 0; i < c.size(); ++i) put_varint(out, c[i]);
 }
 
 // ---- primitive reader ------------------------------------------------------
@@ -112,21 +102,6 @@ class Reader {
 
   sim::Time time() { return sim::Time{static_cast<std::int64_t>(u64le())}; }
 
-  bool clock(VectorClock& out) {
-    const std::uint64_t n = varint();
-    if (fail_ || n > kMaxClockEntries) {
-      fail_ = true;
-      return false;
-    }
-    VectorClock c(static_cast<std::size_t>(n));
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      c.set(i, varint());
-      if (fail_) return false;
-    }
-    out = std::move(c);
-    return true;
-  }
-
  private:
   const std::uint8_t* data_;
   std::size_t size_;
@@ -143,56 +118,6 @@ void encode_pair(Buf& out, const isc::PairMsg& m) {
   put_time(out, m.sent_at);
   put_time(out, m.origin_time);
   put_u64le(out, m.write_id.value);
-}
-
-void encode_vc_update(Buf& out, const proto::TimestampedUpdate& m) {
-  put_varint(out, m.var.value);
-  put_zigzag(out, m.value);
-  put_clock(out, m.clock);
-  put_varint(out, m.writer);
-  // Trace context.
-  put_u64le(out, m.write_id.value);
-  put_time(out, m.received_at);
-}
-
-void encode_tob_publish(Buf& out, const proto::TobPublish& m) {
-  put_varint(out, m.var.value);
-  put_zigzag(out, m.value);
-  put_varint(out, m.origin);
-  put_u8(out, m.pre_applied ? 1 : 0);
-  // Trace context.
-  put_u64le(out, m.write_id.value);
-}
-
-void encode_tob_deliver(Buf& out, const proto::TobDeliver& m) {
-  put_varint(out, m.var.value);
-  put_zigzag(out, m.value);
-  put_varint(out, m.origin);
-  put_u8(out, m.pre_applied ? 1 : 0);
-  put_varint(out, m.seq);
-  // Trace context.
-  put_u64le(out, m.write_id.value);
-  put_time(out, m.received_at);
-}
-
-void encode_partial(Buf& out, const proto::PartialUpdate& m) {
-  put_u8(out, m.has_value ? 1 : 0);
-  put_varint(out, m.var.value);
-  if (m.has_value) put_zigzag(out, m.value);
-  put_clock(out, m.clock);
-  put_varint(out, m.writer);
-  // Trace context.
-  put_u64le(out, m.write_id.value);
-  put_time(out, m.received_at);
-}
-
-void encode_cbcast(Buf& out, const mp::CbcastMsg& m) {
-  put_varint(out, m.payload.var.value);
-  put_zigzag(out, m.payload.value);
-  put_clock(out, m.clock);
-  put_varint(out, m.sender);
-  // Trace context.
-  put_u64le(out, m.payload.wid.value);
 }
 
 void encode_control(Buf& out, const ControlMsg& m) {
@@ -255,22 +180,6 @@ bool encode_body(const Message& msg, Buf& out) {
   if (std::strcmp(tn, "is.pair") == 0) {
     tagged(WireType::kPair);
     encode_pair(out, static_cast<const isc::PairMsg&>(msg));
-  } else if (std::strcmp(tn, "vc.update") == 0) {
-    tagged(WireType::kVcUpdate);
-    encode_vc_update(out, static_cast<const proto::TimestampedUpdate&>(msg));
-  } else if (std::strcmp(tn, "tob.publish") == 0) {
-    tagged(WireType::kTobPublish);
-    encode_tob_publish(out, static_cast<const proto::TobPublish&>(msg));
-  } else if (std::strcmp(tn, "tob.deliver") == 0) {
-    tagged(WireType::kTobDeliver);
-    encode_tob_deliver(out, static_cast<const proto::TobDeliver&>(msg));
-  } else if (std::strcmp(tn, "partial.update") == 0 ||
-             std::strcmp(tn, "partial.marker") == 0) {
-    tagged(WireType::kPartialUpdate);
-    encode_partial(out, static_cast<const proto::PartialUpdate&>(msg));
-  } else if (std::strcmp(tn, "cbcast.msg") == 0) {
-    tagged(WireType::kCbcast);
-    encode_cbcast(out, static_cast<const mp::CbcastMsg&>(msg));
   } else if (std::strcmp(tn, "tr.data") == 0 || std::strcmp(tn, "tr.ack") == 0) {
     // Transport frames are v1 unless the heartbeat timestamp tail is in use
     // (same nonzero-only discipline as the control v2 field below).
@@ -308,7 +217,8 @@ DecodeResult decode_frame(const std::uint8_t* data, std::size_t size,
 
 // Decodes the payload for `type`. `version` has already been validated by
 // decode_frame (1 everywhere; control frames may also be 2, which appends
-// the varint `c`). Returns null + error message on malformed payloads.
+// the varint `c`). Returns null + error message on malformed payloads and on
+// unknown types, the reserved tags 2–6 included.
 MessagePtr decode_payload(WireType type, std::uint8_t version, Reader& r,
                           int depth, const char*& error) {
   switch (type) {
@@ -319,65 +229,6 @@ MessagePtr decode_payload(WireType type, std::uint8_t version, Reader& r,
       m->sent_at = r.time();
       m->origin_time = r.time();
       m->write_id = WriteId{r.u64le()};
-      return m;
-    }
-    case WireType::kVcUpdate: {
-      auto m = std::make_unique<proto::TimestampedUpdate>();
-      m->var = VarId{static_cast<std::uint32_t>(r.varint())};
-      m->value = r.zigzag();
-      if (!r.clock(m->clock)) {
-        error = "wire: bad vector clock";
-        return nullptr;
-      }
-      m->writer = static_cast<std::uint16_t>(r.varint());
-      m->write_id = WriteId{r.u64le()};
-      m->received_at = r.time();
-      return m;
-    }
-    case WireType::kTobPublish: {
-      auto m = std::make_unique<proto::TobPublish>();
-      m->var = VarId{static_cast<std::uint32_t>(r.varint())};
-      m->value = r.zigzag();
-      m->origin = static_cast<std::uint16_t>(r.varint());
-      m->pre_applied = r.u8() != 0;
-      m->write_id = WriteId{r.u64le()};
-      return m;
-    }
-    case WireType::kTobDeliver: {
-      auto m = std::make_unique<proto::TobDeliver>();
-      m->var = VarId{static_cast<std::uint32_t>(r.varint())};
-      m->value = r.zigzag();
-      m->origin = static_cast<std::uint16_t>(r.varint());
-      m->pre_applied = r.u8() != 0;
-      m->seq = r.varint();
-      m->write_id = WriteId{r.u64le()};
-      m->received_at = r.time();
-      return m;
-    }
-    case WireType::kPartialUpdate: {
-      auto m = std::make_unique<proto::PartialUpdate>();
-      m->has_value = r.u8() != 0;
-      m->var = VarId{static_cast<std::uint32_t>(r.varint())};
-      if (m->has_value) m->value = r.zigzag();
-      if (!r.clock(m->clock)) {
-        error = "wire: bad vector clock";
-        return nullptr;
-      }
-      m->writer = static_cast<std::uint16_t>(r.varint());
-      m->write_id = WriteId{r.u64le()};
-      m->received_at = r.time();
-      return m;
-    }
-    case WireType::kCbcast: {
-      auto m = std::make_unique<mp::CbcastMsg>();
-      m->payload.var = VarId{static_cast<std::uint32_t>(r.varint())};
-      m->payload.value = r.zigzag();
-      if (!r.clock(m->clock)) {
-        error = "wire: bad vector clock";
-        return nullptr;
-      }
-      m->sender = static_cast<std::uint16_t>(r.varint());
-      m->payload.wid = WriteId{r.u64le()};
       return m;
     }
     case WireType::kTransportFrame: {
@@ -461,8 +312,6 @@ DecodeResult decode_frame(const std::uint8_t* data, std::size_t size,
   Reader r(data + 4, body_len);
   const std::uint8_t raw_type = r.u8();
   const std::uint8_t version = r.u8();
-  if (raw_type > static_cast<std::uint8_t>(WireType::kStats))
-    return fail_with("wire: unknown wire type");
   const bool control_v2 =
       raw_type == static_cast<std::uint8_t>(WireType::kControl) &&
       version == kControlVersion2;
@@ -493,35 +342,12 @@ const char* wire_type_label(WireType t) {
       return "control";
     case WireType::kPair:
       return "pair";
-    case WireType::kVcUpdate:
-      return "vc_update";
-    case WireType::kTobPublish:
-      return "tob_publish";
-    case WireType::kTobDeliver:
-      return "tob_deliver";
-    case WireType::kPartialUpdate:
-      return "partial_update";
-    case WireType::kCbcast:
-      return "cbcast";
     case WireType::kTransportFrame:
       return "transport_frame";
     case WireType::kStats:
       return "stats";
   }
   return "unknown";
-}
-
-bool encodable(const Message& msg) {
-  const char* tn = msg.type_name();
-  for (const char* known :
-       {"is.pair", "vc.update", "tob.publish", "tob.deliver", "partial.update",
-        "partial.marker", "cbcast.msg", "wire.ctrl", "wire.stats"}) {
-    if (std::strcmp(tn, known) == 0) return true;
-  }
-  if (std::strcmp(tn, "tr.data") == 0)
-    return encodable(*static_cast<const TransportFrame&>(msg).payload);
-  if (std::strcmp(tn, "tr.ack") == 0) return true;
-  return false;
 }
 
 std::size_t encode(const Message& msg, std::vector<std::uint8_t>& out) {

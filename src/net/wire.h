@@ -1,19 +1,20 @@
-// Versioned binary wire format for every on-the-wire message type.
+// Versioned binary wire format for the messages that cross a link.
 //
 // The paper's interconnection theorem assumes only "a reliable FIFO channel"
 // between the two IS-processes — an opaque byte stream. This codec makes that
 // channel realizable: every message that can cross a link (inter-IS pairs,
-// the per-protocol update payloads, transport ARQ frames) has a canonical
+// transport ARQ frames, the mesh's control and stats frames) has a canonical
 // little-endian, length-prefixed byte encoding, so a federation can run over
 // loopback byte buffers or real sockets instead of in-process pointer
-// handoffs. docs/WIRE.md is the normative layout description; the golden
-// vectors in tests/data/wire_golden_v1.bin pin the format bit-for-bit.
+// handoffs. Intra-system protocol payloads (vector-clock updates, sequencer
+// messages) never cross a link, so the codec does not know them.
+// docs/WIRE.md is the normative layout description; the golden vectors in
+// tests/data/wire_golden_v1.bin pin the format bit-for-bit.
 //
 // Framing:  [u32 LE body_len][u8 wire_type][u8 version][payload ...]
 // where body_len counts everything after the length field (type + version +
-// payload). Integers use LEB128 varints, signed values zigzag varints,
-// identifiers/timestamps fixed u64 LE, and VectorClock a varint length
-// followed by varint entries (mirroring the small-vector in-memory layout).
+// payload). Integers use LEB128 varints, signed values zigzag varints, and
+// identifiers/timestamps fixed u64 LE.
 //
 // Versioning: each wire type carries its own version byte (currently 1
 // everywhere). A decoder must accept every version it knows and reject
@@ -63,11 +64,6 @@ inline constexpr std::uint8_t kTransportVersion2 = 2;
 /// against absurd length prefixes from corrupt or hostile inputs.
 inline constexpr std::size_t kMaxBodyBytes = std::size_t{1} << 20;
 
-/// Upper bound on VectorClock entries accepted on decode (every in-repo
-/// configuration is far below this; the bound caps attacker-driven
-/// allocation).
-inline constexpr std::size_t kMaxClockEntries = 4096;
-
 /// Nested-frame depth accepted on decode (a TransportFrame carries one
 /// nested payload frame; deeper nesting is not produced by any encoder).
 inline constexpr int kMaxNestingDepth = 4;
@@ -80,15 +76,12 @@ inline constexpr std::size_t kMaxStatsEntries = 512;
 inline constexpr std::size_t kMaxStatsKeyBytes = 96;
 
 /// Wire type tags, one per encodable message type. Values are the on-wire
-/// bytes and must never be renumbered — only appended to.
+/// bytes and must never be renumbered — only appended to. Tags 2–6 are
+/// reserved and never reused (intra-system protocol payloads never cross a
+/// link); a frame carrying one decodes to the "unknown wire type" error.
 enum class WireType : std::uint8_t {
   kControl = 0,         // wire.ctrl     (bridge handshake / teardown)
   kPair = 1,            // is.pair       (isc::PairMsg)
-  kVcUpdate = 2,        // vc.update     (proto::TimestampedUpdate)
-  kTobPublish = 3,      // tob.publish   (proto::TobPublish)
-  kTobDeliver = 4,      // tob.deliver   (proto::TobDeliver)
-  kPartialUpdate = 5,   // partial.*     (proto::PartialUpdate)
-  kCbcast = 6,          // cbcast.msg    (mp::CbcastMsg)
   kTransportFrame = 7,  // tr.data/tr.ack (net::TransportFrame)
   kStats = 8,           // wire.stats    (net::wire::StatsFrame)
 };
@@ -120,10 +113,6 @@ struct ControlMsg final : Message {
   std::uint64_t c = 0;
 
   const char* type_name() const override { return "wire.ctrl"; }
-  std::size_t wire_size() const override { return 1 + 8 + 8 + 8; }
-  MessagePtr clone() const override {
-    return std::make_unique<ControlMsg>(*this);
-  }
 };
 
 /// Compact metrics snapshot carried up the tree by the stats plane
@@ -139,14 +128,6 @@ struct StatsFrame final : Message {
   std::vector<std::pair<std::string, std::int64_t>> entries;
 
   const char* type_name() const override { return "wire.stats"; }
-  std::size_t wire_size() const override {
-    std::size_t n = 16;
-    for (const auto& e : entries) n += e.first.size() + 10;
-    return n;
-  }
-  MessagePtr clone() const override {
-    return std::make_unique<StatsFrame>(*this);
-  }
 };
 
 /// Result of decode(): either a message plus the bytes consumed, or a
@@ -159,11 +140,8 @@ struct DecodeResult {
   bool ok() const { return error == nullptr; }
 };
 
-/// True iff `msg` is one of the wire types above (i.e. encode() accepts it).
-bool encodable(const Message& msg);
-
 /// Append one complete frame encoding `msg` to `out`; returns the number of
-/// bytes appended. CIM_CHECKs that the message is encodable. The buffer is
+/// bytes appended. CIM_CHECKs that the message has a wire type. The buffer is
 /// appended to (not cleared) so callers can batch frames or reuse scratch
 /// storage across calls without reallocation in steady state.
 std::size_t encode(const Message& msg, std::vector<std::uint8_t>& out);

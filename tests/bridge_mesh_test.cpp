@@ -323,11 +323,9 @@ TEST(MeshJoin, SilentConnectionsDoNotDelayAJoin) {
 // ---- the 5-system tree soak ------------------------------------------------
 
 TEST(MeshSoak, FiveSystemTreeMergedHistoryIsCausal) {
-  //        0
-  //       / \
-  //      1   2
-  //     / \
-  //    3   4
+  //   0 ─┬─ 1 ─┬─ 3
+  //      │     └─ 4
+  //      └─ 2
   const auto spec = isc::parse_topology(
       "nodes 5\nedge 0 1\nedge 0 2\nedge 1 3\nedge 1 4\n");
   ASSERT_TRUE(spec.ok()) << spec.error;

@@ -66,7 +66,7 @@ struct Group {
 
 TEST(Cbcast, SelfDeliveryIsImmediate) {
   Group g(3);
-  g.nodes[0]->member->broadcast(CbPayload{X, 1});
+  g.nodes[0]->member->broadcast(CbPayload{X, 1, WriteId{}});
   ASSERT_EQ(g.nodes[0]->delivered.size(), 1u);
   EXPECT_EQ(g.nodes[0]->delivered[0].second.value, 1);
 }
@@ -74,7 +74,7 @@ TEST(Cbcast, SelfDeliveryIsImmediate) {
 TEST(Cbcast, AllMembersDeliverEverything) {
   Group g(4);
   for (std::uint16_t i = 0; i < 4; ++i) {
-    g.nodes[i]->member->broadcast(CbPayload{X, 10 + i});
+    g.nodes[i]->member->broadcast(CbPayload{X, 10 + i, WriteId{}});
   }
   g.sim.run();
   for (auto& node : g.nodes) {
@@ -101,14 +101,14 @@ TEST_P(CbcastCausal, CausallyChainedBroadcastsDeliverInOrder) {
           node->delivered.emplace_back(s, p);
           if (p.value == expected && next <= 8) {
             g.nodes[node_idx]->member->broadcast(
-                CbPayload{VarId{0}, next});
+                CbPayload{VarId{0}, next, WriteId{}});
           }
         });
   };
   relay(1, 1, 2);
   relay(2, 2, 3);
   relay(3, 3, 4);
-  g.nodes[0]->member->broadcast(CbPayload{VarId{0}, 1});
+  g.nodes[0]->member->broadcast(CbPayload{VarId{0}, 1, WriteId{}});
   g.sim.run();
 
   // Values 1..4 form a causal chain; every node must deliver them ascending.

@@ -378,7 +378,8 @@ TEST(ObsFederation, EveryEmittedNameIsDocumented) {
   const obs::MetricsSnapshot snap = fed.metrics_snapshot();
   EXPECT_GE(snap.entries.size(), 20u);  // the full stack is instrumented
   for (const obs::MetricsSnapshot::Entry& e : snap.entries) {
-    EXPECT_NE(doc.find("`" + doc_name(e.name) + "`"), std::string::npos)
+    const std::string name = doc_name(e.name);
+    EXPECT_NE(doc.find("`" + name + "`"), std::string::npos)
         << "metric `" << e.name << "` is not documented in OBSERVABILITY.md";
   }
 

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,13 +28,9 @@
 #include "common/rng.h"
 #include "interconnect/federation.h"
 #include "interconnect/pair_msg.h"
-#include "msgpass/cbcast.h"
 #include "net/reliable_transport.h"
 #include "net/wire.h"
 #include "protocols/anbkh.h"
-#include "protocols/aw_seq.h"
-#include "protocols/partial_rep.h"
-#include "protocols/update_msg.h"
 #include "workload/generator.h"
 
 namespace cim {
@@ -52,9 +49,9 @@ WriteId wid_of(std::uint16_t system, std::uint16_t proc, std::uint32_t seq) {
 }
 
 // The canonical golden message list: at least one instance of every wire
-// type, plus the structural variants (marker vs full partial update, data
-// frame vs standalone ACK, each control code). Append only — reordering or
-// editing existing entries invalidates the golden file.
+// type, plus the structural variants (data frame vs standalone ACK, each
+// control code). Append only — reordering or editing existing entries
+// invalidates the golden file.
 std::vector<net::MessagePtr> golden_messages() {
   std::vector<net::MessagePtr> out;
 
@@ -89,60 +86,6 @@ std::vector<net::MessagePtr> golden_messages() {
   neg->origin_time = at(0);
   neg->write_id = WriteId{};
   out.push_back(std::move(neg));
-
-  auto vc = std::make_unique<proto::TimestampedUpdate>();
-  vc->var = VarId{3};
-  vc->value = Value{1001};
-  vc->clock = VectorClock{{3, 0, 250}};
-  vc->writer = 2;
-  vc->write_id = wid_of(0, 2, 4);
-  vc->received_at = at(2'250'000);
-  out.push_back(std::move(vc));
-
-  auto pub = std::make_unique<proto::TobPublish>();
-  pub->var = VarId{5};
-  pub->value = Value{77};
-  pub->origin = 4;
-  pub->pre_applied = true;
-  pub->write_id = wid_of(2, 4, 1);
-  out.push_back(std::move(pub));
-
-  auto del = std::make_unique<proto::TobDeliver>();
-  del->var = VarId{5};
-  del->value = Value{77};
-  del->origin = 4;
-  del->pre_applied = false;
-  del->seq = 31;
-  del->write_id = wid_of(2, 4, 1);
-  del->received_at = at(3'000'000);
-  out.push_back(std::move(del));
-
-  auto partial = std::make_unique<proto::PartialUpdate>();
-  partial->var = VarId{2};
-  partial->value = Value{9000};
-  partial->has_value = true;
-  partial->clock = VectorClock{{1, 9}};
-  partial->writer = 1;
-  partial->write_id = wid_of(0, 1, 7);
-  partial->received_at = at(4'000'000);
-  out.push_back(std::move(partial));
-
-  auto marker = std::make_unique<proto::PartialUpdate>();
-  marker->var = VarId{2};
-  marker->has_value = false;  // causal marker: no value on the wire
-  marker->clock = VectorClock{{1, 10}};
-  marker->writer = 1;
-  marker->write_id = wid_of(0, 1, 8);
-  marker->received_at = at(4'100'000);
-  out.push_back(std::move(marker));
-
-  auto cb = std::make_unique<mp::CbcastMsg>();
-  cb->payload.var = VarId{6};
-  cb->payload.value = Value{-5};
-  cb->payload.wid = wid_of(3, 0, 2);
-  cb->clock = VectorClock{{0, 0, 0, 12}};
-  cb->sender = 3;
-  out.push_back(std::move(cb));
 
   auto data = std::make_unique<net::TransportFrame>();
   data->seq = 17;
@@ -220,14 +163,6 @@ TEST(WireGolden, DecodeThenReencodeIsBitIdentical) {
 
 // ---- randomized round trips -----------------------------------------------
 
-VectorClock random_clock(Rng& rng) {
-  // Sizes straddle the inline/spill boundary (VectorClock::kInline == 8).
-  const std::size_t n = rng.uniform(0, 12);
-  VectorClock clock(n);
-  for (std::size_t i = 0; i < n; ++i) clock.set(i, rng.next() >> 32);
-  return clock;
-}
-
 Value random_value(Rng& rng) {
   // Signed, full-range magnitudes to exercise every zigzag length.
   const auto raw = static_cast<std::int64_t>(rng.next());
@@ -240,16 +175,25 @@ sim::Time random_time(Rng& rng) {
   return sim::Time{static_cast<std::int64_t>(rng.next() >> 1)};
 }
 
-net::MessagePtr random_message(Rng& rng, int type, bool allow_nested) {
+// Every wire type, and the ones a transport frame nests. The reserved tags
+// 2–6 have no message.
+constexpr wire::WireType kTypes[] = {
+    wire::WireType::kControl, wire::WireType::kPair,
+    wire::WireType::kTransportFrame, wire::WireType::kStats};
+constexpr wire::WireType kPayloadTypes[] = {
+    wire::WireType::kControl, wire::WireType::kPair, wire::WireType::kStats};
+
+net::MessagePtr random_message(Rng& rng, wire::WireType type,
+                               bool allow_nested) {
   switch (type) {
-    case 0: {
+    case wire::WireType::kControl: {
       auto m = std::make_unique<wire::ControlMsg>();
       m->code = static_cast<wire::ControlMsg::Code>(rng.uniform(1, 3));
       m->a = rng.next();
       m->b = rng.next();
       return m;
     }
-    case 1: {
+    case wire::WireType::kPair: {
       auto m = std::make_unique<isc::PairMsg>();
       m->var = VarId{static_cast<std::uint32_t>(rng.next())};
       m->value = random_value(rng);
@@ -258,57 +202,7 @@ net::MessagePtr random_message(Rng& rng, int type, bool allow_nested) {
       m->write_id = random_wid(rng);
       return m;
     }
-    case 2: {
-      auto m = std::make_unique<proto::TimestampedUpdate>();
-      m->var = VarId{static_cast<std::uint32_t>(rng.next())};
-      m->value = random_value(rng);
-      m->clock = random_clock(rng);
-      m->writer = static_cast<std::uint16_t>(rng.next());
-      m->write_id = random_wid(rng);
-      m->received_at = random_time(rng);
-      return m;
-    }
-    case 3: {
-      auto m = std::make_unique<proto::TobPublish>();
-      m->var = VarId{static_cast<std::uint32_t>(rng.next())};
-      m->value = random_value(rng);
-      m->origin = static_cast<std::uint16_t>(rng.next());
-      m->pre_applied = rng.chance(0.5);
-      m->write_id = random_wid(rng);
-      return m;
-    }
-    case 4: {
-      auto m = std::make_unique<proto::TobDeliver>();
-      m->var = VarId{static_cast<std::uint32_t>(rng.next())};
-      m->value = random_value(rng);
-      m->origin = static_cast<std::uint16_t>(rng.next());
-      m->pre_applied = rng.chance(0.5);
-      m->seq = rng.next();
-      m->write_id = random_wid(rng);
-      m->received_at = random_time(rng);
-      return m;
-    }
-    case 5: {
-      auto m = std::make_unique<proto::PartialUpdate>();
-      m->var = VarId{static_cast<std::uint32_t>(rng.next())};
-      m->has_value = rng.chance(0.5);
-      if (m->has_value) m->value = random_value(rng);
-      m->clock = random_clock(rng);
-      m->writer = static_cast<std::uint16_t>(rng.next());
-      m->write_id = random_wid(rng);
-      m->received_at = random_time(rng);
-      return m;
-    }
-    case 6: {
-      auto m = std::make_unique<mp::CbcastMsg>();
-      m->payload.var = VarId{static_cast<std::uint32_t>(rng.next())};
-      m->payload.value = random_value(rng);
-      m->payload.wid = random_wid(rng);
-      m->clock = random_clock(rng);
-      m->sender = static_cast<std::uint16_t>(rng.next());
-      return m;
-    }
-    case 8: {
+    case wire::WireType::kStats: {
       auto m = std::make_unique<wire::StatsFrame>();
       m->origin = rng.uniform(0, 4095);
       m->t_ns = rng.next() >> 1;
@@ -329,7 +223,7 @@ net::MessagePtr random_message(Rng& rng, int type, bool allow_nested) {
       m->ack = rng.next();
       if (allow_nested && rng.chance(0.7)) {
         m->payload =
-            random_message(rng, static_cast<int>(rng.uniform(0, 6)), false);
+            random_message(rng, kPayloadTypes[rng.uniform(0, 2)], false);
       }
       if (rng.chance(0.5)) {  // heartbeat timestamp tail (transport v2)
         m->ts_orig = rng.chance(0.8) ? (rng.next() >> 1) : 0;
@@ -346,7 +240,7 @@ TEST(WireFuzz, TenThousandRoundTripsPerType) {
   Rng rng(0xC0DEC);
   std::vector<std::uint8_t> buf;
   std::vector<std::uint8_t> rebuf;
-  for (int type = 0; type <= 8; ++type) {
+  for (const wire::WireType type : kTypes) {
     for (int i = 0; i < kPerType; ++i) {
       const net::MessagePtr msg = random_message(rng, type, true);
       buf.clear();
@@ -354,9 +248,8 @@ TEST(WireFuzz, TenThousandRoundTripsPerType) {
       ASSERT_EQ(n, buf.size());
 
       const wire::DecodeResult res = wire::decode(buf.data(), buf.size());
-      ASSERT_TRUE(res.ok()) << wire::wire_type_label(
-                                   static_cast<wire::WireType>(type))
-                            << " #" << i << ": " << res.error;
+      ASSERT_TRUE(res.ok()) << wire::wire_type_label(type) << " #" << i
+                            << ": " << res.error;
       ASSERT_EQ(res.consumed, buf.size());
       EXPECT_STREQ(res.msg->type_name(), msg->type_name());
 
@@ -364,21 +257,20 @@ TEST(WireFuzz, TenThousandRoundTripsPerType) {
       // equality of the round-tripped message.
       rebuf.clear();
       wire::encode(*res.msg, rebuf);
-      ASSERT_EQ(rebuf, buf)
-          << wire::wire_type_label(static_cast<wire::WireType>(type))
-          << " #" << i << " did not survive the round trip";
+      ASSERT_EQ(rebuf, buf) << wire::wire_type_label(type) << " #" << i
+                            << " did not survive the round trip";
     }
   }
 }
 
 TEST(WireFuzz, MutatedAndTruncatedBuffersFailCleanly) {
-  constexpr int kCases = 10'000;
+  constexpr int kPerType = 10'000;
+  constexpr int kCases = kPerType * static_cast<int>(std::size(kTypes));
   Rng rng(0xBADF00D);
   std::vector<std::uint8_t> buf;
   int clean_errors = 0;
   for (int i = 0; i < kCases; ++i) {
-    const net::MessagePtr msg =
-        random_message(rng, static_cast<int>(rng.uniform(0, 8)), true);
+    const net::MessagePtr msg = random_message(rng, kTypes[i / kPerType], true);
     buf.clear();
     wire::encode(*msg, buf);
 
@@ -424,9 +316,18 @@ TEST(WireDecode, RejectsUnknownTypeAndVersion) {
   auto msg = std::make_unique<wire::ControlMsg>();
   wire::encode(*msg, buf);
 
-  std::vector<std::uint8_t> bad_type = buf;
-  bad_type[4] = 0xEE;  // type byte
-  EXPECT_FALSE(wire::decode(bad_type.data(), bad_type.size()).ok());
+  // The reserved tags 2–6 (retired intra-system payloads) and a tag past
+  // the last type are unknown.
+  for (const std::uint8_t type : {2, 3, 4, 5, 6, 0xEE}) {
+    std::vector<std::uint8_t> bad_type = buf;
+    bad_type[4] = type;  // type byte
+    const wire::DecodeResult res =
+        wire::decode(bad_type.data(), bad_type.size());
+    ASSERT_FALSE(res.ok()) << "tag " << int{type};
+    EXPECT_EQ(res.msg, nullptr);
+    EXPECT_EQ(res.consumed, 0u);
+    EXPECT_STREQ(res.error, "wire: unknown wire type");
+  }
 
   std::vector<std::uint8_t> bad_version = buf;
   bad_version[5] = 0x7F;  // version byte
