@@ -291,6 +291,19 @@ for fn in sequence enqueue_delivery; do
   fi
 done
 
+# One causal hold-back queue: the vector-clock protocols and the CBCAST
+# member buffer through common/causal_queue.h, the one caller of ready_at;
+# the TOB buffer is a FIFO queue (deliveries arrive in sequence order).
+if grep -rn "ready_at(" "$root"/src/protocols "$root"/src/msgpass >/dev/null; then
+  echo "check_docs: a protocol scans for causally ready updates itself (use CausalQueue::pop_ready):" >&2
+  grep -rn "ready_at(" "$root"/src/protocols "$root"/src/msgpass >&2
+  status=1
+fi
+if grep -q "std::map" "$root"/src/protocols/tob_sequencer.h; then
+  echo "check_docs: src/protocols/tob_sequencer.h holds a std::map (the delivery buffer is a VecQueue)" >&2
+  status=1
+fi
+
 # The kCM happens-before fixpoint is incremental: it rebuilds the graph
 # (set_edges) only on its CyclicHB failure path, for the Kahn/Tarjan witness,
 # and reads-from resolution uses a sorted writer table, not a hash map.

@@ -167,16 +167,13 @@ void Interconnector::build() {
     std::size_t ti_a = SIZE_MAX;
     std::size_t ti_b = SIZE_MAX;
     if (link.reliable) {
-      net::TransportConfig tc_a = link.transport;
-      net::TransportConfig tc_b = link.transport;
       // Distinct jitter streams so the endpoints never back off in lockstep.
-      tc_b.seed = tc_a.seed * 2 + 1;
-      transports_.push_back(std::make_unique<net::ReliableTransport>(
-          fabric_, tc_a, obs_));
+      transports_.push_back(
+          std::make_unique<net::ReliableTransport>(fabric_, 1, obs_));
       ti_a = transports_.size() - 1;
       ta = transports_.back().get();
-      transports_.push_back(std::make_unique<net::ReliableTransport>(
-          fabric_, tc_b, obs_));
+      transports_.push_back(
+          std::make_unique<net::ReliableTransport>(fabric_, 3, obs_));
       ti_b = transports_.size() - 1;
       tb = transports_.back().get();
     }

@@ -76,7 +76,6 @@ struct LinkSpec {
   /// With `reliable` set, fifo=false / drop_probability>0 / scripted faults
   /// degrade latency but never correctness.
   bool reliable = false;
-  net::TransportConfig transport;
 };
 
 class Interconnector {

@@ -1,7 +1,7 @@
 // The ⟨x, v⟩ pairs exchanged between IS-processes (Fig. 1 of the paper).
-// This is the entire inter-system wire format: the IS-protocols are
+// This is the entire inter-system protocol data: the IS-protocols are
 // protocol-agnostic, so no vector clocks or other MCS metadata cross the
-// link — only variable/value pairs, in causal order.
+// link — only variable/value pairs, in causal order, plus trace context.
 #pragma once
 
 #include "common/ids.h"
@@ -14,11 +14,13 @@ namespace cim::isc {
 struct PairMsg final : net::Message {
   VarId var;
   Value value = kInitValue;
-  // Instrumentation only, not wire data (the pair stays the paper's entire
-  // wire format): send time of this hop (isc.pair_hop_latency), the time the
-  // originating IS-process first propagated the update — preserved across
-  // tree forwarding, feeding isc.propagation_latency — and the originating
-  // write's id, preserved likewise so the write can be traced end-to-end.
+  // Trace context: instrumentation, not protocol data, yet encoded on the
+  // wire (24 B of each pair, docs/WIRE.md) so a mesh peer's traces and
+  // latency metrics see them: send time of this hop (isc.pair_hop_latency),
+  // the time the originating IS-process first propagated the update —
+  // preserved across tree forwarding, feeding isc.propagation_latency — and
+  // the originating write's id, preserved likewise so the write can be
+  // traced end-to-end.
   sim::Time sent_at;
   sim::Time origin_time;
   WriteId write_id;

@@ -232,7 +232,7 @@ void LinkSession::on_frame(std::unique_ptr<net::TransportFrame> frame) {
   // One-way flow: a receiver with no data of its own would otherwise ack
   // only on its heartbeat, and the sender would sit on a full journal for
   // a heartbeat interval per fill.
-  if (arq_.recv_next() - last_ack_sent_ >= cfg_.journal_max_frames / 4)
+  if (arq_.recv_next() - last_ack_sent_ >= kJournalMaxFrames / 4)
     send_ack();
   deliver_(std::move(frame->payload));
 }

@@ -83,10 +83,13 @@ struct SessionConfig {
   int backoff_max_ms = 1000;
   /// Dial attempts per outage before the session fails (<= 0: unbounded).
   int reconnect_attempts = 40;
-  std::size_t journal_max_frames = 4096;
-  std::size_t journal_max_bytes = std::size_t{4} << 20;
   net::TcpLinkConfig link;
 };
+
+/// The replay journal's bound per session: past either, full() pauses the
+/// engine until acks make room.
+inline constexpr std::size_t kJournalMaxFrames = 4096;
+inline constexpr std::size_t kJournalMaxBytes = std::size_t{4} << 20;
 
 class LinkSession final : public net::LinkTransport {
  public:
@@ -126,8 +129,8 @@ class LinkSession final : public net::LinkTransport {
   /// The journal is at its bound: the engine must not send more data until
   /// acks make room (loop thread; send() itself never blocks).
   bool full() const {
-    return arq_.unacked() >= cfg_.journal_max_frames ||
-           journal_bytes_ >= cfg_.journal_max_bytes;
+    return arq_.unacked() >= kJournalMaxFrames ||
+           journal_bytes_ >= kJournalMaxBytes;
   }
 
   /// Close the live socket, so the peer sees EOF now. Call once the loop

@@ -40,6 +40,10 @@ constexpr int kDialRetryMs = 100;
 constexpr std::uint64_t kNodeValues = 1'000'000;
 constexpr std::uint64_t kGenerationValues = 200'000;
 
+// Generation g of node i runs as system i + g * kGenerationIds, so a
+// topology may hold at most kGenerationIds nodes (16-bit SystemIds).
+constexpr std::size_t kGenerationIds = 4096;
+
 // The per-peer session counters that both the stats-plane sample
 // (peer.<id>.*) and the post-run gauges (net.mesh.<id>.*) report, under the
 // same names (docs/OBSERVABILITY.md).
@@ -148,6 +152,20 @@ bool MeshNode::join() {
     error_ = "node id " + std::to_string(cfg_.node_id) +
              " outside the topology (" + std::to_string(cfg_.topo.nodes) +
              " nodes)";
+    return false;
+  }
+  if (cfg_.topo.nodes > kGenerationIds) {
+    error_ = std::to_string(cfg_.topo.nodes) + " nodes: at most " +
+             std::to_string(kGenerationIds) +
+             " fit the system ids of a node's generations";
+    return false;
+  }
+  // Node i listens on base_port + i: every node's port must be a real one.
+  const std::size_t last_port = cfg_.base_port + cfg_.topo.nodes - 1;
+  if (cfg_.topo.nodes > 1 && (cfg_.base_port == 0 || last_port > 65535)) {
+    error_ = "base port " + std::to_string(cfg_.base_port) + " with " +
+             std::to_string(cfg_.topo.nodes) +
+             " nodes: node ports must lie in [1, 65535]";
     return false;
   }
   neighbors_ = cfg_.topo.neighbors(cfg_.node_id);
@@ -406,8 +424,8 @@ MeshResult MeshNode::run() {
   // (the paper's systems are static; restart-as-new-system keeps us inside
   // the model). Offset the id so its processes never collide with the
   // crashed generation's in the merged history.
-  sys.id = SystemId{
-      static_cast<std::uint16_t>(cfg_.node_id + generation_ * 4096)};
+  sys.id = SystemId{static_cast<std::uint16_t>(cfg_.node_id +
+                                               generation_ * kGenerationIds)};
   sys.num_app_processes = cfg_.procs;
   sys.protocol = proto::anbkh_protocol();
   sys.seed = cfg_.seed + cfg_.node_id;

@@ -1,6 +1,7 @@
 #include "msgpass/cbcast.h"
 
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -22,7 +23,7 @@ void CbcastMember::broadcast(const CbPayload& payload) {
     auto msg = std::make_unique<CbcastMsg>();
     msg->payload = payload;
     msg->clock = clock_;
-    msg->sender = index_;
+    msg->writer = index_;
     transport_.send_to_member(j, std::move(msg));
   }
   deliver_(index_, payload);  // self-delivery, immediately
@@ -32,25 +33,12 @@ void CbcastMember::on_network(net::MessagePtr msg) {
   CIM_DCHECK_MSG(dynamic_cast<CbcastMsg*>(msg.get()) != nullptr,
                  "unexpected message type in cbcast");
   auto* cb = static_cast<CbcastMsg*>(msg.get());
-  CIM_DCHECK_MSG(cb->sender != index_, "cbcast echo");
-  pending_.push_back(std::move(*cb));
-  try_deliver();
-}
-
-void CbcastMember::try_deliver() {
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      if (!it->clock.ready_at(clock_, it->sender)) continue;
-      CbcastMsg msg = std::move(*it);
-      pending_.erase(it);
-      clock_.set(msg.sender, msg.clock[msg.sender]);
-      ++delivered_;
-      deliver_(msg.sender, msg.payload);
-      progress = true;
-      break;
-    }
+  CIM_DCHECK_MSG(cb->writer != index_, "cbcast echo");
+  pending_.push(std::move(*cb));
+  while (std::optional<CbcastMsg> ready = pending_.pop_ready(clock_)) {
+    clock_.set(ready->writer, ready->clock[ready->writer]);
+    ++delivered_;
+    deliver_(ready->writer, ready->payload);
   }
 }
 

@@ -16,8 +16,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
+#include "common/causal_queue.h"
 #include "common/ids.h"
 #include "common/value.h"
 #include "common/vector_clock.h"
@@ -39,7 +39,7 @@ struct CbPayload {
 struct CbcastMsg final : net::Message {
   CbPayload payload;
   VectorClock clock;
-  std::uint16_t sender = 0;
+  std::uint16_t writer = 0;  // the broadcasting member
 
   const char* type_name() const override { return "cbcast.msg"; }
   std::size_t wire_size() const override {
@@ -77,16 +77,12 @@ class CbcastMember {
   std::uint64_t delivered() const { return delivered_; }
 
  private:
-  void try_deliver();
-
   std::uint16_t index_;
   std::uint16_t group_size_;
   CbTransport& transport_;
   DeliverFn deliver_;
   VectorClock clock_;
-  // vector, not deque: order-preserving erase keeps FIFO-per-sender scans
-  // deterministic and the retained capacity keeps steady state allocation-free.
-  std::vector<CbcastMsg> pending_;
+  CausalQueue<CbcastMsg> pending_;
   std::uint64_t delivered_ = 0;
 };
 

@@ -8,17 +8,9 @@
 
 namespace cim::net {
 
-ReliableTransport::ReliableTransport(Fabric& fabric, TransportConfig config,
+ReliableTransport::ReliableTransport(Fabric& fabric, std::uint64_t seed,
                                      obs::Observability* obs)
-    : fabric_(fabric),
-      sim_(fabric.simulator()),
-      cfg_(config),
-      rng_(config.seed),
-      rto_(config.rto_initial) {
-  CIM_CHECK_MSG(cfg_.window > 0, "transport window must be positive");
-  CIM_CHECK_MSG(cfg_.rto_initial.ns > 0, "rto_initial must be positive");
-  CIM_CHECK_MSG(cfg_.backoff >= 1.0, "backoff factor must be >= 1");
-  CIM_CHECK_MSG(cfg_.jitter >= 0.0, "jitter must be non-negative");
+    : fabric_(fabric), sim_(fabric.simulator()), rng_(seed), rto_(kRtoInitial) {
   if (obs != nullptr) {
     trace_ = &obs->trace();
     obs::MetricsRegistry& m = obs->metrics();
@@ -48,7 +40,7 @@ void ReliableTransport::send(MessagePtr payload) {
 }
 
 void ReliableTransport::admit_from_queue() {
-  while (!down_ && !queue_.empty() && arq_.unacked() < cfg_.window) {
+  while (!down_ && !queue_.empty() && arq_.unacked() < kWindow) {
     arq_.stamp().payload.msg = std::move(queue_.front());
     queue_.pop_front();
     if (h_window_ != nullptr) {
@@ -91,7 +83,7 @@ void ReliableTransport::arm_retx_timer() {
   retx_armed_ = true;
   const std::uint64_t gen = ++retx_gen_;
   const auto stretched = static_cast<std::int64_t>(
-      static_cast<double>(rto_.ns) * (1.0 + cfg_.jitter * rng_.uniform01()));
+      static_cast<double>(rto_.ns) * (1.0 + kJitter * rng_.uniform01()));
   sim_.after(sim::Duration{stretched}, [this, gen] {
     if (gen != retx_gen_) return;  // superseded or disarmed
     retx_armed_ = false;
@@ -113,15 +105,15 @@ void ReliableTransport::on_retx_timeout() {
   // suppressed cheaply). The first transmit re-arms the timer at the
   // backed-off RTO.
   rto_ = sim::Duration{std::min(
-      static_cast<std::int64_t>(static_cast<double>(rto_.ns) * cfg_.backoff),
-      cfg_.rto_max.ns)};
+      static_cast<std::int64_t>(static_cast<double>(rto_.ns) * kBackoff),
+      kRtoMax.ns)};
   arq_.rewind();
   transmit_pending();
 }
 
 void ReliableTransport::handle_ack(std::uint64_t ack) {
   if (!arq_.ack(ack)) return;
-  rto_ = cfg_.rto_initial;  // fresh ACK progress resets the backoff
+  rto_ = kRtoInitial;  // fresh ACK progress resets the backoff
   if (arq_.unacked() == 0) {
     disarm_retx_timer();
     retx_armed_ = false;
@@ -200,7 +192,7 @@ void ReliableTransport::schedule_ack() {
   if (ack_pending_) return;
   ack_pending_ = true;
   const std::uint64_t gen = ++ack_gen_;
-  sim_.after(cfg_.ack_delay, [this, gen] {
+  sim_.after(kAckDelay, [this, gen] {
     if (gen != ack_gen_ || !ack_pending_) return;  // piggybacked meanwhile
     ack_pending_ = false;
     send_standalone_ack();
@@ -233,7 +225,7 @@ void ReliableTransport::set_down(bool down) {
     // payloads transmit on admission and must not be sent twice). The
     // receive cursor survived the window (stable storage), so redelivered
     // frames stay exactly-once.
-    rto_ = cfg_.rto_initial;
+    rto_ = kRtoInitial;
     arq_.rewind();
     transmit_pending();
     admit_from_queue();

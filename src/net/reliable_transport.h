@@ -35,26 +35,24 @@
 
 namespace cim::net {
 
-struct TransportConfig {
-  /// Maximum unacknowledged data frames in flight; further sends queue.
-  std::size_t window = 32;
-  /// Initial retransmission timeout; doubles (×backoff) per consecutive
-  /// timeout without ACK progress, capped at rto_max.
-  sim::Duration rto_initial = sim::milliseconds(20);
-  sim::Duration rto_max = sim::milliseconds(400);
-  double backoff = 2.0;
-  /// Each armed retransmit timer stretches by a uniform factor in
-  /// [1, 1 + jitter] so both endpoints never retransmit in lockstep.
-  double jitter = 0.25;
-  /// A received data frame with no outbound data to piggyback on is
-  /// acknowledged standalone after this delay.
-  sim::Duration ack_delay = sim::milliseconds(2);
-  std::uint64_t seed = 1;
-};
+/// ARQ timing. The RTO starts at kRtoInitial, grows ×kBackoff per
+/// consecutive timeout without ACK progress (capped at kRtoMax), and each
+/// armed retransmit timer stretches by a uniform factor in [1, 1 + kJitter]
+/// so both endpoints never retransmit in lockstep. A received data frame
+/// with no outbound data to piggyback on is acknowledged standalone after
+/// kAckDelay. At most kWindow unacknowledged data frames are in flight;
+/// further sends queue.
+inline constexpr std::size_t kWindow = 32;
+inline constexpr sim::Duration kRtoInitial = sim::milliseconds(20);
+inline constexpr sim::Duration kRtoMax = sim::milliseconds(400);
+inline constexpr double kBackoff = 2.0;
+inline constexpr double kJitter = 0.25;
+inline constexpr sim::Duration kAckDelay = sim::milliseconds(2);
 
 class ReliableTransport final : public Receiver {
  public:
-  ReliableTransport(Fabric& fabric, TransportConfig config,
+  /// `seed` drives the retransmit-timer jitter.
+  ReliableTransport(Fabric& fabric, std::uint64_t seed,
                     obs::Observability* obs = nullptr);
   ReliableTransport(const ReliableTransport&) = delete;
   ReliableTransport& operator=(const ReliableTransport&) = delete;
@@ -112,7 +110,6 @@ class ReliableTransport final : public Receiver {
 
   Fabric& fabric_;
   sim::Simulator& sim_;
-  TransportConfig cfg_;
   Rng rng_;
   ChannelId out_{};
   ChannelId in_{};

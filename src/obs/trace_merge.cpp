@@ -34,40 +34,6 @@ std::int64_t map_virtual(const std::vector<Sample>& ss, std::int64_t t) {
          static_cast<std::int64_t>(frac * static_cast<double>(b.s - a.s));
 }
 
-void write_json_value(std::ostream& os, const JsonValue& v) {
-  switch (v.kind) {
-    case JsonValue::Kind::kNull: os << "null"; break;
-    case JsonValue::Kind::kBool: os << (v.b ? "true" : "false"); break;
-    case JsonValue::Kind::kInt: os << v.i; break;
-    case JsonValue::Kind::kDouble: json_double(os, v.d); break;
-    case JsonValue::Kind::kString: json_string(os, v.s); break;
-    case JsonValue::Kind::kArray: {
-      os << '[';
-      bool first = true;
-      for (const JsonValue& item : v.items) {
-        if (!first) os << ',';
-        first = false;
-        write_json_value(os, item);
-      }
-      os << ']';
-      break;
-    }
-    case JsonValue::Kind::kObject: {
-      os << '{';
-      bool first = true;
-      for (const auto& [k, member] : v.members) {
-        if (!first) os << ',';
-        first = false;
-        json_string(os, k);
-        os << ':';
-        write_json_value(os, member);
-      }
-      os << '}';
-      break;
-    }
-  }
-}
-
 }  // namespace
 
 bool load_offsets_json(const std::string& text, NodeOffsets& out,

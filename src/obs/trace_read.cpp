@@ -4,6 +4,9 @@
 #include <cerrno>
 #include <cstdlib>
 #include <istream>
+#include <ostream>
+
+#include "obs/json.h"
 
 namespace cim::obs {
 
@@ -246,6 +249,40 @@ class Parser {
 bool parse_json(std::string_view text, JsonValue& out, std::string* error) {
   out = JsonValue{};
   return Parser(text).parse(out, error);
+}
+
+void write_json_value(std::ostream& os, const JsonValue& v) {
+  switch (v.kind) {
+    case JsonValue::Kind::kNull: os << "null"; break;
+    case JsonValue::Kind::kBool: os << (v.b ? "true" : "false"); break;
+    case JsonValue::Kind::kInt: os << v.i; break;
+    case JsonValue::Kind::kDouble: json_double(os, v.d); break;
+    case JsonValue::Kind::kString: json_string(os, v.s); break;
+    case JsonValue::Kind::kArray: {
+      os << '[';
+      bool first = true;
+      for (const JsonValue& item : v.items) {
+        if (!first) os << ',';
+        first = false;
+        write_json_value(os, item);
+      }
+      os << ']';
+      break;
+    }
+    case JsonValue::Kind::kObject: {
+      os << '{';
+      bool first = true;
+      for (const auto& [k, member] : v.members) {
+        if (!first) os << ',';
+        first = false;
+        json_string(os, k);
+        os << ':';
+        write_json_value(os, member);
+      }
+      os << '}';
+      break;
+    }
+  }
 }
 
 std::int64_t ParsedTraceEvent::field_int(std::string_view key,

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -53,6 +54,9 @@ struct JsonValue {
 /// input.
 bool parse_json(std::string_view text, JsonValue& out,
                 std::string* error = nullptr);
+
+/// Write `v` back as compact JSON (members in stored order).
+void write_json_value(std::ostream& os, const JsonValue& v);
 
 /// One trace record read back from JSONL (docs/OBSERVABILITY.md, "Trace
 /// record schema").

@@ -4,46 +4,14 @@
 #include <memory>
 #include <utility>
 
-#include "common/check.h"
-
 namespace cim::proto {
 
 LazyBatchProcess::LazyBatchProcess(const mcs::McsContext& ctx,
                                    LazyBatchConfig config)
-    : McsProcess(ctx, mcs::ApplyResume::kInline), config_(config),
-      clock_(ctx.num_procs), batch_clock_(ctx.num_procs) {}
+    : VcReplicaProcess(ctx, mcs::ApplyResume::kInline), config_(config),
+      batch_clock_(ctx.num_procs) {}
 
-void LazyBatchProcess::do_write(VarId var, Value value, WriteId wid,
-                                mcs::WriteCallback cb) {
-  // Local writes apply immediately (read-your-writes) and propagate.
-  clock_.tick(local_index());
-  set_replica(var, value, wid);
-  note_update_issued(var, value, wid, /*applied_locally=*/true);
-  for (std::uint16_t j = 0; j < num_procs(); ++j) {
-    if (j == local_index()) continue;
-    auto msg = std::make_unique<TimestampedUpdate>();
-    msg->var = var;
-    msg->value = value;
-    msg->clock = clock_;
-    msg->writer = local_index();
-    msg->write_id = wid;
-    send_to(j, std::move(msg));
-  }
-  cb();
-}
-
-void LazyBatchProcess::on_message(net::ChannelId from, net::MessagePtr msg) {
-  CIM_DCHECK_MSG(dynamic_cast<TimestampedUpdate*>(msg.get()) != nullptr,
-                 "unexpected message type in lazy-batch");
-  auto* update = static_cast<TimestampedUpdate*>(msg.get());
-  CIM_DCHECK(update->writer == sender_of(from));
-  update->received_at = simulator().now();
-  pending_.push_back(std::move(*update));
-  note_update_buffered(pending_.size());
-  schedule_batch();
-}
-
-void LazyBatchProcess::schedule_batch() {
+void LazyBatchProcess::on_buffered() {
   if (batch_scheduled_) return;
   batch_scheduled_ = true;
   simulator().after(config_.batch_interval, [this]() {
@@ -51,24 +19,6 @@ void LazyBatchProcess::schedule_batch() {
     batch_due_ = true;
     apply_ready();
   });
-}
-
-void LazyBatchProcess::collect_ready() {
-  // Repeatedly extract updates that are causally ready with respect to the
-  // tentative clock; the result is the maximal applicable set, listed in
-  // causal order.
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      if (!it->clock.ready_at(batch_clock_, it->writer)) continue;
-      batch_clock_.set(it->writer, it->clock[it->writer]);
-      batch_.push_back(std::move(*it));
-      pending_.erase(it);
-      progress = true;
-      break;
-    }
-  }
 }
 
 void LazyBatchProcess::order_batch() {
@@ -115,7 +65,12 @@ bool LazyBatchProcess::next_batch() {
   batch_clock_ = clock_;
   batch_.clear();
   batch_next_ = 0;
-  collect_ready();
+  // Extract the updates causally ready at the tentative clock until none
+  // is: the maximal applicable set, listed in causal order.
+  while (auto u = pending_.pop_ready(batch_clock_)) {
+    batch_clock_.set(u->writer, u->clock[u->writer]);
+    batch_.push_back(std::move(*u));
+  }
   // Updates that stay pending are waiting for in-flight dependencies; the
   // arrival of those dependencies schedules the next batch.
   if (batch_.empty()) return false;

@@ -29,8 +29,6 @@
 
 #include <vector>
 
-#include "common/vector_clock.h"
-#include "mcs/mcs_process.h"
 #include "protocols/update_msg.h"
 #include "sim/time.h"
 
@@ -47,39 +45,30 @@ struct LazyBatchConfig {
   BatchOrder order = BatchOrder::kReverseVars;
 };
 
-class LazyBatchProcess final : public mcs::McsProcess {
+class LazyBatchProcess final : public VcReplicaProcess {
  public:
   LazyBatchProcess(const mcs::McsContext& ctx, LazyBatchConfig config);
 
-  void on_message(net::ChannelId from, net::MessagePtr msg) override;
-
   bool satisfies_causal_updating() const override { return false; }
   const char* protocol_name() const override { return "lazy-batch"; }
-
-  const VectorClock& clock() const { return clock_; }
 
   /// Number of batches whose application order actually deviated from
   /// causal order (diagnostic for experiment E6).
   std::uint64_t scrambled_batches() const { return scrambled_batches_; }
 
  protected:
-  void do_write(VarId var, Value value, WriteId wid,
-                mcs::WriteCallback cb) override;
+  /// Arm the batch timer, unless it is armed.
+  void on_buffered() override;
   bool apply_next() override;
 
  private:
-  void schedule_batch();
   bool next_batch();
-  void collect_ready();
   void order_batch();
 
   LazyBatchConfig config_;
-  VectorClock clock_;
-  // vectors, not deques: order-preserving erase/append with retained
-  // capacity, so steady-state batching stops touching the allocator.
-  std::vector<TimestampedUpdate> pending_;
   // The batch being applied, from batch_next_ on, and the tentative clock
-  // that covers the whole batch.
+  // that covers the whole batch. A vector, not a deque: retained capacity
+  // keeps steady-state batching off the allocator.
   std::vector<TimestampedUpdate> batch_;
   std::size_t batch_next_ = 0;
   VectorClock batch_clock_;

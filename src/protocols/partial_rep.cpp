@@ -1,6 +1,7 @@
 #include "protocols/partial_rep.h"
 
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -50,40 +51,29 @@ void PartialRepProcess::on_message(net::ChannelId from, net::MessagePtr msg) {
   auto* update = static_cast<PartialUpdate*>(msg.get());
   CIM_DCHECK(update->writer == sender_of(from));
   update->received_at = simulator().now();
-  pending_.push_back(std::move(*update));
+  pending_.push(std::move(*update));
   note_update_buffered(pending_.size());
   apply_ready();
 }
 
 bool PartialRepProcess::apply_next() {
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (!it->clock.ready_at(clock_, it->writer)) continue;
-    // Unpack scalars before erasing (keeps the apply closure within
-    // SmallFn's inline buffer — see anbkh.cpp).
-    const bool has_value = it->has_value;
-    const VarId var = it->var;
-    const Value value = it->value;
-    const WriteId wid = it->write_id;
-    const sim::Time received_at = it->received_at;
-    const std::uint16_t writer = it->writer;
-    const std::uint64_t writer_ticks = it->clock[writer];
-    pending_.erase(it);
-
-    if (!has_value) {
-      // Causal marker: advance knowledge, nothing to store or announce.
-      clock_.set(writer, writer_ticks);
-      return true;
-    }
-    apply_with_upcalls(var, value, wid, /*own_write=*/false,
-                       [this, var, value, wid, received_at, writer,
-                        writer_ticks]() {
-                         clock_.set(writer, writer_ticks);
-                         set_replica(var, value, wid);
-                         note_update_applied(var, value, wid, received_at);
-                       });
+  const std::optional<PartialUpdate> u = pending_.pop_ready(clock_);
+  if (!u) return false;
+  if (!u->has_value) {
+    // Causal marker: advance knowledge, nothing to store or announce.
+    clock_.set(u->writer, u->clock[u->writer]);
     return true;
   }
-  return false;
+  // Scalar captures keep the apply closure within SmallFn's inline buffer.
+  apply_with_upcalls(u->var, u->value, u->write_id, /*own_write=*/false,
+                     [this, var = u->var, value = u->value, wid = u->write_id,
+                      received_at = u->received_at, writer = u->writer,
+                      writer_ticks = u->clock[u->writer]]() {
+                       clock_.set(writer, writer_ticks);
+                       set_replica(var, value, wid);
+                       note_update_applied(var, value, wid, received_at);
+                     });
+  return true;
 }
 
 mcs::ProtocolFactory partial_rep_protocol(InterestFn interest,

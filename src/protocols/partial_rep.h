@@ -21,11 +21,10 @@
 #pragma once
 
 #include <functional>
-#include <vector>
 
+#include "common/causal_queue.h"
 #include "common/vector_clock.h"
 #include "mcs/mcs_process.h"
-#include "protocols/update_msg.h"
 
 namespace cim::proto {
 
@@ -84,7 +83,7 @@ class PartialRepProcess final : public mcs::McsProcess {
   InterestFn interest_;
   std::uint16_t app_process_count_;
   VectorClock clock_;
-  std::vector<PartialUpdate> pending_;  // order-preserving erase, see anbkh.h
+  CausalQueue<PartialUpdate> pending_;
 };
 
 /// Factory. `interest` governs application processes only; IS-process slots

@@ -54,19 +54,20 @@ void TobSequencerProcess::on_message(net::ChannelId from,
 }
 
 void TobSequencerProcess::enqueue_delivery(TobDeliver del) {
-  CIM_CHECK_MSG(del.seq >= next_apply_seq_, "duplicate TOB delivery");
+  CIM_CHECK_MSG(del.seq == next_delivery_seq_,
+                "TOB delivery " << del.seq << " out of sequence order "
+                                << "(expected " << next_delivery_seq_ << ")");
+  ++next_delivery_seq_;
   del.received_at = simulator().now();
-  delivery_buffer_.emplace(del.seq, std::move(del));
-  note_update_buffered(delivery_buffer_.size());
+  deliveries_.push_back(std::move(del));
+  note_update_buffered(deliveries_.size());
   apply_ready();
 }
 
 bool TobSequencerProcess::apply_next() {
-  auto it = delivery_buffer_.find(next_apply_seq_);
-  if (it == delivery_buffer_.end()) return false;
-  TobDeliver del = std::move(it->second);
-  delivery_buffer_.erase(it);
-  ++next_apply_seq_;
+  if (deliveries_.empty()) return false;
+  const TobDeliver del = std::move(deliveries_.front());
+  deliveries_.pop_front();
   if (del.origin == local_index()) {
     deliver_own(del);
   } else {

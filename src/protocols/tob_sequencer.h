@@ -5,7 +5,9 @@
 //    which assigns it the next global sequence number and broadcasts it to
 //    every process, itself included;
 //  * every process buffers the deliveries and applies them in sequence
-//    order (apply_next), resuming in a posted event after each one.
+//    order (apply_next), resuming in a posted event after each one. One
+//    sequencer and FIFO channels deliver them in sequence order, so the
+//    buffer is a FIFO queue (a delivery out of order fails a check).
 //
 // With FIFO channels and a single sequencer the sequence extends the causal
 // order, so both protocols satisfy the Causal Updating Property. They differ
@@ -14,8 +16,7 @@
 // does).
 #pragma once
 
-#include <map>
-
+#include "common/vec_queue.h"
 #include "mcs/mcs_process.h"
 
 namespace cim::proto {
@@ -77,8 +78,8 @@ class TobSequencerProcess : public mcs::McsProcess {
   void enqueue_delivery(TobDeliver del);
 
   std::uint64_t next_seq_to_assign_ = 0;  // sequencer only
-  std::uint64_t next_apply_seq_ = 0;      // next sequence number to apply
-  std::map<std::uint64_t, TobDeliver> delivery_buffer_;
+  std::uint64_t next_delivery_seq_ = 0;   // sequence number due to arrive
+  VecQueue<TobDeliver> deliveries_;       // arrived, not yet applied
 };
 
 }  // namespace cim::proto

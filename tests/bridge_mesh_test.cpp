@@ -267,6 +267,36 @@ TEST(MeshJoin, RefusesMoreWritesThanAGenerationsValueRange) {
   EXPECT_FALSE(wraps.join());
 }
 
+TEST(MeshJoin, RejectsTopologiesThatOverflowPortsOrSystemIds) {
+  // Both are refused before anything listens, so no socket opens.
+  auto config = [](std::size_t nodes, std::size_t node_id,
+                   std::uint16_t base_port) {
+    mesh::MeshConfig cfg;
+    cfg.topo = isc::make_chain(nodes);
+    cfg.node_id = node_id;
+    cfg.base_port = base_port;
+    return cfg;
+  };
+  // 65500 + 36 wraps to port 0; every node of the topology refuses it.
+  for (std::size_t id : {0u, 35u, 36u, 39u}) {
+    mesh::MeshNode node(config(40, id, 65500));
+    EXPECT_FALSE(node.join()) << "node " << id;
+    EXPECT_NE(node.error().find("65535"), std::string::npos) << node.error();
+  }
+  mesh::MeshNode unset(config(2, 0, 0));  // node 0 would listen on port 0
+  EXPECT_FALSE(unset.join());
+  EXPECT_NE(unset.error().find("base port 0"), std::string::npos)
+      << unset.error();
+  // Node 4096's first generation would share node 0's second one's id.
+  mesh::MeshNode crowded(config(4097, 0, 1000));
+  EXPECT_FALSE(crowded.join());
+  EXPECT_NE(crowded.error().find("4096"), std::string::npos)
+      << crowded.error();
+  // A lone node opens no socket and uses no port.
+  mesh::MeshNode alone(config(1, 0, 0));
+  EXPECT_TRUE(alone.join()) << alone.error();
+}
+
 TEST(MeshJoin, DialerLearnsWhyItWasRejected) {
   const std::uint16_t base = test_port(40);
   // A 3-chain's node 1 dials node 0 — but node 0 was launched with a star,

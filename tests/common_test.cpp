@@ -1,4 +1,4 @@
-// Unit tests: common utilities (ids, vector clocks, rng).
+// Unit tests: common utilities (ids, vector clocks, the causal queue, rng).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/causal_queue.h"
 #include "common/ids.h"
 #include "common/rng.h"
 #include "common/vector_clock.h"
@@ -220,6 +221,133 @@ TEST(VectorClock, AlgebraMatchesDenseReference) {
       ASSERT_EQ(merged.size(), n);
       for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(merged[i], ref[i]);
     }
+  }
+}
+
+struct Stamped {
+  VectorClock clock;
+  std::uint16_t writer = 0;
+  int id = 0;
+};
+
+Stamped stamped(std::initializer_list<std::uint64_t> clock,
+                std::uint16_t writer, int id) {
+  return Stamped{VectorClock(clock), writer, id};
+}
+
+// Pop every ready update, advancing `clock` as a replica would; returns the
+// ids in pop order (at most 1000, so a broken queue cannot spin forever).
+std::vector<int> drain(CausalQueue<Stamped>& q, VectorClock& clock) {
+  std::vector<int> ids;
+  while (ids.size() < 1000) {
+    auto u = q.pop_ready(clock);
+    if (!u) break;
+    clock.set(u->writer, u->clock[u->writer]);
+    ids.push_back(u->id);
+  }
+  return ids;
+}
+
+TEST(CausalQueue, ReadyUpdatesPopInArrivalOrder) {
+  CausalQueue<Stamped> q;
+  q.push(stamped({0, 1}, 1, 1));
+  q.push(stamped({1, 0}, 0, 2));
+  EXPECT_EQ(q.size(), 2u);
+  VectorClock clock(2);
+  EXPECT_EQ(drain(q, clock), (std::vector<int>{1, 2}));
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(clock, (VectorClock{1, 1}));
+}
+
+TEST(CausalQueue, UnreadyHeadWaitsWhileALaterUpdatePops) {
+  CausalQueue<Stamped> q;
+  q.push(stamped({2, 0}, 0, 1));  // needs writer 0's first write
+  q.push(stamped({0, 1}, 1, 2));
+  q.push(stamped({2, 2}, 1, 3));  // needs id 1 and id 2
+  VectorClock clock(2);
+  EXPECT_EQ(drain(q, clock), (std::vector<int>{2}));  // erased mid-queue
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_FALSE(q.pop_ready(clock).has_value());
+  q.push(stamped({1, 0}, 0, 4));
+  EXPECT_EQ(drain(q, clock), (std::vector<int>{4, 1, 3}));
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(CausalQueue, HeadPopsAndCompactionKeepArrivalOrder) {
+  // A burst from writer 0 queued behind nothing pops from the head; one
+  // unready update from writer 1 then pins the head while later updates
+  // pop around it, across several compactions.
+  CausalQueue<Stamped> q;
+  VectorClock clock(2);
+  for (int i = 1; i <= 8; ++i) {
+    q.push(stamped({static_cast<std::uint64_t>(i), 0}, 0, i));
+  }
+  for (int i = 1; i <= 5; ++i) {
+    auto u = q.pop_ready(clock);
+    ASSERT_TRUE(u.has_value());
+    EXPECT_EQ(u->id, i);
+    clock.set(0, u->clock[0]);
+    EXPECT_EQ(q.size(), static_cast<std::size_t>(8 - i));
+  }
+  q.push(stamped({8, 2}, 1, 100));  // waits for writer 1's first write
+  for (int i = 9; i <= 20; ++i) {
+    q.push(stamped({static_cast<std::uint64_t>(i), 0}, 0, i));
+  }
+  std::vector<int> want;
+  for (int i = 6; i <= 20; ++i) want.push_back(i);
+  EXPECT_EQ(drain(q, clock), want);
+  EXPECT_EQ(q.size(), 1u);
+  q.push(stamped({0, 1}, 1, 101));
+  EXPECT_EQ(drain(q, clock), (std::vector<int>{101, 100}));
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(CausalQueue, MatchesAnEraseOnlyReferenceOnRandomHistories) {
+  // Causal histories of 3 writers arriving in random order, popped a few at
+  // a time; the queue must pop exactly what a plain first-ready-then-erase
+  // vector pops.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    std::vector<VectorClock> local(3, VectorClock(3));
+    std::vector<Stamped> history;
+    for (int i = 0; i < 60; ++i) {
+      const auto w = static_cast<std::uint16_t>(rng.uniform(0, 2));
+      if (rng.chance(0.5)) local[w].merge(local[rng.uniform(0, 2)]);
+      local[w].tick(w);
+      history.push_back(Stamped{local[w], w, i});
+    }
+    for (std::size_t i = history.size(); i > 1; --i) {
+      std::swap(history[i - 1], history[rng.uniform(0, i - 1)]);
+    }
+
+    CausalQueue<Stamped> q;
+    std::vector<Stamped> ref;
+    VectorClock clock(3);
+    VectorClock ref_clock(3);
+    auto pop_both = [&]() -> bool {
+      auto it = std::find_if(ref.begin(), ref.end(), [&](const Stamped& u) {
+        return u.clock.ready_at(ref_clock, u.writer);
+      });
+      auto u = q.pop_ready(clock);
+      EXPECT_EQ(u.has_value(), it != ref.end());
+      if (!u || it == ref.end()) return false;
+      EXPECT_EQ(u->id, it->id);
+      clock.set(u->writer, u->clock[u->writer]);
+      ref_clock.set(it->writer, it->clock[it->writer]);
+      ref.erase(it);
+      return true;
+    };
+    for (const Stamped& u : history) {
+      q.push(u);
+      ref.push_back(u);
+      for (std::uint64_t k = rng.uniform(0, 3); k > 0 && pop_both(); --k) {
+      }
+      ASSERT_EQ(q.size(), ref.size());
+    }
+    while (pop_both()) {
+    }
+    EXPECT_TRUE(ref.empty());
+    EXPECT_EQ(q.size(), 0u);
   }
 }
 

@@ -173,6 +173,108 @@ TEST(ProtocolParity, SixProtocolTreeTraceHashIsPinned) {
   }
 }
 
+// Parity pin for the paths the tree above leaves out: partial-rep with
+// interest sets that send causal markers, and lazy-batch in its kReverseVars
+// and kCausal orders. A 4-system tree (partial-rep at the root, lazy-batch
+// reverse and causal below it, ANBKH under the reverse one), each
+// application process touching only the variables it replicates.
+TEST(ProtocolParity, MarkerAndBatchOrderTreeTraceHashIsPinned) {
+  constexpr std::uint16_t kProcs = 3;
+  // Partial-rep: process i holds variable i and the shared variables 3..5.
+  auto holds = [](std::uint16_t index, VarId var) {
+    return var.value == index || var.value >= kProcs;
+  };
+  auto lazy = [](proto::BatchOrder order) {
+    proto::LazyBatchConfig lc;
+    lc.order = order;
+    lc.batch_interval = sim::milliseconds(6);
+    return proto::lazy_batch_protocol(lc);
+  };
+  struct Pin {
+    IspMode mode;
+    std::size_t events;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {IspMode::kSharedPerSystem, 13185u, 0xc9388af60ed2145bULL},
+      {IspMode::kPerLink, 14796u, 0x93145f8be2bb16b5ULL},
+  };
+  for (const Pin& pin : pins) {
+    FederationConfig cfg;
+    cfg.seed = 3;
+    cfg.isp_mode = pin.mode;
+    cfg.obs.trace.enabled = true;
+    const mcs::ProtocolFactory protocols[] = {
+        proto::partial_rep_protocol(holds, kProcs),
+        lazy(proto::BatchOrder::kReverseVars),
+        lazy(proto::BatchOrder::kCausal), proto::anbkh_protocol()};
+    for (std::uint16_t s = 0; s < 4; ++s) {
+      mcs::SystemConfig sc;
+      sc.id = SystemId{s};
+      sc.num_app_processes = kProcs;
+      sc.protocol = protocols[s];
+      sc.seed = 70 + s;
+      sc.intra_delay = [] {
+        return std::make_unique<net::UniformDelay>(sim::microseconds(100),
+                                                   sim::milliseconds(12));
+      };
+      cfg.systems.push_back(std::move(sc));
+    }
+    for (const auto& [a, b] : {std::pair{0, 1}, {0, 2}, {1, 3}}) {
+      LinkSpec link;
+      link.system_a = a;
+      link.system_b = b;
+      link.delay = [] {
+        return std::make_unique<net::UniformDelay>(sim::milliseconds(1),
+                                                   sim::milliseconds(20));
+      };
+      cfg.links.push_back(std::move(link));
+    }
+    Federation fed(std::move(cfg));
+
+    Rng rng(29);
+    Value next = 1;
+    std::vector<std::unique_ptr<wl::ScriptRunner>> runners;
+    for (std::uint16_t s = 0; s < 4; ++s) {
+      for (std::uint16_t p = 0; p < kProcs; ++p) {
+        std::vector<wl::Step> script;
+        for (int i = 0; i < 30; ++i) {
+          const VarId var{static_cast<std::uint32_t>(
+              s == 0 ? (rng.chance(0.4) ? p : rng.uniform(kProcs, 5))
+                     : rng.uniform(0, 5))};
+          script.push_back(rng.chance(0.5) ? wl::write_step(var, next++)
+                                           : wl::read_step(var));
+        }
+        runners.push_back(std::make_unique<wl::ScriptRunner>(
+            fed.simulator(), fed.system(s).app(p), std::move(script),
+            sim::milliseconds(0), sim::milliseconds(4), s * 10u + p));
+        runners.back()->start();
+      }
+    }
+    fed.run();
+    for (const auto& r : runners) ASSERT_TRUE(r->done());
+    auto res = chk::CausalChecker{}.check(fed.federation_history());
+    EXPECT_TRUE(res.ok()) << chk::to_string(res.pattern) << ": " << res.detail;
+
+    ASSERT_EQ(fed.observability().trace().dropped(), 0u);
+    std::ostringstream out;
+    fed.observability().trace().write_jsonl(out);
+    const std::string jsonl = out.str();
+    // The tree really exercises the paths it pins.
+    EXPECT_NE(jsonl.find("partial.marker"), std::string::npos);
+    std::uint64_t scrambled = 0;
+    for (std::uint16_t p = 0; p < kProcs; ++p) {
+      scrambled += dynamic_cast<proto::LazyBatchProcess&>(fed.system(1).mcs(p))
+                       .scrambled_batches();
+    }
+    EXPECT_GT(scrambled, 0u);
+    std::size_t events = 0;
+    for (char c : jsonl) events += c == '\n';
+    EXPECT_EQ(events, pin.events);
+    EXPECT_EQ(test::fnv1a(jsonl), pin.hash) << std::hex << test::fnv1a(jsonl);
+  }
+}
+
 TEST(SoakBig, TwelveSystemChainLongRun) {
   FederationConfig cfg;
   cfg.seed = 99;

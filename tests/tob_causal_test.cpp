@@ -156,5 +156,19 @@ TEST(TobCausal, IspHostAppliesInPureSequenceOrder) {
   EXPECT_TRUE(res.ok()) << res.detail;
 }
 
+// One sequencer and FIFO channels deliver in sequence order, so the
+// delivery buffer is a FIFO queue; a delivery out of order is a broken
+// channel assumption and fails loudly instead of waiting forever.
+TEST(TobCausal, DeliveryOutOfSequenceOrderFailsTheCheck) {
+  isc::Federation fed(test::single_system(3, tob_causal_protocol()));
+  auto skipped = std::make_unique<TobDeliver>();
+  skipped->var = X;
+  skipped->value = 1;
+  skipped->seq = 1;  // sequence number 0 has not arrived
+  EXPECT_THROW(fed.system(0).mcs(1).on_message(net::ChannelId{},
+                                               std::move(skipped)),
+               InvariantViolation);
+}
+
 }  // namespace
 }  // namespace cim::proto

@@ -48,20 +48,12 @@ struct Harness {
   ChannelId ab;
   ChannelId ba;
 
-  explicit Harness(std::uint64_t seed, double drop,
-                   TransportConfig tc = TransportConfig{})
-      : fabric(sim, seed),
-        ta(fabric, with_seed(tc, seed + 1)),
-        tb(fabric, with_seed(tc, seed + 2)) {
+  explicit Harness(std::uint64_t seed, double drop)
+      : fabric(sim, seed), ta(fabric, seed + 1), tb(fabric, seed + 2) {
     ab = add_channel(0, 1, &tb, drop);
     ba = add_channel(1, 0, &ta, drop);
     ta.wire(ab, ba, &at_a);
     tb.wire(ba, ab, &at_b);
-  }
-
-  static TransportConfig with_seed(TransportConfig tc, std::uint64_t seed) {
-    tc.seed = seed;
-    return tc;
   }
 
   ChannelId add_channel(std::uint16_t src, std::uint16_t dst, Receiver* rx,
