@@ -12,7 +12,6 @@
 
 #include "bench_report.h"
 #include "interconnect/pair_msg.h"
-#include "net/reliable_transport.h"
 #include "net/wire.h"
 #include "obs/table.h"
 

@@ -90,7 +90,7 @@ if grep -rq --include=CMakeLists.txt "cim_wire" $cmake_lists; then
 fi
 
 # docs/BRIDGE.md is the normative mesh description: it must exist, name
-# every join-reject reason the handshake can send (src/mesh/mesh_node.cpp),
+# every join-reject reason the handshake can send (src/mesh/ctrl_io.h),
 # and document the mesh counters and the spec keywords, so the protocol
 # description cannot silently fall behind the implementation.
 bridge_doc="$root/docs/BRIDGE.md"
@@ -99,7 +99,7 @@ if [ ! -f "$bridge_doc" ]; then
   status=1
 else
   for reason in "wire version mismatch" "topology hash mismatch" \
-      "not a neighbor" "duplicate join" "stale session id"; do
+      "not a neighbor" "duplicate join" "session id mismatch" "lost state"; do
     if ! grep -q "$reason" "$bridge_doc"; then
       echo "check_docs: reject reason '${reason}' is not documented in docs/BRIDGE.md" >&2
       status=1
@@ -145,9 +145,21 @@ if grep -rq "std::thread" "$root"/src/mesh; then
   status=1
 fi
 
-# A mesh link forms one way: every join and rejoin handshake, dialed or
-# answered, runs on the node's loop, so nothing in src/mesh blocks on a
-# socket (no SO_RCVTIMEO read, no blocking recv_ctrl_fd, no tcp_connect).
+# A mesh link forms one way: through the kRejoin handshake, fresh links at
+# cursor 0 included. Nothing in src/mesh sends the retired hello/join codes,
+# and the node declares no join handshake of its own.
+if grep -rEq "ControlMsg::k(Hello|Join)\b" "$root"/src/mesh; then
+  echo "check_docs: src/mesh names ControlMsg::kHello or kJoin (links form through kRejoin alone):" >&2
+  grep -rEn "ControlMsg::k(Hello|Join)\b" "$root"/src/mesh >&2
+  status=1
+fi
+if grep -Eq "dial_join|accept_join" "$root/src/mesh/mesh_node.h"; then
+  echo "check_docs: mesh_node.h declares a join handshake (links form through kRejoin alone)" >&2
+  status=1
+fi
+# Every handshake, dialed or answered, runs on the node's loop, so nothing
+# in src/mesh blocks on a socket (no SO_RCVTIMEO read, no blocking
+# recv_ctrl_fd, no tcp_connect).
 # The join deadline bounds the dials, so MeshConfig has no dial_retries;
 # and the dead LinkTransport::kind() label stays gone.
 if grep -rEq "SO_RCVTIMEO|recv_ctrl_fd|tcp_connect" "$root"/src/mesh; then

@@ -71,8 +71,9 @@ for i in 0 1 2 3; do
   pids[$i]=$!
 done
 
-# Every node is inside run() once its spill journal exists — only then is a
-# signal guaranteed to land mid-mesh rather than mid-join.
+# Every node has started once its spill journal exists (join() opens it
+# before the edges form); the history wait below is what puts the signals
+# mid-run rather than mid-join.
 deadline=$((SECONDS + 15))
 for i in 0 1 2 3; do
   while [ ! -s "$out/n$i.state" ]; do

@@ -15,9 +15,9 @@
 //     edge 1 3
 //
 // hash() is a canonical FNV-1a over the node count and the sorted edge list.
-// Every node presents it in the kJoin handshake, so two processes launched
-// with diverging spec files refuse to form a mesh instead of silently
-// building a topology nobody asked for.
+// Every mesh link's session id hashes it (mesh::edge_session_id), so two
+// processes launched with diverging spec files refuse to form a mesh
+// instead of silently building a topology nobody asked for.
 #pragma once
 
 #include <cstddef>

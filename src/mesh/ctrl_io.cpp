@@ -15,17 +15,6 @@ namespace cim::mesh {
 
 using net::wire::ControlMsg;
 
-const char* reject_reason_name(std::uint64_t reason) {
-  switch (reason) {
-    case kRejectWireVersion: return "wire version mismatch";
-    case kRejectTopologyHash: return "topology hash mismatch";
-    case kRejectNotANeighbor: return "not a neighbor";
-    case kRejectDuplicateJoin: return "duplicate join";
-    case kRejectStaleSession: return "stale session id";
-    default: return "unknown reason";
-  }
-}
-
 namespace {
 
 // Largest bare control frame a handshake reads, length prefix included.
@@ -100,28 +89,23 @@ namespace {
 // timer fires (or the stopped loop is destroyed), so no late edge and no
 // late timer meets a dead object.
 struct LoopCtrlReader final : net::EpollLoop::FdHandler {
-  LoopCtrlReader(net::EpollLoop& on, int sock, std::vector<ControlMsg> frames,
+  LoopCtrlReader(net::EpollLoop& on, int sock, std::optional<ControlMsg> frame,
                  CtrlDoneFn fn)
-      : loop(on),
-        fd(sock),
-        connecting(!frames.empty()),
-        first(std::move(frames)),
-        done(std::move(fn)) {}
+      : loop(on), fd(sock), first(std::move(frame)), done(std::move(fn)) {}
   ~LoopCtrlReader() override {
     if (fd >= 0) ::close(fd);  // the loop stopped with this one pending
   }
 
   void on_ready(std::uint32_t events) override {
     if (fd < 0) return;
-    if (connecting) {
+    if (first) {
       if ((events & (EPOLLOUT | EPOLLERR | EPOLLHUP)) == 0) return;
       int err = 0;
       socklen_t len = sizeof(err);
       if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 || err != 0)
-        return finish(kConnectFailed);
-      connecting = false;
-      for (const ControlMsg& m : first)
-        if (!send_ctrl_fd(fd, m)) return finish("handshake write failed");
+        return finish("connect failed");
+      if (!send_ctrl_fd(fd, *std::exchange(first, std::nullopt)))
+        return finish("handshake write failed");
     }
     bool whole = false;
     const char* err = read_ctrl_frame(fd, frame, got, msg, whole);
@@ -137,9 +121,8 @@ struct LoopCtrlReader final : net::EpollLoop::FdHandler {
   }
 
   net::EpollLoop& loop;
-  int fd;                        // -1 once finished
-  bool connecting;               // `first` still to send once connected
-  std::vector<ControlMsg> first;
+  int fd;                           // -1 once finished
+  std::optional<ControlMsg> first;  // still to send once connected
   CtrlDoneFn done;
   std::uint8_t frame[kCtrlFrameMax] = {};
   std::size_t got = 0;
@@ -149,7 +132,7 @@ struct LoopCtrlReader final : net::EpollLoop::FdHandler {
 }  // namespace
 
 void read_ctrl_on_loop(net::EpollLoop& loop, int fd, int timeout_ms,
-                       std::vector<ControlMsg> first, CtrlDoneFn done) {
+                       std::optional<ControlMsg> first, CtrlDoneFn done) {
   net::set_nonblocking(fd);
   auto reader = std::make_shared<LoopCtrlReader>(loop, fd, std::move(first),
                                                  std::move(done));

@@ -1,41 +1,36 @@
-// Bare ControlMsg I/O for the handshakes that run before a TcpLinkTransport
-// owns a stream: the mesh join and the kRejoin exchange (mesh_node.cpp,
-// link_session.cpp) — one wire-encoded control frame at a time
-// (docs/BRIDGE.md "Join" and "Failure behavior"). One reader, on the node's
-// EpollLoop, serves every handshake a node answers or dials, join and rejoin
-// alike, each under its own budget timer, so no handshake ever parks a
-// thread and a silent connection delays no other.
+// Bare ControlMsg I/O for the one link handshake, the kRejoin exchange that
+// runs before a TcpLinkTransport owns a stream (link_session.cpp dials it,
+// mesh_node.cpp answers it; docs/BRIDGE.md "Link formation"): one
+// wire-encoded control frame at a time. One reader, on the node's EpollLoop,
+// serves every handshake a node answers or dials, each under its own budget
+// timer, so no handshake ever parks a thread and a silent connection delays
+// no other.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <vector>
+#include <optional>
 
 #include "net/epoll_loop.h"
 #include "net/wire.h"
 
 namespace cim::mesh {
 
-/// kJoinReject reason codes (ControlMsg.b; docs/BRIDGE.md "Join").
+/// kJoinReject reason codes (ControlMsg.b; docs/BRIDGE.md "Link
+/// formation"). Codes 1, 2 and 4 (wire version, topology hash, duplicate
+/// join) are retired and never reused: the session id carries the first two,
+/// and a second handshake for a formed edge supersedes the first.
 enum RejectReason : std::uint64_t {
-  kRejectWireVersion = 1,
-  kRejectTopologyHash = 2,
-  kRejectNotANeighbor = 3,
-  kRejectDuplicateJoin = 4,
-  kRejectStaleSession = 5,  // rejoin presented an unknown/old session id
+  kRejectNotANeighbor = 3,     // the sender is no higher-id neighbor of ours
+  kRejectSessionMismatch = 5,  // its session id is not the one we hold
+  kRejectLostState = 6,  // its cursor is below what it acknowledged to us
 };
 
-const char* reject_reason_name(std::uint64_t reason);
-
-/// Budget for each frame read off an accepted connection: its first frame,
-/// and the kJoin behind a join's kHello.
+/// Budget for reading the handshake off an accepted connection.
 inline constexpr int kInboundFrameBudgetMs = 1000;
-/// Budget for each reply to a dial: the connect, our frames and the peer's
-/// first reply frame share one; each further reply frame gets its own.
+/// Budget for a dial: the connect, our handshake and the peer's reply share
+/// it.
 inline constexpr int kDialReplyBudgetMs = 2000;
-/// The error read_ctrl_on_loop reports when a dial's connect failed (the
-/// peer is not listening yet); compare by address.
-inline constexpr char kConnectFailed[] = "connect failed";
 
 /// Write one wire-encoded control frame to a connected fd (a control frame
 /// fits any empty socket buffer). False on error.
@@ -48,15 +43,14 @@ using CtrlDoneFn = std::function<void(const char* err, int fd,
                                       const net::wire::ControlMsg& msg)>;
 
 /// Read one bare ControlMsg frame from `fd` on `loop`, bounded by a loop
-/// timer of `timeout_ms`. With `first` non-empty, `fd` is a connect in
-/// progress (net::tcp_dial): once it turns writable with SO_ERROR clear,
-/// the `first` frames are sent, then the reply is read; a failed connect
-/// reports kConnectFailed. Nothing past the frame is read: the bytes after
-/// it belong to the next read or to the transport that takes the socket
-/// over. `done` runs once, on the loop thread; the fd it gets is nonblocking
-/// and unregistered. Call on the loop thread.
+/// timer of `timeout_ms`. With `first` set, `fd` is a connect in progress
+/// (net::tcp_dial): once it turns writable with SO_ERROR clear, `first` is
+/// sent, then the reply is read. Nothing past the frame is read: the bytes
+/// after it belong to the transport that takes the socket over. `done` runs
+/// once, on the loop thread; the fd it gets is nonblocking and
+/// unregistered. Call on the loop thread.
 void read_ctrl_on_loop(net::EpollLoop& loop, int fd, int timeout_ms,
-                       std::vector<net::wire::ControlMsg> first,
+                       std::optional<net::wire::ControlMsg> first,
                        CtrlDoneFn done);
 
 }  // namespace cim::mesh

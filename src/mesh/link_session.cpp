@@ -43,6 +43,7 @@ void LinkSession::restore(const SpillLinkState& s) {
   for (const auto& f : s.frames) journal_bytes_ += f.size();
   arq_.restore({s.send_next, s.recv_expected, s.frames});
   publish_backlog();
+  formed_ = true;  // an earlier generation formed the link
 }
 
 void LinkSession::attach(int fd) {
@@ -54,25 +55,20 @@ void LinkSession::attach(int fd) {
   connected_.set(true);
 }
 
-void LinkSession::start(int fd, DeliverFn deliver) {
+void LinkSession::start(DeliverFn deliver) {
+  deliver_ = std::move(deliver);
+  // No socket yet: the link is down until its handshake completes. The
+  // dialer dials at once (backoff only follows a failed attempt); the
+  // acceptor waits for the peer's handshake on the node's listener.
+  state_.set(LinkState::kDegraded);
+  degraded_since_ns_ = steady_ns();
   // Resolve the peer once, here on the caller's thread: a name lookup must
   // not stall the loop that every re-dial runs on.
-  const bool resolved =
-      !cfg_.dialer ||
-      net::tcp_resolve(cfg_.host.c_str(), cfg_.peer_port, peer_addr_);
-  deliver_ = std::move(deliver);
-  if (!resolved) {
-    if (fd >= 0) ::close(fd);
-    fail("session: cannot resolve the peer host");
-  } else if (fd >= 0) {
-    attach(fd);
-    state_.set(LinkState::kUp);
-  } else {
-    // Resumed node: no socket yet. The dialer re-dials below; the acceptor
-    // degrades until the peer's rejoin lands on the node's listener.
-    state_.set(LinkState::kDegraded);
-    degraded_since_ns_ = steady_ns();
-    schedule_dial();
+  if (cfg_.dialer) {
+    if (net::tcp_resolve(cfg_.host.c_str(), cfg_.peer_port, peer_addr_))
+      dial();
+    else
+      fail("session: cannot resolve the peer host");
   }
   arm_tick();
 }
@@ -338,7 +334,7 @@ void LinkSession::dial() {
   rejoin.c = arq_.recv_next();
   // Time-bounded: a full or unserviced listener backlog costs one handshake
   // budget, not minutes of kernel SYN retries.
-  read_ctrl_on_loop(loop_, fd, kDialReplyBudgetMs, {rejoin},
+  read_ctrl_on_loop(loop_, fd, kDialReplyBudgetMs, rejoin,
                     [this](const char* err, int sock, const ControlMsg& reply) {
                       on_rejoin_reply(err, sock, reply);
                     });
@@ -348,22 +344,52 @@ void LinkSession::on_rejoin_reply(const char* err, int fd,
                                   const ControlMsg& reply) {
   if (err == nullptr && reply.code == ControlMsg::kRejoin &&
       reply.b == cfg_.session_id) {
+    if (const char* why = cursor_fault(reply.c)) {
+      ::close(fd);
+      fail(why);
+      return;
+    }
     dial_attempts_ = 0;
     resume(fd, reply.c);
     return;
   }
   if (fd >= 0) ::close(fd);
-  if (err == nullptr && reply.code == ControlMsg::kJoinReject &&
-      reply.b == kRejectStaleSession) {
-    // The peer runs a different session epoch (a whole-mesh restart under
-    // our feet): replaying into it would corrupt causal order.
-    fail("rejoin rejected: stale session id");
+  if (err == nullptr && reply.code == ControlMsg::kJoinReject) {
+    // The peer refused this link: it is built or launched for another mesh
+    // (spec file, seed, wire version), or this node restarted without its
+    // journal. Another dial would only be refused again, and replaying into
+    // a different session would corrupt causal order.
+    fail(reply.b == kRejectNotANeighbor ? "rejected by the peer: not a neighbor"
+         : reply.b == kRejectLostState
+             ? "rejected by the peer: this node lost frames the peer had "
+               "acknowledged (restarted without --resume?)"
+             : "rejected by the peer: session id mismatch (spec file, seed "
+               "or wire version differ)");
     return;
   }
   dial_failed();
 }
 
+const char* LinkSession::cursor_fault(std::uint64_t peer_delivered) const {
+  // Both cursors survive a crash in the spill journal, which records a frame
+  // before it is sent and a delivery before it is acked: the peer's cursor
+  // lies in [acked(), send_next()] unless one side restarted without it.
+  if (peer_delivered < arq_.acked())
+    return "session: the peer lost frames it had acknowledged (restarted "
+           "without --resume?)";
+  if (peer_delivered > arq_.send_next())
+    return "session: the peer delivered frames this node never sent (this "
+           "node restarted without --resume?)";
+  return nullptr;
+}
+
 void LinkSession::dial_failed() {
+  if (!formed_) {
+    // A link that never formed is still joining, and its peer may not
+    // listen yet: retry soon and uncounted. The join deadline bounds this.
+    loop_.post_after(kJoinDialRetryMs, [this] { dial(); });
+    return;
+  }
   ++dial_attempts_;
   if (cfg_.reconnect_attempts > 0 && dial_attempts_ >= cfg_.reconnect_attempts)
     fail("session: reconnect attempts exhausted");
@@ -372,6 +398,18 @@ void LinkSession::dial_failed() {
 }
 
 void LinkSession::accept_rejoin(int fd, std::uint64_t peer_delivered) {
+  if (const char* why = cursor_fault(peer_delivered)) {
+    if (peer_delivered < arq_.acked()) {
+      // The dialer restarted without its journal. Refuse it by name and
+      // keep this session as it is, for the dialer's real --resume.
+      send_ctrl_fd(fd, ControlMsg::kJoinReject, cfg_.self_id,
+                   kRejectLostState);
+    } else {
+      fail(why);  // this node restarted without its journal
+    }
+    ::close(fd);
+    return;
+  }
   ControlMsg reply;
   reply.code = ControlMsg::kRejoin;
   reply.a = cfg_.self_id;
@@ -399,7 +437,8 @@ void LinkSession::resume(int fd, std::uint64_t peer_delivered) {
   // cursor.
   arq_.rewind();
   state_.set(LinkState::kUp);
-  resumes_.inc();
+  // The first connection forms the link; every later one re-forms it.
+  if (std::exchange(formed_, true)) resumes_.inc();
   pump_wire();
 }
 

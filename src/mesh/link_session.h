@@ -22,13 +22,15 @@
 //    watches the transport's last_rx_ns: a silent peer (SIGSTOP, stall)
 //    flips the link to kDegraded (net.mesh.<peer>.{down,hb_miss} gauges)
 //    instead of killing the node, and flips back when bytes flow again.
-//  * A dead socket (EOF, RST, write failure) retires the transport
-//    incarnation; the dialer side re-dials with capped exponential backoff +
-//    jitter and a kRejoin handshake (session id + last-delivered seq), the
-//    acceptor side answers rejoins on the node's listener. Rejoin = ack the
-//    peer's delivery cursor + rewind the core's wire cursor: the journal
-//    replays everything past it; the receive cursor drops duplicates — no
-//    pair is delivered twice or lost.
+//  * Every socket of the session, the first included, comes from one
+//    kRejoin handshake (session id + last-delivered seq): the dialer side
+//    dials, the acceptor side answers on the node's listener. A session
+//    starts socketless, so the first connection is a rejoin at cursor 0. A
+//    dead socket (EOF, RST, write failure) retires the transport
+//    incarnation and the dialer re-dials with capped exponential backoff +
+//    jitter. Rejoin = ack the peer's delivery cursor + rewind the core's
+//    wire cursor: the journal replays everything past it; the receive
+//    cursor drops duplicates — no pair is delivered twice or lost.
 //  * Every session event is spilled to the node's SpillJournal (mesh/spill.h)
 //    so `cim_bridge --resume` restores the cursors and the replay window
 //    after a kill -9.
@@ -69,8 +71,9 @@ struct SessionConfig {
   std::uint64_t self_id = 0;     // our node id
   std::uint64_t peer_id = 0;     // neighbor node id
   std::size_t link_index = 0;    // slot in the node's spill journal
-  /// True iff we dialed this edge at join time; the dialer re-dials after a
-  /// socket death, the acceptor waits for a kRejoin on the node's listener.
+  /// True iff this side dials the edge (the higher node id dials the lower
+  /// one's listener); the acceptor waits for a kRejoin on the node's
+  /// listener.
   bool dialer = false;
   std::string host = "127.0.0.1";
   std::uint16_t peer_port = 0;
@@ -81,7 +84,8 @@ struct SessionConfig {
   int degraded_timeout_ms = 0;
   int backoff_initial_ms = 50;
   int backoff_max_ms = 1000;
-  /// Dial attempts per outage before the session fails (<= 0: unbounded).
+  /// Dial attempts per outage of a formed link before the session fails
+  /// (<= 0: unbounded).
   int reconnect_attempts = 40;
   net::TcpLinkConfig link;
 };
@@ -90,6 +94,9 @@ struct SessionConfig {
 /// engine until acks make room.
 inline constexpr std::size_t kJournalMaxFrames = 4096;
 inline constexpr std::size_t kJournalMaxBytes = std::size_t{4} << 20;
+/// A dialer's retry interval while its link has never formed (the peer may
+/// not listen yet); backoff and --reconnect-attempts start once it formed.
+inline constexpr int kJoinDialRetryMs = 100;
 
 class LinkSession final : public net::LinkTransport {
  public:
@@ -105,19 +112,22 @@ class LinkSession final : public net::LinkTransport {
   LinkSession& operator=(const LinkSession&) = delete;
 
   /// Restore cursors + replay window from a loaded spill journal. Must be
-  /// called before start().
+  /// called before start(). The link counts as formed: its first connection
+  /// is a resume, and its failed dials back off.
   void restore(const SpillLinkState& state);
 
-  /// Start the session. `fd` is the connected socket from the join
-  /// handshake, or -1 to start socketless (a resumed node: the dialer side
-  /// re-dials immediately, the acceptor waits for the peer's rejoin). A
-  /// dialer resolves `host` here, once; every re-dial reuses the address.
-  void start(int fd, DeliverFn deliver);
+  /// Start the session, socketless and down: the dialer side dials at once,
+  /// the acceptor waits for the peer's kRejoin. A dialer resolves `host`
+  /// here, once; every re-dial reuses the address.
+  void start(DeliverFn deliver);
 
   /// Acceptor side of a rejoin (loop thread): `fd` carried the peer's
   /// kRejoin for this session, with the peer's delivery cursor. Answers with
   /// our own kRejoin, then trims the journal to that cursor, replays the
-  /// rest on the fresh socket and flips to kUp.
+  /// rest on the fresh socket and flips to kUp. A cursor that one side's
+  /// restart without its journal explains is refused instead: a peer that
+  /// lost acknowledged frames gets kRejectLostState and this session waits
+  /// on; a peer ahead of everything this side sent fails this session.
   void accept_rejoin(int fd, std::uint64_t peer_delivered);
 
   /// Final drain: EOF from here on is a normal goodbye, not an outage.
@@ -160,6 +170,9 @@ class LinkSession final : public net::LinkTransport {
   std::uint64_t data_delivered() const { return data_delivered_.get(); }
   // net.mesh.<peer>.* gauge sources (docs/OBSERVABILITY.md, schema v4).
   std::uint64_t hb_miss() const { return hb_miss_.get(); }
+  /// Re-formations seen by this process: a degraded link coming back, or a
+  /// handshake after the first. The first connection of a session never
+  /// restored is no resume.
   std::uint64_t resumes() const { return resumes_.get(); }
   std::uint64_t dup_drops() const { return dup_drops_.get(); }
   bool down() const { return state() != LinkState::kUp; }
@@ -227,7 +240,12 @@ class LinkSession final : public net::LinkTransport {
   /// Dialer: arm the next dial after the capped, jittered backoff.
   void schedule_dial();
   void dial();
-  void dial_failed();  // count the attempt; re-arm or give up
+  /// A formed link's dial failed: count the attempt, re-arm or give up. A
+  /// link that never formed retries every kJoinDialRetryMs, uncounted.
+  void dial_failed();
+  /// Why the peer's delivery cursor cannot continue this session (one side
+  /// restarted without its spill journal), or null.
+  const char* cursor_fault(std::uint64_t peer_delivered) const;
   void on_rejoin_reply(const char* err, int fd,
                        const net::wire::ControlMsg& reply);
   /// `stat` summed over the live transport and every retired one.
@@ -243,6 +261,7 @@ class LinkSession final : public net::LinkTransport {
   DeliverFn deliver_;
 
   bool shutdown_ = false;
+  bool formed_ = false;  // a handshake completed here, or restore() ran
   int dial_attempts_ = 0;  // failed dials this outage
 
   // Session cursors and the journal of encoded unacked frames, persisted

@@ -4,11 +4,10 @@
 
 #include <algorithm>
 #include <array>
-#include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <functional>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -30,9 +29,6 @@ using net::wire::ControlMsg;
 // Simulator events per loop iteration: the batch between two looks at the
 // sockets.
 constexpr int kEngineBatch = 256;
-
-// Pause between join dials while a lower-id neighbor is not listening yet.
-constexpr int kDialRetryMs = 100;
 
 // Value ranges (mesh_node.h): node i's generation g writes values from
 // i * kNodeValues + g * kGenerationValues + 1 on, at most one per write, so
@@ -62,16 +58,33 @@ std::array<std::pair<const char*, std::int64_t>, 8> peer_counters(
 
 }  // namespace
 
+std::uint64_t edge_session_id(const isc::Topology& topo, std::uint64_t seed,
+                              std::size_t a, std::size_t b) {
+  // FNV-1a over (wire version, topology hash, seed, lower id, higher id):
+  // both endpoints compute the same id with no coordination, and a peer of
+  // another build, spec file or seed never matches — it is refused.
+  const std::uint64_t lo = std::min(a, b);
+  const std::uint64_t hi = std::max(a, b);
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::uint64_t v :
+       {std::uint64_t{net::wire::kWireVersion}, topo.hash(), seed, lo, hi}) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h != 0 ? h : 1;
+}
+
 MeshNode::MeshNode(MeshConfig config) : cfg_(std::move(config)) {}
 
 MeshNode::~MeshNode() {
   // Contract with the handlers: the loop must have exited before any
-  // registered handler dies (net/epoll_loop.h); run() returns only then.
+  // registered handler dies (net/epoll_loop.h); join() and run() return
+  // only then.
   loop_.stop();
   sessions_.clear();
   if (listener_ >= 0) ::close(listener_);
-  for (int fd : fds_)
-    if (fd >= 0) ::close(fd);
 }
 
 bool MeshNode::load_resume_state() {
@@ -107,30 +120,13 @@ bool MeshNode::load_resume_state() {
       return false;
     }
   }
-  generation_ = restored_.generation + 1;
-  if (generation_ > 4) {
+  if (++restored_.generation > 4) {
     // Value ranges are [id*1e6 + g*200k, ...): generation 5 would collide
     // with the next node's range and break value-identifies-write.
     error_ = "too many restart generations (value ranges would collide)";
     return false;
   }
   return true;
-}
-
-std::uint64_t MeshNode::edge_session_id(std::size_t peer) const {
-  // FNV-1a over (topology hash, seed, lower id, higher id): both endpoints
-  // compute the same id with no coordination, and a rejoin from a different
-  // run (other seed/spec) can never match — it is rejected as stale.
-  const std::uint64_t lo = std::min<std::uint64_t>(cfg_.node_id, peer);
-  const std::uint64_t hi = std::max<std::uint64_t>(cfg_.node_id, peer);
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::uint64_t v : {cfg_.topo.hash(), cfg_.seed, lo, hi}) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
-  }
-  return h != 0 ? h : 1;
 }
 
 bool MeshNode::join() {
@@ -169,251 +165,35 @@ bool MeshNode::join() {
     return false;
   }
   neighbors_ = cfg_.topo.neighbors(cfg_.node_id);
-  fds_.assign(neighbors_.size(), -1);
+  const std::size_t n_links = neighbors_.size();
 
-  std::size_t higher = 0;
-  for (std::size_t nb : neighbors_)
-    if (nb > cfg_.node_id) ++higher;
-
+  // A fresh node is a node restored from an empty journal: generation 0,
+  // every link at cursor 0. Either way each link forms through the same
+  // handshake, a rejoin at the link's delivery cursor.
   if (cfg_.resume) {
     if (cfg_.state_path.empty()) {
       error_ = "--resume requires --state";
       return false;
     }
     if (!load_resume_state()) return false;
-  }
-  // Resolve the host once, before the loop runs: a name lookup must not
-  // stall it. Each dial only sets its neighbor's port.
-  if (!cfg_.resume && higher < neighbors_.size() &&
-      !net::tcp_resolve(cfg_.host.c_str(), 0, dial_addr_)) {
-    error_ = "cannot resolve " + cfg_.host;
-    return false;
-  }
-
-  // Listen before dialing: higher-id neighbors may dial us at any moment.
-  // The listener stays on the loop for the whole run (it answers rejoins
-  // once the mesh has formed).
-  if (higher > 0) {
-    listener_ = net::tcp_listen(
-        static_cast<std::uint16_t>(cfg_.base_port + cfg_.node_id));
-    loop_.add(listener_, this);
-  }
-  // A resumed node skips the handshakes: every edge re-forms through the
-  // kRejoin path, and crashed-and-back higher-id dialers find our listener.
-  if (cfg_.resume || neighbors_.empty()) return true;
-
-  // Every edge forms concurrently on the loop: dials to the lower-id
-  // neighbors, handshakes of whatever higher-id ones connect. The loop
-  // stops once every edge has formed, a handshake failed, or the deadline
-  // passed.
-  joining_ = true;
-  for (std::size_t e = 0; e < neighbors_.size(); ++e)
-    if (neighbors_[e] < cfg_.node_id) dial_join(e);
-  loop_.post_after(cfg_.join_timeout_ms, [this] {
-    if (!joining_) return;
-    std::string missing;
-    for (std::size_t e = 0; e < neighbors_.size(); ++e) {
-      if (fds_[e] < 0)
-        missing += (missing.empty() ? "" : ", ") +
-                   std::to_string(neighbors_[e]);
+  } else {
+    if (!cfg_.state_path.empty() && n_links > 0 && load_resume_state()) {
+      // Truncating a crashed run's journal would lose this node's only way
+      // back into that mesh, whose nodes refuse a fresh start's cursors.
+      error_ = "state journal " + cfg_.state_path +
+               " holds an unfinished run of this node: pass --resume to "
+               "continue it, or remove it";
+      return false;
     }
-    fail_join("join timed out waiting for node(s) " + missing);
-  });
-  loop_.run();
-  if (error_.empty()) return true;
-  if (listener_ >= 0) {
-    loop_.remove(listener_);
-    ::close(listener_);
-    listener_ = -1;
+    error_.clear();
+    restored_ = SpillState{cfg_.node_id, cfg_.topo.hash(), cfg_.seed, 0,
+                           std::vector<SpillLinkState>(n_links)};
   }
-  return false;
-}
-
-void MeshNode::edge_formed(std::size_t e, int fd) {
-  fds_[e] = fd;
-  if (std::count(fds_.begin(), fds_.end(), -1) > 0) return;
-  joining_ = false;
-  loop_.stop();
-}
-
-void MeshNode::fail_join(std::string why) {
-  if (!joining_) return;  // the first failure names the cause
-  error_ = std::move(why);
-  joining_ = false;
-  loop_.stop();
-}
-
-void MeshNode::dial_join(std::size_t e) {
-  const std::size_t peer = neighbors_[e];
-  sockaddr_in addr = dial_addr_;
-  addr.sin_port = htons(static_cast<std::uint16_t>(cfg_.base_port + peer));
-  // The peer may simply not be listening yet (the mesh launches every node
-  // concurrently): retry until it is, bounded by the join deadline.
-  auto retry = [this, e] {
-    loop_.post_after(kDialRetryMs, [this, e] {
-      if (joining_) dial_join(e);
-    });
-  };
-  const int fd = net::tcp_dial(addr);
-  if (fd < 0) return retry();
-  std::vector<ControlMsg> ours(2);
-  ours[0].code = ControlMsg::kHello;
-  ours[0].a = cfg_.node_id;
-  ours[0].b = net::wire::kWireVersion;
-  ours[1].code = ControlMsg::kJoin;
-  ours[1].a = cfg_.node_id;
-  ours[1].b = cfg_.topo.hash();
-  // The reply is the peer's hello and join, or a reject — which arrives
-  // alone: do not wait for a second frame the peer will never send.
-  auto conclude = [this, e](const char* err, int sock,
-                            const ControlMsg& hello, const ControlMsg& join) {
-    const std::string why =
-        err != nullptr ? "node " + std::to_string(neighbors_[e]) + ": " + err
-                       : join_reply_error(e, sock, hello, join);
-    if (why.empty()) return edge_formed(e, sock);
-    if (sock >= 0) ::close(sock);
-    fail_join(why);
-  };
-  read_ctrl_on_loop(
-      loop_, fd, kDialReplyBudgetMs, std::move(ours),
-      [this, retry, conclude](const char* err, int sock,
-                              const ControlMsg& hello) {
-        if (err == kConnectFailed) return retry();
-        if (err != nullptr || hello.code == ControlMsg::kJoinReject)
-          return conclude(err, sock, hello, hello);
-        read_ctrl_on_loop(loop_, sock, kDialReplyBudgetMs, {},
-                          [conclude, hello](const char* err2, int sock2,
-                                            const ControlMsg& join) {
-                            conclude(err2, sock2, hello, join);
-                          });
-      });
-}
-
-std::string MeshNode::join_reply_error(std::size_t e, int fd,
-                                       const ControlMsg& hello,
-                                       const ControlMsg& join) {
-  const std::size_t peer = neighbors_[e];
-  const std::string node = "node " + std::to_string(peer);
-  for (const ControlMsg* m : {&hello, &join}) {
-    if (m->code == ControlMsg::kJoinReject)
-      return "node " + std::to_string(m->a) +
-             " rejected the join: " + reject_reason_name(m->b);
-  }
-  if (hello.code != ControlMsg::kHello || join.code != ControlMsg::kJoin)
-    return node + ": unexpected handshake frames";
-  if (hello.b != net::wire::kWireVersion)
-    return node + ": wire version mismatch (peer v" +
-           std::to_string(hello.b) + ", local v" +
-           std::to_string(unsigned{net::wire::kWireVersion}) + ")";
-  if (hello.a != peer || join.a != peer)
-    return "dialed " + node + " but node " + std::to_string(hello.a) +
-           " answered";
-  if (join.b != cfg_.topo.hash()) {
-    send_ctrl_fd(fd, ControlMsg::kJoinReject, cfg_.node_id,
-                 kRejectTopologyHash);
-    return node + ": topology hash mismatch (diverging spec files?)";
-  }
-  return {};
-}
-
-void MeshNode::on_ready(std::uint32_t) {
-  // Each connection gets its own loop reader and budget: a silent one delays
-  // no join or rejoin behind it.
-  for (int fd = net::tcp_accept(listener_); fd >= 0;
-       fd = net::tcp_accept(listener_)) {
-    read_ctrl_on_loop(loop_, fd, kInboundFrameBudgetMs, {},
-                      [this](const char* err, int sock, const ControlMsg& msg) {
-                        if (err == nullptr) on_first_frame(sock, msg);
-                      });
-  }
-}
-
-void MeshNode::on_first_frame(int fd, const ControlMsg& msg) {
-  if (!joining_) return answer_rejoin(fd, msg);
-  if (msg.code != ControlMsg::kHello) {
-    // Not a join (a rejoin from a peer ahead of us, garbage): drop it
-    // unanswered, so a rejoining peer retries instead of failing.
-    ::close(fd);
-    return;
-  }
-  read_ctrl_on_loop(loop_, fd, kInboundFrameBudgetMs, {},
-                    [this, hello = msg](const char* err, int sock,
-                                        const ControlMsg& join) {
-                      if (err == nullptr) accept_join(sock, hello, join);
-                    });
-}
-
-void MeshNode::accept_join(int fd, const ControlMsg& hello,
-                           const ControlMsg& join) {
-  // The mesh formed while this hello waited for its join: it is stale.
-  if (!joining_) return answer_rejoin(fd, hello);
-  if (join.code != ControlMsg::kJoin) {
-    ::close(fd);  // spoke garbage: drop, keep accepting
-    return;
-  }
-  std::uint64_t reject = 0;
-  std::size_t slot = isc::Topology::npos;
-  for (std::size_t e = 0; e < neighbors_.size(); ++e)
-    if (neighbors_[e] == hello.a && neighbors_[e] > cfg_.node_id) slot = e;
-  if (hello.b != net::wire::kWireVersion) {
-    reject = kRejectWireVersion;
-  } else if (slot == isc::Topology::npos) {
-    reject = kRejectNotANeighbor;
-  } else if (fds_[slot] >= 0) {
-    reject = kRejectDuplicateJoin;
-  } else if (join.b != cfg_.topo.hash()) {
-    reject = kRejectTopologyHash;
-  }
-  if (reject != 0) {
-    send_ctrl_fd(fd, ControlMsg::kJoinReject, cfg_.node_id, reject);
-    ::close(fd);
-    return;
-  }
-  if (!send_ctrl_fd(fd, ControlMsg::kHello, cfg_.node_id,
-                    net::wire::kWireVersion) ||
-      !send_ctrl_fd(fd, ControlMsg::kJoin, cfg_.node_id, cfg_.topo.hash())) {
-    ::close(fd);
-    return;
-  }
-  edge_formed(slot, fd);
-}
-
-void MeshNode::answer_rejoin(int fd, const ControlMsg& msg) {
-  if (msg.code == ControlMsg::kRejoin) {
-    for (auto& s : sessions_) {
-      if (s->session_id() == msg.b && s->peer_id() == msg.a) {
-        s->accept_rejoin(fd, msg.c);
-        return;
-      }
-    }
-  }
-  // An unknown or old session id, or a fresh kHello for a mesh that already
-  // formed: the dialer is from some other world (stale spec, stray process).
-  send_ctrl_fd(fd, ControlMsg::kJoinReject, cfg_.node_id, kRejectStaleSession);
-  ::close(fd);
-}
-
-MeshResult MeshNode::run() {
-  MeshResult result;
-  const std::size_t n_links = neighbors_.size();
-  if (!cfg_.resume)
-    for (int fd : fds_)
-      CIM_CHECK_MSG(fd >= 0 || n_links == 0, "run before join");
-
   // Open this generation's spill journal before anything can send: the
   // journal must never miss a session event.
-  if (!cfg_.state_path.empty()) {
-    SpillState st;
-    st.node_id = cfg_.node_id;
-    st.topo_hash = cfg_.topo.hash();
-    st.seed = cfg_.seed;
-    st.generation = generation_;
-    if (cfg_.resume) st.links = restored_.links;
-    else st.links.assign(n_links, SpillLinkState{});
-    if (!spill_.create(cfg_.state_path, st)) {
-      error_ = "cannot write state journal " + cfg_.state_path;
-      return result;
-    }
+  if (!cfg_.state_path.empty() && !spill_.create(cfg_.state_path, restored_)) {
+    error_ = "cannot write state journal " + cfg_.state_path;
+    return false;
   }
 
   isc::FederationConfig cfg;
@@ -424,8 +204,8 @@ MeshResult MeshNode::run() {
   // (the paper's systems are static; restart-as-new-system keeps us inside
   // the model). Offset the id so its processes never collide with the
   // crashed generation's in the merged history.
-  sys.id = SystemId{static_cast<std::uint16_t>(cfg_.node_id +
-                                               generation_ * kGenerationIds)};
+  sys.id = SystemId{static_cast<std::uint16_t>(
+      cfg_.node_id + generation() * kGenerationIds)};
   sys.num_app_processes = cfg_.procs;
   sys.protocol = proto::anbkh_protocol();
   sys.seed = cfg_.seed + cfg_.node_id;
@@ -440,11 +220,10 @@ MeshResult MeshNode::run() {
   // resume — the crashed generation's prefix is already there.
   if (!cfg_.history_path.empty()) {
     history_ = std::make_unique<std::ofstream>(
-        cfg_.history_path,
-        cfg_.resume ? std::ios::app : std::ios::trunc);
+        cfg_.history_path, cfg_.resume ? std::ios::app : std::ios::trunc);
     if (!*history_) {
       error_ = "cannot write history " + cfg_.history_path;
-      return result;
+      return false;
     }
     fed_->recorder().set_listener([this](const chk::Op& op) {
       if (op.is_isp) return;
@@ -455,18 +234,28 @@ MeshResult MeshNode::run() {
       os.flush();
     });
   }
+  if (cfg_.node_id != 0) {
+    const std::size_t parent_node = stats_parent(cfg_.topo, cfg_.node_id);
+    for (std::size_t e = 0; e < n_links; ++e)
+      if (neighbors_[e] == parent_node) stats_parent_e_ = e;
+  }
 
+  // One socketless session per edge. A session delivers from its first
+  // frame on, so the convergecast state is seeded before any starts: pairs
+  // applied per link count across generations (the restored delivery
+  // cursor seeds them), so a resumed node's drained() comparison counts
+  // the crashed generation's applies too.
   loop_.set_fault_hooks(cfg_.faults);
-  std::vector<std::size_t> link_idx(n_links);
   SpillJournal* spill = cfg_.state_path.empty() ? nullptr : &spill_;
   for (std::size_t e = 0; e < n_links; ++e) {
     SessionConfig sc;
-    sc.session_id = edge_session_id(neighbors_[e]);
+    sc.session_id = edge_session_id(cfg_.topo, cfg_.seed, cfg_.node_id,
+                                    neighbors_[e]);
     sc.self_id = cfg_.node_id;
     sc.peer_id = neighbors_[e];
     sc.link_index = e;
-    // Reconnects re-dial in the original join direction — the higher id
-    // dials the lower id's listener, which stays open for the whole run.
+    // The higher id dials the lower id's listener, which stays open for the
+    // whole run.
     sc.dialer = neighbors_[e] < cfg_.node_id;
     sc.host = cfg_.host;
     sc.peer_port = static_cast<std::uint16_t>(cfg_.base_port + neighbors_[e]);
@@ -479,15 +268,152 @@ MeshResult MeshNode::run() {
     sc.link.faults = cfg_.faults;
     sessions_.push_back(
         std::make_unique<LinkSession>(std::move(sc), loop_, spill));
-    if (cfg_.resume) sessions_[e]->restore(restored_.links[e]);
-    link_idx[e] = fed_->interconnector().attach_external_link(
-        e, sessions_[e].get());
+    const SpillLinkState& r = restored_.links[e];
+    // restore() marks the link formed: a fresh node's links are not.
+    if (cfg_.resume) sessions_[e]->restore(r);
+    peers_.push_back(PeerProgress{
+        r.peer_done, r.peer_bye, r.peer_pairs, r.data_delivered,
+        fed_->interconnector().attach_external_link(e, sessions_[e].get())});
   }
-  // Every external link of this node shares the one IS-process, which is
-  // exactly what makes the tree work: a pair arriving on link L is applied
-  // locally and forwarded to every other link (split horizon).
-  isc::IsProcess* isp =
-      n_links > 0 ? &fed_->interconnector().external_isp(0) : nullptr;
+  for (std::size_t e = 0; e < n_links; ++e)
+    sessions_[e]->start([this, e](net::MessagePtr msg) {
+      deliver(e, std::move(msg));
+    });
+
+  // Listen once the sessions exist: the listener hands every handshake to
+  // one of them. It stays on the loop for the whole run, so crashed
+  // higher-id dialers can rejoin.
+  if (!neighbors_.empty() && neighbors_.back() > cfg_.node_id) {
+    listener_ = net::tcp_listen(
+        static_cast<std::uint16_t>(cfg_.base_port + cfg_.node_id));
+    loop_.add(listener_, this);
+  }
+
+  // The loop runs until every link has connected, one has failed, or the
+  // deadline passed. A resumed node's links formed before: past the
+  // deadline it runs with the missing ones down, and they re-form like
+  // after any outage.
+  loop_.post_after(cfg_.join_timeout_ms, [this] {
+    if (sessions_ready() || !error_.empty()) return;
+    if (cfg_.resume) return loop_.stop();
+    std::string missing;
+    for (std::size_t e = 0; e < sessions_.size(); ++e) {
+      if (!sessions_[e]->connected())
+        missing += (missing.empty() ? "" : ", ") +
+                   std::to_string(neighbors_[e]);
+    }
+    error_ = "join timed out waiting for node(s) " + missing;
+    loop_.stop();
+  });
+  loop_.set_work([this] {
+    const bool formed =
+        std::all_of(sessions_.begin(), sessions_.end(),
+                    [](const auto& s) { return s->connected(); });
+    if (error_.empty() && (link_failed() || formed)) loop_.stop();
+    return false;
+  });
+  if (n_links > 0) loop_.run();
+  if (!error_.empty()) {
+    for (auto& s : sessions_) s->stop();
+    if (listener_ >= 0) {
+      loop_.remove(listener_);
+      ::close(listener_);
+      listener_ = -1;
+    }
+    return false;
+  }
+  sessions_ready_.store(true, std::memory_order_release);
+  return true;
+}
+
+bool MeshNode::link_failed() {
+  for (std::size_t e = 0; e < sessions_.size(); ++e) {
+    if (sessions_[e]->error() != nullptr) {
+      error_ = "link to node " + std::to_string(neighbors_[e]) + ": " +
+               sessions_[e]->error();
+      return true;
+    }
+  }
+  return false;
+}
+
+void MeshNode::deliver(std::size_t e, net::MessagePtr msg) {
+  if (std::strcmp(msg->type_name(), "wire.ctrl") == 0) {
+    auto& ctrl = static_cast<ControlMsg&>(*msg);
+    if (ctrl.code == ControlMsg::kDone) {
+      peers_[e].pairs = ctrl.a;
+      peers_[e].done = true;
+    } else if (ctrl.code == ControlMsg::kBye) {
+      peers_[e].bye = true;
+    }
+    return;
+  }
+  if (std::strcmp(msg->type_name(), "wire.stats") == 0) {
+    auto frame = std::unique_ptr<net::wire::StatsFrame>(
+        static_cast<net::wire::StatsFrame*>(msg.release()));
+    if (cfg_.node_id == 0) agg_.fold(*frame);
+    else relay_stats(std::move(frame));
+    return;
+  }
+  // A pair: deliver_from_link runs protocol code (and may forward to
+  // sibling links) as an ordinary engine event on this thread. Every
+  // external link of this node shares the one IS-process, which is exactly
+  // what makes the tree work: a pair arriving on link L is applied locally
+  // and forwarded to every other link (split horizon).
+  fed_->simulator().post([this, e, msg = std::move(msg)]() mutable {
+    fed_->interconnector().external_isp(0).deliver_from_link(
+        peers_[e].isp_link, std::move(msg));
+    ++peers_[e].applied;
+  });
+}
+
+void MeshNode::relay_stats(std::unique_ptr<net::wire::StatsFrame> frame) {
+  // Send a snapshot toward node 0. While the parent's journal is full the
+  // snapshots wait here, bounded: a long parent outage drops the oldest and
+  // never pauses the engine. FIFO keeps children's snapshots older than ours.
+  if (stats_parent_e_ == isc::Topology::npos) return;
+  if (stats_relay_.size() >= 64) stats_relay_.pop_front();
+  stats_relay_.push_back(std::move(frame));
+  LinkSession& parent = *sessions_[stats_parent_e_];
+  while (!stats_relay_.empty() && !parent.full()) {
+    parent.send(std::move(stats_relay_.front()));
+    stats_relay_.pop_front();
+  }
+}
+
+void MeshNode::on_ready(std::uint32_t) {
+  // Each connection gets its own loop reader and budget: a silent one delays
+  // no handshake behind it.
+  for (int fd = net::tcp_accept(listener_); fd >= 0;
+       fd = net::tcp_accept(listener_)) {
+    read_ctrl_on_loop(loop_, fd, kInboundFrameBudgetMs, std::nullopt,
+                      [this](const char* err, int sock, const ControlMsg& msg) {
+                        if (err == nullptr) answer_rejoin(sock, msg);
+                      });
+  }
+}
+
+void MeshNode::answer_rejoin(int fd, const ControlMsg& msg) {
+  // Only a higher-id neighbor dials us; its session id is the whole check
+  // (wire version, spec file, seed). A second handshake for a formed link
+  // supersedes the first, as any rejoin does.
+  std::uint64_t reject = kRejectNotANeighbor;
+  for (std::size_t e = 0; e < neighbors_.size(); ++e) {
+    if (neighbors_[e] != msg.a || neighbors_[e] < cfg_.node_id) continue;
+    if (msg.code == ControlMsg::kRejoin &&
+        msg.b == sessions_[e]->session_id())
+      return sessions_[e]->accept_rejoin(fd, msg.c);
+    reject = kRejectSessionMismatch;
+  }
+  send_ctrl_fd(fd, ControlMsg::kJoinReject, cfg_.node_id, reject);
+  ::close(fd);
+}
+
+MeshResult MeshNode::run() {
+  MeshResult result;
+  CIM_CHECK_MSG(sessions_ready(), "run before a successful join");
+  const std::size_t n_links = neighbors_.size();
+  sim::Simulator& sim = fed_->simulator();
 
   wl::UniformConfig wc;
   wc.ops_per_process = cfg_.ops;
@@ -495,83 +421,8 @@ MeshResult MeshNode::run() {
   // Each generation writes a disjoint value range (header comment): the
   // checker's value-identifies-write premise survives restarts.
   wc.value_base = static_cast<Value>(cfg_.node_id * kNodeValues +
-                                    generation_ * kGenerationValues);
+                                    generation() * kGenerationValues);
   auto runners = wl::install_uniform(*fed_, wc);
-
-  // Everything below runs on the loop, i.e. on this thread: the engine, the
-  // frame callbacks, the convergecast and the stats plane share it, so this
-  // state needs no synchronization. Pairs applied per link count across
-  // generations: the restored delivery cursor seeds them, so a resumed
-  // node's drained() comparison counts the crashed generation's applies too.
-  std::vector<bool> peer_done(n_links, false);
-  std::vector<bool> peer_bye(n_links, false);
-  std::vector<std::uint64_t> peer_pairs(n_links, 0);
-  std::vector<std::uint64_t> applied_pairs(n_links, 0);
-  for (std::size_t e = 0; e < n_links && cfg_.resume; ++e) {
-    const SpillLinkState& r = restored_.links[e];
-    peer_done[e] = r.peer_done;
-    peer_bye[e] = r.peer_bye;
-    peer_pairs[e] = r.peer_pairs;
-    applied_pairs[e] = r.data_delivered;
-  }
-
-  // ---- stats plane (docs/BRIDGE.md "Stats aggregation") --------------------
-  FedAggregator agg;
-  std::size_t stats_parent_e = isc::Topology::npos;
-  if (cfg_.node_id != 0) {
-    const std::size_t parent_node = stats_parent(cfg_.topo, cfg_.node_id);
-    for (std::size_t e = 0; e < n_links; ++e)
-      if (neighbors_[e] == parent_node) stats_parent_e = e;
-  }
-  std::deque<std::unique_ptr<net::wire::StatsFrame>> stats_relay;
-  // Send a snapshot toward node 0. While the parent's journal is full the
-  // snapshots wait here, bounded: a long parent outage drops the oldest and
-  // never pauses the engine. FIFO keeps children's snapshots older than ours.
-  auto relay_stats = [&](std::unique_ptr<net::wire::StatsFrame> frame) {
-    if (stats_parent_e == isc::Topology::npos) return;
-    if (stats_relay.size() >= 64) stats_relay.pop_front();
-    stats_relay.push_back(std::move(frame));
-    LinkSession& parent = *sessions_[stats_parent_e];
-    while (!stats_relay.empty() && !parent.full()) {
-      parent.send(std::move(stats_relay.front()));
-      stats_relay.pop_front();
-    }
-  };
-
-  sim::Simulator& sim = fed_->simulator();
-  for (std::size_t e = 0; e < n_links; ++e) {
-    isc::IsProcess* isp_ptr = isp;
-    const std::size_t link = link_idx[e];
-    std::uint64_t* applied = &applied_pairs[e];
-    sessions_[e]->start(
-        cfg_.resume ? -1 : fds_[e],
-        [&, isp_ptr, link, applied, e](net::MessagePtr msg) {
-          if (std::strcmp(msg->type_name(), "wire.ctrl") == 0) {
-            auto& ctrl = static_cast<ControlMsg&>(*msg);
-            if (ctrl.code == ControlMsg::kDone) {
-              peer_pairs[e] = ctrl.a;
-              peer_done[e] = true;
-            } else if (ctrl.code == ControlMsg::kBye) {
-              peer_bye[e] = true;
-            }
-            return;
-          }
-          if (std::strcmp(msg->type_name(), "wire.stats") == 0) {
-            auto frame = std::unique_ptr<net::wire::StatsFrame>(
-                static_cast<net::wire::StatsFrame*>(msg.release()));
-            if (cfg_.node_id == 0) agg.fold(*frame);
-            else relay_stats(std::move(frame));
-            return;
-          }
-          // A pair: deliver_from_link runs protocol code (and may forward
-          // to sibling links) as an ordinary engine event on this thread.
-          sim.post([isp_ptr, link, applied, msg = std::move(msg)]() mutable {
-            isp_ptr->deliver_from_link(link, std::move(msg));
-            ++*applied;
-          });
-        });
-    fds_[e] = -1;  // the session's transport owns it now
-  }
 
   // Snapshot of this node's session/transport gauges, keyed relative to the
   // node (the aggregator prefixes fed.node.<origin>.).
@@ -582,7 +433,7 @@ MeshResult MeshNode::run() {
     auto put = [&f](std::string key, std::int64_t v) {
       f->entries.emplace_back(std::move(key), v);
     };
-    put("generation", generation_);
+    put("generation", generation());
     std::int64_t bytes_out = 0;
     std::int64_t bytes_in = 0;
     for (std::size_t e = 0; e < n_links; ++e) {
@@ -623,9 +474,9 @@ MeshResult MeshNode::run() {
                  {"node", static_cast<std::uint64_t>(cfg_.node_id)}});
     }
     if (cfg_.node_id == 0) {
-      agg.fold(*sample_stats());
+      agg_.fold(*sample_stats());
       if (!cfg_.fed_metrics_path.empty())
-        agg.write_json(cfg_.fed_metrics_path);
+        agg_.write_json(cfg_.fed_metrics_path);
     } else {
       relay_stats(sample_stats());
     }
@@ -647,7 +498,7 @@ MeshResult MeshNode::run() {
   // that many pairs. `>=` rather than `==`: a resumed peer's count starts
   // from its restored cursor, and replay duplicates never reach the engine.
   auto drained = [&](std::size_t e) {
-    return peer_done[e] && applied_pairs[e] >= peer_pairs[e];
+    return peers_[e].done && peers_[e].applied >= peers_[e].pairs;
   };
 
   // Final drain: every sent frame acked (the peer journaled our done/bye),
@@ -669,7 +520,7 @@ MeshResult MeshNode::run() {
     const auto now = Clock::now();
     for (std::size_t e = 0; e < n_links; ++e) {
       if (sessions_[e]->drained()) continue;
-      if (peer_bye[e] && !sessions_[e]->connected()) {
+      if (peers_[e].bye && !sessions_[e]->connected()) {
         if (dead_since[e] == Clock::time_point{}) dead_since[e] = now;
         if (now - dead_since[e] >= rejoin_grace) continue;
       } else {
@@ -690,14 +541,7 @@ MeshResult MeshNode::run() {
       if (drain_complete()) finish();
       return;
     }
-    for (std::size_t e = 0; e < n_links; ++e) {
-      if (sessions_[e]->error() != nullptr) {
-        error_ = std::string("link to node ") +
-                 std::to_string(neighbors_[e]) + ": " + sessions_[e]->error();
-        finish();
-        return;
-      }
-    }
+    if (link_failed()) return finish();
     if (!sim.empty()) return;
     for (const auto& r : runners)
       if (!r->done()) return;
@@ -722,7 +566,7 @@ MeshResult MeshNode::run() {
       }
     }
     for (std::size_t e = 0; e < n_links; ++e)
-      if (!done_sent[e] || !bye_sent[e] || !peer_bye[e]) return;
+      if (!done_sent[e] || !bye_sent[e] || !peers_[e].bye) return;
     for (auto& s : sessions_) s->begin_shutdown();
     phase = Phase::kDrain;
     drain_deadline =
@@ -754,7 +598,6 @@ MeshResult MeshNode::run() {
     progress();
     return more && phase != Phase::kFinished;
   });
-  sessions_ready_.store(true, std::memory_order_release);
   // The loop runs on this thread until finish() stops it.
   loop_.run();
   // The loop has exited, so close the sockets (net/epoll_loop.h order): the
@@ -798,14 +641,15 @@ MeshResult MeshNode::run() {
   // shutdown.
   if (cfg_.stats_interval_ms > 0 && cfg_.node_id == 0 &&
       !cfg_.fed_metrics_path.empty()) {
-    agg.fold(*sample_stats());
-    agg.write_json(cfg_.fed_metrics_path);
+    agg_.fold(*sample_stats());
+    agg_.write_json(cfg_.fed_metrics_path);
   }
 
   for (const auto& r : runners) result.ops_done += r->steps_completed();
-  if (isp != nullptr) {
-    result.pairs_sent = isp->pairs_sent();
-    result.pairs_received = isp->pairs_received();
+  if (n_links > 0) {
+    const isc::IsProcess& isp = fed_->interconnector().external_isp(0);
+    result.pairs_sent = isp.pairs_sent();
+    result.pairs_received = isp.pairs_received();
   }
   result.violations =
       fed_->monitor() != nullptr ? fed_->monitor()->violation_count() : 0;

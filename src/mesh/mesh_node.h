@@ -4,26 +4,32 @@
 //
 // Life of a node:
 //
-//   join()  — form the tree. The node listens on base_port + node_id and
-//             runs its EpollLoop until every incident edge has formed: it
-//             dials every lower-id neighbor (a refused connect retries on a
-//             loop timer) and answers every higher-id one that connects, all
-//             at once, each connection under its own frame budget. Each edge
-//             exchanges hello/join ControlMsg frames (mesh/ctrl_io.h): hello
-//             carries the node id + wire version, join carries the node id +
-//             the canonical topology hash, so processes launched with
-//             diverging spec files or mismatched builds refuse each other
-//             (kJoinReject) instead of forming a broken mesh. The
-//             join_timeout_ms deadline is a loop timer. With `resume`,
-//             join() instead loads the spill journal written by the crashed
-//             incarnation and skips the handshakes entirely — links re-form
-//             through the per-edge kRejoin handshake below.
-//   run()   — drive the workload. Builds a single-system Federation with one
-//             external link per neighbor (they share the node's IS-process,
-//             which gives split-horizon forwarding across the tree), wraps
-//             each socket in a crash-tolerant LinkSession (mesh/link_session.h)
-//             on one shared EpollLoop, runs that loop on the calling thread
-//             — the uniform workload in the simulator engine, the sockets,
+//   join()  — build the node and form the tree. It validates the config,
+//             opens the spill journal, builds a single-system Federation
+//             with one external link per neighbor (they share the node's
+//             IS-process, which gives split-horizon forwarding across the
+//             tree) and one socketless crash-tolerant LinkSession
+//             (mesh/link_session.h) per edge, then listens on
+//             base_port + node_id and runs the node's EpollLoop until every
+//             session has connected. Every edge forms through one
+//             handshake, the kRejoin exchange {node id, session id,
+//             delivered cursor} (mesh/ctrl_io.h): the higher id dials, the
+//             lower id answers. A fresh node is a node restored from an
+//             empty journal, so its edges form as rejoins at cursor 0; with
+//             `resume`, the journal written by the crashed incarnation
+//             supplies the cursors. The session id hashes the wire version,
+//             the canonical topology hash and the seed, so processes of
+//             mismatched builds, diverging spec files or different seeds
+//             refuse each other (kJoinReject) instead of forming a broken
+//             mesh. So do two ends whose delivery cursors show that one of
+//             them restarted without its journal, and a fresh start refuses
+//             to truncate an unfinished run's journal. A failed session
+//             fails join() by name; so does the join_timeout_ms deadline (a
+//             loop timer) on a fresh node. A resumed node's links formed
+//             before: past the deadline it runs with the missing links
+//             down, and they re-form like after any outage.
+//   run()   — drive the workload on the same loop, on the calling thread —
+//             the uniform workload in the simulator engine, the sockets,
 //             the per-link done/bye convergecast — until the whole tree is
 //             drained. Blocks until then; returns the node's final counts.
 //
@@ -34,18 +40,18 @@
 // bounded batch of engine events (paused while any session's journal is at
 // its bound), checks the convergecast, and flushes every peer's send queue
 // with one writev. The stats plane and the heartbeats are loop timers; the
-// listener is a loop handler, and every handshake — join or rejoin,
-// answered or dialed — is a nonblocking exchange on the loop.
+// listener is a loop handler, and every handshake, answered or dialed, is a
+// nonblocking exchange on the loop.
 //
-// Robustness (the PR-7 tentpole; docs/BRIDGE.md "Failure behavior"):
-// each edge is a LinkSession — seq/ack frames, a replay journal, heartbeats
-// with a liveness timeout, reconnect with backoff and the kRejoin handshake.
-// A silent or crashed peer degrades its link (bounded buffering +
+// Robustness (docs/BRIDGE.md "Failure behavior"): each edge is a
+// LinkSession — seq/ack frames, a replay journal, heartbeats with a
+// liveness timeout, reconnect with backoff and the kRejoin handshake. A
+// silent or crashed peer degrades its link (bounded buffering +
 // backpressure, surfaced as net.mesh.<peer>.{down,hb_miss,resumes} gauges)
 // instead of killing the node; the node's listener stays open for the whole
 // run so crashed higher-id dialers can rejoin: the loop accepts, reads each
-// connection's one control frame under its own budget, answers kRejoin and
-// refuses everything else (a stale session, a kHello mid-run). Every
+// connection's one control frame under its own budget, and hands a kRejoin
+// to its session or refuses it (not a neighbor, session id mismatch). Every
 // session event spills to a write-ahead journal (mesh/spill.h) and the
 // history streams to disk as it records, so `cim_bridge --resume` restarts
 // a kill -9'd process with zero duplicated and zero lost pair deliveries
@@ -69,6 +75,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -78,12 +85,20 @@
 #include "interconnect/topology.h"
 #include "mesh/link_session.h"
 #include "mesh/spill.h"
+#include "mesh/stats_plane.h"
 #include "net/epoll_loop.h"
 #include "net/fault_inject.h"
 #include "net/tcp_link.h"
 #include "workload/generator.h"
 
 namespace cim::mesh {
+
+/// The session id both ends of edge {a, b} compute: a hash of the wire
+/// version, the topology's canonical hash, the seed and the two node ids.
+/// It is the whole join-time check — a peer of another build, spec file or
+/// seed presents another id and is refused.
+std::uint64_t edge_session_id(const isc::Topology& topo, std::uint64_t seed,
+                              std::size_t a, std::size_t b);
 
 struct MeshConfig {
   std::size_t node_id = 0;
@@ -94,9 +109,10 @@ struct MeshConfig {
   std::uint16_t procs = 4;
   std::size_t ops = 25;
   std::uint64_t seed = 7;
-  /// Overall budget for join(): every incident edge must form within it,
-  /// dial retries included; a missing or dead peer surfaces as a clean
-  /// error after this long.
+  /// Overall budget for a fresh node's join(): every incident edge must
+  /// form within it, dial retries included; a missing or dead peer surfaces
+  /// as an error naming it after this long. A resumed node stops waiting
+  /// then and runs with the missing links down.
   int join_timeout_ms = 10'000;
   bool trace = false;
 
@@ -148,10 +164,10 @@ class MeshNode final : private net::EpollLoop::FdHandler {
   MeshNode(const MeshNode&) = delete;
   MeshNode& operator=(const MeshNode&) = delete;
 
-  /// Form every incident link of the tree (or, with `resume`, load the spill
-  /// journal and defer link formation to the per-edge rejoin). False on
-  /// failure (error() says why): join timeout, handshake mismatch, peer
-  /// death mid-handshake, unusable journal.
+  /// Build the node (with `resume`, from the spill journal) and form every
+  /// incident link of the tree. False on failure (error() says why): an
+  /// invalid config, an unusable journal (or, without `resume`, a
+  /// resumable one), a refused or failed link, a fresh node's join timeout.
   bool join();
 
   /// Run the workload and the termination convergecast; blocks until the
@@ -161,8 +177,8 @@ class MeshNode final : private net::EpollLoop::FdHandler {
 
   const std::string& error() const { return error_; }
 
-  /// Valid after run() started building it (use from run()'s caller only
-  /// after run() returned: history/metrics/trace dumps).
+  /// Valid after a successful join() (use from run()'s caller only after
+  /// run() returned: history/metrics/trace dumps).
   isc::Federation& federation() { return *fed_; }
 
   std::size_t degree() const { return neighbors_.size(); }
@@ -171,59 +187,60 @@ class MeshNode final : private net::EpollLoop::FdHandler {
   /// Session of local link `e` (valid once sessions_ready(), until
   /// destruction).
   LinkSession& session(std::size_t e) { return *sessions_[e]; }
-  /// run() has built and started every link session: other threads may now
-  /// call session(e) and read its any-thread accessors (tests and perfbench
-  /// watch gauges mid-run through this).
+  /// join() succeeded, so every link session exists (and, unless resumed
+  /// past the join deadline, has connected): other threads may now call
+  /// session(e) and read its any-thread
+  /// accessors (tests and perfbench watch gauges mid-run through this).
   bool sessions_ready() const {
     return sessions_ready_.load(std::memory_order_acquire);
   }
   /// Restart generation (0 on a fresh start, prior + 1 on resume).
-  std::uint32_t generation() const { return generation_; }
+  std::uint32_t generation() const { return restored_.generation; }
 
  private:
+  /// Per link, what the convergecast knows of the peer. Deliveries fill it
+  /// from the link's first frame on, join() included.
+  struct PeerProgress {
+    bool done = false;          // its done arrived
+    bool bye = false;           // its bye arrived
+    std::uint64_t pairs = 0;    // the final pair count its done announced
+    std::uint64_t applied = 0;  // its pairs applied here, across generations
+    std::size_t isp_link = 0;   // the IS-process's index of the link
+  };
+
   bool load_resume_state();
-  std::uint64_t edge_session_id(std::size_t peer) const;
-  /// join() on the loop: dial lower-id neighbor slot `e` and run the
-  /// dialer's side of its handshake.
-  void dial_join(std::size_t e);
-  /// Why the reply to slot `e`'s join dial fails the join ("" if it does
-  /// not); answers a diverging topology hash with a reject on `fd`.
-  std::string join_reply_error(std::size_t e, int fd,
-                               const net::wire::ControlMsg& hello,
-                               const net::wire::ControlMsg& join);
-  /// Slot `e`'s handshake finished on `fd`; stops join()'s loop once every
-  /// edge has formed.
-  void edge_formed(std::size_t e, int fd);
-  /// End join() with `why` (the first failure wins).
-  void fail_join(std::string why);
+  /// Name the first permanently failed link in error(); false if none.
+  bool link_failed();
+  /// Session `e`'s delivery: a done/bye, a stats frame or a pair.
+  void deliver(std::size_t e, net::MessagePtr msg);
+  /// Send a stats snapshot toward node 0.
+  void relay_stats(std::unique_ptr<net::wire::StatsFrame> frame);
   /// The listener on the loop: accept every queued connection and read its
-  /// first control frame on the loop.
+  /// handshake on the loop.
   void on_ready(std::uint32_t events) override;
-  /// Route an accepted connection's first frame: a join's kHello while
-  /// joining, a rejoin afterwards.
-  void on_first_frame(int fd, const net::wire::ControlMsg& msg);
-  /// The acceptor's side of a join handshake: validate, reply or reject.
-  void accept_join(int fd, const net::wire::ControlMsg& hello,
-                   const net::wire::ControlMsg& join);
-  /// Answer the first frame of a connection accepted once the mesh formed.
+  /// Hand an accepted connection's handshake to its session, or refuse it.
   void answer_rejoin(int fd, const net::wire::ControlMsg& msg);
 
   MeshConfig cfg_;
   std::vector<std::size_t> neighbors_;  // ascending node ids
-  std::vector<int> fds_;                // per neighbor slot, -1 until joined
   std::string error_;
   int listener_ = -1;                   // stays open for the whole run
-  bool joining_ = false;                // join()'s loop is forming edges
-  sockaddr_in dial_addr_{};             // the host, resolved once by join()
-  std::uint32_t generation_ = 0;
-  SpillState restored_;                 // loaded journal (resume only)
+  /// The state this incarnation starts from: empty on a fresh start, the
+  /// crashed incarnation's journal (generation + 1) on resume.
+  SpillState restored_;
 
   net::EpollLoop loop_;
   SpillJournal spill_;
   std::unique_ptr<isc::Federation> fed_;
   std::vector<std::unique_ptr<LinkSession>> sessions_;
+  std::vector<PeerProgress> peers_;
   std::unique_ptr<std::ofstream> history_;
   std::atomic<bool> sessions_ready_{false};
+
+  // Stats plane (docs/BRIDGE.md "Stats aggregation").
+  FedAggregator agg_;                   // node 0 only
+  std::size_t stats_parent_e_ = isc::Topology::npos;
+  std::deque<std::unique_ptr<net::wire::StatsFrame>> stats_relay_;
 };
 
 }  // namespace cim::mesh

@@ -8,7 +8,6 @@
 #include <cstring>
 #include <utility>
 
-#include "net/reliable_transport.h"
 #include "net/wire.h"
 
 namespace cim::mesh {

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "net/wire.h"
 
 namespace cim::net {
 

@@ -144,33 +144,4 @@ class ReliableTransport final : public Receiver {
   obs::ValueHistogram* h_window_ = nullptr;
 };
 
-/// The wire frame: a data payload (seq-numbered clone of the application
-/// message) and/or a cumulative ACK. Standalone ACK frames carry no payload.
-struct TransportFrame final : Message {
-  std::uint64_t seq = 0;   // meaningful when payload != nullptr
-  std::uint64_t ack = 0;   // cumulative: every seq < ack was received
-  MessagePtr payload;      // null for standalone ACKs
-
-  // Heartbeat timestamp triple (wire transport v2, all steady-clock ns in
-  // the *sender's* clock unless noted). Zero on every data frame — only
-  // mesh::LinkSession heartbeats stamp these, completing the NTP-style
-  // four-timestamp exchange that yields per-edge RTT and pairwise clock
-  // offset (docs/OBSERVABILITY.md "RTT and clock offset"):
-  //   ts_orig — echo of the *peer's* most recent ts_tx (t1), 0 if none yet
-  //   ts_rx   — local receive time of that peer heartbeat (t2)
-  //   ts_tx   — local send time of this heartbeat (t3)
-  std::uint64_t ts_orig = 0;
-  std::uint64_t ts_rx = 0;
-  std::uint64_t ts_tx = 0;
-
-  const char* type_name() const override {
-    return payload ? "tr.data" : "tr.ack";
-  }
-  std::size_t wire_size() const override {
-    // seq + ack + flags, plus the payload when present.
-    return 20 + (payload ? payload->wire_size() : 0);
-  }
-  WriteId wid() const override { return payload ? payload->wid() : WriteId{}; }
-};
-
 }  // namespace cim::net

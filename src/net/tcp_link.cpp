@@ -15,7 +15,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "net/reliable_transport.h"
 #include "net/wire.h"
 
 namespace cim::net {

@@ -9,9 +9,9 @@
 // suppression and replay belong to the ARQ core (net/arq_core.h) that
 // mesh::LinkSession drives on top of it. Kernel TCP supplies order and
 // integrity within one socket; the session supplies them across sockets.
-// The mesh join and rejoin handshakes exchange *bare* ControlMsg frames on
-// the raw fd (mesh/ctrl_io.h) before a pipe takes over the stream; both run
-// on the same loop, over tcp_accept / tcp_dial sockets.
+// The mesh's link handshake exchanges *bare* ControlMsg frames on the raw
+// fd (mesh/ctrl_io.h) before a pipe takes over the stream; it runs on the
+// same loop, over tcp_accept / tcp_dial sockets.
 //
 // I/O model: nonblocking, driven by a shared net::EpollLoop — edge-triggered
 // readiness, one loop thread serving every link of the mesh node. Frames
@@ -41,7 +41,7 @@
 
 #include "net/epoll_loop.h"
 #include "net/fault_inject.h"
-#include "net/reliable_transport.h"
+#include "net/wire.h"
 
 namespace cim::net {
 

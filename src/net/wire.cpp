@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "interconnect/pair_msg.h"
-#include "net/reliable_transport.h"
 
 namespace cim::net::wire {
 namespace {

@@ -41,6 +41,41 @@
 
 #include "net/message.h"
 
+namespace cim::net {
+
+/// The link frame: a data payload (seq-numbered clone of the application
+/// message) and/or a cumulative ACK. Standalone ACK frames carry no payload.
+/// Both ARQ drivers send it: the simulator's ReliableTransport and the
+/// mesh's LinkSession, whose TCP streams carry nothing else.
+struct TransportFrame final : Message {
+  std::uint64_t seq = 0;   // meaningful when payload != nullptr
+  std::uint64_t ack = 0;   // cumulative: every seq < ack was received
+  MessagePtr payload;      // null for standalone ACKs
+
+  // Heartbeat timestamp triple (wire transport v2, all steady-clock ns in
+  // the *sender's* clock unless noted). Zero on every data frame — only
+  // mesh::LinkSession heartbeats stamp these, completing the NTP-style
+  // four-timestamp exchange that yields per-edge RTT and pairwise clock
+  // offset (docs/OBSERVABILITY.md "RTT and clock offset"):
+  //   ts_orig — echo of the *peer's* most recent ts_tx (t1), 0 if none yet
+  //   ts_rx   — local receive time of that peer heartbeat (t2)
+  //   ts_tx   — local send time of this heartbeat (t3)
+  std::uint64_t ts_orig = 0;
+  std::uint64_t ts_rx = 0;
+  std::uint64_t ts_tx = 0;
+
+  const char* type_name() const override {
+    return payload ? "tr.data" : "tr.ack";
+  }
+  std::size_t wire_size() const override {
+    // seq + ack + flags, plus the payload when present.
+    return 20 + (payload ? payload->wire_size() : 0);
+  }
+  WriteId wid() const override { return payload ? payload->wid() : WriteId{}; }
+};
+
+}  // namespace cim::net
+
 namespace cim::net::wire {
 
 /// Current encoder version, stamped into every frame's version byte.
@@ -94,18 +129,18 @@ const char* wire_type_label(WireType t);
 /// the golden vectors, and the fuzz tests cover it like any other type.
 struct ControlMsg final : Message {
   enum Code : std::uint8_t {
-    kHello = 1,
+    kHello = 1,       // reserved: decodes, no longer sent
     kDone = 2,
     kBye = 3,
-    kJoin = 4,        // mesh join (docs/BRIDGE.md): a=node id, b=topology hash
-    kJoinReject = 5,  // join refused: a=rejecting node id, b=reason code
-    kRejoin = 6,      // session resume: a=node id, b=session id,
-                      // c=last-delivered seq (docs/BRIDGE.md "Failure
-                      // behavior")
+    kJoin = 4,        // reserved: decodes, no longer sent
+    kJoinReject = 5,  // handshake refused: a=refusing node id, b=reason
+    kRejoin = 6,      // the link handshake: a=node id, b=session id,
+                      // c=last-delivered seq (docs/BRIDGE.md "Link
+                      // formation")
   };
   std::uint8_t code = kHello;
-  std::uint64_t a = 0;  // hello: local system id;  done: pairs sent
-  std::uint64_t b = 0;  // hello: wire version;     done: ops completed
+  std::uint64_t a = 0;  // done: pairs sent
+  std::uint64_t b = 0;  // done: ops completed
   // v2 field (kControlVersion2): the rejoin handshake's last-delivered seq.
   // Encoded only when nonzero — a ControlMsg with c == 0 still produces a
   // bit-identical v1 frame, which is what keeps the golden vectors stable

@@ -1,17 +1,20 @@
 // Mesh formation and drain (src/mesh/mesh_node.h, docs/BRIDGE.md): topology
-// spec validation, the kJoin handshake's rejection paths (duplicate join,
-// impostor, diverging spec, peer death mid-handshake), a partial topology
-// timing out cleanly, and a 5-system tree soak whose merged history passes
-// the causal checker — Corollary 1 exercised over real localhost sockets.
+// spec validation, the one link handshake's refusals (impostor, diverging
+// spec, mismatched seed) and its tolerance of dying, silent and superseding
+// peers, a partial topology timing out cleanly, and a 5-system tree soak
+// whose merged history passes the causal checker — Corollary 1 exercised
+// over real localhost sockets.
 //
 // Ports: every test derives its base port from getpid() plus a per-test
 // offset, because cim_tests and cim_tests_bytes_wire may run concurrently
 // under ctest -j.
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -102,7 +105,100 @@ TEST(Topology, GeneratorsProduceValidTrees) {
   EXPECT_EQ(back.topo.hash(), t.hash());
 }
 
-// ---- raw handshake helpers for the rejection tests -------------------------
+// ---- real 2-node meshes (src/net/fault_inject.h, docs/FAULTS.md) ----------
+//
+// Each chaos test runs a real 2-node mesh over localhost with deterministic fault
+// hooks on one node and asserts the crash-tolerance contract: the mesh still
+// drains, the merged history is causal, and the per-edge data counters agree
+// (zero duplicated, zero lost pair deliveries).
+
+struct ChaosMesh {
+  std::vector<std::unique_ptr<mesh::MeshNode>> nodes;
+  std::vector<mesh::MeshResult> results;
+  std::vector<std::thread> threads;
+
+  static constexpr std::uint64_t kSeed = 5;
+
+  // A 2-chain: node 0 accepts, node 1 dials (and re-dials on outages). With
+  // `start_both` unset, each node's thread waits for start(i).
+  ChaosMesh(std::uint16_t base, net::FaultHooks* faults_on_1,
+            std::size_t ops = 40, net::FaultHooks* faults_on_0 = nullptr,
+            bool start_both = true) {
+    for (std::size_t i = 0; i < 2; ++i) {
+      mesh::MeshConfig cfg;
+      cfg.node_id = i;
+      cfg.topo = isc::make_chain(2);
+      cfg.base_port = base;
+      cfg.procs = 2;
+      cfg.ops = ops;
+      cfg.seed = kSeed;
+      cfg.join_timeout_ms = 20'000;
+      cfg.hb_interval_ms = 20;
+      cfg.liveness_timeout_ms = 150;
+      cfg.backoff_initial_ms = 20;
+      cfg.backoff_max_ms = 100;
+      cfg.faults = i == 1 ? faults_on_1 : faults_on_0;
+      nodes.push_back(std::make_unique<mesh::MeshNode>(std::move(cfg)));
+    }
+    results.resize(2);
+    if (start_both) {
+      start(0);
+      start(1);
+    }
+  }
+
+  // Join and run node `i` on a thread of its own.
+  void start(std::size_t i) {
+    threads.emplace_back([this, i] {
+      if (nodes[i]->join()) results[i] = nodes[i]->run();
+    });
+  }
+
+  void wait_ready() {
+    while (!nodes[0]->sessions_ready() || !nodes[1]->sessions_ready())
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // Join the node threads, then assert drain + causality + zero dup/loss.
+  void finish_and_check() {
+    for (auto& t : threads) t.join();
+    std::vector<chk::Op> merged;
+    for (std::size_t i = 0; i < 2; ++i) {
+      ASSERT_TRUE(results[i].ok) << "node " << i << ": " << nodes[i]->error();
+      EXPECT_EQ(results[i].violations, 0u);
+      const chk::History h = nodes[i]->federation().federation_history();
+      for (std::size_t k = 0; k < h.size(); ++k) merged.push_back(h.op(k));
+    }
+    // The zero-dup/zero-loss contract, stated on the session counters: every
+    // data frame one side ever sent (journaled, maybe replayed) was applied
+    // exactly once on the other.
+    EXPECT_EQ(nodes[0]->session(0).data_sent(),
+              nodes[1]->session(0).data_delivered());
+    EXPECT_EQ(nodes[1]->session(0).data_sent(),
+              nodes[0]->session(0).data_delivered());
+    const auto verdict =
+        chk::CausalChecker{}.check(chk::History{std::move(merged)},
+                                   chk::Level::kCM);
+    EXPECT_TRUE(verdict.ok()) << verdict.detail;
+  }
+};
+
+// Spin until `pred`, failing the test (and returning false) after `budget`.
+template <typename Pred>
+bool spin_until(Pred pred, std::chrono::milliseconds budget =
+                               std::chrono::milliseconds(10'000)) {
+  const auto deadline = std::chrono::steady_clock::now() + budget;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      ADD_FAILURE() << "spin_until timed out";
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// ---- raw handshake helpers for the refusal tests ---------------------------
 
 void send_ctrl(int fd, std::uint8_t code, std::uint64_t a, std::uint64_t b) {
   ControlMsg msg;
@@ -138,46 +234,65 @@ ControlMsg recv_ctrl(int fd) {
   return *ctrl;
 }
 
-// Complete a valid dialer-side handshake claiming `node_id`.
-void handshake_as(int fd, std::uint64_t node_id, std::uint64_t hash) {
-  send_ctrl(fd, ControlMsg::kHello, node_id, net::wire::kWireVersion);
-  send_ctrl(fd, ControlMsg::kJoin, node_id, hash);
-  const ControlMsg hello = recv_ctrl(fd);
-  EXPECT_EQ(hello.code, ControlMsg::kHello);
-  const ControlMsg join = recv_ctrl(fd);
-  EXPECT_EQ(join.code, ControlMsg::kJoin);
+// A dialer's handshake for a fresh link: node `node_id` offers `session` at
+// delivery cursor 0.
+ControlMsg rejoin_at_zero(std::uint64_t node_id, std::uint64_t session) {
+  ControlMsg msg;
+  msg.code = ControlMsg::kRejoin;
+  msg.a = node_id;
+  msg.b = session;
+  return msg;
 }
 
-// ---- join protocol edge cases ----------------------------------------------
+// Offer `session` as node `node_id`; return the acceptor's answer.
+ControlMsg offer(int fd, std::uint64_t node_id, std::uint64_t session) {
+  EXPECT_TRUE(mesh::send_ctrl_fd(fd, rejoin_at_zero(node_id, session)));
+  return recv_ctrl(fd);
+}
 
-TEST(MeshJoin, DuplicateJoinIsRejected) {
+// Complete a valid dialer-side handshake claiming `node_id`.
+void handshake_as(int fd, std::uint64_t node_id, std::uint64_t session) {
+  const ControlMsg reply = offer(fd, node_id, session);
+  EXPECT_EQ(reply.code, ControlMsg::kRejoin);
+  EXPECT_EQ(reply.b, session);
+  EXPECT_EQ(reply.c, 0u);  // a fresh acceptor has delivered nothing
+}
+
+// Read `fd` until EOF (true) or an error or `timeout_s` of silence (false).
+bool reads_to_eof(int fd, int timeout_s) {
+  timeval tv{};
+  tv.tv_sec = timeout_s;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  char buf[4096];
+  while (true) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n == 0) return true;
+    if (n < 0) return false;
+  }
+}
+
+// ---- link formation --------------------------------------------------------
+
+TEST(MeshJoin, SecondHandshakeSupersedesTheFirst) {
+  // A fake node 1 forms node 0's link and goes quiet; node 0 runs its
+  // workload into it. Then the real node 1 offers the same session at
+  // cursor 0: its socket takes over (the fake one is closed), node 0's
+  // journal replays everything the fake never acked, and the mesh drains
+  // with nothing lost and nothing duplicated.
   const std::uint16_t base = test_port(0);
-  mesh::MeshConfig cfg;
-  cfg.node_id = 0;
-  cfg.topo = isc::make_star(3);  // node 0 awaits joins from 1 and 2
-  cfg.base_port = base;
-  cfg.join_timeout_ms = 10'000;
-  mesh::MeshNode node(std::move(cfg));
-  std::thread joiner([&] { EXPECT_TRUE(node.join()) << node.error(); });
-
-  const std::uint64_t hash = isc::make_star(3).hash();
-  const int first = net::tcp_connect("127.0.0.1", base, 100);
-  handshake_as(first, 1, hash);
-
-  const int dup = net::tcp_connect("127.0.0.1", base, 100);
-  send_ctrl(dup, ControlMsg::kHello, 1, net::wire::kWireVersion);
-  send_ctrl(dup, ControlMsg::kJoin, 1, hash);
-  const ControlMsg rej = recv_ctrl(dup);
-  EXPECT_EQ(rej.code, ControlMsg::kJoinReject);
-  EXPECT_EQ(rej.a, 0u);  // rejecting node
-  ::close(dup);
-
-  const int second = net::tcp_connect("127.0.0.1", base, 100);
-  handshake_as(second, 2, hash);
-  joiner.join();
-  EXPECT_EQ(node.degree(), 2u);
-  ::close(first);
-  ::close(second);
+  ChaosMesh mesh(base, nullptr, /*ops=*/40, nullptr, /*start=*/false);
+  mesh.start(0);
+  const int fake = net::tcp_connect("127.0.0.1", base, 100);
+  handshake_as(fake, 1,
+               mesh::edge_session_id(isc::make_chain(2), ChaosMesh::kSeed, 0,
+                                     1));
+  ASSERT_TRUE(spin_until([&] { return mesh.nodes[0]->sessions_ready(); }));
+  mesh.start(1);
+  EXPECT_TRUE(reads_to_eof(fake, 10));
+  ::close(fake);
+  mesh.finish_and_check();
+  EXPECT_GE(mesh.nodes[0]->session(0).resumes(), 1u);
+  EXPECT_GT(mesh.nodes[0]->session(0).data_sent(), 0u);
 }
 
 TEST(MeshJoin, ImpostorAndDivergingSpecAreRejected) {
@@ -190,23 +305,25 @@ TEST(MeshJoin, ImpostorAndDivergingSpecAreRejected) {
   mesh::MeshNode node(std::move(cfg));
   std::thread joiner([&] { EXPECT_TRUE(node.join()) << node.error(); });
 
-  const std::uint64_t hash = isc::make_chain(2).hash();
+  const std::uint64_t session =
+      mesh::edge_session_id(isc::make_chain(2), 7, 0, 1);
   // Not a neighbor: node 7 does not exist in a 2-chain.
   const int impostor = net::tcp_connect("127.0.0.1", base, 100);
-  send_ctrl(impostor, ControlMsg::kHello, 7, net::wire::kWireVersion);
-  send_ctrl(impostor, ControlMsg::kJoin, 7, hash);
-  EXPECT_EQ(recv_ctrl(impostor).code, ControlMsg::kJoinReject);
+  ControlMsg rej = offer(impostor, 7, session);
+  EXPECT_EQ(rej.code, ControlMsg::kJoinReject);
+  EXPECT_EQ(rej.a, 0u);  // the refusing node
+  EXPECT_EQ(rej.b, mesh::kRejectNotANeighbor);
   ::close(impostor);
 
-  // Right node id, wrong topology hash (diverging spec files).
+  // Right node id, another session: a diverging spec file.
   const int diverged = net::tcp_connect("127.0.0.1", base, 100);
-  send_ctrl(diverged, ControlMsg::kHello, 1, net::wire::kWireVersion);
-  send_ctrl(diverged, ControlMsg::kJoin, 1, hash ^ 1);
-  EXPECT_EQ(recv_ctrl(diverged).code, ControlMsg::kJoinReject);
+  rej = offer(diverged, 1, mesh::edge_session_id(isc::make_star(3), 7, 0, 1));
+  EXPECT_EQ(rej.code, ControlMsg::kJoinReject);
+  EXPECT_EQ(rej.b, mesh::kRejectSessionMismatch);
   ::close(diverged);
 
   const int real = net::tcp_connect("127.0.0.1", base, 100);
-  handshake_as(real, 1, hash);
+  handshake_as(real, 1, session);
   joiner.join();
   ::close(real);
 }
@@ -222,12 +339,17 @@ TEST(MeshJoin, PeerDyingMidHandshakeDoesNotPoisonTheJoin) {
   std::thread joiner([&] { EXPECT_TRUE(node.join()) << node.error(); });
 
   // Connect, say half a handshake, die.
+  const std::uint64_t session =
+      mesh::edge_session_id(isc::make_chain(2), 7, 0, 1);
+  std::vector<std::uint8_t> frame;
+  net::wire::encode(rejoin_at_zero(1, session), frame);
   const int dying = net::tcp_connect("127.0.0.1", base, 100);
-  send_ctrl(dying, ControlMsg::kHello, 1, net::wire::kWireVersion);
+  ASSERT_EQ(::send(dying, frame.data(), frame.size() / 2, MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size() / 2));
   ::close(dying);
 
   const int real = net::tcp_connect("127.0.0.1", base, 100);
-  handshake_as(real, 1, isc::make_chain(2).hash());
+  handshake_as(real, 1, session);
   joiner.join();
   ::close(real);
 }
@@ -297,57 +419,132 @@ TEST(MeshJoin, RejectsTopologiesThatOverflowPortsOrSystemIds) {
   EXPECT_TRUE(alone.join()) << alone.error();
 }
 
-TEST(MeshJoin, DialerLearnsWhyItWasRejected) {
-  const std::uint16_t base = test_port(40);
-  // A 3-chain's node 1 dials node 0 — but node 0 was launched with a star,
-  // so the topology hashes diverge and node 0 rejects.
-  mesh::MeshConfig cfg0;
-  cfg0.node_id = 0;
-  cfg0.topo = isc::make_star(3);
-  cfg0.base_port = base;
-  cfg0.join_timeout_ms = 1'000;
-  mesh::MeshNode node0(std::move(cfg0));
+// Join node 0 under `topo0` and node `dialer` under `topo1` (seeds `seed0`
+// and `seed1`) on one port range; the acceptor must fail too (it times out),
+// and the dialer's error is returned.
+std::string refused_dialer_error(const Topology& topo0, std::uint64_t seed0,
+                                 std::size_t dialer, const Topology& topo1,
+                                 std::uint64_t seed1, std::uint16_t base) {
+  auto config = [base](std::size_t id, const Topology& topo,
+                       std::uint64_t seed) {
+    mesh::MeshConfig cfg;
+    cfg.node_id = id;
+    cfg.topo = topo;
+    cfg.seed = seed;
+    cfg.base_port = base;
+    cfg.join_timeout_ms = 1'000;
+    return cfg;
+  };
+  mesh::MeshNode node0(config(0, topo0, seed0));
   std::thread joiner([&] { EXPECT_FALSE(node0.join()); });
-
-  mesh::MeshConfig cfg1;
-  cfg1.node_id = 1;
-  cfg1.topo = isc::make_chain(3);
-  cfg1.base_port = base;
-  cfg1.join_timeout_ms = 1'000;
-  mesh::MeshNode node1(std::move(cfg1));
+  // Let node 0 listen first: a refused connect would back off past the
+  // budget instead of reaching it.
+  ::close(net::tcp_connect("127.0.0.1", base, 100));
+  mesh::MeshNode node1(config(dialer, topo1, seed1));
   EXPECT_FALSE(node1.join());
-  EXPECT_NE(node1.error().find("topology hash mismatch"), std::string::npos)
-      << node1.error();
   joiner.join();
+  return node1.error();
+}
+
+TEST(MeshJoin, DialerLearnsWhyItWasRejected) {
+  // A 3-chain's node 1 dials node 0 — but node 0 was launched with a star,
+  // so the topology hashes, hence the session ids, diverge.
+  std::string why = refused_dialer_error(isc::make_star(3), 7, 1,
+                                         isc::make_chain(3), 7, test_port(40));
+  EXPECT_NE(why.find("link to node 0"), std::string::npos) << why;
+  EXPECT_NE(why.find("session id mismatch"), std::string::npos) << why;
+  // A 3-star's node 2 dials node 0, which runs a 3-chain: not its neighbor.
+  why = refused_dialer_error(isc::make_chain(3), 7, 2, isc::make_star(3), 7,
+                             test_port(200));
+  EXPECT_NE(why.find("not a neighbor"), std::string::npos) << why;
+}
+
+TEST(MeshJoin, MismatchedSeedsAreRefusedAtJoin) {
+  // Same spec, seeds 7 and 8: the workloads would diverge and no rejoin
+  // could ever match, so the link must not form at all.
+  const std::string why = refused_dialer_error(
+      isc::make_chain(2), 7, 1, isc::make_chain(2), 8, test_port(210));
+  EXPECT_NE(why.find("session id mismatch"), std::string::npos) << why;
+}
+
+TEST(MeshJoin, FirstDialIsNotDelayedByTheBackoff) {
+  // Backoff spaces out re-dials after a failed attempt; the first dial goes
+  // out at once, so a 5 s backoff leaves a 2 s join budget untouched.
+  const std::uint16_t base = test_port(220);
+  auto config = [base](std::size_t id) {
+    mesh::MeshConfig cfg;
+    cfg.node_id = id;
+    cfg.topo = isc::make_chain(2);
+    cfg.base_port = base;
+    cfg.join_timeout_ms = 2'000;
+    cfg.backoff_initial_ms = 5'000;
+    cfg.backoff_max_ms = 5'000;
+    return cfg;
+  };
+  mesh::MeshNode node0(config(0));
+  std::thread joiner([&] { EXPECT_TRUE(node0.join()) << node0.error(); });
+  ::close(net::tcp_connect("127.0.0.1", base, 100));  // node 0 listens
+  mesh::MeshNode node1(config(1));
+  EXPECT_TRUE(node1.join()) << node1.error();
+  joiner.join();
+  EXPECT_EQ(node1.session(0).resumes(), 0u);  // a first connection
+}
+
+TEST(MeshJoin, ADialerStartedFirstJoinsOnceItsPeerListens) {
+  // Until its link first forms, a dialer retries a refused connect every
+  // kJoinDialRetryMs, uncounted: neither the 5 s backoff nor a budget of
+  // one reconnect attempt may delay or fail a join whose peer starts later.
+  const std::uint16_t base = test_port(250);
+  auto config = [base](std::size_t id) {
+    mesh::MeshConfig cfg;
+    cfg.node_id = id;
+    cfg.topo = isc::make_chain(2);
+    cfg.base_port = base;
+    cfg.join_timeout_ms = 5'000;
+    cfg.backoff_initial_ms = 5'000;
+    cfg.backoff_max_ms = 5'000;
+    cfg.reconnect_attempts = 1;
+    return cfg;
+  };
+  mesh::MeshNode node1(config(1));
+  std::thread dialer([&] { EXPECT_TRUE(node1.join()) << node1.error(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  mesh::MeshNode node0(config(0));
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(node0.join()) << node0.error();
+  dialer.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(1'500));
+  EXPECT_EQ(node1.session(0).resumes(), 0u);  // a first connection
 }
 
 TEST(MeshJoin, SilentConnectionsDoNotDelayAJoin) {
-  // Three connections to node 0's listener that never say a word, then a
-  // real node-1 handshake. Each connection has its own read budget on node
-  // 0's loop, so the handshake is answered at once instead of queueing
-  // behind the silent ones, and the join completes.
-  const std::uint16_t base = test_port(140);
-  mesh::MeshConfig cfg;
-  cfg.node_id = 0;
-  cfg.topo = isc::make_chain(2);
-  cfg.base_port = base;
-  cfg.join_timeout_ms = 4'000;
-  mesh::MeshNode node(std::move(cfg));
-  bool joined = false;
-  std::thread joiner([&] { joined = node.join(); });
-
+  // Three connections to node 0's listener that never say a word, then node
+  // 1 joins. Each connection has its own read budget on node 0's loop, so
+  // node 1's handshake is answered at once instead of queueing behind the
+  // silent ones; each silent socket is closed when its budget ends. Node
+  // 1's stalled writes hold the run open past those budgets.
+  net::FaultHooks hooks;
+  hooks.stall_writes.store(true);
+  const std::uint16_t base = test_port(160);
+  ChaosMesh mesh(base, &hooks, /*ops=*/40, nullptr, /*start=*/false);
+  mesh.start(0);
   std::vector<int> silent;
   for (int i = 0; i < 3; ++i)
     silent.push_back(net::tcp_connect("127.0.0.1", base, 100));
-  const auto start = std::chrono::steady_clock::now();
-  const int real = net::tcp_connect("127.0.0.1", base, 100);
-  handshake_as(real, 1, isc::make_chain(2).hash());
-  const auto answered = std::chrono::steady_clock::now() - start;
-  joiner.join();
-  EXPECT_TRUE(joined) << node.error();
-  EXPECT_LT(answered, std::chrono::milliseconds(1'000));
-  ::close(real);
-  for (int fd : silent) ::close(fd);
+  const auto opened = std::chrono::steady_clock::now();
+  mesh.start(1);
+  ASSERT_TRUE(spin_until([&] { return mesh.nodes[1]->sessions_ready(); }));
+  EXPECT_LT(std::chrono::steady_clock::now() - opened,
+            std::chrono::milliseconds(1'000));
+  for (int fd : silent) {
+    EXPECT_TRUE(reads_to_eof(fd, 5));  // node 0 gave up on it
+    EXPECT_GE(std::chrono::steady_clock::now() - opened,
+              std::chrono::milliseconds(900));
+    ::close(fd);
+  }
+  hooks.stall_writes.store(false);
+  mesh.finish_and_check();
 }
 
 // ---- the 5-system tree soak ------------------------------------------------
@@ -529,89 +726,6 @@ TEST(MeshDrain, OneWayFlowIsAckedWithoutWaitingForAHeartbeat) {
             nodes[1]->session(0).data_delivered());
 }
 
-// ---- socket-level chaos (src/net/fault_inject.h, docs/FAULTS.md) -----------
-//
-// Each test runs a real 2-node mesh over localhost with deterministic fault
-// hooks on one node and asserts the crash-tolerance contract: the mesh still
-// drains, the merged history is causal, and the per-edge data counters agree
-// (zero duplicated, zero lost pair deliveries).
-
-struct ChaosMesh {
-  std::vector<std::unique_ptr<mesh::MeshNode>> nodes;
-  std::vector<mesh::MeshResult> results;
-  std::vector<std::thread> threads;
-
-  // A 2-chain: node 0 accepts, node 1 dials (and re-dials on outages).
-  ChaosMesh(std::uint16_t base, net::FaultHooks* faults_on_1,
-            std::size_t ops = 40, net::FaultHooks* faults_on_0 = nullptr) {
-    for (std::size_t i = 0; i < 2; ++i) {
-      mesh::MeshConfig cfg;
-      cfg.node_id = i;
-      cfg.topo = isc::make_chain(2);
-      cfg.base_port = base;
-      cfg.procs = 2;
-      cfg.ops = ops;
-      cfg.seed = 5;
-      cfg.join_timeout_ms = 20'000;
-      cfg.hb_interval_ms = 20;
-      cfg.liveness_timeout_ms = 150;
-      cfg.backoff_initial_ms = 20;
-      cfg.backoff_max_ms = 100;
-      cfg.faults = i == 1 ? faults_on_1 : faults_on_0;
-      nodes.push_back(std::make_unique<mesh::MeshNode>(std::move(cfg)));
-    }
-    results.resize(2);
-    for (std::size_t i = 0; i < 2; ++i) {
-      threads.emplace_back([this, i] {
-        if (nodes[i]->join()) results[i] = nodes[i]->run();
-      });
-    }
-  }
-
-  void wait_ready() {
-    while (!nodes[0]->sessions_ready() || !nodes[1]->sessions_ready())
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  // Join the node threads, then assert drain + causality + zero dup/loss.
-  void finish_and_check() {
-    for (auto& t : threads) t.join();
-    std::vector<chk::Op> merged;
-    for (std::size_t i = 0; i < 2; ++i) {
-      ASSERT_TRUE(results[i].ok) << "node " << i << ": " << nodes[i]->error();
-      EXPECT_EQ(results[i].violations, 0u);
-      const chk::History h = nodes[i]->federation().federation_history();
-      for (std::size_t k = 0; k < h.size(); ++k) merged.push_back(h.op(k));
-    }
-    // The zero-dup/zero-loss contract, stated on the session counters: every
-    // data frame one side ever sent (journaled, maybe replayed) was applied
-    // exactly once on the other.
-    EXPECT_EQ(nodes[0]->session(0).data_sent(),
-              nodes[1]->session(0).data_delivered());
-    EXPECT_EQ(nodes[1]->session(0).data_sent(),
-              nodes[0]->session(0).data_delivered());
-    const auto verdict =
-        chk::CausalChecker{}.check(chk::History{std::move(merged)},
-                                   chk::Level::kCM);
-    EXPECT_TRUE(verdict.ok()) << verdict.detail;
-  }
-};
-
-// Spin until `pred`, failing the test (and returning false) after `budget`.
-template <typename Pred>
-bool spin_until(Pred pred, std::chrono::milliseconds budget =
-                               std::chrono::milliseconds(10'000)) {
-  const auto deadline = std::chrono::steady_clock::now() + budget;
-  while (!pred()) {
-    if (std::chrono::steady_clock::now() > deadline) {
-      ADD_FAILURE() << "spin_until timed out";
-      return false;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return true;
-}
-
 TEST(MeshChaos, InjectedReadFailureReconnectsWithZeroDupZeroLoss) {
   // Hold the mesh open with a stall (node 0 keeps heartbeating at node 1),
   // then reset node 1's receive side mid-stream — indistinguishable from a
@@ -691,9 +805,9 @@ TEST(MeshChaos, StalledPeerDegradesWithBackpressureThenRecovers) {
 
 TEST(MeshChaos, StrayConnectionsMidRunAreRefusedAsStale) {
   // Hold the run open with a stall, then poke node 0's listener: a rejoin
-  // with an unknown session id, a fresh hello for an already-formed mesh,
-  // and a torn control frame (EOF between length prefix and payload). All
-  // are refused/ignored; the mesh finishes untouched.
+  // with an unknown session id, a hello (a code no node sends any more), and
+  // a torn control frame (EOF between length prefix and payload). All are
+  // refused/ignored; the mesh finishes untouched.
   net::FaultHooks hooks;
   hooks.stall_writes.store(true);
   const std::uint16_t base = test_port(100);
@@ -709,14 +823,14 @@ TEST(MeshChaos, StrayConnectionsMidRunAreRefusedAsStale) {
   ASSERT_TRUE(mesh::send_ctrl_fd(rj, bogus));
   ControlMsg rej = recv_ctrl(rj);
   EXPECT_EQ(rej.code, ControlMsg::kJoinReject);
-  EXPECT_EQ(rej.b, mesh::kRejectStaleSession);
+  EXPECT_EQ(rej.b, mesh::kRejectSessionMismatch);
   ::close(rj);
 
   const int hello = net::tcp_connect("127.0.0.1", base, 100);
   send_ctrl(hello, ControlMsg::kHello, 1, net::wire::kWireVersion);
   rej = recv_ctrl(hello);
   EXPECT_EQ(rej.code, ControlMsg::kJoinReject);
-  EXPECT_EQ(rej.b, mesh::kRejectStaleSession);
+  EXPECT_EQ(rej.b, mesh::kRejectSessionMismatch);
   ::close(hello);
 
   const int torn = net::tcp_connect("127.0.0.1", base, 100);
@@ -728,42 +842,89 @@ TEST(MeshChaos, StrayConnectionsMidRunAreRefusedAsStale) {
   mesh.finish_and_check();
 }
 
-TEST(MeshChaos, SilentConnectionsDoNotDelayARejoin) {
-  // Three connections to node 0's listener that never say a word, then a
-  // reset of node 1's receive side. Each connection has its own read budget
-  // on node 0's loop, so node 1's rejoin is answered at once instead of
-  // queueing behind them; each silent socket is closed when its budget ends.
-  net::FaultHooks hooks;
-  hooks.stall_writes.store(true);
-  const std::uint16_t base = test_port(160);
-  ChaosMesh mesh(base, &hooks);
-  mesh.wait_ready();
-
-  const auto opened = std::chrono::steady_clock::now();
-  std::vector<int> silent;
-  for (int i = 0; i < 3; ++i)
-    silent.push_back(net::tcp_connect("127.0.0.1", base, 100));
-  mesh::LinkSession& dialer = mesh.nodes[1]->session(0);
-  hooks.fail_reads_after.store(0);  // node 1's next read fails
-  ASSERT_TRUE(spin_until(
-      [&] { return !dialer.connected() || dialer.resumes() >= 1; }));
-  hooks.fail_reads_after.store(-1);
-  EXPECT_TRUE(spin_until([&] { return dialer.resumes() >= 1; },
-                         std::chrono::milliseconds(1'000)));
-
-  for (int fd : silent) {
-    timeval tv{};
-    tv.tv_sec = 5;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    char byte = 0;
-    EXPECT_EQ(::read(fd, &byte, 1), 0);  // EOF: node 0 gave up on it
-    EXPECT_GE(std::chrono::steady_clock::now() - opened,
-              std::chrono::milliseconds(900));
-    ::close(fd);
+TEST(MeshChaos, ARestartWithoutResumeIsRefusedAndThePeerRunsOn) {
+  // Node 1's first generation runs in a child process until node 0 holds
+  // some of its acks, then is kill -9'd. Restarted without --resume, node 1
+  // offers the link at cursor 0, below what it acknowledged: node 0 refuses
+  // it by name and keeps the session. Nor may a fresh start truncate the
+  // crashed generation's journal, so the real --resume still continues the
+  // run with nothing lost and nothing duplicated.
+  const std::uint16_t base = test_port(230);
+  const std::string state = "/tmp/cim_spill_restart_" +
+                            std::to_string(::getpid()) + ".journal";
+  ::unlink(state.c_str());
+  auto config = [&](std::size_t id) {
+    mesh::MeshConfig cfg;
+    cfg.node_id = id;
+    cfg.topo = isc::make_chain(2);
+    cfg.base_port = base;
+    cfg.procs = 2;
+    cfg.ops = 20'000;
+    cfg.seed = ChaosMesh::kSeed;
+    cfg.join_timeout_ms = 20'000;
+    cfg.hb_interval_ms = 20;
+    cfg.liveness_timeout_ms = 150;
+    cfg.backoff_initial_ms = 20;
+    cfg.backoff_max_ms = 100;
+    if (id == 1) cfg.state_path = state;
+    return cfg;
+  };
+  // Fork before any thread of this process starts.
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    mesh::MeshNode node1(config(1));
+    if (node1.join()) node1.run();
+    ::_exit(0);
   }
-  hooks.stall_writes.store(false);
-  mesh.finish_and_check();
-  EXPECT_GE(mesh.nodes[0]->session(0).resumes(), 1u);
+  net::FaultHooks hooks0;
+  mesh::MeshConfig cfg0 = config(0);
+  cfg0.faults = &hooks0;
+  mesh::MeshNode node0(std::move(cfg0));
+  mesh::MeshResult result0;
+  std::thread runner([&] {
+    if (node0.join()) result0 = node0.run();
+  });
+  EXPECT_TRUE(spin_until([&] {
+    if (!node0.sessions_ready()) return false;
+    // Node 1 acknowledged some pairs. A send publishes its count before its
+    // journal depth, so the depth read second may lag by one frame.
+    const mesh::LinkSession& s = node0.session(0);
+    return s.data_sent() > s.backlog() + 1;
+  }));
+  // Node 0's stalled writes hold node 1's run open until the kill.
+  hooks0.stall_writes.store(true);
+  ::kill(child, SIGKILL);
+  ::waitpid(child, nullptr, 0);
+  hooks0.stall_writes.store(false);
+  EXPECT_TRUE(spin_until([&] { return !node0.session(0).connected(); }));
+
+  mesh::MeshConfig stateless = config(1);
+  stateless.state_path.clear();
+  mesh::MeshNode fresh(std::move(stateless));
+  EXPECT_FALSE(fresh.join());
+  EXPECT_NE(fresh.error().find("link to node 0: rejected by the peer: this "
+                               "node lost frames the peer had acknowledged"),
+            std::string::npos)
+      << fresh.error();
+  mesh::MeshNode truncating(config(1));
+  EXPECT_FALSE(truncating.join());
+  EXPECT_NE(truncating.error().find("unfinished run"), std::string::npos)
+      << truncating.error();
+  EXPECT_EQ(node0.session(0).error(), nullptr);  // node 0 is unharmed
+
+  mesh::MeshConfig cfg1 = config(1);
+  cfg1.resume = true;
+  mesh::MeshNode resumed(std::move(cfg1));
+  mesh::MeshResult result1;
+  if (resumed.join()) result1 = resumed.run();
+  runner.join();
+  ::unlink(state.c_str());
+  ASSERT_TRUE(result0.ok) << node0.error();
+  ASSERT_TRUE(result1.ok) << resumed.error();
+  EXPECT_EQ(resumed.generation(), 1u);
+  EXPECT_EQ(node0.session(0).data_sent(), resumed.session(0).data_delivered());
+  EXPECT_EQ(resumed.session(0).data_sent(), node0.session(0).data_delivered());
 }
 
 // ---- introspection from other threads --------------------------------------
@@ -986,6 +1147,51 @@ TEST(MeshResume, RefusesAJournalWhoseTerminationAlreadyBegan) {
   EXPECT_NE(node.error().find("termination"), std::string::npos)
       << node.error();
   ::unlink(path.c_str());
+}
+
+TEST(MeshResume, ANeighborBackAfterTheJoinDeadlineStillFormsTheLink) {
+  // A resumed node's links formed before, so its join deadline does not
+  // fail it (and use up a restart generation): past the deadline it runs
+  // with the link down, and the neighbor's late start forms the link
+  // through the ordinary rejoin path.
+  const std::uint16_t base = test_port(240);
+  const std::string state =
+      "/tmp/cim_spill_late_" + std::to_string(::getpid()) + ".journal";
+  auto config = [&](std::size_t id) {
+    mesh::MeshConfig cfg;
+    cfg.node_id = id;
+    cfg.topo = isc::make_chain(2);
+    cfg.base_port = base;
+    cfg.procs = 2;
+    cfg.ops = 40;
+    cfg.join_timeout_ms = 200;
+    if (id == 0) cfg.state_path = state;
+    return cfg;
+  };
+  {
+    // Node 0's first start times out alone, leaving a resumable journal.
+    mesh::MeshNode first(config(0));
+    EXPECT_FALSE(first.join());
+  }
+  mesh::MeshConfig cfg0 = config(0);
+  cfg0.resume = true;
+  mesh::MeshNode node0(std::move(cfg0));
+  ASSERT_TRUE(node0.join()) << node0.error();
+  EXPECT_TRUE(node0.session(0).down());
+  mesh::MeshResult result0;
+  std::thread runner([&] { result0 = node0.run(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  mesh::MeshNode node1(config(1));
+  mesh::MeshResult result1;
+  if (node1.join()) result1 = node1.run();
+  runner.join();
+  ::unlink(state.c_str());
+  ASSERT_TRUE(result0.ok) << node0.error();
+  ASSERT_TRUE(result1.ok) << node1.error();
+  EXPECT_EQ(node0.generation(), 1u);
+  EXPECT_GE(node0.session(0).resumes(), 1u);  // a restored link re-formed
+  EXPECT_EQ(node0.session(0).data_sent(), node1.session(0).data_delivered());
+  EXPECT_EQ(node1.session(0).data_sent(), node0.session(0).data_delivered());
 }
 
 }  // namespace

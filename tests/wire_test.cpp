@@ -28,7 +28,6 @@
 #include "common/rng.h"
 #include "interconnect/federation.h"
 #include "interconnect/pair_msg.h"
-#include "net/reliable_transport.h"
 #include "net/wire.h"
 #include "protocols/anbkh.h"
 #include "workload/generator.h"

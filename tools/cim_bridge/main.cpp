@@ -11,9 +11,10 @@
 //   ...
 //
 // Node i listens on base-port + i, dials its lower-id neighbors and
-// answers the higher ones, all at once on its one epoll loop, and the
-// kHello/kJoin handshake (wire version + topology hash) makes mismatched
-// launches fail fast. Each process drives a uniform
+// answers the higher ones, all at once on its one epoll loop. Every link
+// forms through one kRejoin handshake — at cursor 0 on a fresh start —
+// whose session id hashes the wire version, the topology and the seed, so
+// mismatched launches fail fast. Each process drives a uniform
 // workload with a disjoint value range, so `cat *.hist` is a checkable
 // merged history: examples/trace_checker verifies the whole tree's
 // computation is causal. A range holds 200 000 values per generation, so a
@@ -23,12 +24,15 @@
 // session event spills to a write-ahead journal and `--history` streams to
 // disk as operations record. A kill -9'd node restarts with the same flags
 // plus `--resume`: it reloads the journal, rejoins its neighbors through
-// the per-edge kRejoin handshake, and the merged history still checks out
-// with zero duplicated and zero lost pair deliveries. While a peer is down
-// the survivors degrade (heartbeat misses, bounded backpressure) instead of
-// dying — see docs/BRIDGE.md "Failure behavior" and docs/FAULTS.md.
+// the same handshake at its restored cursors, and the merged history still
+// checks out with zero duplicated and zero lost pair deliveries. Without
+// `--resume` it is refused: its neighbors see cursors behind what it had
+// acknowledged, and it will not overwrite a resumable journal. While a
+// peer is down the survivors degrade (heartbeat misses, bounded
+// backpressure) instead of dying — see docs/BRIDGE.md "Failure behavior"
+// and docs/FAULTS.md.
 //
-// Mechanics — epoll transport, join protocol, link sessions, done/bye
+// Mechanics — epoll transport, link handshake, link sessions, done/bye
 // convergecast — live in mesh::MeshNode (src/mesh/mesh_node.h); this tool
 // only parses flags and dumps history/metrics/trace files.
 #include <cstdint>
