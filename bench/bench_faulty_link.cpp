@@ -16,6 +16,7 @@
 #include "bench_util.h"
 #include "checker/causal_checker.h"
 #include "mcs/span_feed.h"
+#include "net/reliable_transport.h"
 #include "obs/table.h"
 
 namespace {

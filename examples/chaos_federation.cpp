@@ -18,6 +18,7 @@
 
 #include "checker/causal_checker.h"
 #include "interconnect/federation.h"
+#include "net/reliable_transport.h"
 #include "obs/metrics.h"
 #include "protocols/anbkh.h"
 #include "sim/faults.h"

@@ -176,6 +176,26 @@ if grep -Eq "[^a-z_]kind\(\)" "$root/src/net/link_transport.h"; then
   status=1
 fi
 
+# One way into the IS-process: every link end is a net::LinkTransport whose
+# deliver callback lands in IsProcess::deliver_from_link. The IS-process is
+# no fabric receiver, the transport interface knows no ARQ, and the mesh
+# does not compile the simulator's ARQ.
+if grep -Eq "class IsProcess[^{]*Receiver|register_in_channel" \
+    "$root/src/interconnect/is_process.h"; then
+  echo "check_docs: IsProcess is a net::Receiver or maps fabric channels to links (deliver through the link end's callback)" >&2
+  status=1
+fi
+if grep -Eq "#include \"net/reliable_transport.h\"|[^a-z_]arq\(\)" \
+    "$root/src/net/link_transport.h"; then
+  echo "check_docs: net/link_transport.h includes the simulator's ARQ or declares arq() (ReliableTransport is a LinkTransport)" >&2
+  status=1
+fi
+if grep -rq "#include \"net/reliable_transport.h\"" "$root"/src/mesh; then
+  echo "check_docs: src/mesh includes net/reliable_transport.h (the mesh's link end is LinkSession):" >&2
+  grep -rn "#include \"net/reliable_transport.h\"" "$root"/src/mesh >&2
+  status=1
+fi
+
 # docs/CHECKER.md is the normative description of the columnar history
 # store and the sparse constraint engine: it must exist, name every bad
 # pattern the checker can report (src/checker/causal_checker.h), and

@@ -31,14 +31,25 @@ void write_trace(const History& history, std::ostream& os) {
       procs[i] = history.process(p);
     }
   }
+  Op op;
   for (const std::uint32_t i : idx) {
-    os << (history.kind(i) == OpKind::kRead ? "r" : "w") << " "
-       << procs[i].system.value << " " << procs[i].index << " "
-       << history.var(i).value << " " << history.value(i) << " " << invoked[i]
-       << " " << history.responded(i).ns;
-    if (history.is_isp(i)) os << " isp";
-    os << "\n";
+    op.proc = procs[i];
+    op.is_isp = history.is_isp(i);
+    op.kind = history.kind(i);
+    op.var = history.var(i);
+    op.value = history.value(i);
+    op.invoked = sim::Time{invoked[i]};
+    op.responded = history.responded(i);
+    write_trace_row(os, op, /*with_times=*/true);
   }
+}
+
+void write_trace_row(std::ostream& os, const Op& op, bool with_times) {
+  os << (op.kind == OpKind::kRead ? 'r' : 'w') << ' ' << op.proc.system.value
+     << ' ' << op.proc.index << ' ' << op.var.value << ' ' << op.value;
+  if (with_times) os << ' ' << op.invoked.ns << ' ' << op.responded.ns;
+  if (op.is_isp) os << " isp";
+  os << '\n';
 }
 
 std::string to_trace(const History& history) {

@@ -24,6 +24,11 @@ namespace cim::chk {
 
 /// Serialize a history (with timestamps and ISP flags).
 void write_trace(const History& history, std::ostream& os);
+
+/// Write one operation as one row of the format: `kind system proc var
+/// value`, then `invoked_ns responded_ns` iff `with_times`, then `isp` for
+/// an IS-process operation.
+void write_trace_row(std::ostream& os, const Op& op, bool with_times);
 std::string to_trace(const History& history);
 
 struct ParseResult {

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "net/link_transport.h"
 #include "net/reliable_transport.h"
 
 namespace cim::isc {
@@ -92,7 +91,8 @@ void Federation::install_faults(const sim::FaultPlan& plan) {
   for (const sim::FaultPlan::Partition& p : plan.partitions) {
     CIM_CHECK_MSG(p.link < interconnector_->num_links(),
                   "fault plan partitions an unknown link");
-    const auto [ab, ba] = interconnector_->link_channels(p.link);
+    const net::ChannelId ab = interconnector_->links()[p.link].a.out;
+    const net::ChannelId ba = interconnector_->links()[p.link].b.out;
     sim_.at(p.begin, [this, injected, partitions, trace, p, ab, ba] {
       fabric_.set_partitioned(ab, true);
       fabric_.set_partitioned(ba, true);
@@ -112,7 +112,8 @@ void Federation::install_faults(const sim::FaultPlan& plan) {
   for (const sim::FaultPlan::BurstDrop& b : plan.bursts) {
     CIM_CHECK_MSG(b.link < interconnector_->num_links(),
                   "fault plan bursts an unknown link");
-    const auto [ab, ba] = interconnector_->link_channels(b.link);
+    const net::ChannelId ab = interconnector_->links()[b.link].a.out;
+    const net::ChannelId ba = interconnector_->links()[b.link].b.out;
     sim_.at(b.begin, [this, injected, bursts, trace, b, ab, ba] {
       fabric_.set_burst_drop(ab, b.drop_probability);
       fabric_.set_burst_drop(ba, b.drop_probability);
@@ -185,15 +186,15 @@ obs::MetricsSnapshot Federation::metrics_snapshot() {
   // Unified per-link endpoint state across all transports (net.link.<l>.
   // <side>.* — the link index substitutes for <l>; side `a`/`b`, external
   // links single-sided as `a` and numbered after the in-federation links).
-  // Every endpoint reports its backlog; ARQ-backed endpoints add the
-  // transport gauges (schema v1 called these net.endpoint.<2l+side>.*);
-  // serializing endpoints (bytes mode, TCP) add byte counts.
-  const auto emit_endpoint = [&m](const std::string& prefix,
-                                  const net::LinkTransport* ep) {
+  // Every end reports its backlog; ARQ ends add the transport gauges
+  // (schema v1 called these net.endpoint.<2l+side>.*); serializing ends
+  // (bytes mode, TCP) add byte counts.
+  const auto emit_end = [&m](const std::string& prefix, const LinkEnd& end) {
+    const net::LinkTransport* ep = end.transport;
     if (ep == nullptr) return;
     m.gauge(prefix + ".backlog")
         .set(static_cast<std::int64_t>(ep->backlog()));
-    if (const net::ReliableTransport* arq = ep->arq()) {
+    if (const net::ReliableTransport* arq = end.arq) {
       m.gauge(prefix + ".retransmits")
           .set(static_cast<std::int64_t>(arq->retransmits()));
       m.gauge(prefix + ".timeouts")
@@ -218,16 +219,11 @@ obs::MetricsSnapshot Federation::metrics_snapshot() {
           .set(static_cast<std::int64_t>(ep->wire_bytes_in()));
     }
   };
-  for (std::size_t l = 0; l < interconnector_->num_links(); ++l) {
-    const auto [a, b] = interconnector_->link_endpoints(l);
+  const std::vector<LinkRecord>& links = interconnector_->links();
+  for (std::size_t l = 0; l < links.size(); ++l) {
     const std::string prefix = "net.link." + std::to_string(l);
-    emit_endpoint(prefix + ".a", a);
-    emit_endpoint(prefix + ".b", b);
-  }
-  for (std::size_t e = 0; e < interconnector_->num_external_links(); ++e) {
-    const std::string prefix =
-        "net.link." + std::to_string(interconnector_->num_links() + e);
-    emit_endpoint(prefix + ".a", interconnector_->external_transport(e));
+    emit_end(prefix + ".a", links[l].a);
+    emit_end(prefix + ".b", links[l].b);
   }
   return m.snapshot();
 }

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "net/reliable_transport.h"
 
 namespace cim::isc {
 
@@ -35,12 +36,12 @@ Interconnector::Interconnector(net::Fabric& fabric,
                                std::vector<LinkSpec> links, IspMode mode,
                                obs::Observability* obs, LinkWire wire,
                                std::vector<ExternalLinkSpec> external_links)
-    : fabric_(fabric), systems_(std::move(systems)), links_(std::move(links)),
+    : fabric_(fabric), systems_(std::move(systems)), specs_(std::move(links)),
       mode_(mode), obs_(obs),
       wire_(wire == LinkWire::kDefault ? LinkWire::kInMemory : wire),
-      external_links_(std::move(external_links)) {
+      external_specs_(std::move(external_links)) {
   for (mcs::System* s : systems_) CIM_CHECK(s != nullptr);
-  for (const ExternalLinkSpec& e : external_links_) {
+  for (const ExternalLinkSpec& e : external_specs_) {
     CIM_CHECK_MSG(e.system < systems_.size(),
                   "external link references an unknown system");
   }
@@ -51,7 +52,7 @@ void Interconnector::validate_tree() const {
   // "we interconnect the original systems in pairs avoiding the creation of
   // cycles, which results in a tree interconnection topology."
   UnionFind uf(systems_.size());
-  for (const LinkSpec& link : links_) {
+  for (const LinkSpec& link : specs_) {
     CIM_CHECK_MSG(link.system_a < systems_.size() &&
                       link.system_b < systems_.size(),
                   "link references an unknown system");
@@ -67,177 +68,136 @@ void Interconnector::build() {
   CIM_CHECK_MSG(!built_, "build() called twice");
   built_ = true;
 
+  // 1. Reserve IS-process slots (before finalize fixes the process counts):
+  // one per system in shared mode, one per link end otherwise. An external
+  // link reserves its local end exactly like a local link side; the far side
+  // lives in another OS process, so no channels and no cycle-check edge. (A
+  // tree whose edges span OS processes is still a tree: each bridge process
+  // holds a subtree.)
   struct PendingIsp {
     std::size_t system;
     std::uint16_t slot;
-    IsProtocolChoice choice = IsProtocolChoice::kAuto;
-    bool choice_set = false;
+    IsProtocolChoice choice;
   };
   std::vector<PendingIsp> pending;
   shared_isp_of_system_.assign(systems_.size(), SIZE_MAX);
-
-  auto reserve_shared = [&](std::size_t sys) -> std::size_t {
-    if (shared_isp_of_system_[sys] == SIZE_MAX) {
-      const ProcId id = systems_[sys]->add_isp_slot();
-      pending.push_back(PendingIsp{sys, id.index});
-      shared_isp_of_system_[sys] = pending.size() - 1;
-    }
-    return shared_isp_of_system_[sys];
-  };
-  auto set_choice = [&](std::size_t isp_index, IsProtocolChoice choice) {
-    PendingIsp& p = pending[isp_index];
-    if (p.choice_set) {
-      CIM_CHECK_MSG(p.choice == choice,
+  auto reserve = [&](std::size_t sys, IsProtocolChoice choice) {
+    std::size_t& shared = shared_isp_of_system_[sys];
+    if (mode_ == IspMode::kSharedPerSystem && shared != SIZE_MAX) {
+      CIM_CHECK_MSG(pending[shared].choice == choice,
                     "conflicting IS-protocol choices for a shared IS-process");
-    } else {
-      p.choice = choice;
-      p.choice_set = true;
+      return shared;
     }
+    pending.push_back(
+        PendingIsp{sys, systems_[sys]->add_isp_slot().index, choice});
+    if (mode_ == IspMode::kSharedPerSystem) shared = pending.size() - 1;
+    return pending.size() - 1;
   };
-
-  // 1. Reserve IS-process slots (before finalize fixes the process counts).
-  for (const LinkSpec& link : links_) {
-    std::size_t ia, ib;
-    if (mode_ == IspMode::kSharedPerSystem) {
-      ia = reserve_shared(link.system_a);
-      ib = reserve_shared(link.system_b);
-    } else {
-      const ProcId a = systems_[link.system_a]->add_isp_slot();
-      pending.push_back(PendingIsp{link.system_a, a.index});
-      ia = pending.size() - 1;
-      const ProcId b = systems_[link.system_b]->add_isp_slot();
-      pending.push_back(PendingIsp{link.system_b, b.index});
-      ib = pending.size() - 1;
-    }
-    set_choice(ia, link.choice_a);
-    set_choice(ib, link.choice_b);
-    link_isps_.emplace_back(ia, ib);
+  // The pending IS-process of every link end: a and b of each link, then
+  // each external link's one end.
+  std::vector<std::size_t> end_isps;
+  for (const LinkSpec& link : specs_) {
+    end_isps.push_back(reserve(link.system_a, link.choice_a));
+    end_isps.push_back(reserve(link.system_b, link.choice_b));
   }
-  // External links reserve an IS-process slot exactly like a local link side
-  // would; the far side lives in another OS process, so no channels and no
-  // cycle-check edge. (A tree whose edges span OS processes is still a tree:
-  // each bridge process holds a subtree.)
-  for (const ExternalLinkSpec& ext : external_links_) {
-    std::size_t ie;
-    if (mode_ == IspMode::kSharedPerSystem) {
-      ie = reserve_shared(ext.system);
-    } else {
-      const ProcId id = systems_[ext.system]->add_isp_slot();
-      pending.push_back(PendingIsp{ext.system, id.index});
-      ie = pending.size() - 1;
-    }
-    set_choice(ie, ext.choice);
-    external_isp_index_.push_back(ie);
+  for (const ExternalLinkSpec& ext : external_specs_) {
+    end_isps.push_back(reserve(ext.system, ext.choice));
   }
-  external_transports_.assign(external_links_.size(), nullptr);
 
   // 2. Freeze the systems.
   for (mcs::System* s : systems_) {
     if (!s->finalized()) s->finalize();
   }
 
-  // 3. Create the IS-processes.
+  // 3. Create the IS-processes, and give each link end its own.
   for (const PendingIsp& p : pending) {
     isps_.push_back(std::make_unique<IsProcess>(
-        systems_[p.system]->app(p.slot), fabric_, obs_));
+        systems_[p.system]->app(p.slot), fabric_.simulator(), obs_));
+  }
+  records_.resize(specs_.size() + external_specs_.size());
+  std::size_t next_end = 0;
+  for (std::size_t l = 0; l < records_.size(); ++l) {
+    records_[l].a.isp = isps_[end_isps[next_end++]].get();
+    if (l < specs_.size()) {
+      records_[l].b.isp = isps_[end_isps[next_end++]].get();
+    }
   }
 
-  // 4. Inter-system channels (one FIFO channel per direction). A `reliable`
-  // link interposes an ARQ endpoint pair: the channels deliver *frames* to
-  // the transports, which hand in-order payloads to the IS-processes using
-  // the underlying in-channel as `from` — the IS-process wiring is identical
-  // either way.
-  for (std::size_t li = 0; li < links_.size(); ++li) {
-    const LinkSpec& link = links_[li];
-    auto [ia, ib] = link_isps_[li];
-    IsProcess& isp_a = *isps_[ia];
-    IsProcess& isp_b = *isps_[ib];
-
-    auto make_delay = [&]() -> net::DelayModelPtr {
-      if (link.delay) return link.delay();
-      return std::make_unique<net::FixedDelay>(sim::milliseconds(10));
-    };
-    auto make_avail = [&]() -> net::AvailabilityPtr {
-      if (link.availability) return link.availability();
-      return std::make_unique<net::AlwaysUp>();
-    };
-
-    net::ReliableTransport* ta = nullptr;
-    net::ReliableTransport* tb = nullptr;
-    std::size_t ti_a = SIZE_MAX;
-    std::size_t ti_b = SIZE_MAX;
-    if (link.reliable) {
-      // Distinct jitter streams so the endpoints never back off in lockstep.
-      transports_.push_back(
-          std::make_unique<net::ReliableTransport>(fabric_, 1, obs_));
-      ti_a = transports_.size() - 1;
-      ta = transports_.back().get();
-      transports_.push_back(
-          std::make_unique<net::ReliableTransport>(fabric_, 3, obs_));
-      ti_b = transports_.size() - 1;
-      tb = transports_.back().get();
-    }
-    link_transports_.emplace_back(ti_a, ti_b);
-
-    net::ChannelConfig ab;
-    ab.src = isp_a.id();
-    ab.dst = isp_b.id();
-    ab.receiver = link.reliable ? static_cast<net::Receiver*>(tb) : &isp_b;
-    ab.delay = make_delay();
-    ab.availability = make_avail();
-    ab.link_class = net::LinkClass::kInterSystem;
-    ab.fifo = link.fifo;
-    ab.drop_probability = link.drop_probability;
-    const net::ChannelId ch_ab = fabric_.add_channel(std::move(ab));
-
-    net::ChannelConfig ba;
-    ba.src = isp_b.id();
-    ba.dst = isp_a.id();
-    ba.receiver = link.reliable ? static_cast<net::Receiver*>(ta) : &isp_a;
-    ba.delay = make_delay();
-    ba.availability = make_avail();
-    ba.link_class = net::LinkClass::kInterSystem;
-    ba.fifo = link.fifo;
-    ba.drop_probability = link.drop_probability;
-    const net::ChannelId ch_ba = fabric_.add_channel(std::move(ba));
-    link_channels_.emplace_back(ch_ab, ch_ba);
-
-    if (link.reliable) {
-      ta->wire(ch_ab, ch_ba, &isp_a);
-      tb->wire(ch_ba, ch_ab, &isp_b);
-    }
-
-    // Link-transport endpoints: the fabric path, wrapped in the codec
-    // round-trip when the federation runs in bytes mode. The wrapper sits on
-    // the *send* side, so by the time a pair enters the channel (and the
-    // ARQ, which clones frames for retransmission) it has already survived
-    // encode → decode.
-    auto make_endpoint = [&](net::ChannelId out,
-                             net::ReliableTransport* arq) {
-      endpoint_storage_.push_back(
-          std::make_unique<net::FabricLinkTransport>(fabric_, out, arq));
-      net::LinkTransport* ep = endpoint_storage_.back().get();
-      if (wire_ == LinkWire::kLoopbackBytes) {
-        endpoint_storage_.push_back(
-            std::make_unique<net::LoopbackBytesTransport>(*ep, obs_));
-        ep = endpoint_storage_.back().get();
-      }
-      return ep;
-    };
-    net::LinkTransport* ep_a = make_endpoint(ch_ab, ta);
-    net::LinkTransport* ep_b = make_endpoint(ch_ba, tb);
-    link_endpoints_.emplace_back(ep_a, ep_b);
-
-    const std::size_t la = isp_a.add_link(ep_a);
-    isp_a.register_in_channel(ch_ba, la);
-    const std::size_t lb = isp_b.add_link(ep_b);
-    isp_b.register_in_channel(ch_ab, lb);
-  }
+  // 4. The in-federation link ends and channels.
+  for (std::size_t l = 0; l < specs_.size(); ++l) wire_link(l);
 
   // 5. Activate the IS-protocols.
   for (std::size_t i = 0; i < pending.size(); ++i) {
     isps_[i]->activate(pending[i].choice);
   }
+}
+
+void Interconnector::wire_link(std::size_t index) {
+  const LinkSpec& spec = specs_[index];
+  LinkRecord& rec = records_[index];
+  auto own = [this]<typename End>(std::unique_ptr<End> end) {
+    End* raw = end.get();
+    ends_.push_back(std::move(end));
+    return raw;
+  };
+
+  // One FIFO channel per direction, each delivering to the end on its far
+  // side: that end is the fabric receiver of its in-channel.
+  auto wire_ends = [&](auto& end_a, auto& end_b) {
+    auto channel = [&](IsProcess& src, IsProcess& dst, net::Receiver* rx) {
+      net::ChannelConfig cc;
+      cc.src = src.id();
+      cc.dst = dst.id();
+      cc.receiver = rx;
+      cc.delay = spec.delay ? spec.delay()
+                            : std::make_unique<net::FixedDelay>(
+                                  sim::milliseconds(10));
+      cc.availability = spec.availability
+                            ? spec.availability()
+                            : std::make_unique<net::AlwaysUp>();
+      cc.link_class = net::LinkClass::kInterSystem;
+      cc.fifo = spec.fifo;
+      cc.drop_probability = spec.drop_probability;
+      return fabric_.add_channel(std::move(cc));
+    };
+    rec.a.out = channel(*rec.a.isp, *rec.b.isp, &end_b);
+    rec.b.out = channel(*rec.b.isp, *rec.a.isp, &end_a);
+    end_a.wire(rec.a.out, rec.b.out);
+    end_b.wire(rec.b.out, rec.a.out);
+    rec.a.transport = &end_a;
+    rec.b.transport = &end_b;
+  };
+  if (spec.reliable) {
+    // The simulator's ARQ re-synthesizes reliable FIFO over the faulty
+    // channels. Distinct jitter streams so the endpoints never back off in
+    // lockstep.
+    rec.a.arq = own(std::make_unique<net::ReliableTransport>(fabric_, 1, obs_));
+    rec.b.arq = own(std::make_unique<net::ReliableTransport>(fabric_, 3, obs_));
+    wire_ends(*rec.a.arq, *rec.b.arq);
+  } else {
+    wire_ends(*own(std::make_unique<net::FabricLinkTransport>(fabric_)),
+              *own(std::make_unique<net::FabricLinkTransport>(fabric_)));
+  }
+
+  for (LinkEnd* end : {&rec.a, &rec.b}) {
+    // Bytes mode wraps the *send* side in the codec round trip, so by the
+    // time a pair enters the channel (and the ARQ, which clones frames for
+    // retransmission) it has already survived encode → decode.
+    if (wire_ == LinkWire::kLoopbackBytes) {
+      end->transport = own(
+          std::make_unique<net::LoopbackBytesTransport>(*end->transport, obs_));
+    }
+    end->link = end->isp->add_link(end->transport);
+    end->transport->set_deliver(
+        [isp = end->isp, link = end->link](net::MessagePtr msg) {
+          isp->deliver_from_link(link, std::move(msg));
+        });
+  }
+}
+
+const LinkRecord& Interconnector::record(std::size_t link_index) const {
+  CIM_CHECK(built_ && link_index < specs_.size());
+  return records_[link_index];
 }
 
 IsProcess& Interconnector::shared_isp(std::size_t system_index) {
@@ -249,54 +209,33 @@ IsProcess& Interconnector::shared_isp(std::size_t system_index) {
 }
 
 IsProcess& Interconnector::isp_a(std::size_t link_index) {
-  CIM_CHECK(built_ && link_index < link_isps_.size());
-  return *isps_[link_isps_[link_index].first];
+  return *record(link_index).a.isp;
 }
 
 IsProcess& Interconnector::isp_b(std::size_t link_index) {
-  CIM_CHECK(built_ && link_index < link_isps_.size());
-  return *isps_[link_isps_[link_index].second];
+  return *record(link_index).b.isp;
 }
 
 std::pair<net::ReliableTransport*, net::ReliableTransport*>
 Interconnector::link_transports(std::size_t link_index) const {
-  CIM_CHECK(built_ && link_index < link_transports_.size());
-  const auto [ti_a, ti_b] = link_transports_[link_index];
-  return {ti_a == SIZE_MAX ? nullptr : transports_[ti_a].get(),
-          ti_b == SIZE_MAX ? nullptr : transports_[ti_b].get()};
-}
-
-std::pair<net::ChannelId, net::ChannelId> Interconnector::link_channels(
-    std::size_t link_index) const {
-  CIM_CHECK(built_ && link_index < link_channels_.size());
-  return link_channels_[link_index];
-}
-
-std::pair<net::LinkTransport*, net::LinkTransport*>
-Interconnector::link_endpoints(std::size_t link_index) const {
-  CIM_CHECK(built_ && link_index < link_endpoints_.size());
-  return link_endpoints_[link_index];
+  const LinkRecord& rec = record(link_index);
+  return {rec.a.arq, rec.b.arq};
 }
 
 IsProcess& Interconnector::external_isp(std::size_t ext_index) {
-  CIM_CHECK(built_ && ext_index < external_isp_index_.size());
-  return *isps_[external_isp_index_[ext_index]];
+  CIM_CHECK(built_ && ext_index < external_specs_.size());
+  return *records_[specs_.size() + ext_index].a.isp;
 }
 
 std::size_t Interconnector::attach_external_link(
     std::size_t ext_index, net::LinkTransport* transport) {
-  CIM_CHECK(built_ && ext_index < external_isp_index_.size());
+  CIM_CHECK(built_ && ext_index < external_specs_.size());
   CIM_CHECK(transport != nullptr);
-  CIM_CHECK_MSG(external_transports_[ext_index] == nullptr,
-                "external link attached twice");
-  external_transports_[ext_index] = transport;
-  return external_isp(ext_index).add_link(transport);
-}
-
-net::LinkTransport* Interconnector::external_transport(
-    std::size_t ext_index) const {
-  CIM_CHECK(ext_index < external_transports_.size());
-  return external_transports_[ext_index];
+  LinkEnd& end = records_[specs_.size() + ext_index].a;
+  CIM_CHECK_MSG(end.transport == nullptr, "external link attached twice");
+  end.transport = transport;
+  end.link = end.isp->add_link(transport);
+  return end.link;
 }
 
 }  // namespace cim::isc

@@ -28,6 +28,10 @@
 #include "net/fabric.h"
 #include "net/link_transport.h"
 
+namespace cim::net {
+class ReliableTransport;  // net/reliable_transport.h
+}  // namespace cim::net
+
 namespace cim::isc {
 
 enum class IspMode { kSharedPerSystem, kPerLink };
@@ -78,6 +82,24 @@ struct LinkSpec {
   bool reliable = false;
 };
 
+/// One end of a link, as build() (or attach_external_link) wired it.
+struct LinkEnd {
+  IsProcess* isp = nullptr;  // the IS-process that holds this end
+  std::size_t link = 0;      // its link index in that IS-process
+  net::ChannelId out{};      // outbound fabric channel (in-federation links)
+  /// What the IS-process sends through (the loopback wrapper in bytes mode);
+  /// null until an external link is attached.
+  net::LinkTransport* transport = nullptr;
+  net::ReliableTransport* arq = nullptr;  // the ARQ end of a `reliable` link
+};
+
+/// One record per link. An external link's far side lives in another OS
+/// process, so only its `a` end is set.
+struct LinkRecord {
+  LinkEnd a;
+  LinkEnd b;
+};
+
 class Interconnector {
  public:
   Interconnector(net::Fabric& fabric, std::vector<mcs::System*> systems,
@@ -92,7 +114,7 @@ class Interconnector {
   void build();
 
   IspMode mode() const { return mode_; }
-  std::size_t num_links() const { return links_.size(); }
+  std::size_t num_links() const { return specs_.size(); }
 
   /// Shared mode: the IS-process of a system (requires the system to have at
   /// least one link). Per-link mode: use isp_a/isp_b.
@@ -103,70 +125,52 @@ class Interconnector {
   /// All IS-processes created by build().
   const std::vector<std::unique_ptr<IsProcess>>& isps() const { return isps_; }
 
+  /// Every link's record (valid after build()): the num_links()
+  /// in-federation links, then the external links — the numbering of the
+  /// net.link.<l>.* metrics.
+  const std::vector<LinkRecord>& links() const { return records_; }
+
   /// The ARQ endpoints of link `link_index` as (side A, side B), or
   /// (nullptr, nullptr) for a raw link.
   std::pair<net::ReliableTransport*, net::ReliableTransport*> link_transports(
-      std::size_t link_index) const;
-
-  /// The fabric channels of link `link_index` as (A→B, B→A).
-  std::pair<net::ChannelId, net::ChannelId> link_channels(
-      std::size_t link_index) const;
-
-  /// The link-transport endpoints of link `link_index` as (side A, side B):
-  /// the objects the IS-processes actually send through (the loopback
-  /// wrapper in bytes mode, the fabric transport otherwise).
-  std::pair<net::LinkTransport*, net::LinkTransport*> link_endpoints(
       std::size_t link_index) const;
 
   /// Resolved wire mode (never kDefault after construction).
   LinkWire link_wire() const { return wire_; }
 
   // ---- external links (tools/cim_bridge) -----------------------------------
-  std::size_t num_external_links() const { return external_links_.size(); }
+  std::size_t num_external_links() const { return external_specs_.size(); }
 
   /// The local IS-process of external link `ext_index` (valid after build()).
   IsProcess& external_isp(std::size_t ext_index);
 
   /// Attach the socket-backed transport of external link `ext_index` to its
-  /// IS-process; returns the IS-process's link index (pass it to
-  /// IsProcess::deliver_from_link for inbound pairs). The transport is
-  /// borrowed and must outlive the interconnector. One attach per link.
+  /// IS-process; returns the IS-process's link index (the transport's
+  /// deliver callback passes it to IsProcess::deliver_from_link). The
+  /// transport is borrowed and must outlive the interconnector. One attach
+  /// per link.
   std::size_t attach_external_link(std::size_t ext_index,
                                    net::LinkTransport* transport);
 
-  /// The attached transport of external link `ext_index` (null before
-  /// attach_external_link). Feeds the unified net.link.<i>.* metrics.
-  net::LinkTransport* external_transport(std::size_t ext_index) const;
-
  private:
   void validate_tree() const;
-  IsProcess& isp_for(std::size_t system_index, std::size_t link_index,
-                     bool side_a);
+  /// Make both ends of in-federation link `index` and their channels.
+  void wire_link(std::size_t index);
+  const LinkRecord& record(std::size_t link_index) const;
 
   net::Fabric& fabric_;
   std::vector<mcs::System*> systems_;
-  std::vector<LinkSpec> links_;
+  std::vector<LinkSpec> specs_;
   IspMode mode_;
   obs::Observability* obs_ = nullptr;
   LinkWire wire_ = LinkWire::kInMemory;
-  std::vector<ExternalLinkSpec> external_links_;
+  std::vector<ExternalLinkSpec> external_specs_;
   bool built_ = false;
 
   std::vector<std::unique_ptr<IsProcess>> isps_;
-  std::vector<std::size_t> shared_isp_of_system_;    // index into isps_
-  std::vector<std::pair<std::size_t, std::size_t>> link_isps_;  // (a, b)
-  std::vector<std::unique_ptr<net::ReliableTransport>> transports_;
-  // Per link: (transport a, transport b) indices into transports_ or
-  // SIZE_MAX, and the underlying (ab, ba) channels.
-  std::vector<std::pair<std::size_t, std::size_t>> link_transports_;
-  std::vector<std::pair<net::ChannelId, net::ChannelId>> link_channels_;
-  // Link-transport endpoints: owned storage (fabric transports plus their
-  // loopback wrappers in bytes mode) and the per-link outermost pair.
-  std::vector<std::unique_ptr<net::LinkTransport>> endpoint_storage_;
-  std::vector<std::pair<net::LinkTransport*, net::LinkTransport*>>
-      link_endpoints_;
-  std::vector<std::size_t> external_isp_index_;      // index into isps_
-  std::vector<net::LinkTransport*> external_transports_;
+  std::vector<std::size_t> shared_isp_of_system_;  // index into isps_
+  std::vector<LinkRecord> records_;
+  std::vector<std::unique_ptr<net::LinkTransport>> ends_;  // owned link ends
 };
 
 }  // namespace cim::isc

@@ -7,9 +7,9 @@
 
 namespace cim::isc {
 
-IsProcess::IsProcess(mcs::AppProcess& app, net::Fabric& fabric,
+IsProcess::IsProcess(mcs::AppProcess& app, sim::Simulator& sim,
                      obs::Observability* obs)
-    : app_(app), fabric_(fabric) {
+    : app_(app), sim_(sim) {
   CIM_CHECK_MSG(app.is_isp(),
                 "IsProcess must be attached to an IS-process slot");
   if (obs != nullptr) {
@@ -29,11 +29,6 @@ std::size_t IsProcess::add_link(net::LinkTransport* transport) {
   pairs_sent_on_.push_back(0);
   pairs_received_on_.push_back(0);
   return out_links_.size() - 1;
-}
-
-void IsProcess::register_in_channel(net::ChannelId in, std::size_t link) {
-  CIM_CHECK(link < out_links_.size());
-  in_links_.emplace_back(in.value, link);
 }
 
 void IsProcess::activate(IsProtocolChoice choice) {
@@ -68,8 +63,8 @@ void IsProcess::crash() {
   // them to the application. Transports without recovery machinery (raw
   // fabric channels) treat set_down as a no-op and simply lose pairs.
   for (net::LinkTransport* link : out_links_) link->set_down(true);
-  CIM_TRACE(trace_, fabric_.simulator().now(), obs::TraceCategory::kIsc,
-            "isp_crash", {{"proc", id()}});
+  CIM_TRACE(trace_, sim_.now(), obs::TraceCategory::kIsc, "isp_crash",
+            {{"proc", id()}});
 }
 
 void IsProcess::restart() {
@@ -82,8 +77,7 @@ void IsProcess::restart() {
   // crash time — the replayed read still satisfies condition (c).
   std::vector<ParkedUpcall> replay = std::move(parked_);
   parked_.clear();
-  CIM_TRACE(trace_, fabric_.simulator().now(), obs::TraceCategory::kIsc,
-            "isp_restart",
+  CIM_TRACE(trace_, sim_.now(), obs::TraceCategory::kIsc, "isp_restart",
             {{"proc", id()},
              {"replayed", static_cast<std::uint64_t>(replay.size())}});
   for (ParkedUpcall& upcall : replay) {
@@ -107,8 +101,8 @@ void IsProcess::run_pre_update(VarId var, mcs::DoneFn done) {
   // Task Pre_Propagate_out(x) (Fig. 2): read x, obtaining the previous
   // value s. The value is not used; the read's existence constrains the
   // causal order (Lemma 1).
-  CIM_TRACE(trace_, fabric_.simulator().now(), obs::TraceCategory::kIsc,
-            "pre_read", {{"proc", id()}, {"var", var}});
+  CIM_TRACE(trace_, sim_.now(), obs::TraceCategory::kIsc, "pre_read",
+            {{"proc", id()}, {"var", var}});
   app_.read_now(var);
   done();
 }
@@ -129,7 +123,7 @@ void IsProcess::run_post_update(VarId var, WriteId wid, mcs::DoneFn done) {
   CIM_CHECK_MSG(read.wid == wid,
                 "condition (c) violated: post-update read must return write "
                     << wid);
-  const sim::Time origin = fabric_.simulator().now();
+  const sim::Time origin = sim_.now();
   for (std::size_t link = 0; link < out_links_.size(); ++link) {
     send_pair(link, var, read.value, wid, origin);
   }
@@ -138,7 +132,7 @@ void IsProcess::run_post_update(VarId var, WriteId wid, mcs::DoneFn done) {
 
 void IsProcess::send_pair(std::size_t link, VarId var, Value value,
                           WriteId wid, sim::Time origin_time) {
-  const sim::Time now = fabric_.simulator().now();
+  const sim::Time now = sim_.now();
   auto msg = std::make_unique<PairMsg>();
   msg->var = var;
   msg->value = value;
@@ -161,15 +155,6 @@ void IsProcess::send_pair(std::size_t link, VarId var, Value value,
              {"link", static_cast<std::uint64_t>(link)}});
 }
 
-void IsProcess::on_message(net::ChannelId from, net::MessagePtr msg) {
-  std::size_t source_link = SIZE_MAX;
-  for (const auto& [chan, link] : in_links_) {
-    if (chan == from.value) source_link = link;
-  }
-  CIM_CHECK_MSG(source_link != SIZE_MAX, "pair on unregistered link");
-  deliver_from_link(source_link, std::move(msg));
-}
-
 void IsProcess::deliver_from_link(std::size_t source_link,
                                   net::MessagePtr msg) {
   CIM_CHECK(source_link < out_links_.size());
@@ -177,10 +162,10 @@ void IsProcess::deliver_from_link(std::size_t source_link,
                  "IS-process received a non-pair message");
   auto* pair = static_cast<PairMsg*>(msg.get());
 
-  const sim::Time now = fabric_.simulator().now();
+  const sim::Time now = sim_.now();
   if (crashed_) {
-    // Only a raw (transport-less) link can deliver here while crashed — an
-    // ARQ link's endpoint is down and shields us. The pair is lost, exactly
+    // Only a raw link (no ARQ) can deliver here while crashed — an ARQ
+    // link's endpoint is down and shields us. The pair is lost, exactly
     // as a crashed host loses an in-flight datagram.
     CIM_TRACE(trace_, now, obs::TraceCategory::kIsc, "pair_lost_crashed",
               {{"proc", id()},

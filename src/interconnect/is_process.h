@@ -31,19 +31,19 @@
 // echoed: updates caused by this IS-process's own writes generate no
 // upcalls.
 //
-// Links are net::LinkTransport endpoints (net/link_transport.h): the default
-// in-sim fabric path (optionally through a net::ReliableTransport endpoint
-// that synthesizes reliable FIFO over a faulty link), the byte-roundtripping
-// loopback, or a real socket (tools/cim_bridge). Pairs arriving over a
-// fabric channel enter through the net::Receiver hook, which maps the
-// channel to its link; transports without a fabric channel (TCP) call
-// deliver_from_link() directly. Crash/recovery: crash() freezes the
-// IS-process — the single in-flight upcall (the MCS apply pipeline blocks on
-// its completion, so there is never more than one) is parked, and the link
-// transports go down so arriving pairs are lost to the ARQ's retransmission
-// instead of to the application. restart() replays the parked upcall against
-// the attached MCS-process (re-reading the variable) and brings the
-// transports back up; docs/FAULTS.md states the recovery invariants.
+// Links are net::LinkTransport ends (net/link_transport.h): the raw in-sim
+// fabric path, a net::ReliableTransport endpoint that synthesizes reliable
+// FIFO over a faulty link, the byte-roundtripping loopback around either,
+// or a mesh::LinkSession to another OS process (tools/cim_bridge). Every
+// end delivers inbound pairs through its deliver callback, which its
+// embedder points at deliver_from_link() — the one way into this process.
+// Crash/recovery: crash() freezes the IS-process — the single in-flight
+// upcall (the MCS apply pipeline blocks on its completion, so there is never
+// more than one) is parked, and the link transports go down so arriving
+// pairs are lost to the ARQ's retransmission instead of to the application.
+// restart() replays the parked upcall against the attached MCS-process
+// (re-reading the variable) and brings the transports back up;
+// docs/FAULTS.md states the recovery invariants.
 #pragma once
 
 #include <cstdint>
@@ -52,9 +52,9 @@
 #include "interconnect/pair_msg.h"
 #include "mcs/app_process.h"
 #include "mcs/upcall.h"
-#include "net/fabric.h"
 #include "net/link_transport.h"
 #include "obs/obs.h"
+#include "sim/simulator.h"
 
 namespace cim::isc {
 
@@ -64,28 +64,22 @@ enum class IsProtocolChoice {
   kForceProtocol2,  // pre-update upcalls enabled
 };
 
-class IsProcess final : public mcs::UpcallHandler, public net::Receiver {
+class IsProcess final : public mcs::UpcallHandler {
  public:
-  IsProcess(mcs::AppProcess& app, net::Fabric& fabric,
+  IsProcess(mcs::AppProcess& app, sim::Simulator& sim,
             obs::Observability* obs = nullptr);
   IsProcess(const IsProcess&) = delete;
   IsProcess& operator=(const IsProcess&) = delete;
 
-  /// Register an outbound transport endpoint to a peer IS-process; returns
-  /// the local link index. The transport is borrowed (the interconnector or
-  /// the embedding tool owns it) and must outlive this IS-process.
+  /// Register the link end to a peer IS-process; returns the local link
+  /// index. The transport is borrowed (the interconnector or the embedding
+  /// tool owns it) and must outlive this IS-process.
   std::size_t add_link(net::LinkTransport* transport);
-
-  /// Declare that messages arriving on `in` belong to link `link_index`
-  /// (fabric-backed transports only; channel-less transports deliver through
-  /// deliver_from_link directly).
-  void register_in_channel(net::ChannelId in, std::size_t link_index);
 
   /// Hand a pair received on `source_link` to the IS-protocol: task
   /// Propagate_in(y, u) — forward to every *other* link (split horizon),
-  /// then issue the local write. The net::Receiver hook resolves a fabric
-  /// channel to its link and lands here; transports without a fabric
-  /// channel (tools/cim_bridge's TCP link) call this directly.
+  /// then issue the local write. Every link end's deliver callback lands
+  /// here.
   void deliver_from_link(std::size_t source_link, net::MessagePtr msg);
 
   /// Attach to the MCS-process and select the IS-protocol variant.
@@ -96,8 +90,8 @@ class IsProcess final : public mcs::UpcallHandler, public net::Receiver {
 
   // ---- crash / recovery ----------------------------------------------------
   /// Crash the IS-process: park the in-flight upcall (if any), take the link
-  /// transports down. Pairs arriving on raw (transport-less) links while
-  /// crashed are lost — only ARQ links recover them.
+  /// transports down. Pairs arriving on raw links (no ARQ) while crashed
+  /// are lost — only ARQ links recover them.
   void crash();
   /// Restart: bring transports up, then replay the parked upcall in order
   /// (re-reading from the attached MCS-process).
@@ -109,9 +103,6 @@ class IsProcess final : public mcs::UpcallHandler, public net::Receiver {
   void pre_update(VarId var, mcs::DoneFn done) override;
   void post_update(VarId var, Value value, WriteId wid,
                    mcs::DoneFn done) override;
-
-  // net::Receiver (pairs from peer IS-processes).
-  void on_message(net::ChannelId from, net::MessagePtr msg) override;
 
   std::uint64_t pairs_sent() const { return pairs_sent_; }
   std::uint64_t pairs_received() const { return pairs_received_; }
@@ -141,9 +132,8 @@ class IsProcess final : public mcs::UpcallHandler, public net::Receiver {
   void run_post_update(VarId var, WriteId wid, mcs::DoneFn done);
 
   mcs::AppProcess& app_;
-  net::Fabric& fabric_;
+  sim::Simulator& sim_;
   std::vector<net::LinkTransport*> out_links_;
-  std::vector<std::pair<std::uint32_t, std::size_t>> in_links_;  // chan, link
   bool pre_reads_enabled_ = false;
   bool activated_ = false;
   bool crashed_ = false;

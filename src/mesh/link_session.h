@@ -50,7 +50,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -100,10 +99,6 @@ inline constexpr int kJoinDialRetryMs = 100;
 
 class LinkSession final : public net::LinkTransport {
  public:
-  /// Payload delivery (loop thread), exactly once per payload per session
-  /// lifetime — crashes included, via the spill journal's receive cursor.
-  using DeliverFn = std::function<void(net::MessagePtr)>;
-
   /// `journal` may be null (no crash spill — tests). The loop must outlive
   /// stop(); the session must be destroyed only after loop.stop().
   LinkSession(SessionConfig cfg, net::EpollLoop& loop, SpillJournal* journal);
@@ -118,7 +113,9 @@ class LinkSession final : public net::LinkTransport {
 
   /// Start the session, socketless and down: the dialer side dials at once,
   /// the acceptor waits for the peer's kRejoin. A dialer resolves `host`
-  /// here, once; every re-dial reuses the address.
+  /// here, once; every re-dial reuses the address. `deliver` runs on the
+  /// loop thread, exactly once per payload per session lifetime — crashes
+  /// included, via the spill journal's receive cursor.
   void start(DeliverFn deliver);
 
   /// Acceptor side of a rejoin (loop thread): `fd` carried the peer's
@@ -258,7 +255,6 @@ class LinkSession final : public net::LinkTransport {
   SessionConfig cfg_;
   net::EpollLoop& loop_;
   SpillJournal* spill_;
-  DeliverFn deliver_;
 
   bool shutdown_ = false;
   bool formed_ = false;  // a handshake completed here, or restore() ran

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "checker/trace_io.h"
 #include "mesh/ctrl_io.h"
 #include "mesh/stats_plane.h"
 #include "net/wire.h"
@@ -120,7 +121,13 @@ bool MeshNode::load_resume_state() {
       return false;
     }
   }
-  if (++restored_.generation > 4) {
+  // A generation is used once its workload started (run() marks it): a
+  // resume that ended before that runs again as the same generation.
+  if (restored_.started) {
+    ++restored_.generation;
+    restored_.started = false;
+  }
+  if (restored_.generation > 4) {
     // Value ranges are [id*1e6 + g*200k, ...): generation 5 would collide
     // with the next node's range and break value-identifies-write.
     error_ = "too many restart generations (value ranges would collide)";
@@ -227,11 +234,8 @@ bool MeshNode::join() {
     }
     fed_->recorder().set_listener([this](const chk::Op& op) {
       if (op.is_isp) return;
-      auto& os = *history_;
-      os << (op.kind == chk::OpKind::kRead ? 'r' : 'w') << ' '
-         << op.proc.system.value << ' ' << op.proc.index << ' '
-         << op.var.value << ' ' << op.value << '\n';
-      os.flush();
+      chk::write_trace_row(*history_, op, /*with_times=*/false);
+      history_->flush();
     });
   }
   if (cfg_.node_id != 0) {
@@ -422,6 +426,9 @@ MeshResult MeshNode::run() {
   // checker's value-identifies-write premise survives restarts.
   wc.value_base = static_cast<Value>(cfg_.node_id * kNodeValues +
                                     generation() * kGenerationValues);
+  // From here this generation's system id and values enter the history: a
+  // later resume must run as the next generation.
+  spill_.record_started();
   auto runners = wl::install_uniform(*fed_, wc);
 
   // Snapshot of this node's session/transport gauges, keyed relative to the

@@ -194,7 +194,8 @@ class MeshNode final : private net::EpollLoop::FdHandler {
   bool sessions_ready() const {
     return sessions_ready_.load(std::memory_order_acquire);
   }
-  /// Restart generation (0 on a fresh start, prior + 1 on resume).
+  /// Restart generation (0 on a fresh start; on resume, prior + 1 if the
+  /// prior generation started its workload, else the prior one).
   std::uint32_t generation() const { return restored_.generation; }
 
  private:
@@ -226,7 +227,7 @@ class MeshNode final : private net::EpollLoop::FdHandler {
   std::string error_;
   int listener_ = -1;                   // stays open for the whole run
   /// The state this incarnation starts from: empty on a fresh start, the
-  /// crashed incarnation's journal (generation + 1) on resume.
+  /// crashed incarnation's journal on resume (see generation()).
   SpillState restored_;
 
   net::EpollLoop loop_;

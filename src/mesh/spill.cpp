@@ -15,7 +15,7 @@ namespace cim::mesh {
 namespace {
 
 constexpr char kMagic[4] = {'C', 'I', 'M', 'J'};
-constexpr std::uint8_t kJournalVersion = 1;
+constexpr std::uint8_t kJournalVersion = 2;
 
 using Buf = std::vector<std::uint8_t>;
 
@@ -133,6 +133,7 @@ bool SpillJournal::create(const std::string& path, const SpillState& state) {
     if (l.done_sent) record_ctrl_sent(e, net::wire::ControlMsg::kDone);
     if (l.bye_sent) record_ctrl_sent(e, net::wire::ControlMsg::kBye);
   }
+  if (state.started) record_started();
   return ok();
 }
 
@@ -184,6 +185,8 @@ void SpillJournal::record_ctrl_sent(std::size_t link, std::uint8_t code) {
   append(b);
 }
 
+void SpillJournal::record_started() { append(Buf{'G'}); }
+
 bool SpillJournal::load(const std::string& path, SpillState& out,
                         std::string& error) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
@@ -227,8 +230,13 @@ bool SpillJournal::load(const std::string& path, SpillState& out,
 
   while (c.remaining() > 0 && !c.torn) {
     std::uint8_t tag;
+    if (!c.u8(tag)) break;
+    if (tag == 'G') {
+      out.started = true;
+      continue;
+    }
     std::uint32_t link;
-    if (!c.u8(tag) || !c.u32(link)) break;
+    if (!c.u32(link)) break;
     if (link >= n_links) {
       error = "journal '" + path + "': record for unknown link";
       return false;

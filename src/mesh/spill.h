@@ -16,19 +16,22 @@
 //   'D' u32 link  u64 recv_expected u64 data_delivered  frame delivered
 //   'K' u32 link  u8 code  u64 a                      ctrl payload delivered
 //   'L' u32 link  u8 code                             ctrl payload sent+acked
+//   'G'                                               workload started
 //
 // 'S' records let a resumed node replay unacked frames ('A' trims them);
 // 'D' records restore the receive cursor so replayed duplicates are dropped
 // (zero-dup) and the generator knows how many pairs already applied; 'K'/'L'
 // persist the done/bye convergecast flags, which live in atomics and would
 // otherwise vanish with the process *without* being replayed (their frames
-// were acked). Loading tolerates a torn final record — the tail of a
+// were acked). 'G' marks the generation used: its system id and value range
+// are in the merged history, so only a journal with the mark resumes as
+// generation+1. Loading tolerates a torn final record — the tail of a
 // mid-write crash is simply ignored, and the un-recorded event is either
 // redelivered (peer's journal) or re-sent (ours).
 //
-// One file per node; resume rewrites it as a fresh generation+1 journal with
-// the loaded state compacted into synthetic records, so journals do not grow
-// across restarts.
+// One file per node; resume rewrites it as a fresh journal (generation+1
+// if the loaded one was used) with the loaded state compacted into
+// synthetic records, so journals do not grow across restarts.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +61,7 @@ struct SpillState {
   std::uint64_t seed = 0;
   std::uint32_t generation = 0;
   std::vector<SpillLinkState> links;
+  bool started = false;  // 'G' seen: this generation ran its workload
 };
 
 /// A single-thread object: create() runs before the node's loop does,
@@ -87,6 +91,7 @@ class SpillJournal {
   void record_ctrl_delivered(std::size_t link, std::uint8_t code,
                              std::uint64_t a);
   void record_ctrl_sent(std::size_t link, std::uint8_t code);
+  void record_started();
 
   void close();
   bool ok() const { return fd_ >= 0; }

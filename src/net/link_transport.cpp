@@ -18,6 +18,11 @@ std::int64_t wall_ns() {
 
 }  // namespace
 
+void FabricLinkTransport::on_message(ChannelId from, MessagePtr msg) {
+  CIM_DCHECK(from == in_);
+  deliver_(std::move(msg));
+}
+
 LoopbackBytesTransport::LoopbackBytesTransport(LinkTransport& inner,
                                                obs::Observability* obs)
     : inner_(inner) {

@@ -1,44 +1,55 @@
 // Pluggable link transports: how an IS-process's ⟨x, v⟩ pairs actually move.
 //
 // The paper assumes "a reliable FIFO channel" between the two IS-processes of
-// a link and says nothing about its realization. This interface abstracts
-// that realization so the interconnect layer wires link *endpoints* instead
-// of fabric channels:
+// a link and says nothing about its realization. Every link end an
+// IS-process holds is one LinkTransport: it sends with send() and hands each
+// inbound payload, in order, to the deliver callback its embedder installed
+// (the interconnector routes it to IsProcess::deliver_from_link). The ends:
 //
-//  * FabricLinkTransport      — the historical in-sim path: messages are
-//    handed pointer-style to a fabric channel (optionally through a
-//    ReliableTransport ARQ endpoint). Zero-copy, allocation-free in steady
-//    state, bit-identical traces: the default.
-//  * LoopbackBytesTransport   — wraps another transport and round-trips every
-//    message through the wire codec (encode → decode) before forwarding, so
-//    the whole federation runs over real bytes while staying in-process.
-//    Enabled federation-wide by FederationConfig::link_wire (or the
-//    CIM_LINK_WIRE=bytes environment knob); reports net.wire.* metrics.
+//  * FabricLinkTransport      — the raw in-sim path: messages are handed
+//    pointer-style to a fabric channel, and the end is the fabric receiver
+//    of its in-channel. Zero-copy, allocation-free in steady state,
+//    bit-identical traces: the default.
+//  * net::ReliableTransport   — the simulator's ARQ over a faulty fabric
+//    channel pair (net/reliable_transport.h).
+//  * LoopbackBytesTransport   — wraps another end's send path and
+//    round-trips every message through the wire codec (encode → decode)
+//    before forwarding, so the whole federation runs over real bytes while
+//    staying in-process. Enabled federation-wide by FederationConfig::
+//    link_wire (or the CIM_LINK_WIRE=bytes environment knob); reports
+//    net.wire.* metrics.
 //  * mesh::LinkSession        — a crash-tolerant session between OS
 //    processes (mesh/link_session.h), used by tools/cim_bridge: the mesh's
 //    driver of net::ArqCore over a net::TcpLinkTransport byte pipe.
-//
-// A transport delivers *inbound* messages by whatever registration its
-// construction implies (fabric receiver wiring, a session's frame callback
-// on the epoll loop); this interface only models the outbound half plus the
-// lifecycle and introspection hooks the interconnect and metrics layers
-// need.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "net/fabric.h"
 #include "net/message.h"
-#include "net/reliable_transport.h"
 #include "obs/obs.h"
 
 namespace cim::net {
 
 class LinkTransport {
  public:
+  /// Inbound delivery: each payload from the peer end, exactly once and in
+  /// send order (the implementation's contract; see each class).
+  using DeliverFn = std::function<void(MessagePtr)>;
+
+  LinkTransport() = default;
+  LinkTransport(const LinkTransport&) = delete;  // callbacks hold its address
+  LinkTransport& operator=(const LinkTransport&) = delete;
   virtual ~LinkTransport() = default;
+
+  /// Install the deliver callback, before the first payload can arrive.
+  virtual void set_deliver(DeliverFn deliver) {
+    deliver_ = std::move(deliver);
+  }
 
   /// Send one message to the peer endpoint (reliable FIFO semantics are the
   /// implementation's contract; see each class).
@@ -59,49 +70,42 @@ class LinkTransport {
   virtual std::uint64_t wire_bytes_out() const { return 0; }
   virtual std::uint64_t wire_bytes_in() const { return 0; }
 
-  /// The ARQ endpoint carrying this link, if any (metrics unification:
-  /// Federation reports net.link.<i>.<side>.* from it).
-  virtual ReliableTransport* arq() const { return nullptr; }
+ protected:
+  DeliverFn deliver_;
 };
 
-/// The in-sim path: pointer handoff to a fabric channel, optionally through
-/// a ReliableTransport endpoint (which must be wired to the same channel).
-class FabricLinkTransport final : public LinkTransport {
+/// The raw in-sim path: pointer handoff to the out-channel, and the fabric
+/// receiver of the in-channel (wire() both before the first send).
+class FabricLinkTransport final : public LinkTransport, public Receiver {
  public:
-  FabricLinkTransport(Fabric& fabric, ChannelId out,
-                      ReliableTransport* arq = nullptr)
-      : fabric_(fabric), out_(out), arq_(arq) {}
+  explicit FabricLinkTransport(Fabric& fabric) : fabric_(fabric) {}
 
-  void send(MessagePtr msg) override {
-    if (arq_ != nullptr) {
-      arq_->send(std::move(msg));
-    } else {
-      fabric_.send(out_, std::move(msg));
-    }
+  void wire(ChannelId out, ChannelId in) {
+    out_ = out;
+    in_ = in;
   }
+
+  void send(MessagePtr msg) override { fabric_.send(out_, std::move(msg)); }
 
   std::size_t backlog() const override {
     return fabric_.channel_backlog(out_);
   }
 
-  void set_down(bool down) override {
-    if (arq_ != nullptr) arq_->set_down(down);
-  }
-
-  ReliableTransport* arq() const override { return arq_; }
-  ChannelId out_channel() const { return out_; }
+  // net::Receiver (pairs from the peer end).
+  void on_message(ChannelId from, MessagePtr msg) override;
 
  private:
   Fabric& fabric_;
-  ChannelId out_;
-  ReliableTransport* arq_;  // null: raw channel
+  ChannelId out_{};
+  ChannelId in_{};
 };
 
 /// Byte-exactness harness: every message is encoded to its wire frame and
 /// decoded back before it continues down the wrapped transport, so the
 /// payload the peer sees went through the full codec. Dropping or altering
 /// any field on the wire would change checker verdicts / metrics and fail
-/// the bytes-mode test suite.
+/// the bytes-mode test suite. Inbound payloads arrive through the wrapped
+/// end, which holds the deliver callback.
 class LoopbackBytesTransport final : public LinkTransport {
  public:
   /// `inner` is borrowed (the interconnector owns both).
@@ -109,12 +113,14 @@ class LoopbackBytesTransport final : public LinkTransport {
 
   void send(MessagePtr msg) override;
 
+  void set_deliver(DeliverFn deliver) override {
+    inner_.set_deliver(std::move(deliver));
+  }
   std::size_t backlog() const override { return inner_.backlog(); }
   void set_down(bool down) override { inner_.set_down(down); }
   bool serializing() const override { return true; }
   std::uint64_t wire_bytes_out() const override { return bytes_out_; }
   std::uint64_t wire_bytes_in() const override { return bytes_in_; }
-  ReliableTransport* arq() const override { return inner_.arq(); }
 
  private:
   LinkTransport& inner_;

@@ -24,13 +24,11 @@ ReliableTransport::ReliableTransport(Fabric& fabric, std::uint64_t seed,
   }
 }
 
-void ReliableTransport::wire(ChannelId out, ChannelId in, Receiver* upper) {
+void ReliableTransport::wire(ChannelId out, ChannelId in) {
   CIM_CHECK_MSG(!wired_, "transport endpoint wired twice");
-  CIM_CHECK_MSG(upper != nullptr, "transport needs an upper receiver");
   wired_ = true;
   out_ = out;
   in_ = in;
-  upper_ = upper;
 }
 
 void ReliableTransport::send(MessagePtr payload) {
@@ -186,7 +184,7 @@ void ReliableTransport::on_message(ChannelId from, MessagePtr msg) {
 
 void ReliableTransport::deliver(MessagePtr payload) {
   ++delivered_;
-  upper_->on_message(in_, std::move(payload));
+  deliver_(std::move(payload));
 }
 
 void ReliableTransport::schedule_ack() {

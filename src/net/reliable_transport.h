@@ -10,12 +10,13 @@
 // backpressure — payloads past the window queue at the sender, mirroring the
 // paper's dial-up queuing.
 //
-// Topology: one endpoint per side of a link. Endpoint A sends data frames on
-// the A→B channel and receives data + ACKs on the B→A channel (and vice
-// versa), so every frame of the reverse direction carries a cumulative ACK
-// for free. In-order payloads are handed to the upper Receiver with the
-// *underlying* inbound ChannelId as `from`, so upper layers (IsProcess) need
-// no transport-specific plumbing.
+// Topology: one endpoint per side of a link, each a net::LinkTransport the
+// IS-process holds like any other link end. Endpoint A sends data frames on
+// the A→B channel and is the fabric receiver of the B→A channel, on which
+// data + ACKs arrive (and vice versa), so every frame of the reverse
+// direction carries a cumulative ACK for free. In-order payloads go to the
+// deliver callback (LinkTransport::set_deliver), synchronously inside the
+// fabric's delivery event.
 //
 // Crash windows: set_down(true) models the owning host being crashed — every
 // arriving frame is dropped (the peer's retransmissions recover them later)
@@ -31,6 +32,7 @@
 #include "common/vec_queue.h"
 #include "net/arq_core.h"
 #include "net/fabric.h"
+#include "net/link_transport.h"
 #include "obs/obs.h"
 
 namespace cim::net {
@@ -49,33 +51,35 @@ inline constexpr double kBackoff = 2.0;
 inline constexpr double kJitter = 0.25;
 inline constexpr sim::Duration kAckDelay = sim::milliseconds(2);
 
-class ReliableTransport final : public Receiver {
+class ReliableTransport final : public LinkTransport, public Receiver {
  public:
   /// `seed` drives the retransmit-timer jitter.
   ReliableTransport(Fabric& fabric, std::uint64_t seed,
                     obs::Observability* obs = nullptr);
-  ReliableTransport(const ReliableTransport&) = delete;
-  ReliableTransport& operator=(const ReliableTransport&) = delete;
 
   /// Wire the endpoint: data+ACK frames go out on `out`; this endpoint must
-  /// be registered as the Fabric receiver of `in`; in-order payloads are
-  /// delivered to `upper` with `in` as the `from` channel.
-  void wire(ChannelId out, ChannelId in, Receiver* upper);
+  /// be registered as the Fabric receiver of `in`.
+  void wire(ChannelId out, ChannelId in);
 
-  /// Send a payload reliably: delivered to the peer's upper receiver exactly
-  /// once, in send order. Payloads must support Message::clone() (needed for
-  /// retransmission).
-  void send(MessagePtr payload);
+  /// Send a payload reliably: delivered to the peer's deliver callback
+  /// exactly once, in send order. Payloads must support Message::clone()
+  /// (needed for retransmission).
+  void send(MessagePtr payload) override;
+
+  /// Frames on the out-channel not yet delivered (the fabric's count).
+  std::size_t backlog() const override {
+    return fabric_.channel_backlog(out_);
+  }
 
   /// Crash window of the owning host: while down, arriving frames are lost
   /// (the ARQ recovers them) and no timer fires. Sequencing state persists.
-  void set_down(bool down);
+  void set_down(bool down) override;
   bool down() const { return down_; }
 
   // ---- introspection -------------------------------------------------------
   std::size_t window_in_use() const { return arq_.unacked(); }
   std::size_t queued() const { return queue_.size(); }
-  /// Payloads handed to the upper receiver (exactly-once count).
+  /// Payloads handed to the deliver callback (exactly-once count).
   std::uint64_t delivered() const { return delivered_; }
   std::uint64_t retransmits() const { return retransmits_; }
   std::uint64_t timeouts() const { return timeouts_; }
@@ -113,7 +117,6 @@ class ReliableTransport final : public Receiver {
   Rng rng_;
   ChannelId out_{};
   ChannelId in_{};
-  Receiver* upper_ = nullptr;
   bool wired_ = false;
   bool down_ = false;
 

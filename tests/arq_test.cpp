@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -14,6 +15,7 @@
 #include "helpers.h"
 #include "interconnect/federation.h"
 #include "net/arq_core.h"
+#include "net/reliable_transport.h"
 #include "protocols/anbkh.h"
 #include "sim/faults.h"
 #include "workload/generator.h"
@@ -163,6 +165,120 @@ TEST(ArqParity, ChaosFederationTraceHashIsPinned) {
   for (char c : jsonl) events += c == '\n';
   EXPECT_EQ(events, 12101u);
   EXPECT_EQ(test::fnv1a(jsonl), 0xad24c5d95321cd7eULL);
+}
+
+// The net.link.0.<side>.<key> gauge of each side for every key, one
+// "name=value" line each ("-" where the gauge is absent).
+std::string link_gauges(isc::Federation& fed,
+                        std::initializer_list<const char*> keys) {
+  const obs::MetricsSnapshot snap = fed.metrics_snapshot();
+  std::string out;
+  for (const char* side : {"a", "b"}) {
+    for (const char* key : keys) {
+      const std::string name = std::string("net.link.0.") + side + "." + key;
+      const obs::MetricsSnapshot::Entry* e = snap.find(name);
+      out += name + "=" + (e ? std::to_string(e->value) : "-") + "\n";
+    }
+  }
+  return out;
+}
+
+// Pin of the ARQ link's net.link gauges in the chaos federation, mid-storm
+// (frames on the channel, unacked frames in the window) and at quiescence,
+// so the source each gauge is read from cannot change what it reads.
+TEST(LinkGauges, ChaosArqLinkGaugesArePinned) {
+  isc::Federation fed(chaos_config(7, 3));
+  wl::UniformConfig wc;
+  wc.ops_per_process = 80;
+  wc.write_fraction = 0.6;
+  wc.think_max = sim::milliseconds(25);
+  wc.seed = 7 + 13;
+  auto runners = wl::install_uniform(fed, wc);
+  const auto keys = {"retransmits",   "timeouts",  "dups_suppressed",
+                     "acks_sent",     "down_drops", "delivered",
+                     "window_in_use", "queued",    "backlog"};
+  fed.run_until(sim::Time{} + sim::milliseconds(300));
+  EXPECT_EQ(link_gauges(fed, keys),
+            "net.link.0.a.retransmits=23\n"
+            "net.link.0.a.timeouts=4\n"
+            "net.link.0.a.dups_suppressed=12\n"
+            "net.link.0.a.acks_sent=27\n"
+            "net.link.0.a.down_drops=0\n"
+            "net.link.0.a.delivered=39\n"
+            "net.link.0.a.window_in_use=2\n"
+            "net.link.0.a.queued=0\n"
+            "net.link.0.a.backlog=1\n"
+            "net.link.0.b.retransmits=23\n"
+            "net.link.0.b.timeouts=4\n"
+            "net.link.0.b.dups_suppressed=10\n"
+            "net.link.0.b.acks_sent=25\n"
+            "net.link.0.b.down_drops=0\n"
+            "net.link.0.b.delivered=42\n"
+            "net.link.0.b.window_in_use=5\n"
+            "net.link.0.b.queued=0\n"
+            "net.link.0.b.backlog=0\n");
+  fed.run();
+  EXPECT_EQ(link_gauges(fed, keys),
+            "net.link.0.a.retransmits=234\n"
+            "net.link.0.a.timeouts=30\n"
+            "net.link.0.a.dups_suppressed=93\n"
+            "net.link.0.a.acks_sent=84\n"
+            "net.link.0.a.down_drops=0\n"
+            "net.link.0.a.delivered=142\n"
+            "net.link.0.a.window_in_use=0\n"
+            "net.link.0.a.queued=0\n"
+            "net.link.0.a.backlog=0\n"
+            "net.link.0.b.retransmits=280\n"
+            "net.link.0.b.timeouts=15\n"
+            "net.link.0.b.dups_suppressed=61\n"
+            "net.link.0.b.acks_sent=103\n"
+            "net.link.0.b.down_drops=39\n"
+            "net.link.0.b.delivered=139\n"
+            "net.link.0.b.window_in_use=0\n"
+            "net.link.0.b.queued=0\n"
+            "net.link.0.b.backlog=0\n");
+}
+
+// Pin of a bytes-mode link's byte counters and backlog, mid-run and at
+// quiescence: every pair's encoded frame is counted once out and once in,
+// on the side that sent it.
+TEST(LinkGauges, BytesModeLinkCountsItsWireBytes) {
+  isc::FederationConfig cfg;
+  for (std::uint16_t s = 0; s < 2; ++s) {
+    mcs::SystemConfig sys;
+    sys.id = SystemId{s};
+    sys.num_app_processes = 3;
+    sys.protocol = proto::anbkh_protocol();
+    sys.seed = 7 + s;
+    cfg.systems.push_back(std::move(sys));
+  }
+  isc::LinkSpec link;
+  link.system_a = 0;
+  link.system_b = 1;
+  cfg.links.push_back(std::move(link));
+  cfg.link_wire = isc::LinkWire::kLoopbackBytes;
+  isc::Federation fed(std::move(cfg));
+  wl::UniformConfig wc;
+  wc.ops_per_process = 30;
+  wc.seed = 23;
+  auto runners = wl::install_uniform(fed, wc);
+  const auto keys = {"bytes_out", "bytes_in", "backlog"};
+  fed.run_until(sim::Time{} + sim::milliseconds(25));
+  EXPECT_EQ(link_gauges(fed, keys),
+            "net.link.0.a.bytes_out=416\n"
+            "net.link.0.a.bytes_in=416\n"
+            "net.link.0.a.backlog=7\n"
+            "net.link.0.b.bytes_out=583\n"
+            "net.link.0.b.bytes_in=583\n"
+            "net.link.0.b.backlog=6\n");
+  fed.run();
+  EXPECT_EQ(link_gauges(fed, keys),
+            "net.link.0.a.bytes_out=1408\n"
+            "net.link.0.a.bytes_in=1408\n"
+            "net.link.0.a.backlog=0\n"
+            "net.link.0.b.bytes_out=1367\n"
+            "net.link.0.b.bytes_in=1367\n"
+            "net.link.0.b.backlog=0\n");
 }
 
 // Property: the simulator driver keeps the reliable FIFO channel of

@@ -27,6 +27,7 @@
 
 #include "checker/causal_checker.h"
 #include "checker/history.h"
+#include "checker/trace_io.h"
 #include "helpers.h"
 #include "interconnect/topology.h"
 #include "mesh/ctrl_io.h"
@@ -927,6 +928,24 @@ TEST(MeshChaos, ARestartWithoutResumeIsRefusedAndThePeerRunsOn) {
   EXPECT_EQ(resumed.session(0).data_sent(), node0.session(0).data_delivered());
 }
 
+// A mesh node's federation reports its external link as net.link.0.a: the
+// session's backlog and the bytes its sockets moved.
+TEST(LinkGauges, MeshExternalLinkReportsBacklogAndBytes) {
+  ChaosMesh mesh(test_port(260), nullptr);
+  mesh.finish_and_check();
+  for (std::size_t i = 0; i < 2; ++i) {
+    const obs::MetricsSnapshot snap =
+        mesh.nodes[i]->federation().metrics_snapshot();
+    EXPECT_NE(snap.find("net.link.0.a.backlog"), nullptr) << "node " << i;
+    for (const char* name :
+         {"net.link.0.a.bytes_out", "net.link.0.a.bytes_in"}) {
+      const obs::MetricsSnapshot::Entry* e = snap.find(name);
+      ASSERT_NE(e, nullptr) << "node " << i << ": " << name;
+      EXPECT_GT(e->value, 0) << "node " << i << ": " << name;
+    }
+  }
+}
+
 // ---- introspection from other threads --------------------------------------
 
 // What a foreign thread reads of one session: every any-thread accessor.
@@ -1062,6 +1081,7 @@ TEST(Spill, RoundTripsCursorsFramesAndCtrlFlags) {
   j.record_delivered(1, 5, 4);
   j.record_ctrl_delivered(1, ControlMsg::kDone, 123);
   j.record_ctrl_sent(0, ControlMsg::kDone);
+  j.record_started();
   j.close();
 
   mesh::SpillState back;
@@ -1071,6 +1091,7 @@ TEST(Spill, RoundTripsCursorsFramesAndCtrlFlags) {
   EXPECT_EQ(back.topo_hash, 0xABCDu);
   EXPECT_EQ(back.seed, 11u);
   EXPECT_EQ(back.generation, 1u);
+  EXPECT_TRUE(back.started);
   ASSERT_EQ(back.links.size(), 2u);
   EXPECT_EQ(back.links[0].acked, 1u);
   EXPECT_EQ(back.links[0].send_next, 2u);
@@ -1151,9 +1172,10 @@ TEST(MeshResume, RefusesAJournalWhoseTerminationAlreadyBegan) {
 
 TEST(MeshResume, ANeighborBackAfterTheJoinDeadlineStillFormsTheLink) {
   // A resumed node's links formed before, so its join deadline does not
-  // fail it (and use up a restart generation): past the deadline it runs
-  // with the link down, and the neighbor's late start forms the link
-  // through the ordinary rejoin path.
+  // fail it: past the deadline it runs with the link down, and the
+  // neighbor's late start forms the link through the ordinary rejoin path.
+  // The first start never ran its workload, so the resume keeps
+  // generation 0.
   const std::uint16_t base = test_port(240);
   const std::string state =
       "/tmp/cim_spill_late_" + std::to_string(::getpid()) + ".journal";
@@ -1188,10 +1210,71 @@ TEST(MeshResume, ANeighborBackAfterTheJoinDeadlineStillFormsTheLink) {
   ::unlink(state.c_str());
   ASSERT_TRUE(result0.ok) << node0.error();
   ASSERT_TRUE(result1.ok) << node1.error();
-  EXPECT_EQ(node0.generation(), 1u);
+  EXPECT_EQ(node0.generation(), 0u);
   EXPECT_GE(node0.session(0).resumes(), 1u);  // a restored link re-formed
   EXPECT_EQ(node0.session(0).data_sent(), node1.session(0).data_delivered());
   EXPECT_EQ(node1.session(0).data_sent(), node0.session(0).data_delivered());
+}
+
+TEST(MeshResume, AResumeThatNeverRanItsWorkloadKeepsItsGeneration) {
+  // Only a generation that started its workload has put its system id and
+  // values into the history. A fresh join that times out and five resumes
+  // destroyed before run() leave node 0 at generation 0, so a sixth resume
+  // still runs, drains, and gives a causal merged history.
+  const std::uint16_t base = test_port(270);
+  const std::string tag = std::to_string(::getpid());
+  const std::string state = "/tmp/cim_spill_unused_" + tag + ".journal";
+  const std::string hist[2] = {"/tmp/cim_unused_" + tag + "_0.hist",
+                               "/tmp/cim_unused_" + tag + "_1.hist"};
+  auto config = [&](std::size_t id, bool resume) {
+    mesh::MeshConfig cfg;
+    cfg.node_id = id;
+    cfg.topo = isc::make_chain(2);
+    cfg.base_port = base;
+    cfg.procs = 2;
+    cfg.ops = 40;
+    cfg.join_timeout_ms = 200;
+    cfg.history_path = hist[id];
+    if (id == 0) cfg.state_path = state;
+    cfg.resume = resume;
+    return cfg;
+  };
+  {
+    mesh::MeshNode first(config(0, false));
+    EXPECT_FALSE(first.join());
+  }
+  for (int attempt = 1; attempt <= 5; ++attempt) {
+    mesh::MeshNode resumed(config(0, true));
+    ASSERT_TRUE(resumed.join()) << "resume " << attempt << ": "
+                                << resumed.error();
+    EXPECT_EQ(resumed.generation(), 0u) << "resume " << attempt;
+  }
+  mesh::MeshNode node0(config(0, true));
+  ASSERT_TRUE(node0.join()) << node0.error();
+  mesh::MeshResult result0;
+  std::thread runner([&] { result0 = node0.run(); });
+  mesh::MeshNode node1(config(1, false));
+  mesh::MeshResult result1;
+  if (node1.join()) result1 = node1.run();
+  runner.join();
+  ASSERT_TRUE(result0.ok) << node0.error();
+  ASSERT_TRUE(result1.ok) << node1.error();
+  EXPECT_EQ(node0.generation(), 0u);
+
+  std::string merged;
+  for (const std::string& path : hist) {
+    std::ifstream is(path);
+    merged.append(std::istreambuf_iterator<char>(is),
+                  std::istreambuf_iterator<char>());
+    ::unlink(path.c_str());
+  }
+  ::unlink(state.c_str());
+  const chk::ParseResult parsed = chk::parse_trace(merged);
+  ASSERT_TRUE(parsed.history) << parsed.error;
+  EXPECT_EQ(parsed.history->size(), 2u * 2u * 40u);
+  const auto verdict =
+      chk::CausalChecker{}.check(*parsed.history, chk::Level::kCM);
+  EXPECT_TRUE(verdict.ok()) << verdict.detail;
 }
 
 }  // namespace

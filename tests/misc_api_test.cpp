@@ -93,7 +93,7 @@ TEST(IsProcess, DoubleActivationThrows) {
 
 TEST(IsProcess, MustAttachToIspSlot) {
   isc::Federation fed(test::single_system(2, proto::anbkh_protocol()));
-  EXPECT_THROW(isc::IsProcess(fed.system(0).app(0), fed.fabric()),
+  EXPECT_THROW(isc::IsProcess(fed.system(0).app(0), fed.simulator()),
                InvariantViolation);
 }
 

@@ -29,10 +29,13 @@ struct SeqMsg final : Message {
   MessagePtr clone() const override { return std::make_unique<SeqMsg>(*this); }
 };
 
-struct Collector final : Receiver {
+// The deliver callback of one endpoint: the payload values, in order.
+struct Collector {
   std::vector<int> values;
-  void on_message(ChannelId, MessagePtr msg) override {
-    values.push_back(static_cast<SeqMsg&>(*msg).value);
+  void attach(LinkTransport& end) {
+    end.set_deliver([this](MessagePtr msg) {
+      values.push_back(static_cast<SeqMsg&>(*msg).value);
+    });
   }
 };
 
@@ -52,8 +55,10 @@ struct Harness {
       : fabric(sim, seed), ta(fabric, seed + 1), tb(fabric, seed + 2) {
     ab = add_channel(0, 1, &tb, drop);
     ba = add_channel(1, 0, &ta, drop);
-    ta.wire(ab, ba, &at_a);
-    tb.wire(ba, ab, &at_b);
+    ta.wire(ab, ba);
+    tb.wire(ba, ab);
+    at_a.attach(ta);
+    at_b.attach(tb);
   }
 
   ChannelId add_channel(std::uint16_t src, std::uint16_t dst, Receiver* rx,
