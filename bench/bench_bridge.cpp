@@ -227,14 +227,14 @@ FaultSweepResult run_fault_sweep(std::uint16_t base_port) {
     cfg.ops = 12'000;
     cfg.seed = 9;
     cfg.join_timeout_ms = 20'000;
-    cfg.hb_interval_ms = 10;
-    cfg.liveness_timeout_ms = 100;
+    cfg.timing.hb_interval_ms = 10;
+    cfg.timing.liveness_timeout_ms = 100;
     // The deterministic first-dial backoff dominates the reconnect latency,
     // keeping the metric stable enough to gate (jitter is splitmix-seeded,
     // identical across runs; only scheduling noise remains).
-    cfg.backoff_initial_ms = 20;
-    cfg.backoff_max_ms = 40;
-    cfg.reconnect_attempts = 400;
+    cfg.timing.backoff_initial_ms = 20;
+    cfg.timing.backoff_max_ms = 40;
+    cfg.timing.reconnect_attempts = 400;
     if (i == 1) cfg.faults = &hooks;
     nodes.push_back(std::make_unique<mesh::MeshNode>(std::move(cfg)));
   }

@@ -84,7 +84,8 @@ Outcome run(double drop, bool reliable, std::uint64_t seed) {
   out.pairs_per_sec =
       seconds > 0 ? static_cast<double>(out.pairs_received) / seconds : 0.0;
   if (reliable) {
-    auto [ta, tb] = fed.interconnector().link_transports(0);
+    auto* ta = fed.interconnector().links()[0].a.arq;
+    auto* tb = fed.interconnector().links()[0].b.arq;
     out.retransmits = ta->retransmits() + tb->retransmits();
   }
   out.causal = chk::CausalChecker{}.check(fed.federation_history()).ok();

@@ -104,7 +104,8 @@ int main(int argc, char** argv) {
 
   isc::IsProcess& a = fed.interconnector().shared_isp(0);
   isc::IsProcess& b = fed.interconnector().shared_isp(1);
-  auto [ta, tb] = fed.interconnector().link_transports(0);
+  auto* ta = fed.interconnector().links()[0].a.arq;
+  auto* tb = fed.interconnector().links()[0].b.arq;
   const auto res = chk::CausalChecker{}.check(fed.federation_history());
 
   std::cout << "\nAfter the storm (" << fed.simulator().now().ns / 1000000

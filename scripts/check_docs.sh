@@ -90,7 +90,8 @@ if grep -rq --include=CMakeLists.txt "cim_wire" $cmake_lists; then
 fi
 
 # docs/BRIDGE.md is the normative mesh description: it must exist, name
-# every join-reject reason the handshake can send (src/mesh/ctrl_io.h),
+# every join-reject reason the handshake can send (mesh::RejectReason in
+# src/mesh/link_session.h),
 # and document the mesh counters and the spec keywords, so the protocol
 # description cannot silently fall behind the implementation.
 bridge_doc="$root/docs/BRIDGE.md"
@@ -159,12 +160,37 @@ if grep -Eq "dial_join|accept_join" "$root/src/mesh/mesh_node.h"; then
 fi
 # Every handshake, dialed or answered, runs on the node's loop, so nothing
 # in src/mesh blocks on a socket (no SO_RCVTIMEO read, no blocking
-# recv_ctrl_fd, no tcp_connect).
+# recv_ctrl_fd), and nothing under src connects blocking (tcp_connect is
+# the tests' fake peers' helper).
 # The join deadline bounds the dials, so MeshConfig has no dial_retries;
 # and the dead LinkTransport::kind() label stays gone.
-if grep -rEq "SO_RCVTIMEO|recv_ctrl_fd|tcp_connect" "$root"/src/mesh; then
+if grep -rEq "SO_RCVTIMEO|recv_ctrl_fd" "$root"/src/mesh; then
   echo "check_docs: src/mesh blocks on a socket (handshakes run on the loop):" >&2
-  grep -rEn "SO_RCVTIMEO|recv_ctrl_fd|tcp_connect" "$root"/src/mesh >&2
+  grep -rEn "SO_RCVTIMEO|recv_ctrl_fd" "$root"/src/mesh >&2
+  status=1
+fi
+if grep -rq "tcp_connect" "$root"/src; then
+  echo "check_docs: src names tcp_connect (a node dials with tcp_dial on its loop):" >&2
+  grep -rn "tcp_connect" "$root"/src >&2
+  status=1
+fi
+# One reader per socket: a link's TcpLinkTransport owns it from its first
+# byte, the handshake included. No second handshake reader or raw control
+# send exists, and neither the session nor the node takes an fd.
+if [ -e "$root/src/mesh/ctrl_io.h" ]; then
+  echo "check_docs: src/mesh/ctrl_io.h exists (the handshake runs on the link's TcpLinkTransport)" >&2
+  status=1
+fi
+if grep -rEq "read_ctrl_on_loop|send_ctrl_fd" "$root"/src; then
+  echo "check_docs: src reads or sends a handshake frame on a raw fd (the link's TcpLinkTransport carries it):" >&2
+  grep -rEn "read_ctrl_on_loop|send_ctrl_fd" "$root"/src >&2
+  status=1
+fi
+if grep -Eq "int fd[,)]" "$root/src/mesh/link_session.h" \
+    "$root/src/mesh/mesh_node.h"; then
+  echo "check_docs: link_session.h or mesh_node.h takes an fd (sessions and nodes hold transports):" >&2
+  grep -En "int fd[,)]" "$root/src/mesh/link_session.h" \
+    "$root/src/mesh/mesh_node.h" >&2
   status=1
 fi
 if grep -q "dial_retries" "$root/src/mesh/mesh_node.h"; then

@@ -216,12 +216,6 @@ IsProcess& Interconnector::isp_b(std::size_t link_index) {
   return *record(link_index).b.isp;
 }
 
-std::pair<net::ReliableTransport*, net::ReliableTransport*>
-Interconnector::link_transports(std::size_t link_index) const {
-  const LinkRecord& rec = record(link_index);
-  return {rec.a.arq, rec.b.arq};
-}
-
 IsProcess& Interconnector::external_isp(std::size_t ext_index) {
   CIM_CHECK(built_ && ext_index < external_specs_.size());
   return *records_[specs_.size() + ext_index].a.isp;

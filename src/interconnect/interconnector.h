@@ -130,11 +130,6 @@ class Interconnector {
   /// net.link.<l>.* metrics.
   const std::vector<LinkRecord>& links() const { return records_; }
 
-  /// The ARQ endpoints of link `link_index` as (side A, side B), or
-  /// (nullptr, nullptr) for a raw link.
-  std::pair<net::ReliableTransport*, net::ReliableTransport*> link_transports(
-      std::size_t link_index) const;
-
   /// Resolved wire mode (never kDefault after construction).
   LinkWire link_wire() const { return wire_; }
 

@@ -1,13 +1,10 @@
 #include "mesh/link_session.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstring>
 #include <utility>
 
 #include "common/check.h"
-#include "mesh/ctrl_io.h"
 
 namespace cim::mesh {
 
@@ -24,6 +21,13 @@ std::uint64_t splitmix64(std::uint64_t& s) {
 }
 
 }  // namespace
+
+void send_handshake(net::TcpLinkTransport& t, const ControlMsg& msg) {
+  std::vector<std::uint8_t> buf;
+  net::wire::encode(msg, buf);
+  t.send_bytes(buf.data(), buf.size());
+  t.flush();
+}
 
 LinkSession::LinkSession(SessionConfig cfg, net::EpollLoop& loop,
                          SpillJournal* journal)
@@ -46,15 +50,6 @@ void LinkSession::restore(const SpillLinkState& s) {
   formed_ = true;  // an earlier generation formed the link
 }
 
-void LinkSession::attach(int fd) {
-  transport_ =
-      std::make_unique<net::TcpLinkTransport>(fd, loop_, cfg_.link);
-  transport_->start_frames([this](std::unique_ptr<net::TransportFrame> f) {
-    on_frame(std::move(f));
-  });
-  connected_.set(true);
-}
-
 void LinkSession::start(DeliverFn deliver) {
   deliver_ = std::move(deliver);
   // No socket yet: the link is down until its handshake completes. The
@@ -73,7 +68,10 @@ void LinkSession::start(DeliverFn deliver) {
   arm_tick();
 }
 
-void LinkSession::stop() { bury_transport(); }
+void LinkSession::stop() {
+  bury_transport();
+  bury(std::move(dialing_));
+}
 
 void LinkSession::begin_shutdown() { shutdown_ = true; }
 
@@ -86,10 +84,15 @@ void LinkSession::handle_ack(std::uint64_t ack) {
   if (spill_ != nullptr) spill_->record_acked(cfg_.link_index, arq_.acked());
 }
 
+void LinkSession::bury(std::unique_ptr<net::TcpLinkTransport> t) {
+  if (t == nullptr) return;
+  t->close();
+  graveyard_.push_back(std::move(t));
+}
+
 void LinkSession::bury_transport() {
   if (transport_ != nullptr) {
-    transport_->close();
-    graveyard_.push_back(std::move(transport_));
+    bury(std::move(transport_));
     connected_.set(false);
   }
 }
@@ -107,7 +110,7 @@ void LinkSession::fail(const char* why) {
   if (state() == LinkState::kFailed) return;
   error_.set(why);
   state_.set(LinkState::kFailed);
-  bury_transport();
+  stop();
 }
 
 void LinkSession::send(net::MessagePtr msg) {
@@ -244,7 +247,7 @@ void LinkSession::send_ack() {
 }
 
 void LinkSession::arm_tick() {
-  loop_.post_after(cfg_.hb_interval_ms, [this] { tick(); });
+  loop_.post_after(cfg_.timing.hb_interval_ms, [this] { tick(); });
 }
 
 void LinkSession::tick() {
@@ -260,7 +263,7 @@ void LinkSession::tick() {
       }
     } else {
       const std::int64_t silence = now - t->last_rx_ns();
-      if (silence > std::int64_t{cfg_.liveness_timeout_ms} * 1'000'000) {
+      if (silence > std::int64_t{cfg_.timing.liveness_timeout_ms} * 1'000'000) {
         // Peer is silent (SIGSTOP, stall): degraded, not dead. The engine
         // stays paused on the journal bound; delivery resumes the moment
         // bytes flow again.
@@ -298,9 +301,9 @@ void LinkSession::tick() {
       }
     }
   }
-  if (state() == LinkState::kDegraded && cfg_.degraded_timeout_ms > 0 &&
+  if (state() == LinkState::kDegraded && cfg_.timing.degraded_timeout_ms > 0 &&
       now - degraded_since_ns_ >
-          std::int64_t{cfg_.degraded_timeout_ms} * 1'000'000) {
+          std::int64_t{cfg_.timing.degraded_timeout_ms} * 1'000'000) {
     fail("session: degraded past the failure budget");
   }
   if (state() != LinkState::kFailed) arm_tick();
@@ -313,8 +316,8 @@ void LinkSession::schedule_dial() {
   // Capped exponential backoff with deterministic jitter so two dialers
   // sharing a host never re-dial in lockstep.
   const int shift = std::min(dial_attempts_, 10);
-  std::int64_t delay = std::int64_t{cfg_.backoff_initial_ms} << shift;
-  delay = std::min<std::int64_t>(delay, cfg_.backoff_max_ms);
+  std::int64_t delay = std::int64_t{cfg_.timing.backoff_initial_ms} << shift;
+  delay = std::min<std::int64_t>(delay, cfg_.timing.backoff_max_ms);
   delay += static_cast<std::int64_t>(
       splitmix64(jitter_state_) % (static_cast<std::uint64_t>(delay) / 2 + 1));
   loop_.post_after(static_cast<int>(delay), [this] { dial(); });
@@ -327,33 +330,37 @@ void LinkSession::dial() {
     dial_failed();
     return;
   }
+  // The connect completes under the transport: our kRejoin waits in its
+  // queue for the writable socket, a refused connect fails it, and the
+  // budget bounds a full or unserviced listener backlog to one handshake,
+  // not minutes of kernel SYN retries.
+  dialing_ = std::make_unique<net::TcpLinkTransport>(fd, loop_, cfg_.link);
+  dialing_->start_handshake(
+      kDialReplyBudgetMs, [this](const char* err, const ControlMsg& reply) {
+        on_rejoin_reply(err, reply);
+      });
   ControlMsg rejoin;
   rejoin.code = ControlMsg::kRejoin;
   rejoin.a = cfg_.self_id;
   rejoin.b = cfg_.session_id;
   rejoin.c = arq_.recv_next();
-  // Time-bounded: a full or unserviced listener backlog costs one handshake
-  // budget, not minutes of kernel SYN retries.
-  read_ctrl_on_loop(loop_, fd, kDialReplyBudgetMs, rejoin,
-                    [this](const char* err, int sock, const ControlMsg& reply) {
-                      on_rejoin_reply(err, sock, reply);
-                    });
+  send_handshake(*dialing_, rejoin);
 }
 
-void LinkSession::on_rejoin_reply(const char* err, int fd,
-                                  const ControlMsg& reply) {
+void LinkSession::on_rejoin_reply(const char* err, const ControlMsg& reply) {
+  std::unique_ptr<net::TcpLinkTransport> t = std::move(dialing_);
   if (err == nullptr && reply.code == ControlMsg::kRejoin &&
       reply.b == cfg_.session_id) {
     if (const char* why = cursor_fault(reply.c)) {
-      ::close(fd);
+      bury(std::move(t));
       fail(why);
       return;
     }
     dial_attempts_ = 0;
-    resume(fd, reply.c);
+    resume(std::move(t), reply.c);
     return;
   }
-  if (fd >= 0) ::close(fd);
+  bury(std::move(t));
   if (err == nullptr && reply.code == ControlMsg::kJoinReject) {
     // The peer refused this link: it is built or launched for another mesh
     // (spec file, seed, wire version), or this node restarted without its
@@ -391,47 +398,55 @@ void LinkSession::dial_failed() {
     return;
   }
   ++dial_attempts_;
-  if (cfg_.reconnect_attempts > 0 && dial_attempts_ >= cfg_.reconnect_attempts)
+  const int budget = cfg_.timing.reconnect_attempts;
+  if (budget > 0 && dial_attempts_ >= budget)
     fail("session: reconnect attempts exhausted");
   else
     schedule_dial();
 }
 
-void LinkSession::accept_rejoin(int fd, std::uint64_t peer_delivered) {
+void LinkSession::accept_rejoin(std::unique_ptr<net::TcpLinkTransport> t,
+                                std::uint64_t peer_delivered) {
+  ControlMsg reply;
+  reply.a = cfg_.self_id;
   if (const char* why = cursor_fault(peer_delivered)) {
     if (peer_delivered < arq_.acked()) {
       // The dialer restarted without its journal. Refuse it by name and
       // keep this session as it is, for the dialer's real --resume.
-      send_ctrl_fd(fd, ControlMsg::kJoinReject, cfg_.self_id,
-                   kRejectLostState);
+      reply.code = ControlMsg::kJoinReject;
+      reply.b = kRejectLostState;
+      send_handshake(*t, reply);
     } else {
       fail(why);  // this node restarted without its journal
     }
-    ::close(fd);
+    bury(std::move(t));
     return;
   }
-  ControlMsg reply;
   reply.code = ControlMsg::kRejoin;
-  reply.a = cfg_.self_id;
   reply.b = cfg_.session_id;
   reply.c = arq_.recv_next();
-  // Reply before any replay frame can enter the stream: the dialer reads
-  // exactly one control frame, and TCP keeps the order.
-  if (!send_ctrl_fd(fd, reply)) {
-    ::close(fd);
-    return;
-  }
-  resume(fd, peer_delivered);
+  // The answer leaves before any replay frame enters the queue: the dialer
+  // takes exactly one handshake frame, and TCP keeps the order.
+  send_handshake(*t, reply);
+  if (t->peer_closed()) return bury(std::move(t));  // it died meanwhile
+  resume(std::move(t), peer_delivered);
 }
 
-void LinkSession::resume(int fd, std::uint64_t peer_delivered) {
+void LinkSession::resume(std::unique_ptr<net::TcpLinkTransport> t,
+                         std::uint64_t peer_delivered) {
   if (state() == LinkState::kFailed) {
-    ::close(fd);
+    bury(std::move(t));
     return;
   }
   if (transport_ != nullptr) retire();  // superseded incarnation
   handle_ack(peer_delivered);
-  attach(fd);
+  transport_ = std::move(t);
+  // The frames behind the handshake frame, in the same read included, are
+  // this session's.
+  transport_->set_frame_fn([this](std::unique_ptr<net::TransportFrame> f) {
+    on_frame(std::move(f));
+  });
+  connected_.set(true);
   // Rewind the wire cursor to the first unacked frame: this pump IS the
   // replay. Duplicates (an ack racing the replay) die at the peer's receive
   // cursor.

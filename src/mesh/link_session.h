@@ -38,14 +38,15 @@
 // Threading: a single-thread object with no lock. send() (the engine, the
 // convergecast and the stats plane all live on the loop), on_frame, the
 // heartbeat tick, and both sides of every rejoin run on the loop thread: a
-// re-dial is a loop timer that starts a nonblocking connect, whose kRejoin
-// exchange is read by the loop (mesh/ctrl_io.h), and the acceptor's
-// listener is a loop handler of the node. So frames reach the transport in
-// seq order by construction, send() never blocks, and one thread mutates
-// the session. start() and restore() run before the loop starts, stop()
-// after it stopped. Other threads (perfbench's poller, bench_bridge, the
-// tests) read only the accessors marked "any thread": each is one relaxed
-// atomic the loop writes with a plain load + store (Published).
+// re-dial is a loop timer that starts a nonblocking connect under a
+// TcpLinkTransport, whose first frame is the peer's answer, and the
+// acceptor's listener is a loop handler of the node. So frames reach the
+// transport in seq order by construction, send() never blocks, and one
+// thread mutates the session. start() and restore() run before the loop
+// starts, stop() after it stopped. Other threads (perfbench's poller,
+// bench_bridge, the tests) read only the accessors marked "any thread": each
+// is one relaxed atomic the loop writes with a plain load + store
+// (Published).
 #pragma once
 
 #include <atomic>
@@ -65,6 +66,42 @@ namespace cim::mesh {
 
 enum class LinkState : int { kUp = 0, kDegraded = 1, kFailed = 2 };
 
+/// kJoinReject reason codes (ControlMsg.b; docs/BRIDGE.md "Link
+/// formation"). Codes 1, 2 and 4 (wire version, topology hash, duplicate
+/// join) are retired and never reused: the session id carries the first two,
+/// and a second handshake for a formed edge supersedes the first.
+enum RejectReason : std::uint64_t {
+  kRejectNotANeighbor = 3,     // the sender is no higher-id neighbor of ours
+  kRejectSessionMismatch = 5,  // its session id is not the one we hold
+  kRejectLostState = 6,  // its cursor is below what it acknowledged to us
+};
+
+/// Budget for the handshake frame of an accepted connection.
+inline constexpr int kInboundFrameBudgetMs = 1000;
+/// Budget for a dial: the connect, our handshake and the peer's reply share
+/// it.
+inline constexpr int kDialReplyBudgetMs = 2000;
+
+/// Queue the handshake frame `msg` (a bare ControlMsg, the one message of
+/// a link's opening exchange) on `t` and write it out at once, in a write
+/// of its own: it goes out before anything queued after it.
+void send_handshake(net::TcpLinkTransport& t, const net::wire::ControlMsg& msg);
+
+/// A link session's heartbeat, liveness and reconnect timings. MeshConfig
+/// holds the node's one copy; every session of the node gets it.
+struct SessionTiming {
+  int hb_interval_ms = 100;
+  int liveness_timeout_ms = 2000;
+  /// After this long continuously degraded the session fails (0 = never:
+  /// degrade + backpressure forever, the default).
+  int degraded_timeout_ms = 0;
+  int backoff_initial_ms = 50;
+  int backoff_max_ms = 1000;
+  /// Dial attempts per outage of a formed link before the session fails
+  /// (<= 0: unbounded).
+  int reconnect_attempts = 40;
+};
+
 struct SessionConfig {
   std::uint64_t session_id = 0;  // deterministic per (topology, seed, edge)
   std::uint64_t self_id = 0;     // our node id
@@ -76,16 +113,7 @@ struct SessionConfig {
   bool dialer = false;
   std::string host = "127.0.0.1";
   std::uint16_t peer_port = 0;
-  int hb_interval_ms = 100;
-  int liveness_timeout_ms = 2000;
-  /// After this long continuously degraded the session fails (0 = never:
-  /// degrade + backpressure forever, the default).
-  int degraded_timeout_ms = 0;
-  int backoff_initial_ms = 50;
-  int backoff_max_ms = 1000;
-  /// Dial attempts per outage of a formed link before the session fails
-  /// (<= 0: unbounded).
-  int reconnect_attempts = 40;
+  SessionTiming timing;
   net::TcpLinkConfig link;
 };
 
@@ -118,14 +146,16 @@ class LinkSession final : public net::LinkTransport {
   /// included, via the spill journal's receive cursor.
   void start(DeliverFn deliver);
 
-  /// Acceptor side of a rejoin (loop thread): `fd` carried the peer's
-  /// kRejoin for this session, with the peer's delivery cursor. Answers with
-  /// our own kRejoin, then trims the journal to that cursor, replays the
-  /// rest on the fresh socket and flips to kUp. A cursor that one side's
-  /// restart without its journal explains is refused instead: a peer that
-  /// lost acknowledged frames gets kRejectLostState and this session waits
-  /// on; a peer ahead of everything this side sent fails this session.
-  void accept_rejoin(int fd, std::uint64_t peer_delivered);
+  /// Acceptor side of a rejoin (loop thread): `t` carried the peer's
+  /// kRejoin for this session, with the peer's delivery cursor, as its
+  /// handshake frame. Answers on `t` with our own kRejoin, then trims the
+  /// journal to that cursor, replays the rest behind the answer and flips to
+  /// kUp. A cursor that one side's restart without its journal explains is
+  /// refused instead: a peer that lost acknowledged frames gets
+  /// kRejectLostState and this session waits on; a peer ahead of everything
+  /// this side sent fails this session.
+  void accept_rejoin(std::unique_ptr<net::TcpLinkTransport> t,
+                     std::uint64_t peer_delivered);
 
   /// Final drain: EOF from here on is a normal goodbye, not an outage.
   void begin_shutdown();
@@ -140,8 +170,8 @@ class LinkSession final : public net::LinkTransport {
            journal_bytes_ >= kJournalMaxBytes;
   }
 
-  /// Close the live socket, so the peer sees EOF now. Call once the loop
-  /// has stopped (or never started).
+  /// Close the live socket and any dial in flight, so the peer sees EOF
+  /// now. Call once the loop has stopped (or never started).
   void stop();
 
   // net::LinkTransport — the interconnector sends pairs through here (loop
@@ -226,14 +256,16 @@ class LinkSession final : public net::LinkTransport {
   /// Queue a pure-ACK frame for the current receive cursor.
   void send_ack();
   void handle_ack(std::uint64_t ack);
-  /// Close the live transport (if any) into the graveyard; no socket left.
+  /// Close `t` (if any) into the graveyard.
+  void bury(std::unique_ptr<net::TcpLinkTransport> t);
+  /// Bury the live transport (if any); no socket left.
   void bury_transport();
   void retire();  // current transport died: degrade, re-dial
   void fail(const char* why);
-  void attach(int fd);  // new transport incarnation, registered
-  /// A rejoin handshake succeeded: ack the peer's cursor, attach `fd`,
-  /// replay.
-  void resume(int fd, std::uint64_t peer_delivered);
+  /// A rejoin handshake succeeded: ack the peer's cursor, make `t` the live
+  /// transport, replay.
+  void resume(std::unique_ptr<net::TcpLinkTransport> t,
+              std::uint64_t peer_delivered);
   /// Dialer: arm the next dial after the capped, jittered backoff.
   void schedule_dial();
   void dial();
@@ -243,8 +275,8 @@ class LinkSession final : public net::LinkTransport {
   /// Why the peer's delivery cursor cannot continue this session (one side
   /// restarted without its spill journal), or null.
   const char* cursor_fault(std::uint64_t peer_delivered) const;
-  void on_rejoin_reply(const char* err, int fd,
-                       const net::wire::ControlMsg& reply);
+  /// The dial's handshake ended: the peer's answer, or why it never came.
+  void on_rejoin_reply(const char* err, const net::wire::ControlMsg& reply);
   /// `stat` summed over the live transport and every retired one.
   std::uint64_t sum_transports(
       std::uint64_t (net::TcpLinkTransport::*stat)() const) const;
@@ -291,9 +323,11 @@ class LinkSession final : public net::LinkTransport {
   std::int64_t offset_ns_ = 0;
 
   // Socket incarnations. `transport_` is the live one (null while down);
-  // retired ones move to the graveyard and die with the session — an epoll
-  // handler must outlive the loop's last dispatch (net/epoll_loop.h).
+  // `dialing_` is the dialer's connection awaiting its answer. Retired ones
+  // and failed dials move to the graveyard and die with the session — an
+  // epoll handler must outlive the loop's last dispatch (net/epoll_loop.h).
   std::unique_ptr<net::TcpLinkTransport> transport_;
+  std::unique_ptr<net::TcpLinkTransport> dialing_;
   std::vector<std::unique_ptr<net::TcpLinkTransport>> graveyard_;
 
   std::uint64_t jitter_state_;  // splitmix64, seeded deterministically

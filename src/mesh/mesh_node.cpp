@@ -7,12 +7,10 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
-#include <optional>
 #include <utility>
 
 #include "common/check.h"
 #include "checker/trace_io.h"
-#include "mesh/ctrl_io.h"
 #include "mesh/stats_plane.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
@@ -263,12 +261,7 @@ bool MeshNode::join() {
     sc.dialer = neighbors_[e] < cfg_.node_id;
     sc.host = cfg_.host;
     sc.peer_port = static_cast<std::uint16_t>(cfg_.base_port + neighbors_[e]);
-    sc.hb_interval_ms = cfg_.hb_interval_ms;
-    sc.liveness_timeout_ms = cfg_.liveness_timeout_ms;
-    sc.degraded_timeout_ms = cfg_.degraded_timeout_ms;
-    sc.backoff_initial_ms = cfg_.backoff_initial_ms;
-    sc.backoff_max_ms = cfg_.backoff_max_ms;
-    sc.reconnect_attempts = cfg_.reconnect_attempts;
+    sc.timing = cfg_.timing;
     sc.link.faults = cfg_.faults;
     sessions_.push_back(
         std::make_unique<LinkSession>(std::move(sc), loop_, spill));
@@ -386,31 +379,44 @@ void MeshNode::relay_stats(std::unique_ptr<net::wire::StatsFrame> frame) {
 }
 
 void MeshNode::on_ready(std::uint32_t) {
-  // Each connection gets its own loop reader and budget: a silent one delays
-  // no handshake behind it.
+  // Each connection is a transport of its own, waiting for its handshake
+  // frame under its own budget: a silent one delays no handshake behind it.
   for (int fd = net::tcp_accept(listener_); fd >= 0;
        fd = net::tcp_accept(listener_)) {
-    read_ctrl_on_loop(loop_, fd, kInboundFrameBudgetMs, std::nullopt,
-                      [this](const char* err, int sock, const ControlMsg& msg) {
-                        if (err == nullptr) answer_rejoin(sock, msg);
-                      });
+    inbound_.push_back(std::make_unique<net::TcpLinkTransport>(
+        fd, loop_, net::TcpLinkConfig{cfg_.faults}));
+    net::TcpLinkTransport* t = inbound_.back().get();
+    t->start_handshake(kInboundFrameBudgetMs,
+                       [this, t](const char* err, const ControlMsg& msg) {
+                         if (err != nullptr) return t->close();
+                         answer_rejoin(*t, msg);
+                       });
   }
 }
 
-void MeshNode::answer_rejoin(int fd, const ControlMsg& msg) {
+void MeshNode::answer_rejoin(net::TcpLinkTransport& t, const ControlMsg& msg) {
   // Only a higher-id neighbor dials us; its session id is the whole check
   // (wire version, spec file, seed). A second handshake for a formed link
   // supersedes the first, as any rejoin does.
-  std::uint64_t reject = kRejectNotANeighbor;
+  ControlMsg reject;
+  reject.code = ControlMsg::kJoinReject;
+  reject.a = cfg_.node_id;
+  reject.b = kRejectNotANeighbor;
   for (std::size_t e = 0; e < neighbors_.size(); ++e) {
     if (neighbors_[e] != msg.a || neighbors_[e] < cfg_.node_id) continue;
     if (msg.code == ControlMsg::kRejoin &&
-        msg.b == sessions_[e]->session_id())
-      return sessions_[e]->accept_rejoin(fd, msg.c);
-    reject = kRejectSessionMismatch;
+        msg.b == sessions_[e]->session_id()) {
+      const auto it =
+          std::find_if(inbound_.begin(), inbound_.end(),
+                       [&t](const auto& p) { return p.get() == &t; });
+      std::unique_ptr<net::TcpLinkTransport> owned = std::move(*it);
+      inbound_.erase(it);
+      return sessions_[e]->accept_rejoin(std::move(owned), msg.c);
+    }
+    reject.b = kRejectSessionMismatch;
   }
-  send_ctrl_fd(fd, ControlMsg::kJoinReject, cfg_.node_id, reject);
-  ::close(fd);
+  send_handshake(t, reject);
+  t.close();
 }
 
 MeshResult MeshNode::run() {
@@ -518,7 +524,7 @@ MeshResult MeshNode::run() {
   // rejoin-latency (its capped backoff plus detection); a rejoin inside the
   // window resets the clock and the journal replays normally.
   const auto rejoin_grace = std::chrono::milliseconds(
-      2 * cfg_.backoff_max_ms + 2 * cfg_.hb_interval_ms);
+      2 * cfg_.timing.backoff_max_ms + 2 * cfg_.timing.hb_interval_ms);
   Clock::time_point drain_deadline;
   std::vector<Clock::time_point> dead_since(n_links, Clock::time_point{});
   auto drain_complete = [&] {

@@ -13,8 +13,9 @@
 //             base_port + node_id and runs the node's EpollLoop until every
 //             session has connected. Every edge forms through one
 //             handshake, the kRejoin exchange {node id, session id,
-//             delivered cursor} (mesh/ctrl_io.h): the higher id dials, the
-//             lower id answers. A fresh node is a node restored from an
+//             delivered cursor}, the first frame each way on the link's own
+//             TcpLinkTransport: the higher id dials, the lower id
+//             answers. A fresh node is a node restored from an
 //             empty journal, so its edges form as rejoins at cursor 0; with
 //             `resume`, the journal written by the crashed incarnation
 //             supplies the cursors. The session id hashes the wire version,
@@ -49,9 +50,10 @@
 // silent or crashed peer degrades its link (bounded buffering +
 // backpressure, surfaced as net.mesh.<peer>.{down,hb_miss,resumes} gauges)
 // instead of killing the node; the node's listener stays open for the whole
-// run so crashed higher-id dialers can rejoin: the loop accepts, reads each
-// connection's one control frame under its own budget, and hands a kRejoin
-// to its session or refuses it (not a neighbor, session id mismatch). Every
+// run so crashed higher-id dialers can rejoin: the loop accepts each
+// connection into a transport that waits for its handshake frame under its
+// own budget, and hands a kRejoin, transport and all, to its session or
+// refuses it (not a neighbor, session id mismatch). Every
 // session event spills to a write-ahead journal (mesh/spill.h) and the
 // history streams to disk as it records, so `cim_bridge --resume` restarts
 // a kill -9'd process with zero duplicated and zero lost pair deliveries
@@ -117,14 +119,8 @@ struct MeshConfig {
   bool trace = false;
 
   // ---- crash tolerance (docs/BRIDGE.md "Failure behavior") -----------------
-  int hb_interval_ms = 100;
-  int liveness_timeout_ms = 2000;
-  /// Continuously-degraded budget per link before the node gives up
-  /// (0 = never: degrade and backpressure forever).
-  int degraded_timeout_ms = 0;
-  int backoff_initial_ms = 50;
-  int backoff_max_ms = 1000;
-  int reconnect_attempts = 40;
+  /// Every link session's heartbeat, liveness and reconnect timings.
+  SessionTiming timing;
   /// Budget for the final drain (every sent frame acked) after the
   /// convergecast completes.
   int drain_timeout_ms = 10'000;
@@ -216,11 +212,13 @@ class MeshNode final : private net::EpollLoop::FdHandler {
   void deliver(std::size_t e, net::MessagePtr msg);
   /// Send a stats snapshot toward node 0.
   void relay_stats(std::unique_ptr<net::wire::StatsFrame> frame);
-  /// The listener on the loop: accept every queued connection and read its
-  /// handshake on the loop.
+  /// The listener on the loop: accept every queued connection into a
+  /// transport that waits for its handshake frame.
   void on_ready(std::uint32_t events) override;
-  /// Hand an accepted connection's handshake to its session, or refuse it.
-  void answer_rejoin(int fd, const net::wire::ControlMsg& msg);
+  /// Hand an accepted connection, whose handshake frame is `msg`, to its
+  /// session, or refuse it.
+  void answer_rejoin(net::TcpLinkTransport& t,
+                     const net::wire::ControlMsg& msg);
 
   MeshConfig cfg_;
   std::vector<std::size_t> neighbors_;  // ascending node ids
@@ -234,6 +232,10 @@ class MeshNode final : private net::EpollLoop::FdHandler {
   SpillJournal spill_;
   std::unique_ptr<isc::Federation> fed_;
   std::vector<std::unique_ptr<LinkSession>> sessions_;
+  /// Accepted connections no session took: waiting for their handshake
+  /// frame, refused or dead. Kept until the loop has stopped
+  /// (net/epoll_loop.h).
+  std::vector<std::unique_ptr<net::TcpLinkTransport>> inbound_;
   std::vector<PeerProgress> peers_;
   std::unique_ptr<std::ofstream> history_;
   std::atomic<bool> sessions_ready_{false};

@@ -115,7 +115,10 @@ int EpollLoop::next_timeout_ms(bool busy) {
 void EpollLoop::run() {
   loop_thread_id_.store(std::this_thread::get_id(), std::memory_order_release);
   epoll_event events[64];
-  bool busy = false;  // the work reported more runnable work
+  // The work reported more runnable work. A run starts busy: its work has
+  // not reported yet, and a sleep before the first batch would wait for a
+  // timer or an fd edge the work may not need.
+  bool busy = true;
   while (true) {
     const int n =
         ::epoll_wait(epoll_fd_, events, 64, next_timeout_ms(busy));

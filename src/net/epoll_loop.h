@@ -14,9 +14,10 @@
 // EAGAIN — the loop will not re-report a level, only a new edge.
 //
 // Iteration order: epoll_wait, due tasks, due timers, fd dispatch, the work
-// batch, then the tasks queued so far. epoll_wait returns at once while the
-// work reports more runnable work or tasks are queued; otherwise it sleeps
-// until an fd edge, the earliest timer, or stop().
+// batch, then the tasks queued so far. epoll_wait returns at once in a run's
+// first iteration, while the work reports more runnable work, or while tasks
+// are queued; otherwise it sleeps until an fd edge, the earliest timer, or
+// stop().
 //
 // Threading and lifetime: a single-thread object with no lock.
 //  * add(), remove(), post(), post_after() and set_work() run on the loop's

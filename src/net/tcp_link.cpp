@@ -94,27 +94,6 @@ bool tcp_resolve(const char* host, std::uint16_t port, sockaddr_in& out) {
   return true;
 }
 
-int tcp_connect(const char* host, std::uint16_t port, int retries) {
-  sockaddr_in addr{};
-  CIM_CHECK_MSG(tcp_resolve(host, port, addr), "cannot resolve " << host);
-  int fd = -1;
-  for (int attempt = 0; attempt <= retries; ++attempt) {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    CIM_CHECK_MSG(fd >= 0, "socket() failed: " << std::strerror(errno));
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) == 0)
-      break;
-    ::close(fd);
-    fd = -1;
-    // The peer may simply not be listening yet (the mesh launches every
-    // node concurrently); back off and retry.
-    ::usleep(100 * 1000);
-  }
-  CIM_CHECK_MSG(fd >= 0, "cannot connect to " << host << ":" << port);
-  set_nodelay(fd);
-  return fd;
-}
-
 int tcp_dial(const sockaddr_in& addr) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) return -1;
@@ -134,28 +113,49 @@ TcpLinkTransport::TcpLinkTransport(int fd, EpollLoop& loop,
   CIM_CHECK(fd >= 0);
 }
 
-TcpLinkTransport::~TcpLinkTransport() {
-  close();
-  ::close(fd_);
-}
+TcpLinkTransport::~TcpLinkTransport() { close(); }
 
 void TcpLinkTransport::close() {
   if (closed_) return;
   closed_ = true;
+  handshake_fn_ = nullptr;
   if (started_) loop_.remove(fd_);
   ::shutdown(fd_, SHUT_RDWR);
-  // The fd is unregistered, so the EOF that would normally set peer_closed_
-  // will never be read: mark the stream dead here, so later sends drop.
+  ::close(fd_);
+  // The fd is gone, so the EOF that would normally set peer_closed_ will
+  // never be read: mark the stream dead here, so later sends drop. A closed
+  // transport lives on until the loop has stopped (net/epoll_loop.h), and a
+  // dialer buries one per failed attempt: it keeps no buffer.
   peer_closed_ = true;
+  inbuf_ = Buffer();
+  in_off_ = 0;
+  sendq_.clear();
+  sendq_.shrink_to_fit();
+  send_off_ = 0;
+  free_bufs_ = std::vector<Buffer>();
 }
 
-void TcpLinkTransport::start_frames(FrameFn fn) {
-  CIM_CHECK_MSG(!started_, "start_frames() called twice");
-  frame_fn_ = std::move(fn);
+void TcpLinkTransport::start() {
+  CIM_CHECK_MSG(!started_, "a transport is started once");
   set_nonblocking(fd_);
   last_rx_ns_ = steady_ns();
   started_ = true;
   loop_.add(fd_, this);
+}
+
+void TcpLinkTransport::start_frames(FrameFn fn) {
+  frame_fn_ = std::move(fn);
+  start();
+}
+
+void TcpLinkTransport::start_handshake(int budget_ms, HandshakeFn done) {
+  handshake_fn_ = std::move(done);
+  start();
+  // A transport lives until its loop has stopped (net/epoll_loop.h), so the
+  // timer never meets a dead one; close() disarms it.
+  loop_.post_after(budget_ms, [this] {
+    if (handshake_fn_) fail("tcp link: handshake timed out");
+  });
 }
 
 void TcpLinkTransport::kick() {
@@ -165,11 +165,21 @@ void TcpLinkTransport::kick() {
 void TcpLinkTransport::fail(const char* error) {
   error_ = error;
   peer_closed_ = true;
+  // Before its handshake a link has no owner to poll it: tell the one
+  // waiting for the handshake, now.
+  if (handshake_fn_)
+    std::exchange(handshake_fn_, nullptr)(error, wire::ControlMsg{});
+}
+
+FaultHooks* TcpLinkTransport::faults() const {
+  // The hooks model a socket misbehaving under a formed link. Sparing the
+  // opening exchange lets a test arm them before the mesh forms.
+  return frames_sent_ > 0 && !handshake_fn_ ? config_.faults : nullptr;
 }
 
 bool TcpLinkTransport::send_bytes(const std::uint8_t* data,
                                   std::size_t size) {
-  CIM_DCHECK_MSG(started_, "send_bytes() before start_frames()");
+  CIM_DCHECK_MSG(started_, "send_bytes() before the transport started");
   CIM_DCHECK_MSG(loop_.owned_by_caller(), "send_bytes() off the loop thread");
   if (peer_closed_) return false;
 
@@ -192,8 +202,10 @@ bool TcpLinkTransport::send_bytes(const std::uint8_t* data,
 }
 
 void TcpLinkTransport::flush() {
-  // Loop thread only.
-  FaultHooks* hooks = config_.faults;
+  // Loop thread only. A closed transport's fd number may already belong to
+  // another socket.
+  if (closed_) return;
+  FaultHooks* hooks = faults();
   while (!sendq_.empty()) {
     if (hooks != nullptr &&
         hooks->stall_writes.load(std::memory_order_relaxed)) {
@@ -291,16 +303,14 @@ void TcpLinkTransport::on_ready(std::uint32_t events) {
 void TcpLinkTransport::drain_input() {
   // Loop thread only. Edge-triggered: read until EAGAIN (or EOF/error).
   while (true) {
-    if (config_.faults != nullptr) {
-      const int left =
-          config_.faults->fail_reads_after.load(std::memory_order_relaxed);
+    if (FaultHooks* hooks = faults()) {
+      const int left = hooks->fail_reads_after.load(std::memory_order_relaxed);
       if (left == 0) {
         fail("tcp link: injected read failure");
         return;
       }
       if (left > 0)
-        config_.faults->fail_reads_after.store(left - 1,
-                                               std::memory_order_relaxed);
+        hooks->fail_reads_after.store(left - 1, std::memory_order_relaxed);
     }
     const std::size_t old_size = inbuf_.size();
     inbuf_.resize(old_size + kReadChunk);
@@ -316,6 +326,7 @@ void TcpLinkTransport::drain_input() {
     if (n == 0) {
       inbuf_.resize(old_size);
       peer_closed_ = true;
+      if (handshake_fn_) fail("tcp link: peer closed during the handshake");
       return;
     }
     inbuf_.resize(old_size + static_cast<std::size_t>(n));
@@ -344,13 +355,25 @@ bool TcpLinkTransport::parse_frames() {
       return false;
     }
     in_off_ += res.consumed;
-    auto* frame = dynamic_cast<TransportFrame*>(res.msg.get());
-    if (frame == nullptr) {
-      fail("tcp link: stream message is not a transport frame");
-      return false;
+    if (handshake_fn_) {
+      // The link's opening frame. Its callback points frame_fn_ at the
+      // link's owner, or closes the stream.
+      auto* ctrl = dynamic_cast<wire::ControlMsg*>(res.msg.get());
+      if (ctrl == nullptr) {
+        fail("tcp link: handshake frame is not a control message");
+        return false;
+      }
+      std::exchange(handshake_fn_, nullptr)(nullptr, *ctrl);
+    } else {
+      auto* frame = dynamic_cast<TransportFrame*>(res.msg.get());
+      if (frame == nullptr) {
+        fail("tcp link: stream message is not a transport frame");
+        return false;
+      }
+      res.msg.release();
+      frame_fn_(std::unique_ptr<TransportFrame>(frame));
     }
-    res.msg.release();
-    frame_fn_(std::unique_ptr<TransportFrame>(frame));
+    if (closed_) return false;  // a callback closed the stream
   }
   if (in_off_ == inbuf_.size()) {
     inbuf_.clear();

@@ -9,9 +9,12 @@
 // suppression and replay belong to the ARQ core (net/arq_core.h) that
 // mesh::LinkSession drives on top of it. Kernel TCP supplies order and
 // integrity within one socket; the session supplies them across sockets.
-// The mesh's link handshake exchanges *bare* ControlMsg frames on the raw
-// fd (mesh/ctrl_io.h) before a pipe takes over the stream; it runs on the
-// same loop, over tcp_accept / tcp_dial sockets.
+// A mesh link opens with a handshake (docs/BRIDGE.md "Link formation"): one
+// *bare* ControlMsg frame each way, then TransportFrames. The transport owns
+// the socket from its first byte, the handshake included: start_handshake()
+// hands the first decoded frame up on its own, or why the stream ended
+// first, and every later frame goes to the frame callback. So one object
+// reads each socket, and nothing else parses its stream.
 //
 // I/O model: nonblocking, driven by a shared net::EpollLoop — edge-triggered
 // readiness, one loop thread serving every link of the mesh node. Frames
@@ -23,12 +26,12 @@
 // unbounded: the embedder bounds what it queues (mesh::LinkSession's
 // journal bound pauses the engine; bench_bridge's flood waits on backlog()).
 //
-// Threading: a single-thread object. send_bytes(), kick(), close() and every
-// accessor run on the loop's thread, or while the loop is not running
-// (before run(), after it returned); the frame callback and every flush run
-// on the loop thread. Nothing here is locked or atomic: the embedder folds
-// the counters into its metrics from the loop or after run() returns, e.g.
-// into the net.mesh.* counters.
+// Threading: a single-thread object. send_bytes(), flush(), kick(), close()
+// and every accessor run on the loop's thread, or while the loop is not
+// running (before run(), after it returned); the callbacks and the deferred
+// flushes run on the loop thread. Nothing here is locked or atomic: the
+// embedder folds the counters into its metrics from the loop or after run()
+// returns, e.g. into the net.mesh.* counters.
 #pragma once
 
 #include <netinet/in.h>
@@ -62,14 +65,11 @@ int tcp_accept(int listener_fd);
 /// returns false if the host cannot be resolved.
 bool tcp_resolve(const char* host, std::uint16_t port, sockaddr_in& out);
 
-/// Blocking connect to host:port, retrying (100ms apart) while the peer is
-/// not yet listening — for the tests' fake peers; a mesh node dials with
-/// tcp_dial. Returns the connected fd; throws after `retries` failures.
-int tcp_connect(const char* host, std::uint16_t port, int retries = 100);
-
-/// Start one nonblocking connect to `addr` (from tcp_resolve) for an
-/// EpollLoop to finish: the fd turns writable when the attempt ends, and
-/// SO_ERROR says how. Never blocks; returns -1 on an immediate failure.
+/// Start one nonblocking connect to `addr` (from tcp_resolve) for a
+/// transport to finish: a write queued meanwhile waits for the EPOLLOUT edge
+/// of the completed connect, and a refused one fails that write (or the
+/// read) like any dead stream. Never blocks; returns -1 on an immediate
+/// failure.
 int tcp_dial(const sockaddr_in& addr);
 
 /// Set O_NONBLOCK (throws InvariantViolation on failure).
@@ -77,7 +77,9 @@ void set_nonblocking(int fd);
 
 /// The optional chaos hooks (docs/FAULTS.md "Socket-level chaos").
 struct TcpLinkConfig {
-  /// Borrowed fault-injection switchboard; null = no faults.
+  /// Borrowed fault-injection switchboard; null = no faults. The hooks act
+  /// once the transport has sent a frame and has no handshake pending, so a
+  /// link's opening exchange is never faulted.
   FaultHooks* faults = nullptr;
 };
 
@@ -90,10 +92,32 @@ class TcpLinkTransport final : private EpollLoop::FdHandler {
   TcpLinkTransport(const TcpLinkTransport&) = delete;
   TcpLinkTransport& operator=(const TcpLinkTransport&) = delete;
 
-  /// Switch the fd nonblocking, register it with the loop, and hand every
-  /// decoded TransportFrame to `fn` on the loop thread. Call once.
   using FrameFn = std::function<void(std::unique_ptr<TransportFrame>)>;
+  /// The handshake's outcome: a null `err` with the peer's frame, or why
+  /// the stream ended before it (`msg` is then empty).
+  using HandshakeFn =
+      std::function<void(const char* err, const wire::ControlMsg& msg)>;
+
+  /// Switch the fd nonblocking, register it with the loop, and hand every
+  /// decoded TransportFrame to `fn` on the loop thread. Call once, or
+  /// start_handshake() instead.
   void start_frames(FrameFn fn);
+
+  /// Switch the fd nonblocking and register it with the loop for a link
+  /// that opens with a handshake. The first decoded frame must be a bare
+  /// ControlMsg; it goes to `done`, once, on the loop thread. If the stream
+  /// ends first — EOF, a read or write error, an undecodable frame or one of
+  /// another type — or `budget_ms` passes, `done` gets the error instead, at
+  /// once. `done` keeps the link by pointing the frame callback at its new
+  /// owner (set_frame_fn), or close()s it; the bytes after the handshake
+  /// frame reach that callback. The budget is a loop timer that refers to
+  /// this transport: it must not be destroyed while the loop may run again
+  /// before the budget ends.
+  void start_handshake(int budget_ms, HandshakeFn done);
+
+  /// Hand every later decoded TransportFrame to `fn` (from a handshake's
+  /// `done`, which may run inside this transport's own dispatch).
+  void set_frame_fn(FrameFn fn) { frame_fn_ = std::move(fn); }
 
   /// Enqueue one pre-encoded frame; it leaves with the next flush. Never
   /// blocks. Loop thread, or before run(). Returns false if the stream has
@@ -101,11 +125,18 @@ class TcpLinkTransport final : private EpollLoop::FdHandler {
   /// journal's job).
   bool send_bytes(const std::uint8_t* data, std::size_t size);
 
+  /// Write the queue out now, until it is empty or the socket is full. The
+  /// loop does this at the end of the iteration; a handshake frame, which
+  /// must leave in a write of its own, calls it at once.
+  void flush();
+
   /// Re-arm the flusher (after clearing an injected stall, or on resume).
   void kick();
 
-  /// Unregister from the loop and shut the socket down. Idempotent; called
-  /// by the destructor if needed.
+  /// Unregister from the loop, shut the socket down and close it, drop any
+  /// pending handshake and free the buffers: a closed transport keeps its
+  /// counters and nothing else. Idempotent; called by the destructor if
+  /// needed.
   void close();
 
   // ---- introspection (loop thread, or after run() returned) ----------------
@@ -138,14 +169,20 @@ class TcpLinkTransport final : private EpollLoop::FdHandler {
   // EpollLoop::FdHandler.
   void on_ready(std::uint32_t events) override;
 
-  void flush();  // loop thread: writev the queue until empty or EAGAIN
+  void start();  // nonblocking, registered
   void drain_input();
-  bool parse_frames();  // false on a decode/protocol error
+  /// False on a decode/protocol error, or once a callback closed the stream.
+  bool parse_frames();
+  /// The stream is dead: record why, and fail a pending handshake.
   void fail(const char* error);
+  /// The fault hooks in force: none until this end has sent a frame and no
+  /// handshake is pending.
+  FaultHooks* faults() const;
 
   int fd_;
   EpollLoop& loop_;
   TcpLinkConfig config_;
+  HandshakeFn handshake_fn_;  // set while the handshake frame is awaited
   FrameFn frame_fn_;
   bool started_ = false;
   bool closed_ = false;

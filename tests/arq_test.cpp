@@ -303,7 +303,8 @@ TEST(ArqProperty, ChaosFederationIsExactlyOnceDrainedAndCausal) {
     isc::IsProcess& b = fed.interconnector().isp_b(0);
     ASSERT_EQ(a.pairs_sent(), b.pairs_received()) << "seed " << seed;
     ASSERT_EQ(b.pairs_sent(), a.pairs_received()) << "seed " << seed;
-    auto [ta, tb] = fed.interconnector().link_transports(0);
+    auto* ta = fed.interconnector().links()[0].a.arq;
+    auto* tb = fed.interconnector().links()[0].b.arq;
     ASSERT_TRUE(ta->drained() && tb->drained()) << "seed " << seed;
     const auto verdict =
         chk::CausalChecker{}.check(fed.federation_history(), chk::Level::kCM);

@@ -29,8 +29,8 @@
 #include "checker/history.h"
 #include "checker/trace_io.h"
 #include "helpers.h"
+#include "interconnect/pair_msg.h"
 #include "interconnect/topology.h"
-#include "mesh/ctrl_io.h"
 #include "mesh/mesh_node.h"
 #include "mesh/spill.h"
 #include "net/fault_inject.h"
@@ -134,10 +134,10 @@ struct ChaosMesh {
       cfg.ops = ops;
       cfg.seed = kSeed;
       cfg.join_timeout_ms = 20'000;
-      cfg.hb_interval_ms = 20;
-      cfg.liveness_timeout_ms = 150;
-      cfg.backoff_initial_ms = 20;
-      cfg.backoff_max_ms = 100;
+      cfg.timing.hb_interval_ms = 20;
+      cfg.timing.liveness_timeout_ms = 150;
+      cfg.timing.backoff_initial_ms = 20;
+      cfg.timing.backoff_max_ms = 100;
       cfg.faults = i == 1 ? faults_on_1 : faults_on_0;
       nodes.push_back(std::make_unique<mesh::MeshNode>(std::move(cfg)));
     }
@@ -247,7 +247,7 @@ ControlMsg rejoin_at_zero(std::uint64_t node_id, std::uint64_t session) {
 
 // Offer `session` as node `node_id`; return the acceptor's answer.
 ControlMsg offer(int fd, std::uint64_t node_id, std::uint64_t session) {
-  EXPECT_TRUE(mesh::send_ctrl_fd(fd, rejoin_at_zero(node_id, session)));
+  EXPECT_TRUE(test::send_ctrl_fd(fd, rejoin_at_zero(node_id, session)));
   return recv_ctrl(fd);
 }
 
@@ -283,7 +283,7 @@ TEST(MeshJoin, SecondHandshakeSupersedesTheFirst) {
   const std::uint16_t base = test_port(0);
   ChaosMesh mesh(base, nullptr, /*ops=*/40, nullptr, /*start=*/false);
   mesh.start(0);
-  const int fake = net::tcp_connect("127.0.0.1", base, 100);
+  const int fake = test::tcp_connect("127.0.0.1", base, 100);
   handshake_as(fake, 1,
                mesh::edge_session_id(isc::make_chain(2), ChaosMesh::kSeed, 0,
                                      1));
@@ -309,7 +309,7 @@ TEST(MeshJoin, ImpostorAndDivergingSpecAreRejected) {
   const std::uint64_t session =
       mesh::edge_session_id(isc::make_chain(2), 7, 0, 1);
   // Not a neighbor: node 7 does not exist in a 2-chain.
-  const int impostor = net::tcp_connect("127.0.0.1", base, 100);
+  const int impostor = test::tcp_connect("127.0.0.1", base, 100);
   ControlMsg rej = offer(impostor, 7, session);
   EXPECT_EQ(rej.code, ControlMsg::kJoinReject);
   EXPECT_EQ(rej.a, 0u);  // the refusing node
@@ -317,13 +317,13 @@ TEST(MeshJoin, ImpostorAndDivergingSpecAreRejected) {
   ::close(impostor);
 
   // Right node id, another session: a diverging spec file.
-  const int diverged = net::tcp_connect("127.0.0.1", base, 100);
+  const int diverged = test::tcp_connect("127.0.0.1", base, 100);
   rej = offer(diverged, 1, mesh::edge_session_id(isc::make_star(3), 7, 0, 1));
   EXPECT_EQ(rej.code, ControlMsg::kJoinReject);
   EXPECT_EQ(rej.b, mesh::kRejectSessionMismatch);
   ::close(diverged);
 
-  const int real = net::tcp_connect("127.0.0.1", base, 100);
+  const int real = test::tcp_connect("127.0.0.1", base, 100);
   handshake_as(real, 1, session);
   joiner.join();
   ::close(real);
@@ -344,12 +344,12 @@ TEST(MeshJoin, PeerDyingMidHandshakeDoesNotPoisonTheJoin) {
       mesh::edge_session_id(isc::make_chain(2), 7, 0, 1);
   std::vector<std::uint8_t> frame;
   net::wire::encode(rejoin_at_zero(1, session), frame);
-  const int dying = net::tcp_connect("127.0.0.1", base, 100);
+  const int dying = test::tcp_connect("127.0.0.1", base, 100);
   ASSERT_EQ(::send(dying, frame.data(), frame.size() / 2, MSG_NOSIGNAL),
             static_cast<ssize_t>(frame.size() / 2));
   ::close(dying);
 
-  const int real = net::tcp_connect("127.0.0.1", base, 100);
+  const int real = test::tcp_connect("127.0.0.1", base, 100);
   handshake_as(real, 1, session);
   joiner.join();
   ::close(real);
@@ -440,7 +440,7 @@ std::string refused_dialer_error(const Topology& topo0, std::uint64_t seed0,
   std::thread joiner([&] { EXPECT_FALSE(node0.join()); });
   // Let node 0 listen first: a refused connect would back off past the
   // budget instead of reaching it.
-  ::close(net::tcp_connect("127.0.0.1", base, 100));
+  ::close(test::tcp_connect("127.0.0.1", base, 100));
   mesh::MeshNode node1(config(dialer, topo1, seed1));
   EXPECT_FALSE(node1.join());
   joiner.join();
@@ -478,13 +478,13 @@ TEST(MeshJoin, FirstDialIsNotDelayedByTheBackoff) {
     cfg.topo = isc::make_chain(2);
     cfg.base_port = base;
     cfg.join_timeout_ms = 2'000;
-    cfg.backoff_initial_ms = 5'000;
-    cfg.backoff_max_ms = 5'000;
+    cfg.timing.backoff_initial_ms = 5'000;
+    cfg.timing.backoff_max_ms = 5'000;
     return cfg;
   };
   mesh::MeshNode node0(config(0));
   std::thread joiner([&] { EXPECT_TRUE(node0.join()) << node0.error(); });
-  ::close(net::tcp_connect("127.0.0.1", base, 100));  // node 0 listens
+  ::close(test::tcp_connect("127.0.0.1", base, 100));  // node 0 listens
   mesh::MeshNode node1(config(1));
   EXPECT_TRUE(node1.join()) << node1.error();
   joiner.join();
@@ -502,9 +502,9 @@ TEST(MeshJoin, ADialerStartedFirstJoinsOnceItsPeerListens) {
     cfg.topo = isc::make_chain(2);
     cfg.base_port = base;
     cfg.join_timeout_ms = 5'000;
-    cfg.backoff_initial_ms = 5'000;
-    cfg.backoff_max_ms = 5'000;
-    cfg.reconnect_attempts = 1;
+    cfg.timing.backoff_initial_ms = 5'000;
+    cfg.timing.backoff_max_ms = 5'000;
+    cfg.timing.reconnect_attempts = 1;
     return cfg;
   };
   mesh::MeshNode node1(config(1));
@@ -532,7 +532,7 @@ TEST(MeshJoin, SilentConnectionsDoNotDelayAJoin) {
   mesh.start(0);
   std::vector<int> silent;
   for (int i = 0; i < 3; ++i)
-    silent.push_back(net::tcp_connect("127.0.0.1", base, 100));
+    silent.push_back(test::tcp_connect("127.0.0.1", base, 100));
   const auto opened = std::chrono::steady_clock::now();
   mesh.start(1);
   ASSERT_TRUE(spin_until([&] { return mesh.nodes[1]->sessions_ready(); }));
@@ -546,6 +546,47 @@ TEST(MeshJoin, SilentConnectionsDoNotDelayAJoin) {
   }
   hooks.stall_writes.store(false);
   mesh.finish_and_check();
+}
+
+TEST(MeshJoin, BytesAfterTheHandshakeBelongToTheSession) {
+  // A fake node 0 answers the real node 1's handshake and sends a pair in
+  // the same write(): the TransportFrame right behind the kRejoin answer
+  // arrives in the read that ends the handshake. It belongs to the session
+  // the handshake formed, and must not be lost at the frame boundary.
+  const std::uint16_t base = test_port(280);
+  const int listener = net::tcp_listen(base);
+  mesh::MeshConfig cfg;
+  cfg.node_id = 1;
+  cfg.topo = isc::make_chain(2);
+  cfg.base_port = base;
+  mesh::MeshNode node1(std::move(cfg));
+  int fake = -1;
+  std::thread acceptor([&] {
+    ASSERT_TRUE(
+        spin_until([&] { return (fake = net::tcp_accept(listener)) >= 0; }));
+    const ControlMsg offer = recv_ctrl(fake);
+    EXPECT_EQ(offer.code, ControlMsg::kRejoin);
+    EXPECT_EQ(offer.a, 1u);
+    const std::uint64_t session =
+        mesh::edge_session_id(isc::make_chain(2), 7, 0, 1);
+    EXPECT_EQ(offer.b, session);
+    net::TransportFrame frame;  // seq 0, carrying one pair
+    auto pair = std::make_unique<isc::PairMsg>();
+    pair->var = VarId{0};
+    pair->value = 42;
+    frame.payload = std::move(pair);
+    std::vector<std::uint8_t> bytes;
+    net::wire::encode(rejoin_at_zero(0, session), bytes);
+    net::wire::encode(frame, bytes);
+    EXPECT_EQ(::write(fake, bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+  });
+  EXPECT_TRUE(node1.join()) << node1.error();
+  acceptor.join();
+  EXPECT_EQ(node1.session(0).data_delivered(), 1u);
+  EXPECT_EQ(node1.session(0).error(), nullptr);
+  ::close(fake);
+  ::close(listener);
 }
 
 // ---- the 5-system tree soak ------------------------------------------------
@@ -700,7 +741,7 @@ TEST(MeshDrain, OneWayFlowIsAckedWithoutWaitingForAHeartbeat) {
     cfg.ops = i == 0 ? 3000 : 0;
     cfg.seed = 13;
     cfg.join_timeout_ms = 20'000;
-    cfg.hb_interval_ms = kHeartbeatMs;
+    cfg.timing.hb_interval_ms = kHeartbeatMs;
     nodes.push_back(std::make_unique<mesh::MeshNode>(std::move(cfg)));
   }
   std::vector<mesh::MeshResult> results(2);
@@ -820,21 +861,21 @@ TEST(MeshChaos, StrayConnectionsMidRunAreRefusedAsStale) {
   bogus.a = 1;
   bogus.b = 0x5E5510;  // no such session
   bogus.c = 7;
-  const int rj = net::tcp_connect("127.0.0.1", base, 100);
-  ASSERT_TRUE(mesh::send_ctrl_fd(rj, bogus));
+  const int rj = test::tcp_connect("127.0.0.1", base, 100);
+  ASSERT_TRUE(test::send_ctrl_fd(rj, bogus));
   ControlMsg rej = recv_ctrl(rj);
   EXPECT_EQ(rej.code, ControlMsg::kJoinReject);
   EXPECT_EQ(rej.b, mesh::kRejectSessionMismatch);
   ::close(rj);
 
-  const int hello = net::tcp_connect("127.0.0.1", base, 100);
+  const int hello = test::tcp_connect("127.0.0.1", base, 100);
   send_ctrl(hello, ControlMsg::kHello, 1, net::wire::kWireVersion);
   rej = recv_ctrl(hello);
   EXPECT_EQ(rej.code, ControlMsg::kJoinReject);
   EXPECT_EQ(rej.b, mesh::kRejectSessionMismatch);
   ::close(hello);
 
-  const int torn = net::tcp_connect("127.0.0.1", base, 100);
+  const int torn = test::tcp_connect("127.0.0.1", base, 100);
   const std::uint8_t prefix[4] = {32, 0, 0, 0};  // promises a 32-byte body…
   ASSERT_EQ(::send(torn, prefix, 4, MSG_NOSIGNAL), 4);
   ::close(torn);  // …and dies before sending it
@@ -863,10 +904,10 @@ TEST(MeshChaos, ARestartWithoutResumeIsRefusedAndThePeerRunsOn) {
     cfg.ops = 20'000;
     cfg.seed = ChaosMesh::kSeed;
     cfg.join_timeout_ms = 20'000;
-    cfg.hb_interval_ms = 20;
-    cfg.liveness_timeout_ms = 150;
-    cfg.backoff_initial_ms = 20;
-    cfg.backoff_max_ms = 100;
+    cfg.timing.hb_interval_ms = 20;
+    cfg.timing.liveness_timeout_ms = 150;
+    cfg.timing.backoff_initial_ms = 20;
+    cfg.timing.backoff_max_ms = 100;
     if (id == 1) cfg.state_path = state;
     return cfg;
   };

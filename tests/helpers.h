@@ -1,10 +1,14 @@
 // Shared test helpers: compact builders for systems, federations, and
-// hand-written histories, and the Section-3 counterexample scenario.
+// hand-written histories, the Section-3 counterexample scenario, and the raw
+// sockets of the mesh tests' fake peers.
 #pragma once
 
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
 
 #include <cstdint>
 #include <functional>
@@ -16,8 +20,11 @@
 #include <gtest/gtest.h>
 
 #include "checker/history.h"
+#include "common/check.h"
 #include "interconnect/federation.h"
 #include "mcs/system.h"
+#include "net/tcp_link.h"
+#include "net/wire.h"
 #include "protocols/anbkh.h"
 #include "protocols/aw_seq.h"
 #include "protocols/lazy_batch.h"
@@ -62,6 +69,43 @@ inline std::uint16_t test_port(std::uint16_t offset) {
     if (free) return chosen[offset] = base;
   }
   return chosen[offset] = static_cast<std::uint16_t>(kLow + h + offset);
+}
+
+/// Blocking connect to host:port, retrying (100 ms apart) while the peer is
+/// not yet listening: a fake peer's socket (a mesh node dials with
+/// net::tcp_dial on its loop). Returns the connected fd; throws after
+/// `retries` failures.
+inline int tcp_connect(const char* host, std::uint16_t port,
+                       int retries = 100) {
+  sockaddr_in addr{};
+  CIM_CHECK_MSG(net::tcp_resolve(host, port, addr), "cannot resolve " << host);
+  for (int attempt = 0; attempt <= retries; ++attempt) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    CIM_CHECK_MSG(fd >= 0, "socket() failed: " << std::strerror(errno));
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) == 0)
+      return fd;
+    ::close(fd);
+    ::usleep(100 * 1000);  // the node under test may not listen yet
+  }
+  CIM_CHECK_MSG(false, "cannot connect to " << host << ":" << port);
+  return -1;
+}
+
+/// Write one bare wire-encoded ControlMsg frame, a link handshake frame, to
+/// a connected blocking fd. False on error.
+inline bool send_ctrl_fd(int fd, const net::wire::ControlMsg& msg) {
+  std::vector<std::uint8_t> buf;
+  net::wire::encode(msg, buf);
+  std::size_t sent = 0;
+  while (sent < buf.size()) {
+    const ssize_t n =
+        ::send(fd, buf.data() + sent, buf.size() - sent, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return false;
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
 }
 
 inline VarId X{0};

@@ -94,6 +94,25 @@ TEST(EpollLoop, WorkRunsEveryIterationWhileItReportsMore) {
   EXPECT_EQ(loop.wakeups(), 0u);  // stop() on the loop thread needs no wake
 }
 
+TEST(EpollLoop, WorkRunsInTheFirstIterationWithoutWaiting) {
+  // No task, no fd edge and no due timer: a run's first iteration still
+  // runs the work at once instead of sleeping until the next timer (here
+  // the guard). A mesh node's run() starts its engine this way, once
+  // join() has consumed every socket's edges.
+  net::EpollLoop loop;
+  int batches = 0;
+  loop.set_work([&] {
+    ++batches;
+    loop.stop();
+    return false;
+  });
+  bool timed_out = false;
+  arm_guard(loop, timed_out);
+  loop.run();
+  EXPECT_FALSE(timed_out);
+  EXPECT_EQ(batches, 1);
+}
+
 TEST(EpollLoop, StopBeforeRunIsSticky) {
   // run() after a stop() runs one iteration — the queued tasks included —
   // and returns.

@@ -298,8 +298,8 @@ TEST(MeshStats, HeartbeatRttWidensUnderStallButOffsetStaysBounded) {
     cfg.ops = 2;  // keep data pressure off the heartbeat queue slot
     cfg.seed = 5;
     cfg.join_timeout_ms = 20'000;
-    cfg.hb_interval_ms = 20;
-    cfg.liveness_timeout_ms = 5000;  // the stall must degrade, not kill
+    cfg.timing.hb_interval_ms = 20;
+    cfg.timing.liveness_timeout_ms = 5000;  // the stall must degrade, not kill
     cfg.faults = i == 1 ? &hooks : nullptr;
     nodes.push_back(std::make_unique<mesh::MeshNode>(std::move(cfg)));
   }

@@ -231,7 +231,8 @@ TEST(ChaosFederation, CausalAndLosslessUnderLossPartitionCrash) {
     EXPECT_EQ(b.pairs_sent(), a.pairs_received()) << "seed " << seed;
     EXPECT_GT(a.pairs_sent(), 0u);
     EXPECT_GT(b.pairs_sent(), 0u);
-    auto [ta, tb] = fed.interconnector().link_transports(0);
+    auto* ta = fed.interconnector().links()[0].a.arq;
+    auto* tb = fed.interconnector().links()[0].b.arq;
     ASSERT_NE(ta, nullptr);
     ASSERT_NE(tb, nullptr);
     EXPECT_TRUE(ta->drained());
@@ -331,7 +332,8 @@ class Faults : public ::testing::TestWithParam<ProtocolCase> {
     IsProcess& b = fed.interconnector().isp_b(0);
     EXPECT_EQ(a.pairs_sent(), b.pairs_received()) << "seed " << seed;
     EXPECT_EQ(b.pairs_sent(), a.pairs_received()) << "seed " << seed;
-    auto [ta, tb] = fed.interconnector().link_transports(0);
+    auto* ta = fed.interconnector().links()[0].a.arq;
+    auto* tb = fed.interconnector().links()[0].b.arq;
     EXPECT_TRUE(ta->drained() && tb->drained()) << "seed " << seed;
     const chk::History history = fed.federation_history();
     // Liveness, which causality alone does not show: every parked chain

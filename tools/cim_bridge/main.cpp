@@ -35,10 +35,12 @@
 // Mechanics — epoll transport, link handshake, link sessions, done/bye
 // convergecast — live in mesh::MeshNode (src/mesh/mesh_node.h); this tool
 // only parses flags and dumps history/metrics/trace files.
+#include <charconv>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -69,12 +71,7 @@ struct Options {
   // Crash tolerance (docs/BRIDGE.md "Failure behavior").
   std::string state_path;
   bool resume = false;
-  int hb_interval_ms = 100;
-  int liveness_timeout_ms = 2000;
-  int degraded_timeout_ms = 0;
-  int backoff_ms = 50;
-  int backoff_max_ms = 1000;
-  int reconnect_attempts = 40;
+  mesh::SessionTiming timing;
   int drain_timeout_ms = 10'000;
   // Observability plane (docs/OBSERVABILITY.md "Federation snapshot").
   int stats_interval_ms = 0;
@@ -91,38 +88,80 @@ int usage() {
          "       [--state FILE] [--resume] [--hb-interval MS]"
          " [--liveness MS]\n"
          "       [--degraded-timeout MS] [--backoff MS] [--backoff-max MS]\n"
-         "       [--reconnect-attempts N] [--drain-timeout MS]\n"
+         "       [--reconnect-attempts N (0 = unbounded)]"
+         " [--drain-timeout MS]\n"
          "       [--stats-interval MS] [--fed-metrics FILE]  (node 0 only)\n";
   return 2;
 }
 
+// Longest delay a flag may name: a day. Backoff grows to 1.5x its cap with
+// jitter, and every delay must stay an int number of milliseconds.
+constexpr int kMaxMs = 86'400'000;
+
+// Parse all of `v` as a base-10 integer in [lo, hi] into `out`; false on
+// anything else (a sign an unsigned type cannot take, trailing text, out of
+// range).
+template <typename T>
+bool parse_number(const char* v, T lo, T hi, T& out) {
+  const char* end = v + std::strlen(v);
+  T x{};
+  const auto [ptr, ec] = std::from_chars(v, end, x);
+  if (ec != std::errc() || ptr != end || x < lo || x > hi) return false;
+  out = x;
+  return true;
+}
+
 bool parse_args(int argc, char** argv, Options& opt) {
+  constexpr auto kSizeMax = std::numeric_limits<std::size_t>::max();
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // A numeric flag: true if `arg` is `name`, with `ok` saying whether its
+    // value parsed into [lo, hi].
+    bool ok = true;
+    auto number = [&](const char* name, auto lo, auto hi, auto& out) {
+      if (std::strcmp(arg, name) != 0) return false;
+      const char* v = next();
+      ok = v != nullptr && parse_number(v, lo, hi, out);
+      return true;
+    };
+    auto ms = [&](const char* name, int lo, int& out) {
+      return number(name, lo, kMaxMs, out);
+    };
+    mesh::SessionTiming& t = opt.timing;
+    // The unset node id is SIZE_MAX; every node's port, base_port + id,
+    // must be a port, so --n is one too.
+    if (number("--node", std::size_t{0}, kSizeMax - 1, opt.node) ||
+        number("--n", std::size_t{1}, std::size_t{65535}, opt.n) ||
+        number("--base-port", std::uint16_t{1}, std::uint16_t{65535},
+               opt.base_port) ||
+        number("--procs", std::uint16_t{0}, std::uint16_t{65535},
+               opt.procs) ||
+        number("--ops", std::size_t{0}, kSizeMax, opt.ops) ||
+        number("--seed", std::uint64_t{0},
+               std::numeric_limits<std::uint64_t>::max(), opt.seed) ||
+        ms("--join-timeout", 1, opt.join_timeout_ms) ||
+        ms("--hb-interval", 1, t.hb_interval_ms) ||
+        ms("--liveness", 1, t.liveness_timeout_ms) ||
+        ms("--degraded-timeout", 0, t.degraded_timeout_ms) ||
+        ms("--backoff", 1, t.backoff_initial_ms) ||
+        ms("--backoff-max", 1, t.backoff_max_ms) ||
+        number("--reconnect-attempts", 0, std::numeric_limits<int>::max(),
+               t.reconnect_attempts) ||
+        ms("--drain-timeout", 0, opt.drain_timeout_ms) ||
+        ms("--stats-interval", 0, opt.stats_interval_ms)) {
+      if (!ok) return false;
+      continue;
+    }
     const char* v = nullptr;
-    if (std::strcmp(arg, "--node") == 0 && (v = next())) {
-      opt.node = std::stoul(v);
-    } else if (std::strcmp(arg, "--topo") == 0 && (v = next())) {
+    if (std::strcmp(arg, "--topo") == 0 && (v = next())) {
       opt.topo_path = v;
     } else if (std::strcmp(arg, "--shape") == 0 && (v = next())) {
       opt.shape = v;
-    } else if (std::strcmp(arg, "--n") == 0 && (v = next())) {
-      opt.n = std::stoul(v);
-    } else if (std::strcmp(arg, "--base-port") == 0 && (v = next())) {
-      opt.base_port = static_cast<std::uint16_t>(std::stoul(v));
     } else if (std::strcmp(arg, "--host") == 0 && (v = next())) {
       opt.host = v;
-    } else if (std::strcmp(arg, "--procs") == 0 && (v = next())) {
-      opt.procs = static_cast<std::uint16_t>(std::stoul(v));
-    } else if (std::strcmp(arg, "--ops") == 0 && (v = next())) {
-      opt.ops = std::stoul(v);
-    } else if (std::strcmp(arg, "--seed") == 0 && (v = next())) {
-      opt.seed = std::stoull(v);
-    } else if (std::strcmp(arg, "--join-timeout") == 0 && (v = next())) {
-      opt.join_timeout_ms = std::stoi(v);
     } else if (std::strcmp(arg, "--history") == 0 && (v = next())) {
       opt.history_path = v;
     } else if (std::strcmp(arg, "--metrics") == 0 && (v = next())) {
@@ -133,22 +172,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.state_path = v;
     } else if (std::strcmp(arg, "--resume") == 0) {
       opt.resume = true;
-    } else if (std::strcmp(arg, "--hb-interval") == 0 && (v = next())) {
-      opt.hb_interval_ms = std::stoi(v);
-    } else if (std::strcmp(arg, "--liveness") == 0 && (v = next())) {
-      opt.liveness_timeout_ms = std::stoi(v);
-    } else if (std::strcmp(arg, "--degraded-timeout") == 0 && (v = next())) {
-      opt.degraded_timeout_ms = std::stoi(v);
-    } else if (std::strcmp(arg, "--backoff") == 0 && (v = next())) {
-      opt.backoff_ms = std::stoi(v);
-    } else if (std::strcmp(arg, "--backoff-max") == 0 && (v = next())) {
-      opt.backoff_max_ms = std::stoi(v);
-    } else if (std::strcmp(arg, "--reconnect-attempts") == 0 && (v = next())) {
-      opt.reconnect_attempts = std::stoi(v);
-    } else if (std::strcmp(arg, "--drain-timeout") == 0 && (v = next())) {
-      opt.drain_timeout_ms = std::stoi(v);
-    } else if (std::strcmp(arg, "--stats-interval") == 0 && (v = next())) {
-      opt.stats_interval_ms = std::stoi(v);
     } else if (std::strcmp(arg, "--fed-metrics") == 0 && (v = next())) {
       opt.fed_metrics_path = v;
     } else {
@@ -218,12 +241,7 @@ int main(int argc, char** argv) {
   cfg.history_path = opt.history_path;
   cfg.state_path = opt.state_path;
   cfg.resume = opt.resume;
-  cfg.hb_interval_ms = opt.hb_interval_ms;
-  cfg.liveness_timeout_ms = opt.liveness_timeout_ms;
-  cfg.degraded_timeout_ms = opt.degraded_timeout_ms;
-  cfg.backoff_initial_ms = opt.backoff_ms;
-  cfg.backoff_max_ms = opt.backoff_max_ms;
-  cfg.reconnect_attempts = opt.reconnect_attempts;
+  cfg.timing = opt.timing;
   cfg.drain_timeout_ms = opt.drain_timeout_ms;
   // --fed-metrics implies the stats plane: default its cadence on so a bare
   // `--fed-metrics fed.json` run still leaves a snapshot behind.
