@@ -11,7 +11,7 @@
 #include "bench_util.h"
 #include "checker/causal_checker.h"
 #include "obs/table.h"
-#include "protocols/partial_rep.h"
+#include "protocols/anbkh.h"
 
 namespace {
 

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -89,29 +90,25 @@ class JsonReport {
   class Row {
    public:
     Row& field(std::string key, std::string value) {
-      fields_.emplace_back(std::move(key), Val{std::move(value)});
-      return *this;
+      return put(std::move(key), std::move(value));
     }
     Row& field(std::string key, const char* value) {
-      return field(std::move(key), std::string(value));
+      return put(std::move(key), std::string(value));
     }
     Row& field(std::string key, double value) {
-      fields_.emplace_back(std::move(key), Val{value});
-      return *this;
+      return put(std::move(key), value);
     }
     Row& field(std::string key, std::int64_t value) {
-      fields_.emplace_back(std::move(key), Val{value});
-      return *this;
+      return put(std::move(key), value);
     }
     Row& field(std::string key, std::uint64_t value) {
-      return field(std::move(key), static_cast<std::int64_t>(value));
+      return put(std::move(key), static_cast<std::int64_t>(value));
     }
     Row& field(std::string key, int value) {
-      return field(std::move(key), static_cast<std::int64_t>(value));
+      return put(std::move(key), static_cast<std::int64_t>(value));
     }
     Row& field(std::string key, bool value) {
-      fields_.emplace_back(std::move(key), Val{value});
-      return *this;
+      return put(std::move(key), value);
     }
     /// Durations are reported as `<key>_ns` integer nanoseconds.
     Row& field_ns(std::string key, sim::Duration d) {
@@ -121,6 +118,18 @@ class JsonReport {
    private:
     friend class JsonReport;
     using Val = std::variant<std::string, double, std::int64_t, bool>;
+
+    // The value is constructed in place: moving a temporary Val into the
+    // pair trips GCC 12's -Wmaybe-uninitialized on the variant's inactive
+    // alternatives.
+    template <typename T>
+    Row& put(std::string key, T value) {
+      fields_.emplace_back(std::piecewise_construct,
+                           std::forward_as_tuple(std::move(key)),
+                           std::forward_as_tuple(std::in_place_type<T>,
+                                                 std::move(value)));
+      return *this;
+    }
     std::vector<std::pair<std::string, Val>> fields_;
   };
 

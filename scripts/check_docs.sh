@@ -74,10 +74,10 @@ fi
 # The codec encodes only what crosses a link (pairs, transport, control and
 # stats frames): it names no intra-system protocol payload, so it lives in
 # cim_net and there is no separate cim_wire library.
-if grep -Eq "#include \"(protocols|msgpass|mcs)/" "$root"/src/net/wire.h \
+if grep -Eq "#include \"(protocols|mcs)/" "$root"/src/net/wire.h \
     "$root"/src/net/wire.cpp; then
   echo "check_docs: the wire codec includes an intra-system header:" >&2
-  grep -En "#include \"(protocols|msgpass|mcs)/" "$root"/src/net/wire.h \
+  grep -En "#include \"(protocols|mcs)/" "$root"/src/net/wire.h \
       "$root"/src/net/wire.cpp >&2
   status=1
 fi
@@ -349,12 +349,31 @@ for fn in sequence enqueue_delivery; do
   fi
 done
 
-# One causal hold-back queue: the vector-clock protocols and the CBCAST
-# member buffer through common/causal_queue.h, the one caller of ready_at;
-# the TOB buffer is a FIFO queue (deliveries arrive in sequence order).
-if grep -rn "ready_at(" "$root"/src/protocols "$root"/src/msgpass >/dev/null; then
+# One causal hold-back queue: the vector-clock protocols buffer through
+# common/causal_queue.h, the one caller of ready_at; the TOB buffer is a FIFO
+# queue (deliveries arrive in sequence order).
+if grep -rn "ready_at(" "$root"/src/protocols >/dev/null; then
   echo "check_docs: a protocol scans for causally ready updates itself (use CausalQueue::pop_ready):" >&2
-  grep -rn "ready_at(" "$root"/src/protocols "$root"/src/msgpass >&2
+  grep -rn "ready_at(" "$root"/src/protocols >&2
+  status=1
+fi
+# One vector-clock causal broadcast: VcReplicaProcess (protocols/update_msg.h)
+# ticks, stamps, sends and holds back one update message for ANBKH,
+# partial-rep, cbcast-dsm and lazy-batch.
+if [ -e "$root"/src/msgpass ]; then
+  echo "check_docs: src/msgpass is back (the causal broadcast is protocols/update_msg.h)" >&2
+  status=1
+fi
+if grep -rEq "PartialUpdate|CbcastMsg|CbcastMember" "$root"/src; then
+  echo "check_docs: a second causal-broadcast type is back (use TimestampedUpdate / VcReplicaProcess):" >&2
+  grep -rEn "PartialUpdate|CbcastMsg|CbcastMember" "$root"/src >&2
+  status=1
+fi
+queues=$(grep -rn "CausalQueue<" "$root"/src \
+  | grep -v "^$root/src/protocols/update_msg.h:" || true)
+if [ -n "$queues" ]; then
+  echo "check_docs: CausalQueue is instantiated outside src/protocols/update_msg.h:" >&2
+  printf '%s\n' "$queues" >&2
   status=1
 fi
 if grep -q "std::map" "$root"/src/protocols/tob_sequencer.h; then

@@ -12,7 +12,8 @@
 #     unacked tail, and the whole mesh drains.
 #
 # Both signals land mid-workload on any host: the run is sized to outlast
-# them (OPS), and they fire once node 1's history shows progress (KILL_AT
+# them (OPS), and they fire once node 0 holds a stats snapshot from node 2
+# (so link 0-2 has formed) and node 1's history shows progress (KILL_AT
 # lines), not after a fixed delay — a node that finished its workload first
 # could no longer --resume (its termination had begun).
 #
@@ -84,6 +85,19 @@ for i in 0 1 2 3; do
     fi
     sleep 0.02
   done
+done
+
+# Node 2's only link is 0-2, so a stats snapshot from node 2 in node 0's
+# fed.json proves that link is up: the SIGSTOP below must silence a formed
+# link, or node 0 has no heartbeats to miss.
+while ! grep -qs '"fed.node.2.t_ns"' "$out/fed.json"; do
+  if [ "$SECONDS" -ge "$deadline" ]; then
+    echo "mesh_chaos_smoke: node 0's fed.json never held a snapshot from" \
+      "node 2 (link 0-2 did not form)" >&2
+    cat "$out"/n*.log >&2
+    exit 1
+  fi
+  sleep 0.005
 done
 
 # Then wait for node 1's workload to be under way: its history streams one

@@ -144,6 +144,12 @@ grep -q "node" "$out/cim_top.out" || {
   $(i=0; while [ "$i" -lt "$n" ]; do printf '%s ' "$out/n$i.jsonl"; i=$((i + 1)); done) \
   -o "$out/merged.jsonl" 2> "$out/merge.log"
 cat "$out/merge.log" >&2
+# Every node keeps its newest clock_sample in its dumped trace, however many
+# events its trace ring evicted, so every input must align.
+if grep -q "no clock_sample records" "$out/merge.log"; then
+  echo "mesh_smoke: a node's trace has no clock_sample to align with" >&2
+  exit 1
+fi
 "$cim_trace" summarize "$out/merged.jsonl" > "$out/merged.summary"
 # shellcheck disable=SC2046
 "$cim_trace" merge --offsets "$out/fed.json" --perfetto \

@@ -1,6 +1,7 @@
 // The causal hold-back queue of the vector-clock protocols — the CBCAST
 // delivery discipline of the paper's Section 1.2 pathway, written once for
-// ANBKH, lazy-batch, partial-rep and mp::CbcastMember.
+// the one causal broadcast, proto::VcReplicaProcess (ANBKH, partial-rep,
+// cbcast-dsm and lazy-batch).
 //
 // Remote updates wait in arrival order; pop_ready() removes the first one
 // that is causally ready at the caller's clock (VectorClock::ready_at). The

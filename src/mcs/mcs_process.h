@@ -54,10 +54,11 @@ struct McsContext {
 /// Where the apply chain continues once an update's upcalls have completed.
 enum class ApplyResume {
   /// In a fresh simulator event: each update of a buffered burst applies in
-  /// its own event (ANBKH, aw-seq, tob-causal, partial-rep).
+  /// its own event (ANBKH and partial-rep, aw-seq, tob-causal).
   kPosted,
-  /// Within the event that completed the upcall: a lazy-batch batch or a
-  /// cbcast-dsm delivery burst applies within one event.
+  /// Within the event that completed the upcall: a lazy-batch batch, or a
+  /// burst of ready updates at cbcast-dsm (ANBKH with self-delivery),
+  /// applies within one event.
   kInline,
 };
 

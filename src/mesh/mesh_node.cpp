@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -472,19 +473,33 @@ MeshResult MeshNode::run() {
     loop_.stop();
   };
 
+  // Pin a (virtual time, steady clock) correspondence — both clocks read at
+  // the same instant on the engine's thread — so cim_trace merge can align
+  // this node's virtual timeline onto the shared wall clock (trace schema
+  // v4, docs/TRACE_TOOLS.md "merge"). The newest one is also kept outside
+  // the trace ring: when the ring's last capacity() events span less than a
+  // stats tick, the end of the run records it again, so the dumped trace
+  // always holds one.
+  obs::TraceSink& tr = fed_->observability().trace();
+  struct ClockSample {
+    sim::Time t;
+    std::int64_t steady_ns = 0;
+    std::uint64_t seq = 0;  // its record's sequence number
+  };
+  std::optional<ClockSample> newest_sample;
+  auto record_clock_sample = [&](const ClockSample& c) {
+    CIM_TRACE(&tr, c.t, obs::TraceCategory::kSim, "clock_sample",
+              {{"steady_ns", c.steady_ns},
+               {"node", static_cast<std::uint64_t>(cfg_.node_id)}});
+  };
+
   // Stats cadence: a loop timer, first sample at once so short runs and
   // slow cadences still cover every node.
   std::function<void()> stats_tick = [&] {
     if (phase == Phase::kFinished) return;
     if (cfg_.trace) {
-      // Pin a (virtual time, steady clock) correspondence — both clocks
-      // read at the same instant on the engine's thread — so cim_trace merge
-      // can align this node's virtual timeline onto the shared wall clock
-      // (trace schema v4, docs/TRACE_TOOLS.md "merge").
-      obs::TraceSink& tr = fed_->observability().trace();
-      CIM_TRACE(&tr, sim.now(), obs::TraceCategory::kSim, "clock_sample",
-                {{"steady_ns", steady_ns()},
-                 {"node", static_cast<std::uint64_t>(cfg_.node_id)}});
+      newest_sample = ClockSample{sim.now(), steady_ns(), tr.recorded()};
+      record_clock_sample(*newest_sample);
     }
     if (cfg_.node_id == 0) {
       agg_.fold(*sample_stats());
@@ -616,6 +631,8 @@ MeshResult MeshNode::run() {
   // The loop has exited, so close the sockets (net/epoll_loop.h order): the
   // peers see EOF now, and the sessions keep their counters for the caller.
   for (auto& s : sessions_) s->stop();
+  if (newest_sample && tr.recorded() - newest_sample->seq > tr.capacity())
+    record_clock_sample(*newest_sample);
   if (!error_.empty()) return result;
 
   // Fold the session and loop counters into the registry (the loop has

@@ -161,6 +161,43 @@ TEST(Anbkh, BurstBehindAnUnreadyUpdateAppliesInArrivalOrder) {
   EXPECT_EQ(p2.clock(), (VectorClock{2, 8, 0}));
 }
 
+// The one update message without a payload is a causal marker: ANBKH's
+// apply chain consumes it in causal order, advancing the writer's clock
+// entry without touching the replica or reporting an apply.
+TEST(Anbkh, CausalMarkerAdvancesClockOnly) {
+  auto cfg = test::single_system(2, anbkh_protocol());
+  cfg.monitor.enabled = false;
+  isc::Federation fed(std::move(cfg));
+  auto& p1 = static_cast<AnbkhProcess&>(fed.system(0).mcs(1));
+  net::Fabric& fabric = fed.fabric();
+  net::ChannelId from_p0{};
+  for (std::uint32_t c = 0; c < fabric.num_channels(); ++c) {
+    if (fabric.channel_src(net::ChannelId{c}) == ProcId{SystemId{0}, 0})
+      from_p0 = net::ChannelId{c};
+  }
+  auto send = [&](std::uint64_t tick, bool has_value) {
+    auto msg = std::make_unique<TimestampedUpdate>();
+    msg->var = X;
+    msg->value = static_cast<Value>(tick);
+    msg->has_value = has_value;
+    msg->clock = VectorClock{tick, 0};
+    msg->writer = 0;
+    p1.on_message(from_p0, std::move(msg));
+  };
+  send(1, false);
+  fed.run();
+  EXPECT_EQ(p1.clock(), (VectorClock{1, 0}));
+  EXPECT_EQ(p1.replica_value(X), kInitValue);
+  send(3, true);  // held back until the marker of tick 2
+  fed.run();
+  EXPECT_EQ(p1.pending_updates(), 1u);
+  send(2, false);
+  fed.run();
+  EXPECT_EQ(p1.clock(), (VectorClock{3, 0}));
+  EXPECT_EQ(p1.replica_value(X), 3);
+  EXPECT_EQ(p1.pending_updates(), 0u);
+}
+
 TEST(Anbkh, SatisfiesCausalUpdatingTrait) {
   auto fed = isc::Federation(test::single_system(2, anbkh_protocol()));
   EXPECT_TRUE(fed.system(0).mcs(0).satisfies_causal_updating());

@@ -1,139 +1,114 @@
-// Tests: the causal-broadcast substrate and the DSM layered on it.
+// Tests: the one vector-clock causal broadcast (protocols/update_msg.h) under
+// each protocol built on it, and the causal DSM over causal broadcast of the
+// paper's Section 1.2 (cbcast-dsm).
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "checker/causal_checker.h"
 #include "helpers.h"
-#include "msgpass/cbcast.h"
-#include "protocols/cbcast_dsm.h"
-
-namespace cim::mp {
-namespace {
-
-using test::X;
-using test::Y;
-
-// ----------------------------- substrate (with an in-memory jittery wire)
-
-// Test harness: a group of members connected by simulated FIFO channels.
-struct Group {
-  sim::Simulator sim;
-  net::Fabric fabric{sim, 33};
-
-  struct Node : CbTransport, net::Receiver {
-    Group* group = nullptr;
-    std::uint16_t index = 0;
-    std::unique_ptr<CbcastMember> member;
-    std::vector<net::ChannelId> out;
-    std::vector<std::pair<std::uint16_t, CbPayload>> delivered;
-
-    void send_to_member(std::uint16_t m, net::MessagePtr msg) override {
-      group->fabric.send(out[m], std::move(msg));
-    }
-    void on_message(net::ChannelId, net::MessagePtr msg) override {
-      member->on_network(std::move(msg));
-    }
-  };
-  std::vector<std::unique_ptr<Node>> nodes;
-
-  explicit Group(std::uint16_t n, sim::Duration max_jitter = sim::milliseconds(10)) {
-    for (std::uint16_t i = 0; i < n; ++i) {
-      auto node = std::make_unique<Node>();
-      node->group = this;
-      node->index = i;
-      node->member = std::make_unique<CbcastMember>(
-          i, n, *node, [raw = node.get()](std::uint16_t s, const CbPayload& p) {
-            raw->delivered.emplace_back(s, p);
-          });
-      nodes.push_back(std::move(node));
-    }
-    for (std::uint16_t i = 0; i < n; ++i) {
-      nodes[i]->out.resize(n);
-      for (std::uint16_t j = 0; j < n; ++j) {
-        if (i == j) continue;
-        net::ChannelConfig cc;
-        cc.src = ProcId{SystemId{0}, i};
-        cc.dst = ProcId{SystemId{0}, j};
-        cc.receiver = nodes[j].get();
-        cc.delay = std::make_unique<net::UniformDelay>(sim::microseconds(10),
-                                                       max_jitter);
-        nodes[i]->out[j] = fabric.add_channel(std::move(cc));
-      }
-    }
-  }
-};
-
-TEST(Cbcast, SelfDeliveryIsImmediate) {
-  Group g(3);
-  g.nodes[0]->member->broadcast(CbPayload{X, 1, WriteId{}});
-  ASSERT_EQ(g.nodes[0]->delivered.size(), 1u);
-  EXPECT_EQ(g.nodes[0]->delivered[0].second.value, 1);
-}
-
-TEST(Cbcast, AllMembersDeliverEverything) {
-  Group g(4);
-  for (std::uint16_t i = 0; i < 4; ++i) {
-    g.nodes[i]->member->broadcast(CbPayload{X, 10 + i, WriteId{}});
-  }
-  g.sim.run();
-  for (auto& node : g.nodes) {
-    EXPECT_EQ(node->delivered.size(), 4u);
-    EXPECT_EQ(node->member->buffered(), 0u);
-  }
-}
-
-// Property: deliveries respect the causal order of broadcasts. We build
-// causal chains (each broadcast happens after delivering the previous one)
-// and check per-node delivery order across many jitter seeds.
-class CbcastCausal : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(CbcastCausal, CausallyChainedBroadcastsDeliverInOrder) {
-  Group g(4, sim::milliseconds(40));
-  // Node 0 broadcasts value 1; whichever node delivers value k broadcasts
-  // k+1 (relay chain through different nodes), up to 8.
-  auto relay = [&](std::uint16_t node_idx, Value expected, Value next) {
-    auto* node = g.nodes[node_idx].get();
-    node->member = std::make_unique<CbcastMember>(
-        node_idx, 4, *node,
-        [node, &g, expected, next, node_idx](std::uint16_t s,
-                                             const CbPayload& p) {
-          node->delivered.emplace_back(s, p);
-          if (p.value == expected && next <= 8) {
-            g.nodes[node_idx]->member->broadcast(
-                CbPayload{VarId{0}, next, WriteId{}});
-          }
-        });
-  };
-  relay(1, 1, 2);
-  relay(2, 2, 3);
-  relay(3, 3, 4);
-  g.nodes[0]->member->broadcast(CbPayload{VarId{0}, 1, WriteId{}});
-  g.sim.run();
-
-  // Values 1..4 form a causal chain; every node must deliver them ascending.
-  for (auto& node : g.nodes) {
-    std::vector<Value> chain;
-    for (auto& [s, p] : node->delivered) {
-      if (p.value >= 1 && p.value <= 4) chain.push_back(p.value);
-    }
-    ASSERT_EQ(chain.size(), 4u) << "node " << node->index;
-    for (std::size_t i = 0; i < 4; ++i) {
-      EXPECT_EQ(chain[i], static_cast<Value>(i + 1)) << "node " << node->index;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CbcastCausal,
-                         ::testing::Range<std::uint64_t>(1, 7));
-
-}  // namespace
-}  // namespace cim::mp
+#include "protocols/anbkh.h"
 
 namespace cim::proto {
 namespace {
 
 using test::X;
+
+// ------------------------------------- the broadcast, on a jittery system
+
+struct BroadcastCase {
+  const char* name;
+  mcs::ProtocolFactory (*make)(std::uint16_t procs);
+};
+
+const BroadcastCase kBroadcasts[] = {
+    {"anbkh", [](std::uint16_t) { return anbkh_protocol(); }},
+    {"partial_rep",
+     [](std::uint16_t procs) {
+       return partial_rep_protocol([](std::uint16_t, VarId) { return true; },
+                                   procs);
+     }},
+    {"cbcast_dsm", [](std::uint16_t) { return cbcast_dsm_protocol(); }},
+};
+
+void PrintTo(const BroadcastCase& c, std::ostream* os) { *os << c.name; }
+
+// Records, per process, the values of variable 0 its apply pipeline applied,
+// and relays: the process that applies value k writes k+1, so process k
+// writes k+1 for k = 1..3.
+struct Relay final : mcs::MemoryObserver {
+  isc::Federation* fed = nullptr;
+  std::map<std::uint16_t, std::vector<Value>> applied;
+
+  void on_update_applied(ProcId replica, VarId var, Value value, WriteId,
+                         sim::Time) override {
+    if (var != VarId{0}) return;
+    applied[replica.index].push_back(value);
+    // The write leaves the apply chain first.
+    if (value == replica.index && value < 4) {
+      fed->simulator().post([this, p = replica.index, value] {
+        fed->system(0).app(p).write(VarId{0}, value + 1);
+      });
+    }
+  }
+};
+
+class CausalRelay : public ::testing::TestWithParam<
+                        std::tuple<BroadcastCase, std::uint64_t>> {};
+
+// Property: applies respect the causal order of writes. Value 1 is written
+// by process 0; whichever process applies value k writes k+1 (a relay chain
+// through processes 1..3), so values 1..4 form a causal chain, and every
+// replica must apply the three it did not write in ascending order, over
+// jittery channels.
+TEST_P(CausalRelay, ChainedWritesApplyInOrderEverywhere) {
+  const auto& [protocol, seed] = GetParam();
+  isc::FederationConfig cfg = test::single_system(4, protocol.make(4), seed);
+  cfg.systems[0].intra_delay = [] {
+    return std::make_unique<net::UniformDelay>(sim::microseconds(10),
+                                               sim::milliseconds(40));
+  };
+  isc::Federation fed(std::move(cfg));
+  Relay relay;
+  relay.fed = &fed;
+  fed.add_observer(&relay);
+  fed.system(0).app(0).write(VarId{0}, 1);
+  fed.run();
+
+  for (std::uint16_t p = 0; p < 4; ++p) {
+    // Process p wrote value p+1; cbcast-dsm also applies it at the writer.
+    std::vector<Value> remote;
+    for (Value v : relay.applied[p]) {
+      if (v != p + 1) remote.push_back(v);
+    }
+    std::vector<Value> expected = {1, 2, 3, 4};
+    expected.erase(expected.begin() + p);
+    EXPECT_EQ(remote, expected) << "process " << p;
+    EXPECT_EQ(static_cast<VcReplicaProcess&>(fed.system(0).mcs(p))
+                  .pending_updates(),
+              0u);
+  }
+  auto res = chk::CausalChecker{}.check(fed.federation_history());
+  EXPECT_TRUE(res.ok()) << chk::to_string(res.pattern) << ": " << res.detail;
+}
+
+std::string relay_name(
+    const ::testing::TestParamInfo<CausalRelay::ParamType>& info) {
+  return std::string(std::get<0>(info.param).name) + "_seed" +
+         std::to_string(std::get<1>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, CausalRelay,
+    ::testing::Combine(::testing::ValuesIn(kBroadcasts),
+                       ::testing::Range<std::uint64_t>(1, 7)),
+    relay_name);
+
+// ------------------------------------------------------------- cbcast-dsm
 
 TEST(CbcastDsm, BasicReadWrite) {
   isc::Federation fed(test::single_system(3, cbcast_dsm_protocol()));
@@ -149,6 +124,35 @@ TEST(CbcastDsm, Traits) {
   isc::Federation fed(test::single_system(2, cbcast_dsm_protocol()));
   EXPECT_TRUE(fed.system(0).mcs(0).satisfies_causal_updating());
   EXPECT_STREQ(fed.system(0).mcs(0).protocol_name(), "cbcast-dsm");
+}
+
+// What sets cbcast-dsm apart from ANBKH: the writer's own update is
+// delivered back to it, through the apply chain, before the write is
+// acknowledged — so the apply pipeline reports it, which ANBKH's local
+// pre-apply never does.
+TEST(CbcastDsm, OwnWriteAppliesAtSelfDelivery) {
+  struct Applied final : mcs::MemoryObserver {
+    std::vector<ProcId> replicas;
+    void on_update_applied(ProcId replica, VarId, Value, WriteId,
+                           sim::Time) override {
+      replicas.push_back(replica);
+    }
+  };
+  for (const bool dsm : {true, false}) {
+    isc::Federation fed(test::single_system(
+        2, dsm ? cbcast_dsm_protocol() : anbkh_protocol()));
+    Applied applied;
+    fed.add_observer(&applied);
+    Value at_ack = -1;
+    fed.system(0).app(0).write(
+        X, 7, [&] { at_ack = fed.system(0).mcs(0).replica_value(X); });
+    fed.run();
+    EXPECT_EQ(at_ack, 7) << "dsm " << dsm;
+    const std::vector<ProcId> writer_first = {ProcId{SystemId{0}, 0},
+                                              ProcId{SystemId{0}, 1}};
+    const std::vector<ProcId> peer_only = {ProcId{SystemId{0}, 1}};
+    EXPECT_EQ(applied.replicas, dsm ? writer_first : peer_only);
+  }
 }
 
 class CbcastDsmRandom : public ::testing::TestWithParam<std::uint64_t> {};

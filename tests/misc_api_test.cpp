@@ -4,7 +4,6 @@
 
 #include "helpers.h"
 #include "interconnect/pair_msg.h"
-#include "msgpass/cbcast.h"
 #include "protocols/update_msg.h"
 
 namespace cim {
@@ -100,16 +99,20 @@ TEST(IsProcess, MustAttachToIspSlot) {
 TEST(Messages, WireSizesAreOrderedSensibly) {
   proto::TimestampedUpdate full;
   full.clock = VectorClock(4);
+  proto::TimestampedUpdate marker;
+  marker.clock = VectorClock(4);
+  marker.has_value = false;
   isc::PairMsg pair;
-  mp::CbcastMsg cb;
-  cb.clock = VectorClock(4);
-  // The IS pair is protocol-agnostic and smallest; clocked updates grow with
-  // the system size.
+  // The IS pair is protocol-agnostic and smallest; a causal marker drops
+  // the variable and value; clocked updates grow with the system size.
   EXPECT_LT(pair.wire_size(), full.wire_size());
-  mp::CbcastMsg big;
+  EXPECT_EQ(full.wire_size() - marker.wire_size(), 4u + 8u);
+  proto::TimestampedUpdate big;
   big.clock = VectorClock(16);
-  EXPECT_GT(big.wire_size(), cb.wire_size());
+  EXPECT_GT(big.wire_size(), full.wire_size());
   EXPECT_STREQ(pair.type_name(), "is.pair");
+  EXPECT_STREQ(full.type_name(), "vc.update");
+  EXPECT_STREQ(marker.type_name(), "vc.marker");
 }
 
 TEST(ScriptRunner, EmptyScriptFinishesImmediately) {

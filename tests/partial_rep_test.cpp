@@ -1,9 +1,12 @@
 // Unit/integration tests: the partial-replication causal protocol [8].
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "checker/causal_checker.h"
 #include "helpers.h"
-#include "protocols/partial_rep.h"
+#include "protocols/anbkh.h"
 
 namespace cim::proto {
 namespace {
@@ -39,9 +42,9 @@ TEST(PartialRep, PrivateVariableStoredOnlyAtHolder) {
   isc::Federation fed(partial_system(3));
   fed.system(0).app(1).write(VarId{1}, 5);
   fed.run();
-  auto& p0 = dynamic_cast<PartialRepProcess&>(fed.system(0).mcs(0));
-  auto& p1 = dynamic_cast<PartialRepProcess&>(fed.system(0).mcs(1));
-  auto& p2 = dynamic_cast<PartialRepProcess&>(fed.system(0).mcs(2));
+  auto& p0 = dynamic_cast<AnbkhProcess&>(fed.system(0).mcs(0));
+  auto& p1 = dynamic_cast<AnbkhProcess&>(fed.system(0).mcs(1));
+  auto& p2 = dynamic_cast<AnbkhProcess&>(fed.system(0).mcs(2));
   EXPECT_EQ(p1.replica_value(VarId{1}), 5);
   EXPECT_EQ(p0.replica_value(VarId{1}), kInitValue);  // marker only
   EXPECT_EQ(p2.replica_value(VarId{1}), kInitValue);
@@ -79,7 +82,7 @@ TEST(PartialRep, MarkersPreserveCausalDependencies) {
   fed.system(0).app(0).write(VarId{0}, 1);
   fed.system(0).app(0).write(VarId{9}, 2);
   fed.run();
-  auto& p2 = dynamic_cast<PartialRepProcess&>(fed.system(0).mcs(2));
+  auto& p2 = dynamic_cast<AnbkhProcess&>(fed.system(0).mcs(2));
   EXPECT_EQ(p2.replica_value(VarId{9}), 2);
   EXPECT_EQ(p2.clock()[0], 2u);  // both of p0's writes accounted for
   auto res = chk::CausalChecker{}.check(fed.federation_history());
@@ -194,15 +197,33 @@ TEST(PartialRep, InterconnectsWithFullReplicationSystem) {
   EXPECT_TRUE(res.ok()) << res.detail;
 }
 
-TEST(PartialRep, FullInterestVariantBehavesLikeAnbkh) {
-  isc::Federation fed(
-      test::single_system(3, partial_rep_protocol_full(), 2));
-  fed.system(0).app(0).write(X, 1);
-  fed.run();
-  for (std::uint16_t p = 0; p < 3; ++p) {
-    auto& mp = dynamic_cast<PartialRepProcess&>(fed.system(0).mcs(p));
-    EXPECT_EQ(mp.replica_value(X), 1);
-  }
+// Full interest sends no marker: partial-rep is then ANBKH, event for
+// event, on the same seeded run.
+TEST(PartialRep, FullInterestTraceIsAnbkhTrace) {
+  auto trace_of = [](mcs::ProtocolFactory protocol) {
+    isc::FederationConfig cfg = test::single_system(3, std::move(protocol), 2);
+    cfg.obs.trace.enabled = true;
+    cfg.systems[0].intra_delay = [] {
+      return std::make_unique<net::UniformDelay>(sim::microseconds(100),
+                                                 sim::milliseconds(15));
+    };
+    isc::Federation fed(std::move(cfg));
+    wl::UniformConfig wc;
+    wc.ops_per_process = 40;
+    wc.num_vars = 4;
+    wc.seed = 11;
+    auto runners = wl::install_uniform(fed, wc);
+    fed.run();
+    std::ostringstream out;
+    fed.observability().trace().write_jsonl(out);
+    return out.str();
+  };
+  const std::string partial = trace_of(partial_rep_protocol_full());
+  EXPECT_NE(partial.find("update_applied"), std::string::npos);
+  EXPECT_EQ(partial.find("vc.marker"), std::string::npos);
+  EXPECT_EQ(partial, trace_of(anbkh_protocol()));
+
+  isc::Federation fed(test::single_system(3, partial_rep_protocol_full(), 2));
   EXPECT_STREQ(fed.system(0).mcs(0).protocol_name(), "partial-rep");
   EXPECT_TRUE(fed.system(0).mcs(0).satisfies_causal_updating());
 }

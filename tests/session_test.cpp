@@ -5,7 +5,7 @@
 
 #include "checker/session_checker.h"
 #include "helpers.h"
-#include "protocols/partial_rep.h"
+#include "protocols/anbkh.h"
 
 namespace cim::chk {
 namespace {

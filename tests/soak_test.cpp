@@ -10,8 +10,7 @@
 #include "checker/history.h"
 #include "helpers.h"
 #include "mcs/span_feed.h"
-#include "protocols/cbcast_dsm.h"
-#include "protocols/partial_rep.h"
+#include "protocols/anbkh.h"
 
 namespace cim::isc {
 namespace {
@@ -148,8 +147,8 @@ TEST(ProtocolParity, SixProtocolTreeTraceHashIsPinned) {
     std::uint64_t hash;
   };
   const Pin pins[] = {
-      {IspMode::kSharedPerSystem, 38280u, 0x83394358d5dc53b4ULL},
-      {IspMode::kPerLink, 43986u, 0xab23d0e355ce16cdULL},
+      {IspMode::kSharedPerSystem, 38280u, 0xf19ac63aa09b60d4ULL},
+      {IspMode::kPerLink, 43986u, 0x2eb7c6e57d4a8ddcULL},
   };
   for (const Pin& pin : pins) {
     FederationConfig cfg = mixed_tree(6, 3, 1, pin.mode);
@@ -196,8 +195,8 @@ TEST(ProtocolParity, MarkerAndBatchOrderTreeTraceHashIsPinned) {
     std::uint64_t hash;
   };
   const Pin pins[] = {
-      {IspMode::kSharedPerSystem, 13185u, 0xc9388af60ed2145bULL},
-      {IspMode::kPerLink, 14796u, 0x93145f8be2bb16b5ULL},
+      {IspMode::kSharedPerSystem, 13185u, 0x62c01a11ffd7fb88ULL},
+      {IspMode::kPerLink, 14796u, 0x6ad843d702701dbbULL},
   };
   for (const Pin& pin : pins) {
     FederationConfig cfg;
@@ -261,7 +260,7 @@ TEST(ProtocolParity, MarkerAndBatchOrderTreeTraceHashIsPinned) {
     fed.observability().trace().write_jsonl(out);
     const std::string jsonl = out.str();
     // The tree really exercises the paths it pins.
-    EXPECT_NE(jsonl.find("partial.marker"), std::string::npos);
+    EXPECT_NE(jsonl.find("vc.marker"), std::string::npos);
     std::uint64_t scrambled = 0;
     for (std::uint16_t p = 0; p < kProcs; ++p) {
       scrambled += dynamic_cast<proto::LazyBatchProcess&>(fed.system(1).mcs(p))

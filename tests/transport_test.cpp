@@ -13,8 +13,7 @@
 #include "checker/causal_checker.h"
 #include "helpers.h"
 #include "net/reliable_transport.h"
-#include "protocols/cbcast_dsm.h"
-#include "protocols/partial_rep.h"
+#include "protocols/anbkh.h"
 #include "sim/faults.h"
 #include "workload/generator.h"
 
