@@ -16,6 +16,10 @@
 // The workload is the paper's own counterexample, repeated: a process of S0
 // writes x then y (causally ordered); a scanner in S1 keeps reading y and
 // then x, catching any window in which y's value arrived before x's.
+//
+// Every run also carries the online monitor, which sees each write issued
+// at its origin and so must convict exactly the runs the checker convicts
+// at kCC; the bench exits 1 on any run where the two disagree.
 #include <functional>
 #include <iostream>
 #include <memory>
@@ -30,6 +34,8 @@ using namespace cim;
 
 struct Outcome {
   std::size_t violations = 0;          // runs convicted by the checker
+  std::size_t monitor_convicted = 0;   // runs the online monitor convicted
+  std::size_t disagreements = 0;       // runs where monitor != checker kCC
   std::uint64_t scrambled_batches = 0; // inversions at isp^0's MCS-process
 };
 
@@ -42,6 +48,7 @@ Outcome sweep(isc::IsProtocolChoice choice, std::uint64_t seeds) {
 
     isc::FederationConfig cfg;
     cfg.seed = seed;
+    cfg.monitor.enabled = true;
     for (std::uint16_t s = 0; s < 2; ++s) {
       mcs::SystemConfig sc;
       sc.id = SystemId{s};
@@ -90,8 +97,19 @@ Outcome sweep(isc::IsProtocolChoice choice, std::uint64_t seeds) {
     fed.run();
     *scan = nullptr;  // break the closure's self-ownership cycle
 
-    auto res = chk::CausalChecker{}.check(fed.federation_history());
+    const chk::History history = fed.federation_history();
+    auto res = chk::CausalChecker{}.check(history);
     if (!res.ok()) ++out.violations;
+    // The monitor saw every write issued at its origin, so its live verdict
+    // must be the checker's kCC verdict on α^T.
+    const bool convicted = fed.monitor()->violation_count() > 0;
+    if (convicted) ++out.monitor_convicted;
+    if (convicted == chk::CausalChecker{}.check(history, chk::Level::kCC).ok()) {
+      std::cout << "seed " << seed << ": monitor "
+                << (convicted ? "convicted" : "silent")
+                << " but the checker at kCC disagrees\n";
+      ++out.disagreements;
+    }
     auto& isp_mcs = dynamic_cast<proto::LazyBatchProcess&>(
         fed.system(0).mcs(fed.system(0).num_app_processes()));
     out.scrambled_batches += isp_mcs.scrambled_batches();
@@ -112,11 +130,11 @@ int main() {
   const Outcome p2 = sweep(isc::IsProtocolChoice::kAuto, kSeeds);
 
   obs::Table table({"IS-protocol at S0", "runs", "causality violations",
-                    "scrambled batches at isp^0"});
+                    "monitor convicted", "scrambled batches at isp^0"});
   table.add_row("protocol 1 (forced, no pre-read)", kSeeds, p1.violations,
-                p1.scrambled_batches);
+                p1.monitor_convicted, p1.scrambled_batches);
   table.add_row("protocol 2 (auto: pre-read on)", kSeeds, p2.violations,
-                p2.scrambled_batches);
+                p2.monitor_convicted, p2.scrambled_batches);
   table.print();
 
   std::cout << "\nWithout the pre-update read the IS-process propagates "
@@ -124,5 +142,11 @@ int main() {
                "causal; with it, Lemma 1's observational forcing makes\nthe "
                "MCS apply (hence propagate) in causal order, and no violation "
                "ever occurs.\n";
+  if (p1.disagreements + p2.disagreements > 0) {
+    std::cout << "\nFAIL: the online monitor and the checker (kCC on the "
+                 "federation history) disagree on "
+              << p1.disagreements + p2.disagreements << " run(s)\n";
+    return 1;
+  }
   return p2.violations == 0 ? 0 : 1;
 }

@@ -6,15 +6,18 @@
 //   CCv  — causal convergence (requires arbitration none of these protocols
 //          implement, so contended runs score "no")
 //   SEQ  — sequential consistency (exhaustive reference checker; small runs)
-//   RYW / MR / MW — session guarantees (all should hold)
+//   RYW / MR / MW — session guarantees (all should hold): no witness of the
+//          online monitor's replay carries the guarantee's label
 //
 // This demonstrates the *position* of the interconnected system in the
 // consistency spectrum: exactly causal — no more, no less.
+#include <algorithm>
 #include <iostream>
+#include <vector>
 
 #include "checker/causal_checker.h"
+#include "checker/online_monitor.h"
 #include "checker/search_checker.h"
-#include "checker/session_checker.h"
 #include "interconnect/federation.h"
 #include "obs/table.h"
 #include "protocols/anbkh.h"
@@ -99,13 +102,14 @@ int main() {
     const bool ccv =
         chk::CausalChecker{}.check(history, chk::Level::kCCv).ok();
     auto seq = chk::SearchChecker{}.is_sequential(history);
-    chk::SessionChecker sessions;
-    const bool ryw =
-        sessions.check(history, chk::SessionGuarantee::kReadYourWrites).ok;
-    const bool mr =
-        sessions.check(history, chk::SessionGuarantee::kMonotonicReads).ok;
-    const bool mw =
-        sessions.check(history, chk::SessionGuarantee::kMonotonicWrites).ok;
+    const std::vector<chk::Violation> found = chk::OnlineMonitor::check(history);
+    auto holds = [&found](chk::Guarantee g) {
+      return std::none_of(found.begin(), found.end(),
+                          [g](const chk::Violation& v) { return v.label == g; });
+    };
+    const bool ryw = holds(chk::Guarantee::kReadYourWrites);
+    const bool mr = holds(chk::Guarantee::kMonotonicReads);
+    const bool mw = holds(chk::Guarantee::kMonotonicWrites);
 
     table.add_row(p.name, yn(cm), yn(ccv),
                   seq.has_value() ? yn(*seq) : "undecided", yn(ryw), yn(mr),

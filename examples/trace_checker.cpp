@@ -6,13 +6,15 @@
 // Trace format (see src/checker/trace_io.h): one op per line,
 //   w <system> <proc> <var> <value> [invoked_ns responded_ns] [isp]
 //   r <system> <proc> <var> <value> [invoked_ns responded_ns] [isp]
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "checker/causal_checker.h"
+#include "checker/online_monitor.h"
 #include "checker/search_checker.h"
-#include "checker/session_checker.h"
 #include "checker/trace_io.h"
 #include "interconnect/federation.h"
 #include "protocols/anbkh.h"
@@ -48,14 +50,33 @@ int check(const chk::History& history, chk::Level level, bool sequential,
     }
   }
   if (sessions) {
-    chk::SessionChecker checker;
-    for (auto g : {chk::SessionGuarantee::kReadYourWrites,
-                   chk::SessionGuarantee::kMonotonicReads,
-                   chk::SessionGuarantee::kMonotonicWrites}) {
-      auto sr = checker.check(history, g);
-      std::cout << chk::to_string(g) << ": " << (sr.ok ? "OK" : "VIOLATION")
-                << "\n";
-      if (!sr.ok) std::cout << "  " << sr.detail << "\n";
+    // The online monitor's replay: each violation's witness is labelled
+    // with the session guarantee it breaks.
+    const std::vector<chk::Violation> found = chk::OnlineMonitor::check(history);
+    for (auto g : {chk::Guarantee::kReadYourWrites,
+                   chk::Guarantee::kMonotonicReads,
+                   chk::Guarantee::kMonotonicWrites,
+                   chk::Guarantee::kWritesFollowReads}) {
+      const auto hit =
+          std::find_if(found.begin(), found.end(),
+                       [g](const chk::Violation& v) { return v.label == g; });
+      std::cout << chk::to_string(g) << ": "
+                << (hit == found.end() ? "OK" : "VIOLATION") << "\n";
+      if (hit != found.end()) {
+        std::cout << "  " << chk::to_string(hit->pattern) << ": "
+                  << hit->proc << " read " << hit->var << " from ";
+        if (hit->w1.valid()) {
+          std::cout << hit->w1;
+        } else {
+          std::cout << "the initial value";
+        }
+        std::cout << " although " << hit->w2 << " precedes the read\n";
+      }
+    }
+    for (const chk::Violation& v : found) {
+      if (v.label != chk::Guarantee::kNone) continue;
+      std::cout << "replay stopped: " << chk::to_string(v.pattern) << " at "
+                << v.proc << "'s read of " << v.var << "\n";
     }
   }
   return res.ok() ? 0 : 1;

@@ -254,6 +254,12 @@ fi
 # hooks (src/net/fault_inject.h) and the chaos smoke must be described
 # there, so a new hook cannot ship undocumented.
 faults_doc="$root/docs/FAULTS.md"
+# A mesh re-dial is a timer on the node's EpollLoop, not a thread.
+if grep -rq "re-dial thread" "$root"/docs; then
+  echo "check_docs: docs/ describe a re-dial thread (a re-dial is a loop timer):" >&2
+  grep -rn "re-dial thread" "$root"/docs >&2
+  status=1
+fi
 if [ ! -f "$faults_doc" ]; then
   echo "check_docs: missing $faults_doc" >&2
   status=1
@@ -327,6 +333,31 @@ fi
 if ! tr -s '\n' ' ' < "$root/src/checker/online_monitor.h" \
     | grep -Eq "void on_read_done\([^)]*WriteId"; then
   echo "check_docs: OnlineMonitor::on_read_done does not take the read's WriteId" >&2
+  status=1
+fi
+
+# One causality rule, online and offline: chk::OnlineMonitor decides the kCC
+# patterns at each read from causal-past frontiers and labels each witness
+# with the session guarantee it breaks. The separate session checker, the
+# monitor's ad-hoc rules and its update-applied fact stay gone.
+for f in session_checker.h session_checker.cpp; do
+  if [ -e "$root/src/checker/$f" ]; then
+    echo "check_docs: src/checker/$f exists (session guarantees are OnlineMonitor witness labels)" >&2
+    status=1
+  fi
+done
+if grep -rq "SessionChecker" "$root"/src "$root"/examples "$root"/tests "$root"/tools; then
+  echo "check_docs: SessionChecker is referenced (use OnlineMonitor::check and its labels):" >&2
+  grep -rn "SessionChecker" "$root"/src "$root"/examples "$root"/tests "$root"/tools >&2
+  status=1
+fi
+if grep -rEq "fifo_regress|read_regress|stale_read" "$root"/src "$root"/tools; then
+  echo "check_docs: an ad-hoc monitor rule is back (the monitor decides the kCC patterns):" >&2
+  grep -rEn "fifo_regress|read_regress|stale_read" "$root"/src "$root"/tools >&2
+  status=1
+fi
+if grep -q "on_update_applied" "$root/src/checker/online_monitor.h"; then
+  echo "check_docs: OnlineMonitor declares on_update_applied (it consumes write issued and read done only)" >&2
   status=1
 fi
 

@@ -35,10 +35,6 @@ class MonitorFeed final : public mcs::MemoryObserver {
                         sim::Time t) override {
     monitor_.on_write_issue(t.ns, writer, wid, var);
   }
-  void on_update_applied(ProcId replica, VarId, Value, WriteId wid,
-                         sim::Time t) override {
-    monitor_.on_update_applied(t.ns, replica, wid);
-  }
   void on_read_done(ProcId reader, VarId var, Value, WriteId wid,
                     sim::Time t) override {
     monitor_.on_read_done(t.ns, reader, var, wid);

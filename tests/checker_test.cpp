@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "checker/causal_checker.h"
+#include "checker/online_monitor.h"
 #include "checker/relation.h"
 #include "checker/search_checker.h"
 #include "helpers.h"
@@ -395,7 +396,8 @@ TEST(SearchChecker, SequentialRejectsNonCausalHistory) {
 }
 
 // Property: the polynomial bad-pattern checker and the exhaustive search
-// checker agree on random small histories.
+// checker agree on random small histories; so do the checker at kCC and the
+// online monitor's replay.
 class CheckerCrossValidation : public ::testing::TestWithParam<std::uint64_t> {
 };
 
@@ -420,6 +422,16 @@ TEST_P(CheckerCrossValidation, BadPatternsMatchSearch) {
       }
     }
     auto history = h.history();
+    // Written values are distinct, so the online monitor's replay decides
+    // kCC exactly, naming genuine witnesses.
+    const auto cc = CausalChecker{}.check(history, chk::Level::kCC);
+    const std::vector<Violation> monitor = OnlineMonitor::check(history);
+    EXPECT_EQ(monitor.empty(), cc.ok())
+        << "monitor "
+        << (monitor.empty() ? "silent" : to_string(monitor[0].pattern))
+        << " vs kCC " << to_string(cc.pattern) << " on:\n"
+        << history.to_string();
+    test::expect_genuine_witnesses(history, monitor);
     auto fast = CausalChecker{}.check(history, chk::Level::kCM);
     auto slow = SearchChecker{}.is_causal(history);
     if (!slow.has_value()) continue;  // budget exceeded — skip

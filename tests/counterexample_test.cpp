@@ -16,8 +16,6 @@
 //    order (Lemma 1) and the interconnected system stays causal.
 #include <gtest/gtest.h>
 
-#include <string_view>
-
 #include "checker/causal_checker.h"
 #include "checker/online_monitor.h"
 #include "helpers.h"
@@ -44,16 +42,18 @@ TEST(Counterexample, Protocol1AloneViolatesCausality) {
   // The stale read happened...
   EXPECT_EQ(probe.x_when_y_seen, kInitValue);
   // ...and the online monitor flagged it *during* the run: the stale r(x)
-  // surfaces as a writes-into violation (and the inverted pair arrival as a
-  // per-writer FIFO regression in S1), emitted as `chk`/`violation` trace
-  // events and on the checker.violations counter.
+  // is the checker's WriteCOInitRead on x (w(x)1 ⇝ w(y)2 ⇝ r(y)2 ⇝ r(x)0),
+  // emitted as a `chk`/`violation` trace event and on the
+  // checker.violations counter.
   ASSERT_NE(fed.monitor(), nullptr);
   EXPECT_GT(fed.monitor()->violation_count(), 0u);
-  bool stale = false;
+  bool init_read = false;
   for (const chk::Violation& v : fed.monitor()->violations()) {
-    if (std::string_view(v.kind) == "stale_read" && v.var == X) stale = true;
+    if (v.pattern == chk::BadPattern::kWriteCOInitRead && v.var == X &&
+        v.w2.origin() == ProcId{SystemId{0}, 0})
+      init_read = true;
   }
-  EXPECT_TRUE(stale) << "expected a stale_read violation on x";
+  EXPECT_TRUE(init_read) << "expected a WriteCOInitRead violation on x";
   EXPECT_GT(fed.observability().trace().category_count(obs::TraceCategory::kChk),
             0u);
   const obs::MetricsSnapshot snap = fed.metrics_snapshot();

@@ -14,12 +14,16 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "checker/causal_checker.h"
 #include "checker/history.h"
+#include "checker/online_monitor.h"
+#include "checker/relation.h"
 #include "common/check.h"
 #include "interconnect/federation.h"
 #include "mcs/system.h"
@@ -137,6 +141,38 @@ struct H {
   }
   chk::History history() const { return chk::History(ops); }
 };
+
+/// Expects every WriteCORead / WriteCOInitRead that OnlineMonitor::check
+/// reported on `h` to name a genuine witness: w2 writes the read's variable,
+/// w2 ⇝ the read, and w1 ⇝ w2 (for a WriteCORead). The replay stamps a read
+/// with its history index and numbers each process's writes from 1. Skipped
+/// where ⇝ has no Relation (a cyclic, thin-air or ambiguous history).
+inline void expect_genuine_witnesses(const chk::History& h,
+                                     const std::vector<chk::Violation>& vs) {
+  const std::optional<chk::Relation> co = chk::CausalChecker{}.causal_order(h);
+  if (!co) return;
+  auto index_of = [&h](WriteId w) {
+    const chk::History::Span s = h.span_of(w.origin());
+    std::uint32_t k = 0;
+    for (std::size_t i = s.begin; i < s.end; ++i) {
+      if (h.is_write(i) && ++k == w.seq()) return i;
+    }
+    ADD_FAILURE() << "no write " << w << " in the history";
+    return s.begin;
+  };
+  for (const chk::Violation& v : vs) {
+    if (v.pattern != chk::BadPattern::kWriteCORead &&
+        v.pattern != chk::BadPattern::kWriteCOInitRead)
+      continue;
+    const auto r = static_cast<std::size_t>(v.t);
+    const std::size_t w2 = index_of(v.w2);
+    EXPECT_EQ(h.var(w2), h.var(r));
+    EXPECT_TRUE(co->test(w2, r)) << "w2 does not precede the read";
+    if (v.pattern == chk::BadPattern::kWriteCORead) {
+      EXPECT_TRUE(co->test(index_of(v.w1), w2)) << "w1 does not precede w2";
+    }
+  }
+}
 
 /// FNV-1a of `s`: the parity pins hash a whole JSONL trace with it.
 inline std::uint64_t fnv1a(const std::string& s) {

@@ -69,7 +69,9 @@ FederationConfig mixed_tree(std::size_t m, std::uint16_t procs,
 class Soak : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(Soak, SixSystemSixProtocolTreeIsCausal) {
-  Federation fed(mixed_tree(6, 3, GetParam(), IspMode::kSharedPerSystem));
+  FederationConfig cfg = mixed_tree(6, 3, GetParam(), IspMode::kSharedPerSystem);
+  cfg.monitor.enabled = true;
+  Federation fed(std::move(cfg));
   wl::UniformConfig wc;
   wc.ops_per_process = 35;
   wc.num_vars = 6;
@@ -82,6 +84,9 @@ TEST_P(Soak, SixSystemSixProtocolTreeIsCausal) {
   EXPECT_EQ(history.size(), 6u * 3u * 35u);
   auto res = chk::CausalChecker{}.check(history);
   EXPECT_TRUE(res.ok()) << chk::to_string(res.pattern) << ": " << res.detail;
+  // The online monitor saw every write's issue: its verdict is kCC's.
+  EXPECT_EQ(fed.monitor()->violation_count(), 0u);
+  EXPECT_TRUE(chk::CausalChecker{}.check(history, chk::Level::kCC).ok());
   for (std::size_t s = 0; s < 6; ++s) {
     auto sys_res = chk::CausalChecker{}.check(fed.system_history(s));
     EXPECT_TRUE(sys_res.ok()) << "system " << s << ": " << sys_res.detail;
@@ -89,7 +94,9 @@ TEST_P(Soak, SixSystemSixProtocolTreeIsCausal) {
 }
 
 TEST_P(Soak, PerLinkIspTreeIsCausal) {
-  Federation fed(mixed_tree(5, 2, GetParam(), IspMode::kPerLink));
+  FederationConfig cfg = mixed_tree(5, 2, GetParam(), IspMode::kPerLink);
+  cfg.monitor.enabled = true;
+  Federation fed(std::move(cfg));
   wl::UniformConfig wc;
   wc.ops_per_process = 25;
   wc.num_vars = 5;
@@ -98,6 +105,7 @@ TEST_P(Soak, PerLinkIspTreeIsCausal) {
   fed.run();
   auto res = chk::CausalChecker{}.check(fed.federation_history());
   EXPECT_TRUE(res.ok()) << chk::to_string(res.pattern) << ": " << res.detail;
+  EXPECT_EQ(fed.monitor()->violation_count(), 0u);
 }
 
 TEST_P(Soak, DialupEverywhereStillDeliversAndStaysCausal) {

@@ -231,14 +231,21 @@ int cmd_check(const std::string& path) {
 
   int exit_code = 0;
   if (monitor.violation_count() > 0) {
-    cim::obs::Table table(
-        {"kind", "t_ns", "proc", "var", "wid", "expect_seq", "got_seq"});
+    // w1: the write the read returned; w2: the write to the same variable
+    // with w1 ⇝ w2 ⇝ the read.
+    cim::obs::Table table({"kind", "label", "t_ns", "proc", "var", "w1", "w2"});
     for (const cim::chk::Violation& v : monitor.violations()) {
-      std::ostringstream proc, wid;
+      std::ostringstream proc, w1, w2;
       proc << v.proc;
-      wid << v.wid;
-      table.add_row(v.kind, v.t, proc.str(), v.var.value, wid.str(),
-                    v.expected_seq, v.got_seq);
+      if (v.w1.valid()) {
+        w1 << v.w1;
+      } else {
+        w1 << "init";
+      }
+      w2 << v.w2;
+      table.add_row(cim::chk::to_string(v.pattern),
+                    cim::chk::to_string(v.label), v.t, proc.str(),
+                    v.var.value, w1.str(), w2.str());
     }
     table.print(std::cout);
     std::cout << monitor.violation_count() << " online violation(s)\n";
